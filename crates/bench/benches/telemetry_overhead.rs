@@ -56,10 +56,10 @@ fn bench_audited_interval(c: &mut Criterion) {
                     t += 2;
                     let inputs = inputs_for(t, &trees, &specs, &registry, &reports);
                     if !audited {
-                        return black_box(state.run(&inputs)).suggestions.len();
+                        return black_box(state.run_incremental(&inputs)).suggestions.len();
                     }
                     let mut audit = IntervalAudit::new(t / 2, t * 1_000_000_000);
-                    let out = state.run_audited(&inputs, Some(&mut audit));
+                    let out = state.run_incremental_audited(&inputs, Some(&mut audit));
                     if sink {
                         for record in audit.records() {
                             tel.emit(&record);

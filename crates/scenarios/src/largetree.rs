@@ -7,7 +7,7 @@
 //! (`fanout^depth` leaves — fanout 10, depth 4 gives an 11,111-node domain)
 //! and drives them with deterministic report churn at a configurable dirty
 //! fraction, so full and incremental runs can be compared on identical
-//! inputs. `crates/bench`'s `incremental` bench and the large-tree smoke
+//! inputs. The `perf` benchmark's pipeline probes and the large-tree smoke
 //! test in `tests/incremental.rs` both draw their workloads from here.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,7 +15,6 @@ use crate::stages::congestion::{self, LeafObs, NodeState};
 use crate::stages::sharing::{self, SharingScratch};
 use crate::stages::subscription::{self, BackoffTable, NodeInputs};
 use netsim::{AppId, DirLinkId, NodeId, RngStream, SessionId, SimDuration, SimTime};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use telemetry::{
     BottleneckNode, CapacityLink, CongestionNode, IntervalAudit, SessionNodes, SharingEntry, Span,
@@ -80,11 +79,12 @@ pub struct AlgorithmOutputs {
     pub congested_nodes: usize,
     /// Per-session supply at the root (levels) — the session-wide ceiling.
     pub root_supply: Vec<u8>,
-    /// Whether this interval took the incremental (dirty-subtree) path.
+    /// Whether this interval was served warm from the change cache
+    /// (dirty subtrees only); `false` on a cold start.
     pub incremental: bool,
     /// Tree slots the stage kernels actually recomputed this interval
-    /// (stage-1 congestion states + stage-5 decisions). A full run counts
-    /// every slot twice; an incremental run only the dirty ones.
+    /// (stage-1 congestion states + stage-5 decisions). A cold run counts
+    /// every slot twice; a warm run only the dirty ones.
     pub slots_recomputed: u64,
 }
 
@@ -134,15 +134,9 @@ struct SessionScratch {
     supply: Vec<u8>,
     /// Table I branch labels per tree slot (filled only when auditing).
     branches: Vec<&'static str>,
-    /// Double buffers for the incremental path: the fresh stage-5 inputs
-    /// are built here, diffed against `inputs`/`level_cap` to find dirty
-    /// slots, then swapped in. Used only when the whole session must be
-    /// rebuilt (its sharing allowances were refreshed).
-    inputs_new: Vec<NodeInputs>,
-    level_cap_new: Vec<u8>,
     /// Snapshot of `states` as of the previous interval, taken before the
-    /// incremental stage-1 recompute; diffed afterwards to find slots whose
-    /// stage-5 inputs may have moved.
+    /// stage-1 recompute; diffed afterwards to find slots whose stage-5
+    /// inputs may have moved.
     states_prev: Vec<NodeState>,
     /// Slots whose observation was re-folded this interval (report diff).
     obs_dirty: Vec<u32>,
@@ -153,8 +147,8 @@ struct SessionScratch {
     state_dirty: Vec<u32>,
 }
 
-/// Per-session inputs frozen by [`IncCache`] at the last full run. As long
-/// as the live inputs still match (`Tree::structure_eq`, same spec, same
+/// Per-session inputs frozen by [`IncCache`] at the last cold start. As
+/// long as the live inputs still match (same routing, same spec, same
 /// report keys), the previous interval's scratch buffers are a valid
 /// starting point for change-driven recomputation.
 #[derive(Debug)]
@@ -164,7 +158,7 @@ struct SessionCache {
     spec: LayerSpec,
     /// CSR attribution: `rep_idx[rep_start[slot]..rep_start[slot + 1]]`
     /// are the global report indices folding into `slot`, in report order
-    /// (so an incremental re-fold replays the full path's fold exactly).
+    /// (so a re-fold replays the cold fold exactly).
     rep_start: Vec<u32>,
     rep_idx: Vec<u32>,
     /// Suggestion routing resolved once per topology: `(receiver, slot)`
@@ -181,10 +175,10 @@ struct SessionCache {
     mem5_dirty: Vec<u32>,
 }
 
-/// Everything the incremental path needs to prove, cheaply, that only the
-/// changed inputs can have changed the outputs. Built after every full
-/// run; consulted and refreshed by every incremental run; dropped on any
-/// mismatch (the next run falls back to the full path and rebuilds it).
+/// Everything an interval needs to prove, cheaply, that only the changed
+/// inputs can have changed the outputs. Primed by every cold start;
+/// consulted and refreshed by every run; dropped on any mismatch (the run
+/// that finds it so starts cold and reprimes it).
 #[derive(Debug, Default)]
 struct IncCache {
     valid: bool,
@@ -200,17 +194,17 @@ struct IncCache {
     /// Per cached report: `(session index, slot)` it folds into, or
     /// `(u32::MAX, u32::MAX)` when unattributable (node outside the tree).
     report_target: Vec<(u32, u32)>,
-    /// Per row of the link-sorted usage buffer: the `(session index,
-    /// slot)` the observation came from, so stage 2 can rebuild any
-    /// link's observation run from current states without re-sorting.
-    usage_meta: Vec<(u32, u32)>,
-    /// Every link any session crosses, sorted (dedup of `usage_meta`'s
-    /// link column).
+    /// One `(link, session index, slot)` row per non-root slot, stably
+    /// sorted by link, so stage 2 can rebuild any link's observation run
+    /// from current states without re-sorting.
+    usage: Vec<(DirLinkId, u32, u32)>,
+    /// Every link any session crosses, sorted (dedup of `usage`'s link
+    /// column).
     crossed_links: Vec<DirLinkId>,
     /// The border caps in force when the cache was last primed/refreshed.
-    /// A cap change is an *input* change at the root slot: the incremental
-    /// path diffs against this copy and marks the root dirty, and the
-    /// full-width top-down supply pass propagates the new ceiling.
+    /// A cap change is an *input* change at the root slot: stage 5 diffs
+    /// against this copy and marks the root dirty, and the full-width
+    /// top-down supply pass propagates the new ceiling.
     border_caps: Vec<(SessionId, u8)>,
     sessions: Vec<SessionCache>,
 }
@@ -225,7 +219,6 @@ pub struct AlgorithmState {
     runs: u64,
     scratch: Vec<SessionScratch>,
     sharing_scratch: SharingScratch,
-    usage_buf: Vec<(DirLinkId, SessionLinkObs)>,
     cache: IncCache,
     dirty: topology::DirtySet,
     /// Second marking set for stage 5: candidate slots whose inputs may
@@ -253,7 +246,6 @@ impl AlgorithmState {
             runs: 0,
             scratch: Vec::new(),
             sharing_scratch: SharingScratch::default(),
-            usage_buf: Vec::new(),
             cache: IncCache::default(),
             dirty: topology::DirtySet::new(),
             dirty_aux: topology::DirtySet::new(),
@@ -265,8 +257,7 @@ impl AlgorithmState {
     /// normalized (sorted by session, last write wins, `u8::MAX` rows
     /// dropped) so two callers handing over the same set in any order
     /// leave byte-identical state. Does not invalidate the change cache:
-    /// a cap change is tracked as a root-slot input change by the
-    /// incremental path.
+    /// a cap change is tracked as a root-slot input change.
     pub fn set_border_caps(&mut self, caps: &[(SessionId, u8)]) {
         self.border_caps.clear();
         self.border_caps.extend_from_slice(caps);
@@ -308,389 +299,36 @@ impl AlgorithmState {
         self.estimator.capacity(link)
     }
 
-    /// Run one interval of the five-stage algorithm.
+    /// Run one interval of the five-stage algorithm from scratch: every
+    /// slot, crossed link and session is recomputed. The exhaustive side
+    /// of the twin tests — [`Self::run_incremental`] must equal it byte
+    /// for byte.
     pub fn run(&mut self, inputs: &AlgorithmInputs<'_>) -> AlgorithmOutputs {
-        self.run_audited(inputs, None)
+        self.invalidate();
+        self.run_incremental(inputs)
     }
 
-    /// [`Self::run`] plus an optional decision audit: when `audit` is
-    /// `Some`, every stage's intermediate output is copied into it after
-    /// the stage runs, along with wall-clock spans per kernel. The audit
-    /// is strictly write-only — auditing cannot alter any decision or the
-    /// RNG draw sequence, so outputs are identical either way (the
-    /// telemetry determinism test pins this down).
-    pub fn run_audited(
-        &mut self,
-        inputs: &AlgorithmInputs<'_>,
-        mut audit: Option<&mut IntervalAudit>,
-    ) -> AlgorithmOutputs {
-        assert_eq!(inputs.trees.len(), inputs.specs.len());
-        // The incremental path maintains node memories only in the dense
-        // per-slot copies; flush them back before reading the map.
-        self.sync_memories();
-        let cfg = self.cfg;
-        let nsess = inputs.trees.len();
-        let timing = audit.is_some();
-        let whole_span = timing.then(Span::new);
-
-        // Borrow the scratch pool for the interval; reinstalled at the end
-        // so every buffer's allocation survives into the next run.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.resize_with(nsess.max(scratch.len()), SessionScratch::default);
-        let spare = scratch.split_off(nsess);
-
-        // Stage 1 per session: aggregate this session's reports per tree
-        // slot (loss = min, bytes/level = max), compute congestion states,
-        // and fold the interval into a working copy of each node's
-        // persistent memory. Returns the session's congested-node count.
-        let memories = &self.memories;
-        let stage1 = |sc: &mut SessionScratch, tree: &SessionTree| -> usize {
-            let sid = tree.session();
-            let t = tree.tree();
-            sc.obs.clear();
-            sc.obs.resize(t.len(), None);
-            for r in inputs.reports {
-                if r.session != sid {
-                    continue;
-                }
-                // Reports from nodes outside the (possibly stale) tree
-                // cannot be attributed to a subtree; skip them.
-                let Some(slot) = t.slot_of(r.node) else { continue };
-                let e =
-                    sc.obs[slot].get_or_insert(LeafObs { loss: f64::INFINITY, bytes: 0, level: 0 });
-                e.loss = e.loss.min(r.loss_rate());
-                e.bytes = e.bytes.max(r.bytes);
-                e.level = e.level.max(r.level);
-            }
-            congestion::compute_into(tree, &sc.obs, &cfg, &mut sc.states);
-            sc.mem.clear();
-            sc.mem.resize(t.len(), NodeMemory::default());
-            let mut congested = 0;
-            for s in t.slots() {
-                let st = sc.states[s];
-                congested += st.congested as usize;
-                let mut mem = memories.get(&(sid, t.node_at(s))).copied().unwrap_or_default();
-                if st.has_data || st.parent_congested {
-                    mem.hist.push(st.congested);
-                    mem.bytes_older = mem.bytes_recent;
-                    mem.bytes_recent = st.max_bytes;
-                } else {
-                    // No-data subtree (every receiver below quarantined,
-                    // evicted, or silenced by an outage): the interval is
-                    // not evidence of anything, so the node inherits its
-                    // prior state instead of recording a fabricated
-                    // all-clear. The byte windows hold too — rotating a 0
-                    // in would crater the goodput floor the reduce rules
-                    // use once reports resume.
-                    mem.hist.push(mem.hist.now());
-                }
-                sc.mem[s] = mem;
-            }
-            congested
-        };
-        let stage_span = timing.then(Span::new);
-        let congested_nodes: usize = if nsess >= 2 {
-            let work: Vec<(SessionScratch, &SessionTree)> =
-                scratch.drain(..).zip(inputs.trees).collect();
-            let done: Vec<(SessionScratch, usize)> = work
-                .into_par_iter()
-                .map(|(mut sc, tree)| {
-                    let c = stage1(&mut sc, tree);
-                    (sc, c)
-                })
-                .collect();
-            let mut total = 0;
-            for (sc, c) in done {
-                scratch.push(sc);
-                total += c;
-            }
-            total
-        } else {
-            scratch.iter_mut().zip(inputs.trees).map(|(sc, tree)| stage1(sc, tree)).sum()
-        };
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage1_congestion", span.elapsed_ns()));
-            }
-            a.congestion = congestion_audit(inputs.trees, &scratch);
-        }
-
-        // Stage 2: capacity estimation over every link any session crosses.
-        // The flat usage buffer is stably sorted by link, so each link's
-        // observations are contiguous and keep tree order — the estimator
-        // sees exactly the per-link lists the map-based path would build.
-        let mut usage = std::mem::take(&mut self.usage_buf);
-        usage.clear();
-        for (tree, sc) in inputs.trees.iter().zip(&scratch) {
-            let sid = tree.session();
-            for s in 1..tree.tree().len() {
-                let st = sc.states[s];
-                usage.push((
-                    tree.in_link_at(s),
-                    SessionLinkObs { session: sid, loss: st.loss, bytes: st.max_bytes },
-                ));
-            }
-        }
-        usage.sort_by_key(|&(l, _)| l);
-        let stage_span = timing.then(Span::new);
-        let mut cap_events: Vec<CapacityEvent> = Vec::new();
-        self.estimator.update_sorted_traced(
-            inputs.now,
-            inputs.interval,
-            &usage,
-            &cfg,
-            audit.is_some().then_some(&mut cap_events),
-        );
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage2_capacity", span.elapsed_ns()));
-            }
-            // Reset events surface in HashMap iteration order; a stable
-            // sort by link makes the record deterministic while keeping
-            // a link's reset ahead of its re-learn.
-            cap_events.sort_by_key(|&(l, _, _)| l);
-            a.capacity = capacity_audit(&cap_events);
-        }
-
-        // Stage 3 per session.
-        let est = &self.estimator;
-        let stage3 = |sc: &mut SessionScratch, tree: &SessionTree| {
-            bottleneck::compute_into(
-                tree,
-                |l| est.capacity(l),
-                &mut sc.bottleneck,
-                &mut sc.max_handle,
-            );
-        };
-        let stage_span = timing.then(Span::new);
-        if nsess >= 2 {
-            let work: Vec<(SessionScratch, &SessionTree)> =
-                scratch.drain(..).zip(inputs.trees).collect();
-            let done: Vec<SessionScratch> = work
-                .into_par_iter()
-                .map(|(mut sc, tree)| {
-                    stage3(&mut sc, tree);
-                    sc
-                })
-                .collect();
-            scratch.extend(done);
-        } else {
-            for (sc, tree) in scratch.iter_mut().zip(inputs.trees) {
-                stage3(sc, tree);
-            }
-        }
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage3_bottleneck", span.elapsed_ns()));
-            }
-            a.bottleneck = bottleneck_audit(inputs.trees, &scratch);
-        }
-
-        // Stage 4 across sessions.
-        let stage_span = timing.then(Span::new);
-        sharing::compute_into(
-            inputs.trees,
-            inputs.specs,
-            |l| est.capacity(l),
-            &mut self.sharing_scratch,
-        );
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage4_sharing", span.elapsed_ns()));
-            }
-            a.sharing = sharing_audit(&self.sharing_scratch, inputs.trees);
-        }
-
-        // Stage 5 per session (sequential: shares one RNG stream).
-        let stage_span = timing.then(Span::new);
-        let mut outputs = AlgorithmOutputs::default();
-        for (i, tree) in inputs.trees.iter().enumerate() {
-            let sid = tree.session();
-            let spec = inputs.specs[i];
-            let t = tree.tree();
-            let sc = &mut scratch[i];
-
-            build_stage5_inputs(
-                tree,
-                i,
-                spec,
-                &cfg,
-                inputs.interval,
-                &self.sharing_scratch,
-                &sc.obs,
-                &sc.states,
-                &sc.mem,
-                &sc.max_handle,
-                Self::border_cap_of(&self.border_caps, sid),
-                &mut sc.inputs,
-                &mut sc.level_cap,
-            );
-
-            let backoffs = self.backoffs.entry(sid).or_default();
-            // A receiver sitting below the level we last supplied while its
-            // loss is high just aborted a failed probe (possibly
-            // unilaterally, if our drop suggestion died at the congested
-            // link). Arm the backoff for the abandoned level here, because
-            // the decision table never will: by the time it runs, the
-            // receiver's current level already equals the reduced target.
-            for s in t.slots() {
-                let Some(o) = sc.obs[s] else { continue };
-                let st = sc.states[s];
-                let mem = sc.mem[s];
-                if st.loss > cfg.high_loss && o.level < mem.supply_recent {
-                    backoffs.arm(t.node_at(s), mem.supply_recent, inputs.now, &cfg, &mut self.rng);
-                }
-            }
-            subscription::compute_into_traced(
-                tree,
-                spec,
-                &cfg,
-                inputs.now,
-                &sc.inputs,
-                &sc.level_cap,
-                backoffs,
-                &mut self.rng,
-                &mut sc.demand,
-                &mut sc.supply,
-                timing.then_some(&mut sc.branches),
-            );
-
-            if std::env::var_os("TOPOSENSE_TRACE").is_some() {
-                let mut line = format!("t={:.0}s s{}:", inputs.now.as_secs_f64(), sid.0);
-                for s in t.slots() {
-                    let inp = &sc.inputs[s];
-                    line.push_str(&format!(
-                        " n{}[h{:03b} loss={:.2} gp={:.0}k cur={:?} cap={} d={} s={}]",
-                        t.node_at(s).0,
-                        inp.hist.bits(),
-                        inp.loss,
-                        inp.goodput_bps / 1000.0,
-                        inp.current_level,
-                        sc.level_cap[s],
-                        sc.demand[s],
-                        sc.supply[s],
-                    ));
-                }
-                eprintln!("{line}");
-            }
-
-            // Persist this interval's history/byte updates together with
-            // the new supply/demand windows. The dense copy is written
-            // back too: the incremental path reads next interval's prior
-            // memory from `sc.mem`, never from the map.
-            for s in t.slots() {
-                let mut mem = sc.mem[s];
-                mem.supply_older = mem.supply_recent;
-                mem.supply_recent = sc.supply[s];
-                mem.demand_prev = Some(sc.demand[s]);
-                sc.mem[s] = mem;
-                self.memories.insert((sid, t.node_at(s)), mem);
-            }
-            outputs.root_supply.push(sc.supply[0]);
-
-            // Suggestions for every registered receiver of this session
-            // whose node is in the (possibly stale) tree.
-            for &(app, node, rsid) in inputs.registry {
-                if rsid != sid {
-                    continue;
-                }
-                if let Some(slot) = t.slot_of(node) {
-                    outputs.suggestions.push(SuggestionOut {
-                        receiver: app,
-                        session: sid,
-                        level: sc.supply[slot].clamp(1, spec.max_level()),
-                    });
-                }
-            }
-
-            if let Some(a) = audit.as_deref_mut() {
-                // `suggested` mirrors the clamp applied to outgoing
-                // suggestions, so the audit can be cross-checked against
-                // the levels the controller actually sends.
-                let mut suggested: Vec<Option<u8>> = vec![None; t.len()];
-                for &(_, node, rsid) in inputs.registry {
-                    if rsid != sid {
-                        continue;
-                    }
-                    if let Some(slot) = t.slot_of(node) {
-                        suggested[slot] = Some(sc.supply[slot].clamp(1, spec.max_level()));
-                    }
-                }
-                a.subscription.push(subscription_session_audit(tree, sc, &suggested));
-            }
-        }
-        if let Some(a) = audit {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage5_subscription", span.elapsed_ns()));
-            }
-            if let Some(span) = whole_span {
-                a.stage_ns.push(("interval", span.elapsed_ns()));
-            }
-        }
-
-        // `usage` is link-sorted, so deduping adjacent links enumerates
-        // each crossed link once, already in output order.
-        let mut last = None;
-        for &(l, _) in &usage {
-            if last == Some(l) {
-                continue;
-            }
-            last = Some(l);
-            if let Some(c) = self.estimator.capacity(l) {
-                outputs.estimated_links.push((l, c));
-            }
-        }
-        outputs.congested_nodes = congested_nodes;
-        outputs.slots_recomputed = inputs.trees.iter().map(|t| 2 * t.tree().len() as u64).sum();
-        scratch.extend(spare);
-        self.scratch = scratch;
-        self.usage_buf = usage;
-        self.runs += 1;
-        outputs
-    }
-
-    /// Change-driven variant of [`Self::run`]: recompute only the tree
-    /// slots whose inputs changed since the previous interval, with
-    /// byte-identical outputs. Falls back to the full [`Self::run`] (and
-    /// reprimes the change cache) whenever the incremental invariants
-    /// cannot be proven — first run, topology or membership change,
-    /// interval change, pending capacity reset, failover.
+    /// Run one interval, recomputing only the tree slots whose inputs
+    /// changed since the previous interval. When the change cache cannot
+    /// vouch for the inputs (see [`Self::can_run_incremental`]) the cache
+    /// is primed from them and the same body runs over full work sets.
     pub fn run_incremental(&mut self, inputs: &AlgorithmInputs<'_>) -> AlgorithmOutputs {
         self.run_incremental_audited(inputs, None)
     }
 
-    /// [`Self::run_incremental`] with the same optional decision audit as
-    /// [`Self::run_audited`]. An audited incremental run requires the
-    /// previous run to have been audited too (clean slots reuse their
-    /// cached branch labels); otherwise it falls back to a full run.
-    pub fn run_incremental_audited(
-        &mut self,
-        inputs: &AlgorithmInputs<'_>,
-        mut audit: Option<&mut IntervalAudit>,
-    ) -> AlgorithmOutputs {
-        let want_audit = audit.is_some();
-        if !self.can_run_incremental(inputs, want_audit) {
-            let out = self.run_audited(inputs, audit.as_deref_mut());
-            self.rebuild_cache(inputs, want_audit);
-            return out;
-        }
-        self.run_incremental_inner(inputs, audit)
-    }
-
-    /// Drop the incremental cache (flushing the dense node memories back
-    /// into the persistent map first). Call on any external state
-    /// transition — controller failover, restart — after which last
-    /// interval's cached invariants no longer hold; the next run then
-    /// takes the full path and reprimes the cache.
+    /// Drop the change cache (flushing the dense node memories back into
+    /// the persistent map first). Call on any external state transition —
+    /// controller failover, restart — after which last interval's cached
+    /// invariants no longer hold; the next run then starts cold.
     pub fn invalidate(&mut self) {
         self.sync_memories();
     }
 
     /// Capture a [`Snapshot`](crate::checkpoint::Snapshot) of the
-    /// persistent state *without perturbing it*: the incremental change
-    /// cache (if live) stays valid, so a primary can serve resync
-    /// checkpoints mid-stream without forcing its own next interval onto
-    /// the full path. Dense per-slot memories are merged over the
+    /// persistent state *without perturbing it*: the change cache (if
+    /// live) stays valid, so a primary can serve resync checkpoints
+    /// mid-stream without forcing its own next interval into a cold
+    /// start. Dense per-slot memories are merged over the
     /// persistent map read-only — the same flush [`Self::invalidate`]
     /// performs, minus the invalidation.
     pub fn checkpoint(&self) -> crate::checkpoint::Snapshot {
@@ -756,9 +394,9 @@ impl AlgorithmState {
     /// `cfg` must be the parameter set the snapshot was taken under
     /// (checked via [`Config::fingerprint`] — the pipeline is only
     /// byte-deterministic for a fixed config). The restored state's first
-    /// run takes the full pipeline path once (the change cache is cold),
-    /// which is byte-identical — RNG draw sequence included — to what the
-    /// uninterrupted original would have produced (DESIGN.md §11).
+    /// run starts cold, which is byte-identical — RNG draw sequence
+    /// included — to what the uninterrupted original would have produced
+    /// (DESIGN.md §11).
     pub fn restore(cfg: Config, snap: &crate::checkpoint::Snapshot) -> Result<Self, String> {
         if cfg.fingerprint() != snap.config_fingerprint {
             return Err(format!(
@@ -766,6 +404,10 @@ impl AlgorithmState {
                 snap.config_fingerprint,
                 cfg.fingerprint()
             ));
+        }
+        // A hand-built snapshot never met the decoder's range checks.
+        if let Some(m) = snap.memories.iter().find(|m| m.hist >= 8) {
+            return Err(format!("memory ({}, {}) has a >3-bit history", m.session, m.node));
         }
         let mut st = Self::new(cfg, 0);
         st.rng = RngStream::from_state(snap.rng);
@@ -809,8 +451,8 @@ impl AlgorithmState {
     }
 
     /// Flush the dense per-slot node memories back into the `memories`
-    /// map and invalidate the cache. The incremental path updates only
-    /// the dense copies, so this must run before anything reads the map.
+    /// map and invalidate the cache. Runs update only the dense copies,
+    /// so this must happen before anything reads the map.
     fn sync_memories(&mut self) {
         if !self.cache.valid {
             return;
@@ -826,7 +468,7 @@ impl AlgorithmState {
     }
 
     /// Can this interval be served from the change cache? Every check
-    /// guards a specific invariant the incremental kernels assume.
+    /// guards a specific invariant the change-driven work sets assume.
     fn can_run_incremental(&self, inputs: &AlgorithmInputs<'_>, want_audit: bool) -> bool {
         let c = &self.cache;
         if !c.valid || (want_audit && !c.branches_valid) || inputs.interval != c.interval {
@@ -856,24 +498,29 @@ impl AlgorithmState {
             }
         }
         // A due capacity reset rewrites estimator state outside the
-        // change-tracking model; let the full path run it.
+        // change-tracking model; a cold run applies it.
         !self.estimator.has_pending_reset(inputs.now, &self.cfg)
     }
 
-    /// Prime the change cache from `inputs` right after a full run, so the
-    /// next interval can be served incrementally.
-    fn rebuild_cache(&mut self, inputs: &AlgorithmInputs<'_>, audited: bool) {
+    /// Cold start: flush the dense memories, then rebuild every cached
+    /// input and resize every per-slot buffer from `inputs`, so the
+    /// interval body can run over full work sets. The cached reports are
+    /// left empty — every row then differs from its cached copy, which is
+    /// what puts it in the work set.
+    fn prime_cache(&mut self, inputs: &AlgorithmInputs<'_>) {
+        self.sync_memories();
+        let pool = inputs.trees.len().max(self.scratch.len());
+        self.scratch.resize_with(pool, SessionScratch::default);
         let c = &mut self.cache;
         c.interval = inputs.interval;
         c.registry.clear();
         c.registry.extend_from_slice(inputs.registry);
         c.reports.clear();
-        c.reports.extend_from_slice(inputs.reports);
-        c.border_caps.clear();
-        c.border_caps.extend_from_slice(&self.border_caps);
 
         c.report_target.clear();
         for r in inputs.reports {
+            // Reports from nodes outside the (possibly stale) tree cannot
+            // be attributed to a subtree; they fold into nothing.
             let target =
                 inputs.trees.iter().position(|t| t.session() == r.session).and_then(|k| {
                     inputs.trees[k].tree().slot_of(r.node).map(|s| (k as u32, s as u32))
@@ -886,7 +533,7 @@ impl AlgorithmState {
             let t = tree.tree();
             let sid = tree.session();
             // Counting sort into a CSR keeps each slot's report indices in
-            // global report order — the order the full path folds in.
+            // global report order — the order the observation fold runs in.
             let mut rep_start = vec![0u32; t.len() + 1];
             for &(sess, slot) in &c.report_target {
                 if sess as usize == k {
@@ -904,19 +551,14 @@ impl AlgorithmState {
                     cursor[slot as usize] += 1;
                 }
             }
+            // Suggestions go to every registered receiver of this session
+            // whose node is in the (possibly stale) tree.
             let sugg_route = inputs
                 .registry
                 .iter()
                 .filter(|&&(_, _, rsid)| rsid == sid)
                 .filter_map(|&(app, node, _)| t.slot_of(node).map(|s| (app, s as u32)))
                 .collect();
-            let mut backoff_slots: Vec<u32> = self
-                .backoffs
-                .get(&sid)
-                .map(|b| b.armed_nodes().filter_map(|n| t.slot_of(n)).map(|s| s as u32).collect())
-                .unwrap_or_default();
-            backoff_slots.sort_unstable();
-            backoff_slots.dedup();
             c.sessions.push(SessionCache {
                 session: sid,
                 tree: tree.clone(),
@@ -924,67 +566,87 @@ impl AlgorithmState {
                 rep_start,
                 rep_idx,
                 sugg_route,
-                backoff_slots,
-                // The full run's persistence wrote every slot; the first
-                // incremental interval must treat them all as moved.
-                mem5_dirty: (0..t.len() as u32).collect(),
+                backoff_slots: Vec::new(),
+                mem5_dirty: Vec::new(),
             });
+
+            let sc = &mut self.scratch[k];
+            sc.obs.clear();
+            sc.obs.resize(t.len(), None);
+            sc.states.clear();
+            sc.states.resize(t.len(), NodeState::default());
+            sc.mem.clear();
+            sc.mem.extend(
+                t.slots()
+                    .map(|s| self.memories.get(&(sid, t.node_at(s))).copied().unwrap_or_default()),
+            );
+            sc.inputs.clear();
+            sc.inputs.resize(t.len(), NodeInputs::default());
+            sc.level_cap.clear();
+            sc.level_cap.resize(t.len(), 0);
+            sc.demand.clear();
+            sc.demand.resize(t.len(), 1);
+            sc.supply.clear();
+            sc.supply.resize(t.len(), 1);
+            sc.branches.clear();
+            sc.branches.resize(t.len(), "");
         }
 
-        // `usage_meta` parallels the link-sorted usage buffer the full run
-        // left in `self.usage_buf`: regenerate the rows in the same order
-        // and stable-sort by the same key, so row `i` annotates
-        // `usage_buf[i]`.
-        let mut rows: Vec<(DirLinkId, u32, u32)> = Vec::new();
+        // One row per non-root slot, stably sorted by link: each link's
+        // rows are contiguous and keep tree order — the per-link
+        // observation lists stage 2 estimates from.
+        c.usage.clear();
         for (k, tree) in inputs.trees.iter().enumerate() {
-            for s in 1..tree.tree().len() {
-                rows.push((tree.in_link_at(s), k as u32, s as u32));
-            }
+            c.usage
+                .extend((1..tree.tree().len()).map(|s| (tree.in_link_at(s), k as u32, s as u32)));
         }
-        rows.sort_by_key(|&(l, _, _)| l);
-        debug_assert_eq!(rows.len(), self.usage_buf.len());
-        c.usage_meta.clear();
-        c.usage_meta.extend(rows.iter().map(|&(_, k, s)| (k, s)));
+        c.usage.sort_by_key(|&(l, _, _)| l);
         c.crossed_links.clear();
-        c.crossed_links.extend(rows.iter().map(|&(l, _, _)| l));
+        c.crossed_links.extend(c.usage.iter().map(|&(l, _, _)| l));
         c.crossed_links.dedup();
-
-        c.branches_valid = audited;
         c.valid = true;
     }
 
-    /// The incremental interval body. Preconditions established by
-    /// [`Self::can_run_incremental`]: same sessions/trees/specs/registry
-    /// and report keys as the cached interval, no pending capacity reset,
-    /// and (when auditing) branch labels current for every slot.
-    fn run_incremental_inner(
+    /// [`Self::run_incremental`] plus an optional decision audit: when
+    /// `audit` is `Some`, every stage's intermediate output is copied into
+    /// it after the stage runs, along with wall-clock spans per kernel.
+    /// The audit is strictly write-only — auditing cannot alter any
+    /// decision or the RNG draw sequence, so outputs are identical either
+    /// way (the telemetry determinism test pins this down). Clean slots
+    /// reuse their cached branch labels, so an audited run after an
+    /// unaudited one starts cold.
+    pub fn run_incremental_audited(
         &mut self,
         inputs: &AlgorithmInputs<'_>,
         mut audit: Option<&mut IntervalAudit>,
     ) -> AlgorithmOutputs {
+        assert_eq!(inputs.trees.len(), inputs.specs.len());
         let cfg = self.cfg;
         let nsess = inputs.trees.len();
         let timing = audit.is_some();
         let whole_span = timing.then(Span::new);
+        let cold = !self.can_run_incremental(inputs, timing);
+        if cold {
+            self.prime_cache(inputs);
+        }
 
         let mut cache = std::mem::take(&mut self.cache);
         let mut dirty = std::mem::take(&mut self.dirty);
         let mut dirty_aux = std::mem::take(&mut self.dirty_aux);
         let mut scratch = std::mem::take(&mut self.scratch);
         let spare = scratch.split_off(nsess);
-        let mut outputs = AlgorithmOutputs { incremental: true, ..AlgorithmOutputs::default() };
+        let mut outputs = AlgorithmOutputs { incremental: !cold, ..AlgorithmOutputs::default() };
         let mut slots_recomputed: u64 = 0;
 
-        // Stage 1 (incremental): diff the reports against the previous
-        // interval's copy; each changed row dirties the slot it folds
-        // into, and every ancestor of a dirty slot re-runs the bottom-up
-        // kernel (its child fold reads the recomputed state).
+        // Stage 1: diff the reports against the previous interval's copy
+        // (empty when cold, so every row differs); each changed row
+        // dirties the slot it folds into, and every ancestor of a dirty
+        // slot re-runs the bottom-up kernel (its child fold reads the
+        // recomputed state).
         let stage_span = timing.then(Span::new);
         let mut report_dirty: Vec<(u32, u32)> = Vec::new();
-        for ((new, old), &target) in
-            inputs.reports.iter().zip(&cache.reports).zip(&cache.report_target)
-        {
-            if new != old && target.0 != u32::MAX {
+        for (i, (new, &target)) in inputs.reports.iter().zip(&cache.report_target).enumerate() {
+            if cache.reports.get(i) != Some(new) && target.0 != u32::MAX {
                 report_dirty.push(target);
             }
         }
@@ -1003,8 +665,8 @@ impl AlgorithmState {
                 if sess as usize != k || !dirty.mark(slot as usize) {
                     continue;
                 }
-                // Re-aggregate this slot's observation from its reports,
-                // in global report order — the same fold as the full path.
+                // Re-aggregate this slot's observation from its reports
+                // (loss = min, bytes/level = max), in global report order.
                 let slot = slot as usize;
                 sc.obs[slot] = None;
                 let (lo, hi) = (cs.rep_start[slot] as usize, cs.rep_start[slot + 1] as usize);
@@ -1022,6 +684,11 @@ impl AlgorithmState {
             }
             sc.obs_dirty.clear();
             sc.obs_dirty.extend_from_slice(dirty.slots());
+            if cold {
+                for s in t.slots() {
+                    dirty.mark(s);
+                }
+            }
             for i in 0..sc.obs_dirty.len() {
                 // Start the walk at the parent: the changed slot is already
                 // marked, and `mark_ancestors` stops at the first marked slot.
@@ -1071,6 +738,13 @@ impl AlgorithmState {
                     mem.bytes_older = mem.bytes_recent;
                     mem.bytes_recent = st.max_bytes;
                 } else {
+                    // No-data subtree (every receiver below quarantined,
+                    // evicted, or silenced by an outage): the interval is
+                    // not evidence of anything, so the node inherits its
+                    // prior state instead of recording a fabricated
+                    // all-clear. The byte windows hold too — rotating a 0
+                    // in would crater the goodput floor the reduce rules
+                    // use once reports resume.
                     mem.hist.push(mem.hist.now());
                 }
                 if mem != sc.mem[s] {
@@ -1079,41 +753,45 @@ impl AlgorithmState {
                 }
             }
         }
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage1_congestion", span.elapsed_ns()));
-            }
+        if let Some(a) = stage_end(&mut audit, "stage1_congestion", stage_span) {
             a.congestion = congestion_audit(inputs.trees, &scratch);
         }
 
-        // Stage 2 (incremental): links holding an estimate always re-run —
+        // Stage 2: links holding an estimate always re-run —
         // creep/hold/recompute fire even on clean intervals — and links
         // under a changed observation re-run to learn. Skipping the rest
         // is provably a no-op: learning is a pure function of the link's
         // unchanged observations (it declined identically last time), and
-        // the reset pass was proven empty before entry.
+        // the reset pass was proven empty before entry. A cold run makes
+        // neither argument: it runs the reset pass and every crossed link.
         let stage_span = timing.then(Span::new);
         let mut cap_events: Vec<CapacityEvent> = Vec::new();
-        let mut candidates: Vec<DirLinkId> = self
-            .estimator
-            .iter()
-            .map(|(l, _)| l)
-            .filter(|l| cache.crossed_links.binary_search(l).is_ok())
-            .collect();
-        for &(sess, slot) in &state_changed {
-            if slot != 0 {
-                candidates.push(inputs.trees[sess as usize].in_link_at(slot as usize));
+        let mut candidates: Vec<DirLinkId> = Vec::new();
+        if cold {
+            self.estimator.begin_interval(inputs.now, &cfg, timing.then_some(&mut cap_events));
+            candidates.clone_from(&cache.crossed_links);
+        } else {
+            candidates.extend(
+                self.estimator
+                    .iter()
+                    .map(|(l, _)| l)
+                    .filter(|l| cache.crossed_links.binary_search(l).is_ok()),
+            );
+            for &(sess, slot) in &state_changed {
+                if slot != 0 {
+                    candidates.push(inputs.trees[sess as usize].in_link_at(slot as usize));
+                }
             }
+            candidates.sort_unstable();
+            candidates.dedup();
         }
-        candidates.sort_unstable();
-        candidates.dedup();
         let mut cap_changed: Vec<DirLinkId> = Vec::new();
         let mut run_buf: Vec<SessionLinkObs> = Vec::new();
         for &link in &candidates {
-            let lo = self.usage_buf.partition_point(|&(l, _)| l < link);
-            let hi = self.usage_buf.partition_point(|&(l, _)| l <= link);
+            let lo = cache.usage.partition_point(|&(l, _, _)| l < link);
+            let hi = cache.usage.partition_point(|&(l, _, _)| l <= link);
             run_buf.clear();
-            for &(sess, slot) in &cache.usage_meta[lo..hi] {
+            for &(_, sess, slot) in &cache.usage[lo..hi] {
                 let st = scratch[sess as usize].states[slot as usize];
                 run_buf.push(SessionLinkObs {
                     session: inputs.trees[sess as usize].session(),
@@ -1134,24 +812,23 @@ impl AlgorithmState {
                 cap_changed.push(link);
             }
         }
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage2_capacity", span.elapsed_ns()));
-            }
+        if let Some(a) = stage_end(&mut audit, "stage2_capacity", stage_span) {
+            // Reset events surface in HashMap iteration order; a stable
+            // sort by link makes the record deterministic while keeping
+            // a link's reset ahead of its re-learn.
             cap_events.sort_by_key(|&(l, _, _)| l);
             a.capacity = capacity_audit(&cap_events);
         }
 
-        // Stage 3 (incremental): the bottleneck curves are a pure function
-        // of tree + estimates, so only sessions crossing a changed link
-        // need a recompute.
+        // Stage 3: the bottleneck curves are a pure function of tree +
+        // estimates, so only sessions crossing a changed link need a
+        // recompute (every session when cold).
         let est = &self.estimator;
         let stage_span = timing.then(Span::new);
-        if !cap_changed.is_empty() {
+        if cold || !cap_changed.is_empty() {
             for (tree, sc) in inputs.trees.iter().zip(scratch.iter_mut()) {
-                let crosses = (1..tree.tree().len())
-                    .any(|s| cap_changed.binary_search(&tree.in_link_at(s)).is_ok());
-                if crosses {
+                let crosses = |s| cap_changed.binary_search(&tree.in_link_at(s)).is_ok();
+                if cold || (1..tree.tree().len()).any(crosses) {
                     bottleneck::compute_into(
                         tree,
                         |l| est.capacity(l),
@@ -1161,31 +838,36 @@ impl AlgorithmState {
                 }
             }
         }
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage3_bottleneck", span.elapsed_ns()));
-            }
+        if let Some(a) = stage_end(&mut audit, "stage3_bottleneck", stage_span) {
             a.bottleneck = bottleneck_audit(inputs.trees, &scratch);
         }
 
-        // Stage 4 (incremental): session-granular refresh around the
-        // changed capacities; a no-op when none changed.
+        // Stage 4: session-granular refresh around the changed
+        // capacities, a no-op when none changed; the full cross-session
+        // pass when cold.
         let stage_span = timing.then(Span::new);
-        let refreshed_sessions = sharing::compute_incremental_into(
-            inputs.trees,
-            inputs.specs,
-            |l| est.capacity(l),
-            &mut self.sharing_scratch,
-            &cap_changed,
-        );
-        if let Some(a) = audit.as_deref_mut() {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage4_sharing", span.elapsed_ns()));
-            }
+        let refreshed_sessions: Vec<u32> = if cold {
+            sharing::compute_into(
+                inputs.trees,
+                inputs.specs,
+                |l| est.capacity(l),
+                &mut self.sharing_scratch,
+            );
+            (0..nsess as u32).collect()
+        } else {
+            sharing::compute_incremental_into(
+                inputs.trees,
+                inputs.specs,
+                |l| est.capacity(l),
+                &mut self.sharing_scratch,
+                &cap_changed,
+            )
+        };
+        if let Some(a) = stage_end(&mut audit, "stage4_sharing", stage_span) {
             a.sharing = sharing_audit(&self.sharing_scratch, inputs.trees);
         }
 
-        // Stage 5 (incremental, sequential: shares one RNG stream).
+        // Stage 5 per session (sequential: shares one RNG stream).
         let stage_span = timing.then(Span::new);
         for (k, tree) in inputs.trees.iter().enumerate() {
             let sid = tree.session();
@@ -1196,41 +878,22 @@ impl AlgorithmState {
 
             let border_cap = Self::border_cap_of(&self.border_caps, sid);
             let border_cap_moved = border_cap != Self::border_cap_of(&cache.border_caps, sid);
+            // Rebuild the stage-5 inputs of every candidate slot and diff
+            // them against the cached copy to find the dirty decisions.
             dirty.begin(t.len());
+            dirty_aux.begin(t.len());
             if refreshed_sessions.binary_search(&(k as u32)).is_ok() {
                 // Sharing refreshed this session's allowances: any slot's
-                // level cap may have moved, so rebuild inputs for every
-                // slot and diff to find the dirty decisions.
-                build_stage5_inputs(
-                    tree,
-                    k,
-                    spec,
-                    &cfg,
-                    inputs.interval,
-                    &self.sharing_scratch,
-                    &sc.obs,
-                    &sc.states,
-                    &sc.mem,
-                    &sc.max_handle,
-                    border_cap,
-                    &mut sc.inputs_new,
-                    &mut sc.level_cap_new,
-                );
+                // level cap may have moved, so every slot is a candidate.
                 for s in t.slots() {
-                    if sc.inputs_new[s] != sc.inputs[s] || sc.level_cap_new[s] != sc.level_cap[s] {
-                        dirty.mark(s);
-                    }
+                    dirty_aux.mark(s);
                 }
-                std::mem::swap(&mut sc.inputs, &mut sc.inputs_new);
-                std::mem::swap(&mut sc.level_cap, &mut sc.level_cap_new);
             } else {
                 // Allowances untouched: a slot's inputs can only have moved
                 // through one of its trackable feeds — a re-folded
                 // observation, a memory write (stage-1 fold this interval
                 // or stage-5 persistence last interval), or a congestion
                 // state change at the slot, its parent, or a sibling.
-                // Rebuild inputs for exactly those candidates.
-                dirty_aux.begin(t.len());
                 if border_cap_moved {
                     // The cap feeds exactly one input — the root's level
                     // cap — so the root is the (only) candidate; the
@@ -1268,33 +931,40 @@ impl AlgorithmState {
                         }
                     }
                 }
-                for &s in dirty_aux.slots() {
-                    let s = s as usize;
-                    let (inp, lc) = stage5_input_at(
-                        tree,
-                        k,
-                        spec,
-                        &cfg,
-                        inputs.interval,
-                        &self.sharing_scratch,
-                        &sc.obs,
-                        &sc.states,
-                        &sc.mem,
-                        &sc.max_handle,
-                        border_cap,
-                        s,
-                    );
-                    if inp != sc.inputs[s] || lc != sc.level_cap[s] {
-                        sc.inputs[s] = inp;
-                        sc.level_cap[s] = lc;
-                        dirty.mark(s);
-                    }
+            }
+            for &s in dirty_aux.slots() {
+                let s = s as usize;
+                let (inp, lc) = stage5_input_at(
+                    tree,
+                    k,
+                    spec,
+                    &cfg,
+                    inputs.interval,
+                    &self.sharing_scratch,
+                    &sc.obs,
+                    &sc.states,
+                    &sc.mem,
+                    &sc.max_handle,
+                    border_cap,
+                    s,
+                );
+                // Cold buffers hold placeholders, not a previous interval.
+                if cold || inp != sc.inputs[s] || lc != sc.level_cap[s] {
+                    sc.inputs[s] = inp;
+                    sc.level_cap[s] = lc;
+                    dirty.mark(s);
                 }
             }
 
             let backoffs = self.backoffs.entry(sid).or_default();
-            // Pre-loop arming: identical scan, conditions, and order as
-            // the full path, so the RNG draw sequence stays aligned.
+            // A receiver sitting below the level we last supplied while its
+            // loss is high just aborted a failed probe (possibly
+            // unilaterally, if our drop suggestion died at the congested
+            // link). Arm the backoff for the abandoned level here, because
+            // the decision table never will: by the time it runs, the
+            // receiver's current level already equals the reduced target.
+            // Full width even when warm: the scan order is the RNG draw
+            // order.
             for s in t.slots() {
                 let Some(o) = sc.obs[s] else { continue };
                 let st = sc.states[s];
@@ -1303,7 +973,7 @@ impl AlgorithmState {
                     backoffs.arm(t.node_at(s), mem.supply_recent, inputs.now, &cfg, &mut self.rng);
                 }
             }
-            // The full kernel expires timers before its demand pass.
+            // Like the dense kernel, expire timers before the demand pass.
             backoffs.expire(inputs.now);
             // A timer influences `blocked` for its whole subtree: dirty
             // the subtrees of every live timer, and of every slot that
@@ -1318,7 +988,7 @@ impl AlgorithmState {
                 }
             }
 
-            // Demand over dirty slots, in the full kernel's bottom-up
+            // Demand over dirty slots, in the dense kernel's bottom-up
             // order. A clean slot repeats last interval's decision by
             // construction (same inputs, same children demands, same
             // backoff view — and no RNG draw: had its branch armed a
@@ -1380,9 +1050,10 @@ impl AlgorithmState {
                 eprintln!("{line}");
             }
 
-            // Persist into the dense copies only; the `memories` map is
-            // synced lazily on the next full run or invalidation. Slots
-            // whose memory moved feed the next interval's input diff.
+            // Persist this interval's history/byte updates together with
+            // the new supply/demand windows, into the dense copies only;
+            // the `memories` map is synced lazily on the next cold start.
+            // Slots whose memory moved feed the next interval's input diff.
             cs.mem5_dirty.clear();
             for s in t.slots() {
                 let mut mem = sc.mem[s];
@@ -1396,8 +1067,7 @@ impl AlgorithmState {
             }
             outputs.root_supply.push(sc.supply[0]);
 
-            // Suggestions via the cached route — registry order, exactly
-            // the receivers the full path would address.
+            // Suggestions via the cached route, in registry order.
             for &(app, slot) in &cs.sugg_route {
                 outputs.suggestions.push(SuggestionOut {
                     receiver: app,
@@ -1415,18 +1085,10 @@ impl AlgorithmState {
                 a.subscription.push(subscription_session_audit(tree, sc, &suggested));
             }
         }
-        if let Some(a) = audit {
-            if let Some(span) = stage_span {
-                a.stage_ns.push(("stage5_subscription", span.elapsed_ns()));
-            }
-            if let Some(span) = whole_span {
-                a.stage_ns.push(("interval", span.elapsed_ns()));
-            }
-        }
+        stage_end(&mut audit, "stage5_subscription", stage_span);
+        stage_end(&mut audit, "interval", whole_span);
 
-        // Estimated links: the cached crossed-link list is the sorted
-        // dedup of the usage buffer — the same enumeration the full path
-        // derives by scanning it.
+        // Estimated links, over the sorted crossed-link list.
         for &l in &cache.crossed_links {
             if let Some(c) = self.estimator.capacity(l) {
                 outputs.estimated_links.push((l, c));
@@ -1460,9 +1122,9 @@ impl AlgorithmState {
             cs.backoff_slots.sort_unstable();
             cs.backoff_slots.dedup();
         }
-        if !timing {
-            cache.branches_valid = false;
-        }
+        // Warm audited runs require current labels on entry, so the labels
+        // are current afterwards exactly when this run wrote its own.
+        cache.branches_valid = timing;
 
         scratch.extend(spare);
         self.scratch = scratch;
@@ -1474,43 +1136,20 @@ impl AlgorithmState {
     }
 }
 
-/// Assemble one session's stage-5 per-slot inputs and level caps from the
-/// stage-1..4 results. Shared verbatim by the full and incremental paths:
-/// the incremental path builds into double buffers and diffs, so any
-/// drift between two copies of this logic would silently break the
-/// byte-identity invariant.
-#[allow(clippy::too_many_arguments)]
-fn build_stage5_inputs(
-    tree: &SessionTree,
-    sess_idx: usize,
-    spec: &LayerSpec,
-    cfg: &Config,
-    interval: SimDuration,
-    sharing: &SharingScratch,
-    obs: &[Option<LeafObs>],
-    states: &[NodeState],
-    mem: &[NodeMemory],
-    max_handle: &[f64],
-    border_cap: u8,
-    inputs: &mut Vec<NodeInputs>,
-    level_cap: &mut Vec<u8>,
-) {
-    let t = tree.tree();
-    inputs.clear();
-    level_cap.clear();
-    for s in t.slots() {
-        let (inp, lc) = stage5_input_at(
-            tree, sess_idx, spec, cfg, interval, sharing, obs, states, mem, max_handle, border_cap,
-            s,
-        );
-        inputs.push(inp);
-        level_cap.push(lc);
-    }
+/// Close a stage: record its wall span (audited runs only) and hand back
+/// the audit for the stage's record.
+fn stage_end<'a>(
+    audit: &'a mut Option<&mut IntervalAudit>,
+    stage: &'static str,
+    span: Option<Span>,
+) -> Option<&'a mut IntervalAudit> {
+    let a = audit.as_deref_mut()?;
+    a.stage_ns.extend(span.map(|s| (stage, s.elapsed_ns())));
+    Some(a)
 }
 
-/// The stage-5 decision inputs and level cap of a single slot — the unit
-/// both the full path (every slot) and the incremental path (candidate
-/// slots only) build from, so the two can never drift.
+/// The stage-5 decision inputs and level cap of a single slot, from the
+/// stage-1..4 results.
 #[allow(clippy::too_many_arguments)]
 fn stage5_input_at(
     tree: &SessionTree,
@@ -1583,7 +1222,7 @@ fn stage5_input_at(
     (inp, lc)
 }
 
-/// Stage-1 audit record, shared by the full and incremental paths.
+/// Stage-1 audit record.
 fn congestion_audit(
     trees: &[SessionTree],
     scratch: &[SessionScratch],
@@ -1621,7 +1260,7 @@ fn capacity_audit(events: &[CapacityEvent]) -> Vec<CapacityLink> {
         .collect()
 }
 
-/// Stage-3 audit record, shared by the full and incremental paths.
+/// Stage-3 audit record.
 fn bottleneck_audit(
     trees: &[SessionTree],
     scratch: &[SessionScratch],
@@ -1646,7 +1285,7 @@ fn bottleneck_audit(
         .collect()
 }
 
-/// Stage-4 audit record, shared by the full and incremental paths.
+/// Stage-4 audit record.
 fn sharing_audit(sharing: &SharingScratch, trees: &[SessionTree]) -> Vec<SharingEntry> {
     sharing
         .shares_sorted()
@@ -1965,7 +1604,8 @@ mod tests {
             };
             let mut aa = telemetry::IntervalAudit::new(full.runs(), 0);
             let mut ab = telemetry::IntervalAudit::new(inc.runs(), 0);
-            let a = full.run_audited(&inputs, Some(&mut aa));
+            full.invalidate();
+            let a = full.run_incremental_audited(&inputs, Some(&mut aa));
             let b = inc.run_incremental_audited(&inputs, Some(&mut ab));
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
             // Every deterministic audit record must be identical too —
@@ -1979,39 +1619,127 @@ mod tests {
         }
     }
 
+    /// Two sessions over the same links, so the shared links earn capacity
+    /// estimates (and, `capacity_reset` later, a due reset). `rehomed`
+    /// hangs node 3 off the root instead of node 1 — a routing change.
+    fn two_session_trees(rehomed: bool) -> Vec<SessionTree> {
+        let view = TopologyView {
+            time: SimTime::ZERO,
+            links: vec![
+                LinkView { id: l(0), from: n(0), to: n(1) },
+                LinkView { id: l(1), from: n(1), to: n(2) },
+                LinkView { id: l(2), from: n(1), to: n(3) },
+                LinkView { id: l(3), from: n(0), to: n(3) },
+            ],
+            groups: (0..2)
+                .map(|g| GroupSnapshot {
+                    group: GroupId(g),
+                    root: n(0),
+                    active_links: vec![l(0), l(1), if rehomed { l(3) } else { l(2) }],
+                    member_nodes: vec![n(2), n(3)],
+                })
+                .collect(),
+        };
+        (0..2).map(|g| SessionTree::build(&view, SessionId(g), &[GroupId(g)]).unwrap()).collect()
+    }
+
     #[test]
     fn incremental_falls_back_on_change_and_stays_correct() {
-        let tree = one_session_tree();
-        let spec = LayerSpec::paper_default();
-        let registry_a = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
-        let registry_b = vec![(AppId(10), n(2), SessionId(0))];
-        let mut full = AlgorithmState::new(Config::default(), 9);
-        let mut inc = AlgorithmState::new(Config::default(), 9);
-        for t in 1..30u64 {
-            // Membership changes at t=10 and t=20 must force the full
-            // path; in between the incremental path serves, and outputs
-            // stay identical to the full-only twin throughout.
-            let registry: &[(AppId, NodeId, SessionId)] =
-                if (10..20).contains(&t) { &registry_b } else { &registry_a };
-            let reports = churn_reports(t);
-            let reports: &[ReceiverReport] =
-                if (10..20).contains(&t) { &reports[..1] } else { &reports };
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Trigger {
+            FirstRun,
+            Routing,
+            Registry,
+            Spec,
+            Interval,
+            ReportKey,
+            CapacityReset,
+            Invalidate,
+            Restore,
+            AuditAfterUnaudited,
+        }
+        use Trigger::*;
+        // (round it fires in, trigger). Input changes persist, so the round
+        // after each one repeats its inputs and must be served warm. Lossy
+        // round 1 learns the shared-link estimates at t = 2 s; every later
+        // round is clean, so their reset falls due at t = 26 s, round 13.
+        let table = [
+            (1, FirstRun),
+            (3, Routing),
+            (5, Registry),
+            (7, Spec),
+            (9, Interval),
+            (11, ReportKey),
+            (13, CapacityReset),
+            (15, Invalidate),
+            (17, Restore),
+            (19, AuditAfterUnaudited),
+        ];
+        let cfg = Config::default();
+        let specs = [LayerSpec::paper_default(), LayerSpec::doubling(32_000.0, 5)];
+        let mut full = AlgorithmState::new(cfg, 9);
+        let mut inc = AlgorithmState::new(cfg, 9);
+        for t in 1..=22u64 {
+            let fired = |trigger: Trigger| table.iter().any(|&(at, tr)| tr == trigger && at <= t);
+            let now = |trigger: Trigger| table.contains(&(t, trigger));
+            let trees = two_session_trees(fired(Routing));
+            let spec = &specs[fired(Spec) as usize];
+            let mut registry = vec![
+                (AppId(10), n(2), SessionId(0)),
+                (AppId(11), n(3), SessionId(0)),
+                (AppId(20), n(2), SessionId(1)),
+                (AppId(21), n(3), SessionId(1)),
+            ];
+            registry.truncate(if fired(Registry) { 3 } else { 4 });
+            let lost = if t == 1 { 30 } else { 0 };
+            let reports: Vec<ReceiverReport> = [(10, 2, 0), (11, 3, 0), (20, 2, 1), (21, 3, 1)]
+                .iter()
+                .map(|&(app, node, sess)| ReceiverReport {
+                    // A renamed reporter: same row count, different key.
+                    receiver: AppId(if app == 21 && fired(ReportKey) { 22 } else { app }),
+                    session: SessionId(sess),
+                    ..report(app, node, 2, 100 - lost, lost, 20_000 + (t % 3) * 4_000)
+                })
+                .collect();
             let inputs = AlgorithmInputs {
                 now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry,
-                reports,
+                interval: SimDuration::from_secs(if fired(Interval) { 3 } else { 2 }),
+                trees: &trees,
+                specs: &[spec, spec],
+                registry: &registry,
+                reports: &reports,
             };
-            let a = full.run(&inputs);
-            let b = inc.run_incremental(&inputs);
-            if t == 10 || t == 20 {
-                assert!(!b.incremental, "interval {t} must fall back");
+            if now(CapacityReset) {
+                assert!(inc.capacity_estimate(l(0)).is_some(), "nothing to reset");
             }
+            if now(Invalidate) {
+                inc.invalidate();
+            }
+            if now(Restore) {
+                inc = AlgorithmState::restore(cfg, &inc.checkpoint()).unwrap();
+            }
+            let a = full.run(&inputs);
+            let mut audit = telemetry::IntervalAudit::new(inc.runs(), 0);
+            // Audited on its trigger round and the one after, which must
+            // then be served warm (the labels are current).
+            let audited = (19..=20).contains(&t);
+            let b = inc.run_incremental_audited(&inputs, audited.then_some(&mut audit));
+            match table.iter().find(|&&(at, _)| at == t) {
+                Some(&(_, trigger)) => {
+                    assert!(!b.incremental, "interval {t}: {trigger:?} must start cold");
+                    let slots: u64 = trees.iter().map(|tr| 2 * tr.tree().len() as u64).sum();
+                    assert_eq!(b.slots_recomputed, slots, "interval {t}: {trigger:?}");
+                }
+                None => assert!(b.incremental, "interval {t} should be served warm"),
+            }
+            if now(CapacityReset) {
+                assert_eq!(inc.capacity_estimate(l(0)), None, "the due reset must fire");
+            }
+            assert!(!a.incremental);
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
             assert_eq!(a.root_supply, b.root_supply, "interval {t}");
             assert_eq!(a.congested_nodes, b.congested_nodes, "interval {t}");
+            assert_eq!(a.estimated_links, b.estimated_links, "interval {t}");
         }
     }
 

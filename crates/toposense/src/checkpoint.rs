@@ -4,11 +4,11 @@
 //! between intervals — RNG stream position, capacity estimates, per-node
 //! memories, backoff timers, and the run counter — in a canonical sorted
 //! order, so two snapshots of byte-identical states are byte-identical
-//! JSON. Scratch buffers and the incremental change cache are *not*
-//! captured: both are rebuilt by the first post-restore run (which takes
-//! the full path once, exactly like a run after
+//! JSON. Scratch buffers and the change cache are *not* captured: both
+//! are rebuilt by the first post-restore run (which starts cold, exactly
+//! like a run after
 //! [`invalidate`](crate::algorithm::AlgorithmState::invalidate), and is
-//! byte-identical to the incremental path per DESIGN.md §11).
+//! byte-identical to a warm run per DESIGN.md §11).
 //!
 //! The JSON rendering is schema-versioned (`toposense.checkpoint.v1`,
 //! mirroring telemetry's `toposense.telemetry.v1`) and embeds a
@@ -75,6 +75,12 @@ pub struct Snapshot {
     pub estimates: Vec<EstimateEntry>,
     pub memories: Vec<MemoryEntry>,
     pub backoffs: Vec<BackoffEntry>,
+}
+
+/// Checked narrowing for decoded integers: a value the target type cannot
+/// hold is rejected by name, never truncated into a plausible one.
+pub(crate) fn narrow<T: TryFrom<u64>>(key: &str, v: u64) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("'{key}' out of range: {v}"))
 }
 
 impl Snapshot {
@@ -158,9 +164,10 @@ impl Snapshot {
             rng[i] = w.as_u64().ok_or("non-integer 'rng' word")?;
         }
 
-        let field = |row: &Value, key: &str| -> Result<u64, String> {
-            row.get(key).and_then(Value::as_u64).ok_or(format!("missing or non-integer '{key}'"))
-        };
+        fn field<T: TryFrom<u64>>(row: &Value, key: &str) -> Result<T, String> {
+            let v = row.get(key).and_then(Value::as_u64);
+            narrow(key, v.ok_or(format!("missing or non-integer '{key}'"))?)
+        }
         let rows = |key: &str| -> Result<Vec<Value>, String> {
             Ok(v.get(key)
                 .and_then(Value::as_array)
@@ -171,7 +178,7 @@ impl Snapshot {
         let mut estimates = Vec::new();
         for row in rows("estimates")? {
             estimates.push(EstimateEntry {
-                link: field(&row, "link")? as u32,
+                link: field(&row, "link")?,
                 capacity_bits: field(&row, "cap_bits")?,
                 set_at_ns: field(&row, "set_at_ns")?,
             });
@@ -184,16 +191,18 @@ impl Snapshot {
         for row in rows("memories")? {
             let demand_prev = match row.get("demand_prev") {
                 Some(Value::Null) | None => None,
-                Some(d) => Some(d.as_u64().ok_or("non-integer 'demand_prev'")? as u8),
+                Some(d) => {
+                    Some(narrow("demand_prev", d.as_u64().ok_or("non-integer 'demand_prev'")?)?)
+                }
             };
             memories.push(MemoryEntry {
-                session: field(&row, "session")? as u32,
-                node: field(&row, "node")? as u32,
-                hist: field(&row, "hist")? as u8,
+                session: field(&row, "session")?,
+                node: field(&row, "node")?,
+                hist: field(&row, "hist")?,
                 bytes_older: field(&row, "bytes_older")?,
                 bytes_recent: field(&row, "bytes_recent")?,
-                supply_older: field(&row, "supply_older")? as u8,
-                supply_recent: field(&row, "supply_recent")? as u8,
+                supply_older: field(&row, "supply_older")?,
+                supply_recent: field(&row, "supply_recent")?,
                 demand_prev,
             });
         }
@@ -211,11 +220,11 @@ impl Snapshot {
                 Some(d) => Some(d.as_u64().ok_or("non-integer 'until_ns'")?),
             };
             backoffs.push(BackoffEntry {
-                session: field(&row, "session")? as u32,
-                node: field(&row, "node")? as u32,
-                level: field(&row, "level")? as u8,
+                session: field(&row, "session")?,
+                node: field(&row, "node")?,
+                level: field(&row, "level")?,
                 until_ns,
-                failures: field(&row, "failures")? as u32,
+                failures: field(&row, "failures")?,
             });
         }
         let bkey = |b: &BackoffEntry| (b.session, b.node, b.level);
@@ -435,6 +444,31 @@ mod tests {
 
         assert!(Snapshot::decode("not json").is_err());
         assert!(Snapshot::decode("{}").is_err());
+
+        // Integers the entry types cannot hold are rejected by name, not
+        // truncated into a plausible row (256 -> 0, 2^32 + 5 -> 5).
+        for (field, from, to) in [
+            ("hist", "\"hist\":5", "\"hist\":8"),
+            ("hist", "\"hist\":5", "\"hist\":256"),
+            ("node", "\"node\":5", "\"node\":4294967301"),
+            ("supply_recent", "\"supply_recent\":3", "\"supply_recent\":256"),
+            ("demand_prev", "\"demand_prev\":4", "\"demand_prev\":260"),
+            ("level", "\"level\":2", "\"level\":300"),
+            ("link", "\"link\":4", "\"link\":4294967300"),
+        ] {
+            let text = s.encode();
+            assert_eq!(text.matches(from).count(), 1, "{from}");
+            let err = Snapshot::decode(&text.replace(from, to)).unwrap_err();
+            assert!(err.contains(field), "{to}: {err}");
+        }
+
+        // A hand-built snapshot bypasses the decoder: restore must refuse
+        // it as well, not panic.
+        let cfg = crate::Config::default();
+        let mut wide = Snapshot { config_fingerprint: cfg.fingerprint(), ..sample() };
+        wide.memories[0].hist = 8;
+        let err = crate::algorithm::AlgorithmState::restore(cfg, &wide).err().expect("refused");
+        assert!(err.contains("history"), "{err}");
     }
 
     #[test]

@@ -70,11 +70,6 @@ pub struct Config {
     pub heartbeat_size: u32,
     pub ack_size: u32,
     pub deregister_size: u32,
-    /// Run the change-driven (dirty-subtree) pipeline when the interval's
-    /// inputs allow it; the controller falls back to the full pipeline on
-    /// topology change, membership churn, capacity reset, or failover.
-    /// Both paths produce byte-identical outputs (DESIGN.md §11).
-    pub incremental: bool,
     /// Replicate each interval's pipeline inputs to the peer standby so it
     /// maintains a live copy of the algorithm state (DESIGN.md §14).
     /// Requires a configured peer; a no-op on standalone controllers.
@@ -116,7 +111,6 @@ impl Default for Config {
             heartbeat_size: 32,
             ack_size: 32,
             deregister_size: 32,
-            incremental: true,
             replicate_inputs: true,
             replicate_size: 64,
             replica_ack_size: 32,
@@ -184,7 +178,6 @@ impl Config {
         fold(self.heartbeat_size as u64);
         fold(self.ack_size as u64);
         fold(self.deregister_size as u64);
-        fold(self.incremental as u64);
         fold(self.replicate_inputs as u64);
         fold(self.replicate_size as u64);
         fold(self.replica_ack_size as u64);

@@ -447,11 +447,7 @@ impl Controller {
         // The interval's replication seq is the completed-run count before
         // the run: a replica applying seq `n` goes from `n` to `n + 1`.
         let seq = self.state.runs();
-        let outputs = if self.cfg.incremental {
-            self.state.run_incremental_audited(&inputs, audit.as_mut())
-        } else {
-            self.state.run_audited(&inputs, audit.as_mut())
-        };
+        let outputs = self.state.run_incremental_audited(&inputs, audit.as_mut());
         if let Some(a) = &audit {
             for record in a.records() {
                 self.telemetry.emit(&record);
@@ -527,7 +523,7 @@ impl Controller {
 
         self.telemetry.incr("controller.intervals", 1);
         self.telemetry.incr("controller.intervals_incremental", outputs.incremental as u64);
-        if self.cfg.incremental && !outputs.incremental {
+        if !outputs.incremental {
             self.telemetry.incr("controller.full_fallbacks", 1);
         }
         self.telemetry.incr("controller.slots_recomputed", outputs.slots_recomputed);
@@ -601,7 +597,7 @@ impl Controller {
         if self.repl_next_seq.is_none() {
             // Cold standby (registry mirror only, no replicated inputs):
             // it has never observed an interval through its own pipeline,
-            // so force the first one through the full path.
+            // so force the first one to start cold.
             self.state.invalidate();
         }
         // An input-synced replica keeps its state untouched: the
@@ -683,11 +679,7 @@ impl Controller {
             registry: &m.registry,
             reports: &m.reports,
         };
-        let out = if self.cfg.incremental {
-            self.state.run_incremental(&inputs)
-        } else {
-            self.state.run(&inputs)
-        };
+        let out = self.state.run_incremental(&inputs);
         self.repl_next_seq = Some(m.seq + 1);
         let fp = fingerprint_outputs(&out);
         let ack: ControlBody =
@@ -732,7 +724,7 @@ impl Controller {
                 // Bring the replica to our current state; it resumes the
                 // input stream at our completed-run count. The checkpoint
                 // capture is non-invalidating: serving a resync must not
-                // push our own next interval onto the full path.
+                // push our own next interval into a cold start.
                 let snap = self.state.checkpoint();
                 let next_seq = snap.runs;
                 let blob = snap.encode();
@@ -889,7 +881,7 @@ impl App for Controller {
         self.inbox.clear();
         self.pending.clear();
         // The interval in flight died with the crash; its cached inputs are
-        // unreliable, so the next run goes through the full pipeline.
+        // unreliable, so the next run starts cold.
         self.state.invalidate();
         // Whatever replication position we held is gone with the crash:
         // as a new standby we rejoin via checkpoint resync, and a fresh

@@ -32,6 +32,7 @@
 //! `tests/baselines.rs` pins as a fingerprint.
 
 use crate::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
+use crate::checkpoint::narrow;
 use crate::config::Config;
 use netsim::{
     derive_stream_seed, AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimDuration,
@@ -131,15 +132,11 @@ impl BorderSummary {
         let u = |key: &str| -> Result<u64, String> {
             v.get(key).and_then(Value::as_u64).ok_or(format!("missing or non-integer '{key}'"))
         };
-        let level = u("level")?;
-        if level > u8::MAX as u64 {
-            return Err(format!("'level' {level} exceeds u8"));
-        }
         Ok(BorderSummary {
-            domain: u("domain")? as u32,
+            domain: narrow("domain", u("domain")?)?,
             seq: u("seq")?,
-            gateway: u("gateway")? as u32,
-            level: level as u8,
+            gateway: narrow("gateway", u("gateway")?)?,
+            level: narrow("level", u("level")?)?,
             received: u("received")?,
             lost: u("lost")?,
             bytes: u("bytes")?,
@@ -595,6 +592,16 @@ mod tests {
         assert!(BorderSummary::decode("{}").is_err());
         let no_level = s.encode().replace("\"level\":4,", "");
         assert!(BorderSummary::decode(&no_level).unwrap_err().contains("level"));
+        // Integers the fields cannot hold are rejected by name, not
+        // truncated into another domain's id (2^32 + 3 -> 3).
+        for (field, from, to) in [
+            ("domain", "\"domain\":3", "\"domain\":4294967299"),
+            ("gateway", "\"gateway\":5", "\"gateway\":4294967301"),
+            ("level", "\"level\":4", "\"level\":260"),
+        ] {
+            let err = BorderSummary::decode(&s.encode().replace(from, to)).unwrap_err();
+            assert!(err.contains(field) && err.contains("out of range"), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@ use telemetry::{Blackbox, FlightRecorder};
 /// Folds every *decision-bearing* field — suggestions, root supplies,
 /// congested-node count, and the capacity-estimate table — through a
 /// splitmix64 chain. The `incremental` / `slots_recomputed` diagnostics are
-/// deliberately excluded: the full and incremental paths are byte-identical
-/// on decisions but differ on those two fields, and a replica may lawfully
-/// take a different path than the primary for the same interval.
+/// deliberately excluded: cold and warm runs are byte-identical on
+/// decisions but differ on those two fields, and a replica may lawfully
+/// start cold on an interval its primary served warm.
 pub fn fingerprint_outputs(out: &AlgorithmOutputs) -> u64 {
     fn mix(h: u64, v: u64) -> u64 {
         let mut z = h.wrapping_add(v).wrapping_add(0x9e3779b97f4a7c15);
@@ -246,11 +246,7 @@ impl Cluster {
             if !self.votable(&self.replicas[i]) {
                 continue;
             }
-            let out = if self.cfg.incremental {
-                self.replicas[i].state.run_incremental(inputs)
-            } else {
-                self.replicas[i].state.run(inputs)
-            };
+            let out = self.replicas[i].state.run_incremental(inputs);
             self.replicas[i].next_seq += 1;
             votes.push((i, fingerprint_outputs(&out), out));
         }
@@ -405,17 +401,14 @@ mod tests {
             estimated_links: vec![(DirLinkId(3), 150_000.0)],
             congested_nodes: 2,
             root_supply: vec![6],
-            incremental: false,
-            slots_recomputed: 0,
+            ..AlgorithmOutputs::default()
         }
     }
 
     #[test]
     fn fingerprint_ignores_path_diagnostics() {
         let a = out(&[1, 2, 3]);
-        let mut b = out(&[1, 2, 3]);
-        b.incremental = true;
-        b.slots_recomputed = 99;
+        let b = AlgorithmOutputs { incremental: !a.incremental, slots_recomputed: 99, ..a.clone() };
         assert_eq!(fingerprint_outputs(&a), fingerprint_outputs(&b));
     }
 

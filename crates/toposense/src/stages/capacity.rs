@@ -69,16 +69,16 @@ impl CapacityEstimator {
     /// Iterate `(link, capacity_bps)` over every finite estimate, in
     /// `HashMap` order (callers needing determinism must sort). The set of
     /// estimated links is typically tiny next to the tree, which is what
-    /// makes this the cheap way to enumerate them on the incremental path.
+    /// makes this the cheap way to enumerate them each interval.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (DirLinkId, f64)> + '_ {
         self.estimates.iter().map(|(&l, e)| (l, e.capacity_bps))
     }
 
     /// Whether any estimate has aged past the periodic reset horizon, i.e.
     /// the next [`Self::begin_interval`] would discard something. The
-    /// incremental path checks this up front and falls back to the full
-    /// run when a reset is due — resets rewrite capacity state that
-    /// incremental change tracking deliberately does not model.
+    /// algorithm driver checks this up front and starts cold when a reset
+    /// is due — resets rewrite capacity state that change tracking
+    /// deliberately does not model.
     pub(crate) fn has_pending_reset(&self, now: SimTime, cfg: &Config) -> bool {
         self.estimates.values().any(|e| now.since(e.set_at) >= cfg.capacity_reset)
     }
@@ -104,8 +104,8 @@ impl CapacityEstimator {
 
     /// Update a single link from this interval's observations, exactly as
     /// [`Self::update_sorted_traced`] would when reaching `link`'s run —
-    /// minus the reset pass, which the incremental caller has already
-    /// proven to be a no-op via [`Self::has_pending_reset`].
+    /// minus the reset pass, which the driver either runs itself (cold)
+    /// or has proven to be a no-op via [`Self::has_pending_reset`].
     pub(crate) fn update_link_traced(
         &mut self,
         now: SimTime,
@@ -183,7 +183,7 @@ impl CapacityEstimator {
     /// Periodic reset: stale estimates return to infinity and must be
     /// re-earned ("the capacity is reset to infinity at periodic
     /// intervals and recomputed").
-    fn begin_interval(
+    pub(crate) fn begin_interval(
         &mut self,
         now: SimTime,
         cfg: &Config,

@@ -61,7 +61,7 @@ fn incremental_fingerprint(seed: u64) -> String {
     let layer_spec = LayerSpec::paper_default();
     let trees = [tree];
     let specs = [&layer_spec];
-    let cfg = toposense::Config { incremental: true, ..chaos::chaos_config() };
+    let cfg = chaos::chaos_config();
     let mut state = AlgorithmState::new(cfg, netsim::derive_stream_seed(seed, "baseline-inc", 0));
     let registry = registry_for_leaves(0, &leaves);
     let mut reports = reports_for_leaves(0, &leaves, 2, 9);

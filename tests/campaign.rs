@@ -126,8 +126,7 @@ fn broken_config_fails_gates() {
     // creep: lossy intervals count as clean, estimates inflate 200 % per
     // interval, and congestion is never classified — receivers get pushed
     // to the top layer and stay there, so the deviation gates must catch
-    // it. Turning `incremental` off breaks the diurnal workload's
-    // incremental-fraction gate as well.
+    // it.
     let broken = toposense::Config {
         capacity_creep: 2.0,
         capacity_loss_threshold: 1.0,
@@ -135,7 +134,6 @@ fn broken_config_fails_gates() {
         high_loss: 0.98,
         very_high_loss: 0.99,
         unilateral_drop_loss: 10.0,
-        incremental: false,
         ..chaos::chaos_config()
     };
     let spec = CampaignSpec::new("zoo-broken", 1, Profile::Smoke).with_config_override(broken);

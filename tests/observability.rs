@@ -254,7 +254,6 @@ fn failed_campaign_gates_produce_validating_blackboxes() {
         high_loss: 0.98,
         very_high_loss: 0.99,
         unilateral_drop_loss: 10.0,
-        incremental: false,
         ..chaos::chaos_config()
     };
     let spec = CampaignSpec::new("zoo-broken-bb", 1, Profile::Smoke).with_config_override(broken);

@@ -16,7 +16,7 @@ use netsim::{
 use proptest::prelude::*;
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
-use toposense::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
+use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
 use toposense::replication::Cluster;
 use toposense::{fingerprint_outputs, Config, Snapshot};
 use traffic::LayerSpec;
@@ -121,20 +121,6 @@ macro_rules! assert_outputs_eq {
     }};
 }
 
-/// The oracle: a single never-interrupted `AlgorithmState` fed the same
-/// inputs the cluster gets.
-fn oracle_run(
-    state: &mut AlgorithmState,
-    cfg: &Config,
-    inputs: &AlgorithmInputs<'_>,
-) -> AlgorithmOutputs {
-    if cfg.incremental {
-        state.run_incremental(inputs)
-    } else {
-        state.run(inputs)
-    }
-}
-
 /// Crash the primary mid-stream: the promoted replica must resume the
 /// suggestion stream byte-identically to a no-crash oracle from the first
 /// post-takeover interval onward — zero re-learning, the ISSUE 7
@@ -162,7 +148,7 @@ fn failover_resumes_byte_identical_to_no_crash_oracle() {
         }
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle.run_incremental(&inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
         assert_eq!(got.fingerprint, fingerprint_outputs(&want), "round {round}");
@@ -192,7 +178,7 @@ fn bit_flip_divergence_is_detected_and_quarantined_within_one_interval() {
     for round in 1..=4u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle.run_incremental(&inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("warmup round {round}"));
     }
@@ -201,7 +187,7 @@ fn bit_flip_divergence_is_detected_and_quarantined_within_one_interval() {
     cluster.bit_flip(1);
     churn(&mut reports, &mut rng);
     let inputs = inputs_at(10, &trees, &specs, &registry, &reports);
-    let want = oracle_run(&mut oracle, &cfg, &inputs);
+    let want = oracle.run_incremental(&inputs);
     let got = cluster.tick(&inputs);
     assert_eq!(got.newly_quarantined, vec![1], "divergence must be caught the same interval");
     assert!(!got.view_changed, "a follower's divergence must not depose the primary");
@@ -213,7 +199,7 @@ fn bit_flip_divergence_is_detected_and_quarantined_within_one_interval() {
     for round in 6..=9u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle.run_incremental(&inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
         assert!(got.newly_quarantined.is_empty());
@@ -242,7 +228,7 @@ fn corrupted_primary_is_deposed_by_the_majority() {
     for round in 1..=3u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle.run_incremental(&inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("warmup round {round}"));
     }
@@ -257,7 +243,7 @@ fn corrupted_primary_is_deposed_by_the_majority() {
     for round in 4..=8u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle.run_incremental(&inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
         if got.view_changed {
@@ -296,7 +282,7 @@ fn partitioned_replica_resyncs_through_checkpoint_json_and_can_lead() {
                  round: u64| {
         churn(reports, rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, reports);
-        let want = oracle_run(oracle, &cfg, &inputs);
+        let want = oracle.run_incremental(&inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
     };
@@ -334,15 +320,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// checkpoint → encode → decode → restore → resume is byte-identical
-    /// to the uninterrupted twin, wherever the cut lands and on either
-    /// pipeline (full or change-driven), with or without membership churn
-    /// mid-stream.
+    /// to the uninterrupted twin, wherever the cut lands, with or without
+    /// membership churn mid-stream.
     #[test]
     fn checkpoint_restore_resume_matches_uninterrupted_twin(
         parents in prop::collection::vec(0usize..10, 3..12),
         seed in 0u64..500,
         cut in 1u64..7,
-        incremental in any::<bool>(),
         member_churn in any::<bool>(),
     ) {
         let trees = vec![session_tree(&parents, 0)];
@@ -354,13 +338,13 @@ proptest! {
         let half_registry: Vec<_> = all_registry.iter().step_by(2).copied().collect();
         let half_reports: Vec<_> = all_reports.iter().step_by(2).cloned().collect();
         let mut rng = RngStream::derive(seed, "replication/ckpt-resume");
-        let cfg = Config { incremental, ..Config::default() };
+        let cfg = Config::default();
 
         let mut uninterrupted = AlgorithmState::new(cfg, seed);
         let mut resumed = AlgorithmState::new(cfg, seed);
 
         for round in 1..=10u64 {
-            // Membership churn mid-stream exercises the full-run fallback
+            // Membership churn mid-stream exercises the cold-start fallback
             // (and a checkpoint cut right on the flip boundary).
             let (registry, mut reports) = if member_churn && (5..=7).contains(&round) {
                 (&half_registry, half_reports.clone())
@@ -369,8 +353,8 @@ proptest! {
             };
             churn(&mut reports, &mut rng);
             let inputs = inputs_at(2 * round, &trees, &specs, registry, &reports);
-            let a = oracle_run(&mut uninterrupted, &cfg, &inputs);
-            let b = oracle_run(&mut resumed, &cfg, &inputs);
+            let a = uninterrupted.run_incremental(&inputs);
+            let b = resumed.run_incremental(&inputs);
             assert_outputs_eq!(prop_assert, a, b, format_args!("round {round} (cut {cut})"));
 
             if round == cut {
