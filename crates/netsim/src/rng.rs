@@ -15,8 +15,9 @@ pub struct RngStream {
     rng: StdRng,
 }
 
-/// Stable 64-bit FNV-1a hash used to mix labels into the master seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// Stable 64-bit FNV-1a hash used to mix labels into the master seed (and
+/// by downstream crates wherever a stable byte digest is needed).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
@@ -27,7 +28,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The splitmix64 finalizer: a full-avalanche 64-bit mix (every input bit
 /// flips each output bit with probability ~1/2).
-fn splitmix64(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

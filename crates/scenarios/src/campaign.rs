@@ -43,13 +43,12 @@
 //!   and the cell must fit its wall budget.
 //!
 //! Every run yields a [`RunRecord`] (its own JSON artifact) and the
-//! campaign aggregates them into one JSON + one markdown report in the
-//! `BENCH_*.json` style. **Coverage caps are never silent**: whenever a
-//! profile truncates the matrix (smoke shrinking the flash crowd, seed
-//! truncation, …) the cap is recorded in the artifact's `coverage_caps`
-//! list; the binary cross-checks the list against the caps it applied and
-//! screams `SILENT-CAP` — a CI failure — if anything was dropped
-//! unrecorded.
+//! campaign aggregates them into one JSON + one markdown report.
+//! **Coverage caps are never silent**: whenever a profile truncates the
+//! matrix (smoke shrinking the flash crowd, seed truncation, …) the cap is
+//! recorded in the artifact's `coverage_caps` list; the binary
+//! cross-checks the list against the caps it applied and screams
+//! `SILENT-CAP` — a CI failure — if anything was dropped unrecorded.
 
 use crate::chaos::{self, FaultAxis};
 use crate::largetree::{

@@ -1,9 +1,9 @@
 //! The paper's experiments, one function per figure.
 //!
 //! Every function returns typed rows; the `fig*` binaries in the root crate
-//! print them as tables, the integration tests assert the shape claims, and
-//! the criterion benches time scaled-down versions. Sweeps parallelise over
-//! parameter points with rayon — each point is an independent simulation.
+//! print them as tables and the integration tests assert the shape claims.
+//! Sweeps parallelise over parameter points with rayon — each point is an
+//! independent simulation.
 
 use crate::runner::{self, ControlMode, Scenario};
 use baselines::rlm::RlmParams;

@@ -362,9 +362,8 @@ impl MediaSim {
 /// Node 0 is the root and hosts the source (`rate_pps` packets/s of 1000 B);
 /// every `sink_stride`-th leaf hosts a counting receiver that joins the
 /// group. All links are 100 Mbit/s. The same workload runs under either
-/// [`QueueBackend`], which is how the differential tests and
-/// `BENCH_netsim.json` compare the calendar wheel against the binary heap
-/// on identical input.
+/// [`QueueBackend`], which is how the differential tests compare the
+/// calendar wheel against the binary heap on identical input.
 pub fn media_sim(
     fanout: usize,
     depth: usize,
@@ -966,6 +965,18 @@ mod tests {
         let (s, o) = w.delivered();
         assert_eq!(s, o, "faulted sharded and oracle deliveries diverged");
         assert_eq!(w.sharded.events_processed(), w.oracle.events_processed());
+    }
+
+    #[test]
+    fn reports_match_registry() {
+        let (_, leaves) = balanced_session_tree(0, 2, 2);
+        let reports = reports_for_leaves(0, &leaves, 3, 2);
+        let registry = registry_for_leaves(0, &leaves);
+        assert_eq!(reports.len(), registry.len());
+        assert!(reports
+            .iter()
+            .zip(&registry)
+            .all(|(r, &(a, n, s))| r.receiver == a && r.node == n && r.session == s));
     }
 
     #[test]

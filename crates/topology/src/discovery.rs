@@ -45,15 +45,16 @@ impl TopologyView {
     /// filter keeps everything, so the capture is identical to the naive
     /// one.
     pub fn capture(net: &Network, now: SimTime) -> Self {
+        let alive = |id: DirLinkId| {
+            net.link_is_up(id)
+                && net.node_is_up(net.link_tail(id))
+                && net.node_is_up(net.link_head(id))
+        };
         let links: Vec<LinkView> = (0..net.link_count() as u32)
-            .filter_map(|i| {
-                let id = DirLinkId(i);
-                let (from, to) = (net.link_tail(id), net.link_head(id));
-                let alive = net.link_is_up(id) && net.node_is_up(from) && net.node_is_up(to);
-                alive.then_some(LinkView { id, from, to })
-            })
+            .map(DirLinkId)
+            .filter(|&id| alive(id))
+            .map(|id| LinkView { id, from: net.link_tail(id), to: net.link_head(id) })
             .collect();
-        let kept: std::collections::HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
         let groups = net
             .multicast_snapshot()
             .into_iter()
@@ -62,7 +63,7 @@ impl TopologyView {
                 netsim::GroupSnapshot {
                     group,
                     root,
-                    active_links: active_links.into_iter().filter(|l| kept.contains(l)).collect(),
+                    active_links: active_links.into_iter().filter(|&l| alive(l)).collect(),
                     member_nodes: member_nodes.into_iter().filter(|&n| net.node_is_up(n)).collect(),
                 }
             })
@@ -77,7 +78,7 @@ impl TopologyView {
 
     /// Endpoints of a directed link.
     pub fn link(&self, id: DirLinkId) -> Option<LinkView> {
-        self.links.iter().copied().find(|l| l.id == id)
+        find_link(&self.links, id)
     }
 
     /// Restrict the view to one administrative domain (the paper's Fig. 3:
@@ -91,19 +92,18 @@ impl TopologyView {
     /// members). A controller built on a restricted view manages only its
     /// own subtree, exactly as the paper prescribes.
     pub fn restrict(&self, domain: &std::collections::HashSet<NodeId>) -> TopologyView {
-        let links: Vec<LinkView> = self
-            .links
-            .iter()
-            .copied()
-            .filter(|l| domain.contains(&l.from) && domain.contains(&l.to))
-            .collect();
-        let kept: std::collections::HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
+        let inside = |l: &LinkView| domain.contains(&l.from) && domain.contains(&l.to);
+        let links: Vec<LinkView> = self.links.iter().copied().filter(inside).collect();
         let groups = self
             .groups
             .iter()
             .map(|g| {
-                let active_links: Vec<DirLinkId> =
-                    g.active_links.iter().copied().filter(|l| kept.contains(l)).collect();
+                let active_links: Vec<DirLinkId> = g
+                    .active_links
+                    .iter()
+                    .copied()
+                    .filter(|&l| self.link(l).is_some_and(|v| inside(&v)))
+                    .collect();
                 let member_nodes: Vec<NodeId> =
                     g.member_nodes.iter().copied().filter(|n| domain.contains(n)).collect();
                 let root = if domain.contains(&g.root) {
@@ -125,7 +125,7 @@ impl TopologyView {
         active: &[DirLinkId],
         members: &[NodeId],
     ) -> Option<NodeId> {
-        let view_of = |id: &DirLinkId| domain_links.iter().find(|l| l.id == *id).copied();
+        let view_of = |id: &DirLinkId| find_link(domain_links, *id);
         let heads: std::collections::HashSet<NodeId> =
             active.iter().filter_map(view_of).map(|l| l.to).collect();
         let mut candidates: Vec<NodeId> = active
@@ -209,7 +209,7 @@ impl TopologyView {
         root: NodeId,
         members: &[NodeId],
     ) -> bool {
-        let view_of = |id: &DirLinkId| links.iter().find(|l| l.id == *id).copied();
+        let view_of = |id: &DirLinkId| find_link(links, *id);
         let mut seen = std::collections::HashSet::from([root]);
         let mut queue = std::collections::VecDeque::from([root]);
         while let Some(n) = queue.pop_front() {
@@ -223,6 +223,21 @@ impl TopologyView {
             }
         }
         false
+    }
+}
+
+/// The entry of `links` with id `id`. [`TopologyView::capture`],
+/// [`TopologyView::restrict`] and [`TopologyView::without_nodes`] all emit
+/// `links` in id order — a fault-free capture lists every id, so the entry
+/// sits at its own index; otherwise a binary search answers. Hand-built
+/// views need not be sorted, so a miss falls back to a scan.
+fn find_link(links: &[LinkView], id: DirLinkId) -> Option<LinkView> {
+    if let Some(l) = links.get(id.0 as usize).filter(|l| l.id == id) {
+        return Some(*l);
+    }
+    match links.binary_search_by_key(&id, |l| l.id) {
+        Ok(i) => Some(links[i]),
+        Err(_) => links.iter().copied().find(|l| l.id == id),
     }
 }
 
@@ -474,6 +489,49 @@ mod tests {
         let crashed = TopologyView::capture(sim.network(), sim.now());
         assert_eq!(crashed.links.len(), 1);
         assert!(crashed.group(g).unwrap().member_nodes.is_empty());
+    }
+
+    /// `link` resolves exactly the retained ids, whatever produced the view.
+    #[test]
+    fn link_lookup_resolves_retained_ids_and_only_those() {
+        use netsim::{FaultKind, FaultPlan, LinkConfig, NetworkBuilder, SimConfig};
+        let assert_resolves = |v: &TopologyView, all_ids: u32| {
+            for id in (0..all_ids).map(DirLinkId) {
+                let want = v.links.iter().copied().find(|l| l.id == id);
+                assert_eq!(v.link(id), want, "link {id:?}");
+            }
+        };
+
+        // Restriction: only 2 -> 3 survives.
+        let domain = std::collections::HashSet::from([NodeId(2), NodeId(3)]);
+        let restricted = spanning_view().restrict(&domain);
+        assert_resolves(&restricted, 3);
+        assert_eq!(restricted.link(DirLinkId(0)), None);
+        let kept = restricted.link(DirLinkId(2)).unwrap();
+        assert_eq!((kept.from, kept.to), (NodeId(2), NodeId(3)));
+
+        // Link fault: the downed half vanishes, the rest still resolve.
+        let mut b = NetworkBuilder::new(SimConfig::default());
+        let nodes: Vec<NodeId> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+        let mut down = DirLinkId(0);
+        for w in nodes.windows(2) {
+            down = b.add_link(w[0], w[1], LinkConfig::kbps(100.0)).0;
+        }
+        let mut sim = b.build();
+        sim.install_faults(&FaultPlan::new().at(SimTime::from_secs(1), FaultKind::LinkDown(down)));
+        sim.run_until(SimTime::from_secs(2));
+        let faulted = TopologyView::capture(sim.network(), sim.now());
+        assert_eq!(faulted.links.len(), 5);
+        assert_resolves(&faulted, 6);
+        assert_eq!(faulted.link(down), None);
+
+        // A hand-built view need not list its links in id order.
+        let mut unsorted = spanning_view();
+        unsorted.links.reverse();
+        assert_resolves(&unsorted, 4);
+        let l0 = unsorted.link(DirLinkId(0)).unwrap();
+        assert_eq!((l0.from, l0.to), (NodeId(0), NodeId(1)));
+        assert_eq!(unsorted.link(DirLinkId(3)), None);
     }
 
     #[test]

@@ -710,19 +710,15 @@ impl AlgorithmState {
                 }
             }
             // One fused top-down pass over the session: congestion
-            // propagation (inlined from `congestion::propagate_down`,
-            // semantics identical), the congested-node count, the memory
-            // fold, and the stage-5 feed diffs. Slots whose memory or
-            // propagated state actually moved are recorded for the stage-5
-            // input diff — in steady state (stable history, stable byte
-            // counts) the fold is a fixed point and both lists stay short.
+            // propagation, the congested-node count, the memory fold, and
+            // the stage-5 feed diffs. Slots whose memory or propagated
+            // state actually moved are recorded for the stage-5 input diff
+            // — in steady state (stable history, stable byte counts) the
+            // fold is a fixed point and both lists stay short.
             sc.mem_dirty.clear();
             sc.state_dirty.clear();
             for s in t.slots() {
-                let parent_congested =
-                    t.parent_slot_of(s).map(|p| sc.states[p].congested).unwrap_or(false);
-                sc.states[s].parent_congested = parent_congested;
-                sc.states[s].congested = sc.states[s].self_congested || parent_congested;
+                congestion::propagate_slot(tree, s, &mut sc.states);
                 let st = sc.states[s];
                 congested_nodes += st.congested as usize;
                 let old = sc.states_prev[s];
@@ -800,7 +796,7 @@ impl AlgorithmState {
                 });
             }
             let before = self.estimator.capacity(link).map(f64::to_bits);
-            self.estimator.update_link_traced(
+            self.estimator.update_link(
                 inputs.now,
                 inputs.interval,
                 link,
@@ -1022,14 +1018,7 @@ impl AlgorithmState {
                     }
                 }
             }
-            // Supply, top-down — full width, exactly the kernel's pass.
-            for s in t.slots() {
-                let v = match t.parent_slot_of(s) {
-                    None => sc.demand[s].min(sc.level_cap[s]),
-                    Some(p) => sc.demand[s].min(sc.supply[p]).min(sc.level_cap[s]),
-                };
-                sc.supply[s] = v.max(1);
-            }
+            subscription::supply_pass(tree, &sc.demand, &sc.level_cap, &mut sc.supply);
 
             if std::env::var_os("TOPOSENSE_TRACE").is_some() {
                 let mut line = format!("t={:.0}s s{}:", inputs.now.as_secs_f64(), sid.0);

@@ -70,10 +70,6 @@ pub struct Config {
     pub heartbeat_size: u32,
     pub ack_size: u32,
     pub deregister_size: u32,
-    /// Replicate each interval's pipeline inputs to the peer standby so it
-    /// maintains a live copy of the algorithm state (DESIGN.md §14).
-    /// Requires a configured peer; a no-op on standalone controllers.
-    pub replicate_inputs: bool,
     /// Wire sizes of the replication messages (bytes). The input batch is
     /// `replicate_size` plus one `report_size` per forwarded report.
     pub replicate_size: u32,
@@ -111,7 +107,6 @@ impl Default for Config {
             heartbeat_size: 32,
             ack_size: 32,
             deregister_size: 32,
-            replicate_inputs: true,
             replicate_size: 64,
             replica_ack_size: 32,
         }
@@ -143,45 +138,39 @@ impl Config {
     /// under another — the pipeline is only byte-deterministic for a fixed
     /// `Config`.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        fold(self.interval.0);
-        fold(self.p_threshold.to_bits());
-        fold(self.high_loss.to_bits());
-        fold(self.very_high_loss.to_bits());
-        fold(self.eta_similar.to_bits());
-        fold(self.similarity_tolerance.to_bits());
-        fold(self.capacity_loss_threshold.to_bits());
-        fold(self.capacity_creep.to_bits());
-        fold(self.capacity_reset.0);
-        fold(self.backoff_min.0);
-        fold(self.backoff_max.0);
-        fold(self.bw_equal_tolerance.to_bits());
-        fold(self.report_interval.0);
-        fold(self.unilateral_timeout.0);
-        fold(self.unilateral_drop_loss.to_bits());
-        fold(self.report_size as u64);
-        fold(self.suggestion_size as u64);
-        fold(self.register_size as u64);
-        fold(self.quarantine_after.0);
-        fold(self.evict_after.0);
-        fold(self.max_degradation_age.0);
-        fold(self.register_backoff_base.0);
-        fold(self.register_backoff_max.0);
-        fold(self.failover_after.0);
-        fold(self.dead_air_windows as u64);
-        fold(self.heartbeat_size as u64);
-        fold(self.ack_size as u64);
-        fold(self.deregister_size as u64);
-        fold(self.replicate_inputs as u64);
-        fold(self.replicate_size as u64);
-        fold(self.replica_ack_size as u64);
-        h
+        let fields: [u64; 30] = [
+            self.interval.0,
+            self.p_threshold.to_bits(),
+            self.high_loss.to_bits(),
+            self.very_high_loss.to_bits(),
+            self.eta_similar.to_bits(),
+            self.similarity_tolerance.to_bits(),
+            self.capacity_loss_threshold.to_bits(),
+            self.capacity_creep.to_bits(),
+            self.capacity_reset.0,
+            self.backoff_min.0,
+            self.backoff_max.0,
+            self.bw_equal_tolerance.to_bits(),
+            self.report_interval.0,
+            self.unilateral_timeout.0,
+            self.unilateral_drop_loss.to_bits(),
+            self.report_size as u64,
+            self.suggestion_size as u64,
+            self.register_size as u64,
+            self.quarantine_after.0,
+            self.evict_after.0,
+            self.max_degradation_age.0,
+            self.register_backoff_base.0,
+            self.register_backoff_max.0,
+            self.failover_after.0,
+            self.dead_air_windows as u64,
+            self.heartbeat_size as u64,
+            self.ack_size as u64,
+            self.deregister_size as u64,
+            self.replicate_size as u64,
+            self.replica_ack_size as u64,
+        ];
+        netsim::rng::fnv1a(fields.map(u64::to_le_bytes).as_flattened())
     }
 }
 

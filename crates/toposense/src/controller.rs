@@ -500,7 +500,7 @@ impl Controller {
             // them, so its AlgorithmState stays a live twin and a takeover
             // needs zero re-learning. A quarantined peer gets nothing —
             // its state already diverged.
-            if self.cfg.replicate_inputs && !self.repl_peer_quarantined {
+            if !self.repl_peer_quarantined {
                 let fingerprint = fingerprint_outputs(&outputs);
                 self.repl_tracker.record(seq, fingerprint);
                 let size = self.cfg.replicate_size + self.cfg.report_size * reports.len() as u32;

@@ -262,10 +262,7 @@ impl FederationInterval {
 }
 
 fn mix(h: u64, v: u64) -> u64 {
-    let mut z = h.wrapping_add(v).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    netsim::rng::splitmix64(h.wrapping_add(v))
 }
 
 /// The federated control plane: `k` sharded domains plus the parent

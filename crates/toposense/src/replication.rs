@@ -35,12 +35,7 @@ use telemetry::{Blackbox, FlightRecorder};
 /// decisions but differ on those two fields, and a replica may lawfully
 /// start cold on an interval its primary served warm.
 pub fn fingerprint_outputs(out: &AlgorithmOutputs) -> u64 {
-    fn mix(h: u64, v: u64) -> u64 {
-        let mut z = h.wrapping_add(v).wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
+    let mix = |h: u64, v: u64| netsim::rng::splitmix64(h.wrapping_add(v));
     let mut h = 0x7370_6c69_745f_6d78u64;
     h = mix(h, out.suggestions.len() as u64);
     for s in &out.suggestions {

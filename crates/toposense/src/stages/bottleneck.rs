@@ -11,46 +11,15 @@
 //!   the maximum bandwidth between any receiver in the subtree and the
 //!   source").
 
-use netsim::{DirLinkId, NodeId};
-use std::collections::HashMap;
+use netsim::DirLinkId;
 use topology::SessionTree;
 
-/// Stage-3 output for one session.
-#[derive(Clone, Debug, Default)]
-pub struct BottleneckMap {
-    pub(crate) bottleneck: HashMap<NodeId, f64>,
-    pub(crate) max_handle: HashMap<NodeId, f64>,
-}
-
-impl BottleneckMap {
-    /// Minimum capacity on the path source -> `node` (∞ if unconstrained).
-    pub fn bottleneck(&self, node: NodeId) -> f64 {
-        self.bottleneck.get(&node).copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Max bottleneck over the subtree's receivers (∞ if unconstrained).
-    pub fn max_handle(&self, node: NodeId) -> f64 {
-        self.max_handle.get(&node).copied().unwrap_or(f64::INFINITY)
-    }
-}
-
-/// Compute both passes. `capacity(link)` returns the stage-2 estimate
-/// (`None` = infinite). Thin adapter over [`compute_into`] for callers
-/// that index by [`NodeId`]; the algorithm driver uses the dense entry
-/// point directly.
-pub fn compute(tree: &SessionTree, capacity: impl Fn(DirLinkId) -> Option<f64>) -> BottleneckMap {
-    let t = tree.tree();
-    let mut bottleneck_v = Vec::new();
-    let mut max_handle_v = Vec::new();
-    compute_into(tree, capacity, &mut bottleneck_v, &mut max_handle_v);
-    let bottleneck = t.slots().map(|s| (t.node_at(s), bottleneck_v[s])).collect();
-    let max_handle = t.slots().map(|s| (t.node_at(s), max_handle_v[s])).collect();
-    BottleneckMap { bottleneck, max_handle }
-}
-
-/// Dense stage-3 core: `bottleneck[slot]` / `max_handle[slot]` receive
-/// the two passes' results per tree slot. Both vectors are cleared and
-/// refilled, reusing their allocations.
+/// Both passes over one session tree. `capacity(link)` returns the
+/// stage-2 estimate (`None` = infinite); `bottleneck[slot]` — the minimum
+/// capacity on the path source -> slot — and `max_handle[slot]` — the max
+/// bottleneck over the subtree's receivers — receive the results per tree
+/// slot (∞ if unconstrained). Both vectors are cleared and refilled,
+/// reusing their allocations.
 pub fn compute_into(
     tree: &SessionTree,
     capacity: impl Fn(DirLinkId) -> Option<f64>,
@@ -81,7 +50,7 @@ pub fn compute_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{GroupId, GroupSnapshot, SessionId, SimTime};
+    use netsim::{GroupId, GroupSnapshot, NodeId, SessionId, SimTime};
     use topology::discovery::{LinkView, TopologyView};
 
     fn n(i: u32) -> NodeId {
@@ -110,60 +79,78 @@ mod tests {
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
     }
 
+    /// Both passes over [`tree`], looked up by node number.
+    struct Out(SessionTree, Vec<f64>, Vec<f64>);
+
+    impl Out {
+        fn bottleneck(&self, i: u32) -> f64 {
+            self.1[self.0.tree().slot_of(n(i)).unwrap()]
+        }
+        fn max_handle(&self, i: u32) -> f64 {
+            self.2[self.0.tree().slot_of(n(i)).unwrap()]
+        }
+    }
+
+    fn compute(capacity: impl Fn(DirLinkId) -> Option<f64>) -> Out {
+        let mut out = Out(tree(), Vec::new(), Vec::new());
+        compute_into(&out.0, capacity, &mut out.1, &mut out.2);
+        out
+    }
+
     #[test]
     fn all_infinite_without_estimates() {
-        let m = compute(&tree(), |_| None);
+        let m = compute(|_| None);
         for i in [0u32, 1, 2, 3] {
-            assert_eq!(m.bottleneck(n(i)), f64::INFINITY);
-            assert_eq!(m.max_handle(n(i)), f64::INFINITY);
+            assert_eq!(m.bottleneck(i), f64::INFINITY);
+            assert_eq!(m.max_handle(i), f64::INFINITY);
         }
     }
 
     #[test]
     fn min_propagates_down() {
         // link 0 = 500k, link 1 = 100k, link 2 unconstrained.
-        let m = compute(&tree(), |id| match id.0 {
+        let m = compute(|id| match id.0 {
             0 => Some(500_000.0),
             1 => Some(100_000.0),
             _ => None,
         });
-        assert_eq!(m.bottleneck(n(0)), f64::INFINITY);
-        assert_eq!(m.bottleneck(n(1)), 500_000.0);
-        assert_eq!(m.bottleneck(n(2)), 100_000.0);
-        assert_eq!(m.bottleneck(n(3)), 500_000.0);
+        assert_eq!(m.bottleneck(0), f64::INFINITY);
+        assert_eq!(m.bottleneck(1), 500_000.0);
+        assert_eq!(m.bottleneck(2), 100_000.0);
+        assert_eq!(m.bottleneck(3), 500_000.0);
     }
 
     #[test]
     fn max_handle_is_best_child() {
-        let m = compute(&tree(), |id| match id.0 {
+        let m = compute(|id| match id.0 {
             0 => Some(500_000.0),
             1 => Some(100_000.0),
             _ => None,
         });
         // Leaves handle their own bottleneck.
-        assert_eq!(m.max_handle(n(2)), 100_000.0);
-        assert_eq!(m.max_handle(n(3)), 500_000.0);
+        assert_eq!(m.max_handle(2), 100_000.0);
+        assert_eq!(m.max_handle(3), 500_000.0);
         // Node 1 can handle the best of its children.
-        assert_eq!(m.max_handle(n(1)), 500_000.0);
-        assert_eq!(m.max_handle(n(0)), 500_000.0);
+        assert_eq!(m.max_handle(1), 500_000.0);
+        assert_eq!(m.max_handle(0), 500_000.0);
     }
 
     #[test]
     fn tighter_upstream_cap_dominates() {
         // Upstream link 0 tighter than everything below.
-        let m = compute(&tree(), |id| match id.0 {
+        let m = compute(|id| match id.0 {
             0 => Some(50_000.0),
             1 => Some(100_000.0),
             _ => None,
         });
-        assert_eq!(m.bottleneck(n(2)), 50_000.0);
-        assert_eq!(m.bottleneck(n(3)), 50_000.0);
-        assert_eq!(m.max_handle(n(0)), 50_000.0);
+        assert_eq!(m.bottleneck(2), 50_000.0);
+        assert_eq!(m.bottleneck(3), 50_000.0);
+        assert_eq!(m.max_handle(0), 50_000.0);
     }
 
     #[test]
     fn unknown_node_is_unconstrained() {
-        let m = compute(&tree(), |_| None);
+        let m = crate::stages::reference::BottleneckMap::default();
         assert_eq!(m.bottleneck(n(42)), f64::INFINITY);
     }
 }

@@ -102,61 +102,18 @@ impl CapacityEstimator {
         est
     }
 
-    /// Update a single link from this interval's observations, exactly as
-    /// [`Self::update_sorted_traced`] would when reaching `link`'s run —
-    /// minus the reset pass, which the driver either runs itself (cold)
-    /// or has proven to be a no-op via [`Self::has_pending_reset`].
-    pub(crate) fn update_link_traced(
-        &mut self,
-        now: SimTime,
-        interval: SimDuration,
-        link: DirLinkId,
-        sessions: &[SessionLinkObs],
-        cfg: &Config,
-        events: Option<&mut Vec<CapacityEvent>>,
-    ) {
-        self.update_link(now, interval.as_secs_f64(), link, sessions, cfg, events);
-    }
-
-    /// Run one interval's update over every link seen in the session trees.
+    /// Run one interval's update over every link seen in the session
+    /// trees, given as a link-sorted flat slice: consecutive entries with
+    /// the same link form that link's per-session observation list. The
+    /// slice must be sorted by link with a stable sort so per-link session
+    /// order is preserved.
     ///
-    /// `usage` maps each directed link to the per-session observations of
-    /// the sessions crossing it this interval.
-    pub fn update(
-        &mut self,
-        now: SimTime,
-        interval: SimDuration,
-        usage: &HashMap<DirLinkId, Vec<SessionLinkObs>>,
-        cfg: &Config,
-    ) {
-        self.begin_interval(now, cfg, None);
-        let secs = interval.as_secs_f64();
-        for (&link, sessions) in usage {
-            self.update_link(now, secs, link, sessions, cfg, None);
-        }
-    }
-
-    /// Like [`Self::update`], but over a link-sorted flat slice (the
-    /// algorithm driver's reusable scratch buffer): consecutive entries
-    /// with the same link form that link's observation list. The slice
-    /// must be sorted by link with a stable sort so per-link session order
-    /// is preserved.
+    /// `events` optionally audits what happened to each estimate (see
+    /// [`CapacityEvent`]). The log is write-only: passing `Some` vs `None`
+    /// cannot change any estimate. Events from the periodic reset pass
+    /// come from `HashMap` iteration, so callers that need determinism
+    /// must sort the collected events by link.
     pub fn update_sorted(
-        &mut self,
-        now: SimTime,
-        interval: SimDuration,
-        sorted: &[(DirLinkId, SessionLinkObs)],
-        cfg: &Config,
-    ) {
-        self.update_sorted_traced(now, interval, sorted, cfg, None);
-    }
-
-    /// [`Self::update_sorted`] plus an optional audit of what happened to
-    /// each estimate (see [`CapacityEvent`]). The event log is write-only:
-    /// passing `Some` vs `None` cannot change any estimate. Events from
-    /// the periodic reset pass come from `HashMap` iteration, so callers
-    /// that need determinism must sort the collected events by link.
-    pub fn update_sorted_traced(
         &mut self,
         now: SimTime,
         interval: SimDuration,
@@ -166,7 +123,6 @@ impl CapacityEstimator {
     ) {
         debug_assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0), "input must be link-sorted");
         self.begin_interval(now, cfg, events.as_deref_mut());
-        let secs = interval.as_secs_f64();
         let mut start = 0;
         while start < sorted.len() {
             let link = sorted[start].0;
@@ -174,7 +130,7 @@ impl CapacityEstimator {
             self.run_scratch.clear();
             self.run_scratch.extend(sorted[start..end].iter().map(|&(_, o)| o));
             let run = std::mem::take(&mut self.run_scratch);
-            self.update_link(now, secs, link, &run, cfg, events.as_deref_mut());
+            self.update_link(now, interval, link, &run, cfg, events.as_deref_mut());
             self.run_scratch = run;
             start = end;
         }
@@ -200,15 +156,20 @@ impl CapacityEstimator {
         });
     }
 
-    fn update_link(
+    /// Update a single link from this interval's per-session observations
+    /// — one link's run of [`Self::update_sorted`]. The reset pass is the
+    /// caller's: the driver either runs [`Self::begin_interval`] itself
+    /// (cold) or has proven it a no-op via [`Self::has_pending_reset`].
+    pub(crate) fn update_link(
         &mut self,
         now: SimTime,
-        secs: f64,
+        interval: SimDuration,
         link: DirLinkId,
         sessions: &[SessionLinkObs],
         cfg: &Config,
         mut events: Option<&mut Vec<CapacityEvent>>,
     ) {
+        let secs = interval.as_secs_f64();
         let mut audit = move |bps: f64, what: &'static str| {
             if let Some(ev) = events.as_deref_mut() {
                 ev.push((link, bps, what));
@@ -316,11 +277,20 @@ mod tests {
 
     const INTERVAL: SimDuration = SimDuration(2_000_000_000);
 
+    /// Flatten `(link, observations)` rows into the link-sorted slice
+    /// [`CapacityEstimator::update_sorted`] takes.
+    fn flat(rows: &[(DirLinkId, Vec<SessionLinkObs>)]) -> Vec<(DirLinkId, SessionLinkObs)> {
+        let mut v: Vec<_> =
+            rows.iter().flat_map(|(l, os)| os.iter().map(move |&o| (*l, o))).collect();
+        v.sort_by_key(|&(l, _)| l);
+        v
+    }
+
     #[test]
     fn no_loss_keeps_infinity() {
         let mut est = CapacityEstimator::new();
-        let usage = HashMap::from([(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        let usage = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         assert_eq!(est.capacity(l(0)), None);
     }
 
@@ -328,8 +298,8 @@ mod tests {
     fn loss_on_all_sessions_sets_estimate_from_throughput() {
         let mut est = CapacityEstimator::new();
         // 125_000 B over 2 s = 500 kb/s.
-        let usage = HashMap::from([(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.08, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        let usage = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.08, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         let c = est.capacity(l(0)).unwrap();
         assert!((c - 500_000.0).abs() < 1.0, "got {c}");
     }
@@ -339,20 +309,20 @@ mod tests {
         // Session 1 has loss below the threshold: the shared link may not be
         // the culprit, so capacity stays infinite.
         let mut est = CapacityEstimator::new();
-        let usage = HashMap::from([(l(0), vec![obs(0, 0.2, 100_000), obs(1, 0.0, 50_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        let usage = flat(&[(l(0), vec![obs(0, 0.2, 100_000), obs(1, 0.0, 50_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         assert_eq!(est.capacity(l(0)), None);
     }
 
     #[test]
     fn estimate_creeps_upward_each_interval() {
         let mut est = CapacityEstimator::new();
-        let usage = HashMap::from([(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        let usage = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         let c0 = est.capacity(l(0)).unwrap();
         // Next interval, no matter the loss, the estimate creeps by 5%.
-        let quiet = HashMap::from([(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update(SimTime::from_secs(4), INTERVAL, &quiet, &cfg());
+        let quiet = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(4), INTERVAL, &quiet, &cfg(), None);
         let c1 = est.capacity(l(0)).unwrap();
         assert!((c1 / c0 - 1.05).abs() < 1e-9);
     }
@@ -360,23 +330,23 @@ mod tests {
     #[test]
     fn periodic_reset_returns_to_infinity() {
         let mut est = CapacityEstimator::new();
-        let usage = HashMap::from([(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        let usage = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         assert!(est.capacity(l(0)).is_some());
         // Fast-forward past the reset period with clean traffic.
-        let quiet = HashMap::from([(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update(SimTime::from_secs(2 + 30), INTERVAL, &quiet, &cfg());
+        let quiet = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2 + 30), INTERVAL, &quiet, &cfg(), None);
         assert_eq!(est.capacity(l(0)), None, "estimate must reset to infinity");
     }
 
     #[test]
     fn reset_then_relearn() {
         let mut est = CapacityEstimator::new();
-        let lossy = HashMap::from([(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &lossy, &cfg());
+        let lossy = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &lossy, &cfg(), None);
         // Past reset, still lossy: re-learned in the same update.
-        let lossy2 = HashMap::from([(l(0), vec![obs(0, 0.1, 200_000), obs(1, 0.1, 50_000)])]);
-        est.update(SimTime::from_secs(40), INTERVAL, &lossy2, &cfg());
+        let lossy2 = flat(&[(l(0), vec![obs(0, 0.1, 200_000), obs(1, 0.1, 50_000)])]);
+        est.update_sorted(SimTime::from_secs(40), INTERVAL, &lossy2, &cfg(), None);
         let c = est.capacity(l(0)).unwrap();
         assert!((c - 1_000_000.0).abs() < 1.0, "got {c}");
     }
@@ -384,8 +354,8 @@ mod tests {
     #[test]
     fn zero_bytes_never_sets_a_zero_capacity() {
         let mut est = CapacityEstimator::new();
-        let usage = HashMap::from([(l(0), vec![obs(0, 0.5, 0), obs(1, 0.5, 0)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        let usage = flat(&[(l(0), vec![obs(0, 0.5, 0), obs(1, 0.5, 0)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         assert_eq!(est.capacity(l(0)), None);
     }
 
@@ -397,17 +367,17 @@ mod tests {
         // number the loss already says is too high. A clean interval may
         // creep as usual.
         let mut est = CapacityEstimator::new();
-        let shared = HashMap::from([(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &shared, &cfg());
+        let shared = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &shared, &cfg(), None);
         let c0 = est.capacity(l(0)).unwrap();
 
-        let lossy_solo = HashMap::from([(l(0), vec![obs(0, 0.2, 100_000)])]);
-        est.update(SimTime::from_secs(4), INTERVAL, &lossy_solo, &cfg());
+        let lossy_solo = flat(&[(l(0), vec![obs(0, 0.2, 100_000)])]);
+        est.update_sorted(SimTime::from_secs(4), INTERVAL, &lossy_solo, &cfg(), None);
         let c1 = est.capacity(l(0)).unwrap();
         assert_eq!(c1, c0, "lossy single-session interval must not creep");
 
-        let clean_solo = HashMap::from([(l(0), vec![obs(0, 0.0, 100_000)])]);
-        est.update(SimTime::from_secs(6), INTERVAL, &clean_solo, &cfg());
+        let clean_solo = flat(&[(l(0), vec![obs(0, 0.0, 100_000)])]);
+        est.update_sorted(SimTime::from_secs(6), INTERVAL, &clean_solo, &cfg(), None);
         let c2 = est.capacity(l(0)).unwrap();
         assert!((c2 / c1 - 1.05).abs() < 1e-9, "clean single-session interval creeps");
     }
@@ -420,51 +390,28 @@ mod tests {
         // more headroom — and nothing may go NaN. The same goes for a
         // dead-air interval on a link down to a single session.
         let mut est = CapacityEstimator::new();
-        let shared = HashMap::from([(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update(SimTime::from_secs(2), INTERVAL, &shared, &cfg());
+        let shared = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &shared, &cfg(), None);
         let c0 = est.capacity(l(0)).unwrap();
 
         let mut ev = Vec::new();
         let dead = vec![(l(0), obs(0, 0.0, 0)), (l(0), obs(1, 0.0, 0))];
-        est.update_sorted_traced(SimTime::from_secs(4), INTERVAL, &dead, &cfg(), Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(4), INTERVAL, &dead, &cfg(), Some(&mut ev));
         let c1 = est.capacity(l(0)).unwrap();
         assert!(c1.is_finite());
         assert_eq!(c1, c0, "dead-air shared interval must hold, not creep");
         assert_eq!((ev[0].0, ev[0].2), (l(0), "held"));
 
-        let dead_solo = HashMap::from([(l(0), vec![obs(0, 0.0, 0)])]);
-        est.update(SimTime::from_secs(6), INTERVAL, &dead_solo, &cfg());
+        let dead_solo = flat(&[(l(0), vec![obs(0, 0.0, 0)])]);
+        est.update_sorted(SimTime::from_secs(6), INTERVAL, &dead_solo, &cfg(), None);
         let c2 = est.capacity(l(0)).unwrap();
         assert_eq!(c2, c0, "dead-air single-session interval must hold, not creep");
 
         // Traffic resumes clean: the creep picks back up as usual.
-        let quiet = HashMap::from([(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update(SimTime::from_secs(8), INTERVAL, &quiet, &cfg());
+        let quiet = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
+        est.update_sorted(SimTime::from_secs(8), INTERVAL, &quiet, &cfg(), None);
         let c3 = est.capacity(l(0)).unwrap();
         assert!((c3 / c0 - 1.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn update_sorted_matches_update() {
-        let c = cfg();
-        let mut a = CapacityEstimator::new();
-        let mut b = CapacityEstimator::new();
-        let usage = HashMap::from([
-            (l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)]),
-            (l(1), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)]),
-            (l(2), vec![obs(1, 0.3, 50_000)]),
-        ]);
-        a.update(SimTime::from_secs(2), INTERVAL, &usage, &c);
-
-        let mut flat: Vec<(DirLinkId, SessionLinkObs)> =
-            usage.iter().flat_map(|(&link, v)| v.iter().map(move |&o| (link, o))).collect();
-        flat.sort_by_key(|&(link, _)| link);
-        b.update_sorted(SimTime::from_secs(2), INTERVAL, &flat, &c);
-
-        for i in 0..3 {
-            assert_eq!(a.capacity(l(i)), b.capacity(l(i)), "link {i}");
-        }
-        assert_eq!(a.estimated_links(), b.estimated_links());
     }
 
     #[test]
@@ -475,13 +422,13 @@ mod tests {
         let quiet = vec![(l(0), obs(0, 0.0, 100_000)), (l(0), obs(1, 0.0, 25_000))];
 
         let mut ev = Vec::new();
-        est.update_sorted_traced(SimTime::from_secs(2), INTERVAL, &lossy, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &lossy, &c, Some(&mut ev));
         assert_eq!(ev.len(), 1);
         assert_eq!((ev[0].0, ev[0].2), (l(0), "learned"));
         let learned_bps = ev[0].1;
 
         ev.clear();
-        est.update_sorted_traced(SimTime::from_secs(4), INTERVAL, &quiet, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(4), INTERVAL, &quiet, &c, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "crept"));
         assert!(ev[0].1 > learned_bps);
 
@@ -489,13 +436,13 @@ mod tests {
         // audit says so.
         ev.clear();
         let solo = vec![(l(0), obs(0, 0.3, 100_000))];
-        est.update_sorted_traced(SimTime::from_secs(6), INTERVAL, &solo, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(6), INTERVAL, &solo, &c, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "held"));
 
         // Past the reset horizon with clean traffic: reset is reported
         // with the discarded value.
         ev.clear();
-        est.update_sorted_traced(SimTime::from_secs(60), INTERVAL, &quiet, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(60), INTERVAL, &quiet, &c, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "reset"));
         assert!(est.capacity(l(0)).is_none());
 
@@ -503,7 +450,7 @@ mod tests {
         // in the same state.
         let mut twin = CapacityEstimator::new();
         for (t, usage) in [(2u64, &lossy), (4, &quiet), (6, &solo), (60, &quiet)] {
-            twin.update_sorted(SimTime::from_secs(t), INTERVAL, usage, &c);
+            twin.update_sorted(SimTime::from_secs(t), INTERVAL, usage, &c, None);
         }
         assert_eq!(twin.capacity(l(0)), est.capacity(l(0)));
         assert_eq!(twin.estimated_links(), est.estimated_links());
@@ -512,11 +459,11 @@ mod tests {
     #[test]
     fn links_are_independent() {
         let mut est = CapacityEstimator::new();
-        let usage = HashMap::from([
+        let usage = flat(&[
             (l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)]),
             (l(1), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)]),
         ]);
-        est.update(SimTime::from_secs(2), INTERVAL, &usage, &cfg());
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
         assert!(est.capacity(l(0)).is_some());
         assert!(est.capacity(l(1)).is_none());
         assert_eq!(est.estimated_links(), 1);

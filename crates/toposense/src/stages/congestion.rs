@@ -17,8 +17,6 @@
 //! receiver in the subtree — the input to the capacity estimator.
 
 use crate::config::Config;
-use netsim::NodeId;
-use std::collections::HashMap;
 use topology::SessionTree;
 
 /// Aggregated observation at a node that hosts receivers.
@@ -55,45 +53,10 @@ pub struct NodeState {
     pub has_data: bool,
 }
 
-/// Stage-1 output for one session.
-#[derive(Clone, Debug, Default)]
-pub struct SessionCongestion {
-    pub nodes: HashMap<NodeId, NodeState>,
-}
-
-impl SessionCongestion {
-    /// The state of `node` (default all-clear for unknown nodes).
-    pub fn node(&self, node: NodeId) -> NodeState {
-        self.nodes.get(&node).copied().unwrap_or_default()
-    }
-}
-
-/// Compute congestion states for one session tree.
-///
-/// `obs` maps receiver-hosting nodes to their aggregated report data.
-/// Thin adapter over [`compute_into`] for callers that index by
-/// [`NodeId`]; the algorithm driver uses the dense entry point directly.
-pub fn compute(
-    tree: &SessionTree,
-    obs: &HashMap<NodeId, LeafObs>,
-    cfg: &Config,
-) -> SessionCongestion {
-    let t = tree.tree();
-    let mut slot_obs: Vec<Option<LeafObs>> = vec![None; t.len()];
-    for (&node, &o) in obs {
-        if let Some(s) = t.slot_of(node) {
-            slot_obs[s] = Some(o);
-        }
-    }
-    let mut states = Vec::new();
-    compute_into(tree, &slot_obs, cfg, &mut states);
-    let nodes = t.slots().map(|s| (t.node_at(s), states[s])).collect();
-    SessionCongestion { nodes }
-}
-
-/// Dense stage-1 core: `obs[slot]` holds the aggregated observation for
-/// the node at that tree slot; `states[slot]` receives its state. The
-/// output vector is cleared and refilled, reusing its allocation.
+/// Stage 1 over a whole session tree: `obs[slot]` holds the aggregated
+/// observation for the node at that tree slot; `states[slot]` receives its
+/// state. The output vector is cleared and refilled, reusing its
+/// allocation.
 pub fn compute_into(
     tree: &SessionTree,
     obs: &[Option<LeafObs>],
@@ -112,15 +75,16 @@ pub fn compute_into(
         let st = slot_state(tree, s, obs, states, cfg);
         states[s] = st;
     }
-
-    propagate_down(tree, states);
+    for s in t.slots() {
+        propagate_slot(tree, s, states);
+    }
 }
 
 /// The per-slot bottom-up kernel of [`compute_into`]: the state of one
 /// slot given its children's (already computed) states. Exposed to the
-/// crate so the incremental path reuses the exact same code and cannot
-/// drift from the full pass. Only the bottom-up fields are set here;
-/// `congested` / `parent_congested` come from [`propagate_down`].
+/// crate so the algorithm driver runs the same code over its dirty slots.
+/// Only the bottom-up fields are set here; `congested` /
+/// `parent_congested` come from [`propagate_slot`].
 pub(crate) fn slot_state(
     tree: &SessionTree,
     s: usize,
@@ -200,23 +164,23 @@ pub(crate) fn slot_state(
     state
 }
 
-/// The top-down half of stage 1: parental congestion propagates. Shared by
-/// the full pass and the incremental path (which re-runs it over the whole
-/// tree — it is a cheap linear scan, and localizing it would have to track
-/// congestion flips across arbitrary subtrees for no measurable win).
-pub(crate) fn propagate_down(tree: &SessionTree, states: &mut [NodeState]) {
-    let t = tree.tree();
-    for s in t.slots() {
-        let parent_congested = t.parent_slot_of(s).map(|p| states[p].congested).unwrap_or(false);
-        states[s].parent_congested = parent_congested;
-        states[s].congested = states[s].self_congested || parent_congested;
-    }
+/// The per-slot top-down half of stage 1: parental congestion propagates.
+/// Slots must be visited in ascending order (parents first). The driver
+/// fuses this into its own full-width top-down loop — a cheap linear scan;
+/// localizing it would have to track congestion flips across arbitrary
+/// subtrees for no measurable win.
+#[inline]
+pub(crate) fn propagate_slot(tree: &SessionTree, s: usize, states: &mut [NodeState]) {
+    let parent_congested =
+        tree.tree().parent_slot_of(s).map(|p| states[p].congested).unwrap_or(false);
+    states[s].parent_congested = parent_congested;
+    states[s].congested = states[s].self_congested || parent_congested;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{DirLinkId, GroupId, GroupSnapshot, SessionId, SimTime};
+    use netsim::{DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimTime};
     use topology::discovery::{LinkView, TopologyView};
 
     fn n(i: u32) -> NodeId {
@@ -242,74 +206,83 @@ mod tests {
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
     }
 
-    fn obs(pairs: &[(u32, f64, u64)]) -> HashMap<NodeId, LeafObs> {
-        pairs.iter().map(|&(i, loss, bytes)| (n(i), LeafObs { loss, bytes, level: 1 })).collect()
+    /// Run the whole-tree entry over [`tree`] with `(node, loss, bytes)`
+    /// observations; the result maps a node number to its state.
+    fn compute(pairs: &[(u32, f64, u64)], cfg: &Config) -> impl Fn(u32) -> NodeState {
+        let tree = tree();
+        let mut obs = vec![None; tree.tree().len()];
+        for &(i, loss, bytes) in pairs {
+            obs[tree.tree().slot_of(n(i)).unwrap()] = Some(LeafObs { loss, bytes, level: 1 });
+        }
+        let mut states = Vec::new();
+        compute_into(&tree, &obs, cfg, &mut states);
+        move |i| states[tree.tree().slot_of(n(i)).unwrap()]
     }
 
     #[test]
     fn all_clear_when_no_loss() {
-        let sc = compute(&tree(), &obs(&[(2, 0.0, 1000), (3, 0.0, 2000)]), &Config::default());
+        let sc = compute(&[(2, 0.0, 1000), (3, 0.0, 2000)], &Config::default());
         for i in [0u32, 1, 2, 3] {
-            assert!(!sc.node(n(i)).congested, "node {i}");
+            assert!(!sc(i).congested, "node {i}");
         }
         // Byte maxima propagate up.
-        assert_eq!(sc.node(n(1)).max_bytes, 2000);
-        assert_eq!(sc.node(n(0)).max_bytes, 2000);
+        assert_eq!(sc(1).max_bytes, 2000);
+        assert_eq!(sc(0).max_bytes, 2000);
     }
 
     #[test]
     fn single_lossy_leaf_congests_only_itself() {
-        let sc = compute(&tree(), &obs(&[(2, 0.2, 1000), (3, 0.0, 2000)]), &Config::default());
-        assert!(sc.node(n(2)).congested);
-        assert!(sc.node(n(2)).self_congested);
+        let sc = compute(&[(2, 0.2, 1000), (3, 0.0, 2000)], &Config::default());
+        assert!(sc(2).congested);
+        assert!(sc(2).self_congested);
         // Internal loss = min(0.2, 0.0) = 0 -> not congested.
-        assert!(!sc.node(n(1)).congested);
-        assert_eq!(sc.node(n(1)).loss, 0.0);
-        assert!(!sc.node(n(3)).congested);
+        assert!(!sc(1).congested);
+        assert_eq!(sc(1).loss, 0.0);
+        assert!(!sc(3).congested);
     }
 
     #[test]
     fn similar_sibling_losses_congest_the_parent() {
         // Both leaves lossy at similar rates -> shared upstream bottleneck.
-        let sc = compute(&tree(), &obs(&[(2, 0.10, 1000), (3, 0.12, 1000)]), &Config::default());
-        assert!(sc.node(n(1)).self_congested);
-        assert!(sc.node(n(1)).congested);
+        let sc = compute(&[(2, 0.10, 1000), (3, 0.12, 1000)], &Config::default());
+        assert!(sc(1).self_congested);
+        assert!(sc(1).congested);
         // Parental congestion flows down to the leaves' flags.
-        assert!(sc.node(n(2)).parent_congested);
-        assert!(sc.node(n(3)).parent_congested);
+        assert!(sc(2).parent_congested);
+        assert!(sc(3).parent_congested);
         // Root: child (node 1) is its only child with loss 0.10 > threshold;
         // single-child similarity trivially holds, so the root also
         // self-congests under the letter of the rule.
-        assert!(sc.node(n(0)).congested);
+        assert!(sc(0).congested);
     }
 
     #[test]
     fn dissimilar_sibling_losses_do_not_congest_the_parent() {
         // Both lossy but very different: independent downstream causes.
         let cfg = Config { eta_similar: 0.9, ..Config::default() };
-        let sc = compute(&tree(), &obs(&[(2, 0.05, 1000), (3, 0.60, 1000)]), &cfg);
-        assert!(!sc.node(n(1)).self_congested);
-        assert!(sc.node(n(2)).congested);
-        assert!(sc.node(n(3)).congested);
+        let sc = compute(&[(2, 0.05, 1000), (3, 0.60, 1000)], &cfg);
+        assert!(!sc(1).self_congested);
+        assert!(sc(2).congested);
+        assert!(sc(3).congested);
     }
 
     #[test]
     fn internal_loss_is_min_of_children() {
-        let sc = compute(&tree(), &obs(&[(2, 0.3, 10), (3, 0.08, 20)]), &Config::default());
-        assert!((sc.node(n(1)).loss - 0.08).abs() < 1e-12);
+        let sc = compute(&[(2, 0.3, 10), (3, 0.08, 20)], &Config::default());
+        assert!((sc(1).loss - 0.08).abs() < 1e-12);
     }
 
     #[test]
     fn missing_observation_is_no_data_not_all_clear() {
-        let sc = compute(&tree(), &obs(&[(2, 0.5, 10)]), &Config::default());
+        let sc = compute(&[(2, 0.5, 10)], &Config::default());
         // Node 3 never reported: it carries no evidence, so it does not
         // pull the parent's child-min down to 0. The parent's state comes
         // from the one reporting child alone.
-        assert!(!sc.node(n(3)).has_data);
-        assert!(!sc.node(n(3)).self_congested);
-        assert!(sc.node(n(1)).has_data);
-        assert!((sc.node(n(1)).loss - 0.5).abs() < 1e-12);
-        assert!(sc.node(n(1)).self_congested, "silence must not mask the lossy sibling");
+        assert!(!sc(3).has_data);
+        assert!(!sc(3).self_congested);
+        assert!(sc(1).has_data);
+        assert!((sc(1).loss - 0.5).abs() < 1e-12);
+        assert!(sc(1).self_congested, "silence must not mask the lossy sibling");
     }
 
     #[test]
@@ -317,9 +290,9 @@ mod tests {
         // Nobody reports at all (e.g. every receiver quarantined or
         // evicted this interval): every node is no-data, nothing is
         // congested, and no infinite loss survives the child-min fold.
-        let sc = compute(&tree(), &obs(&[]), &Config::default());
+        let sc = compute(&[], &Config::default());
         for i in [0u32, 1, 2, 3] {
-            let s = sc.node(n(i));
+            let s = sc(i);
             assert!(!s.has_data, "node {i}");
             assert!(!s.congested, "node {i} must not be congested on silence");
             assert!(s.loss.is_finite(), "node {i} loss must stay finite, got {}", s.loss);
@@ -328,7 +301,7 @@ mod tests {
 
     #[test]
     fn unknown_node_defaults() {
-        let sc = compute(&tree(), &obs(&[]), &Config::default());
+        let sc = crate::stages::reference::SessionCongestion::default();
         let s = sc.node(n(99));
         assert!(!s.congested && s.loss == 0.0 && s.max_bytes == 0);
     }

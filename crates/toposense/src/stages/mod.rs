@@ -19,8 +19,6 @@ pub mod reference;
 pub mod sharing;
 pub mod subscription;
 
-pub use bottleneck::BottleneckMap;
 pub use capacity::{CapacityEstimator, SessionLinkObs};
-pub use congestion::{LeafObs, NodeState, SessionCongestion};
-pub use sharing::{ShareMap, SharingScratch};
-pub use subscription::{DemandContext, SubscriptionResult};
+pub use congestion::{LeafObs, NodeState};
+pub use sharing::SharingScratch;

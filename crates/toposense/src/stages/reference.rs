@@ -2,20 +2,84 @@
 //! the oracle for the differential test suite (`tests/differential.rs` in
 //! the workspace root): the dense slot-indexed cores must produce
 //! identical congestion states, bottlenecks, shares, and subscription
-//! levels on arbitrary trees. Not part of the public API.
+//! levels on arbitrary trees. The only [`NodeId`]-keyed stage code left;
+//! not part of the public API.
 
 use crate::config::Config;
 use crate::decision::{decide, Action, NodeKind};
-use crate::stages::bottleneck::BottleneckMap;
-use crate::stages::congestion::{LeafObs, NodeState, SessionCongestion};
-use crate::stages::sharing::ShareMap;
+use crate::stages::congestion::{LeafObs, NodeState};
 use crate::stages::subscription::{
-    half_supply_level, reduce_target, supply_of, BackoffTable, DemandContext, SubscriptionResult,
+    half_supply_level, reduce_target, supply_of, BackoffTable, NodeInputs,
 };
-use netsim::{DirLinkId, NodeId, RngStream};
+use netsim::{DirLinkId, NodeId, RngStream, SimTime};
 use std::collections::HashMap;
 use topology::SessionTree;
 use traffic::LayerSpec;
+
+/// Stage-1 output for one session.
+#[derive(Clone, Debug, Default)]
+pub struct SessionCongestion {
+    pub nodes: HashMap<NodeId, NodeState>,
+}
+
+impl SessionCongestion {
+    /// The state of `node` (default all-clear for unknown nodes).
+    pub fn node(&self, node: NodeId) -> NodeState {
+        self.nodes.get(&node).copied().unwrap_or_default()
+    }
+}
+
+/// Stage-3 output for one session.
+#[derive(Clone, Debug, Default)]
+pub struct BottleneckMap {
+    pub(crate) bottleneck: HashMap<NodeId, f64>,
+    pub(crate) max_handle: HashMap<NodeId, f64>,
+}
+
+impl BottleneckMap {
+    /// Minimum capacity on the path source -> `node` (∞ if unconstrained).
+    pub fn bottleneck(&self, node: NodeId) -> f64 {
+        self.bottleneck.get(&node).copied().unwrap_or(f64::INFINITY)
+    }
+
+    /// Max bottleneck over the subtree's receivers (∞ if unconstrained).
+    pub fn max_handle(&self, node: NodeId) -> f64 {
+        self.max_handle.get(&node).copied().unwrap_or(f64::INFINITY)
+    }
+}
+
+/// Stage-4 output: per-session allowed bandwidth at every tree node.
+#[derive(Clone, Debug, Default)]
+pub struct ShareMap {
+    pub(crate) allowed: Vec<HashMap<NodeId, f64>>,
+}
+
+impl ShareMap {
+    /// The bandwidth session `idx` may use at `node` (∞ if unconstrained).
+    pub fn allowed(&self, idx: usize, node: NodeId) -> f64 {
+        self.allowed.get(idx).and_then(|m| m.get(&node)).copied().unwrap_or(f64::INFINITY)
+    }
+}
+
+/// Stage-5 output.
+#[derive(Clone, Debug, Default)]
+pub struct SubscriptionResult {
+    /// Demand per node (levels).
+    pub demand: HashMap<NodeId, u8>,
+    /// Supply per node (levels); leaf entries are the suggestions.
+    pub supply: HashMap<NodeId, u8>,
+}
+
+/// Everything stage 5 needs for one session.
+pub struct DemandContext<'a> {
+    pub tree: &'a SessionTree,
+    pub spec: &'a LayerSpec,
+    pub cfg: &'a Config,
+    pub now: SimTime,
+    pub inputs: &'a HashMap<NodeId, NodeInputs>,
+    /// Bandwidth cap per node from stages 3+4, already in level units.
+    pub level_cap: &'a dyn Fn(NodeId) -> u8,
+}
 
 /// The original stage-1 implementation.
 pub fn congestion_compute(

@@ -14,23 +14,10 @@
 //! cedes the rest: with downstream bottlenecks of 250 kb/s and 1 Mb/s the
 //! paper expects exactly those allocations, not an equal split.
 
-use netsim::{DirLinkId, NodeId};
+use netsim::DirLinkId;
 use std::collections::HashMap;
 use topology::SessionTree;
 use traffic::LayerSpec;
-
-/// Stage-4 output: per-session allowed bandwidth at every tree node.
-#[derive(Clone, Debug, Default)]
-pub struct ShareMap {
-    pub(crate) allowed: Vec<HashMap<NodeId, f64>>,
-}
-
-impl ShareMap {
-    /// The bandwidth session `idx` may use at `node` (∞ if unconstrained).
-    pub fn allowed(&self, idx: usize, node: NodeId) -> f64 {
-        self.allowed.get(idx).and_then(|m| m.get(&node)).copied().unwrap_or(f64::INFINITY)
-    }
-}
 
 /// Reusable cross-session scratch for [`compute_into`], held by the
 /// algorithm driver so one allocation serves every interval.
@@ -85,30 +72,10 @@ pub(crate) fn proportional_share(x: u32, total: u32, b: f64, n: usize) -> f64 {
     }
 }
 
-/// Compute fair shares. `trees[i]` and `specs[i]` describe session `i`;
-/// `capacity` is the stage-2 estimate (`None` = infinite). Thin adapter
-/// over [`compute_into`] for callers that index by [`NodeId`]; the
-/// algorithm driver uses the dense entry point directly.
-pub fn compute(
-    trees: &[SessionTree],
-    specs: &[&LayerSpec],
-    capacity: impl Fn(DirLinkId) -> Option<f64>,
-) -> ShareMap {
-    let mut scratch = SharingScratch::default();
-    compute_into(trees, specs, capacity, &mut scratch);
-    let allowed = trees
-        .iter()
-        .enumerate()
-        .map(|(i, tree)| {
-            let t = tree.tree();
-            t.slots().map(|s| (t.node_at(s), scratch.allowed[i][s])).collect()
-        })
-        .collect();
-    ShareMap { allowed }
-}
-
-/// Dense stage-4 core: fills `scratch.allowed[i][slot]` with the bandwidth
-/// session `i` may use at tree slot `slot`.
+/// Stage 4 over every session: fills `scratch` so that
+/// [`SharingScratch::allowed_at`] answers the bandwidth session `i` may use
+/// at each of its tree slots. `trees[i]` and `specs[i]` describe session
+/// `i`; `capacity` is the stage-2 estimate (`None` = infinite).
 pub fn compute_into(
     trees: &[SessionTree],
     specs: &[&LayerSpec],
@@ -127,21 +94,85 @@ pub fn compute_into(
             crossing.entry(tree.in_link_at(s)).or_default().push((i as u32, s as u32));
         }
     }
-
-    let resize_per_session = |bufs: &mut Vec<Vec<f64>>| {
+    scratch.share.clear();
+    for bufs in [&mut scratch.maxposs, &mut scratch.aggdem, &mut scratch.allowed] {
         bufs.resize_with(trees.len().max(bufs.len()), Vec::new);
-        for (tree, buf) in trees.iter().zip(bufs.iter_mut()) {
-            buf.clear();
-            buf.resize(tree.tree().len(), f64::INFINITY);
+    }
+    refresh(trees, specs, capacity, scratch, &[], vec![true; trees.len()]);
+}
+
+/// Incremental stage-4 update: refresh `scratch` after a capacity change
+/// on exactly the links in `cap_changed` (sorted, deduplicated), assuming
+/// the topology (`trees`/`specs`) is unchanged since the last
+/// [`compute_into`] over the same `scratch`. Returns the refreshed
+/// sessions, ascending, so downstream stages know whose per-slot
+/// allowances (and hence level caps) may have moved.
+///
+/// With an empty `cap_changed` this is a no-op — the steady-state hot path.
+pub(crate) fn compute_incremental_into(
+    trees: &[SessionTree],
+    specs: &[&LayerSpec],
+    capacity: impl Fn(DirLinkId) -> Option<f64>,
+    scratch: &mut SharingScratch,
+    cap_changed: &[DirLinkId],
+) -> Vec<u32> {
+    if cap_changed.is_empty() {
+        return Vec::new();
+    }
+    debug_assert_eq!(trees.len(), specs.len());
+    debug_assert!(scratch.allowed.len() >= trees.len(), "scratch not primed by a full pass");
+    // Sessions whose pass-A/B results the changed capacities can reach.
+    let mut stale = vec![false; trees.len()];
+    for link in cap_changed {
+        for &(i, _) in scratch.crossing.get(link).into_iter().flatten() {
+            stale[i as usize] = true;
         }
+    }
+    refresh(trees, specs, capacity, scratch, cap_changed, stale)
+}
+
+/// The one stage-4 body. `stale[i]` marks the sessions whose pass-A path
+/// mins may have moved (every session on a cold call; those crossing a
+/// link in `cap_changed` on a warm one). Effect propagation,
+/// session-granular:
+///
+/// * stale sessions get fresh `maxposs`/`aggdem`;
+/// * every link those sessions cross — plus the changed links themselves —
+///   may see its proportional share move (shares read the crossing
+///   sessions' `aggdem` heads), so those links' shares are recomputed;
+/// * sessions crossing any such link get a fresh final `allowed` pass, and
+///   are returned.
+///
+/// Links and sessions outside that closure provably keep their previous
+/// values: an untouched link has unchanged capacity and (by construction)
+/// no crossing session with changed `aggdem`, so its share — and every
+/// `allowed` path through it — is byte-identical to a full recompute. The
+/// caller guarantees estimates never *disappear* between warm calls (a
+/// periodic reset forces a cold one), which is what keeps stale `share`
+/// entries for untouched links valid.
+fn refresh(
+    trees: &[SessionTree],
+    specs: &[&LayerSpec],
+    capacity: impl Fn(DirLinkId) -> Option<f64>,
+    scratch: &mut SharingScratch,
+    cap_changed: &[DirLinkId],
+    stale: Vec<bool>,
+) -> Vec<u32> {
+    let SharingScratch { crossing, share, maxposs, aggdem, allowed } = scratch;
+    let reset = |buf: &mut Vec<f64>, len: usize| {
+        buf.clear();
+        buf.resize(len, f64::INFINITY);
     };
 
-    // Pass A (top-down): max bandwidth possible per node if all *other*
-    // sessions on each link took only their base layer.
-    resize_per_session(&mut scratch.maxposs);
     for (i, tree) in trees.iter().enumerate() {
+        if !stale[i] {
+            continue;
+        }
         let t = tree.tree();
-        let m = &mut scratch.maxposs[i];
+        // Pass A (top-down): max bandwidth possible per node if all *other*
+        // sessions on each link took only their base layer.
+        let m = &mut maxposs[i];
+        reset(m, t.len());
         for s in t.slots() {
             let Some(p) = t.parent_slot_of(s) else { continue };
             let link = tree.in_link_at(s);
@@ -160,14 +191,10 @@ pub fn compute_into(
             };
             m[s] = m[p].min(avail);
         }
-    }
-
-    // Pass B (bottom-up): a node's max possible demand is the max over its
-    // children; leaves keep their own.
-    resize_per_session(&mut scratch.aggdem);
-    for (i, tree) in trees.iter().enumerate() {
-        let t = tree.tree();
-        let (maxposs, m) = (&scratch.maxposs[i], &mut scratch.aggdem[i]);
+        // Pass B (bottom-up): a node's max possible demand is the max over
+        // its children; leaves keep their own.
+        let (maxposs, m) = (&maxposs[i], &mut aggdem[i]);
+        reset(m, t.len());
         for s in t.slots_bottom_up() {
             let cs = t.child_slots(s);
             m[s] = if cs.is_empty() {
@@ -178,180 +205,48 @@ pub fn compute_into(
         }
     }
 
-    // Per shared link: x_i in layers, then the proportional share.
-    let share = &mut scratch.share;
-    share.clear();
-    for (&link, sessions) in crossing.iter() {
-        if sessions.len() < 2 {
-            continue;
-        }
-        let Some(b) = capacity(link) else { continue };
-        let total: u32 = sessions
-            .iter()
-            .map(|&(i, head)| {
-                specs[i as usize].level_fitting(scratch.aggdem[i as usize][head as usize]).max(1)
-                    as u32
-            })
-            .sum();
-        for &(i, head) in sessions {
-            let x = specs[i as usize]
-                .level_fitting(scratch.aggdem[i as usize][head as usize])
-                .max(1) as u32;
-            share.insert((link, i), proportional_share(x, total, b, sessions.len()));
-        }
-    }
-
-    // Final top-down pass: allowed bandwidth per node = min over the path of
-    // (fair share on shared links, raw estimate on private links).
-    resize_per_session(&mut scratch.allowed);
-    for (i, tree) in trees.iter().enumerate() {
-        let t = tree.tree();
-        let m = &mut scratch.allowed[i];
-        for s in t.slots() {
-            let Some(p) = t.parent_slot_of(s) else { continue };
-            let link = tree.in_link_at(s);
-            let limit = share
-                .get(&(link, i as u32))
-                .copied()
-                .or_else(|| capacity(link))
-                .unwrap_or(f64::INFINITY);
-            m[s] = m[p].min(limit);
-        }
-    }
-}
-
-/// Incremental stage-4 update: refresh `scratch` after a capacity change
-/// on exactly the links in `cap_changed` (sorted, deduplicated), assuming
-/// the topology (`trees`/`specs`) is unchanged since the last
-/// [`compute_into`] over the same `scratch`.
-///
-/// Effect propagation, session-granular:
-///
-/// * sessions crossing a changed link get fresh `maxposs`/`aggdem`
-///   (a changed capacity alters their pass-A path mins);
-/// * every link those sessions cross — plus the changed links themselves —
-///   may see its proportional share move (shares read the crossing
-///   sessions' `aggdem` heads), so those links' shares are recomputed;
-/// * sessions crossing any such link get a fresh final `allowed` pass.
-///
-/// Links and sessions outside that closure provably keep their previous
-/// values: an untouched link has unchanged capacity and (by construction)
-/// no crossing session with changed `aggdem`, so its share — and every
-/// `allowed` path through it — is byte-identical to a full recompute. The
-/// caller guarantees estimates never *disappear* between incremental runs
-/// (a periodic reset forces the full path), which is what keeps stale
-/// `share` entries for untouched links valid.
-///
-/// With an empty `cap_changed` this is a no-op — the steady-state hot path.
-pub(crate) fn compute_incremental_into(
-    trees: &[SessionTree],
-    specs: &[&LayerSpec],
-    capacity: impl Fn(DirLinkId) -> Option<f64>,
-    scratch: &mut SharingScratch,
-    cap_changed: &[DirLinkId],
-) -> Vec<u32> {
-    if cap_changed.is_empty() {
-        return Vec::new();
-    }
-    debug_assert_eq!(trees.len(), specs.len());
-    debug_assert!(scratch.allowed.len() >= trees.len(), "scratch not primed by a full pass");
-    let SharingScratch { crossing, share, maxposs, aggdem, allowed } = scratch;
-
-    // Sessions whose pass-A/B results the changed capacities can reach.
-    let mut in_a = vec![false; trees.len()];
-    for &link in cap_changed {
-        if let Some(sessions) = crossing.get(&link) {
-            for &(i, _) in sessions {
-                in_a[i as usize] = true;
-            }
-        }
-    }
-
-    // Fresh maxposs/aggdem for those sessions (same code as the full pass).
-    for (i, tree) in trees.iter().enumerate() {
-        if !in_a[i] {
-            continue;
-        }
-        let t = tree.tree();
-        let m = &mut maxposs[i];
-        m.clear();
-        m.resize(t.len(), f64::INFINITY);
-        for s in t.slots() {
-            let Some(p) = t.parent_slot_of(s) else { continue };
-            let link = tree.in_link_at(s);
-            let avail = match capacity(link) {
-                None => f64::INFINITY,
-                Some(b) => {
-                    let others_base: f64 = crossing[&link]
-                        .iter()
-                        .filter(|&&(j, _)| j as usize != i)
-                        .map(|&(j, _)| specs[j as usize].base_rate())
-                        .sum();
-                    (b - others_base).max(specs[i].base_rate())
-                }
-            };
-            m[s] = m[p].min(avail);
-        }
-        let (maxposs_i, m) = (&maxposs[i], &mut aggdem[i]);
-        m.clear();
-        m.resize(t.len(), f64::INFINITY);
-        for s in t.slots_bottom_up() {
-            let cs = t.child_slots(s);
-            m[s] = if cs.is_empty() {
-                maxposs_i[s]
-            } else {
-                cs.map(|c| m[c]).fold(f64::NEG_INFINITY, f64::max)
-            };
-        }
-    }
-
     // Links whose share inputs may have moved: the changed links, plus
-    // everything a refreshed session crosses.
+    // everything a stale session crosses.
     let mut affected: Vec<DirLinkId> = cap_changed.to_vec();
     for (i, tree) in trees.iter().enumerate() {
-        if !in_a[i] {
-            continue;
-        }
-        for s in 1..tree.tree().len() {
-            affected.push(tree.in_link_at(s));
+        if stale[i] {
+            affected.extend((1..tree.tree().len()).map(|s| tree.in_link_at(s)));
         }
     }
     affected.sort_unstable();
     affected.dedup();
 
-    // Recompute those links' shares; sessions crossing them need a fresh
-    // final pass (their path mins read the recomputed entries).
-    let mut in_b = in_a;
+    // Per affected shared link: x_i in layers, then the proportional
+    // share. Sessions crossing an affected link need a fresh final pass
+    // (their path mins read the recomputed entries).
+    let mut refreshed = stale;
     for &link in &affected {
         let Some(sessions) = crossing.get(&link) else { continue };
         for &(i, _) in sessions {
-            in_b[i as usize] = true;
+            refreshed[i as usize] = true;
         }
         if sessions.len() < 2 {
             continue;
         }
         let Some(b) = capacity(link) else { continue };
-        let total: u32 = sessions
-            .iter()
-            .map(|&(i, head)| {
-                specs[i as usize].level_fitting(aggdem[i as usize][head as usize]).max(1) as u32
-            })
-            .sum();
-        for &(i, head) in sessions {
-            let x =
-                specs[i as usize].level_fitting(aggdem[i as usize][head as usize]).max(1) as u32;
-            share.insert((link, i), proportional_share(x, total, b, sessions.len()));
+        let x = |&(i, head): &(u32, u32)| {
+            specs[i as usize].level_fitting(aggdem[i as usize][head as usize]).max(1) as u32
+        };
+        let total: u32 = sessions.iter().map(x).sum();
+        for entry in sessions {
+            share.insert((link, entry.0), proportional_share(x(entry), total, b, sessions.len()));
         }
     }
 
+    // Final top-down pass: allowed bandwidth per node = min over the path of
+    // (fair share on shared links, raw estimate on private links).
     for (i, tree) in trees.iter().enumerate() {
-        if !in_b[i] {
+        if !refreshed[i] {
             continue;
         }
         let t = tree.tree();
         let m = &mut allowed[i];
-        m.clear();
-        m.resize(t.len(), f64::INFINITY);
+        reset(m, t.len());
         for s in t.slots() {
             let Some(p) = t.parent_slot_of(s) else { continue };
             let link = tree.in_link_at(s);
@@ -363,15 +258,13 @@ pub(crate) fn compute_incremental_into(
             m[s] = m[p].min(limit);
         }
     }
-    // The refreshed sessions, so downstream stages know whose per-slot
-    // allowances (and hence level caps) may have moved.
-    in_b.iter().enumerate().filter_map(|(i, &b)| b.then_some(i as u32)).collect()
+    refreshed.iter().enumerate().filter_map(|(i, &r)| r.then_some(i as u32)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{GroupId, GroupSnapshot, SessionId, SimTime};
+    use netsim::{GroupId, GroupSnapshot, NodeId, SessionId, SimTime};
     use topology::discovery::{LinkView, TopologyView};
 
     fn n(i: u32) -> NodeId {
@@ -404,12 +297,24 @@ mod tests {
         (vec![t0, t1], LayerSpec::paper_default())
     }
 
+    /// Stage 4 over `trees`; the result maps `(session index, node)` to
+    /// the allowed bandwidth.
+    fn compute<'a>(
+        trees: &'a [SessionTree],
+        specs: &[&LayerSpec],
+        capacity: impl Fn(DirLinkId) -> Option<f64>,
+    ) -> impl Fn(usize, NodeId) -> f64 + 'a {
+        let mut scratch = SharingScratch::default();
+        compute_into(trees, specs, capacity, &mut scratch);
+        move |i, node| scratch.allowed_at(i, trees[i].tree().slot_of(node).unwrap())
+    }
+
     #[test]
     fn no_estimates_means_no_constraint() {
         let (trees, spec) = two_sessions();
         let m = compute(&trees, &[&spec, &spec], |_| None);
-        assert_eq!(m.allowed(0, n(2)), f64::INFINITY);
-        assert_eq!(m.allowed(1, n(3)), f64::INFINITY);
+        assert_eq!(m(0, n(2)), f64::INFINITY);
+        assert_eq!(m(1, n(3)), f64::INFINITY);
     }
 
     #[test]
@@ -417,8 +322,8 @@ mod tests {
         let (trees, spec) = two_sessions();
         // Shared link estimated at 1 Mb/s, downstream unconstrained.
         let m = compute(&trees, &[&spec, &spec], |id| (id == l(0)).then_some(1_000_000.0));
-        let a0 = m.allowed(0, n(2));
-        let a1 = m.allowed(1, n(3));
+        let a0 = m(0, n(2));
+        let a1 = m(1, n(3));
         assert!((a0 - 500_000.0).abs() < 1.0, "got {a0}");
         assert!((a1 - 500_000.0).abs() < 1.0, "got {a1}");
         // Conservation: shares sum to B.
@@ -437,8 +342,8 @@ mod tests {
         });
         // x_0 = 1 layer, x_1 = level_fitting(1M - 32k) = 4 layers.
         // share_0 = 1/5 MB, share_1 = 4/5 MB.
-        let a0 = m.allowed(0, n(2));
-        let a1 = m.allowed(1, n(3));
+        let a0 = m(0, n(2));
+        let a1 = m(1, n(3));
         assert!((a1 - 800_000.0).abs() < 1.0, "got {a1}");
         // Session 0 is further capped by its own 40 kb/s private link.
         assert!((a0 - 40_000.0).abs() < 1.0, "got {a0}");
@@ -450,8 +355,8 @@ mod tests {
         let (trees, spec) = two_sessions();
         let m = compute(&trees, &[&spec, &spec], |id| (id == l(1)).then_some(123_000.0));
         // Link 1 carries only session 0: no sharing, raw estimate applies.
-        assert!((m.allowed(0, n(2)) - 123_000.0).abs() < 1.0);
-        assert_eq!(m.allowed(1, n(3)), f64::INFINITY);
+        assert!((m(0, n(2)) - 123_000.0).abs() < 1.0);
+        assert_eq!(m(1, n(3)), f64::INFINITY);
     }
 
     #[test]
@@ -460,9 +365,9 @@ mod tests {
         // Shared link barely fits one base layer; both sessions still get
         // x >= 1, so neither share is zero.
         let m = compute(&trees, &[&spec, &spec], |id| (id == l(0)).then_some(40_000.0));
-        assert!(m.allowed(0, n(2)) > 0.0);
-        assert!(m.allowed(1, n(3)) > 0.0);
-        let sum = m.allowed(0, n(2)) + m.allowed(1, n(3));
+        assert!(m(0, n(2)) > 0.0);
+        assert!(m(1, n(3)) > 0.0);
+        let sum = m(0, n(2)) + m(1, n(3));
         assert!((sum - 40_000.0).abs() < 1.0);
     }
 
@@ -508,7 +413,7 @@ mod tests {
         let b = 16.0 * 500_000.0;
         let m = compute(&trees, &specs, |id| (id == l(0)).then_some(b));
         for i in 0..16 {
-            let a = m.allowed(i, n(2 + i as u32));
+            let a = m(i, n(2 + i as u32));
             assert!((a - 500_000.0).abs() < 1.0, "session {i} got {a}");
         }
     }

@@ -186,94 +186,24 @@ impl BackoffTable {
     }
 }
 
-/// Stage-5 output.
-#[derive(Clone, Debug, Default)]
-pub struct SubscriptionResult {
-    /// Demand per node (levels).
-    pub demand: HashMap<NodeId, u8>,
-    /// Supply per node (levels); leaf entries are the suggestions.
-    pub supply: HashMap<NodeId, u8>,
-}
-
-/// Everything stage 5 needs for one session.
-pub struct DemandContext<'a> {
-    pub tree: &'a SessionTree,
-    pub spec: &'a LayerSpec,
-    pub cfg: &'a Config,
-    pub now: SimTime,
-    pub inputs: &'a HashMap<NodeId, NodeInputs>,
-    /// Bandwidth cap per node from stages 3+4, already in level units.
-    pub level_cap: &'a dyn Fn(NodeId) -> u8,
-}
-
-/// Run both passes. `backoffs` is the session's persistent backoff table;
-/// `rng` draws the random backoff durations. Thin adapter over
-/// [`compute_into`] for callers that index by [`NodeId`]; the algorithm
-/// driver uses the dense entry point directly.
-pub fn compute(
-    ctx: &DemandContext<'_>,
-    backoffs: &mut BackoffTable,
-    rng: &mut RngStream,
-) -> SubscriptionResult {
-    let t = ctx.tree.tree();
-    let mut inputs = Vec::with_capacity(t.len());
-    let mut level_cap = Vec::with_capacity(t.len());
-    for s in t.slots() {
-        let node = t.node_at(s);
-        inputs.push(ctx.inputs.get(&node).copied().unwrap_or_default());
-        level_cap.push((ctx.level_cap)(node));
-    }
-    let mut demand_v = Vec::new();
-    let mut supply_v = Vec::new();
-    compute_into(
-        ctx.tree,
-        ctx.spec,
-        ctx.cfg,
-        ctx.now,
-        &inputs,
-        &level_cap,
-        backoffs,
-        rng,
-        &mut demand_v,
-        &mut supply_v,
-    );
-    let demand = t.slots().map(|s| (t.node_at(s), demand_v[s])).collect();
-    let supply = t.slots().map(|s| (t.node_at(s), supply_v[s])).collect();
-    SubscriptionResult { demand, supply }
-}
-
-/// Dense stage-5 core: `inputs[slot]` / `level_cap[slot]` describe the
-/// node at each tree slot; `demand[slot]` / `supply[slot]` receive the
-/// two passes' results (cleared and refilled, reusing allocations).
+/// Stage 5 over a whole session tree: `inputs[slot]` / `level_cap[slot]`
+/// (the stage-3/4 bandwidth cap, already in level units) describe the node
+/// at each tree slot; `demand[slot]` / `supply[slot]` receive the two
+/// passes' results (cleared and refilled, reusing allocations). `backoffs`
+/// is the session's persistent backoff table; `rng` draws the random
+/// backoff durations.
 ///
 /// Backoff timers stay keyed by [`NodeId`] because they outlive any one
 /// tree shape; the bottom-up slot order equals the reverse-BFS node order,
-/// so the RNG draw sequence matches the [`NodeId`]-indexed adapter.
+/// which fixes the RNG draw sequence.
+///
+/// `branches` optionally audits which Table I branch each decision took
+/// (`branches[slot]` receives a label like `"leaf.add"` or
+/// `"internal.reduce_half"`). The trace is write-only — passing `Some` vs
+/// `None` cannot change demand/supply or the RNG draw sequence, which is
+/// what keeps telemetry a pure observer.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_into(
-    tree: &SessionTree,
-    spec: &LayerSpec,
-    cfg: &Config,
-    now: SimTime,
-    inputs: &[NodeInputs],
-    level_cap: &[u8],
-    backoffs: &mut BackoffTable,
-    rng: &mut RngStream,
-    demand: &mut Vec<u8>,
-    supply: &mut Vec<u8>,
-) {
-    compute_into_traced(
-        tree, spec, cfg, now, inputs, level_cap, backoffs, rng, demand, supply, None,
-    );
-}
-
-/// [`compute_into`] plus an optional per-slot audit of which Table I
-/// branch each decision took (`branches[slot]` receives a label like
-/// `"leaf.add"` or `"internal.reduce_half"`). The trace is write-only —
-/// passing `Some` vs `None` cannot change demand/supply or the RNG draw
-/// sequence, which is what keeps telemetry a pure observer.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_into_traced(
     tree: &SessionTree,
     spec: &LayerSpec,
     cfg: &Config,
@@ -308,9 +238,16 @@ pub fn compute_into_traced(
         demand[s] = d;
     }
 
-    // Supply, top-down.
     supply.clear();
     supply.resize(t.len(), 1);
+    supply_pass(tree, demand, level_cap, supply);
+}
+
+/// Supply, top-down: each slot gets the minimum of its demand, its
+/// parent's supply and its level cap. Always full width — the driver runs
+/// exactly this pass after re-deciding its dirty slots.
+pub(crate) fn supply_pass(tree: &SessionTree, demand: &[u8], level_cap: &[u8], supply: &mut [u8]) {
+    let t = tree.tree();
     for s in t.slots() {
         let v = match t.parent_slot_of(s) {
             None => demand[s].min(level_cap[s]),
@@ -321,11 +258,11 @@ pub fn compute_into_traced(
     }
 }
 
-/// The per-slot Table I decision kernel of [`compute_into_traced`]: one
-/// slot's demand (already clamped to the base layer) and branch label,
-/// given its children's (already computed) entries in `demand`. Exposed to
-/// the crate so the incremental path runs the exact same decision code —
-/// including the same backoff arming and RNG draws — as the full pass.
+/// The per-slot Table I decision kernel of [`compute_into`]: one slot's
+/// demand (already clamped to the base layer) and branch label, given its
+/// children's (already computed) entries in `demand`. Exposed to the crate
+/// so the algorithm driver runs the same decision code — including the
+/// same backoff arming and RNG draws — over its dirty slots.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_slot(
     tree: &SessionTree,
@@ -514,26 +451,42 @@ mod tests {
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
     }
 
+    /// Stage-5 results keyed back by node.
+    struct Out {
+        demand: HashMap<NodeId, u8>,
+        supply: HashMap<NodeId, u8>,
+    }
+
+    /// Run the whole-tree entry over [`tree`]: per-node inputs and caps
+    /// are spread into slot vectors (absent nodes get default inputs).
     fn run(
         inputs: HashMap<NodeId, NodeInputs>,
-        cap: impl Fn(NodeId) -> u8 + 'static,
+        cap: impl Fn(NodeId) -> u8,
         backoffs: &mut BackoffTable,
         now: SimTime,
-    ) -> SubscriptionResult {
+    ) -> Out {
         let tree = tree();
-        let spec = LayerSpec::paper_default();
-        let cfg = Config::default();
-        let cap: Box<dyn Fn(NodeId) -> u8> = Box::new(cap);
-        let ctx = DemandContext {
-            tree: &tree,
-            spec: &spec,
-            cfg: &cfg,
-            now,
-            inputs: &inputs,
-            level_cap: &cap,
-        };
+        let t = tree.tree();
+        let nodes = || t.slots().map(|s| t.node_at(s));
+        let slot_inputs: Vec<NodeInputs> =
+            nodes().map(|n| inputs.get(&n).copied().unwrap_or_default()).collect();
+        let level_cap: Vec<u8> = nodes().map(cap).collect();
         let mut rng = RngStream::derive(1, "stage5-test");
-        compute(&ctx, backoffs, &mut rng)
+        let (mut demand, mut supply) = (Vec::new(), Vec::new());
+        compute_into(
+            &tree,
+            &LayerSpec::paper_default(),
+            &Config::default(),
+            now,
+            &slot_inputs,
+            &level_cap,
+            backoffs,
+            &mut rng,
+            &mut demand,
+            &mut supply,
+            None,
+        );
+        Out { demand: nodes().zip(demand).collect(), supply: nodes().zip(supply).collect() }
     }
 
     fn leaf_inp(level: u8, hist: u8, bw: BwEquality, loss: f64) -> NodeInputs {
@@ -787,7 +740,7 @@ mod tests {
             let mut backoffs = BackoffTable::new();
             let mut rng = RngStream::derive(7, "stage5-trace-test");
             let (mut demand, mut supply) = (Vec::new(), Vec::new());
-            compute_into_traced(
+            compute_into(
                 &tree,
                 &spec,
                 &cfg,

@@ -3,7 +3,6 @@
 
 use netsim::{AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
@@ -217,15 +216,16 @@ proptest! {
 fn chain_loss_propagates_to_root() {
     use toposense::stages::congestion::{self, LeafObs};
     for len in 1..8usize {
-        let parents: Vec<usize> = (0..len).map(|i| i.saturating_sub(0)).collect();
         // A pure chain: node i+1 under node i.
         let chain: Vec<usize> = (0..len).collect();
-        let _ = parents;
         let (tree, leaves) = random_session_tree(&chain);
         assert_eq!(leaves.len(), 1);
-        let obs = HashMap::from([(leaves[0], LeafObs { loss: 0.2, bytes: 1000, level: 2 })]);
-        let sc = congestion::compute(&tree, &obs, &Config::default());
-        let root_state = sc.node(tree.tree().root());
+        let t = tree.tree();
+        let mut obs = vec![None; t.len()];
+        obs[t.slot_of(leaves[0]).unwrap()] = Some(LeafObs { loss: 0.2, bytes: 1000, level: 2 });
+        let mut states = Vec::new();
+        congestion::compute_into(&tree, &obs, &Config::default(), &mut states);
+        let root_state = states[0];
         assert!((root_state.loss - 0.2).abs() < 1e-12, "chain length {len}");
         assert!(root_state.congested);
     }

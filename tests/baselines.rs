@@ -17,6 +17,7 @@
 //! and copy the `("name", 0x...)` lines the failing test prints into the
 //! `BASELINES` table.
 
+use netsim::rng::fnv1a;
 use netsim::SimDuration;
 use netsim::SimTime;
 use scenarios::largetree::{
@@ -42,15 +43,6 @@ const BASELINES: &[(&str, u64)] = &[
     ("incremental/diurnal_1k/s1", 0x9a6a1869cc0331fe),
     ("federation/border_aggregation/s1", 0x6cc9e582868478ea),
 ];
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Digest of a canned incremental drive: 1k-leaf tree, 12 rounds of
 /// deterministic churn, rendering every round's suggestion set and

@@ -1,10 +1,13 @@
-//! Differential tests: the dense slot-indexed stage cores must reproduce
-//! the pre-refactor `HashMap`-indexed implementations bit for bit.
+//! Differential tests: the dense slot-indexed stage entries — built from
+//! the same per-slot kernels and passes the algorithm driver runs — must
+//! reproduce the pre-refactor `HashMap`-indexed implementations bit for bit.
 //!
 //! The originals are preserved verbatim in `toposense::stages::reference`
 //! and act as the oracle; every comparison below is exact (`==` on floats
 //! included), because the refactor promises identical iteration and
-//! float-summation order, not merely "close" results.
+//! float-summation order, not merely "close" results. Each test spreads
+//! its `NodeId`-keyed inputs into slot vectors for the dense side and reads
+//! the dense result back at `slot_of(node)`.
 
 use netsim::{
     AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
@@ -15,8 +18,9 @@ use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use toposense::history::{BwEquality, CongestionHistory};
 use toposense::stages::congestion::LeafObs;
-use toposense::stages::subscription::{BackoffTable, DemandContext, NodeInputs};
-use toposense::stages::{bottleneck, congestion, reference, sharing, subscription};
+use toposense::stages::reference::{self, DemandContext};
+use toposense::stages::subscription::{BackoffTable, NodeInputs};
+use toposense::stages::{bottleneck, congestion, sharing, subscription, SharingScratch};
 use toposense::Config;
 use traffic::LayerSpec;
 
@@ -93,10 +97,14 @@ proptest! {
         let tree = session_tree(&parents, 0, 0);
         let obs = random_obs(&tree, seed);
         let cfg = Config::default();
-        let dense = congestion::compute(&tree, &obs, &cfg);
+        let t = tree.tree();
+        let slot_obs: Vec<Option<LeafObs>> =
+            t.slots().map(|s| obs.get(&t.node_at(s)).copied()).collect();
+        let mut dense = Vec::new();
+        congestion::compute_into(&tree, &slot_obs, &cfg, &mut dense);
         let oracle = reference::congestion_compute(&tree, &obs, &cfg);
-        for node in tree.tree().top_down() {
-            let a = dense.node(node);
+        for node in t.top_down() {
+            let a = dense[t.slot_of(node).unwrap()];
             let b = oracle.node(node);
             prop_assert_eq!(a.loss, b.loss);
             prop_assert_eq!(a.self_congested, b.self_congested);
@@ -116,11 +124,14 @@ proptest! {
         let trees = [tree];
         let caps = random_capacities(&trees, seed);
         let cap = |l: DirLinkId| caps.get(&l).copied();
-        let dense = bottleneck::compute(&trees[0], cap);
+        let (mut bottleneck, mut max_handle) = (Vec::new(), Vec::new());
+        bottleneck::compute_into(&trees[0], cap, &mut bottleneck, &mut max_handle);
         let oracle = reference::bottleneck_compute(&trees[0], cap);
-        for node in trees[0].tree().top_down() {
-            prop_assert_eq!(dense.bottleneck(node), oracle.bottleneck(node));
-            prop_assert_eq!(dense.max_handle(node), oracle.max_handle(node));
+        let t = trees[0].tree();
+        for node in t.top_down() {
+            let s = t.slot_of(node).unwrap();
+            prop_assert_eq!(bottleneck[s], oracle.bottleneck(node));
+            prop_assert_eq!(max_handle[s], oracle.max_handle(node));
         }
     }
 
@@ -140,11 +151,14 @@ proptest! {
         let specs: Vec<&LayerSpec> = trees.iter().map(|_| &spec).collect();
         let caps = random_capacities(&trees, seed);
         let cap = |l: DirLinkId| caps.get(&l).copied();
-        let dense = sharing::compute(&trees, &specs, cap);
+        let mut dense = SharingScratch::default();
+        sharing::compute_into(&trees, &specs, cap, &mut dense);
         let oracle = reference::sharing_compute(&trees, &specs, cap);
         for (i, tree) in trees.iter().enumerate() {
-            for node in tree.tree().top_down() {
-                prop_assert_eq!(dense.allowed(i, node), oracle.allowed(i, node));
+            let t = tree.tree();
+            for node in t.top_down() {
+                let s = t.slot_of(node).unwrap();
+                prop_assert_eq!(dense.allowed_at(i, s), oracle.allowed(i, node));
             }
         }
     }
@@ -162,11 +176,14 @@ proptest! {
         let specs: Vec<&LayerSpec> = trees.iter().map(|_| &spec).collect();
         let caps = random_capacities(&trees, seed);
         let cap = |l: DirLinkId| caps.get(&l).copied();
-        let dense = sharing::compute(&trees, &specs, cap);
+        let mut dense = SharingScratch::default();
+        sharing::compute_into(&trees, &specs, cap, &mut dense);
         let oracle = reference::sharing_compute(&trees, &specs, cap);
         for (i, tree) in trees.iter().enumerate() {
-            for node in tree.tree().top_down() {
-                prop_assert_eq!(dense.allowed(i, node), oracle.allowed(i, node));
+            let t = tree.tree();
+            for node in t.top_down() {
+                let s = t.slot_of(node).unwrap();
+                prop_assert_eq!(dense.allowed_at(i, s), oracle.allowed(i, node));
             }
         }
     }
@@ -232,12 +249,29 @@ proptest! {
                 inputs: &inputs,
                 level_cap,
             };
-            let dense = subscription::compute(&ctx, &mut dense_backoffs, &mut dense_rng);
+            let slot_inputs: Vec<NodeInputs> =
+                t.slots().map(|s| inputs[&t.node_at(s)]).collect();
+            let slot_caps: Vec<u8> = t.slots().map(|s| caps[&t.node_at(s)]).collect();
+            let (mut demand, mut supply) = (Vec::new(), Vec::new());
+            subscription::compute_into(
+                &tree,
+                &spec,
+                &cfg,
+                ctx.now,
+                &slot_inputs,
+                &slot_caps,
+                &mut dense_backoffs,
+                &mut dense_rng,
+                &mut demand,
+                &mut supply,
+                None,
+            );
             let oracle =
                 reference::subscription_compute(&ctx, &mut oracle_backoffs, &mut oracle_rng);
             for node in t.top_down() {
-                prop_assert_eq!(dense.demand[&node], oracle.demand[&node]);
-                prop_assert_eq!(dense.supply[&node], oracle.supply[&node]);
+                let s = t.slot_of(node).unwrap();
+                prop_assert_eq!(demand[s], oracle.demand[&node]);
+                prop_assert_eq!(supply[s], oracle.supply[&node]);
             }
             prop_assert_eq!(dense_backoffs.len(), oracle_backoffs.len());
         }
@@ -246,7 +280,7 @@ proptest! {
 
 /// End-to-end determinism: two identical `scenarios::run` invocations with
 /// the same seed must produce byte-identical results (the dense scratch
-/// reuse and rayon fan-out must not introduce any ordering dependence).
+/// reuse must not introduce any ordering dependence).
 #[test]
 fn scenario_results_are_byte_identical_for_fixed_seeds() {
     use scenarios::{run, Scenario};
@@ -273,12 +307,12 @@ fn scenario_results_are_byte_identical_for_fixed_seeds() {
     }
 }
 
-/// The algorithm driver must not care whether sessions are processed in
-/// parallel (≥ 2 sessions) or serially (1 session): a two-session run where
-/// the sessions do not interact must give each session the same suggestions
-/// it gets when run alone.
+/// Session independence: sessions over disjoint link spaces share nothing
+/// but the driver (no common link for stages 2/4 to couple them through),
+/// so a paired run must give each session the same suggestions it gets
+/// when run alone.
 #[test]
-fn parallel_fanout_matches_serial_per_session() {
+fn disjoint_sessions_paired_run_matches_solo_run() {
     use toposense::{AlgorithmInputs, AlgorithmState, ReceiverReport};
 
     let parents = [0usize, 0, 1, 1, 2];
@@ -314,9 +348,9 @@ fn parallel_fanout_matches_serial_per_session() {
             .collect()
     };
 
-    // Paired run: both sessions in one controller (parallel stage 1/3).
+    // Paired run: both sessions in one controller.
     let mut paired = AlgorithmState::new(Config::default(), 5);
-    // Solo run: session 0 alone (serial path).
+    // Solo run: session 0 alone.
     let mut solo = AlgorithmState::new(Config::default(), 5);
 
     for round in 1..=4u64 {

@@ -67,9 +67,9 @@ fn drive_federation(
         let lossy = reports.iter().flatten().any(|r| r.lost > 0);
         let out =
             fed.run_interval(SimTime::from_secs(2 * round), SimDuration::from_secs(2), reports);
-        for d in 0..k {
-            for s in &out.domain_outputs[d].suggestions {
-                levels[d][(s.receiver.0 - 1000) as usize] = s.level;
+        for (lv, o) in levels.iter_mut().zip(&out.domain_outputs) {
+            for s in &o.suggestions {
+                lv[(s.receiver.0 - 1000) as usize] = s.level;
             }
         }
         trajectory.push(FedRound { levels: levels.clone(), caps: out.caps, lossy });

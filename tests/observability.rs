@@ -166,7 +166,7 @@ fn forced_quarantine_produces_a_validating_blackbox() {
         .collect();
     // Same churn as tests/replication.rs — keys stay stable, values move
     // enough that corrupted congestion memory must alter an output.
-    let mut churn = |reports: &mut [ReceiverReport], rng: &mut RngStream| {
+    let churn = |reports: &mut [ReceiverReport], rng: &mut RngStream| {
         for r in reports.iter_mut() {
             let x = rng.f64();
             if x < 0.30 {
