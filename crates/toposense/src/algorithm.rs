@@ -13,9 +13,10 @@ use crate::stages::bottleneck;
 use crate::stages::capacity::{CapacityEstimator, CapacityEvent, SessionLinkObs};
 use crate::stages::congestion::{self, LeafObs, NodeState};
 use crate::stages::sharing::{self, SharingScratch};
-use crate::stages::subscription::{self, BackoffTable, NodeInputs};
+use crate::stages::subscription::{self, BackoffTable, BlockedView, NodeInputs};
 use netsim::{AppId, DirLinkId, NodeId, RngStream, SessionId, SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use telemetry::{
     BottleneckNode, CapacityLink, CongestionNode, IntervalAudit, SessionNodes, SharingEntry, Span,
     SubscriptionNode,
@@ -132,6 +133,9 @@ struct SessionScratch {
     level_cap: Vec<u8>,
     demand: Vec<u8>,
     supply: Vec<u8>,
+    /// Stage 5's blocked-level view, refilled every interval once the
+    /// session's backoff table has expired its timers.
+    blocked: BlockedView,
     /// Table I branch labels per tree slot (filled only when auditing).
     branches: Vec<&'static str>,
     /// Snapshot of `states` as of the previous interval, taken before the
@@ -969,8 +973,10 @@ impl AlgorithmState {
                     backoffs.arm(t.node_at(s), mem.supply_recent, inputs.now, &cfg, &mut self.rng);
                 }
             }
-            // Like the dense kernel, expire timers before the demand pass.
+            // Like the dense kernel, expire timers before the demand pass
+            // and answer every `blocked` query of the pass from one view.
             backoffs.expire(inputs.now);
+            backoffs.fill_blocked(tree, spec.max_level(), inputs.now, &mut sc.blocked);
             // A timer influences `blocked` for its whole subtree: dirty
             // the subtrees of every live timer, and of every slot that
             // held one after the previous run — expiry itself changes
@@ -1004,6 +1010,7 @@ impl AlgorithmState {
                     &sc.inputs[s],
                     sc.level_cap[s],
                     &sc.demand,
+                    &sc.blocked,
                     backoffs,
                     &mut self.rng,
                 );
@@ -1020,7 +1027,7 @@ impl AlgorithmState {
             }
             subscription::supply_pass(tree, &sc.demand, &sc.level_cap, &mut sc.supply);
 
-            if std::env::var_os("TOPOSENSE_TRACE").is_some() {
+            if trace_enabled() {
                 let mut line = format!("t={:.0}s s{}:", inputs.now.as_secs_f64(), sid.0);
                 for s in t.slots() {
                     let inp = &sc.inputs[s];
@@ -1123,6 +1130,13 @@ impl AlgorithmState {
         self.runs += 1;
         outputs
     }
+}
+
+/// Whether `TOPOSENSE_TRACE` is set: read once per process, since the
+/// driver asks once per session per interval.
+fn trace_enabled() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("TOPOSENSE_TRACE").is_some())
 }
 
 /// Close a stage: record its wall span (audited runs only) and hand back

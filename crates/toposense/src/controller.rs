@@ -301,7 +301,7 @@ impl Controller {
             "",
         );
         // Hard deadlines first: forget receivers silent past evict_after.
-        let evicted = self.sweep_silent(now);
+        self.sweep_silent(now);
         // 0. Age the loss reports: only reports older than the staleness
         // window become visible this interval (Fig. 10 ages "topology and
         // loss information" together).
@@ -369,10 +369,8 @@ impl Controller {
                 // rather than steer on fiction.
                 _ => {
                     self.telemetry.incr("controller.suspended_intervals", 1);
-                    self.telemetry.incr("controller.evictions", evicted);
                     let mut sh = lock_or_recover(&self.shared);
                     sh.suspended_intervals += 1;
-                    sh.evicted += evicted;
                     sh.flight.note(now.nanos(), "fallback", self.state.runs(), "suspended");
                     return;
                 }
@@ -530,7 +528,6 @@ impl Controller {
         self.telemetry.incr("controller.suggestions_sent", outputs.suggestions.len() as u64);
         self.telemetry.incr("controller.degraded_intervals", degraded as u64);
         self.telemetry.incr("controller.partial_intervals", partial as u64);
-        self.telemetry.incr("controller.evictions", evicted);
         self.telemetry.set("controller.quarantined", quarantined as u64);
         self.telemetry.set("controller.registered", self.registry.len() as u64);
 
@@ -547,15 +544,15 @@ impl Controller {
         sh.degraded_intervals += degraded as u64;
         sh.partial_intervals += partial as u64;
         sh.quarantined = quarantined;
-        sh.evicted += evicted;
         if degraded {
             sh.flight.note(now.nanos(), "fallback", seq, "degraded");
         }
         sh.flight.note(now.nanos(), "interval_end", seq, "");
     }
 
-    /// Evict receivers silent past `evict_after`; returns how many fell.
-    fn sweep_silent(&mut self, now: SimTime) -> u64 {
+    /// Evict receivers silent past `evict_after` and record how many fell
+    /// — here, so that no early return of [`Self::tick`] can lose them.
+    fn sweep_silent(&mut self, now: SimTime) {
         let cutoff = now.saturating_sub(self.cfg.evict_after);
         let stale: Vec<AppId> = self
             .registry
@@ -570,7 +567,8 @@ impl Controller {
             self.last_known.remove(a);
             self.cause_of.remove(a);
         }
-        stale.len() as u64
+        self.telemetry.incr("controller.evictions", stale.len() as u64);
+        lock_or_recover(&self.shared).evicted += stale.len() as u64;
     }
 
     /// Passive interval: keep the snapshot archive warm (a takeover must
@@ -1097,24 +1095,26 @@ mod tests {
         assert!(c.evicted == 0, "departure must not count as an eviction");
     }
 
+    /// Registers once and never speaks again.
+    struct MuteReceiver {
+        controller: NodeId,
+    }
+    impl App for MuteReceiver {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let body: ControlBody = Arc::new(Register {
+                receiver: ctx.app_id(),
+                node: ctx.node_id(),
+                session: netsim::SessionId(0),
+                level: 1,
+            });
+            ctx.send_control(self.controller, 48, body);
+        }
+    }
+
     /// A receiver that registers and then falls silent is eventually
     /// evicted (and the registry gauge drops back to zero).
     #[test]
     fn silent_receiver_is_evicted() {
-        struct MuteReceiver {
-            controller: NodeId,
-        }
-        impl App for MuteReceiver {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                let body: ControlBody = Arc::new(Register {
-                    receiver: ctx.app_id(),
-                    node: ctx.node_id(),
-                    session: netsim::SessionId(0),
-                    level: 1,
-                });
-                ctx.send_control(self.controller, 48, body);
-            }
-        }
         let (mut sim, catalog, _def, src, _mid, rcv) = chain();
         let cfg = Config::default();
         let (ctrl, shared) = Controller::new(catalog, cfg, SimDuration::ZERO, 1);
@@ -1125,6 +1125,23 @@ mod tests {
         assert_eq!(c.evicted, 1, "silent receiver must be evicted");
         assert_eq!(c.registered, 0);
         assert!(c.acks_sent >= 1, "registration was acknowledged");
+    }
+
+    /// Regression: with discovery staler than `evict_after` the sweep fires
+    /// on a tick that then leaves through the cold-start return — the
+    /// eviction must be counted all the same.
+    #[test]
+    fn eviction_during_discovery_cold_start_is_recorded() {
+        let (mut sim, catalog, _def, src, _mid, rcv) = chain();
+        let cfg = Config::default();
+        let staleness = cfg.evict_after + cfg.interval * 4;
+        let (ctrl, shared) = Controller::new(catalog, cfg, staleness, 1);
+        sim.add_app(src, Box::new(ctrl));
+        sim.add_app(rcv, Box::new(MuteReceiver { controller: src }));
+        sim.run_until(SimTime::ZERO + cfg.evict_after + cfg.interval * 2);
+        let c = shared.lock().unwrap();
+        assert_eq!(c.intervals, 0, "discovery has not answered yet");
+        assert_eq!(c.evicted, 1, "an eviction on a cold-start tick must be counted");
     }
 
     /// Regression (stage-1 no-data rule): a receiver that reports loss and

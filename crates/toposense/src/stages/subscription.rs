@@ -118,6 +118,8 @@ impl BackoffTable {
     }
 
     /// Is subscribing `level` blocked at `node` (checking ancestors too)?
+    /// The `NodeId`-keyed oracle of [`BlockedView`]: the driver and
+    /// [`compute_into`] test one bit of the view instead of walking.
     pub fn blocked(&self, tree: &SessionTree, node: NodeId, level: u8, now: SimTime) -> bool {
         if self.until.is_empty() {
             return false;
@@ -136,6 +138,44 @@ impl BackoffTable {
     /// Drop expired timers.
     pub fn expire(&mut self, now: SimTime) {
         self.until.retain(|_, &mut u| u > now);
+    }
+
+    /// Fill `view` with what [`Self::blocked`] answers at `now` for every
+    /// slot of `tree` and every level up to `max_level`: each live timer
+    /// sets its own slot's bit, then one top-down pass ORs every parent
+    /// row into its children's (parents precede children in slot order).
+    /// Timers on nodes outside the tree are never on a walk from a tree
+    /// node, and levels above `max_level` are never asked about, so both
+    /// are skipped. The buffer is reused; an empty table leaves it empty
+    /// and costs no pass.
+    pub fn fill_blocked(
+        &self,
+        tree: &SessionTree,
+        max_level: u8,
+        now: SimTime,
+        view: &mut BlockedView,
+    ) {
+        let t = tree.tree();
+        let words = max_level as usize / 64 + 1;
+        view.words = words;
+        view.bits.clear();
+        if self.until.is_empty() {
+            return;
+        }
+        view.bits.resize(t.len() * words, 0);
+        for (&(node, level), &until) in &self.until {
+            if until > now && level <= max_level {
+                if let Some(s) = t.slot_of(node) {
+                    view.bits[s * words + level as usize / 64] |= 1 << (level % 64);
+                }
+            }
+        }
+        for s in 1..t.len() {
+            let p = t.parent_slot_of(s).expect("only slot 0 is the root");
+            for w in 0..words {
+                view.bits[s * words + w] |= view.bits[p * words + w];
+            }
+        }
     }
 
     /// The nodes holding at least one live timer, in `HashMap` iteration
@@ -186,6 +226,34 @@ impl BackoffTable {
     }
 }
 
+/// The dense form of [`BackoffTable::blocked`]: one bit row per tree slot
+/// (`max_level / 64 + 1` words), bit `level` set when the slot or one of
+/// its ancestors holds a live timer for `level`. Filled once per interval
+/// by [`BackoffTable::fill_blocked`], after the table has expired its
+/// timers and before the demand pass.
+///
+/// The view stays exact through the pass although timers are armed while
+/// it runs: only leaves query, a timer is armed at the slot being decided
+/// and can only block that slot's subtree, and in bottom-up order every
+/// leaf below it has already decided (a leaf arming at itself does so
+/// after its own query, in a different Table I branch).
+#[derive(Clone, Debug, Default)]
+pub struct BlockedView {
+    words: usize,
+    /// `slots x words` bit rows; empty when the table held no timer.
+    bits: Vec<u64>,
+}
+
+impl BlockedView {
+    /// Is subscribing `level` (at most the `max_level` the view was filled
+    /// for) blocked at `slot`?
+    pub fn blocked(&self, slot: usize, level: u8) -> bool {
+        let l = level as usize;
+        debug_assert!(l / 64 < self.words, "level {level} beyond the view's rows");
+        self.bits.get(slot * self.words + l / 64).is_some_and(|w| w >> (l % 64) & 1 != 0)
+    }
+}
+
 /// Stage 5 over a whole session tree: `inputs[slot]` / `level_cap[slot]`
 /// (the stage-3/4 bandwidth cap, already in level units) describe the node
 /// at each tree slot; `demand[slot]` / `supply[slot]` receive the two
@@ -227,11 +295,14 @@ pub fn compute_into(
     }
 
     backoffs.expire(now);
+    let mut view = BlockedView::default();
+    backoffs.fill_blocked(tree, spec.max_level(), now, &mut view);
 
     // Demand, bottom-up.
     for s in t.slots_bottom_up() {
+        let (inp, cap) = (&inputs[s], level_cap[s]);
         let (d, branch) =
-            decide_slot(tree, spec, cfg, now, s, &inputs[s], level_cap[s], demand, backoffs, rng);
+            decide_slot(tree, spec, cfg, now, s, inp, cap, demand, &view, backoffs, rng);
         if let Some(b) = branches.as_deref_mut() {
             b[s] = branch;
         }
@@ -260,9 +331,10 @@ pub(crate) fn supply_pass(tree: &SessionTree, demand: &[u8], level_cap: &[u8], s
 
 /// The per-slot Table I decision kernel of [`compute_into`]: one slot's
 /// demand (already clamped to the base layer) and branch label, given its
-/// children's (already computed) entries in `demand`. Exposed to the crate
-/// so the algorithm driver runs the same decision code — including the
-/// same backoff arming and RNG draws — over its dirty slots.
+/// children's (already computed) entries in `demand` and the interval's
+/// [`BlockedView`]. Exposed to the crate so the algorithm driver runs the
+/// same decision code — including the same backoff arming and RNG draws —
+/// over its dirty slots.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide_slot(
     tree: &SessionTree,
@@ -273,6 +345,7 @@ pub(crate) fn decide_slot(
     inp: &NodeInputs,
     cap: u8,
     demand: &[u8],
+    view: &BlockedView,
     backoffs: &mut BackoffTable,
     rng: &mut RngStream,
 ) -> (u8, &'static str) {
@@ -307,7 +380,7 @@ pub(crate) fn decide_slot(
                     let known_safe = cap < spec.max_level() && target <= cap;
                     if target > cur
                         && !inp.sibling_congested
-                        && (known_safe || (settled && !backoffs.blocked(tree, node, target, now)))
+                        && (known_safe || (settled && !view.blocked(s, target)))
                     {
                         branch = "leaf.add";
                         target
@@ -434,19 +507,26 @@ mod tests {
 
     /// Tree 0 -> 1 -> {2, 3}; receivers at 2 and 3.
     fn tree() -> SessionTree {
+        tree_of(&[0, 1, 1])
+    }
+
+    /// The tree rooted at node 0 in which node `i + 1` hangs under node
+    /// `parents[i]`; every node is a member.
+    fn tree_of(parents: &[u32]) -> SessionTree {
+        let links: Vec<LinkView> = parents
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| LinkView { id: DirLinkId(i as u32), from: n(p), to: n(i as u32 + 1) })
+            .collect();
         let view = TopologyView {
             time: SimTime::ZERO,
-            links: vec![
-                LinkView { id: DirLinkId(0), from: n(0), to: n(1) },
-                LinkView { id: DirLinkId(1), from: n(1), to: n(2) },
-                LinkView { id: DirLinkId(2), from: n(1), to: n(3) },
-            ],
             groups: vec![GroupSnapshot {
                 group: GroupId(0),
                 root: n(0),
-                active_links: vec![DirLinkId(0), DirLinkId(1), DirLinkId(2)],
-                member_nodes: vec![n(2), n(3)],
+                active_links: links.iter().map(|l| l.id).collect(),
+                member_nodes: (0..=parents.len() as u32).map(n).collect(),
             }],
+            links,
         };
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
     }
@@ -714,6 +794,75 @@ mod tests {
         b.set(n(1), 2, SimTime::from_secs(50));
         b.set(n(1), 2, SimTime::from_secs(5));
         assert!(b.blocked(&tree(), n(1), 2, SimTime::from_secs(30)));
+    }
+
+    /// A timer blocks exactly its own subtree: one at the root reaches
+    /// every leaf, one inside a subtree leaves the sibling subtree free.
+    #[test]
+    fn view_blocks_the_timer_subtree_and_nothing_else() {
+        // 0 -> {1, 2}; 1 -> {3, 4}; 2 -> {5}.
+        let tree = tree_of(&[0, 0, 1, 1, 2]);
+        let t = tree.tree();
+        let now = SimTime::from_secs(10);
+        let later = now + netsim::SimDuration::from_secs(30);
+        let blocked_nodes = |timer_at: u32| {
+            let mut b = BackoffTable::new();
+            b.set(n(timer_at), 3, later);
+            let mut view = BlockedView::default();
+            b.fill_blocked(&tree, 6, now, &mut view);
+            let at = |node: NodeId, level| view.blocked(t.slot_of(node).unwrap(), level);
+            assert!(t.top_down().all(|node| !at(node, 2) && !at(node, 4)), "other levels free");
+            t.top_down().filter(|&node| at(node, 3)).collect::<Vec<_>>()
+        };
+        assert_eq!(blocked_nodes(0), (0..=5).map(n).collect::<Vec<_>>());
+        assert_eq!(blocked_nodes(1), vec![n(1), n(3), n(4)]);
+        assert_eq!(blocked_nodes(5), vec![n(5)]);
+    }
+
+    proptest::proptest! {
+        /// The view is the oracle, bit for bit: for every slot and every
+        /// level up to the spec's maximum it answers what the ancestor
+        /// walk answers — with timers on nodes outside the tree, expired
+        /// and just-expiring timers still in the table, timers at and
+        /// above `max_level`, and rows wider than one word.
+        #[test]
+        fn view_equals_blocked_walk(
+            parents in proptest::collection::vec(0usize..24, 0..24),
+            width in 0usize..7,
+            timers in proptest::collection::vec((0u32..28, 0u8..=255, 0u64..3), 0..12),
+            reuse in proptest::any::<bool>(),
+        ) {
+            let max_level = [1u8, 6, 63, 64, 65, 200, 255][width];
+            let parents: Vec<u32> =
+                parents.iter().enumerate().map(|(i, &p)| (p % (i + 1)) as u32).collect();
+            let tree = tree_of(&parents);
+            let t = tree.tree();
+            let now = SimTime::from_secs(10);
+            let mut b = BackoffTable::new();
+            for &(node, level, age) in &timers {
+                // Snap most levels into range; keep some above it.
+                let level =
+                    if level % 4 == 0 { level } else { (level as u16 % (max_level as u16 + 1)) as u8 };
+                // Expired a second ago, expiring this instant, or live.
+                b.set(n(node), level, SimTime::from_secs(9 + age));
+            }
+            let mut view = BlockedView::default();
+            if reuse {
+                // A buffer left over from a wider, fully blocked interval.
+                let mut all = BackoffTable::new();
+                all.set(n(0), 255, SimTime::from_secs(99));
+                all.fill_blocked(&tree, 255, now, &mut view);
+            }
+            b.fill_blocked(&tree, max_level, now, &mut view);
+            for s in t.slots() {
+                for level in 0..=max_level {
+                    proptest::prop_assert!(
+                        view.blocked(s, level) == b.blocked(&tree, t.node_at(s), level, now),
+                        "slot {s} level {level} of {max_level}"
+                    );
+                }
+            }
+        }
     }
 
     /// The branch trace is a pure observer: traced and untraced runs make

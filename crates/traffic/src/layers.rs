@@ -27,16 +27,20 @@ impl LayerSpec {
         Self::doubling(32_000.0, 6)
     }
 
-    /// `count` layers starting at `base_bps`, each double the previous.
+    /// `count` layers (at most 64: layer `k` runs at `base_bps * 2^k`,
+    /// computed in a `u64`) starting at `base_bps`, each double the
+    /// previous.
     pub fn doubling(base_bps: f64, count: usize) -> Self {
-        assert!(count >= 1 && base_bps > 0.0);
+        assert!((1..=64).contains(&count) && base_bps > 0.0);
         let rates_bps = (0..count).map(|k| base_bps * (1u64 << k) as f64).collect();
         LayerSpec { rates_bps }
     }
 
-    /// Arbitrary per-layer rates (finer-granularity codecs, §V).
+    /// Arbitrary per-layer rates (finer-granularity codecs, §V); at most
+    /// 255 of them, because subscription levels are `u8`.
     pub fn from_rates(rates_bps: Vec<f64>) -> Self {
-        assert!(!rates_bps.is_empty() && rates_bps.iter().all(|&r| r > 0.0));
+        assert!((1..=u8::MAX as usize).contains(&rates_bps.len()));
+        assert!(rates_bps.iter().all(|&r| r > 0.0));
         LayerSpec { rates_bps }
     }
 
@@ -132,5 +136,23 @@ mod tests {
     #[should_panic]
     fn empty_rates_panic() {
         let _ = LayerSpec::from_rates(vec![]);
+    }
+
+    #[test]
+    fn widest_specs_are_accepted() {
+        assert_eq!(LayerSpec::doubling(1.0, 64).layer_rate(63), (1u64 << 63) as f64);
+        assert_eq!(LayerSpec::from_rates(vec![1.0; 255]).max_level(), 255);
+    }
+
+    #[test]
+    #[should_panic]
+    fn doubling_past_64_layers_panics() {
+        let _ = LayerSpec::doubling(1.0, 65);
+    }
+
+    #[test]
+    #[should_panic]
+    fn more_rates_than_levels_panic() {
+        let _ = LayerSpec::from_rates(vec![1.0; 256]);
     }
 }

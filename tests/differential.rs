@@ -190,7 +190,11 @@ proptest! {
 
     /// Stage 5 over several rounds with persistent backoff tables and RNG
     /// streams on both sides: demand and supply must stay identical, which
-    /// also proves the RNG draw order (backoff arming) is unchanged.
+    /// also proves the RNG draw order (backoff arming) is unchanged. Every
+    /// round plants the same extra timers in both tables, internal nodes
+    /// included, so leaves are blocked through ancestors and the dense
+    /// side's once-per-pass blocked view meets timers armed mid-pass above
+    /// slots that have yet to decide.
     #[test]
     fn subscription_matches_reference(
         parents in prop::collection::vec(0usize..12, 1..12),
@@ -207,15 +211,29 @@ proptest! {
         let mut gen = RngStream::derive(seed, "differential/sub-inputs");
 
         for round in 0..3u64 {
+            let now = SimTime::from_secs(2 * (round + 1));
             let mut inputs: HashMap<NodeId, NodeInputs> = HashMap::new();
             let mut caps: HashMap<NodeId, u8> = HashMap::new();
             for node in t.top_down() {
+                if gen.f64() < 0.3 {
+                    // Some already expired, some outliving the next round.
+                    let level = 2 + (gen.f64() * 5.0) as u8;
+                    let until = now + SimDuration::from_secs((gen.f64() * 5.0) as u64);
+                    dense_backoffs.set(node, level, until);
+                    oracle_backoffs.set(node, level, until);
+                }
                 let mut hist = CongestionHistory::new();
                 for _ in 0..3 {
                     hist.push(gen.f64() < 0.4);
                 }
                 let bytes_older = (gen.f64() * 120_000.0) as u64;
                 let bytes_recent = (gen.f64() * 120_000.0) as u64;
+                // Half the nodes have held their level for two runs: only
+                // a settled leaf gets as far as asking whether it is blocked.
+                let cur = 1 + (gen.f64() * 5.0) as u8;
+                let settled = gen.f64() < 0.5;
+                let mut supply = || if settled { cur } else { 1 + (gen.f64() * 5.0) as u8 };
+                let (supply_older, supply_recent) = (supply(), supply());
                 inputs.insert(
                     node,
                     NodeInputs {
@@ -228,12 +246,11 @@ proptest! {
                             cfg.bw_equal_tolerance,
                         ),
                         loss: gen.f64() * 0.4,
-                        supply_older: 1 + (gen.f64() * 5.0) as u8,
-                        supply_recent: 1 + (gen.f64() * 5.0) as u8,
+                        supply_older,
+                        supply_recent,
                         demand_prev: (gen.f64() < 0.8)
                             .then(|| 1 + (gen.f64() * 5.0) as u8),
-                        current_level: (gen.f64() < 0.8)
-                            .then(|| 1 + (gen.f64() * 5.0) as u8),
+                        current_level: (gen.f64() < 0.8).then_some(cur),
                         goodput_bps: gen.f64() * 1_500_000.0,
                     },
                 );
@@ -245,7 +262,7 @@ proptest! {
                 tree: &tree,
                 spec: &spec,
                 cfg: &cfg,
-                now: SimTime::from_secs(2 * (round + 1)),
+                now,
                 inputs: &inputs,
                 level_cap,
             };
