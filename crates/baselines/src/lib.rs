@@ -12,6 +12,8 @@
 //! * [`tfrc`] — an equation-based (TCP-friendly) receiver, executable form
 //!   of the §VI argument that AIMD-style rates map poorly onto layers.
 
+#![forbid(unsafe_code)]
+
 pub mod fixed;
 pub mod oracle;
 pub mod rlm;

@@ -13,6 +13,8 @@
 //! * [`recovery`] — post-fault recovery time (wall clock and controller
 //!   intervals) for the chaos scenarios.
 
+#![forbid(unsafe_code)]
+
 pub mod deviation;
 pub mod fairness;
 pub mod recovery;

@@ -447,6 +447,16 @@ impl CalendarWheel {
         }
     }
 
+    /// The entry `k` pops ahead (`k = 0` is what the next `pop` returns),
+    /// read off the draining slot: it is sorted descending, so pop order is
+    /// back to front. `None` between slots and past the slot's end — the
+    /// entries after that sit in slots no pop has selected or sorted yet.
+    #[inline]
+    fn lookahead(&self, k: usize) -> Option<&Entry> {
+        let slot = &self.slots[self.active? as usize];
+        slot.get(slot.len().checked_sub(k + 1)?)
+    }
+
     /// Validate occupancy bitmaps, len accounting, and window bounds
     /// (test-only: O(slots + pending) per call).
     #[cfg(test)]
@@ -579,6 +589,20 @@ impl EventQueue {
                     None
                 }
             }
+        }
+    }
+
+    /// A pure peek at the event `k` pops ahead of the next one (`k = 0` is
+    /// the next pop itself), for the run loop's prefetch: answers only from
+    /// the wheel's draining level-0 slot and moves no queue state. `None`
+    /// on the heap oracle, between slots, and past the draining slot's end.
+    /// An event scheduled into the draining slot after the peek may pop
+    /// earlier than the one peeked — a hint, never a promise.
+    #[inline]
+    pub fn lookahead(&self, k: usize) -> Option<&Event> {
+        match &self.backing {
+            Backing::Wheel(w) => w.lookahead(k).map(|e| &e.event),
+            Backing::Heap(_) => None,
         }
     }
 
@@ -817,6 +841,82 @@ mod tests {
             let order: Vec<u64> = tokens(&mut q);
             assert_eq!(order, vec![0, 2], "in_wheel_dt={in_wheel_dt}");
         }
+    }
+
+    /// `lookahead` is a pure peek: whatever it answers is what the following
+    /// pops return, it survives inserts into the draining slot and refused
+    /// `pop_due`s, and (audited after every call) it moves no wheel state.
+    #[test]
+    fn lookahead_agrees_with_following_pops_and_moves_nothing() {
+        let peek = |q: &EventQueue| -> Vec<Option<Event>> {
+            let seen = (0..16).map(|k| q.lookahead(k).copied()).collect();
+            q.audit();
+            seen
+        };
+        // Every `Some` in `seen` must be the event the (k+1)-th pop returns.
+        // Returns the time of the last pop.
+        let pops_match = |q: &mut EventQueue, seen: &[Option<Event>]| -> Option<u64> {
+            let mut last = None;
+            for (k, peeked) in seen.iter().enumerate() {
+                let Some((t, popped)) = q.pop() else { break };
+                last = Some(t.nanos());
+                if let Some(p) = peeked {
+                    assert_eq!(*p, popped, "lookahead({k}) disagrees with pop");
+                }
+            }
+            last
+        };
+        let mut rng = RngStream::derive(0xC0FFEE, "event/lookahead");
+        let mut q = EventQueue::with_backend(QueueBackend::CalendarWheel);
+        let mut now = 0u64;
+        let mut token = 0u64;
+        let mut answered = 0usize;
+        for _ in 0..4_000 {
+            // Mostly bursts inside one 2^16 ns tick, so slots are worth
+            // peeking into; the rest lands in later slots and levels.
+            for _ in 0..rng.range_u64(1, 24) {
+                let span = if rng.chance(0.7) { 1 << GRAN_BITS } else { 1 << 24 };
+                q.schedule(SimTime(now + rng.range_u64(0, span)), timer(token));
+                token += 1;
+            }
+            // The first pop selects and sorts a slot; before it (between
+            // slots) there is nothing to read from.
+            now = q.pop().expect("just scheduled").0.nanos();
+            let seen = peek(&q);
+            answered += seen.iter().flatten().count();
+            let seen = match rng.range_u64(0, 3) {
+                0 => seen,
+                1 => {
+                    // A deadline just short of the next event: `pop_due`
+                    // refuses and the peeks stand.
+                    if let Some(next) = q.peek_time().filter(|t| t.nanos() > 0) {
+                        assert!(q.pop_due(SimTime(next.nanos() - 1)).is_none());
+                        assert_eq!(peek(&q), seen);
+                    }
+                    seen
+                }
+                _ => {
+                    // Schedule into the draining slot (the tick of `now`):
+                    // earlier peeks may be displaced, fresh ones hold.
+                    let tick_end = (now | ((1 << GRAN_BITS) - 1)) + 1;
+                    for _ in 0..rng.range_u64(1, 6) {
+                        q.schedule(SimTime(rng.range_u64(now, tick_end)), timer(token));
+                        token += 1;
+                    }
+                    peek(&q)
+                }
+            };
+            now = pops_match(&mut q, &seen).unwrap_or(now);
+        }
+        assert!(answered > 4_000, "the peek must actually fire: {answered} answers");
+
+        // The heap oracle has no sorted slot to read: it never answers.
+        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        for token in 0..32 {
+            heap.schedule(SimTime(token), timer(token));
+        }
+        heap.pop();
+        assert!((0..16).all(|k| heap.lookahead(k).is_none()));
     }
 
     /// Randomized differential: the wheel must agree with the heap oracle

@@ -23,6 +23,11 @@
 //! The top-level entry point is [`Simulator`]; applications implement
 //! [`App`] and interact with the world through [`Ctx`].
 
+// The workspace's one `unsafe` block is `prefetch` below; every other crate
+// and shim forbids unsafe code outright.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod app;
 pub mod event;
 pub mod faults;
@@ -50,3 +55,38 @@ pub use sim::{NetworkBuilder, SimConfig, SimProfile, Simulator};
 pub use stats::{LossWindow, SeqTracker};
 pub use time::{SimDuration, SimTime};
 pub use trace::{DropReason, TraceEvent, TraceLog};
+
+/// Hint the CPU to pull every cache line `*r` overlaps into L1. The run loop
+/// issues this for the links the wheel's draining slot says the next few
+/// events will touch (DESIGN.md §12, "Lookahead prefetch"): a hint changes
+/// no architectural state, so it cannot change a run. A no-op on targets
+/// other than x86-64.
+#[inline]
+pub(crate) fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let hint = |offset: usize| {
+            let byte = std::ptr::from_ref(r).cast::<i8>().wrapping_add(offset);
+            // SAFETY: `_mm_prefetch` needs SSE, which is part of the x86-64
+            // baseline; the instruction never faults and reads or writes
+            // nothing the program can observe, and `byte` lies inside the
+            // live `*r`, so the caller has no obligation to uphold.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(byte) };
+        };
+        // One hint per line-sized stride, plus the last byte: `*r` need not
+        // start on a line boundary, so its tail may sit one line further.
+        let size = std::mem::size_of::<T>();
+        let mut offset = 0;
+        while offset < size {
+            hint(offset);
+            offset += LINE;
+        }
+        if size > 1 {
+            hint(size - 1);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}

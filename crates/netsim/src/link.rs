@@ -18,6 +18,7 @@
 
 use crate::node::NodeId;
 use crate::packet::PacketId;
+use crate::prefetch;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -180,11 +181,15 @@ pub enum Enqueue {
 
 /// One directed link.
 ///
-/// `repr(C)` with the fields every event touches (endpoints, liveness, the
-/// transmitter, timing parameters, the serialization memo) packed at the
-/// front: a steady-state simulation walks `Link` structs in effectively
-/// random order, so the per-event working set is cache lines, and the
-/// layout keeps the `tx_done`/`enqueue` path inside the first lines.
+/// `repr(C)`, 216 bytes, 8-aligned: a `Link` overlaps four cache lines (five
+/// when it starts late in one), and every hot path reaches across them —
+/// `tx_done` reads the endpoints and transmitter at the front, the counters
+/// in the middle and both `VecDeque` headers at the back; `enqueue` the
+/// front and the counters; a wire drain `to` and the `wire` header. A
+/// steady-state simulation walks `Link`s in effectively random order, so
+/// beyond L2 the first touch is a miss whichever line it lands on; the run
+/// loop therefore prefetches the whole struct ahead of the event
+/// (`Simulator::prefetch_ahead`) instead of relying on the field order.
 #[repr(C)]
 pub struct Link {
     /// Transmitting node.
@@ -368,6 +373,25 @@ impl Link {
             self.stats.down_dropped_packets += 1;
         }
         aborted
+    }
+
+    /// Near prefetch stage for a pending `LinkDeliver`: the wire slot it
+    /// pops. Reads the `VecDeque` header, so the far stage (`prefetch` of the
+    /// whole `Link`) should have landed by now.
+    #[inline]
+    pub(crate) fn prefetch_wire_front(&self) {
+        if let Some(slot) = self.wire.front() {
+            prefetch(slot);
+        }
+    }
+
+    /// Near prefetch stage for a pending `LinkTxDone`: the wire's tail line,
+    /// on or next to which `wire_push` writes.
+    #[inline]
+    pub(crate) fn prefetch_wire_back(&self) {
+        if let Some(slot) = self.wire.back() {
+            prefetch(slot);
+        }
     }
 
     /// Put a transmitted packet on the wire, arriving at `at`. Returns true

@@ -14,6 +14,7 @@ use crate::link::{DirLinkId, Enqueue, Link, LinkConfig, QueuedPacket};
 use crate::multicast::{GroupId, GroupSnapshot, MulticastConfig, MulticastState, TreeOp};
 use crate::node::{Node, NodeId, Routing};
 use crate::packet::{Dest, Packet, PacketId, PacketSlab};
+use crate::prefetch;
 use crate::rng::RngStream;
 use crate::time::SimTime;
 use crate::trace::{DropReason, TraceLog};
@@ -316,6 +317,13 @@ impl SimProfile {
     }
 }
 
+/// How many pops ahead the run loop prefetches a pending link event's `Link`
+/// (far) and its wire slot (near). Constants, not configuration: measured on
+/// `fedpkt_40k` (DESIGN.md §12), and a wrong value costs speed, never
+/// correctness.
+const PREFETCH_FAR: usize = 10;
+const PREFETCH_NEAR: usize = 5;
+
 /// The discrete-event simulator.
 pub struct Simulator {
     clock: SimTime,
@@ -461,11 +469,34 @@ impl Simulator {
         while let Some((time, event)) = self.queue.pop_due(deadline) {
             debug_assert!(time >= self.clock, "time moved backwards");
             self.clock = time;
+            self.prefetch_ahead();
             self.handle(event);
             self.events_done += 1;
         }
         if self.clock < deadline {
             self.clock = deadline;
+        }
+    }
+
+    /// Warm the link state the next few events will touch. Beyond L2 the
+    /// first touch of `links[l]` is a dependent miss per event, while the
+    /// wheel's draining slot already lists those links in pop order: the far
+    /// stage pulls the whole `Link` in, the near stage — once those lines
+    /// have landed and the `VecDeque` header can be read — the wire slot.
+    /// Hints only: `(time, seq)` order, and so every digest, cannot move. The
+    /// heap oracle answers `None` and runs this same loop.
+    #[inline]
+    fn prefetch_ahead(&self) {
+        let links = &self.net.links;
+        if let Some(&(Event::LinkTxDone(l) | Event::LinkDeliver(l))) =
+            self.queue.lookahead(PREFETCH_FAR)
+        {
+            prefetch(&links[l.0 as usize]);
+        }
+        match self.queue.lookahead(PREFETCH_NEAR) {
+            Some(&Event::LinkDeliver(l)) => links[l.0 as usize].prefetch_wire_front(),
+            Some(&Event::LinkTxDone(l)) => links[l.0 as usize].prefetch_wire_back(),
+            _ => {}
         }
     }
 
@@ -796,6 +827,14 @@ impl Simulator {
                             .filter(|&l| Some(links[l.0 as usize].to) != came_from),
                     );
                 }
+                // A multi-way fan-out enqueues on links nothing has touched
+                // since the last packet: start all their misses at once
+                // instead of taking them one `forward` at a time.
+                if outs.len() > 1 {
+                    for &l in &outs {
+                        prefetch(&self.net.links[l.0 as usize]);
+                    }
+                }
                 for &l in &outs {
                     self.slab.dup(pid);
                     self.forward(l, pid, size, layer);
@@ -808,12 +847,13 @@ impl Simulator {
                 // media). The subscriber list is kept sorted by the
                 // multicast state; the common non-member router exits on a
                 // bitmap probe without loading the list.
-                if self.net.mcast.subscribers_at(g, node).is_empty() {
+                let subscribers = self.net.mcast.subscribers_at(g, node);
+                if subscribers.is_empty() {
                     self.slab.release(pid);
                 } else {
                     let mut apps = std::mem::take(&mut self.scratch_apps);
                     apps.clear();
-                    apps.extend_from_slice(self.net.mcast.subscribers_at(g, node));
+                    apps.extend_from_slice(subscribers);
                     self.deliver(pid, &apps);
                     apps.clear();
                     self.scratch_apps = apps;

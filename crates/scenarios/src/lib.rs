@@ -21,6 +21,8 @@
 //!   (DESIGN.md §13): a scenario-matrix builder over the zoo workloads
 //!   with pass/fail gates and byte-identical JSON/markdown artifacts.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod campaign;
 pub mod chaos;

@@ -21,6 +21,8 @@
 //! everything else in the trail is a function of the simulation state
 //! alone.
 
+#![forbid(unsafe_code)]
+
 pub mod blackbox;
 pub mod causal;
 pub mod counters;

@@ -14,6 +14,8 @@
 //!   paper's evaluation topologies (Fig. 5 A and B, the Fig. 1 example, and
 //!   tiered Fig. 2-style random trees).
 
+#![forbid(unsafe_code)]
+
 pub mod discovery;
 pub mod generators;
 pub mod session_tree;

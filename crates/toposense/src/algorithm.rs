@@ -671,6 +671,9 @@ impl AlgorithmState {
                 }
                 // Re-aggregate this slot's observation from its reports
                 // (loss = min, bytes/level = max), in global report order.
+                // A report is outside input: a level above the session's
+                // top means "everything", not a number to do arithmetic on.
+                let max_level = inputs.specs[k].max_level();
                 let slot = slot as usize;
                 sc.obs[slot] = None;
                 let (lo, hi) = (cs.rep_start[slot] as usize, cs.rep_start[slot + 1] as usize);
@@ -683,7 +686,7 @@ impl AlgorithmState {
                     });
                     e.loss = e.loss.min(r.loss_rate());
                     e.bytes = e.bytes.max(r.bytes);
-                    e.level = e.level.max(r.level);
+                    e.level = e.level.max(r.level.min(max_level));
                 }
             }
             sc.obs_dirty.clear();
@@ -1177,7 +1180,9 @@ fn stage5_input_at(
     let m = mem[s];
     // Receivers that did not report this interval fall back to
     // the subscription implied by the tree itself.
-    let reported = obs[s].map(|o| o.level).or_else(|| (s != 0).then(|| tree.max_layer_at(s) + 1));
+    let reported = obs[s]
+        .map(|o| o.level)
+        .or_else(|| (s != 0).then(|| tree.max_layer_at(s).saturating_add(1)));
     // Reports lag suggestions by up to an interval. While a node
     // is clean, a reported level below our last supply is just
     // that lag (the receiver is catching up to the suggestion),
@@ -1192,7 +1197,7 @@ fn stage5_input_at(
         if st.congested || st.loss > cfg.p_threshold {
             r
         } else {
-            r.max(m.supply_recent.min(r + 1))
+            r.max(m.supply_recent.min(r.saturating_add(1)))
         }
     });
     let inp = NodeInputs {
@@ -1434,6 +1439,36 @@ mod tests {
         // floors the reduction, so suggestions land exactly on 2.
         for s in &out.suggestions {
             assert_eq!(s.level, 2, "expected the goodput-floored level");
+        }
+    }
+
+    /// A report is input the controller did not author. `level = 255` used
+    /// to reach `cur + 1` / `r + 1` unclamped: a panic in debug builds, a
+    /// wrap to level 0 in release. It now reads as "the top level": the run
+    /// is the twin of one whose receivers report `max_level`, through clean
+    /// intervals (the add-layer path) and lossy ones (the reduce path).
+    #[test]
+    fn report_level_above_the_top_reads_as_the_top_level() {
+        let tree = one_session_tree();
+        let spec = LayerSpec::paper_default();
+        let run = |level: u8| {
+            let mut state = AlgorithmState::new(Config::default(), 7);
+            (1..=8)
+                .map(|t| {
+                    let lost = if t > 4 { 30 } else { 0 };
+                    let reports = vec![
+                        report(10, 2, level, 100 - lost, lost, 24_000),
+                        report(11, 3, level, 100 - lost, lost, 24_000),
+                    ];
+                    run_once(&mut state, &tree, &spec, &reports, 2 * t).suggestions
+                })
+                .collect::<Vec<_>>()
+        };
+        let hostile = run(u8::MAX);
+        assert_eq!(hostile, run(spec.max_level()));
+        assert!(hostile.iter().all(|interval| interval.len() == 2));
+        for s in hostile.iter().flatten() {
+            assert!((1..=spec.max_level()).contains(&s.level), "suggested {}", s.level);
         }
     }
 

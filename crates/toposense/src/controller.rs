@@ -1095,6 +1095,74 @@ mod tests {
         assert!(c.evicted == 0, "departure must not count as an eviction");
     }
 
+    /// Joins the base layer, then every second reports a fixed level the
+    /// controller never suggested, and records every suggestion it is sent.
+    struct FixedLevelReporter {
+        controller: NodeId,
+        group: GroupId,
+        level: u8,
+        suggested: Arc<Mutex<Vec<u8>>>,
+    }
+    impl App for FixedLevelReporter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.join(self.group);
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let body: ControlBody = Arc::new(Report {
+                receiver: ctx.app_id(),
+                node: ctx.node_id(),
+                session: netsim::SessionId(0),
+                level: self.level,
+                received: 100,
+                lost: 0,
+                bytes: 24_000,
+                time: ctx.now(),
+                cause: 0,
+            });
+            ctx.send_control(self.controller, 96, body);
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, packet: &netsim::Packet) {
+            if let Some(s) = packet.control_as::<Suggestion>() {
+                self.suggested.lock().unwrap().push(s.level);
+            }
+        }
+    }
+
+    /// A report the controller did not author carries `level = 255`: the
+    /// ingest -> pipeline -> emit path must neither panic (debug) nor wrap
+    /// (release), and steers exactly as if the receiver had reported the
+    /// session's top level.
+    #[test]
+    fn report_level_above_the_top_is_ingested_as_the_top_level() {
+        let run = |level: u8| {
+            let (mut sim, catalog, def, src, _mid, rcv) = chain();
+            let (ctrl, shared) = Controller::new(catalog, Config::default(), SimDuration::ZERO, 1);
+            sim.add_app(src, Box::new(ctrl));
+            sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
+            let suggested = Arc::new(Mutex::new(Vec::new()));
+            sim.add_app(
+                rcv,
+                Box::new(FixedLevelReporter {
+                    controller: src,
+                    group: def.groups[0],
+                    level,
+                    suggested: Arc::clone(&suggested),
+                }),
+            );
+            sim.run_until(SimTime::from_secs(30));
+            assert!(shared.lock().unwrap().intervals >= 10);
+            let suggested = suggested.lock().unwrap().clone();
+            suggested
+        };
+        let max_level = LayerSpec::paper_default().max_level();
+        let hostile = run(u8::MAX);
+        assert!(hostile.len() >= 10, "only {} suggestions arrived", hostile.len());
+        assert!(hostile.iter().all(|l| (1..=max_level).contains(l)), "{hostile:?}");
+        assert_eq!(hostile, run(max_level));
+    }
+
     /// Registers once and never speaks again.
     struct MuteReceiver {
         controller: NodeId,

@@ -29,6 +29,8 @@
 //! suggestions, and falls back to unilateral decisions when suggestions stop
 //! arriving (lossy control channel).
 
+#![forbid(unsafe_code)]
+
 pub mod algorithm;
 pub mod checkpoint;
 pub mod config;

@@ -316,7 +316,7 @@ pub fn subscription_compute(
                 match decide(NodeKind::Leaf, inp.hist, inp.bw) {
                     Action::AddLayer => {
                         let settled = inp.supply_recent == cur && inp.supply_older == cur;
-                        let target = (cur + 1).min(spec.max_level());
+                        let target = cur.saturating_add(1).min(spec.max_level());
                         let known_safe = cap < spec.max_level() && target <= cap;
                         if target > cur
                             && !inp.sibling_congested

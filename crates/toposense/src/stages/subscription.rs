@@ -370,7 +370,7 @@ pub(crate) fn decide_slot(
                     // overshoot bottlenecks by several layers before the
                     // first loss report lands.
                     let settled = inp.supply_recent == cur && inp.supply_older == cur;
-                    let target = (cur + 1).min(spec.max_level());
+                    let target = cur.saturating_add(1).min(spec.max_level());
                     // Climbing toward a *freshly estimated fair share*
                     // is not an experiment — the bandwidth is known to
                     // exist — so neither the settling gate nor a backoff

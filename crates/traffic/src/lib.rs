@@ -16,6 +16,8 @@
 //! * [`background::OnOffFlood`] — a non-conforming transient flow for
 //!   robustness experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod background;
 pub mod layers;
 pub mod model;

@@ -10,6 +10,8 @@
 //! * cases are generated from a fixed per-test seed, so runs are fully
 //!   deterministic (no `PROPTEST_CASES`/persistence machinery).
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 

@@ -10,6 +10,8 @@
 //! the workspace depends on specific values, only on determinism and
 //! reasonable statistical quality.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Seedable generators (subset of `rand::SeedableRng`).

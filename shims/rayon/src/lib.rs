@@ -11,6 +11,8 @@
 //! where parallel regions are coarse (whole simulations or whole
 //! per-session stage passes).
 
+#![forbid(unsafe_code)]
+
 use std::num::NonZeroUsize;
 
 pub mod prelude {

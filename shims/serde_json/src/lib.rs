@@ -10,6 +10,8 @@
 //! which takes `&self` so the macro never moves fields out of borrowed
 //! structs (matching real `json!`, which serializes by reference).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 /// A JSON document. Object keys keep insertion order (like serde_json with

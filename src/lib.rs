@@ -14,6 +14,8 @@
 //! * [`metrics`] — the paper's evaluation metrics.
 //! * [`scenarios`] — end-to-end experiment runners for every figure.
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use metrics;
 pub use netsim;
