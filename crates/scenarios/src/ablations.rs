@@ -5,7 +5,7 @@
 //! * **group-leave latency** — "the latency in dropping a layer can cause
 //!   congestion";
 //! * **layer granularity** — "finer granularity … limits the magnitude of
-//!   possible congestion [but] can delay convergence";
+//!   possible congestion \[but\] can delay convergence";
 //! * **queue discipline** — drop-tail (the paper's choice) vs. the
 //!   layer-priority dropping of Bajaj/Breslau/Shenker it cites;
 //! * **control traffic** — "the number of information packets exchanged in

@@ -173,7 +173,7 @@ pub struct StalenessRow {
 const FIG10_SEEDS: u64 = 5;
 
 /// Fig. 10 — impact of stale topology information on Topology A, VBR(P=3).
-/// Each point is the mean over [`FIG10_SEEDS`] independent runs.
+/// Each point is the mean over `FIG10_SEEDS` independent runs.
 pub fn fig10_staleness(
     receiver_counts: &[usize],
     staleness_secs: &[u64],

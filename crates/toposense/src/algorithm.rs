@@ -314,7 +314,7 @@ impl AlgorithmState {
 
     /// Run one interval, recomputing only the tree slots whose inputs
     /// changed since the previous interval. When the change cache cannot
-    /// vouch for the inputs (see [`Self::can_run_incremental`]) the cache
+    /// vouch for the inputs (see `Self::can_run_incremental`) the cache
     /// is primed from them and the same body runs over full work sets.
     pub fn run_incremental(&mut self, inputs: &AlgorithmInputs<'_>) -> AlgorithmOutputs {
         self.run_incremental_audited(inputs, None)

@@ -43,7 +43,7 @@ use crate::messages::{
 use crate::replication::{fingerprint_outputs, AckVerdict, ReplicaTracker};
 use crate::sync::lock_or_recover;
 use netsim::{App, AppId, ControlBody, Ctx, NodeId, SessionId, SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use telemetry::{FlightRecorder, IntervalAudit, Record, Telemetry};
 use topology::discovery::{DiscoveryTool, SnapshotError, TopologyView};
@@ -120,9 +120,32 @@ struct Pending {
     received: u64,
     lost: u64,
     bytes: u64,
-    last_at: Option<SimTime>,
     /// Cause id of the most recent report folded into this entry.
     cause: u64,
+}
+
+/// Everything the controller keeps about one registered receiver.
+struct ReceiverEntry {
+    node: NodeId,
+    session: SessionId,
+    /// When the receiver was last heard from (register and report both
+    /// count): the one column quarantine and eviction cut on.
+    last_heard: SimTime,
+    /// Reports (already aged) accumulated since the last interval that
+    /// steered this receiver; `None` when none became visible.
+    window: Option<Pending>,
+    /// Latest causal-trace id ([`crate::messages::cause_id`]), kept OUT of
+    /// [`ReceiverReport`] so the ever-changing id never dirties the
+    /// incremental pipeline's slot cache.
+    cause: u64,
+    /// Most recent interval data, reused when reports are lost.
+    last_known: Option<(SimTime, ReceiverReport)>,
+}
+
+impl ReceiverEntry {
+    fn new(node: NodeId, session: SessionId, now: SimTime) -> Self {
+        ReceiverEntry { node, session, last_heard: now, window: None, cause: 0, last_known: None }
+    }
 }
 
 /// The controller application.
@@ -131,20 +154,14 @@ pub struct Controller {
     cfg: Config,
     state: AlgorithmState,
     discovery: DiscoveryTool,
-    /// receiver -> (node, session).
-    registry: HashMap<AppId, (NodeId, SessionId)>,
+    /// The receiver table: one entry per registered receiver, walked in
+    /// `AppId` order so nothing downstream depends on arrival order
+    /// (determinism).
+    receivers: BTreeMap<AppId, ReceiverEntry>,
     /// Reports received but not yet *visible*: the paper's staleness knob
     /// ages "topology and loss information", so reports pass through the
     /// same delay as discovery snapshots.
-    inbox: std::collections::VecDeque<(SimTime, Report)>,
-    /// Reports accumulated since the last interval (already aged).
-    pending: HashMap<AppId, Pending>,
-    /// Latest causal-trace id per receiver ([`crate::messages::cause_id`]),
-    /// kept OUT of [`ReceiverReport`] so the ever-changing id never dirties
-    /// the incremental pipeline's slot cache.
-    cause_of: HashMap<AppId, u64>,
-    /// Most recent interval data per receiver, reused when reports are lost.
-    last_known: HashMap<AppId, (SimTime, ReceiverReport)>,
+    inbox: VecDeque<(SimTime, Report)>,
     /// Administrative-domain filter (Fig. 3): when set, the controller
     /// only sees — and manages — the subtree inside these nodes.
     domain: Option<std::collections::HashSet<NodeId>>,
@@ -152,17 +169,12 @@ pub struct Controller {
     outbox: Vec<(NodeId, Suggestion)>,
     rng: netsim::RngStream,
     shared: ControllerHandle,
-    /// The node this controller runs on (known from `on_start`).
-    my_node: Option<NodeId>,
     /// Warm-standby peer: the standby's node when active, the active
     /// controller's node when standing by.
     peer: Option<NodeId>,
     /// False while standing by: tick only keeps the archive warm and
     /// watches the peer's heartbeats.
     active: bool,
-    /// When each registered receiver was last heard from (register, report
-    /// or deregister all count).
-    last_heard: HashMap<AppId, SimTime>,
     /// Last successfully queried topology, kept for degraded operation
     /// while the discovery tool is unavailable.
     last_good: Option<TopologyView>,
@@ -203,19 +215,14 @@ impl Controller {
             cfg,
             state: AlgorithmState::new(cfg, seed),
             discovery: DiscoveryTool::new(staleness),
-            registry: HashMap::new(),
-            inbox: std::collections::VecDeque::new(),
-            pending: HashMap::new(),
-            cause_of: HashMap::new(),
-            last_known: HashMap::new(),
+            receivers: BTreeMap::new(),
+            inbox: VecDeque::new(),
             domain: None,
             outbox: Vec::new(),
             rng: netsim::RngStream::derive(seed, "toposense/controller"),
             shared: Arc::clone(&shared),
-            my_node: None,
             peer: None,
             active: true,
-            last_heard: HashMap::new(),
             last_good: None,
             last_heartbeat_at: None,
             algo_seed: seed,
@@ -311,6 +318,11 @@ impl Controller {
                 break;
             }
             let (_, r) = self.inbox.pop_front().expect("front just peeked");
+            // A report whose receiver left (deregistered or evicted) while
+            // it aged is dropped: folded in, it would open a window no
+            // interval consumes and hand a later registration of the same
+            // id the old loss counts.
+            let Some(e) = self.receivers.get_mut(&r.receiver) else { continue };
             if self.telemetry.is_enabled() {
                 // First hop of the causal chain: the report became visible
                 // to this interval. t_ns is the window close, so the chain
@@ -325,23 +337,17 @@ impl Controller {
                     level: r.level as u64,
                 });
             }
-            let p = self.pending.entry(r.receiver).or_default();
+            let p = e.window.get_or_insert_default();
             p.level = r.level;
             p.received += r.received;
             p.lost += r.lost;
             p.bytes += r.bytes;
-            p.last_at = Some(r.time);
             p.cause = r.cause;
         }
 
         // 1. Record ground truth (clipped to this controller's domain),
         // query through the staleness filter and the tool's fault schedule.
-        let view = TopologyView::capture(ctx.network(), now);
-        let view = match &self.domain {
-            Some(domain) => view.restrict(domain),
-            None => view,
-        };
-        self.discovery.record(view);
+        self.record_ground_truth(ctx, now);
         let mut degraded = false;
         let mut partial = false;
         let view: TopologyView = match self.discovery.query_checked(now) {
@@ -377,75 +383,51 @@ impl Controller {
             },
         };
 
-        // 2. Per-session overlay trees. Transiently inconsistent snapshots
-        // (a node with two parents mid-regraft) skip the session this round.
-        let mut trees: Vec<SessionTree> = Vec::with_capacity(self.catalog.len());
-        for def in self.catalog.iter() {
-            if let Ok(t) = SessionTree::build(&view, def.id, &def.groups) {
-                trees.push(t);
-            }
-        }
-        let specs: Vec<&LayerSpec> =
-            trees.iter().map(|t| &self.catalog.get(t.session()).spec).collect();
-
-        // 3. Assemble the interval's reports: fresh data, else the most
+        // 2. Assemble the interval's reports: fresh data, else the most
         // recent report if it is not too old (reports can be lost).
         // Receivers silent past quarantine_after are withheld entirely —
         // their data is stale and a suggestion to them is likely wasted.
-        // Sorted by receiver id so nothing downstream depends on hash-map
-        // iteration order (determinism).
+        // The table walks in receiver-id order, so both vectors come out
+        // sorted (determinism).
         let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after);
-        let mut registry: Vec<(AppId, NodeId, SessionId)> = self
-            .registry
-            .iter()
-            .filter(|(a, _)| self.last_heard.get(a).is_some_and(|&t| t >= quarantine_cutoff))
-            .map(|(&a, &(n, s))| (a, n, s))
-            .collect();
-        registry.sort_unstable_by_key(|&(a, _, _)| a);
-        let quarantined = self.registry.len() - registry.len();
-        let mut reports: Vec<ReceiverReport> = Vec::with_capacity(self.registry.len());
-        for &(app, node, session) in &registry {
-            if let Some(p) = self.pending.remove(&app) {
+        let mut registry = Vec::with_capacity(self.receivers.len());
+        let mut reports = Vec::with_capacity(self.receivers.len());
+        for (&app, e) in self.receivers.iter_mut() {
+            if e.last_heard < quarantine_cutoff {
+                continue;
+            }
+            registry.push((app, e.node, e.session));
+            if let Some(p) = e.window.take() {
                 let r = ReceiverReport {
                     receiver: app,
-                    node,
-                    session,
+                    node: e.node,
+                    session: e.session,
                     level: p.level,
                     received: p.received,
                     lost: p.lost,
                     bytes: p.bytes,
                 };
-                // The cause id travels alongside — never inside — the
-                // ReceiverReport, so the incremental pipeline's slot cache
-                // never sees it change.
-                self.cause_of.insert(app, p.cause);
-                self.last_known.insert(app, (now, r));
+                e.cause = p.cause;
+                e.last_known = Some((now, r));
                 reports.push(r);
-            } else if let Some(&(t, r)) = self.last_known.get(&app) {
+            } else if let Some((t, r)) = e.last_known {
                 if now.since(t) <= self.cfg.interval * 2 {
                     reports.push(r);
                 }
             }
         }
 
-        // 4. Run the algorithm and send the suggestions.
-        let inputs = AlgorithmInputs {
-            now,
-            interval: self.cfg.interval,
-            trees: &trees,
-            specs: &specs,
-            registry: &registry,
-            reports: &reports,
-        };
-        // With telemetry attached, the same run also fills a decision
-        // audit: one record per stage, stamped with this interval's
-        // sequence number and (simulated) time.
+        // 3. Overlay the session trees and run the algorithm. With
+        // telemetry attached, the same run also fills a decision audit:
+        // one record per stage, stamped with this interval's sequence
+        // number and (simulated) time.
         let mut audit =
             self.telemetry.is_enabled().then(|| IntervalAudit::new(self.state.runs(), now.nanos()));
         // The interval's replication seq is the completed-run count before
         // the run: a replica applying seq `n` goes from `n` to `n + 1`.
         let seq = self.state.runs();
-        let outputs = self.state.run_incremental_audited(&inputs, audit.as_mut());
+        let outputs =
+            self.run_interval(now, self.cfg.interval, &view, &registry, &reports, audit.as_mut());
         if let Some(a) = &audit {
             for record in a.records() {
                 self.telemetry.emit(&record);
@@ -456,14 +438,13 @@ impl Controller {
                 self.telemetry.record_span_ns(stage, ns);
             }
         }
-        // Queue suggestions in a random order and send them spaced out:
+        // 4. Queue suggestions in a random order and send them spaced out:
         // a fixed back-to-back burst would tail-drop the same receivers'
         // suggestions at a congested link every single interval.
         self.outbox.clear();
         let my_node = ctx.node_id();
         for s in &outputs.suggestions {
-            let Some(&(node, _)) = self.registry.get(&s.receiver) else { continue };
-            let cause = self.cause_of.get(&s.receiver).copied().unwrap_or(0);
+            let Some(e) = self.receivers.get(&s.receiver) else { continue };
             if self.telemetry.is_enabled() {
                 self.telemetry.emit(&Record::Trace {
                     seq,
@@ -471,7 +452,7 @@ impl Controller {
                     phase: "decide".into(),
                     session: s.session.0 as u64,
                     receiver: s.receiver.0 as u64,
-                    cause,
+                    cause: e.cause,
                     level: s.level as u64,
                 });
             }
@@ -481,10 +462,10 @@ impl Controller {
                 level: s.level,
                 time: now,
                 from: my_node,
-                cause,
+                cause: e.cause,
             };
             let at = self.rng.range_u64(0, self.outbox.len() as u64 + 1) as usize;
-            self.outbox.insert(at, (node, sug));
+            self.outbox.insert(at, (e.node, sug));
         }
         if !self.outbox.is_empty() {
             ctx.set_timer(SimDuration::ZERO, TOKEN_SEND);
@@ -507,9 +488,9 @@ impl Controller {
                     algo_seed: self.algo_seed,
                     now,
                     interval: self.cfg.interval,
-                    view: view.clone(),
-                    registry: registry.clone(),
-                    reports: reports.clone(),
+                    view,
+                    registry,
+                    reports,
                     border_caps: self.state.border_caps().to_vec(),
                     fingerprint,
                     from: my_node,
@@ -528,13 +509,10 @@ impl Controller {
         self.telemetry.incr("controller.suggestions_sent", outputs.suggestions.len() as u64);
         self.telemetry.incr("controller.degraded_intervals", degraded as u64);
         self.telemetry.incr("controller.partial_intervals", partial as u64);
-        self.telemetry.set("controller.quarantined", quarantined as u64);
-        self.telemetry.set("controller.registered", self.registry.len() as u64);
 
         let mut sh = lock_or_recover(&self.shared);
         sh.intervals += 1;
         sh.suggestions_sent += outputs.suggestions.len() as u64;
-        sh.registered = self.registry.len();
         sh.congestion_series.push((now, outputs.congested_nodes));
         for &(l, c) in &outputs.estimated_links {
             sh.estimate_series.push((now, l, c));
@@ -543,44 +521,75 @@ impl Controller {
         sh.last_outputs = Some(outputs);
         sh.degraded_intervals += degraded as u64;
         sh.partial_intervals += partial as u64;
-        sh.quarantined = quarantined;
         if degraded {
             sh.flight.note(now.nanos(), "fallback", seq, "degraded");
         }
         sh.flight.note(now.nanos(), "interval_end", seq, "");
     }
 
-    /// Evict receivers silent past `evict_after` and record how many fell
-    /// — here, so that no early return of [`Self::tick`] can lose them.
+    /// Evict receivers silent past `evict_after`, record how many fell and
+    /// refresh the population gauges — here, so that no early return of
+    /// [`Self::tick`] can lose them.
     fn sweep_silent(&mut self, now: SimTime) {
-        let cutoff = now.saturating_sub(self.cfg.evict_after);
-        let stale: Vec<AppId> = self
-            .registry
-            .keys()
-            .copied()
-            .filter(|a| self.last_heard.get(a).is_none_or(|&t| t < cutoff))
-            .collect();
-        for a in &stale {
-            self.registry.remove(a);
-            self.last_heard.remove(a);
-            self.pending.remove(a);
-            self.last_known.remove(a);
-            self.cause_of.remove(a);
-        }
-        self.telemetry.incr("controller.evictions", stale.len() as u64);
-        lock_or_recover(&self.shared).evicted += stale.len() as u64;
+        let evict_cutoff = now.saturating_sub(self.cfg.evict_after);
+        let before = self.receivers.len();
+        self.receivers.retain(|_, e| e.last_heard >= evict_cutoff);
+        let evicted = (before - self.receivers.len()) as u64;
+        let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after);
+        let quarantined =
+            self.receivers.values().filter(|e| e.last_heard < quarantine_cutoff).count();
+        self.telemetry.incr("controller.evictions", evicted);
+        self.telemetry.set("controller.quarantined", quarantined as u64);
+        self.telemetry.set("controller.registered", self.receivers.len() as u64);
+        let mut sh = lock_or_recover(&self.shared);
+        sh.evicted += evicted;
+        sh.registered = self.receivers.len();
+        sh.quarantined = quarantined;
     }
 
-    /// Passive interval: keep the snapshot archive warm (a takeover must
-    /// not cold-start discovery) and watch the peer's heartbeats.
-    fn tick_standby(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
+    /// Record ground truth (clipped to this controller's domain) into the
+    /// discovery tool's archive.
+    fn record_ground_truth(&mut self, ctx: &Ctx<'_>, now: SimTime) {
         let view = TopologyView::capture(ctx.network(), now);
         let view = match &self.domain {
             Some(domain) => view.restrict(domain),
             None => view,
         };
         self.discovery.record(view);
+    }
+
+    /// The interval body, one for the active controller and its replica
+    /// (DESIGN.md §14): overlay the catalog's session trees on `view` and
+    /// run the pipeline over them.
+    fn run_interval(
+        &mut self,
+        now: SimTime,
+        interval: SimDuration,
+        view: &TopologyView,
+        registry: &[(AppId, NodeId, SessionId)],
+        reports: &[ReceiverReport],
+        audit: Option<&mut IntervalAudit>,
+    ) -> AlgorithmOutputs {
+        // Transiently inconsistent snapshots (a node with two parents
+        // mid-regraft) skip the session this round.
+        let mut trees: Vec<SessionTree> = Vec::with_capacity(self.catalog.len());
+        for def in self.catalog.iter() {
+            if let Ok(t) = SessionTree::build(view, def.id, &def.groups) {
+                trees.push(t);
+            }
+        }
+        let specs: Vec<&LayerSpec> =
+            trees.iter().map(|t| &self.catalog.get(t.session()).spec).collect();
+        let inputs =
+            AlgorithmInputs { now, interval, trees: &trees, specs: &specs, registry, reports };
+        self.state.run_incremental_audited(&inputs, audit)
+    }
+
+    /// Passive interval: keep the snapshot archive warm (a takeover must
+    /// not cold-start discovery) and watch the peer's heartbeats.
+    fn tick_standby(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        self.record_ground_truth(ctx, now);
         // Startup counts as a beacon: a standby that has heard nothing yet
         // only moves after a full failover window.
         let heard = self.last_heartbeat_at.unwrap_or(SimTime::ZERO);
@@ -609,15 +618,12 @@ impl Controller {
         // Re-ACK every mirrored registration so the receivers redirect
         // their reports, and restart their silence clocks — nobody gets
         // evicted for quiet accrued while we were passive.
-        let mut members: Vec<(AppId, NodeId)> =
-            self.registry.iter().map(|(&a, &(n, _))| (a, n)).collect();
-        members.sort_unstable_by_key(|&(a, _)| a);
-        let acks = members.len() as u64;
-        for (app, node) in members {
-            self.last_heard.insert(app, now);
+        let acks = self.receivers.len() as u64;
+        for (&app, e) in self.receivers.iter_mut() {
+            e.last_heard = now;
             let ack: ControlBody =
                 Arc::new(RegisterAck { receiver: app, controller: ctx.node_id(), time: now });
-            ctx.send_control(node, self.cfg.ack_size, ack);
+            ctx.send_control(e.node, self.cfg.ack_size, ack);
         }
         self.telemetry.incr("controller.failovers", 1);
         self.telemetry.incr("controller.acks_sent", acks);
@@ -656,28 +662,12 @@ impl Controller {
                 return;
             }
         }
-        // Overlay the session trees exactly as the primary did, from the
-        // replicated view and this replica's identical catalog.
-        let mut trees: Vec<SessionTree> = Vec::with_capacity(self.catalog.len());
-        for def in self.catalog.iter() {
-            if let Ok(t) = SessionTree::build(&m.view, def.id, &def.groups) {
-                trees.push(t);
-            }
-        }
-        let specs: Vec<&LayerSpec> =
-            trees.iter().map(|t| &self.catalog.get(t.session()).spec).collect();
         // Border caps are pipeline inputs too: the twin must run under the
         // same root ceilings or its fingerprint diverges.
         self.state.set_border_caps(&m.border_caps);
-        let inputs = AlgorithmInputs {
-            now: m.now,
-            interval: m.interval,
-            trees: &trees,
-            specs: &specs,
-            registry: &m.registry,
-            reports: &m.reports,
-        };
-        let out = self.state.run_incremental(&inputs);
+        // The same body the primary ran, over the replicated view and this
+        // replica's identical catalog.
+        let out = self.run_interval(m.now, m.interval, &m.view, &m.registry, &m.reports, None);
         self.repl_next_seq = Some(m.seq + 1);
         let fp = fingerprint_outputs(&out);
         let ack: ControlBody =
@@ -743,8 +733,7 @@ impl Controller {
     /// input stream at the primary's run count.
     fn apply_checkpoint(&mut self, now: SimTime, t: &CheckpointTransfer) {
         match Snapshot::decode(&t.blob).and_then(|s| AlgorithmState::restore(self.cfg, &s)) {
-            Ok(state) => {
-                debug_assert_eq!(state.runs(), t.next_seq);
+            Ok(state) if state.runs() == t.next_seq => {
                 self.state = state;
                 self.repl_next_seq = Some(t.next_seq);
                 self.telemetry.incr("controller.replica_resyncs", 1);
@@ -752,9 +741,11 @@ impl Controller {
                 sh.replica_resyncs += 1;
                 sh.flight.note(now.nanos(), "checkpoint", t.next_seq, "applied");
             }
-            Err(_) => {
-                // A corrupt transfer is dropped; the next batch's gap ack
-                // requests another.
+            _ => {
+                // A corrupt transfer — or one whose `next_seq` disagrees with
+                // the blob's own run count, which would leave this replica
+                // discarding the live stream as stale duplicates — is
+                // dropped; the next batch's gap ack requests another.
                 self.telemetry.incr("controller.replica_resync_failures", 1);
             }
         }
@@ -763,7 +754,6 @@ impl Controller {
 
 impl App for Controller {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.my_node = Some(ctx.node_id());
         if !self.active {
             // Treat startup as a beacon: don't take over before the peer
             // even had a chance to speak.
@@ -777,7 +767,7 @@ impl App for Controller {
             if Some(h.from) == self.peer {
                 // Transient dual-active (beacons lost both ways): the
                 // smaller node id keeps the role, deterministically.
-                if self.active && self.my_node.is_some_and(|me| h.from < me) {
+                if self.active && h.from < ctx.node_id() {
                     self.active = false;
                     // We ran intervals on our own while dual-active, so our
                     // state drifted off the peer's input stream; rejoin it
@@ -789,8 +779,10 @@ impl App for Controller {
             return;
         }
         if let Some(r) = packet.control_as::<Register>() {
-            self.registry.insert(r.receiver, (r.node, r.session));
-            self.last_heard.insert(r.receiver, ctx.now());
+            let now = ctx.now();
+            let admitted = ReceiverEntry::new(r.node, r.session, now);
+            let e = self.receivers.entry(r.receiver).or_insert(admitted);
+            (e.node, e.session, e.last_heard) = (r.node, r.session, now);
             if self.active {
                 self.telemetry.incr("controller.acks_sent", 1);
                 lock_or_recover(&self.shared).acks_sent += 1;
@@ -809,11 +801,7 @@ impl App for Controller {
             return;
         }
         if let Some(d) = packet.control_as::<Deregister>() {
-            self.registry.remove(&d.receiver);
-            self.last_heard.remove(&d.receiver);
-            self.pending.remove(&d.receiver);
-            self.last_known.remove(&d.receiver);
-            self.cause_of.remove(&d.receiver);
+            self.receivers.remove(&d.receiver);
             if self.active {
                 if let Some(peer) = self.peer {
                     ctx.send_control(peer, self.cfg.deregister_size, Arc::new(d.clone()));
@@ -824,8 +812,8 @@ impl App for Controller {
         if let Some(r) = packet.control_as::<Report>() {
             // Registration can be lost; a report is as good an announcement
             // (and also lifts an eviction or quarantine).
-            self.registry.entry(r.receiver).or_insert((r.node, r.session));
-            self.last_heard.insert(r.receiver, ctx.now());
+            let admitted = ReceiverEntry::new(r.node, r.session, ctx.now());
+            self.receivers.entry(r.receiver).or_insert(admitted).last_heard = ctx.now();
             self.inbox.push_back((ctx.now(), r.clone()));
             return;
         }
@@ -877,7 +865,9 @@ impl App for Controller {
         // queued for it rather than send stale suggestions.
         self.outbox.clear();
         self.inbox.clear();
-        self.pending.clear();
+        for e in self.receivers.values_mut() {
+            e.window = None;
+        }
         // The interval in flight died with the crash; its cached inputs are
         // unreliable, so the next run starts cold.
         self.state.invalidate();
@@ -901,8 +891,8 @@ impl App for Controller {
             // outage longer than `evict_after`, evict — receivers for
             // quiet accrued during our own outage.
             let now = ctx.now();
-            for (&app, _) in self.registry.iter() {
-                self.last_heard.insert(app, now);
+            for e in self.receivers.values_mut() {
+                e.last_heard = now;
             }
         }
         ctx.set_timer(self.cfg.interval, TOKEN_TICK);
@@ -1371,5 +1361,293 @@ mod tests {
         // The unconstrained path must still end at the top level — steering
         // continued across the failover.
         assert_eq!(r.final_level(), 6, "changes: {:?}", r.changes);
+    }
+
+    /// One step of a [`Scripted`] receiver.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Register,
+        Deregister,
+        Report { received: u64, lost: u64 },
+    }
+
+    /// `Report` steps every second over `[from, until)` seconds, each half
+    /// a second off the controller's tick instants.
+    fn reports(from: u64, until: u64, received: u64, lost: u64) -> Vec<(SimTime, Step)> {
+        (from..until)
+            .map(|s| (SimTime::from_millis(s * 1000 + 500), Step::Report { received, lost }))
+            .collect()
+    }
+
+    /// Joins the base group, plays its steps at their scripted instants and
+    /// records when each suggestion reached it.
+    struct Scripted {
+        controller: NodeId,
+        group: GroupId,
+        steps: Vec<(SimTime, Step)>,
+        suggested_at: Arc<Mutex<Vec<SimTime>>>,
+    }
+    impl App for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.join(self.group);
+            for (i, &(at, _)) in self.steps.iter().enumerate() {
+                ctx.set_timer(at.since(ctx.now()), i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let (receiver, node, session, time) =
+                (ctx.app_id(), ctx.node_id(), netsim::SessionId(0), ctx.now());
+            let body: ControlBody = match self.steps[token as usize].1 {
+                Step::Register => Arc::new(Register { receiver, node, session, level: 1 }),
+                Step::Deregister => Arc::new(Deregister { receiver, session, time }),
+                Step::Report { received, lost } => Arc::new(Report {
+                    receiver,
+                    node,
+                    session,
+                    level: 1,
+                    received,
+                    lost,
+                    bytes: received * 240,
+                    time,
+                    cause: 0,
+                }),
+            };
+            ctx.send_control(self.controller, 64, body);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &netsim::Packet) {
+            if packet.control_as::<Suggestion>().is_some() {
+                self.suggested_at.lock().unwrap().push(ctx.now());
+            }
+        }
+    }
+
+    /// Satellite (fails at the parent): a report still in the inbox when
+    /// its receiver deregisters must not park loss counts that a later
+    /// registration of the same id inherits.
+    #[test]
+    fn departed_receivers_last_report_does_not_resurrect_its_state() {
+        let (mut sim, catalog, def, src, _mid, rcv) = chain();
+        let (ctrl, shared) = Controller::new(catalog, Config::default(), SimDuration::ZERO, 1);
+        sim.add_app(src, Box::new(ctrl));
+        let mut steps = vec![
+            (SimTime::from_millis(100), Step::Register),
+            (SimTime::from_millis(500), Step::Report { received: 70, lost: 30 }),
+            (SimTime::from_millis(1000), Step::Deregister),
+            (SimTime::from_millis(11_000), Step::Register),
+        ];
+        steps.extend(reports(11, 30, 100, 0));
+        sim.add_app(
+            rcv,
+            Box::new(Scripted {
+                controller: src,
+                group: def.groups[0],
+                steps,
+                suggested_at: Arc::default(),
+            }),
+        );
+        sim.run_until(SimTime::from_secs(10));
+        assert_eq!(shared.lock().unwrap().registered, 0, "the departure emptied the table");
+        sim.run_until(SimTime::from_secs(30));
+        let c = shared.lock().unwrap();
+        assert_eq!(c.registered, 1, "the receiver came back");
+        // At the parent the first interval back folds the departed 70 / 30
+        // into the fresh 100 / 0: 15 % loss, a congested tree.
+        let back: Vec<_> =
+            c.congestion_series.iter().filter(|&&(t, _)| t >= SimTime::from_secs(11)).collect();
+        assert!(back.len() >= 9 && back.iter().all(|&&(_, n)| n == 0), "{back:?}");
+    }
+
+    /// Satellite (fails at the parent): an eviction on a suspended interval
+    /// must show in the population gauges at once, not at the next
+    /// interval that completes.
+    #[test]
+    fn eviction_during_a_suspended_interval_refreshes_the_gauges() {
+        let (mut sim, catalog, _def, src, _mid, rcv) = chain();
+        let cfg = Config::default();
+        let (ctrl, shared) = Controller::new(catalog, cfg, SimDuration::ZERO, 1);
+        let outage_end = SimTime::from_secs(5) + cfg.evict_after + cfg.interval * 4;
+        let ctrl = ctrl.with_discovery_outage(SimTime::from_secs(5), outage_end);
+        sim.add_app(src, Box::new(ctrl));
+        sim.add_app(rcv, Box::new(MuteReceiver { controller: src }));
+        sim.run_until(SimTime::from_secs(5));
+        {
+            let c = shared.lock().unwrap();
+            assert_eq!((c.intervals, c.registered, c.evicted), (2, 1, 0));
+        }
+        // The sweep fires on the first tick past `evict_after`, deep inside
+        // the suspended stretch of the outage.
+        sim.run_until(SimTime::ZERO + cfg.evict_after + cfg.interval * 2);
+        let c = shared.lock().unwrap();
+        assert!(c.suspended_intervals > 0 && sim.now() < outage_end);
+        assert_eq!(c.evicted, 1);
+        assert_eq!(c.registered, 0, "the gauge still counts the evicted receiver");
+        assert_eq!(c.quarantined, 0);
+    }
+
+    /// What the controller sent its peer node: every replicated batch, and
+    /// (for the checkpoint test) a script of transfers to send back.
+    #[derive(Default)]
+    struct ScriptedPeer {
+        controller: Option<NodeId>,
+        transfers: Vec<(SimTime, u64, String)>,
+        batches: Arc<Mutex<Vec<ReplicateInputs>>>,
+    }
+    impl App for ScriptedPeer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (i, (at, _, _)) in self.transfers.iter().enumerate() {
+                ctx.set_timer(at.since(ctx.now()), i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let (_, next_seq, blob) = self.transfers[token as usize].clone();
+            let body: ControlBody =
+                Arc::new(CheckpointTransfer { next_seq, blob, from: ctx.node_id() });
+            ctx.send_control(self.controller.expect("scripted with a target"), 512, body);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, packet: &netsim::Packet) {
+            if let Some(m) = packet.control_as::<ReplicateInputs>() {
+                self.batches.lock().unwrap().push(m.clone());
+            }
+        }
+    }
+
+    /// Satellite: a checkpoint transfer is bytes off the wire. One whose
+    /// blob decodes but whose `next_seq` disagrees with it is dropped and
+    /// counted like a corrupt one (the parent panics here under `cargo
+    /// test`), and does not spoil the honest transfer that follows.
+    #[test]
+    fn checkpoint_transfer_with_a_wrong_next_seq_is_dropped() {
+        let (mut sim, catalog, _def, src, mid, _rcv) = chain();
+        let cfg = Config::default();
+        let telemetry = Telemetry::collecting();
+        let (standby, shared) = Controller::new(catalog, cfg, SimDuration::ZERO, 1);
+        let standby = standby.with_peer(mid).as_standby().with_telemetry(telemetry.clone());
+        sim.add_app(src, Box::new(standby));
+        let snap = AlgorithmState::new(cfg, 9).checkpoint();
+        let transfers = vec![
+            (SimTime::from_secs(1), snap.runs + 7, snap.encode()),
+            (SimTime::from_secs(3), snap.runs, snap.encode()),
+        ];
+        sim.add_app(
+            mid,
+            Box::new(ScriptedPeer { controller: Some(src), transfers, ..Default::default() }),
+        );
+        let failures = |t: &Telemetry| {
+            let counters = t.counters_snapshot();
+            counters.iter().find(|(k, _)| k == "controller.replica_resync_failures").map(|e| e.1)
+        };
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(shared.lock().unwrap().replica_resyncs, 0, "the lying transfer was applied");
+        assert_eq!(failures(&telemetry), Some(1));
+        sim.run_until(SimTime::from_secs(4));
+        assert_eq!(shared.lock().unwrap().replica_resyncs, 1, "the honest transfer was refused");
+        assert_eq!(failures(&telemetry), Some(1));
+    }
+
+    /// Satellite: the whole silence life-cycle through the table — three
+    /// receivers registering in *descending* id order, one talking, one
+    /// mute from 4 s to 14 s, one mute from the start — watched interval by
+    /// interval on the gauges and on what the peer node is sent.
+    #[test]
+    fn silence_life_cycle_quarantines_readmits_and_evicts() {
+        let mut b = NetworkBuilder::new(SimConfig::default());
+        let src = b.add_node("src");
+        let mid = b.add_node("mid");
+        let peer = b.add_node("peer");
+        b.add_link(src, mid, LinkConfig::kbps(100_000.0));
+        b.add_link(mid, peer, LinkConfig::kbps(100_000.0));
+        let leaves: Vec<NodeId> = (0..3)
+            .map(|i| {
+                let n = b.add_node(format!("r{i}"));
+                b.add_link(mid, n, LinkConfig::kbps(100_000.0));
+                n
+            })
+            .collect();
+        let mut sim = b.build();
+        let groups: Vec<GroupId> = (0..6).map(|_| sim.create_group(src)).collect();
+        let mut catalog = SessionCatalog::new();
+        catalog.add(SessionDef {
+            id: netsim::SessionId(0),
+            source: src,
+            groups: groups.clone(),
+            spec: LayerSpec::paper_default(),
+        });
+        let cfg = Config::default();
+        let (ctrl, shared) = Controller::new(catalog.share(), cfg, SimDuration::ZERO, 1);
+        sim.add_app(src, Box::new(ctrl.with_peer(peer)));
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        sim.add_app(
+            peer,
+            Box::new(ScriptedPeer { batches: Arc::clone(&batches), ..Default::default() }),
+        );
+
+        // Ids ascend talker < returner < mute; registrations arrive mute
+        // first.
+        let scripts = [
+            [vec![(SimTime::from_millis(300), Step::Register)], reports(0, 40, 100, 0)].concat(),
+            [
+                vec![(SimTime::from_millis(200), Step::Register)],
+                reports(0, 4, 100, 0),
+                reports(14, 40, 100, 0),
+            ]
+            .concat(),
+            vec![(SimTime::from_millis(100), Step::Register)],
+        ];
+        let mut ids = Vec::new();
+        let mut suggested_at = Vec::new();
+        for (steps, &leaf) in scripts.into_iter().zip(&leaves) {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            suggested_at.push(Arc::clone(&seen));
+            let app = Scripted { controller: src, group: groups[0], steps, suggested_at: seen };
+            ids.push(sim.add_app(leaf, Box::new(app)));
+        }
+        let (returner, mute) = (ids[1], ids[2]);
+
+        // `(quarantined, evicted, registered)` as each tick left them.
+        let mut gauges = Vec::new();
+        for tick in 1..=14u64 {
+            sim.run_until(SimTime::from_secs(tick * 2 + 1));
+            let c = shared.lock().unwrap();
+            gauges.push((c.quarantined, c.evicted, c.registered));
+        }
+        // quarantine_after = 6 s: the mute one (last heard 0.1 s) is
+        // withheld from the 8 s tick, the returner (3.5 s) from the 10 s
+        // tick; its 14.5 s report re-admits it for the 16 s tick;
+        // evict_after = 24 s removes the mute one on the 26 s tick.
+        let expected: Vec<(usize, u64, usize)> = (1..=14)
+            .map(|tick| match tick * 2 {
+                0..=6 => (0, 0, 3),
+                8 => (1, 0, 3),
+                10..=14 => (2, 0, 3),
+                16..=24 => (1, 0, 3),
+                _ => (0, 1, 2),
+            })
+            .collect();
+        assert_eq!(gauges, expected);
+
+        // No suggestion while quarantined; one in the first interval back.
+        let to_returner = suggested_at[1].lock().unwrap().clone();
+        let within = |from: u64, until: u64| {
+            to_returner
+                .iter()
+                .filter(|&&t| t >= SimTime::from_secs(from) && t < SimTime::from_secs(until))
+                .count()
+        };
+        assert_eq!((within(10, 16), within(16, 18)), (0, 1), "{to_returner:?}");
+
+        let batches = batches.lock().unwrap();
+        assert_eq!(batches.len(), 14, "one batch per interval");
+        for m in batches.iter() {
+            let listed: Vec<AppId> = m.registry.iter().map(|&(a, _, _)| a).collect();
+            assert!(listed.windows(2).all(|w| w[0] < w[1]), "registry order at {:?}", m.now);
+            assert!(m.reports.iter().all(|r| listed.contains(&r.receiver)), "orphan report");
+            let secs = m.now.since(SimTime::ZERO).as_secs_f64() as u64;
+            assert_eq!(listed.contains(&mute), secs < 8, "mute receiver at {secs} s");
+            assert_eq!(
+                listed.contains(&returner),
+                !(10..=14).contains(&secs),
+                "returner, {secs} s"
+            );
+        }
     }
 }
