@@ -52,10 +52,12 @@ pub trait App: Send {
         let _ = (ctx, token);
     }
 
-    /// The node hosting this app restarted after a crash. Timers set before
-    /// the crash were swallowed while the node was down, and the router's
-    /// multicast state (including this app's subscriptions) was lost — apps
-    /// that want to keep running must re-arm timers and re-join groups here.
+    /// The node hosting this app restarted after a crash. Every timer set
+    /// before the crash is gone — the simulator drops it when it comes due,
+    /// during the outage or after it, so a timer armed here is the only
+    /// chain running — and the router's multicast state (including this
+    /// app's subscriptions) was lost: apps that want to keep running must
+    /// re-arm timers and re-join groups here.
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
         let _ = ctx;
     }

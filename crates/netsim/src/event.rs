@@ -31,7 +31,7 @@ use crate::node::NodeId;
 use crate::packet::PacketId;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Everything that can happen in the simulated world.
 ///
@@ -257,93 +257,6 @@ impl CalendarWheel {
         Some((cur + dist) << s)
     }
 
-    fn pop(&mut self) -> Option<Entry> {
-        if self.len == 0 {
-            return None;
-        }
-        // Fast path: keep draining the already-selected (and sorted) slot.
-        if let Some(idx) = self.active {
-            let slot = &mut self.slots[idx as usize];
-            let entry = slot.pop().expect("active slot is non-empty");
-            if slot.is_empty() {
-                self.occupied[0] &= !(1u64 << idx);
-                self.active = None;
-            }
-            self.len -= 1;
-            return Some(entry);
-        }
-        loop {
-            // Respill the overflow bucket the moment its earliest entry
-            // re-enters the top level's window. Waiting for the wheel to
-            // drain completely (the old behaviour) let an in-wheel entry
-            // scheduled *later* — with a later time, or the same time and
-            // a higher seq — pop ahead of an overflow entry whose horizon
-            // had already arrived: ordering drift vs the heap oracle.
-            if !self.overflow.is_empty() {
-                let s = shift(LEVELS - 1);
-                if self.occupied.iter().all(|&b| b == 0) {
-                    // Wheel empty: jump straight to the earliest overflow
-                    // entry so at least it lands inside the window.
-                    self.cursor = self.cursor.max(self.overflow_min);
-                }
-                if (self.overflow_min >> s).saturating_sub(self.cursor >> s) < SLOTS as u64 {
-                    self.respill_overflow();
-                    continue;
-                }
-            }
-            // Best = earliest slot start over all levels; ties go to the
-            // higher level so wide slots cascade before narrow ones pop
-            // (a level-1 slot starting at the same instant as a level-0
-            // slot may hold an even earlier entry).
-            let mut best: Option<(u64, usize)> = None;
-            for level in 0..LEVELS {
-                if let Some(start) = self.candidate(level) {
-                    if best.is_none_or(|(bs, _)| start <= bs) {
-                        best = Some((start, level));
-                    }
-                }
-            }
-            let Some((start, level)) = best else {
-                // len > 0 with an empty wheel means everything lived in
-                // overflow, and the respill above already moved the
-                // earliest entry in.
-                unreachable!("pending entries but wheel and overflow both empty");
-            };
-            self.cursor = self.cursor.max(start);
-            let s = shift(level);
-            let idx = ((start >> s) & (SLOTS as u64 - 1)) as usize;
-            if level == 0 {
-                let bit = 1u64 << idx;
-                let slot = &mut self.slots[idx];
-                if self.sorted & bit == 0 {
-                    // First pop from this slot since an unsorted insert:
-                    // order it descending once, then drain from the back.
-                    slot.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                    self.sorted |= bit;
-                    self.stats.lazy_sorts += 1;
-                }
-                let entry = slot.pop().expect("candidate slot is non-empty");
-                if slot.is_empty() {
-                    self.occupied[0] &= !bit;
-                } else {
-                    self.active = Some(idx as u8);
-                }
-                self.len -= 1;
-                return Some(entry);
-            }
-            // Cascade the whole slot down now that the cursor reached it.
-            let mut buf = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut buf, &mut self.slots[level * SLOTS + idx]);
-            self.occupied[level] &= !(1 << idx);
-            self.stats.cascades += 1;
-            self.stats.cascaded_entries += buf.len() as u64;
-            for e in buf.drain(..) {
-                self.file(e);
-            }
-            self.cascade_buf = buf;
-        }
-    }
-
     /// Pop the earliest entry iff its time is `<= deadline`, committing *no*
     /// cursor movement past the deadline otherwise.
     ///
@@ -376,12 +289,19 @@ impl CalendarWheel {
             return Some(entry);
         }
         loop {
+            // Respill the overflow bucket the moment its earliest entry
+            // re-enters the top level's window. Waiting for the wheel to
+            // drain completely (the old behaviour) let an in-wheel entry
+            // scheduled *later* — with a later time, or the same time and
+            // a higher seq — pop ahead of an overflow entry whose horizon
+            // had already arrived: ordering drift vs the heap oracle.
             if !self.overflow.is_empty() {
                 let s = shift(LEVELS - 1);
                 if self.occupied.iter().all(|&b| b == 0) {
                     // Wheel empty: everything pending is in overflow. If even
                     // the earliest overflow entry is past the deadline, stop
-                    // without touching the cursor.
+                    // without touching the cursor; otherwise jump straight to
+                    // it so at least it lands inside the window.
                     if SimTime(self.overflow_min) > deadline {
                         return None;
                     }
@@ -392,6 +312,10 @@ impl CalendarWheel {
                     continue;
                 }
             }
+            // Best = earliest slot start over all levels; ties go to the
+            // higher level so wide slots cascade before narrow ones pop
+            // (a level-1 slot starting at the same instant as a level-0
+            // slot may hold an even earlier entry).
             let mut best: Option<(u64, usize)> = None;
             for level in 0..LEVELS {
                 if let Some(start) = self.candidate(level) {
@@ -401,6 +325,9 @@ impl CalendarWheel {
                 }
             }
             let Some((start, level)) = best else {
+                // len > 0 with an empty wheel means everything lived in
+                // overflow, and the respill above already moved the
+                // earliest entry in.
                 unreachable!("pending entries but wheel and overflow both empty");
             };
             // Every entry in the best slot is at or after the slot start; if
@@ -416,6 +343,8 @@ impl CalendarWheel {
                 let bit = 1u64 << idx;
                 let slot = &mut self.slots[idx];
                 if self.sorted & bit == 0 {
+                    // First pop from this slot since an unsorted insert:
+                    // order it descending once, then drain from the back.
                     slot.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
                     self.sorted |= bit;
                     self.stats.lazy_sorts += 1;
@@ -511,7 +440,6 @@ enum Backing {
 /// Deterministic future-event list.
 pub struct EventQueue {
     backing: Backing,
-    next_seq: u64,
     scheduled: u64,
     /// Most events ever pending at once (profiler high-water mark).
     pending_hwm: usize,
@@ -534,7 +462,7 @@ impl EventQueue {
             QueueBackend::CalendarWheel => Backing::Wheel(CalendarWheel::new()),
             QueueBackend::BinaryHeap => Backing::Heap(BinaryHeap::new()),
         };
-        EventQueue { backing, next_seq: 0, scheduled: 0, pending_hwm: 0 }
+        EventQueue { backing, scheduled: 0, pending_hwm: 0 }
     }
 
     /// Which backend this queue runs on.
@@ -556,8 +484,7 @@ impl EventQueue {
 
     /// Schedule `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.scheduled;
         self.scheduled += 1;
         let entry = Entry { time, seq, event };
         match &mut self.backing {
@@ -569,27 +496,24 @@ impl EventQueue {
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.backing {
-            Backing::Wheel(w) => w.pop(),
-            Backing::Heap(h) => h.pop(),
-        }
-        .map(|e| (e.time, e.event))
+        self.pop_due(SimTime::MAX)
     }
 
     /// Pop the earliest event iff it fires at or before `deadline` — a
     /// single queue access on the run loop's hot path instead of
     /// peek-then-pop. Events past the deadline stay pending.
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Event)> {
+        self.pop_due_seq(deadline).map(|(time, _, event)| (time, event))
+    }
+
+    /// [`Self::pop_due`] plus the event's sequence number ([`Self::total_scheduled`]
+    /// when it was scheduled) — what orders a timer against its node's crash.
+    pub(crate) fn pop_due_seq(&mut self, deadline: SimTime) -> Option<(SimTime, u64, Event)> {
         match &mut self.backing {
-            Backing::Wheel(w) => w.pop_due(deadline).map(|e| (e.time, e.event)),
-            Backing::Heap(h) => {
-                if h.peek().is_some_and(|e| e.time <= deadline) {
-                    h.pop().map(|e| (e.time, e.event))
-                } else {
-                    None
-                }
-            }
+            Backing::Wheel(w) => w.pop_due(deadline),
+            Backing::Heap(h) => h.peek_mut().filter(|e| e.time <= deadline).map(PeekMut::pop),
         }
+        .map(|e| (e.time, e.seq, e.event))
     }
 
     /// A pure peek at the event `k` pops ahead of the next one (`k = 0` is
@@ -628,7 +552,7 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled (diagnostics).
+    /// Events ever scheduled — equally, the next one's sequence number.
     pub fn total_scheduled(&self) -> u64 {
         self.scheduled
     }

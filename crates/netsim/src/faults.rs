@@ -12,8 +12,11 @@
 //!   serialization time, it survives (a micro-flap a store-and-forward hop
 //!   never noticed).
 //! * **Node crash** — the router forwards nothing, delivers nothing to its
-//!   apps, swallows their timers, and loses its multicast forwarding state
-//!   (its out-links are deactivated and local group membership is wiped).
+//!   apps, swallows every timer they had armed (one due after the restart
+//!   is dropped just like one due during the outage — however short the
+//!   blink, no pre-crash timer fires again), and loses its multicast
+//!   forwarding state (its out-links are deactivated and local group
+//!   membership is wiped).
 //!   Upstream routers keep forwarding into the dead node — they have no way
 //!   to know — so traffic blackholes there until the protocol repairs the
 //!   tree.

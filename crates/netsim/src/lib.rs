@@ -50,7 +50,7 @@ pub use multicast::{GroupId, GroupSnapshot, MulticastConfig, TreeOp};
 pub use node::{Node, NodeId, Routing};
 pub use packet::{ControlBody, Dest, Packet, PacketId, PacketSlab, Payload, SessionId};
 pub use rng::{derive_stream_seed, RngStream};
-pub use shard::{EgressApp, Outbox, RelayApp, ShardedSim};
+pub use shard::{RelayApp, ShardedSim};
 pub use sim::{NetworkBuilder, SimConfig, SimProfile, Simulator};
 pub use stats::{LossWindow, SeqTracker};
 pub use time::{SimDuration, SimTime};

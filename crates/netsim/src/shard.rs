@@ -5,9 +5,10 @@
 //! typically one per federation domain. Within a shard everything is the
 //! ordinary sequential simulator — same wheel, same determinism contract.
 //! Shards interact only through **handoffs**: a packet that reaches a
-//! shard's border stub node is captured by an [`EgressApp`], carried across
-//! in a per-shard-pair mailbox, and injected into the destination shard a
-//! fixed `delay` later (the inter-domain propagation latency).
+//! shard's border stub node is captured by an app the runner installed
+//! there ([`ShardedSim::add_handoff`]), carried across in the handoff's
+//! mailbox, and injected into the destination shard a fixed `delay` later
+//! (the inter-domain propagation latency).
 //!
 //! ## Conservative lookahead
 //!
@@ -30,9 +31,13 @@
 //!
 //! The sequential oracle for a sharded world is a single [`Simulator`] over
 //! the same topology where each border stub hosts a [`RelayApp`] instead of
-//! an [`EgressApp`]: the relay re-injects the packet `delay` later inside
-//! the same event queue, which is exactly the handoff semantics minus the
-//! thread boundary. `tests/netsim_differential.rs` pins the equivalence.
+//! a handoff: the relay re-injects the packet `delay` later inside the same
+//! event queue, which is exactly the handoff semantics minus the thread
+//! boundary. `tests/netsim_differential.rs` pins the equivalence.
+//!
+//! Faults stay shard-local. A crashed stub captures nothing, and — as in
+//! any [`Simulator`] — every timer armed on a node before it crashed is
+//! dropped, whether it comes due during the outage or after the restart.
 
 use crate::app::{App, Ctx};
 use crate::faults::FaultPlan;
@@ -46,19 +51,13 @@ use std::sync::{Arc, Mutex};
 /// app inside a shard and the barrier drain outside it. Only ever contended
 /// at epoch boundaries (workers have quiesced), so a mutex costs nothing on
 /// the hot path.
-pub type Outbox = Arc<Mutex<Vec<(SimTime, Packet)>>>;
+type Outbox = Arc<Mutex<Vec<(SimTime, Packet)>>>;
 
 /// Captures every packet delivered to its (border stub) node into an
-/// [`Outbox`] for the barrier drain. Install on a stub node inside the
-/// source shard; pair with [`ShardedSim::add_handoff`].
-pub struct EgressApp {
+/// [`Outbox`] for the barrier drain. [`ShardedSim::add_handoff`] installs
+/// one on the stub of every handoff it registers.
+struct EgressApp {
     outbox: Outbox,
-}
-
-impl EgressApp {
-    pub fn new(outbox: Outbox) -> Self {
-        EgressApp { outbox }
-    }
 }
 
 impl App for EgressApp {
@@ -67,9 +66,9 @@ impl App for EgressApp {
     }
 }
 
-/// The sequential-oracle twin of [`EgressApp`]: re-injects every packet at
+/// The sequential-oracle twin of a handoff: re-injects every packet at
 /// `dest` after `delay` inside the same simulator, mirroring the mailbox
-/// handoff without a thread boundary.
+/// crossing without a thread boundary.
 pub struct RelayApp {
     pub dest: NodeId,
     pub delay: SimDuration,
@@ -127,21 +126,30 @@ impl ShardedSim {
         }
     }
 
-    /// Register a cross-shard handoff: packets captured into `outbox` (by an
-    /// [`EgressApp`] inside `src_shard`) are injected at `dest_node` of
-    /// `dest_shard`, `delay` after their capture time. `delay` must be
-    /// positive — it is the lookahead that makes conservative sync correct;
-    /// the epoch length becomes the minimum delay over all handoffs.
+    /// Register a cross-shard handoff: every packet delivered to node `stub`
+    /// of `src_shard` is captured and injected at `dest_node` of
+    /// `dest_shard`, `delay` after its capture time. The runner owns the
+    /// mailbox and installs the capturing app on `stub` itself, so this must
+    /// come before the run starts — [`Self::shard_mut`]'s assert is the only
+    /// guard that needs. `delay` must be positive — it is the lookahead that
+    /// makes conservative sync correct; the epoch length becomes the minimum
+    /// delay over all handoffs.
     pub fn add_handoff(
         &mut self,
         src_shard: usize,
-        outbox: Outbox,
+        stub: NodeId,
         dest_shard: usize,
         dest_node: NodeId,
         delay: SimDuration,
     ) {
         assert!(delay > SimDuration::ZERO, "handoff delay must be positive (it is the lookahead)");
-        assert!(src_shard < self.shards.len() && dest_shard < self.shards.len());
+        assert!(
+            dest_node.index() < self.shards[dest_shard].network().node_count(),
+            "handoff destination {dest_node:?} is not a node of shard {dest_shard}"
+        );
+        let outbox = Outbox::default();
+        self.shard_mut(src_shard)
+            .add_app(stub, Box::new(EgressApp { outbox: Arc::clone(&outbox) }));
         self.lookahead = Some(self.lookahead.map_or(delay, |h| h.min(delay)));
         self.handoffs[src_shard].push(Handoff { outbox, dest_shard, dest_node, delay });
     }
@@ -322,8 +330,6 @@ mod tests {
         nb0.add_link(a, stub, LinkConfig::kbps(10_000.0));
         let mut s0 = nb0.build();
         s0.add_app(a, Box::new(Pinger { dest: stub, period: SimDuration::from_millis(10) }));
-        let outbox: Outbox = Arc::default();
-        s0.add_app(stub, Box::new(EgressApp::new(Arc::clone(&outbox))));
 
         let mut nb1 = NetworkBuilder::new(SimConfig::default());
         let b = nb1.add_node("b");
@@ -337,7 +343,7 @@ mod tests {
         s1.add_app(sink, Box::new(Counter { hits: Arc::clone(&hits) }));
 
         let mut sharded = ShardedSim::new(vec![s0, s1]);
-        sharded.add_handoff(0, outbox, 1, b, delay);
+        sharded.add_handoff(0, stub, 1, b, delay);
         sharded.run_until(SimTime::from_secs(2));
 
         // Oracle: both halves in one simulator, stub relays to b.
@@ -390,8 +396,6 @@ mod tests {
         nb0.add_link(src, stub, LinkConfig::kbps(50_000.0));
         let mut s0 = nb0.build();
         s0.add_app(src, Box::new(Pinger { dest: stub, period: SimDuration::from_millis(5) }));
-        let outbox: Outbox = Arc::default();
-        s0.add_app(stub, Box::new(EgressApp::new(Arc::clone(&outbox))));
 
         // Shard 1: border with a 3-leaf star, every leaf subscribed.
         let mut nb1 = NetworkBuilder::new(SimConfig::default());
@@ -412,7 +416,7 @@ mod tests {
         s1.batch_join(group, &members);
 
         let mut sharded = ShardedSim::new(vec![s0, s1]);
-        sharded.add_handoff(0, outbox, 1, border, SimDuration::from_millis(10));
+        sharded.add_handoff(0, stub, 1, border, SimDuration::from_millis(10));
         sharded.run_until(SimTime::from_secs(1));
 
         // 200 feeds/s × 3 leaves, less the pipeline fill: two 200 ms default
@@ -422,5 +426,19 @@ mod tests {
         for i in 0..sharded.shard_count() {
             sharded.shard(i).network().multicast_audit().unwrap();
         }
+    }
+
+    /// A handoff to a node its destination shard does not have is refused
+    /// when it is registered, not at the first barrier drain.
+    #[test]
+    #[should_panic(expected = "is not a node of shard 1")]
+    fn handoff_to_a_missing_node_panics_at_registration() {
+        let shard = || {
+            let mut nb = NetworkBuilder::new(SimConfig::default());
+            nb.add_node("only");
+            nb.build()
+        };
+        let mut sharded = ShardedSim::new(vec![shard(), shard()]);
+        sharded.add_handoff(0, NodeId(0), 1, NodeId(1), SimDuration::from_millis(10));
     }
 }

@@ -195,6 +195,7 @@ impl NetworkBuilder {
             slab: PacketSlab::new(),
             apps: Vec::new(),
             app_node: Vec::new(),
+            timer_floor: Vec::new(),
             started: false,
             cfg: self.cfg,
             events_done: 0,
@@ -334,6 +335,10 @@ pub struct Simulator {
     slab: PacketSlab,
     apps: Vec<Option<Box<dyn App>>>,
     app_node: Vec<NodeId>,
+    /// Per app: the queue's schedule count at its node's latest crash. A
+    /// timer scheduled below it was armed before that crash and is dropped
+    /// when it comes due — whether the node is still down or already back.
+    timer_floor: Vec<u64>,
     started: bool,
     cfg: SimConfig,
     events_done: u64,
@@ -380,6 +385,7 @@ impl Simulator {
         let id = AppId(self.apps.len() as u32);
         self.apps.push(Some(app));
         self.app_node.push(node);
+        self.timer_floor.push(0);
         self.net.nodes[node.index()].apps.push(id);
         id
     }
@@ -466,11 +472,11 @@ impl Simulator {
         if !self.started {
             self.start();
         }
-        while let Some((time, event)) = self.queue.pop_due(deadline) {
+        while let Some((time, seq, event)) = self.queue.pop_due_seq(deadline) {
             debug_assert!(time >= self.clock, "time moved backwards");
             self.clock = time;
             self.prefetch_ahead();
-            self.handle(event);
+            self.handle(seq, event);
             self.events_done += 1;
         }
         if self.clock < deadline {
@@ -505,9 +511,9 @@ impl Simulator {
         if !self.started {
             self.start();
         }
-        let (time, event) = self.queue.pop()?;
+        let (time, seq, event) = self.queue.pop_due_seq(SimTime::MAX)?;
         self.clock = time;
-        self.handle(event);
+        self.handle(seq, event);
         self.events_done += 1;
         Some(time)
     }
@@ -561,16 +567,19 @@ impl Simulator {
         self.trace.drop(self.clock, l, bytes, reason);
     }
 
-    fn handle(&mut self, event: Event) {
+    /// `seq` is the event's schedule sequence number (only timers use it).
+    fn handle(&mut self, seq: u64, event: Event) {
         self.ev_counts[Self::event_type_index(&event)] += 1;
         match event {
             Event::LinkTxDone(l) => self.link_tx_done(l),
             Event::LinkDeliver(l) => self.link_deliver(l),
             Event::Inject { node, packet } => self.arrive(node, None, packet),
             Event::Timer { app, token } => {
-                // Timers of apps on a crashed node are swallowed; the apps
-                // re-arm what they need in `on_restart`.
-                if self.net.node_up[self.app_node[app.index()].index()] {
+                // A crash swallows every timer its node's apps had armed,
+                // due during the outage or after it; the apps re-arm what
+                // they need in `on_restart`. (Nothing dispatches to a dead
+                // node, so no timer is ever armed while it is down.)
+                if seq >= self.timer_floor[app.index()] {
                     self.dispatch_app(app, |a, ctx| a.on_timer(ctx, token));
                 }
             }
@@ -638,6 +647,9 @@ impl Simulator {
                     return;
                 }
                 self.net.node_up[n.index()] = false;
+                for &app in &self.net.nodes[n.index()].apps {
+                    self.timer_floor[app.index()] = self.queue.total_scheduled();
+                }
                 // The router's buffers vanish with it — same outage
                 // accounting as a link failure (`Link::flush_outage`).
                 let mut outs = std::mem::take(&mut self.scratch_links);
@@ -1237,6 +1249,43 @@ mod tests {
         // the chain breaks, then on_restart re-arms: ticks at 5.5/6.5/7.5 s.
         assert_eq!(ticks.load(Ordering::Relaxed), 5);
         assert_eq!(restarts.load(Ordering::Relaxed), 1);
+    }
+
+    /// An outage shorter than the timer period: the timer armed before the
+    /// crash comes due *after* the restart and must still be swallowed, or
+    /// it runs beside the chain `on_restart` re-armed for the rest of the run.
+    #[test]
+    fn timer_armed_before_a_crash_does_not_fire_after_the_restart() {
+        struct Ticker {
+            at_ms: Arc<std::sync::Mutex<Vec<u64>>>,
+        }
+        impl App for Ticker {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+                self.at_ms.lock().unwrap().push(ctx.now().nanos() / 1_000_000);
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+            fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+        }
+        for backend in [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap] {
+            let mut nb = NetworkBuilder::new(SimConfig { queue: backend, ..SimConfig::default() });
+            let a = nb.add_node("a");
+            let mut sim = nb.build();
+            let at_ms = Arc::new(std::sync::Mutex::new(Vec::new()));
+            sim.add_app(a, Box::new(Ticker { at_ms: Arc::clone(&at_ms) }));
+            sim.install_faults(&FaultPlan::new().node_outage(
+                a,
+                SimTime::from_millis(2200),
+                SimTime::from_millis(2700),
+            ));
+            sim.run_until(SimTime::from_secs(6));
+            // The 3000 ms timer was armed at 2000, before the crash: gone.
+            assert_eq!(*at_ms.lock().unwrap(), [1000, 2000, 3700, 4700, 5700], "{backend:?}");
+        }
     }
 
     #[test]

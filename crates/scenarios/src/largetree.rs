@@ -1,26 +1,46 @@
-//! Large-domain workload generator for the incremental-pipeline benchmarks.
+//! World generators for campaigns, probes and the sharded twin.
 //!
 //! The paper's topologies top out at tens of receivers; the change-driven
-//! pipeline (DESIGN.md §11) is aimed at session trees orders of magnitude
-//! larger, where recomputing every slot each interval is the bottleneck.
-//! This module builds balanced multicast domains of configurable size
-//! (`fanout^depth` leaves — fanout 10, depth 4 gives an 11,111-node domain)
-//! and drives them with deterministic report churn at a configurable dirty
-//! fraction, so full and incremental runs can be compared on identical
-//! inputs. The `perf` benchmark's pipeline probes and the large-tree smoke
-//! test in `tests/incremental.rs` both draw their workloads from here.
+//! pipeline (DESIGN.md §11) and the sharded simulator (§17) are aimed at
+//! session trees orders of magnitude larger. Everything here grows from one
+//! balanced `fanout^depth` tree walk (fanout 10, depth 4 gives an
+//! 11,111-node domain): kernel-level session trees with deterministic
+//! report churn at a configurable dirty fraction (the `perf` benchmark's
+//! pipeline probes, `tests/incremental.rs`), the campaign zoo's flash
+//! crowds, diurnal churn and heterogeneous last miles (§13), federated
+//! domains behind capacity-oracle borders (§16), and the federated packet
+//! world — laid down once, instantiated split into a [`ShardedSim`] or
+//! joined into its sequential oracle (§17).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netsim::sim::{NetworkBuilder, SimConfig};
 use netsim::{
-    App, AppId, Ctx, DirLinkId, EgressApp, GroupId, GroupSnapshot, LinkConfig, NodeId, Outbox,
-    Packet, QueueBackend, RelayApp, SessionId, ShardedSim, SimDuration, SimTime, Simulator,
+    App, AppId, Ctx, DirLinkId, GroupId, GroupSnapshot, LinkConfig, NodeId, Packet, QueueBackend,
+    RelayApp, SessionId, ShardedSim, SimDuration, SimTime, Simulator,
 };
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use toposense::algorithm::ReceiverReport;
+
+/// Breadth-first walk of a balanced tree with `fanout^depth` leaves: one
+/// `(parent, child, level)` per non-root node. The root is node 0 at level
+/// 0 and children are numbered `1..` in visiting order, so the leaves —
+/// the `level == depth` nodes — come last.
+fn balanced_walk(fanout: usize, depth: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    assert!(fanout >= 1 && depth >= 1);
+    let nodes_below_root: usize = (1..=depth as u32).map(|l| fanout.pow(l)).sum();
+    let mut level = 1;
+    let mut level_end = fanout;
+    (1..=nodes_below_root).map(move |child| {
+        if child > level_end {
+            level += 1;
+            level_end += fanout.pow(level as u32);
+        }
+        ((child - 1) / fanout, child, level)
+    })
+}
 
 /// Build a balanced session tree with `fanout^depth` leaves.
 ///
@@ -31,43 +51,27 @@ pub fn balanced_session_tree(
     fanout: usize,
     depth: usize,
 ) -> (SessionTree, Vec<NodeId>) {
-    assert!(fanout >= 1 && depth >= 1);
     let mut links = Vec::new();
-    let mut active = Vec::new();
     let mut members = Vec::new();
-    let mut next_id = 1u32;
-    let mut frontier = vec![0u32];
-    let mut link_id = 0u32;
-    for level in 0..depth {
-        let mut next_frontier = Vec::new();
-        for &parent in &frontier {
-            for _ in 0..fanout {
-                let child = next_id;
-                next_id += 1;
-                links.push(LinkView {
-                    id: DirLinkId(link_id),
-                    from: NodeId(parent),
-                    to: NodeId(child),
-                });
-                active.push(DirLinkId(link_id));
-                link_id += 1;
-                if level + 1 == depth {
-                    members.push(NodeId(child));
-                }
-                next_frontier.push(child);
-            }
+    for (parent, child, level) in balanced_walk(fanout, depth) {
+        links.push(LinkView {
+            id: DirLinkId(child as u32 - 1),
+            from: NodeId(parent as u32),
+            to: NodeId(child as u32),
+        });
+        if level == depth {
+            members.push(NodeId(child as u32));
         }
-        frontier = next_frontier;
     }
     let view = TopologyView {
         time: SimTime::ZERO,
-        links,
         groups: vec![GroupSnapshot {
             group: GroupId(session),
             root: NodeId(0),
-            active_links: active,
+            active_links: links.iter().map(|l| l.id).collect(),
             member_nodes: members.clone(),
         }],
+        links,
     };
     let tree = SessionTree::build(&view, SessionId(session), &[GroupId(session)])
         .expect("balanced tree is valid");
@@ -255,31 +259,25 @@ pub fn heterogeneous_lastmile(
     let latency = netsim::SimDuration(200 * 1_000_000);
     let fat = netsim::LinkConfig::kbps(100_000.0).with_delay(latency);
     let mut s = TopoSpec::new(format!("het-lastmile/{fanout}x{depth}"));
-    let root = s.node("src", vec![NodeRole::Source { session: 0 }, NodeRole::Controller]);
-    let mut frontier = vec![root];
+    // Spec node indices are handed out in insertion order, so the root is
+    // the walk's node 0 and every `s.node` below returns the walk's `child`.
+    s.node("src", vec![NodeRole::Source { session: 0 }, NodeRole::Controller]);
     let mut leaf_idx = 0usize;
-    for level in 0..depth {
-        let last = level + 1 == depth;
-        let mut next = Vec::with_capacity(frontier.len() * fanout);
-        for &parent in &frontier {
-            for c in 0..fanout {
-                let (label, roles, cfg) = if last {
-                    let class = leaf_idx % lastmile_kbps.len();
-                    leaf_idx += 1;
-                    (
-                        format!("rcv{}.{c}", leaf_idx - 1),
-                        vec![NodeRole::Receiver { session: 0, set: class as u32 }],
-                        netsim::LinkConfig::kbps(lastmile_kbps[class]).with_delay(latency),
-                    )
-                } else {
-                    (format!("t{level}.{c}"), vec![NodeRole::Router], fat)
-                };
-                let node = s.node(label, roles);
-                s.link(parent, node, cfg);
-                next.push(node);
-            }
-        }
-        frontier = next;
+    for (parent, child, level) in balanced_walk(fanout, depth) {
+        let c = (child - 1) % fanout;
+        let (label, roles, cfg) = if level == depth {
+            let class = leaf_idx % lastmile_kbps.len();
+            leaf_idx += 1;
+            (
+                format!("rcv{}.{c}", leaf_idx - 1),
+                vec![NodeRole::Receiver { session: 0, set: class as u32 }],
+                netsim::LinkConfig::kbps(lastmile_kbps[class]).with_delay(latency),
+            )
+        } else {
+            (format!("t{}.{c}", level - 1), vec![NodeRole::Router], fat)
+        };
+        let node = s.node(label, roles);
+        s.link(parent, node, cfg);
     }
     s
 }
@@ -301,107 +299,6 @@ pub fn flash_crowd_membership(
     assert!(core >= 1 && core <= leaves.len());
     let active = if round < join_round { &leaves[..core] } else { leaves };
     (registry_for_leaves(session, active), reports_for_leaves(session, active, level, lossy_mod))
-}
-
-// ---------------------------------------------------------------------------
-// Packet-level media workload (the netsim fast-path benchmark, DESIGN.md §12)
-// ---------------------------------------------------------------------------
-
-/// A timer-driven CBR media source multicasting fixed-size packets.
-struct MediaSource {
-    group: GroupId,
-    rate_pps: u64,
-    seq: u64,
-}
-
-impl App for MediaSource {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(SimDuration::from_millis(1), 0);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.send_media(self.group, SessionId(0), 0, self.seq, 1000);
-        self.seq += 1;
-        ctx.set_timer(SimDuration(1_000_000_000 / self.rate_pps), 0);
-    }
-}
-
-/// A counting receiver that joins the group on start.
-struct MediaSink {
-    group: GroupId,
-    delivered: Arc<AtomicU64>,
-}
-
-impl App for MediaSink {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.join(self.group);
-    }
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: &Packet) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A ready-to-run packet-level simulation of a balanced multicast domain.
-pub struct MediaSim {
-    pub sim: Simulator,
-    pub group: GroupId,
-    pub root: NodeId,
-    pub leaves: Vec<NodeId>,
-    pub sinks: usize,
-    delivered: Arc<AtomicU64>,
-}
-
-impl MediaSim {
-    /// Packets delivered to sinks so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-}
-
-/// Build a balanced `fanout^depth` packet-level domain carrying CBR media.
-///
-/// Node 0 is the root and hosts the source (`rate_pps` packets/s of 1000 B);
-/// every `sink_stride`-th leaf hosts a counting receiver that joins the
-/// group. All links are 100 Mbit/s. The same workload runs under either
-/// [`QueueBackend`], which is how the differential tests compare the
-/// calendar wheel against the binary heap on identical input.
-pub fn media_sim(
-    fanout: usize,
-    depth: usize,
-    sink_stride: usize,
-    rate_pps: u64,
-    backend: QueueBackend,
-) -> MediaSim {
-    assert!(fanout >= 1 && depth >= 1 && sink_stride >= 1 && rate_pps >= 1);
-    let mut nb = NetworkBuilder::new(SimConfig { queue: backend, ..SimConfig::default() });
-    let root = nb.add_node("root");
-    let mut frontier = vec![root];
-    let mut leaves: Vec<NodeId> = Vec::new();
-    for level in 0..depth {
-        let mut next = Vec::with_capacity(frontier.len() * fanout);
-        for &parent in &frontier {
-            for _ in 0..fanout {
-                let n = nb.add_node("n");
-                nb.add_link(parent, n, LinkConfig::kbps(100_000.0));
-                if level + 1 == depth {
-                    leaves.push(n);
-                }
-                next.push(n);
-            }
-        }
-        frontier = next;
-    }
-    let mut sim = nb.build();
-    let group = sim.create_group(root);
-    let delivered = Arc::new(AtomicU64::new(0));
-    let mut sinks = 0usize;
-    for (i, &leaf) in leaves.iter().enumerate() {
-        if i % sink_stride == 0 {
-            sim.add_app(leaf, Box::new(MediaSink { group, delivered: Arc::clone(&delivered) }));
-            sinks += 1;
-        }
-    }
-    sim.add_app(root, Box::new(MediaSource { group, rate_pps, seq: 0 }));
-    MediaSim { sim, group, root, leaves, sinks, delivered }
 }
 
 // ---------------------------------------------------------------------------
@@ -505,12 +402,12 @@ impl App for DomainSink {
     }
 }
 
-/// A federated packet world built twice from the same parameters: once as a
-/// [`ShardedSim`] (core shard + one shard per domain, mailbox handoffs) and
-/// once as a single sequential [`Simulator`] where each border stub hosts a
-/// [`RelayApp`] — the differential oracle. Node and link id maps translate
-/// oracle ids to `(shard, local id)` so fault plans and per-link stats can
-/// be compared across the two worlds.
+/// A federated packet world laid down twice from the same parameters: split
+/// into a [`ShardedSim`] (core shard + one shard per domain, mailbox
+/// handoffs) and joined into a single sequential [`Simulator`] where each
+/// border stub hosts a [`RelayApp`] — the differential oracle. Node and link
+/// id maps translate oracle ids to `(shard, local id)` so fault plans and
+/// per-link stats can be compared across the two worlds.
 pub struct FederatedMediaWorld {
     pub params: FederationWorldParams,
     pub sharded: ShardedSim,
@@ -531,43 +428,6 @@ pub struct FederatedMediaWorld {
     pub domain_links: Vec<Vec<(DirLinkId, DirLinkId)>>,
 }
 
-/// Add one balanced `fanout^depth` domain tree to `nb`. Returns the border
-/// (root), all nodes breadth-first (border first), the leaves, and the
-/// duplex link pairs in construction order.
-#[allow(clippy::type_complexity)]
-fn add_domain_tree(
-    nb: &mut NetworkBuilder,
-    domain: usize,
-    fanout: usize,
-    depth: usize,
-) -> (NodeId, Vec<NodeId>, Vec<NodeId>, Vec<(DirLinkId, DirLinkId)>) {
-    let border = nb.add_node(format!("d{domain}/border"));
-    let mut all = vec![border];
-    let mut leaves = Vec::new();
-    let mut links = Vec::new();
-    let mut frontier = vec![border];
-    for level in 0..depth {
-        let mut next = Vec::with_capacity(frontier.len() * fanout);
-        for &parent in &frontier {
-            for _ in 0..fanout {
-                let n = nb.add_node("n");
-                links.push(nb.add_link(parent, n, LinkConfig::kbps(100_000.0)));
-                if level + 1 == depth {
-                    leaves.push(n);
-                }
-                all.push(n);
-                next.push(n);
-            }
-        }
-        frontier = next;
-    }
-    (border, all, leaves, links)
-}
-
-/// Per-domain topology handles: `(border, all nodes, leaves, duplex links)`
-/// in the id space of whichever builder produced them.
-type DomainHandles = (NodeId, Vec<NodeId>, Vec<NodeId>, Vec<(DirLinkId, DirLinkId)>);
-
 /// The sharded half of a federated world on its own — what the 1M-receiver
 /// wall-budget runs and the throughput bench use, where building the
 /// sequential oracle twin alongside would double the footprint for nothing.
@@ -585,165 +445,136 @@ impl FederatedShardedWorld {
     }
 }
 
-/// Assemble the sharded half: core shard + one shard per domain, handoffs
-/// registered. Also returns the per-domain shard-local handles and the
-/// core duplex pairs so the twin builder can line up its id maps.
-#[allow(clippy::type_complexity)]
-fn build_sharded_half(
-    params: &FederationWorldParams,
-) -> (ShardedSim, Vec<Arc<AtomicU64>>, Vec<DomainHandles>, Vec<(DirLinkId, DirLinkId)>) {
-    assert!(params.domains >= 1 && params.fanout >= 1 && params.depth >= 1);
-    assert!(params.sink_stride >= 1 && params.rate_pps >= 1);
-    let cfg = || SimConfig { queue: params.backend, ..SimConfig::default() };
-    let period = SimDuration(1_000_000_000 / params.rate_pps);
-
-    // Core shard 0: source plus one egress stub per domain.
-    let mut nb0 = NetworkBuilder::new(cfg());
-    let src = nb0.add_node("src");
-    let stubs: Vec<NodeId> =
-        (0..params.domains).map(|d| nb0.add_node(format!("stub{d}"))).collect();
-    let core_pairs: Vec<(DirLinkId, DirLinkId)> =
-        stubs.iter().map(|&s| nb0.add_link(src, s, LinkConfig::kbps(100_000.0))).collect();
-    let mut core = nb0.build();
-    if params.trace_cap > 0 {
-        core.trace.enable(params.trace_cap);
-    }
-    core.add_app(src, Box::new(FeedSource { stubs: stubs.clone(), period }));
-    let outboxes: Vec<Outbox> = (0..params.domains).map(|_| Outbox::default()).collect();
-    for (d, &stub) in stubs.iter().enumerate() {
-        core.add_app(stub, Box::new(EgressApp::new(Arc::clone(&outboxes[d]))));
-    }
-
-    // One shard per domain: border feeder plus batch-joined sinks.
-    let mut shards = vec![core];
-    let mut shard_domains = Vec::new();
-    let mut delivered_sharded = Vec::new();
-    for d in 0..params.domains {
-        let mut nb = NetworkBuilder::new(cfg());
-        let (border, all, leaves, links) = add_domain_tree(&mut nb, d, params.fanout, params.depth);
-        let mut sim = nb.build();
-        if params.trace_cap > 0 {
-            sim.trace.enable(params.trace_cap);
-        }
-        let group = sim.create_group(border);
-        sim.add_app(border, Box::new(BorderFeeder { group, seq: 0 }));
-        let delivered = Arc::new(AtomicU64::new(0));
-        let mut members = Vec::new();
-        for (i, &leaf) in leaves.iter().enumerate() {
-            if i % params.sink_stride == 0 {
-                let app = sim.add_app(
-                    leaf,
-                    Box::new(DomainSink { group, delivered: Arc::clone(&delivered) }),
-                );
-                members.push((leaf, app));
-            }
-        }
-        sim.batch_join(group, &members);
-        delivered_sharded.push(delivered);
-        shards.push(sim);
-        shard_domains.push((border, all, leaves, links));
-    }
-
-    let mut sharded = ShardedSim::new(shards);
-    for (d, outbox) in outboxes.into_iter().enumerate() {
-        let border = shard_domains[d].0;
-        sharded.add_handoff(0, outbox, d + 1, border, params.handoff_delay);
-    }
-    (sharded, delivered_sharded, shard_domains, core_pairs)
+/// The federated world on the ground: every part built and populated, only
+/// the border stubs still bare — what crosses a border is the one thing the
+/// split and the joined instantiation do differently.
+struct LaidWorld {
+    /// One simulator per part (core, then each domain) when split; exactly
+    /// one holding every part when joined.
+    sims: Vec<Simulator>,
+    /// The core's egress stub towards each domain.
+    stubs: Vec<NodeId>,
+    /// Each domain's border (tree root), in the ids of the simulator holding it.
+    borders: Vec<NodeId>,
+    /// Per-domain delivery counters.
+    delivered: Vec<Arc<AtomicU64>>,
 }
 
-/// Build only the sharded half of a federated world (no oracle twin).
+/// Lay the federated world down part by part — the core (source plus one
+/// stub per domain), then each domain's balanced tree — with a
+/// [`NetworkBuilder`] per part (`split`) or one shared by all, then build
+/// the simulators and attach the feed source, each domain's border feeder,
+/// its sinks and their batched join. Parts go down in the same order
+/// either way, so a joined world's ids are the split parts' local ids laid
+/// end to end.
+fn lay_out(params: &FederationWorldParams, split: bool) -> LaidWorld {
+    assert!(params.domains >= 1 && params.sink_stride >= 1 && params.rate_pps >= 1);
+    let cfg = || SimConfig { queue: params.backend, ..SimConfig::default() };
+    let fat = LinkConfig::kbps(100_000.0);
+
+    let mut builders = vec![NetworkBuilder::new(cfg())];
+    let nb = &mut builders[0];
+    let src = nb.add_node("src");
+    let stubs: Vec<NodeId> = (0..params.domains).map(|d| nb.add_node(format!("stub{d}"))).collect();
+    for &stub in &stubs {
+        nb.add_link(src, stub, fat);
+    }
+    let mut borders = Vec::new();
+    let mut domain_leaves = Vec::new();
+    for d in 0..params.domains {
+        if split {
+            builders.push(NetworkBuilder::new(cfg()));
+        }
+        let nb = builders.last_mut().expect("the core's builder at least");
+        let border = nb.add_node(format!("d{d}/border"));
+        let mut leaves = Vec::new();
+        for (parent, _, level) in balanced_walk(params.fanout, params.depth) {
+            let n = nb.add_node("n");
+            nb.add_link(NodeId(border.0 + parent as u32), n, fat);
+            if level == params.depth {
+                leaves.push(n);
+            }
+        }
+        borders.push(border);
+        domain_leaves.push(leaves);
+    }
+
+    let mut sims: Vec<Simulator> = builders.into_iter().map(NetworkBuilder::build).collect();
+    if params.trace_cap > 0 {
+        sims.iter_mut().for_each(|sim| sim.trace.enable(params.trace_cap));
+    }
+    let period = SimDuration(1_000_000_000 / params.rate_pps);
+    sims[0].add_app(src, Box::new(FeedSource { stubs: stubs.clone(), period }));
+    let mut delivered = Vec::new();
+    for (d, (&border, leaves)) in borders.iter().zip(&domain_leaves).enumerate() {
+        let sim = &mut sims[if split { d + 1 } else { 0 }];
+        let group = sim.create_group(border);
+        sim.add_app(border, Box::new(BorderFeeder { group, seq: 0 }));
+        let counter = Arc::new(AtomicU64::new(0));
+        let mut members = Vec::new();
+        for &leaf in leaves.iter().step_by(params.sink_stride) {
+            let sink = DomainSink { group, delivered: Arc::clone(&counter) };
+            let app = sim.add_app(leaf, Box::new(sink));
+            members.push((leaf, app));
+        }
+        sim.batch_join(group, &members);
+        delivered.push(counter);
+    }
+    LaidWorld { sims, stubs, borders, delivered }
+}
+
+/// Build only the sharded half of a federated world (no oracle twin): the
+/// world laid out split, one handoff per stub.
 pub fn federated_media_sharded(params: FederationWorldParams) -> FederatedShardedWorld {
-    let (sharded, delivered, _, _) = build_sharded_half(&params);
-    FederatedShardedWorld { params, sharded, delivered }
+    let laid = lay_out(&params, true);
+    let mut sharded = ShardedSim::new(laid.sims);
+    for (d, (&stub, &border)) in laid.stubs.iter().zip(&laid.borders).enumerate() {
+        sharded.add_handoff(0, stub, d + 1, border, params.handoff_delay);
+    }
+    FederatedShardedWorld { params, sharded, delivered: laid.delivered }
 }
 
 /// Build the sharded world and its sequential oracle from one parameter set.
 ///
-/// Both worlds are constructed in the identical order (core first, then each
-/// domain), so the oracle's core ids coincide with shard 0's local ids and
-/// every domain maps by a fixed offset; the maps in the returned world make
-/// that explicit. The only structural difference is the stub app: an
-/// [`EgressApp`] capturing into the handoff mailbox on the sharded side, a
-/// [`RelayApp`] re-injecting after the same delay on the oracle side.
+/// The oracle is the same layout joined into one simulator; the only
+/// structural difference is the stub app: the handoff's capturing app on
+/// the sharded side, a [`RelayApp`] re-injecting after the same delay on
+/// the oracle side. Because both lay their parts down in the same order,
+/// the id maps are plain arithmetic: an oracle id is a shard-local id plus
+/// the sizes of the parts before it (so core ids coincide with shard 0's).
 pub fn federated_media_world(params: FederationWorldParams) -> FederatedMediaWorld {
-    let (sharded, delivered_sharded, shard_domains, core_pairs) = build_sharded_half(&params);
-    let cfg = || SimConfig { queue: params.backend, ..SimConfig::default() };
-    let period = SimDuration(1_000_000_000 / params.rate_pps);
-
-    // Core ids coincide between shard 0 and the oracle (identical build
-    // order), so the maps start as the identity.
-    let mut node_map: Vec<(usize, NodeId)> =
-        (0..1 + params.domains as u32).map(|i| (0, NodeId(i))).collect();
-    let mut link_map: Vec<(usize, DirLinkId)> =
-        (0..2 * params.domains as u32).map(|i| (0, DirLinkId(i))).collect();
-
-    // --- Oracle: the same world in one simulator ---------------------------
-    let mut nb = NetworkBuilder::new(cfg());
-    let osrc = nb.add_node("src");
-    let ostubs: Vec<NodeId> =
-        (0..params.domains).map(|d| nb.add_node(format!("stub{d}"))).collect();
-    let core_links: Vec<(DirLinkId, DirLinkId)> =
-        ostubs.iter().map(|&s| nb.add_link(osrc, s, LinkConfig::kbps(100_000.0))).collect();
-    // Identical build order makes the core id maps the identity.
-    assert_eq!(core_pairs, core_links);
-    let mut oracle_domains = Vec::new();
-    for d in 0..params.domains {
-        oracle_domains.push(add_domain_tree(&mut nb, d, params.fanout, params.depth));
-    }
-    let mut oracle = nb.build();
-    if params.trace_cap > 0 {
-        oracle.trace.enable(params.trace_cap);
-    }
-    oracle.add_app(osrc, Box::new(FeedSource { stubs: ostubs.clone(), period }));
-    for (d, &stub) in ostubs.iter().enumerate() {
-        let border = oracle_domains[d].0;
+    let FederatedShardedWorld { sharded, delivered: delivered_sharded, .. } =
+        federated_media_sharded(params);
+    let mut laid = lay_out(&params, false);
+    let mut oracle = laid.sims.pop().expect("a joined layout is one simulator");
+    for (&stub, &border) in laid.stubs.iter().zip(&laid.borders) {
         oracle.add_app(stub, Box::new(RelayApp { dest: border, delay: params.handoff_delay }));
     }
-    let mut delivered_oracle = Vec::new();
-    let mut domain_nodes = Vec::new();
-    let mut domain_links = Vec::new();
-    for (d, (border, all, leaves, links)) in oracle_domains.iter().enumerate() {
-        let group = oracle.create_group(*border);
-        oracle.add_app(*border, Box::new(BorderFeeder { group, seq: 0 }));
-        let delivered = Arc::new(AtomicU64::new(0));
-        let mut members = Vec::new();
-        for (i, &leaf) in leaves.iter().enumerate() {
-            if i % params.sink_stride == 0 {
-                let app = oracle.add_app(
-                    leaf,
-                    Box::new(DomainSink { group, delivered: Arc::clone(&delivered) }),
-                );
-                members.push((leaf, app));
-            }
-        }
-        oracle.batch_join(group, &members);
-        delivered_oracle.push(delivered);
 
-        // Extend the id maps: oracle id → (shard d+1, domain-local id).
-        // Both worlds built the domain with the same helper, so the oracle
-        // ids are exactly the next contiguous block and zip lines them up.
-        let (_, local_all, _, local_links) = &shard_domains[d];
-        assert_eq!(all.len(), local_all.len());
-        for (o, &l) in all.iter().zip(local_all) {
-            assert_eq!(o.index(), node_map.len());
-            node_map.push((d + 1, l));
-        }
-        for (&(oa, _), &(la, lb)) in links.iter().zip(local_links) {
-            assert_eq!(oa.0 as usize, link_map.len());
-            link_map.push((d + 1, la));
-            link_map.push((d + 1, lb));
-        }
-        domain_nodes.push(all.clone());
-        domain_links.push(links.clone());
+    let mut node_map = Vec::new();
+    let mut link_map = Vec::new();
+    let mut part_nodes = Vec::new();
+    let mut part_links = Vec::new();
+    for shard in 0..sharded.shard_count() {
+        let net = sharded.shard(shard).network();
+        let (node_base, link_base) = (node_map.len() as u32, link_map.len() as u32);
+        node_map.extend((0..net.node_count() as u32).map(|n| (shard, NodeId(n))));
+        link_map.extend((0..net.link_count() as u32).map(|l| (shard, DirLinkId(l))));
+        part_nodes.push((node_base..node_map.len() as u32).map(NodeId).collect());
+        // `add_link` numbers a duplex pair's two halves back to back.
+        let halves = (link_base..link_map.len() as u32).step_by(2);
+        part_links.push(halves.map(|l| (DirLinkId(l), DirLinkId(l + 1))).collect());
     }
+    let domain_nodes = part_nodes.split_off(1);
+    let domain_links = part_links.split_off(1);
+    let core_links = part_links.pop().expect("the core part");
 
     FederatedMediaWorld {
         params,
         sharded,
         oracle,
         delivered_sharded,
-        delivered_oracle,
+        delivered_oracle: laid.delivered,
         node_map,
         link_map,
         core_links,
@@ -849,20 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn media_sim_delivers_and_backends_agree() {
-        let mut results = Vec::new();
-        for backend in [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap] {
-            let mut m = media_sim(3, 3, 2, 50, backend);
-            assert_eq!(m.leaves.len(), 27);
-            assert_eq!(m.sinks, 14);
-            m.sim.run_until(SimTime::from_secs(2));
-            assert!(m.delivered() > 0, "sinks must receive media");
-            results.push((m.sim.events_processed(), m.delivered()));
-        }
-        assert_eq!(results[0], results[1], "wheel and heap must agree exactly");
-    }
-
-    #[test]
     fn diurnal_profile_peaks_at_midday_and_repeats() {
         let p = 24u64;
         assert_eq!(diurnal_fraction(0, p, 0.01, 0.5), 0.01);
@@ -949,6 +766,91 @@ mod tests {
             w.sharded.shard(i).network().multicast_audit().unwrap();
         }
         w.oracle.network().multicast_audit().unwrap();
+    }
+
+    /// What lining two hand-mirrored builds up used to assert at build
+    /// time, checked from the outside: the id maps send every oracle node
+    /// and directed link to the same node and link in its shard, cover both
+    /// exactly, and the per-part indices name the links they say they do.
+    #[test]
+    fn id_maps_line_the_oracle_up_with_the_shards() {
+        let shapes = [
+            FederationWorldParams::default(),
+            FederationWorldParams { domains: 1, ..FederationWorldParams::default() },
+            FederationWorldParams { depth: 1, ..FederationWorldParams::default() },
+            FederationWorldParams { sink_stride: 100, ..FederationWorldParams::default() },
+        ];
+        for params in shapes {
+            let w = federated_media_world(params);
+            let oracle = w.oracle.network();
+            let shard = |s: usize| w.sharded.shard(s).network();
+            assert_eq!(w.node_map.len(), oracle.node_count());
+            assert_eq!(w.link_map.len(), oracle.link_count());
+            let shard_nodes: usize =
+                (0..w.sharded.shard_count()).map(|s| shard(s).node_count()).sum();
+            let shard_links: usize =
+                (0..w.sharded.shard_count()).map(|s| shard(s).link_count()).sum();
+            assert_eq!((shard_nodes, shard_links), (oracle.node_count(), oracle.link_count()));
+            for (o, &(s, local)) in w.node_map.iter().enumerate() {
+                assert_eq!(oracle.node_label(NodeId(o as u32)), shard(s).node_label(local));
+            }
+            for (o, &(s, local)) in w.link_map.iter().enumerate() {
+                let (ol, sl) = (oracle.link(DirLinkId(o as u32)), shard(s).link(local));
+                assert_eq!(w.node_map[ol.from.index()], (s, sl.from), "tail of oracle link {o}");
+                assert_eq!(w.node_map[ol.to.index()], (s, sl.to), "head of oracle link {o}");
+            }
+
+            assert_eq!(w.core_links.len(), params.domains);
+            for (d, &(down, up)) in w.core_links.iter().enumerate() {
+                let stub = oracle.link(down).to;
+                assert_eq!(oracle.node_label(stub), format!("stub{d}"));
+                assert_eq!(oracle.node_label(oracle.link(down).from), "src");
+                assert_eq!(
+                    (oracle.link(up).from, oracle.link(up).to),
+                    (stub, oracle.link(down).from)
+                );
+            }
+            assert_eq!(w.domain_nodes.len(), params.domains);
+            for (d, (nodes, links)) in w.domain_nodes.iter().zip(&w.domain_links).enumerate() {
+                assert_eq!(oracle.node_label(nodes[0]), format!("d{d}/border"));
+                assert!(nodes.iter().all(|n| w.node_map[n.index()].0 == d + 1));
+                assert_eq!(nodes.len(), shard(d + 1).node_count());
+                // One duplex pair per non-border node, in breadth-first
+                // order: pair `i` hangs node `i + 1` under its parent.
+                assert_eq!(links.len(), nodes.len() - 1);
+                for (i, &(down, up)) in links.iter().enumerate() {
+                    let parent = nodes[i / params.fanout];
+                    assert_eq!(
+                        (oracle.link(down).from, oracle.link(down).to),
+                        (parent, nodes[i + 1])
+                    );
+                    assert_eq!((oracle.link(up).from, oracle.link(up).to), (nodes[i + 1], parent));
+                }
+            }
+            assert_eq!(w.delivered_sharded.len(), params.domains);
+            assert_eq!(w.delivered_oracle.len(), params.domains);
+        }
+    }
+
+    proptest::proptest! {
+        /// The walk is the numbering every generator here relies on.
+        #[test]
+        fn balanced_walk_numbers_breadth_first(fanout in 1usize..=6, depth in 1usize..=5) {
+            let edges: Vec<_> = balanced_walk(fanout, depth).collect();
+            let leaves = fanout.pow(depth as u32);
+            for (i, &(parent, child, level)) in edges.iter().enumerate() {
+                // Children are `1..n` in visiting order.
+                proptest::prop_assert_eq!(child, i + 1);
+                proptest::prop_assert_eq!(parent, (child - 1) / fanout);
+                // Exactly the last `fanout^depth` edges reach the leaf level.
+                proptest::prop_assert_eq!(level == depth, i >= edges.len() - leaves);
+                proptest::prop_assert!((1..=depth).contains(&level));
+            }
+            let (_, tree_leaves) = balanced_session_tree(0, fanout, depth);
+            let walk_leaves: Vec<NodeId> =
+                edges[edges.len() - leaves..].iter().map(|&(_, c, _)| NodeId(c as u32)).collect();
+            proptest::prop_assert_eq!(tree_leaves, walk_leaves);
+        }
     }
 
     #[test]

@@ -237,8 +237,34 @@ mod tests {
         assert_eq!(w.lost, 0, "uncongested fat link must not lose packets");
     }
 
-    #[test]
-    fn source_resumes_after_node_restart() {
+    /// A sink that re-joins every second: a source crash wipes the root's
+    /// multicast state, so someone must re-graft (in the real system the
+    /// receiver's dead-air repair does this).
+    struct RejoiningSink {
+        group: GroupId,
+        count: Arc<AtomicU64>,
+    }
+
+    impl App for RejoiningSink {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.join(self.group);
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tok: u64) {
+            ctx.join(self.group);
+            ctx.set_timer(SimDuration::from_secs(1), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, p: &Packet) {
+            if p.media_fields().is_some() {
+                self.count.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// A one-layer 4 packets/s CBR source feeding a [`RejoiningSink`] over a
+    /// fat link, with the source node down during `outage_ms`. Returns the
+    /// packets delivered by `split` and by `end`.
+    fn deliveries_around_outage(outage_ms: (u64, u64), split: SimTime, end: SimTime) -> (u64, u64) {
         let mut b = NetworkBuilder::new(SimConfig::default());
         let s = b.add_node("src");
         let r = b.add_node("rcv");
@@ -247,41 +273,41 @@ mod tests {
         let spec = LayerSpec::doubling(32_000.0, 1);
         let g = sim.create_group(s);
         let def = SessionDef { id: SessionId(0), source: s, groups: vec![g], spec };
-        let counts: Arc<Vec<AtomicU64>> = Arc::new((0..1).map(|_| AtomicU64::new(0)).collect());
-        // A sink that re-joins every second: the crash wipes the root's
-        // multicast state, so someone must re-graft (in the real system the
-        // receiver's dead-air repair does this).
-        struct RejoiningSink {
-            group: GroupId,
-            counts: Arc<Vec<AtomicU64>>,
-        }
-        impl App for RejoiningSink {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.join(self.group);
-                ctx.set_timer(SimDuration::from_secs(1), 0);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tok: u64) {
-                ctx.join(self.group);
-                ctx.set_timer(SimDuration::from_secs(1), 0);
-            }
-            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, p: &Packet) {
-                if let Some((_, layer, _)) = p.media_fields() {
-                    self.counts[layer as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        sim.add_app(r, Box::new(RejoiningSink { group: g, counts: Arc::clone(&counts) }));
+        let count = Arc::new(AtomicU64::new(0));
+        sim.add_app(r, Box::new(RejoiningSink { group: g, count: Arc::clone(&count) }));
         sim.add_app(s, Box::new(LayeredSource::new(def, TrafficModel::Cbr, 42)));
         sim.install_faults(&netsim::FaultPlan::new().node_outage(
             s,
-            SimTime::from_secs(5),
-            SimTime::from_secs(6),
+            SimTime::from_millis(outage_ms.0),
+            SimTime::from_millis(outage_ms.1),
         ));
-        sim.run_until(SimTime::from_secs(12));
+        sim.run_until(split);
+        let at_split = count.load(Ordering::Relaxed);
+        sim.run_until(end);
+        (at_split, count.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn source_resumes_after_node_restart() {
+        let (_, got) =
+            deliveries_around_outage((5000, 6000), SimTime::from_secs(6), SimTime::from_secs(12));
         // 4 packets/s for ~11 live seconds; without the restart hook the
         // stream would stop at 5 s (~20 packets).
-        let got = counts[0].load(Ordering::Relaxed);
         assert!(got > 35, "source must resume after restart, got {got} packets");
+    }
+
+    /// A blink shorter than the frame leaves frame and emit timers armed
+    /// before the crash due after the restart. The simulator swallows them,
+    /// so the chains `on_restart` arms are the only ones: the rate after the
+    /// blink is the rate of a source that never went down, not twice it.
+    #[test]
+    fn blink_shorter_than_a_frame_does_not_double_the_rate() {
+        let (split, end) = (SimTime::from_secs(10), SimTime::from_secs(30));
+        let (before, after) = deliveries_around_outage((5000, 5100), split, end);
+        // An outage past the end of the run: the source never crashes.
+        let (calm_before, calm_after) = deliveries_around_outage((40_000, 41_000), split, end);
+        assert_eq!(calm_after - calm_before, 80, "4 packets/s over 20 s");
+        assert_eq!(after - before, calm_after - calm_before);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 use std::time::Instant;
 
 use netsim::{DirLinkId, FaultPlan, QueueBackend, SimDuration, SimTime};
-use scenarios::largetree::{
-    federated_media_sharded, federated_media_world, media_sim, FederationWorldParams,
-};
+use scenarios::largetree::{federated_media_sharded, federated_media_world, FederationWorldParams};
 
 /// A fault that lands *during* a handoff: the destination border crashes
 /// while packets are crossing the inter-domain mailbox. The injected
@@ -103,15 +101,27 @@ fn sharded_profile_reports_barrier_counters() {
 #[ignore = "release-profile regression gate; run with --ignored"]
 fn single_shard_is_not_slower_than_bare_wheel() {
     let horizon = SimTime::from_secs(20);
+    // The sequential half of a one-domain world: a single simulator holding
+    // the core and the domain, run bare and then as the runner's only shard.
+    let world = || {
+        federated_media_world(FederationWorldParams {
+            domains: 1,
+            fanout: 8,
+            depth: 3,
+            sink_stride: 2,
+            rate_pps: 400,
+            ..FederationWorldParams::default()
+        })
+        .oracle
+    };
     let bare_t = {
-        let mut m = media_sim(8, 3, 2, 400, QueueBackend::CalendarWheel);
+        let mut sim = world();
         let start = Instant::now();
-        m.sim.run_until(horizon);
-        (start.elapsed(), m.sim.events_processed())
+        sim.run_until(horizon);
+        (start.elapsed(), sim.events_processed())
     };
     let sharded_t = {
-        let m = media_sim(8, 3, 2, 400, QueueBackend::CalendarWheel);
-        let mut s = netsim::ShardedSim::new(vec![m.sim]);
+        let mut s = netsim::ShardedSim::new(vec![world()]);
         let start = Instant::now();
         s.run_until(horizon);
         (start.elapsed(), s.events_processed())
