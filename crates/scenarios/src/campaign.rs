@@ -54,6 +54,7 @@ use crate::chaos::{self, FaultAxis};
 use crate::largetree::{
     self, balanced_session_tree, churn_fraction, registry_for_leaves, reports_for_leaves,
 };
+use crate::paper::{self, Figure};
 use crate::runner::{self, ControlMode, Scenario, ScenarioResult};
 use baselines::rlm::RlmParams;
 use metrics::{jain_index, max_min_ratio};
@@ -162,6 +163,38 @@ impl Gate {
 
 // ------------------------------------------------------------------ records
 
+/// The table a figure cell prints: the paper's sentence it answers, a column
+/// header and string rows (one cell per header column).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Table {
+    pub caption: String,
+    pub header: Vec<String>,
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// The one text rendering: a markdown table with every column padded to
+    /// its widest cell, so it reads aligned as plain text too.
+    pub fn render(&self) -> String {
+        let width = |c: usize| {
+            let cells =
+                std::iter::once(&self.header).chain(&self.rows).map(|r| r[c].chars().count());
+            cells.max().unwrap_or(0).max(3)
+        };
+        let widths: Vec<usize> = (0..self.header.len()).map(width).collect();
+        let line = |cells: &[String]| {
+            let padded: Vec<String> =
+                cells.iter().zip(&widths).map(|(c, &w)| format!("{c:<w$}")).collect();
+            format!("| {} |\n", padded.join(" | "))
+        };
+        let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
+        std::iter::once(&self.header).chain([&rule]).chain(&self.rows).map(|r| line(r)).collect()
+    }
+}
+
+/// A pipeline-level cell's metrics and gates.
+type Measured = (Vec<(String, String)>, Vec<Gate>);
+
 /// Everything one cell of the matrix produced.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
@@ -175,6 +208,8 @@ pub struct RunRecord {
     /// Workload-specific deterministic measurements.
     pub metrics: Vec<(String, String)>,
     pub gates: Vec<Gate>,
+    /// The figure's table (`paper` cells only).
+    pub table: Option<Table>,
 }
 
 impl RunRecord {
@@ -194,14 +229,19 @@ impl RunRecord {
             .map(|(k, v)| json!({"name": k.as_str(), "value": v.as_str()}))
             .collect();
         let gates: Vec<Value> = self.gates.iter().map(Gate::to_json).collect();
-        json!({
+        let mut record = json!({
             "id": self.id.as_str(),
             "workload": self.workload.as_str(),
             "seed": self.seed,
             "axes": Value::Array(axes),
             "metrics": Value::Array(metrics),
             "gates": Value::Array(gates),
-        })
+        });
+        if let (Some(t), Value::Object(fields)) = (&self.table, &mut record) {
+            let table = json!({"caption": t.caption, "header": t.header, "rows": t.rows});
+            fields.push(("table".to_string(), table));
+        }
+        record
     }
 }
 
@@ -308,6 +348,14 @@ impl CampaignReport {
                 .unwrap();
             }
         }
+        let figures: Vec<_> =
+            self.runs.iter().filter_map(|r| r.table.as_ref().map(|t| (r, t))).collect();
+        if !figures.is_empty() {
+            writeln!(md, "\n## Figures").unwrap();
+        }
+        for (r, t) in figures {
+            write!(md, "\n### {}\n\n{}\n\n{}", r.id, t.caption, t.render()).unwrap();
+        }
         md
     }
 
@@ -412,6 +460,15 @@ impl CampaignSpec {
     fn cell_seed(&self, workload: &str, cell: u64) -> u64 {
         derive_stream_seed(self.seed_index, workload, cell)
     }
+
+    /// The `config` axis of every cell the override reaches.
+    fn config_label(&self) -> &'static str {
+        if self.config_override.is_some() {
+            "override"
+        } else {
+            "default"
+        }
+    }
 }
 
 // ------------------------------------------------------------------ zoo
@@ -452,12 +509,7 @@ fn flash_params(profile: Profile) -> (FlashParams, Option<String>) {
 
 /// Drive the five-stage pipeline through a flash crowd: a small overnight
 /// core, then every leaf registered and reporting from `join_round` on.
-fn run_flash_crowd(
-    spec: &CampaignSpec,
-    seed: u64,
-    id: String,
-    axes: Vec<(String, String)>,
-) -> RunRecord {
+fn run_flash_crowd(spec: &CampaignSpec, seed: u64) -> Measured {
     let p = flash_params(spec.profile).0;
     let (tree, leaves) = balanced_session_tree(0, p.fanout, p.depth);
     let layer_spec = LayerSpec::paper_default();
@@ -515,21 +567,15 @@ fn run_flash_crowd(
             "suggestions never stabilized inside the run",
         ),
     ];
-    RunRecord {
-        id,
-        workload: "flash-crowd".into(),
-        axes,
-        seed,
-        metrics: vec![
-            ("joins".into(), format!("{}", leaves.len() - p.core)),
-            ("mean_final_level".into(), format!("{mean_level:.4}")),
-            (
-                "stabilize_intervals".into(),
-                stabilized_after.map(|v| v.to_string()).unwrap_or_else(|| "never".into()),
-            ),
-        ],
-        gates,
-    }
+    let metrics = vec![
+        ("joins".into(), format!("{}", leaves.len() - p.core)),
+        ("mean_final_level".into(), format!("{mean_level:.4}")),
+        (
+            "stabilize_intervals".into(),
+            stabilized_after.map(|v| v.to_string()).unwrap_or_else(|| "never".into()),
+        ),
+    ];
+    (metrics, gates)
 }
 
 /// Diurnal-churn dimensions per profile.
@@ -561,12 +607,7 @@ fn diurnal_params(profile: Profile) -> (DiurnalParams, Option<String>) {
 /// Drive the change-driven pipeline through deterministic day/night report
 /// churn and check it tracks the profile: incremental rounds dominate, and
 /// midday dirties more slots than the dead of night.
-fn run_diurnal(
-    spec: &CampaignSpec,
-    seed: u64,
-    id: String,
-    axes: Vec<(String, String)>,
-) -> RunRecord {
+fn run_diurnal(spec: &CampaignSpec, seed: u64) -> Measured {
     let p = diurnal_params(spec.profile).0;
     let (tree, leaves) = balanced_session_tree(0, p.fanout, p.depth);
     let layer_spec = LayerSpec::paper_default();
@@ -616,19 +657,13 @@ fn run_diurnal(
             "no night samples (run shorter than one day)",
         ),
     ];
-    RunRecord {
-        id,
-        workload: "diurnal-churn".into(),
-        axes,
-        seed,
-        metrics: vec![
-            ("rounds".into(), rounds.to_string()),
-            ("incremental_rounds".into(), incremental_rounds.to_string()),
-            ("night_slots".into(), night_slots.to_string()),
-            ("peak_slots".into(), peak_slots.to_string()),
-        ],
-        gates,
-    }
+    let metrics = vec![
+        ("rounds".into(), rounds.to_string()),
+        ("incremental_rounds".into(), incremental_rounds.to_string()),
+        ("night_slots".into(), night_slots.to_string()),
+        ("peak_slots".into(), peak_slots.to_string()),
+    ];
+    (metrics, gates)
 }
 
 /// Federation dimensions per profile.
@@ -667,12 +702,7 @@ const FEDERATION_GW_KBPS: [f64; 3] = [150.0, 600.0, 1200.0];
 /// parent aggregator, caps handed back. Gates: every domain converges to
 /// its own border fit, the caps land within one probe layer of the fits,
 /// and no control interval overruns the paper's 2 s budget wall-clock.
-fn run_federation(
-    spec: &CampaignSpec,
-    seed: u64,
-    id: String,
-    axes: Vec<(String, String)>,
-) -> RunRecord {
+fn run_federation(spec: &CampaignSpec, seed: u64) -> Measured {
     use toposense::federation::Federation;
     let p = federation_params(spec.profile).0;
     let layer_spec = LayerSpec::paper_default();
@@ -749,24 +779,15 @@ fn run_federation(
             },
         },
     ];
-    RunRecord {
-        id,
-        workload: "federation".into(),
-        axes,
-        seed,
-        metrics: vec![
-            ("domains".into(), p.domains.to_string()),
-            ("receivers".into(), receivers.to_string()),
-            ("rounds".into(), p.rounds.to_string()),
-            ("summaries_sent".into(), fed.summaries_sent().to_string()),
-            ("border_folds".into(), fed.border_folds().to_string()),
-            (
-                "final_caps".into(),
-                final_caps.iter().map(u8::to_string).collect::<Vec<_>>().join(","),
-            ),
-        ],
-        gates,
-    }
+    let metrics = vec![
+        ("domains".into(), p.domains.to_string()),
+        ("receivers".into(), receivers.to_string()),
+        ("rounds".into(), p.rounds.to_string()),
+        ("summaries_sent".into(), fed.summaries_sent().to_string()),
+        ("border_folds".into(), fed.border_folds().to_string()),
+        ("final_caps".into(), final_caps.iter().map(u8::to_string).collect::<Vec<_>>().join(",")),
+    ];
+    (metrics, gates)
 }
 
 /// Federation-packet dimensions per profile.
@@ -822,12 +843,7 @@ fn federation_packet_params(profile: Profile) -> (FederationPacketParams, Option
 /// the run, and the whole cell fits its wall budget. The world takes no
 /// randomness, so one cell covers the workload; the derived seed is
 /// recorded for matrix-id stability only.
-fn run_federation_packet(
-    spec: &CampaignSpec,
-    seed: u64,
-    id: String,
-    axes: Vec<(String, String)>,
-) -> RunRecord {
+fn run_federation_packet(spec: &CampaignSpec, _seed: u64) -> Measured {
     let p = federation_packet_params(spec.profile).0;
     let params = largetree::FederationWorldParams {
         domains: p.domains,
@@ -877,20 +893,74 @@ fn run_federation_packet(
             },
         },
     ];
-    RunRecord {
-        id,
-        workload: "federation-packet".into(),
-        axes,
-        seed,
-        metrics: vec![
-            ("receivers".into(), receivers.to_string()),
-            ("events".into(), world.sharded.events_processed().to_string()),
-            ("media_delivered".into(), delivered_total.to_string()),
-            ("cross_shard_handoffs".into(), profile.shard_handoffs.to_string()),
-            ("barrier_epochs".into(), profile.shard_barrier_epochs.to_string()),
-        ],
-        gates,
-    }
+    let metrics = vec![
+        ("receivers".into(), receivers.to_string()),
+        ("events".into(), world.sharded.events_processed().to_string()),
+        ("media_delivered".into(), delivered_total.to_string()),
+        ("cross_shard_handoffs".into(), profile.shard_handoffs.to_string()),
+        ("barrier_epochs".into(), profile.shard_barrier_epochs.to_string()),
+    ];
+    (metrics, gates)
+}
+
+/// One pipeline-level zoo workload: no simulator run by [`runner::run_many`]
+/// behind it — `run` drives the pipeline (or the sharded packet world)
+/// inline and returns the cell's metrics and gates.
+struct PipelineCell {
+    workload: &'static str,
+    variant: &'static str,
+    cap: Option<String>,
+    axes: &'static [(&'static str, &'static str)],
+    /// `false` for a world that takes no randomness.
+    seeded: bool,
+    run: fn(&CampaignSpec, u64) -> Measured,
+}
+
+fn pipeline_cells(profile: Profile) -> [PipelineCell; 4] {
+    [
+        PipelineCell {
+            workload: "flash-crowd",
+            variant: "join-in-one-interval",
+            cap: flash_params(profile).1,
+            axes: &[("topology", "balanced"), ("traffic", "report-level"), ("fault", "none")],
+            seeded: true,
+            run: run_flash_crowd,
+        },
+        PipelineCell {
+            workload: "diurnal-churn",
+            variant: "triangle-day",
+            cap: diurnal_params(profile).1,
+            axes: &[("topology", "balanced"), ("traffic", "report-level churn"), ("fault", "none")],
+            seeded: true,
+            run: run_diurnal,
+        },
+        PipelineCell {
+            workload: "federation",
+            variant: "border-aggregation",
+            cap: federation_params(profile).1,
+            axes: &[
+                ("topology", "federated balanced domains"),
+                ("traffic", "report-level border oracle"),
+                ("fault", "none"),
+                ("control", "per-domain pipelines + parent aggregator"),
+            ],
+            seeded: true,
+            run: run_federation,
+        },
+        PipelineCell {
+            workload: "federation-packet",
+            variant: "sharded-1m",
+            cap: federation_packet_params(profile).1,
+            axes: &[
+                ("topology", "federated balanced domains"),
+                ("traffic", "packet-level CBR media"),
+                ("fault", "none"),
+                ("control", "sharded wheels + conservative barriers"),
+            ],
+            seeded: false,
+            run: run_federation_packet,
+        },
+    ]
 }
 
 /// The scenario-level matrix: heterogeneous last-mile cells crossed with
@@ -938,21 +1008,14 @@ fn lastmile_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCe
                         "het-lastmile/{}+{}+{}/s{s_ord}",
                         traffic.label().to_lowercase().replace(['(', ')', '='], ""),
                         fault.label(),
-                        if spec.config_override.is_some() { "override" } else { "default" },
+                        spec.config_label(),
                     ),
                     workload: "het-lastmile",
                     axes: vec![
                         ("topology".into(), format!("het-lastmile/{fanout}x{depth}")),
                         ("traffic".into(), traffic.label()),
                         ("fault".into(), fault.label()),
-                        (
-                            "config".into(),
-                            if spec.config_override.is_some() {
-                                "override".into()
-                            } else {
-                                "default".into()
-                            },
-                        ),
+                        ("config".into(), spec.config_label().into()),
                     ],
                     seed,
                     scenario,
@@ -1029,14 +1092,7 @@ fn failover_cells(spec: &CampaignSpec) -> Vec<ScenarioCell> {
                 ("topology".into(), "failover-a".into()),
                 ("traffic".into(), "CBR".into()),
                 ("fault".into(), "primary-crash@41s".into()),
-                (
-                    "config".into(),
-                    if spec.config_override.is_some() {
-                        "override".into()
-                    } else {
-                        "default".into()
-                    },
-                ),
+                ("config".into(), spec.config_label().into()),
                 ("control".into(), "toposense + replicated standby".into()),
             ],
             seed,
@@ -1094,13 +1150,30 @@ fn judge_scenario(cell: &ScenarioCell, r: &ScenarioResult) -> RunRecord {
             let bytes: Vec<f64> = r.session_bytes().iter().map(|&(_, b)| b as f64).collect();
             // An RLM/VBR background is *expected* to lose ground against
             // the controller-steered foreground, so the bound is a floor
-            // against outright starvation (Jain = 1/3 when one of three
-            // sessions takes everything), not the paper's same-system
-            // fairness claim. Observed smoke values sit at 0.42–0.49.
+            // against outright starvation, not the paper's same-system
+            // fairness claim. One of n sessions taking everything scores
+            // Jain = 1/n; the floor sits 8 % above that — 0.36 for smoke's
+            // three sessions (observed 0.42–0.49), 0.27 for the full
+            // profile's four (0.324 / 0.345 / 0.275 on s0–s2). Full s2 is
+            // genuinely starved (backgrounds at 1.08 layers, share ratio
+            // 82); the share-ratio gate, which needs no scaling, is the one
+            // that holds it red (EXPERIMENTS.md, divergence 4).
             let jain = if bytes.is_empty() { None } else { Some(jain_index(&bytes)) };
-            gates.push(Gate::at_least("jain_fairness", jain, 0.36, "no session bytes recorded"));
+            let floor = 1.08 / bytes.len().max(1) as f64;
+            gates.push(Gate::at_least("jain_fairness", jain, floor, "no session bytes recorded"));
             let ratio = max_min_ratio(&bytes);
             gates.push(Gate::at_most("max_min_share_ratio", Some(ratio), 25.0, ""));
+            // A failed share gate names who starved: per-session bytes and
+            // whole-run mean levels (topology B hosts one receiver each).
+            let levels: Vec<String> = r
+                .receivers
+                .iter()
+                .map(|x| format!("s{} {:.2}", x.session, x.level_series().mean(SimTime::ZERO, end)))
+                .collect();
+            for g in gates.iter_mut().filter(|g| g.status == GateStatus::Fail) {
+                g.reason +=
+                    &format!("; session bytes {bytes:?}, mean levels [{}]", levels.join(", "));
+            }
             let fg: Vec<f64> = r
                 .receivers
                 .iter()
@@ -1177,6 +1250,7 @@ fn judge_scenario(cell: &ScenarioCell, r: &ScenarioResult) -> RunRecord {
         seed: cell.seed,
         metrics,
         gates,
+        table: None,
     }
 }
 
@@ -1192,83 +1266,49 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let mut caps: Vec<String> = Vec::new();
     let mut runs: Vec<RunRecord> = Vec::new();
 
-    // Pipeline-level zoo cells.
-    if let (_, Some(cap)) = flash_params(spec.profile) {
-        caps.push(cap);
+    for cell in pipeline_cells(spec.profile) {
+        caps.extend(cell.cap);
+        // A seed-free world is covered by one cell — extra seeds would be
+        // byte-identical reruns of a heavyweight world.
+        for s_ord in 0..if cell.seeded { spec.seeds_per_cell } else { 1 } {
+            let seed = spec.cell_seed(cell.workload, s_ord as u64);
+            let (metrics, gates) = (cell.run)(spec, seed);
+            runs.push(RunRecord {
+                id: format!("{}/{}/s{s_ord}", cell.workload, cell.variant),
+                workload: cell.workload.into(),
+                axes: cell.axes.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
+                seed,
+                metrics,
+                gates,
+                table: None,
+            });
+        }
     }
-    for s_ord in 0..spec.seeds_per_cell {
-        let seed = spec.cell_seed("flash-crowd", s_ord as u64);
-        runs.push(run_flash_crowd(
-            spec,
-            seed,
-            format!("flash-crowd/join-in-one-interval/s{s_ord}"),
-            vec![
-                ("topology".into(), "balanced".into()),
-                ("traffic".into(), "report-level".into()),
-                ("fault".into(), "none".into()),
-            ],
-        ));
-    }
-    if let (_, Some(cap)) = diurnal_params(spec.profile) {
-        caps.push(cap);
-    }
-    for s_ord in 0..spec.seeds_per_cell {
-        let seed = spec.cell_seed("diurnal-churn", s_ord as u64);
-        runs.push(run_diurnal(
-            spec,
-            seed,
-            format!("diurnal-churn/triangle-day/s{s_ord}"),
-            vec![
-                ("topology".into(), "balanced".into()),
-                ("traffic".into(), "report-level churn".into()),
-                ("fault".into(), "none".into()),
-            ],
-        ));
-    }
-
-    if let (_, Some(cap)) = federation_params(spec.profile) {
-        caps.push(cap);
-    }
-    for s_ord in 0..spec.seeds_per_cell {
-        let seed = spec.cell_seed("federation", s_ord as u64);
-        runs.push(run_federation(
-            spec,
-            seed,
-            format!("federation/border-aggregation/s{s_ord}"),
-            vec![
-                ("topology".into(), "federated balanced domains".into()),
-                ("traffic".into(), "report-level border oracle".into()),
-                ("fault".into(), "none".into()),
-                ("control".into(), "per-domain pipelines + parent aggregator".into()),
-            ],
-        ));
-    }
-
-    if let (_, Some(cap)) = federation_packet_params(spec.profile) {
-        caps.push(cap);
-    }
-    // The packet world is seed-free deterministic, so one cell covers it —
-    // extra seeds would be byte-identical reruns of a heavyweight world.
-    runs.push(run_federation_packet(
-        spec,
-        spec.cell_seed("federation-packet", 0),
-        "federation-packet/sharded-1m/s0".into(),
-        vec![
-            ("topology".into(), "federated balanced domains".into()),
-            ("traffic".into(), "packet-level CBR media".into()),
-            ("fault".into(), "none".into()),
-            ("control".into(), "sharded wheels + conservative barriers".into()),
-        ],
-    ));
 
     // Scenario-level matrix, swept in parallel.
     let mut cells = lastmile_cells(spec, &mut caps);
     cells.extend(mixed_cells(spec, &mut caps));
     cells.extend(failover_cells(spec));
-    let scenarios: Vec<Scenario> = cells.iter().map(|c| c.scenario.clone()).collect();
+    // The paper's figures ride the same batch: one cell per figure per
+    // seed, under the stock config unless the campaign overrides it.
+    let paper_cfg = spec.config_override.unwrap_or_default();
+    let mut figures: Vec<(usize, Figure)> = Vec::new();
+    for s_ord in 0..spec.seeds_per_cell {
+        let seed_of = |id: &str| spec.cell_seed(&format!("paper/{id}"), s_ord as u64);
+        let at_seed = paper::figures(spec.profile, paper_cfg, &seed_of);
+        figures.extend(at_seed.into_iter().map(|f| (s_ord, f)));
+    }
+    caps.extend(figures.iter().filter(|(s_ord, _)| *s_ord == 0).filter_map(|(_, f)| f.cap.clone()));
+    let scenarios: Vec<Scenario> = cells
+        .iter()
+        .map(|c| &c.scenario)
+        .chain(figures.iter().flat_map(|(_, f)| &f.scenarios))
+        .cloned()
+        .collect();
     let results = runner::run_many(&scenarios);
+    let (results, mut figure_results) = results.split_at(cells.len());
     let mut blackboxes: Vec<(String, telemetry::Blackbox)> = Vec::new();
-    for (cell, result) in cells.iter().zip(&results) {
+    for (cell, result) in cells.iter().zip(results) {
         let rec = judge_scenario(cell, result);
         if rec.failed() {
             // Capture the failing run's last moments — flight window,
@@ -1280,8 +1320,29 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
         }
         runs.push(rec);
     }
-    // Pipeline-level cells have no simulator behind them; a failed one
-    // still gets a minimal dump so every red gate leaves a black box.
+    for (s_ord, fig) in &figures {
+        let (mine, rest) = figure_results.split_at(fig.scenarios.len());
+        figure_results = rest;
+        let (rows, gates) = (fig.judge)(mine);
+        runs.push(RunRecord {
+            id: format!("paper/{}/s{s_ord}", fig.id),
+            workload: "paper".into(),
+            axes: vec![
+                ("figure".into(), fig.id.into()),
+                ("config".into(), spec.config_label().into()),
+            ],
+            seed: fig.seed,
+            metrics: vec![
+                ("scenarios".into(), mine.len().to_string()),
+                ("events".into(), mine.iter().map(|r| r.events).sum::<u64>().to_string()),
+            ],
+            gates,
+            table: Some(Table { caption: fig.claim.into(), header: fig.header.clone(), rows }),
+        });
+    }
+    // Pipeline-level and figure cells have no single simulator behind
+    // them; a failed one still gets a minimal dump so every red gate leaves
+    // a black box.
     for rec in runs.iter().filter(|r| r.failed()) {
         if blackboxes.iter().any(|(id, _)| id == &rec.id) {
             continue;
@@ -1292,7 +1353,11 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
                 reason: "campaign_gate_failure".into(),
                 label: rec.id.clone(),
                 seed: rec.seed,
-                config_fingerprint: format!("{:016x}", spec.base_config().fingerprint()),
+                config_fingerprint: format!(
+                    "{:016x}",
+                    if rec.workload == "paper" { paper_cfg } else { spec.base_config() }
+                        .fingerprint()
+                ),
                 t_ns: 0,
                 counters: vec![(
                     "gates_failed".into(),
@@ -1329,21 +1394,12 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
 /// any mismatch, so a profile that starts truncating without logging
 /// cannot slip through CI.
 pub fn expected_caps(spec: &CampaignSpec) -> usize {
-    let mut n = 0;
-    if flash_params(spec.profile).1.is_some() {
-        n += 1;
-    }
-    if diurnal_params(spec.profile).1.is_some() {
-        n += 1;
-    }
-    if federation_params(spec.profile).1.is_some() {
-        n += 1;
-    }
-    if federation_packet_params(spec.profile).1.is_some() {
-        n += 1;
-    }
+    let mut n = pipeline_cells(spec.profile).iter().filter(|c| c.cap.is_some()).count();
     if spec.profile == Profile::Smoke {
         n += 2; // het-lastmile + mixed-sessions duration/size caps
+        let figures = paper::figures(spec.profile, toposense::Config::default(), &|_| 0);
+        // Every figure that runs scenarios runs fewer or shorter ones.
+        n += figures.iter().filter(|f| !f.scenarios.is_empty()).count();
     }
     n
 }
@@ -1382,6 +1438,7 @@ mod tests {
                     Gate::at_most("a", Some(0.1), 1.0, ""),
                     Gate::at_most("b", None, 1.0, "undefined"),
                 ],
+                table: None,
             }],
             coverage_caps: vec!["w: capped".into()],
             blackboxes: Vec::new(),
@@ -1395,6 +1452,49 @@ mod tests {
         let md = report.to_markdown();
         assert!(md.contains("coverage-cap: w: capped"));
         assert!(md.contains("| w/v/s0 | a |"));
+    }
+
+    #[test]
+    fn table_columns_align_and_survive_the_json_round_trip() {
+        let table = Table {
+            caption: "claim".into(),
+            header: vec!["traffic".into(), "x".into()],
+            rows: vec![vec!["CBR".into(), "1".into()], vec!["VBR(P=3)".into(), "16".into()]],
+        };
+        let text = table.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "| traffic  | x   |",
+                "| -------- | --- |",
+                "| CBR      | 1   |",
+                "| VBR(P=3) | 16  |",
+            ]
+        );
+        let record = RunRecord {
+            id: "paper/figX/s0".into(),
+            workload: "paper".into(),
+            axes: vec![],
+            seed: 9,
+            metrics: vec![],
+            gates: vec![],
+            table: Some(table.clone()),
+        };
+        let text = serde_json::to_string_pretty(&record.to_json()).unwrap();
+        let parsed = serde_json::from_str(&text).unwrap();
+        let strings = |v: &Value| -> Vec<String> {
+            v.as_array().unwrap().iter().map(|c| c.as_str().unwrap().to_string()).collect()
+        };
+        let t = parsed.get("table").expect("paper records carry their table");
+        assert_eq!(t.get("caption").unwrap().as_str(), Some("claim"));
+        assert_eq!(strings(t.get("header").unwrap()), table.header);
+        let rows: Vec<Vec<String>> =
+            t.get("rows").unwrap().as_array().unwrap().iter().map(strings).collect();
+        assert_eq!(rows, table.rows);
+        // A record without a table keeps the shape it always had.
+        let plain = RunRecord { table: None, ..record };
+        assert!(plain.to_json().get("table").is_none());
     }
 
     #[test]

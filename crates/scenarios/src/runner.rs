@@ -249,20 +249,11 @@ impl ReceiverOutcome {
         metrics::relative_deviation(&self.level_series(), self.optimal, start, end)
     }
 
-    /// Mean loss rate over report windows in `[start, end)`.
-    pub fn mean_loss(&self, start: SimTime, end: SimTime) -> f64 {
-        let vals: Vec<f64> = self
-            .stats
-            .loss_series
-            .iter()
-            .filter(|&&(t, _)| t >= start && t < end)
-            .map(|&(_, l)| l)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+    /// Mean loss rate over report windows in `[start, end)`. `None` when no
+    /// report window falls inside — an empty window is missing data, not a
+    /// lossless run.
+    pub fn mean_loss(&self, start: SimTime, end: SimTime) -> Option<f64> {
+        metrics::window_mean(&self.stats.loss_series, start, end)
     }
 }
 

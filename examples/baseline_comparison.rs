@@ -45,7 +45,7 @@ fn main() {
                 format!("n{}", r.set + 3),
                 r.optimal,
                 r.level_series().mean(start, end),
-                r.mean_loss(start, end),
+                r.mean_loss(start, end).unwrap_or(f64::NAN),
                 r.stats.bytes_total as f64 / 1e6,
             );
         }

@@ -38,7 +38,7 @@ fn main() {
             r.stats.final_level(),
             r.stats.bytes_total as f64 / 1e6,
             r.relative_deviation(half, end).unwrap_or(f64::NAN),
-            r.mean_loss(half, end),
+            r.mean_loss(half, end).unwrap_or(f64::NAN),
         );
     }
 

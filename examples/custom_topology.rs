@@ -55,7 +55,7 @@ fn main() {
             r.optimal,
             r.level_series().mean(start, end),
             dev,
-            r.mean_loss(start, end),
+            r.mean_loss(start, end).unwrap_or(f64::NAN),
         );
     }
     println!(

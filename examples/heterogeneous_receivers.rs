@@ -47,7 +47,8 @@ fn main() {
             .sum::<f64>()
             / members.len() as f64;
         let loss: f64 =
-            members.iter().map(|m| m.mean_loss(half, end)).sum::<f64>() / members.len() as f64;
+            members.iter().map(|m| m.mean_loss(half, end).unwrap_or(f64::NAN)).sum::<f64>()
+                / members.len() as f64;
         let changes: usize = members.iter().map(|m| m.stats.changes.len()).max().unwrap();
         println!(
             "{:<6} {:>8} {:>14.2} {:>12.4} {:>12.4} {:>10}",

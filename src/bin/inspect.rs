@@ -612,7 +612,10 @@ fn scenario_mode(args: &[String]) {
             .collect();
         println!("  changes: {}", ch.join(" "));
         let late_loss = rec.mean_loss(SimTime::from_secs(secs / 2), SimTime::from_secs(secs));
-        println!("  late mean loss: {late_loss:.4}");
+        match late_loss {
+            Some(l) => println!("  late mean loss: {l:.4}"),
+            None => println!("  late mean loss: no report window in the second half"),
+        }
     }
     if let Some(c) = &r.controller {
         println!(

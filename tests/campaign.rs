@@ -2,15 +2,44 @@
 //!
 //! The smoke campaign must (a) finish fast, (b) produce byte-identical
 //! artifacts across two runs with the same seed-index, (c) cover all four
-//! zoo workloads with at least one gate each, and (d) actually *fail*
-//! gates when handed a deliberately broken configuration — a gate that
-//! cannot fail is not a gate.
+//! zoo workloads with at least one gate each, (d) carry every figure of
+//! the paper as a gated `paper/<id>` cell with its table and its coverage
+//! cap, and (e) actually *fail* gates when handed a deliberately broken
+//! configuration — a gate that cannot fail is not a gate.
 
-use scenarios::campaign::{run_campaign, CampaignSpec, GateStatus, Profile};
+use scenarios::campaign::{
+    expected_caps, run_campaign, CampaignReport, CampaignSpec, GateStatus, Profile,
+};
 use scenarios::chaos;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+/// Every figure id the campaign must carry, in the paper's order.
+const FIGURES: [&str; 14] = [
+    "table1",
+    "fig1",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "convergence",
+    "ablation-interval",
+    "ablation-leave-latency",
+    "ablation-granularity",
+    "ablation-queue",
+    "ablation-control-traffic",
+    "ablation-estimator",
+];
+
+/// The healthy seed-index-1 smoke campaign, run once for every test that
+/// only reads it.
+fn smoke_report() -> &'static CampaignReport {
+    static REPORT: OnceLock<CampaignReport> = OnceLock::new();
+    REPORT.get_or_init(|| run_campaign(&CampaignSpec::new("zoo", 1, Profile::Smoke)))
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("toposense-campaign-{}-{tag}", std::process::id()));
@@ -40,7 +69,7 @@ fn artifact_bytes(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn smoke_campaign_is_deterministic_and_covers_the_zoo() {
     let spec = CampaignSpec::new("zoo", 1, Profile::Smoke);
-    let report_a = run_campaign(&spec);
+    let report_a = smoke_report();
     let report_b = run_campaign(&spec);
 
     // Every zoo workload is represented and every run carries gates.
@@ -53,6 +82,7 @@ fn smoke_campaign_is_deterministic_and_covers_the_zoo() {
         "primary-crash-mid-interval",
         "federation",
         "federation-packet",
+        "paper",
     ] {
         assert!(workloads.contains(w), "workload {w} missing from campaign");
     }
@@ -90,14 +120,43 @@ fn smoke_campaign_is_deterministic_and_covers_the_zoo() {
         }
     }
 
-    // Smoke truncates the matrix, and every truncation is on the record.
-    assert!(!report_a.coverage_caps.is_empty(), "smoke profile must record its coverage caps");
+    // Smoke truncates the matrix, and every truncation is on the record:
+    // as many caps as the binary's independent count expects.
+    assert_eq!(
+        report_a.coverage_caps.len(),
+        expected_caps(&spec),
+        "a coverage cap went unrecorded"
+    );
+
+    // Every figure of the paper is a cell, once per seed, with its gates,
+    // a well-formed table, and (table1 runs no scenario to shrink) its cap.
+    for fig in FIGURES {
+        let id = format!("paper/{fig}/s0");
+        let cells: Vec<_> = report_a.runs.iter().filter(|r| r.id == id).collect();
+        assert_eq!(cells.len(), 1, "{id} must appear exactly once");
+        let cell = cells[0];
+        assert_eq!(cell.workload, "paper");
+        assert!(!cell.gates.is_empty(), "{id} has no gates");
+        let table = cell.table.as_ref().unwrap_or_else(|| panic!("{id} has no table"));
+        assert!(!table.caption.is_empty() && !table.rows.is_empty(), "{id} has an empty table");
+        for row in &table.rows {
+            assert_eq!(row.len(), table.header.len(), "{id}: ragged row {row:?}");
+        }
+        let capped = report_a.coverage_caps.iter().any(|c| c.starts_with(&format!("{fig}: ")));
+        assert_eq!(capped, fig != "table1", "{id}: coverage cap");
+    }
+    let paper_cells = report_a.runs.iter().filter(|r| r.workload == "paper").count();
+    assert_eq!(paper_cells, FIGURES.len(), "a paper cell is not in the figure list");
 
     // Byte-identical artifacts across two same-seed-index runs.
     let dir_a = scratch_dir("a");
     let dir_b = scratch_dir("b");
     report_a.write_artifacts(&dir_a).expect("write artifacts A");
     report_b.write_artifacts(&dir_b).expect("write artifacts B");
+    let md = fs::read_to_string(dir_a.join("campaign.md")).expect("campaign.md written");
+    for fig in FIGURES {
+        assert!(md.contains(&format!("### paper/{fig}/s0\n")), "campaign.md lacks a {fig} section");
+    }
     let bytes_a = artifact_bytes(&dir_a);
     let bytes_b = artifact_bytes(&dir_b);
     assert!(!bytes_a.is_empty());
@@ -112,7 +171,7 @@ fn smoke_campaign_is_deterministic_and_covers_the_zoo() {
 
 #[test]
 fn different_seed_index_changes_the_matrix_seeds() {
-    let r1 = run_campaign(&CampaignSpec::new("zoo", 1, Profile::Smoke));
+    let r1 = smoke_report();
     let r2 = run_campaign(&CampaignSpec::new("zoo", 2, Profile::Smoke));
     let seeds1: Vec<u64> = r1.runs.iter().map(|r| r.seed).collect();
     let seeds2: Vec<u64> = r2.runs.iter().map(|r| r.seed).collect();
@@ -150,4 +209,9 @@ fn broken_config_fails_gates() {
     for (r, g) in &failed {
         assert!(!g.reason.is_empty(), "failed gate {} on {} lacks a reason", g.name, r.id);
     }
+    // The override reaches the paper's figures too, and their gates notice.
+    assert!(
+        failed.iter().any(|(r, _)| r.workload == "paper"),
+        "no paper/ gate failed under the broken config"
+    );
 }

@@ -120,8 +120,8 @@ fn no_controller_fixed_mode_suffers_where_toposense_does_not() {
     let topo_sense =
         run(&Scenario::new(topo, TrafficModel::Cbr, 3).with_duration(SimDuration::from_secs(200)));
     let window = (SimTime::from_secs(100), SimTime::from_secs(200));
-    let fixed_loss = fixed.receivers[0].mean_loss(window.0, window.1);
-    let ts_loss = topo_sense.receivers[0].mean_loss(window.0, window.1);
+    let fixed_loss = fixed.receivers[0].mean_loss(window.0, window.1).expect("100 s of reports");
+    let ts_loss = topo_sense.receivers[0].mean_loss(window.0, window.1).expect("100 s of reports");
     assert!(fixed_loss > 0.4, "fixed over-subscription must lose: {fixed_loss}");
     assert!(ts_loss < 0.15, "TopoSense must avoid sustained loss: {ts_loss}");
 }

@@ -16,7 +16,7 @@ fn mean_loss(result: &scenarios::ScenarioResult) -> f64 {
     result
         .receivers
         .iter()
-        .map(|r| r.mean_loss(SimTime::ZERO, SimTime::from_secs(600)))
+        .map(|r| r.mean_loss(SimTime::ZERO, SimTime::from_secs(600)).expect("600 s of reports"))
         .sum::<f64>()
         / result.receivers.len() as f64
 }
