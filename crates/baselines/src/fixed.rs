@@ -4,35 +4,26 @@
 //! robustness tests (a fixed over-subscriber is a non-conforming flow from
 //! the network's point of view).
 
-use netsim::{App, Ctx, Packet, SeqTracker, SimDuration};
-use std::sync::{Arc, Mutex};
-use toposense::receiver::{ReceiverHandle, ReceiverShared};
+use netsim::{App, Ctx, Packet, SimDuration};
+use toposense::receiver::{ReceiverHandle, Subscriber};
 use traffic::session::SessionDef;
+
+/// Loss-measurement window.
+const WINDOW: SimDuration = SimDuration::from_secs(1);
 
 const TOKEN_WINDOW: u64 = 1;
 
 /// A receiver pinned at a fixed subscription level.
 pub struct FixedReceiver {
-    def: SessionDef,
+    sub: Subscriber,
     level: u8,
-    trackers: Vec<SeqTracker>,
-    window: SimDuration,
-    shared: ReceiverHandle,
 }
 
 impl FixedReceiver {
     pub fn new(def: SessionDef, level: u8) -> (Self, ReceiverHandle) {
         assert!(level >= 1 && level <= def.spec.max_level());
-        let shared: ReceiverHandle = Arc::new(Mutex::new(ReceiverShared::default()));
-        let layers = def.spec.layer_count();
-        let r = FixedReceiver {
-            def,
-            level,
-            trackers: (0..layers).map(|_| SeqTracker::new()).collect(),
-            window: SimDuration::from_secs(1),
-            shared: Arc::clone(&shared),
-        };
-        (r, shared)
+        let (sub, shared) = Subscriber::new(def);
+        (FixedReceiver { sub, level }, shared)
     }
 
     /// The pinned level.
@@ -43,64 +34,28 @@ impl FixedReceiver {
 
 impl App for FixedReceiver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for layer in 0..self.level {
-            ctx.join(self.def.group_of_layer(layer));
-        }
-        self.shared.lock().unwrap().changes.push((ctx.now(), 0, self.level));
-        ctx.set_timer(self.window, TOKEN_WINDOW);
+        self.sub.move_to(ctx, self.level);
+        ctx.set_timer(WINDOW, TOKEN_WINDOW);
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, packet: &Packet) {
-        if let Some((session, layer, seq)) = packet.media_fields() {
-            if session == self.def.id && layer < self.level {
-                self.trackers[layer as usize].on_packet(seq, packet.size);
-            }
-        }
+        self.sub.on_media(packet);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        let mut received = 0;
-        let mut lost = 0;
-        let mut bytes = 0;
-        for layer in 0..self.level {
-            let w = self.trackers[layer as usize].take_window();
-            received += w.received;
-            lost += w.lost;
-            bytes += w.bytes;
-        }
-        let expected = received + lost;
-        let loss = if expected == 0 { 0.0 } else { lost as f64 / expected as f64 };
-        {
-            let mut s = self.shared.lock().unwrap();
-            s.loss_series.push((ctx.now(), loss));
-            s.level_series.push((ctx.now(), self.level));
-            s.bytes_total += bytes;
-        }
-        ctx.set_timer(self.window, TOKEN_WINDOW);
+        self.sub.close_window(ctx);
+        ctx.set_timer(WINDOW, TOKEN_WINDOW);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::sim::{NetworkBuilder, SimConfig};
-    use netsim::{GroupId, LinkConfig, SessionId, SimTime};
-    use traffic::{LayerSpec, LayeredSource, TrafficModel};
+    use netsim::{GroupId, SessionId, SimTime};
+    use traffic::LayerSpec;
 
     fn run_fixed(level: u8, kbps: f64, secs: u64) -> ReceiverHandle {
-        let mut b = NetworkBuilder::new(SimConfig::default());
-        let src = b.add_node("src");
-        let rcv = b.add_node("rcv");
-        b.add_link(src, rcv, LinkConfig::kbps(kbps));
-        let mut sim = b.build();
-        let groups: Vec<GroupId> = (0..6).map(|_| sim.create_group(src)).collect();
-        let def =
-            SessionDef { id: SessionId(0), source: src, groups, spec: LayerSpec::paper_default() };
-        sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
-        let (r, shared) = FixedReceiver::new(def, level);
-        sim.add_app(rcv, Box::new(r));
-        sim.run_until(SimTime::from_secs(secs));
-        shared
+        crate::run_two_node(kbps, secs, |def| FixedReceiver::new(def, level))
     }
 
     #[test]

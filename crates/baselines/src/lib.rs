@@ -21,5 +21,37 @@ pub mod tfrc;
 
 pub use fixed::FixedReceiver;
 pub use oracle::optimal_levels;
-pub use rlm::{RlmParams, RlmReceiver};
-pub use tfrc::{TfrcParams, TfrcReceiver};
+pub use rlm::RlmReceiver;
+pub use tfrc::TfrcReceiver;
+
+/// The world the receiver baselines' unit tests share: `src` feeding `rcv`
+/// over one `kbps` link, a CBR source on `src`, and the receiver `make`
+/// builds on `rcv`, run for `secs` seconds.
+#[cfg(test)]
+pub(crate) fn run_two_node<A: netsim::App + 'static>(
+    kbps: f64,
+    secs: u64,
+    make: impl FnOnce(traffic::session::SessionDef) -> (A, toposense::receiver::ReceiverHandle),
+) -> toposense::receiver::ReceiverHandle {
+    use netsim::sim::{NetworkBuilder, SimConfig};
+    use netsim::{GroupId, LinkConfig, SessionId, SimTime};
+    use traffic::{LayerSpec, LayeredSource, TrafficModel};
+
+    let mut b = NetworkBuilder::new(SimConfig::default());
+    let src = b.add_node("src");
+    let rcv = b.add_node("rcv");
+    b.add_link(src, rcv, LinkConfig::kbps(kbps));
+    let mut sim = b.build();
+    let groups: Vec<GroupId> = (0..6).map(|_| sim.create_group(src)).collect();
+    let def = traffic::session::SessionDef {
+        id: SessionId(0),
+        source: src,
+        groups,
+        spec: LayerSpec::paper_default(),
+    };
+    sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
+    let (receiver, shared) = make(def);
+    sim.add_app(rcv, Box::new(receiver));
+    sim.run_until(SimTime::from_secs(secs));
+    shared
+}

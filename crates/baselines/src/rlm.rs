@@ -9,155 +9,80 @@
 //! congests shared links and causes loss for topologically-related
 //! neighbours.
 
-use netsim::{App, Ctx, Packet, RngStream, SeqTracker, SimDuration};
-use std::sync::{Arc, Mutex};
-use toposense::receiver::{ReceiverHandle, ReceiverShared};
+use netsim::{App, Ctx, Packet, RngStream, SimDuration, SimTime};
+use toposense::receiver::{ReceiverHandle, Subscriber};
 use traffic::session::SessionDef;
 
-/// Tunables of the receiver-driven baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct RlmParams {
-    /// Loss-measurement window.
-    pub window: SimDuration,
-    /// Loss rate that triggers dropping the top layer.
-    pub drop_loss: f64,
-    /// Initial join-experiment timer per layer.
-    pub join_timer: SimDuration,
-    /// Cap on the backed-off join timer.
-    pub join_timer_max: SimDuration,
-    /// Multiplier applied to a layer's join timer after a failed experiment.
-    pub backoff_multiplier: f64,
-}
-
-impl Default for RlmParams {
-    fn default() -> Self {
-        RlmParams {
-            window: SimDuration::from_secs(1),
-            drop_loss: 0.10,
-            join_timer: SimDuration::from_secs(5),
-            join_timer_max: SimDuration::from_secs(120),
-            backoff_multiplier: 2.0,
-        }
-    }
-}
+/// Loss-measurement window.
+const WINDOW: SimDuration = SimDuration::from_secs(1);
+/// Loss rate that triggers dropping the top layer.
+const DROP_LOSS: f64 = 0.10;
+/// Initial join-experiment timer per layer.
+const JOIN_TIMER: SimDuration = SimDuration::from_secs(5);
+/// Cap on the backed-off join timer.
+const JOIN_TIMER_MAX: SimDuration = SimDuration::from_secs(120);
+/// Multiplier applied to a layer's join timer after a failed experiment.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
 
 const TOKEN_WINDOW: u64 = 1;
 
-/// The receiver-driven baseline app. Reuses [`ReceiverShared`] so metrics
-/// treat it identically to the TopoSense receiver.
+/// The receiver-driven baseline app. Subscribes through the same
+/// [`Subscriber`] as the TopoSense receiver, so metrics treat it
+/// identically; only the rule that picks the level is its own.
 pub struct RlmReceiver {
-    def: SessionDef,
-    params: RlmParams,
-    level: u8,
-    trackers: Vec<SeqTracker>,
+    sub: Subscriber,
     /// Per-level join timer (indexed by the level being *added*).
     timers: Vec<SimDuration>,
     /// Time of the next allowed join experiment.
-    next_join_at: netsim::SimTime,
+    next_join_at: SimTime,
     /// Consecutive clean windows since the last change.
     clean_windows: u32,
     rng: RngStream,
-    shared: ReceiverHandle,
 }
 
 impl RlmReceiver {
-    pub fn new(
-        def: SessionDef,
-        params: RlmParams,
-        seed: u64,
-        label: &str,
-    ) -> (Self, ReceiverHandle) {
-        let shared: ReceiverHandle = Arc::new(Mutex::new(ReceiverShared::default()));
+    pub fn new(def: SessionDef, seed: u64, label: &str) -> (Self, ReceiverHandle) {
         let layers = def.spec.layer_count();
+        let (sub, shared) = Subscriber::new(def);
         let r = RlmReceiver {
-            def,
-            params,
-            level: 0,
-            trackers: (0..layers).map(|_| SeqTracker::new()).collect(),
-            timers: vec![params.join_timer; layers + 1],
-            next_join_at: netsim::SimTime::ZERO,
+            sub,
+            timers: vec![JOIN_TIMER; layers + 1],
+            next_join_at: SimTime::ZERO,
             clean_windows: 0,
             rng: RngStream::derive(seed, &format!("rlm/{label}")),
-            shared: Arc::clone(&shared),
         };
         (r, shared)
     }
 
     /// Current subscription level.
     pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    fn set_level(&mut self, ctx: &mut Ctx<'_>, new: u8) {
-        let new = new.clamp(0, self.def.spec.max_level());
-        if new == self.level {
-            return;
-        }
-        let old = self.level;
-        if new > old {
-            for layer in old..new {
-                ctx.join(self.def.group_of_layer(layer));
-                // Forget any stale counts from a previous subscription of
-                // this layer: they cover a window when we were not listening
-                // and would surface as phantom loss in the next report.
-                let _ = self.trackers[layer as usize].take_window();
-                self.trackers[layer as usize].resync();
-            }
-        } else {
-            for layer in (new..old).rev() {
-                ctx.leave(self.def.group_of_layer(layer));
-                let _ = self.trackers[layer as usize].take_window();
-                self.trackers[layer as usize].resync();
-            }
-        }
-        self.level = new;
-        self.shared.lock().unwrap().changes.push((ctx.now(), old, new));
+        self.sub.level()
     }
 
     fn window_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let mut received = 0;
-        let mut lost = 0;
-        let mut bytes = 0;
-        for layer in 0..self.level {
-            let w = self.trackers[layer as usize].take_window();
-            received += w.received;
-            lost += w.lost;
-            bytes += w.bytes;
-        }
-        let expected = received + lost;
-        let loss = if expected == 0 { 0.0 } else { lost as f64 / expected as f64 };
-        {
-            let mut s = self.shared.lock().unwrap();
-            s.loss_series.push((ctx.now(), loss));
-            s.level_series.push((ctx.now(), self.level));
-            s.bytes_total += bytes;
-        }
+        let loss = self.sub.close_window(ctx).loss_rate();
+        let level = self.sub.level();
+        let max_level = self.sub.def().spec.max_level();
 
-        if loss > self.params.drop_loss && self.level > 1 {
+        if loss > DROP_LOSS && level > 1 {
             // Failed experiment (or shared congestion): shed the top layer
             // and back off its join timer exponentially.
-            let dropped = self.level;
-            let t = &mut self.timers[dropped as usize];
-            let backed = SimDuration::from_secs_f64(
-                (t.as_secs_f64() * self.params.backoff_multiplier)
-                    .min(self.params.join_timer_max.as_secs_f64()),
+            let t = &mut self.timers[level as usize];
+            *t = SimDuration::from_secs_f64(
+                (t.as_secs_f64() * BACKOFF_MULTIPLIER).min(JOIN_TIMER_MAX.as_secs_f64()),
             );
-            *t = backed;
-            let new = self.level - 1;
-            self.set_level(ctx, new);
-            self.next_join_at = ctx.now() + self.timers[(self.level + 1) as usize];
+            self.sub.move_to(ctx, level - 1);
+            // Back at `level - 1`, the next experiment re-adds `level`.
+            self.next_join_at = ctx.now() + self.timers[level as usize];
             self.clean_windows = 0;
         } else if loss == 0.0 {
             self.clean_windows += 1;
             // Join experiment: enough clean windows and the timer expired.
-            if self.level < self.def.spec.max_level()
-                && ctx.now() >= self.next_join_at
-                && self.clean_windows >= 2
-            {
-                let new = self.level + 1;
-                self.set_level(ctx, new);
-                // Jittered timer for the *next* experiment (to level + 1).
-                let next = (self.level as usize + 1).min(self.def.spec.max_level() as usize);
+            if level < max_level && ctx.now() >= self.next_join_at && self.clean_windows >= 2 {
+                self.sub.move_to(ctx, level + 1);
+                // Jittered timer for the *next* experiment (one above the
+                // level just joined).
+                let next = (level as usize + 2).min(max_level as usize);
                 let base = self.timers[next];
                 let jitter = self.rng.range_f64(0.8, 1.2);
                 self.next_join_at =
@@ -168,24 +93,20 @@ impl RlmReceiver {
             self.clean_windows = 0;
         }
 
-        ctx.set_timer(self.params.window, TOKEN_WINDOW);
+        ctx.set_timer(WINDOW, TOKEN_WINDOW);
     }
 }
 
 impl App for RlmReceiver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.set_level(ctx, 1);
-        self.next_join_at = ctx.now() + self.params.join_timer;
-        let jitter = self.rng.range_f64(0.0, self.params.window.as_secs_f64());
+        self.sub.move_to(ctx, 1);
+        self.next_join_at = ctx.now() + JOIN_TIMER;
+        let jitter = self.rng.range_f64(0.0, WINDOW.as_secs_f64());
         ctx.set_timer(SimDuration::from_secs_f64(jitter), TOKEN_WINDOW);
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, packet: &Packet) {
-        if let Some((session, layer, seq)) = packet.media_fields() {
-            if session == self.def.id && layer < self.level {
-                self.trackers[layer as usize].on_packet(seq, packet.size);
-            }
-        }
+        self.sub.on_media(packet);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -197,24 +118,18 @@ impl App for RlmReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::sim::{NetworkBuilder, SimConfig};
-    use netsim::{GroupId, LinkConfig, SessionId, SimTime};
-    use traffic::{LayerSpec, LayeredSource, TrafficModel};
+
+    // The defaults of the parameter struct these were; nothing set another.
+    const _: () = {
+        assert!(WINDOW.0 == SimDuration::from_secs(1).0);
+        assert!(DROP_LOSS == 0.10);
+        assert!(JOIN_TIMER.0 == SimDuration::from_secs(5).0);
+        assert!(JOIN_TIMER_MAX.0 == SimDuration::from_secs(120).0);
+        assert!(BACKOFF_MULTIPLIER == 2.0);
+    };
 
     fn run_rlm(bottleneck_kbps: f64, secs: u64) -> ReceiverHandle {
-        let mut b = NetworkBuilder::new(SimConfig::default());
-        let src = b.add_node("src");
-        let rcv = b.add_node("rcv");
-        b.add_link(src, rcv, LinkConfig::kbps(bottleneck_kbps));
-        let mut sim = b.build();
-        let groups: Vec<GroupId> = (0..6).map(|_| sim.create_group(src)).collect();
-        let def =
-            SessionDef { id: SessionId(0), source: src, groups, spec: LayerSpec::paper_default() };
-        sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
-        let (r, shared) = RlmReceiver::new(def, RlmParams::default(), 3, "r0");
-        sim.add_app(rcv, Box::new(r));
-        sim.run_until(SimTime::from_secs(secs));
-        shared
+        crate::run_two_node(bottleneck_kbps, secs, |def| RlmReceiver::new(def, 3, "r0"))
     }
 
     #[test]

@@ -14,84 +14,52 @@
 //! doubling of the previous rate — which still produces the layer-hunting
 //! oscillation the paper predicts.
 
-use netsim::{App, Ctx, Packet, RngStream, SeqTracker, SimDuration};
-use std::sync::{Arc, Mutex};
-use toposense::receiver::{ReceiverHandle, ReceiverShared};
+use netsim::{App, Ctx, Packet, RngStream, SimDuration};
+use toposense::receiver::{ReceiverHandle, Subscriber};
 use traffic::session::SessionDef;
 
-/// Tunables of the equation-based baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct TfrcParams {
-    /// Loss-measurement window.
-    pub window: SimDuration,
-    /// Assumed round-trip time for the rate equation (the paper's point:
-    /// there is no principled multicast value to put here).
-    pub rtt: SimDuration,
-    /// Wire packet size used in the equation.
-    pub packet_size: u32,
-    /// EWMA weight for the loss estimate (new sample weight).
-    pub loss_ewma: f64,
-    /// Minimum windows between subscription changes (damping).
-    pub hold_windows: u32,
-}
-
-impl Default for TfrcParams {
-    fn default() -> Self {
-        TfrcParams {
-            window: SimDuration::from_secs(1),
-            rtt: SimDuration::from_millis(600),
-            packet_size: 1000,
-            loss_ewma: 0.25,
-            hold_windows: 3,
-        }
-    }
-}
+/// Loss-measurement window.
+const WINDOW: SimDuration = SimDuration::from_secs(1);
+/// Assumed round-trip time for the rate equation (the paper's point:
+/// there is no principled multicast value to put here).
+const RTT: SimDuration = SimDuration::from_millis(600);
+/// EWMA weight for the loss estimate (new sample weight).
+const LOSS_EWMA: f64 = 0.25;
+/// Minimum windows between subscription changes (damping).
+const HOLD_WINDOWS: u32 = 3;
 
 const TOKEN_WINDOW: u64 = 1;
 
 /// The equation-based receiver.
 pub struct TfrcReceiver {
-    def: SessionDef,
-    params: TfrcParams,
-    level: u8,
-    trackers: Vec<SeqTracker>,
+    sub: Subscriber,
     /// Smoothed loss estimate.
     loss_hat: f64,
     /// Last computed allowed rate (b/s); doubles when lossless.
     rate_hat: f64,
     windows_since_change: u32,
     rng: RngStream,
-    shared: ReceiverHandle,
 }
 
 impl TfrcReceiver {
-    pub fn new(
-        def: SessionDef,
-        params: TfrcParams,
-        seed: u64,
-        label: &str,
-    ) -> (Self, ReceiverHandle) {
-        let shared: ReceiverHandle = Arc::new(Mutex::new(ReceiverShared::default()));
-        let layers = def.spec.layer_count();
-        let base = def.spec.base_rate();
+    pub fn new(def: SessionDef, seed: u64, label: &str) -> (Self, ReceiverHandle) {
+        let rate_hat = def.spec.base_rate();
+        let (sub, shared) = Subscriber::new(def);
         let r = TfrcReceiver {
-            def,
-            params,
-            level: 0,
-            trackers: (0..layers).map(|_| SeqTracker::new()).collect(),
+            sub,
             loss_hat: 0.0,
-            rate_hat: base,
+            rate_hat,
             windows_since_change: 0,
             rng: RngStream::derive(seed, &format!("tfrc/{label}")),
-            shared: Arc::clone(&shared),
         };
         (r, shared)
     }
 
     /// The TCP-friendly rate for loss `p` (Mathis et al. simplified form).
-    fn tcp_rate(&self, p: f64) -> f64 {
-        let rtt = self.params.rtt.as_secs_f64();
-        let s = self.params.packet_size as f64 * 8.0;
+    fn tcp_rate(p: f64) -> f64 {
+        let rtt = RTT.as_secs_f64();
+        // The wire packet size the sources emit.
+        let s = traffic::PACKET_SIZE as f64 * 8.0;
         if p <= 0.0 {
             f64::INFINITY
         } else {
@@ -99,81 +67,39 @@ impl TfrcReceiver {
         }
     }
 
-    fn set_level(&mut self, ctx: &mut Ctx<'_>, new: u8) {
-        let new = new.clamp(1, self.def.spec.max_level());
-        if new == self.level {
-            return;
-        }
-        let old = self.level;
-        if new > old {
-            for layer in old..new {
-                ctx.join(self.def.group_of_layer(layer));
-                let _ = self.trackers[layer as usize].take_window();
-                self.trackers[layer as usize].resync();
-            }
-        } else {
-            for layer in (new..old).rev() {
-                ctx.leave(self.def.group_of_layer(layer));
-                let _ = self.trackers[layer as usize].take_window();
-                self.trackers[layer as usize].resync();
-            }
-        }
-        self.level = new;
-        self.windows_since_change = 0;
-        self.shared.lock().unwrap().changes.push((ctx.now(), old, new));
-    }
-
     fn window_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let mut received = 0;
-        let mut lost = 0;
-        let mut bytes = 0;
-        for layer in 0..self.level {
-            let w = self.trackers[layer as usize].take_window();
-            received += w.received;
-            lost += w.lost;
-            bytes += w.bytes;
-        }
-        let expected = received + lost;
-        let loss = if expected == 0 { 0.0 } else { lost as f64 / expected as f64 };
-        self.loss_hat =
-            self.loss_hat * (1.0 - self.params.loss_ewma) + loss * self.params.loss_ewma;
-        {
-            let mut s = self.shared.lock().unwrap();
-            s.loss_series.push((ctx.now(), loss));
-            s.level_series.push((ctx.now(), self.level));
-            s.bytes_total += bytes;
-        }
+        let loss = self.sub.close_window(ctx).loss_rate();
+        self.loss_hat = self.loss_hat * (1.0 - LOSS_EWMA) + loss * LOSS_EWMA;
 
         // Rate update: the equation under loss, slow-start doubling without.
-        let eq = self.tcp_rate(self.loss_hat);
+        let spec = &self.sub.def().spec;
+        let eq = Self::tcp_rate(self.loss_hat);
         self.rate_hat = if eq.is_finite() {
             eq
         } else {
-            (self.rate_hat * 2.0).min(self.def.spec.cumulative_rate(self.def.spec.max_level()))
+            (self.rate_hat * 2.0).min(spec.cumulative_rate(spec.max_level()))
         };
 
         self.windows_since_change += 1;
-        if self.windows_since_change >= self.params.hold_windows {
-            let target = self.def.spec.level_fitting(self.rate_hat).max(1);
-            self.set_level(ctx, target);
+        if self.windows_since_change >= HOLD_WINDOWS {
+            let target = spec.level_fitting(self.rate_hat).max(1);
+            if self.sub.move_to(ctx, target) {
+                self.windows_since_change = 0;
+            }
         }
-        ctx.set_timer(self.params.window, TOKEN_WINDOW);
+        ctx.set_timer(WINDOW, TOKEN_WINDOW);
     }
 }
 
 impl App for TfrcReceiver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.set_level(ctx, 1);
-        let jitter = self.rng.range_f64(0.0, self.params.window.as_secs_f64());
+        self.sub.move_to(ctx, 1);
+        let jitter = self.rng.range_f64(0.0, WINDOW.as_secs_f64());
         ctx.set_timer(SimDuration::from_secs_f64(jitter), TOKEN_WINDOW);
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, packet: &Packet) {
-        if let Some((session, layer, seq)) = packet.media_fields() {
-            if session == self.def.id && layer < self.level {
-                self.trackers[layer as usize].on_packet(seq, packet.size);
-            }
-        }
+        self.sub.on_media(packet);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -185,44 +111,28 @@ impl App for TfrcReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::sim::{NetworkBuilder, SimConfig};
-    use netsim::{GroupId, LinkConfig, SessionId, SimTime};
-    use traffic::{LayerSpec, LayeredSource, TrafficModel};
+
+    // The defaults of the parameter struct these were; nothing set another.
+    const _: () = {
+        assert!(WINDOW.0 == SimDuration::from_secs(1).0);
+        assert!(RTT.0 == SimDuration::from_millis(600).0);
+        assert!(traffic::PACKET_SIZE == 1000);
+        assert!(LOSS_EWMA == 0.25);
+        assert!(HOLD_WINDOWS == 3);
+    };
 
     fn run_tfrc(bottleneck_kbps: f64, secs: u64) -> ReceiverHandle {
-        let mut b = NetworkBuilder::new(SimConfig::default());
-        let src = b.add_node("src");
-        let rcv = b.add_node("rcv");
-        b.add_link(src, rcv, LinkConfig::kbps(bottleneck_kbps));
-        let mut sim = b.build();
-        let groups: Vec<GroupId> = (0..6).map(|_| sim.create_group(src)).collect();
-        let def =
-            SessionDef { id: SessionId(0), source: src, groups, spec: LayerSpec::paper_default() };
-        sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
-        let (r, shared) = TfrcReceiver::new(def, TfrcParams::default(), 3, "t0");
-        sim.add_app(rcv, Box::new(r));
-        sim.run_until(SimTime::from_secs(secs));
-        shared
+        crate::run_two_node(bottleneck_kbps, secs, |def| TfrcReceiver::new(def, 3, "t0"))
     }
 
     #[test]
     fn equation_rate_shapes() {
-        let (r, _) = TfrcReceiver::new(
-            SessionDef {
-                id: SessionId(0),
-                source: netsim::NodeId(0),
-                groups: (0..6).map(GroupId).collect(),
-                spec: LayerSpec::paper_default(),
-            },
-            TfrcParams::default(),
-            1,
-            "x",
-        );
-        assert!(r.tcp_rate(0.0).is_infinite());
+        let tcp_rate = TfrcReceiver::tcp_rate;
+        assert!(tcp_rate(0.0).is_infinite());
         // Higher loss -> lower rate.
-        assert!(r.tcp_rate(0.01) > r.tcp_rate(0.1));
+        assert!(tcp_rate(0.01) > tcp_rate(0.1));
         // 1% loss at 600 ms RTT: 8000 / (0.6 * sqrt(0.00667)) ~ 163 kb/s.
-        let t = r.tcp_rate(0.01);
+        let t = tcp_rate(0.01);
         assert!((150_000.0..180_000.0).contains(&t), "got {t}");
     }
 

@@ -55,11 +55,6 @@ pub struct LinkConfig {
     pub queue_packets: usize,
     /// Overflow behaviour.
     pub discipline: QueueDiscipline,
-    /// Independent per-packet corruption probability (bit-error model);
-    /// corrupted packets are counted and discarded at the receiving end of
-    /// the link. Lets experiments distinguish congestion loss from random
-    /// loss (§V "bursty losses vs sustained congestion").
-    pub random_loss: f64,
 }
 
 impl LinkConfig {
@@ -73,7 +68,6 @@ impl LinkConfig {
             delay: SimDuration::from_millis(200),
             queue_packets: 10,
             discipline: QueueDiscipline::DropTail,
-            random_loss: 0.0,
         }
     }
 
@@ -94,13 +88,6 @@ impl LinkConfig {
         self.discipline = discipline;
         self
     }
-
-    /// Add independent per-packet random loss.
-    pub fn with_random_loss(mut self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "loss probability must be in [0, 1)");
-        self.random_loss = p;
-        self
-    }
 }
 
 /// Cumulative counters for one directed link.
@@ -112,8 +99,6 @@ pub struct LinkStats {
     pub tx_bytes: u64,
     /// Packets dropped at the queue (tail or priority eviction).
     pub dropped_packets: u64,
-    /// Packets corrupted on the wire (random-loss model).
-    pub corrupted_packets: u64,
     /// Packets lost to a fault: arrivals refused while the link is failed,
     /// queues flushed by an outage (link failure or transmitting-router
     /// crash — both fault kinds account flushes identically), and
@@ -181,8 +166,8 @@ pub enum Enqueue {
 
 /// One directed link.
 ///
-/// `repr(C)`, 216 bytes, 8-aligned: a `Link` overlaps four cache lines (five
-/// when it starts late in one), and every hot path reaches across them —
+/// `repr(C)`, 200 bytes, 8-aligned: a `Link` overlaps four cache lines
+/// wherever it starts, and every hot path reaches across them —
 /// `tx_done` reads the endpoints and transmitter at the front, the counters
 /// in the middle and both `VecDeque` headers at the back; `enqueue` the
 /// front and the counters; a wire drain `to` and the `wire` header. A
@@ -212,8 +197,6 @@ pub struct Link {
     in_flight: Option<QueuedPacket>,
     /// Cumulative statistics.
     pub stats: LinkStats,
-    /// Per-packet corruption probability.
-    pub random_loss: f64,
     queue_limit: usize,
     queue: VecDeque<QueuedPacket>,
     /// Packets crossing the wire: `(arrival time, id)`, FIFO (the constant
@@ -235,7 +218,6 @@ impl Link {
             ser_memo: (0, SimDuration::ZERO),
             in_flight: None,
             stats: LinkStats::default(),
-            random_loss: cfg.random_loss,
             queue_limit: cfg.queue_packets,
             queue: VecDeque::with_capacity(cfg.queue_packets.min(64)),
             wire: VecDeque::new(),
@@ -431,11 +413,6 @@ impl Link {
     /// True if the transmitter is serializing a packet.
     pub fn is_busy(&self) -> bool {
         self.in_flight.is_some()
-    }
-
-    /// Time to serialize `bytes` on this link.
-    pub fn serialization_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::serialization(bytes, self.bandwidth_bps)
     }
 
     /// Average utilization over `[start, now]` from cumulative counters.

@@ -30,11 +30,12 @@ use crate::time::SimDuration;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct GroupId(pub u32);
 
+/// Delay from a join until the grafted links carry traffic.
+const GRAFT_LATENCY: SimDuration = SimDuration::from_millis(50);
+
 /// Latency parameters for multicast state changes.
 #[derive(Clone, Copy, Debug)]
 pub struct MulticastConfig {
-    /// Delay from a join until the grafted links carry traffic.
-    pub graft_latency: SimDuration,
     /// Delay from the last local leave until pruned links stop carrying
     /// traffic (IGMP group-leave latency).
     pub leave_latency: SimDuration,
@@ -42,10 +43,7 @@ pub struct MulticastConfig {
 
 impl Default for MulticastConfig {
     fn default() -> Self {
-        MulticastConfig {
-            graft_latency: SimDuration::from_millis(50),
-            leave_latency: SimDuration::from_millis(500),
-        }
+        MulticastConfig { leave_latency: SimDuration::from_millis(500) }
     }
 }
 
@@ -177,16 +175,6 @@ impl MulticastState {
         id
     }
 
-    /// Number of registered groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The root (source node) of a group.
-    pub fn root(&self, group: GroupId) -> NodeId {
-        self.groups[group.0 as usize].root
-    }
-
     /// Apps subscribed to `group` at `node`, in ascending id order.
     pub fn subscribers_at(&self, group: GroupId, node: NodeId) -> &[AppId] {
         let g = &self.groups[group.0 as usize];
@@ -249,13 +237,12 @@ impl MulticastState {
     /// desired but neither active nor already being grafted. This is where a
     /// retry of a previously failed graft on the member's own path happens.
     fn graft_missing(&mut self, group: GroupId, links: &[DirLinkId], ops: &mut Vec<TreeOp>) {
-        let graft_latency = self.cfg.graft_latency;
         let g = &mut self.groups[group.0 as usize];
         for &l in links {
             let i = l.0 as usize;
             if g.desired_refs[i] > 0 && !bit_get(&g.active_bits, i) && !bit_get(&g.graft_bits, i) {
                 bit_set(&mut g.graft_bits, i);
-                ops.push(TreeOp::Graft { group, link: l, after: graft_latency });
+                ops.push(TreeOp::Graft { group, link: l, after: GRAFT_LATENCY });
             }
         }
     }
@@ -512,6 +499,9 @@ pub struct GroupSnapshot {
 mod tests {
     use super::*;
     use crate::node::Routing;
+
+    // The default `MulticastConfig::graft_latency` had; nothing ever set it.
+    const _: () = assert!(GRAFT_LATENCY.0 == SimDuration::from_millis(50).0);
 
     /// Chain 0 - 1 - 2; link ids: 0:0->1, 1:1->0, 2:1->2, 3:2->1.
     fn setup() -> (MulticastState, Routing, impl Fn(DirLinkId) -> NodeId + Copy) {

@@ -15,7 +15,6 @@ use crate::multicast::{GroupId, GroupSnapshot, MulticastConfig, MulticastState, 
 use crate::node::{Node, NodeId, Routing};
 use crate::packet::{Dest, Packet, PacketId, PacketSlab};
 use crate::prefetch;
-use crate::rng::RngStream;
 use crate::time::SimTime;
 use crate::trace::{DropReason, TraceLog};
 
@@ -107,11 +106,6 @@ impl Network {
         self.mcast.snapshot()
     }
 
-    /// The multicast root of `group`.
-    pub fn group_root(&self, group: GroupId) -> NodeId {
-        self.mcast.root(group)
-    }
-
     pub(crate) fn join_group(&mut self, group: GroupId, node: NodeId, app: AppId) -> Vec<TreeOp> {
         let links = &self.links;
         self.mcast.join(group, node, app, &self.routing, |l| links[l.0 as usize].to)
@@ -199,7 +193,6 @@ impl NetworkBuilder {
             started: false,
             cfg: self.cfg,
             events_done: 0,
-            corruption_rng: RngStream::derive(self.cfg.seed, "netsim/corruption"),
             ev_counts: [0; 7],
             drop_counts: [0; 3],
             trace: TraceLog::disabled(),
@@ -342,8 +335,6 @@ pub struct Simulator {
     started: bool,
     cfg: SimConfig,
     events_done: u64,
-    /// Randomness for the per-link corruption (random-loss) model.
-    corruption_rng: RngStream,
     /// Events processed, indexed by event type (see `event_type_index`).
     ev_counts: [u64; 7],
     /// Packets dropped, indexed by `DropReason as usize`.
@@ -395,11 +386,6 @@ impl Simulator {
     /// Panics if the id is out of range.
     pub fn app(&self, id: AppId) -> &dyn App {
         self.apps[id.index()].as_deref().expect("app is being dispatched")
-    }
-
-    /// Mutably borrow an app (e.g. to reconfigure between phases).
-    pub fn app_mut(&mut self, id: AppId) -> &mut dyn App {
-        self.apps[id.index()].as_deref_mut().expect("app is being dispatched")
     }
 
     /// Total events processed so far.
@@ -719,22 +705,15 @@ impl Simulator {
             self.account_outage_flush(l, flushed, reason);
             return;
         }
-        let (sent, next, arrive_at, corrupted) = {
+        let (sent, next, arrive_at) = {
             let link = &mut self.net.links[l.0 as usize];
             let (sent, next) = link.tx_done();
-            let arrive_at = self.clock + link.delay;
-            let corrupted = link.random_loss > 0.0 && self.corruption_rng.chance(link.random_loss);
-            if corrupted {
-                link.stats.corrupted_packets += 1;
-            }
-            (sent, next, arrive_at, corrupted)
+            (sent, next, self.clock + link.delay)
         };
         if let Some(ser) = next {
             self.queue.schedule(self.clock + ser, Event::LinkTxDone(l));
         }
-        if corrupted {
-            self.slab.release(sent.id);
-        } else if self.net.links[l.0 as usize].wire_push(arrive_at, sent.id) {
+        if self.net.links[l.0 as usize].wire_push(arrive_at, sent.id) {
             // The wire was idle: this packet needs a delivery event. (A
             // non-empty wire already has one pending, which re-arms itself
             // until the wire drains — one event queue entry per busy link.)

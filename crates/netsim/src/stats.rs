@@ -9,6 +9,19 @@
 //! In this simulator packets on one group follow a single FIFO tree path, so
 //! there is no reordering or duplication; a sequence gap is always loss.
 
+/// Fraction of the expected packets (`received + lost`) that were lost; 0
+/// when nothing was expected. Every loss rate in the workspace is this one
+/// body: the counts can come off the wire (a receiver's report, a border
+/// summary), so the sum saturates instead of overflowing.
+pub fn loss_rate(received: u64, lost: u64) -> f64 {
+    let expected = received.saturating_add(lost);
+    if expected == 0 {
+        0.0
+    } else {
+        lost as f64 / expected as f64
+    }
+}
+
 /// Loss/throughput accounting for one interval of one group's stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LossWindow {
@@ -23,12 +36,7 @@ pub struct LossWindow {
 impl LossWindow {
     /// Fraction of expected packets that were lost (0 when nothing expected).
     pub fn loss_rate(&self) -> f64 {
-        let expected = self.received + self.lost;
-        if expected == 0 {
-            0.0
-        } else {
-            self.lost as f64 / expected as f64
-        }
+        loss_rate(self.received, self.lost)
     }
 
     /// Merge two windows (e.g. across the layers of one session).

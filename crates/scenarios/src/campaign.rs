@@ -56,7 +56,6 @@ use crate::largetree::{
 };
 use crate::paper::{self, Figure};
 use crate::runner::{self, ControlMode, Scenario, ScenarioResult};
-use baselines::rlm::RlmParams;
 use metrics::{jain_index, max_min_ratio};
 use netsim::{derive_stream_seed, SimDuration, SimTime};
 use serde_json::{json, Value};
@@ -1051,7 +1050,7 @@ fn mixed_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCell>
         // control; session 0 stays the TopoSense CBR foreground.
         for bg in 1..sessions as u32 {
             scenario = scenario
-                .with_session_control(bg, ControlMode::Rlm(RlmParams::default()))
+                .with_session_control(bg, ControlMode::Rlm)
                 .with_session_traffic(bg, TrafficModel::Vbr { p: 3.0 });
         }
         cells.push(ScenarioCell {
@@ -1205,7 +1204,7 @@ fn judge_scenario(cell: &ScenarioCell, r: &ScenarioResult) -> RunRecord {
             gates.push(Gate::at_most(
                 "takeover_seconds",
                 takeover,
-                cell.cfg.failover_after.as_secs_f64() + interval,
+                cell.cfg.failover_after().as_secs_f64() + interval,
                 "standby never took over",
             ));
             // Zero re-learning: the promoted standby's own first steering

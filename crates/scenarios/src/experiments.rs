@@ -8,7 +8,6 @@
 //! that assert the shape claims at their own sizes.
 
 use crate::runner::{self, ControlMode, Scenario, ScenarioResult};
-use baselines::rlm::RlmParams;
 use netsim::{SimDuration, SimTime};
 use topology::{generators, TopoSpec};
 use toposense::Config;
@@ -186,7 +185,7 @@ pub struct MotivationRow {
 pub(crate) fn motivation(duration: SimDuration, seed: u64, cfg: Config) -> Sweep<MotivationRow> {
     let modes = vec![
         ("TopoSense", ControlMode::TopoSense { staleness: SimDuration::ZERO }),
-        ("RLM", ControlMode::Rlm(RlmParams::default())),
+        ("RLM", ControlMode::Rlm),
     ];
     Sweep::new(
         modes,

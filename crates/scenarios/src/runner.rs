@@ -8,9 +8,7 @@
 //! shared stats plus the ground-truth optimum from the oracle.
 
 use baselines::oracle::{self, OptimalEntry};
-use baselines::rlm::{RlmParams, RlmReceiver};
-use baselines::tfrc::{TfrcParams, TfrcReceiver};
-use baselines::FixedReceiver;
+use baselines::{FixedReceiver, RlmReceiver, TfrcReceiver};
 use metrics::StepSeries;
 use netsim::sim::SimConfig;
 use netsim::{
@@ -20,6 +18,7 @@ use rayon::prelude::*;
 use telemetry::{Record, Span, Telemetry};
 use topology::spec::TopoSpec;
 use toposense::controller::{Controller, ControllerShared};
+use toposense::messages::{Report, Suggestion};
 use toposense::receiver::{Receiver, ReceiverHandle, ReceiverShared};
 use traffic::session::SessionDef;
 use traffic::{LayerSpec, LayeredSource, SessionCatalog, TrafficModel};
@@ -31,9 +30,9 @@ pub enum ControlMode {
     /// discovery tool serving snapshots at least `staleness` old.
     TopoSense { staleness: SimDuration },
     /// Receiver-driven baseline (no controller, no topology).
-    Rlm(RlmParams),
+    Rlm,
     /// Equation-based (TCP-friendly) baseline.
-    Tfrc(TfrcParams),
+    Tfrc,
     /// Pin every receiver at a fixed level (no adaptation).
     Fixed(u8),
 }
@@ -349,10 +348,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     let topo = &scenario.topo;
     let sim_cfg = SimConfig {
         seed: scenario.seed,
-        multicast: netsim::MulticastConfig {
-            leave_latency: scenario.leave_latency,
-            ..netsim::MulticastConfig::default()
-        },
+        multicast: netsim::MulticastConfig { leave_latency: scenario.leave_latency },
         queue: scenario.queue_backend,
     };
     let built = topo.instantiate(sim_cfg);
@@ -468,12 +464,12 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
                 let (rx, handle) = Receiver::new(def, ctrl_node, scenario.cfg, seed, &label);
                 (sim.add_app(node, Box::new(rx)), handle)
             }
-            ControlMode::Rlm(params) => {
-                let (rx, handle) = RlmReceiver::new(def, params, seed, &label);
+            ControlMode::Rlm => {
+                let (rx, handle) = RlmReceiver::new(def, seed, &label);
                 (sim.add_app(node, Box::new(rx)), handle)
             }
-            ControlMode::Tfrc(params) => {
-                let (rx, handle) = TfrcReceiver::new(def, params, seed, &label);
+            ControlMode::Tfrc => {
+                let (rx, handle) = TfrcReceiver::new(def, seed, &label);
                 (sim.add_app(node, Box::new(rx)), handle)
             }
             ControlMode::Fixed(level) => {
@@ -543,14 +539,12 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
         .sum();
     let controller = controller_handle.map(|(_, h)| h.lock().unwrap().clone());
     let standby = standby_handle.map(|h| h.lock().unwrap().clone());
-    let control_bytes = receivers
-        .iter()
-        .map(|r| r.stats.reports_sent * scenario.cfg.report_size as u64)
-        .sum::<u64>()
-        + controller
-            .as_ref()
-            .map(|c| c.suggestions_sent * scenario.cfg.suggestion_size as u64)
-            .unwrap_or(0);
+    let control_bytes =
+        receivers.iter().map(|r| r.stats.reports_sent * Report::WIRE_SIZE as u64).sum::<u64>()
+            + controller
+                .as_ref()
+                .map(|c| c.suggestions_sent * Suggestion::WIRE_SIZE as u64)
+                .unwrap_or(0);
 
     // Fold the silent operational events into the counter registry, then
     // close the stream: one counters snapshot, one timers record.
@@ -680,7 +674,7 @@ mod tests {
     #[test]
     fn rlm_mode_runs_without_controller() {
         let s = Scenario::new(generators::topology_b_default(2), TrafficModel::Cbr, 1)
-            .with_control(ControlMode::Rlm(RlmParams::default()))
+            .with_control(ControlMode::Rlm)
             .with_duration(SimDuration::from_secs(30));
         let r = run(&s);
         assert!(r.controller.is_none());

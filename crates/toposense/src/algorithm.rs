@@ -7,8 +7,7 @@
 //! same suggestions, which is what makes whole simulations reproducible.
 
 use crate::config::Config;
-use crate::history::BwEquality;
-use crate::history::CongestionHistory;
+use crate::history::{BwEquality, CongestionHistory, BW_EQUAL_TOLERANCE};
 use crate::stages::bottleneck;
 use crate::stages::capacity::{CapacityEstimator, CapacityEvent, SessionLinkObs};
 use crate::stages::congestion::{self, LeafObs, NodeState};
@@ -16,7 +15,6 @@ use crate::stages::sharing::{self, SharingScratch};
 use crate::stages::subscription::{self, BackoffTable, BlockedView, NodeInputs};
 use netsim::{AppId, DirLinkId, NodeId, RngStream, SessionId, SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use telemetry::{
     BottleneckNode, CapacityLink, CongestionNode, IntervalAudit, SessionNodes, SharingEntry, Span,
     SubscriptionNode,
@@ -39,12 +37,7 @@ pub struct ReceiverReport {
 
 impl ReceiverReport {
     pub fn loss_rate(&self) -> f64 {
-        let expected = self.received + self.lost;
-        if expected == 0 {
-            0.0
-        } else {
-            self.lost as f64 / expected as f64
-        }
+        netsim::stats::loss_rate(self.received, self.lost)
     }
 }
 
@@ -503,7 +496,7 @@ impl AlgorithmState {
         }
         // A due capacity reset rewrites estimator state outside the
         // change-tracking model; a cold run applies it.
-        !self.estimator.has_pending_reset(inputs.now, &self.cfg)
+        !self.estimator.has_pending_reset(inputs.now)
     }
 
     /// Cold start: flush the dense memories, then rebuild every cached
@@ -771,7 +764,7 @@ impl AlgorithmState {
         let mut cap_events: Vec<CapacityEvent> = Vec::new();
         let mut candidates: Vec<DirLinkId> = Vec::new();
         if cold {
-            self.estimator.begin_interval(inputs.now, &cfg, timing.then_some(&mut cap_events));
+            self.estimator.begin_interval(inputs.now, timing.then_some(&mut cap_events));
             candidates.clone_from(&cache.crossed_links);
         } else {
             candidates.extend(
@@ -1030,25 +1023,6 @@ impl AlgorithmState {
             }
             subscription::supply_pass(tree, &sc.demand, &sc.level_cap, &mut sc.supply);
 
-            if trace_enabled() {
-                let mut line = format!("t={:.0}s s{}:", inputs.now.as_secs_f64(), sid.0);
-                for s in t.slots() {
-                    let inp = &sc.inputs[s];
-                    line.push_str(&format!(
-                        " n{}[h{:03b} loss={:.2} gp={:.0}k cur={:?} cap={} d={} s={}]",
-                        t.node_at(s).0,
-                        inp.hist.bits(),
-                        inp.loss,
-                        inp.goodput_bps / 1000.0,
-                        inp.current_level,
-                        sc.level_cap[s],
-                        sc.demand[s],
-                        sc.supply[s],
-                    ));
-                }
-                eprintln!("{line}");
-            }
-
             // Persist this interval's history/byte updates together with
             // the new supply/demand windows, into the dense copies only;
             // the `memories` map is synced lazily on the next cold start.
@@ -1135,13 +1109,6 @@ impl AlgorithmState {
     }
 }
 
-/// Whether `TOPOSENSE_TRACE` is set: read once per process, since the
-/// driver asks once per session per interval.
-fn trace_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("TOPOSENSE_TRACE").is_some())
-}
-
 /// Close a stage: record its wall span (audited runs only) and hand back
 /// the audit for the stage's record.
 fn stage_end<'a>(
@@ -1204,7 +1171,7 @@ fn stage5_input_at(
         hist: m.hist,
         parent_congested: st.parent_congested,
         sibling_congested,
-        bw: BwEquality::classify(m.bytes_older, m.bytes_recent, cfg.bw_equal_tolerance),
+        bw: BwEquality::classify(m.bytes_older, m.bytes_recent, BW_EQUAL_TOLERANCE),
         loss: st.loss,
         supply_older: m.supply_older,
         supply_recent: m.supply_recent,
@@ -1470,6 +1437,40 @@ mod tests {
         for s in hostile.iter().flatten() {
             assert!((1..=spec.max_level()).contains(&s.level), "suggested {}", s.level);
         }
+    }
+
+    /// Same class, the counters: `received + lost` used to be added
+    /// unchecked, so a report with `u64::MAX` in either panicked in debug
+    /// builds and in release wrapped `expected` to 0 — a window *with* a
+    /// loss read as lossless. The sum saturates: the run is the twin of one
+    /// whose counters stop at `u32::MAX` (where `Controller` bounds them),
+    /// hostile `received` through the clean intervals and hostile `lost`
+    /// through the lossy ones.
+    #[test]
+    fn report_counters_at_the_integer_ceiling_do_not_overflow() {
+        let tree = one_session_tree();
+        let spec = LayerSpec::paper_default();
+        let run = |ceiling: u64| {
+            let mut state = AlgorithmState::new(Config::default(), 7);
+            (1..=8)
+                .map(|t| {
+                    let (received, lost) = if t > 4 { (70, ceiling) } else { (ceiling, 1) };
+                    let reports = vec![
+                        report(10, 2, 2, received, lost, 24_000),
+                        report(11, 3, 2, 100, 0, 24_000),
+                    ];
+                    run_once(&mut state, &tree, &spec, &reports, 2 * t).suggestions
+                })
+                .collect::<Vec<_>>()
+        };
+        let hostile = run(u64::MAX);
+        assert_eq!(hostile, run(u32::MAX as u64));
+        assert!(hostile.iter().all(|interval| interval.len() == 2));
+        // The lossy half must be seen as lossy: receiver 10 ends below the
+        // clean receiver 11.
+        let last = hostile.last().unwrap();
+        let level_of = |app| last.iter().find(|s| s.receiver == AppId(app)).unwrap().level;
+        assert!(level_of(10) < level_of(11), "{last:?}");
     }
 
     #[test]

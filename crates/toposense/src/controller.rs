@@ -285,20 +285,6 @@ impl Controller {
         self
     }
 
-    /// Direct access to the algorithm state (tests, experiments).
-    pub fn algorithm(&self) -> &AlgorithmState {
-        &self.state
-    }
-
-    /// Install per-session border caps from a federation parent
-    /// (DESIGN.md §16): root-level ceilings the next interval's stage 5
-    /// honors. Caps are per-interval external inputs — the aggregator
-    /// re-sends them each interval — and are forwarded to an input-synced
-    /// replica with the rest of the interval's inputs.
-    pub fn apply_border_caps(&mut self, caps: &[(SessionId, u8)]) {
-        self.state.set_border_caps(caps);
-    }
-
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         lock_or_recover(&self.shared).flight.note(
@@ -339,9 +325,9 @@ impl Controller {
             }
             let p = e.window.get_or_insert_default();
             p.level = r.level;
-            p.received += r.received;
-            p.lost += r.lost;
-            p.bytes += r.bytes;
+            p.received = p.received.saturating_add(r.received);
+            p.lost = p.lost.saturating_add(r.lost);
+            p.bytes = p.bytes.saturating_add(r.bytes);
             p.cause = r.cause;
         }
 
@@ -367,7 +353,7 @@ impl Controller {
             }
             Err(SnapshotError::Unavailable) => match &self.last_good {
                 // Degrade to last-known-good while it is fresh enough.
-                Some(v) if now.since(v.time) <= self.cfg.max_degradation_age => {
+                Some(v) if now.since(v.time) <= self.cfg.max_degradation_age() => {
                     degraded = true;
                     v.clone()
                 }
@@ -389,7 +375,7 @@ impl Controller {
         // their data is stale and a suggestion to them is likely wasted.
         // The table walks in receiver-id order, so both vectors come out
         // sorted (determinism).
-        let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after);
+        let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after());
         let mut registry = Vec::with_capacity(self.receivers.len());
         let mut reports = Vec::with_capacity(self.receivers.len());
         for (&app, e) in self.receivers.iter_mut() {
@@ -473,7 +459,7 @@ impl Controller {
         // Beacon the warm standby.
         if let Some(peer) = self.peer {
             let hb: ControlBody = Arc::new(Heartbeat { from: my_node, time: now });
-            ctx.send_control(peer, self.cfg.heartbeat_size, hb);
+            ctx.send_control(peer, Heartbeat::WIRE_SIZE, hb);
             // Replicate this interval's pipeline inputs (DESIGN.md §14):
             // the replica runs the same byte-deterministic pipeline over
             // them, so its AlgorithmState stays a live twin and a takeover
@@ -482,7 +468,8 @@ impl Controller {
             if !self.repl_peer_quarantined {
                 let fingerprint = fingerprint_outputs(&outputs);
                 self.repl_tracker.record(seq, fingerprint);
-                let size = self.cfg.replicate_size + self.cfg.report_size * reports.len() as u32;
+                let size =
+                    ReplicateInputs::HEADER_WIRE_SIZE + Report::WIRE_SIZE * reports.len() as u32;
                 let body: ControlBody = Arc::new(ReplicateInputs {
                     seq,
                     algo_seed: self.algo_seed,
@@ -531,11 +518,11 @@ impl Controller {
     /// refresh the population gauges — here, so that no early return of
     /// [`Self::tick`] can lose them.
     fn sweep_silent(&mut self, now: SimTime) {
-        let evict_cutoff = now.saturating_sub(self.cfg.evict_after);
+        let evict_cutoff = now.saturating_sub(self.cfg.evict_after());
         let before = self.receivers.len();
         self.receivers.retain(|_, e| e.last_heard >= evict_cutoff);
         let evicted = (before - self.receivers.len()) as u64;
-        let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after);
+        let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after());
         let quarantined =
             self.receivers.values().filter(|e| e.last_heard < quarantine_cutoff).count();
         self.telemetry.incr("controller.evictions", evicted);
@@ -593,7 +580,7 @@ impl Controller {
         // Startup counts as a beacon: a standby that has heard nothing yet
         // only moves after a full failover window.
         let heard = self.last_heartbeat_at.unwrap_or(SimTime::ZERO);
-        if now.since(heard) > self.cfg.failover_after {
+        if now.since(heard) > self.cfg.failover_after() {
             self.take_over(ctx, now);
         }
     }
@@ -623,7 +610,7 @@ impl Controller {
             e.last_heard = now;
             let ack: ControlBody =
                 Arc::new(RegisterAck { receiver: app, controller: ctx.node_id(), time: now });
-            ctx.send_control(e.node, self.cfg.ack_size, ack);
+            ctx.send_control(e.node, RegisterAck::WIRE_SIZE, ack);
         }
         self.telemetry.incr("controller.failovers", 1);
         self.telemetry.incr("controller.acks_sent", acks);
@@ -658,7 +645,7 @@ impl Controller {
                 self.repl_next_seq = None;
                 let ack: ControlBody =
                     Arc::new(ReplicaAck { seq: m.seq, fingerprint: None, from: my_node });
-                ctx.send_control(peer, self.cfg.replica_ack_size, ack);
+                ctx.send_control(peer, ReplicaAck::WIRE_SIZE, ack);
                 return;
             }
         }
@@ -672,7 +659,7 @@ impl Controller {
         let fp = fingerprint_outputs(&out);
         let ack: ControlBody =
             Arc::new(ReplicaAck { seq: m.seq, fingerprint: Some(fp), from: my_node });
-        ctx.send_control(peer, self.cfg.replica_ack_size, ack);
+        ctx.send_control(peer, ReplicaAck::WIRE_SIZE, ack);
         self.telemetry.incr("controller.replica_applied", 1);
         lock_or_recover(&self.shared).replica_applied += 1;
     }
@@ -791,11 +778,11 @@ impl App for Controller {
                     controller: ctx.node_id(),
                     time: ctx.now(),
                 });
-                ctx.send_control(r.node, self.cfg.ack_size, ack);
+                ctx.send_control(r.node, RegisterAck::WIRE_SIZE, ack);
                 // Mirror to the standby so a takeover starts with a
                 // registry instead of waiting for re-announcements.
                 if let Some(peer) = self.peer {
-                    ctx.send_control(peer, self.cfg.register_size, Arc::new(r.clone()));
+                    ctx.send_control(peer, Register::WIRE_SIZE, Arc::new(r.clone()));
                 }
             }
             return;
@@ -804,7 +791,7 @@ impl App for Controller {
             self.receivers.remove(&d.receiver);
             if self.active {
                 if let Some(peer) = self.peer {
-                    ctx.send_control(peer, self.cfg.deregister_size, Arc::new(d.clone()));
+                    ctx.send_control(peer, Deregister::WIRE_SIZE, Arc::new(d.clone()));
                 }
             }
             return;
@@ -814,7 +801,18 @@ impl App for Controller {
             // (and also lifts an eviction or quarantine).
             let admitted = ReceiverEntry::new(r.node, r.session, ctx.now());
             self.receivers.entry(r.receiver).or_insert(admitted).last_heard = ctx.now();
-            self.inbox.push_back((ctx.now(), r.clone()));
+            // The counters are the receiver's word, so bound them where they
+            // enter: 4 G packets in one window is beyond any link here, and
+            // it keeps every later sum (the window fold, a domain summary
+            // over 10^5 receivers) inside `u64`.
+            let bounded = |count: u64| count.min(u32::MAX as u64);
+            let report = Report {
+                received: bounded(r.received),
+                lost: bounded(r.lost),
+                bytes: bounded(r.bytes),
+                ..r.clone()
+            };
+            self.inbox.push_back((ctx.now(), report));
             return;
         }
         if let Some(m) = packet.control_as::<ReplicateInputs>() {
@@ -849,7 +847,7 @@ impl App for Controller {
             TOKEN_SEND => {
                 if let Some((node, sug)) = self.outbox.pop() {
                     let body: ControlBody = Arc::new(sug);
-                    ctx.send_control(node, self.cfg.suggestion_size, body);
+                    ctx.send_control(node, Suggestion::WIRE_SIZE, body);
                 }
                 if !self.outbox.is_empty() {
                     ctx.set_timer(SEND_SPACING, TOKEN_SEND);
@@ -1085,12 +1083,15 @@ mod tests {
         assert!(c.evicted == 0, "departure must not count as an eviction");
     }
 
-    /// Joins the base layer, then every second reports a fixed level the
-    /// controller never suggested, and records every suggestion it is sent.
+    /// Joins the base layer, then every second sends the same report — a
+    /// level the controller never suggested, counters of its own making —
+    /// and records every suggestion it is sent.
     struct FixedLevelReporter {
         controller: NodeId,
         group: GroupId,
         level: u8,
+        /// `(received, lost, bytes)` of every report.
+        counts: (u64, u64, u64),
         suggested: Arc<Mutex<Vec<u8>>>,
     }
     impl App for FixedLevelReporter {
@@ -1104,9 +1105,9 @@ mod tests {
                 node: ctx.node_id(),
                 session: netsim::SessionId(0),
                 level: self.level,
-                received: 100,
-                lost: 0,
-                bytes: 24_000,
+                received: self.counts.0,
+                lost: self.counts.1,
+                bytes: self.counts.2,
                 time: ctx.now(),
                 cause: 0,
             });
@@ -1120,37 +1121,58 @@ mod tests {
         }
     }
 
+    /// The suggestions a lone [`FixedLevelReporter`] is sent over 30 s.
+    fn suggestions_for(level: u8, counts: (u64, u64, u64)) -> Vec<u8> {
+        let (mut sim, catalog, def, src, _mid, rcv) = chain();
+        let (ctrl, shared) = Controller::new(catalog, Config::default(), SimDuration::ZERO, 1);
+        sim.add_app(src, Box::new(ctrl));
+        sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
+        let suggested = Arc::new(Mutex::new(Vec::new()));
+        sim.add_app(
+            rcv,
+            Box::new(FixedLevelReporter {
+                controller: src,
+                group: def.groups[0],
+                level,
+                counts,
+                suggested: Arc::clone(&suggested),
+            }),
+        );
+        sim.run_until(SimTime::from_secs(30));
+        assert!(shared.lock().unwrap().intervals >= 10);
+        let suggested = suggested.lock().unwrap().clone();
+        suggested
+    }
+
     /// A report the controller did not author carries `level = 255`: the
     /// ingest -> pipeline -> emit path must neither panic (debug) nor wrap
     /// (release), and steers exactly as if the receiver had reported the
     /// session's top level.
     #[test]
     fn report_level_above_the_top_is_ingested_as_the_top_level() {
-        let run = |level: u8| {
-            let (mut sim, catalog, def, src, _mid, rcv) = chain();
-            let (ctrl, shared) = Controller::new(catalog, Config::default(), SimDuration::ZERO, 1);
-            sim.add_app(src, Box::new(ctrl));
-            sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
-            let suggested = Arc::new(Mutex::new(Vec::new()));
-            sim.add_app(
-                rcv,
-                Box::new(FixedLevelReporter {
-                    controller: src,
-                    group: def.groups[0],
-                    level,
-                    suggested: Arc::clone(&suggested),
-                }),
-            );
-            sim.run_until(SimTime::from_secs(30));
-            assert!(shared.lock().unwrap().intervals >= 10);
-            let suggested = suggested.lock().unwrap().clone();
-            suggested
-        };
         let max_level = LayerSpec::paper_default().max_level();
-        let hostile = run(u8::MAX);
+        let hostile = suggestions_for(u8::MAX, (100, 0, 24_000));
         assert!(hostile.len() >= 10, "only {} suggestions arrived", hostile.len());
         assert!(hostile.iter().all(|l| (1..=max_level).contains(l)), "{hostile:?}");
-        assert_eq!(hostile, run(max_level));
+        assert_eq!(hostile, suggestions_for(max_level, (100, 0, 24_000)));
+    }
+
+    /// Two reports land in every 2 s window, each with `u64::MAX` in all
+    /// three counters: folding the window used to overflow (a panic in
+    /// debug builds; in release `expected` wrapped and a lossy window read
+    /// as lossless). Ingest bounds each counter to `u32::MAX`, so the run
+    /// is the twin of one whose receiver reports exactly that.
+    #[test]
+    fn report_counters_at_the_integer_ceiling_are_ingested_bounded() {
+        let ceiling = u32::MAX as u64;
+        let hostile = suggestions_for(2, (u64::MAX, u64::MAX, u64::MAX));
+        assert!(hostile.len() >= 10, "only {} suggestions arrived", hostile.len());
+        assert_eq!(hostile, suggestions_for(2, (ceiling, ceiling, ceiling)));
+        // Half of everything lost is read as loss, not as the clean path it
+        // wrapped to: a clean reporter at level 2 is told to climb.
+        let clean = suggestions_for(2, (100, 0, 24_000));
+        assert!(hostile.iter().all(|&l| l <= 2), "{hostile:?}");
+        assert!(clean.iter().any(|&l| l > 2), "{clean:?}");
     }
 
     /// Registers once and never speaks again.
@@ -1192,11 +1214,11 @@ mod tests {
     fn eviction_during_discovery_cold_start_is_recorded() {
         let (mut sim, catalog, _def, src, _mid, rcv) = chain();
         let cfg = Config::default();
-        let staleness = cfg.evict_after + cfg.interval * 4;
+        let staleness = cfg.evict_after() + cfg.interval * 4;
         let (ctrl, shared) = Controller::new(catalog, cfg, staleness, 1);
         sim.add_app(src, Box::new(ctrl));
         sim.add_app(rcv, Box::new(MuteReceiver { controller: src }));
-        sim.run_until(SimTime::ZERO + cfg.evict_after + cfg.interval * 2);
+        sim.run_until(SimTime::ZERO + cfg.evict_after() + cfg.interval * 2);
         let c = shared.lock().unwrap();
         assert_eq!(c.intervals, 0, "discovery has not answered yet");
         assert_eq!(c.evicted, 1, "an eviction on a cold-start tick must be counted");
@@ -1465,7 +1487,7 @@ mod tests {
         let (mut sim, catalog, _def, src, _mid, rcv) = chain();
         let cfg = Config::default();
         let (ctrl, shared) = Controller::new(catalog, cfg, SimDuration::ZERO, 1);
-        let outage_end = SimTime::from_secs(5) + cfg.evict_after + cfg.interval * 4;
+        let outage_end = SimTime::from_secs(5) + cfg.evict_after() + cfg.interval * 4;
         let ctrl = ctrl.with_discovery_outage(SimTime::from_secs(5), outage_end);
         sim.add_app(src, Box::new(ctrl));
         sim.add_app(rcv, Box::new(MuteReceiver { controller: src }));
@@ -1476,7 +1498,7 @@ mod tests {
         }
         // The sweep fires on the first tick past `evict_after`, deep inside
         // the suspended stretch of the outage.
-        sim.run_until(SimTime::ZERO + cfg.evict_after + cfg.interval * 2);
+        sim.run_until(SimTime::ZERO + cfg.evict_after() + cfg.interval * 2);
         let c = shared.lock().unwrap();
         assert!(c.suspended_intervals > 0 && sim.now() < outage_end);
         assert_eq!(c.evicted, 1);

@@ -87,12 +87,7 @@ pub struct BorderSummary {
 impl BorderSummary {
     /// Loss rate across the whole domain's audience.
     pub fn loss_rate(&self) -> f64 {
-        let expected = self.received + self.lost;
-        if expected == 0 {
-            0.0
-        } else {
-            self.lost as f64 / expected as f64
-        }
+        netsim::stats::loss_rate(self.received, self.lost)
     }
 
     /// Render as canonical (compact, field-stable) JSON.
@@ -202,14 +197,19 @@ impl Domain {
         out: &AlgorithmOutputs,
     ) -> BorderSummary {
         let capacity = out.estimated_links.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
+        // One walk over the domain's reports; the sums saturate because a
+        // caller may hand in counters no ingest has bounded.
+        let (received, lost, bytes) = reports.iter().fold((0u64, 0u64, 0u64), |(rx, lo, by), r| {
+            (rx.saturating_add(r.received), lo.saturating_add(r.lost), by.max(r.bytes))
+        });
         BorderSummary {
             domain: self.id,
             seq,
             gateway: self.gateway.0,
             level: out.root_supply.first().copied().unwrap_or(1),
-            received: reports.iter().map(|r| r.received).sum(),
-            lost: reports.iter().map(|r| r.lost).sum(),
-            bytes: reports.iter().map(|r| r.bytes).max().unwrap_or(0),
+            received,
+            lost,
+            bytes,
             congested_nodes: out.congested_nodes as u64,
             capacity_bits: capacity.to_bits(),
         }
@@ -434,7 +434,7 @@ impl Federation {
                     decoded.domain,
                     decoded.level,
                     decoded.lost,
-                    decoded.received + decoded.lost,
+                    decoded.received.saturating_add(decoded.lost),
                     decoded.bytes
                 ),
             );

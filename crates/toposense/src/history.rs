@@ -50,6 +50,10 @@ impl CongestionHistory {
     }
 }
 
+/// Relative tolerance for the BW-equality classifier: the one value every
+/// caller hands [`BwEquality::classify`].
+pub const BW_EQUAL_TOLERANCE: f64 = 0.10;
+
 /// The Table I "BW Equality" column: how the bandwidth received in the
 /// older interval `T0–T1` relates to the recent interval `T1–T2`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -50,7 +50,7 @@ pub use config::Config;
 pub use controller::{Controller, ControllerShared};
 pub use decision::{Action, NodeKind, SupplyWindow};
 pub use federation::{BorderSummary, Domain, Federation, FederationInterval};
-pub use history::{BwEquality, CongestionHistory};
+pub use history::{BwEquality, CongestionHistory, BW_EQUAL_TOLERANCE};
 pub use receiver::{Receiver, ReceiverShared};
 pub use replication::{fingerprint_outputs, AckVerdict, Cluster, ReplicaTracker};
 pub use sync::lock_or_recover;

@@ -47,6 +47,11 @@ pub struct Register {
     pub level: u8,
 }
 
+impl Register {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 48;
+}
+
 /// Receiver -> controller: one report window of loss/throughput data.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
@@ -63,20 +68,18 @@ pub struct Report {
     pub bytes: u64,
     /// When the window closed.
     pub time: SimTime,
-    /// Deterministic causal-trace id ([`cause_id`]). Wire size is fixed by
-    /// config, so carrying it never changes simulation behaviour.
+    /// Deterministic causal-trace id ([`cause_id`]). The wire size is
+    /// fixed, so carrying it never changes simulation behaviour.
     pub cause: u64,
 }
 
 impl Report {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 96;
+
     /// Loss rate of the window.
     pub fn loss_rate(&self) -> f64 {
-        let expected = self.received + self.lost;
-        if expected == 0 {
-            0.0
-        } else {
-            self.lost as f64 / expected as f64
-        }
+        netsim::stats::loss_rate(self.received, self.lost)
     }
 }
 
@@ -98,6 +101,11 @@ pub struct Suggestion {
     pub cause: u64,
 }
 
+impl Suggestion {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 64;
+}
+
 /// Controller -> receiver: registration confirmed. Lets the receiver stop
 /// re-announcing itself, and — after a failover — redirects it to the
 /// newly-active controller.
@@ -107,6 +115,11 @@ pub struct RegisterAck {
     /// Node the active controller answers from.
     pub controller: NodeId,
     pub time: SimTime,
+}
+
+impl RegisterAck {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 32;
 }
 
 /// Receiver -> controller: an orderly departure. Without it a receiver that
@@ -119,12 +132,22 @@ pub struct Deregister {
     pub time: SimTime,
 }
 
+impl Deregister {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 32;
+}
+
 /// Active controller -> warm standby: liveness beacon, sent once per
 /// interval. The standby takes over when beacons stop.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Heartbeat {
     pub from: NodeId,
     pub time: SimTime,
+}
+
+impl Heartbeat {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 32;
 }
 
 /// Active controller -> replica: one interval's complete pipeline inputs
@@ -163,6 +186,12 @@ pub struct ReplicateInputs {
     pub from: NodeId,
 }
 
+impl ReplicateInputs {
+    /// Wire size of the batch header (bytes). The input batch is this plus
+    /// one [`Report::WIRE_SIZE`] per forwarded report.
+    pub const HEADER_WIRE_SIZE: u32 = 64;
+}
+
 /// Replica -> active controller: receipt + cross-check of one replicated
 /// interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,6 +202,11 @@ pub struct ReplicaAck {
     /// checkpoint resync.
     pub fingerprint: Option<u64>,
     pub from: NodeId,
+}
+
+impl ReplicaAck {
+    /// Wire size (bytes).
+    pub const WIRE_SIZE: u32 = 32;
 }
 
 /// Active controller -> replica: a full `AlgorithmState` checkpoint

@@ -26,9 +26,22 @@
 use crate::config::Config;
 use crate::messages::{cause_id, Deregister, Register, RegisterAck, Report, Suggestion};
 use crate::sync::lock_or_recover;
-use netsim::{App, ControlBody, Ctx, NodeId, RngStream, SeqTracker, SimDuration, SimTime};
-use std::sync::{Arc, Mutex};
+use netsim::{
+    App, ControlBody, Ctx, LossWindow, NodeId, Packet, RngStream, SeqTracker, SimDuration, SimTime,
+};
+use std::sync::{Arc, Mutex, MutexGuard};
 use traffic::session::SessionDef;
+
+/// Receivers act unilaterally after this long without a suggestion.
+pub(crate) const UNILATERAL_TIMEOUT: SimDuration = SimDuration::from_millis(5500);
+/// First re-registration delay; doubles each unacknowledged attempt.
+pub(crate) const REGISTER_BACKOFF_BASE: SimDuration = SimDuration::from_secs(4);
+/// Ceiling of the re-registration backoff.
+pub(crate) const REGISTER_BACKOFF_MAX: SimDuration = SimDuration::from_secs(32);
+/// Consecutive empty report windows (no packets, no gaps, on a level
+/// that used to carry traffic) before a receiver re-joins its groups to
+/// repair a possibly-severed tree.
+pub(crate) const DEAD_AIR_WINDOWS: u32 = 2;
 
 /// One subscription change: `(when, old level, new level)`.
 pub type LevelChange = (SimTime, u8, u8);
@@ -72,6 +85,114 @@ impl ReceiverShared {
 /// Handle the harness keeps to read stats after the run.
 pub type ReceiverHandle = Arc<Mutex<ReceiverShared>>;
 
+/// The layered-subscription mechanics every receiver app shares: which
+/// layers of one session are joined, the per-layer loss accounting, and the
+/// series the harness reads afterwards. It decides nothing — *who* picks the
+/// level (the controller's suggestions here, join experiments in
+/// `baselines::rlm`, the rate equation in `baselines::tfrc`, nobody in
+/// `baselines::fixed`) is the only thing the contenders differ in, so a
+/// comparison between them compares exactly that.
+pub struct Subscriber {
+    def: SessionDef,
+    level: u8,
+    trackers: Vec<SeqTracker>,
+    shared: ReceiverHandle,
+}
+
+impl Subscriber {
+    /// A subscriber to `def` holding no layer yet. Returns the stats handle.
+    pub fn new(def: SessionDef) -> (Self, ReceiverHandle) {
+        let shared: ReceiverHandle = Arc::default();
+        let trackers = (0..def.spec.layer_count()).map(|_| SeqTracker::new()).collect();
+        (Subscriber { def, level: 0, trackers, shared: Arc::clone(&shared) }, shared)
+    }
+
+    /// The session subscribed to.
+    pub fn def(&self) -> &SessionDef {
+        &self.def
+    }
+
+    /// Current subscription level.
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+
+    /// The shared stats, for the counters an app keeps beside the series.
+    pub fn shared(&self) -> MutexGuard<'_, ReceiverShared> {
+        lock_or_recover(&self.shared)
+    }
+
+    /// Account `packet` if it is media; returns whether it was (media of
+    /// another session or of a layer not subscribed is consumed uncounted).
+    #[inline]
+    pub fn on_media(&mut self, packet: &Packet) -> bool {
+        let Some((session, layer, seq)) = packet.media_fields() else {
+            return false;
+        };
+        if session == self.def.id && layer < self.level {
+            self.trackers[layer as usize].on_packet(seq, packet.size);
+        }
+        true
+    }
+
+    /// Forget layer `layer`'s stale counts and stream position: they cover
+    /// a window when we were not listening and would surface as phantom
+    /// loss in the next report.
+    fn rebaseline(&mut self, layer: u8) {
+        let tracker = &mut self.trackers[layer as usize];
+        let _ = tracker.take_window();
+        tracker.resync();
+    }
+
+    /// Subscribe exactly `new` layers (clamped to the session's top): join
+    /// upward, leave downward from the top. Returns whether the level moved.
+    pub fn move_to(&mut self, ctx: &mut Ctx<'_>, new: u8) -> bool {
+        let new = new.min(self.def.spec.max_level());
+        if new == self.level {
+            return false;
+        }
+        let old = self.level;
+        if new > old {
+            for layer in old..new {
+                ctx.join(self.def.group_of_layer(layer));
+                self.rebaseline(layer);
+            }
+        } else {
+            for layer in (new..old).rev() {
+                ctx.leave(self.def.group_of_layer(layer));
+                self.rebaseline(layer);
+            }
+        }
+        self.level = new;
+        self.shared().changes.push((ctx.now(), old, new));
+        true
+    }
+
+    /// Close the loss window: sum the subscribed layers' counts, append the
+    /// window to the loss / level / byte series, and return the counts.
+    pub fn close_window(&mut self, ctx: &mut Ctx<'_>) -> LossWindow {
+        let window = self.trackers[..self.level as usize]
+            .iter_mut()
+            .fold(LossWindow::default(), |sum, t| sum.merge(&t.take_window()));
+        let mut s = self.shared();
+        s.loss_series.push((ctx.now(), window.loss_rate()));
+        s.level_series.push((ctx.now(), self.level));
+        s.bytes_total += window.bytes;
+        window
+    }
+
+    /// Join every subscribed layer again with clean loss windows, after the
+    /// network lost the grafts (a router crash wipes group state).
+    /// Idempotent — on a healthy tree it grafts nothing and costs no wire
+    /// traffic.
+    pub fn rejoin(&mut self, ctx: &mut Ctx<'_>) {
+        for layer in 0..self.level {
+            ctx.join(self.def.group_of_layer(layer));
+            self.rebaseline(layer);
+        }
+    }
+}
+
 const TOKEN_REPORT: u64 = 1;
 const TOKEN_REREGISTER: u64 = 2;
 const TOKEN_ACTIVATE: u64 = 3;
@@ -79,11 +200,9 @@ const TOKEN_STOP: u64 = 4;
 
 /// The receiver application.
 pub struct Receiver {
-    def: SessionDef,
+    sub: Subscriber,
     controller: NodeId,
     cfg: Config,
-    level: u8,
-    trackers: Vec<SeqTracker>,
     last_suggestion_at: Option<SimTime>,
     high_loss_windows: u32,
     /// Until this instant, ignore suggestions that would *raise* the level:
@@ -107,7 +226,6 @@ pub struct Receiver {
     /// rather than a session that has not started.
     had_traffic: bool,
     rng: RngStream,
-    shared: ReceiverHandle,
 }
 
 impl Receiver {
@@ -121,14 +239,11 @@ impl Receiver {
         label: &str,
     ) -> (Self, ReceiverHandle) {
         cfg.validate();
-        let shared: ReceiverHandle = Arc::default();
-        let trackers = (0..def.spec.layer_count()).map(|_| SeqTracker::new()).collect();
+        let (sub, shared) = Subscriber::new(def);
         let r = Receiver {
-            def,
+            sub,
             controller,
             cfg,
-            level: 0,
-            trackers,
             last_suggestion_at: None,
             high_loss_windows: 0,
             raise_guard_until: SimTime::ZERO,
@@ -136,18 +251,17 @@ impl Receiver {
             stop_at: None,
             active: false,
             acked: false,
-            reregister_backoff: cfg.register_backoff_base,
+            reregister_backoff: REGISTER_BACKOFF_BASE,
             empty_windows: 0,
             had_traffic: false,
             rng: RngStream::derive(seed, &format!("receiver/{label}")),
-            shared: Arc::clone(&shared),
         };
         (r, shared)
     }
 
     /// Current subscription level.
     pub fn level(&self) -> u8 {
-        self.level
+        self.sub.level()
     }
 
     /// Delay joining until `start_at` and depart at `stop_at` — the
@@ -165,98 +279,74 @@ impl Receiver {
 
     fn activate(&mut self, ctx: &mut Ctx<'_>) {
         self.active = true;
-        self.acked = false;
-        self.reregister_backoff = self.cfg.register_backoff_base;
         // Subscribe the base layer and announce ourselves.
-        self.set_level(ctx, 1);
+        self.sub.move_to(ctx, 1);
+        self.announce(ctx);
+    }
+
+    /// Register from scratch and (re-)arm the report and retry timers.
+    fn announce(&mut self, ctx: &mut Ctx<'_>) {
+        self.acked = false;
+        self.reregister_backoff = REGISTER_BACKOFF_BASE;
         self.register(ctx);
         // Jitter the report phase so co-located receivers do not report in
         // lockstep.
-        let jitter = self.rng.range_f64(0.0, self.cfg.report_interval.as_secs_f64());
+        let jitter = self.rng.range_f64(0.0, self.cfg.report_interval().as_secs_f64());
         ctx.set_timer(SimDuration::from_secs_f64(jitter), TOKEN_REPORT);
         ctx.set_timer(self.reregister_backoff, TOKEN_REREGISTER);
     }
 
-    fn set_level(&mut self, ctx: &mut Ctx<'_>, new: u8) {
-        let new = new.clamp(0, self.def.spec.max_level());
-        if new == self.level {
-            return;
+    /// Depart: tell the controller (so its registry entry dies now, not at
+    /// the eviction deadline) and leave every group.
+    fn depart(&mut self, ctx: &mut Ctx<'_>) {
+        if self.active {
+            self.deregister(ctx);
         }
-        let old = self.level;
-        if new > old {
-            for layer in old..new {
-                ctx.join(self.def.group_of_layer(layer));
-                // Forget any stale counts from a previous subscription of
-                // this layer: they cover a window when we were not listening
-                // and would surface as phantom loss in the next report.
-                let _ = self.trackers[layer as usize].take_window();
-                self.trackers[layer as usize].resync();
-            }
-        } else {
-            for layer in (new..old).rev() {
-                ctx.leave(self.def.group_of_layer(layer));
-                let _ = self.trackers[layer as usize].take_window();
-                self.trackers[layer as usize].resync();
-            }
-        }
-        self.level = new;
-        lock_or_recover(&self.shared).changes.push((ctx.now(), old, new));
+        self.sub.move_to(ctx, 0);
+        self.active = false;
     }
 
     fn send_report(&mut self, ctx: &mut Ctx<'_>) {
         // Aggregate the window across currently subscribed layers.
-        let mut received = 0;
-        let mut lost = 0;
-        let mut bytes = 0;
-        for layer in 0..self.level {
-            let w = self.trackers[layer as usize].take_window();
-            received += w.received;
-            lost += w.lost;
-            bytes += w.bytes;
-        }
+        let window = self.sub.close_window(ctx);
+        let LossWindow { received, lost, bytes } = window;
         // Mint the causal-trace id from this report's sequence number; the
         // controller echoes it on the suggestion this report produces.
-        let seq = lock_or_recover(&self.shared).reports_sent;
+        let seq = {
+            let mut s = self.sub.shared();
+            s.reports_sent += 1;
+            s.reports_sent - 1
+        };
+        let def = self.sub.def();
         let report = Report {
             receiver: ctx.app_id(),
             node: ctx.node_id(),
-            session: self.def.id,
-            level: self.level,
+            session: def.id,
+            level: self.sub.level(),
             received,
             lost,
             bytes,
             time: ctx.now(),
-            cause: cause_id(ctx.app_id().0 as u64, self.def.id.0 as u64, seq),
+            cause: cause_id(ctx.app_id().0 as u64, def.id.0 as u64, seq),
         };
-        let loss = report.loss_rate();
-        {
-            let mut s = lock_or_recover(&self.shared);
-            s.loss_series.push((ctx.now(), loss));
-            s.level_series.push((ctx.now(), self.level));
-            s.bytes_total += bytes;
-            s.reports_sent += 1;
-        }
         let body: ControlBody = Arc::new(report);
-        ctx.send_control(self.controller, self.cfg.report_size, body);
+        ctx.send_control(self.controller, Report::WIRE_SIZE, body);
 
         // Dead-air repair: windows with neither packets nor gaps on a level
         // that used to carry traffic mean the upstream graft is gone (a
-        // router crash wipes group state). Re-joining is idempotent — on a
-        // healthy tree it grafts nothing and costs no wire traffic.
+        // router crash wipes group state).
         if received > 0 {
             self.had_traffic = true;
             self.empty_windows = 0;
-        } else if lost == 0 && self.had_traffic && self.level >= 1 {
+        } else if lost == 0 && self.had_traffic && self.sub.level() >= 1 {
             self.empty_windows += 1;
-            if self.empty_windows >= self.cfg.dead_air_windows {
-                for layer in 0..self.level {
-                    ctx.join(self.def.group_of_layer(layer));
-                    // The gap we slept through was already reported as dead
-                    // air; re-baseline instead of booking it as loss.
-                    self.trackers[layer as usize].resync();
-                }
+            if self.empty_windows >= DEAD_AIR_WINDOWS {
+                // The gap we slept through was already reported as dead
+                // air; the re-join re-baselines instead of booking it as
+                // loss.
+                self.sub.rejoin(ctx);
                 self.empty_windows = 0;
-                lock_or_recover(&self.shared).rejoins += 1;
+                self.sub.shared().rejoins += 1;
             }
         } else {
             self.empty_windows = 0;
@@ -265,25 +355,27 @@ impl Receiver {
         // Unilateral fallback: sustained high loss with a silent controller.
         let silent = match self.last_suggestion_at {
             None => false, // never heard from it; keep registering instead
-            Some(t) => ctx.now().since(t) > self.cfg.unilateral_timeout,
+            Some(t) => ctx.now().since(t) > UNILATERAL_TIMEOUT,
         };
+        let loss = window.loss_rate();
         if loss > self.cfg.unilateral_drop_loss {
             self.high_loss_windows += 1;
         } else {
             self.high_loss_windows = 0;
         }
-        if silent && self.high_loss_windows >= 2 && self.level > 1 {
+        let level = self.sub.level();
+        if silent && self.high_loss_windows >= 2 && level > 1 {
             // Shed one layer, or straight to the goodput-supported level
             // when the overload is severe (a saturated bottleneck also
             // starves the suggestion channel, so waiting for the controller
             // can take a while).
-            let goodput = bytes as f64 * 8.0 / self.cfg.report_interval.as_secs_f64();
-            let fit = self.def.spec.level_fitting(goodput);
-            let new = if loss > 0.4 { fit } else { self.level - 1 }.clamp(1, self.level - 1);
-            self.set_level(ctx, new);
+            let goodput = bytes as f64 * 8.0 / self.cfg.report_interval().as_secs_f64();
+            let fit = self.sub.def().spec.level_fitting(goodput);
+            let new = if loss > 0.4 { fit } else { level - 1 }.clamp(1, level - 1);
+            self.sub.move_to(ctx, new);
             self.high_loss_windows = 0;
             self.raise_guard_until = ctx.now() + self.cfg.interval * 2;
-            lock_or_recover(&self.shared).unilateral_actions += 1;
+            self.sub.shared().unilateral_actions += 1;
         }
     }
 
@@ -291,17 +383,20 @@ impl Receiver {
         let body: ControlBody = Arc::new(Register {
             receiver: ctx.app_id(),
             node: ctx.node_id(),
-            session: self.def.id,
-            level: self.level,
+            session: self.sub.def().id,
+            level: self.sub.level(),
         });
-        ctx.send_control(self.controller, self.cfg.register_size, body);
-        lock_or_recover(&self.shared).registers_sent += 1;
+        ctx.send_control(self.controller, Register::WIRE_SIZE, body);
+        self.sub.shared().registers_sent += 1;
     }
 
     fn deregister(&mut self, ctx: &mut Ctx<'_>) {
-        let body: ControlBody =
-            Arc::new(Deregister { receiver: ctx.app_id(), session: self.def.id, time: ctx.now() });
-        ctx.send_control(self.controller, self.cfg.deregister_size, body);
+        let body: ControlBody = Arc::new(Deregister {
+            receiver: ctx.app_id(),
+            session: self.sub.def().id,
+            time: ctx.now(),
+        });
+        ctx.send_control(self.controller, Deregister::WIRE_SIZE, body);
     }
 }
 
@@ -317,14 +412,8 @@ impl App for Receiver {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &netsim::Packet) {
-        if !self.active {
-            return;
-        }
-        if let Some((session, layer, seq)) = packet.media_fields() {
-            if session == self.def.id && layer < self.level {
-                self.trackers[layer as usize].on_packet(seq, packet.size);
-            }
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &Packet) {
+        if !self.active || self.sub.on_media(packet) {
             return;
         }
         if let Some(a) = packet.control_as::<RegisterAck>() {
@@ -337,24 +426,22 @@ impl App for Receiver {
             return;
         }
         if let Some(s) = packet.control_as::<Suggestion>() {
-            if s.receiver == ctx.app_id() && s.session == self.def.id {
+            if s.receiver == ctx.app_id() && s.session == self.sub.def().id {
                 self.last_suggestion_at = Some(ctx.now());
                 // A suggestion proves the controller knows us, even if the
                 // explicit ACK was lost; report to whoever steered us last.
                 self.acked = true;
                 self.controller = s.from;
-                lock_or_recover(&self.shared).suggestions_received += 1;
-                let level = s.level;
-                let cause = s.cause;
-                if level > self.level && ctx.now() < self.raise_guard_until {
+                self.sub.shared().suggestions_received += 1;
+                let old = self.sub.level();
+                if s.level > old && ctx.now() < self.raise_guard_until {
                     // A raise computed before our unilateral drop: skip it,
                     // the next interval's suggestion will reflect reality.
                     return;
                 }
-                let old = self.level;
-                self.set_level(ctx, level);
-                if self.level != old {
-                    lock_or_recover(&self.shared).applies.push((ctx.now(), cause, old, self.level));
+                if self.sub.move_to(ctx, s.level) {
+                    let applied = (ctx.now(), s.cause, old, self.sub.level());
+                    self.sub.shared().applies.push(applied);
                 }
             }
         }
@@ -364,7 +451,7 @@ impl App for Receiver {
         match token {
             TOKEN_REPORT if self.active => {
                 self.send_report(ctx);
-                ctx.set_timer(self.cfg.report_interval, TOKEN_REPORT);
+                ctx.set_timer(self.cfg.report_interval(), TOKEN_REPORT);
             }
             TOKEN_REREGISTER if self.active => {
                 // Keep announcing, with exponential backoff, until the
@@ -372,20 +459,12 @@ impl App for Receiver {
                 if !self.acked && self.last_suggestion_at.is_none() {
                     self.register(ctx);
                     self.reregister_backoff =
-                        (self.reregister_backoff * 2).min(self.cfg.register_backoff_max);
+                        (self.reregister_backoff * 2).min(REGISTER_BACKOFF_MAX);
                     ctx.set_timer(self.reregister_backoff, TOKEN_REREGISTER);
                 }
             }
             TOKEN_ACTIVATE => self.activate(ctx),
-            TOKEN_STOP => {
-                // Depart: tell the controller (so its registry entry dies
-                // now, not at the eviction deadline) and leave every group.
-                if self.active {
-                    self.deregister(ctx);
-                }
-                self.set_level(ctx, 0);
-                self.active = false;
-            }
+            TOKEN_STOP => self.depart(ctx),
             // Timers for a departed/not-yet-active receiver.
             TOKEN_REPORT | TOKEN_REREGISTER => {}
             other => unreachable!("unknown receiver timer {other}"),
@@ -398,11 +477,7 @@ impl App for Receiver {
             // The crash outlived our lifetime. The swallowed STOP timer
             // never ran: depart now (leave() is a no-op for the wiped
             // membership, but the level history should read 0).
-            if self.active {
-                self.deregister(ctx);
-            }
-            self.set_level(ctx, 0);
-            self.active = false;
+            self.depart(ctx);
             return;
         }
         if let Some(stop) = self.stop_at {
@@ -420,19 +495,10 @@ impl App for Receiver {
         // Active through the crash: the router lost our subscriptions, so
         // re-join every layer with clean loss windows, and re-announce —
         // the controller may have evicted us during the outage.
-        for layer in 0..self.level {
-            ctx.join(self.def.group_of_layer(layer));
-            let _ = self.trackers[layer as usize].take_window();
-            self.trackers[layer as usize].resync();
-        }
+        self.sub.rejoin(ctx);
         self.empty_windows = 0;
         self.had_traffic = false;
-        self.acked = false;
-        self.reregister_backoff = self.cfg.register_backoff_base;
-        self.register(ctx);
-        let jitter = self.rng.range_f64(0.0, self.cfg.report_interval.as_secs_f64());
-        ctx.set_timer(SimDuration::from_secs_f64(jitter), TOKEN_REPORT);
-        ctx.set_timer(self.reregister_backoff, TOKEN_REREGISTER);
+        self.announce(ctx);
     }
 }
 

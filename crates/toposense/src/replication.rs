@@ -221,11 +221,6 @@ impl Cluster {
         &self.replicas[id]
     }
 
-    /// Mutable access to one member's state (fault injection in tests).
-    pub fn replica_state_mut(&mut self, id: usize) -> &mut AlgorithmState {
-        &mut self.replicas[id].state
-    }
-
     fn votable(&self, r: &Replica) -> bool {
         r.live && !r.partitioned && !r.quarantined && r.next_seq == self.seq
     }

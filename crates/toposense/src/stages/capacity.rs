@@ -19,6 +19,10 @@ use crate::config::Config;
 use netsim::{DirLinkId, SessionId, SimDuration, SimTime};
 use std::collections::HashMap;
 
+/// Period after which a capacity estimate is reset to infinity and
+/// re-learned.
+pub(crate) const CAPACITY_RESET: SimDuration = SimDuration::from_secs(24);
+
 /// One audit event from the estimator: what happened to `link`'s
 /// estimate this interval. The `f64` is the estimate after the event
 /// (for `"reset"`, the value that was discarded); the label is one of
@@ -79,8 +83,8 @@ impl CapacityEstimator {
     /// algorithm driver checks this up front and starts cold when a reset
     /// is due — resets rewrite capacity state that change tracking
     /// deliberately does not model.
-    pub(crate) fn has_pending_reset(&self, now: SimTime, cfg: &Config) -> bool {
-        self.estimates.values().any(|e| now.since(e.set_at) >= cfg.capacity_reset)
+    pub(crate) fn has_pending_reset(&self, now: SimTime) -> bool {
+        self.estimates.values().any(|e| now.since(e.set_at) >= CAPACITY_RESET)
     }
 
     /// Flatten every finite estimate to `(link, capacity bits, set_at)`
@@ -122,7 +126,7 @@ impl CapacityEstimator {
         mut events: Option<&mut Vec<CapacityEvent>>,
     ) {
         debug_assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0), "input must be link-sorted");
-        self.begin_interval(now, cfg, events.as_deref_mut());
+        self.begin_interval(now, events.as_deref_mut());
         let mut start = 0;
         while start < sorted.len() {
             let link = sorted[start].0;
@@ -142,11 +146,10 @@ impl CapacityEstimator {
     pub(crate) fn begin_interval(
         &mut self,
         now: SimTime,
-        cfg: &Config,
         mut events: Option<&mut Vec<CapacityEvent>>,
     ) {
         self.estimates.retain(|&link, e| {
-            let keep = now.since(e.set_at) < cfg.capacity_reset;
+            let keep = now.since(e.set_at) < CAPACITY_RESET;
             if !keep {
                 if let Some(ev) = events.as_deref_mut() {
                     ev.push((link, e.capacity_bps, "reset"));

@@ -19,6 +19,9 @@
 use crate::config::Config;
 use topology::SessionTree;
 
+/// Absolute loss-rate deviation treated as "close to the average".
+pub const SIMILARITY_TOLERANCE: f64 = 0.05;
+
 /// Aggregated observation at a node that hosts receivers.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LeafObs {
@@ -154,7 +157,7 @@ pub(crate) fn slot_state(
                     .filter(|&c| states[c].has_data)
                     .map(|c| states[c].loss)
                     .chain(own.map(|o| o.loss))
-                    .filter(|l| (l - mean).abs() <= cfg.similarity_tolerance)
+                    .filter(|l| (l - mean).abs() <= SIMILARITY_TOLERANCE)
                     .count();
                 let frac = close as f64 / count as f64;
                 state.self_congested = frac >= cfg.eta_similar;

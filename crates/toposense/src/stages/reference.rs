@@ -7,7 +7,7 @@
 
 use crate::config::Config;
 use crate::decision::{decide, Action, NodeKind};
-use crate::stages::congestion::{LeafObs, NodeState};
+use crate::stages::congestion::{LeafObs, NodeState, SIMILARITY_TOLERANCE};
 use crate::stages::subscription::{
     half_supply_level, reduce_target, supply_of, BackoffTable, NodeInputs,
 };
@@ -127,7 +127,7 @@ pub fn congestion_compute(
                     let mean = losses.iter().sum::<f64>() / losses.len() as f64;
                     let close = losses
                         .iter()
-                        .filter(|&&l| (l - mean).abs() <= cfg.similarity_tolerance)
+                        .filter(|&&l| (l - mean).abs() <= SIMILARITY_TOLERANCE)
                         .count();
                     let frac = close as f64 / losses.len() as f64;
                     state.self_congested = frac >= cfg.eta_similar;

@@ -32,7 +32,6 @@ fn untoken(token: u64) -> (u64, u8) {
 pub struct LayeredSource {
     def: SessionDef,
     model: TrafficModel,
-    packet_size: u32,
     /// Per-layer frame RNG.
     rngs: Vec<RngStream>,
     /// Per-layer media sequence numbers.
@@ -48,22 +47,7 @@ impl LayeredSource {
         let rngs = (0..layers)
             .map(|k| RngStream::derive_sub(seed, &format!("source/{}", def.id.0), k as u64))
             .collect();
-        LayeredSource {
-            def,
-            model,
-            packet_size: PACKET_SIZE,
-            rngs,
-            seqs: vec![0; layers],
-            sent_packets: 0,
-            sent_bytes: 0,
-        }
-    }
-
-    /// Override the packet size (the paper uses 1000 bytes everywhere).
-    pub fn with_packet_size(mut self, bytes: u32) -> Self {
-        assert!(bytes > 0);
-        self.packet_size = bytes;
-        self
+        LayeredSource { def, model, rngs, seqs: vec![0; layers], sent_packets: 0, sent_bytes: 0 }
     }
 
     /// Total media packets emitted so far.
@@ -77,7 +61,7 @@ impl LayeredSource {
     }
 
     fn start_frame(&mut self, ctx: &mut Ctx<'_>, layer: u8) {
-        let a = self.def.spec.packets_per_sec(layer, self.packet_size);
+        let a = self.def.spec.packets_per_sec(layer, PACKET_SIZE);
         let n = self.model.packets_in_frame(a, &mut self.rngs[layer as usize]);
         // Evenly space the n packets across the frame; the first leaves
         // immediately so a frame's worth of traffic starts at its boundary.
@@ -95,8 +79,8 @@ impl LayeredSource {
         let seq = self.seqs[layer as usize];
         self.seqs[layer as usize] += 1;
         self.sent_packets += 1;
-        self.sent_bytes += self.packet_size as u64;
-        ctx.send_media(self.def.group_of_layer(layer), self.def.id, layer, seq, self.packet_size);
+        self.sent_bytes += PACKET_SIZE as u64;
+        ctx.send_media(self.def.group_of_layer(layer), self.def.id, layer, seq, PACKET_SIZE);
     }
 }
 

@@ -10,8 +10,6 @@
 //! subtree (optimum 4). A topology-blind scheme lets node 4's exploration
 //! hurt node 3; a fixed over-subscriber is worst of all.
 
-use baselines::rlm::RlmParams;
-use baselines::tfrc::TfrcParams;
 use netsim::{SimDuration, SimTime};
 use scenarios::{run, ControlMode, Scenario};
 use topology::generators;
@@ -21,8 +19,8 @@ fn main() {
     let duration = SimDuration::from_secs(600);
     let modes: Vec<(&str, ControlMode)> = vec![
         ("TopoSense", ControlMode::TopoSense { staleness: SimDuration::ZERO }),
-        ("RLM", ControlMode::Rlm(RlmParams::default())),
-        ("TFRC-like", ControlMode::Tfrc(TfrcParams::default())),
+        ("RLM", ControlMode::Rlm),
+        ("TFRC-like", ControlMode::Tfrc),
         ("Fixed(3)", ControlMode::Fixed(3)),
     ];
 

@@ -23,13 +23,12 @@
 //! * `b4`   — Topology B with 4 competing sessions (optimum 4 each)
 //! * `fig1` — the Fig. 1 motivating example (optima 1 / 2 / 4)
 //!
-//! Set `TOPOSENSE_TRACE=1` to additionally dump, on stderr, the controller's
-//! per-interval view of every session-tree node (history bits, loss,
-//! goodput, cap, demand, supply) — the raw material behind every debugging
-//! session of this reproduction.
-//!
 //! Telemetry mode reads a trail recorded with e.g.
-//! `QUICKSTART_TELEMETRY=trail.jsonl cargo run --release --example quickstart`.
+//! `QUICKSTART_TELEMETRY=trail.jsonl cargo run --release --example quickstart`;
+//! `timeline <trail.jsonl> <session> <node>` is the controller's
+//! per-interval view of one session-tree node (loss, congestion, capacity,
+//! demand, supply, suggestion, Table I branch) — the raw material behind
+//! every debugging session of this reproduction.
 
 use netsim::{SimDuration, SimTime};
 use scenarios::{run, ControlMode, Scenario};

@@ -24,10 +24,11 @@ use scenarios::largetree::{
     balanced_session_tree, churn_fraction, federated_domains, registry_for_leaves,
     reports_behind_border, reports_for_leaves,
 };
-use scenarios::{chaos, runner};
+use scenarios::{chaos, runner, ControlMode, Scenario};
+use topology::generators;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
 use toposense::federation::Federation;
-use traffic::LayerSpec;
+use traffic::{LayerSpec, TrafficModel};
 
 /// (name, FNV-1a 64 digest of the canned fingerprint).
 const BASELINES: &[(&str, u64)] = &[
@@ -42,6 +43,11 @@ const BASELINES: &[(&str, u64)] = &[
     ("chaos/random_chaos/s7", 0x4f2ff4298cd6a333),
     ("incremental/diurnal_1k/s1", 0x9a6a1869cc0331fe),
     ("federation/border_aggregation/s1", 0x6cc9e582868478ea),
+    // The three controller-less contenders: what moves these and the
+    // chaos digests together moved the shared `Subscriber` core.
+    ("baselines/rlm/s1", 0xf2ea759ca8bc9ec9),
+    ("baselines/tfrc/s1", 0x66aea409b1228556),
+    ("baselines/fixed/s1", 0x6c50a4ddffd3f891),
 ];
 
 /// Digest of a canned incremental drive: 1k-leaf tree, 12 rounds of
@@ -120,6 +126,30 @@ fn federation_fingerprint(seed: u64) -> String {
     out_text
 }
 
+/// Digest of a controller-less run: Topology A (two receivers per set),
+/// VBR(P=3), 120 s, every receiver under `control`.
+fn baseline_fingerprint(control: ControlMode, seed: u64) -> String {
+    use std::fmt::Write;
+    let scenario =
+        Scenario::new(generators::topology_a_default(2), TrafficModel::Vbr { p: 3.0 }, seed)
+            .with_control(control)
+            .with_duration(SimDuration::from_secs(120));
+    let result = runner::run(&scenario);
+    // `chaos::fingerprint` renders the level changes; the window close
+    // (bytes and the per-window loss and level series) is pinned here too.
+    let mut out = chaos::fingerprint(&result);
+    for r in &result.receivers {
+        let s = &r.stats;
+        writeln!(
+            out,
+            "bytes={} loss={:?} levels={:?}",
+            s.bytes_total, s.loss_series, s.level_series
+        )
+        .unwrap();
+    }
+    out
+}
+
 fn compute(name: &str) -> u64 {
     let text = match name {
         "chaos/link_flap/s1" => chaos::fingerprint(&runner::run(&chaos::link_flap(1).0)),
@@ -133,6 +163,9 @@ fn compute(name: &str) -> u64 {
         "chaos/random_chaos/s7" => chaos::fingerprint(&runner::run(&chaos::random_chaos(7).0)),
         "incremental/diurnal_1k/s1" => incremental_fingerprint(1),
         "federation/border_aggregation/s1" => federation_fingerprint(1),
+        "baselines/rlm/s1" => baseline_fingerprint(ControlMode::Rlm, 1),
+        "baselines/tfrc/s1" => baseline_fingerprint(ControlMode::Tfrc, 1),
+        "baselines/fixed/s1" => baseline_fingerprint(ControlMode::Fixed(3), 1),
         other => panic!("unknown baseline {other}"),
     };
     fnv1a(text.as_bytes())

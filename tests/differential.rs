@@ -22,6 +22,7 @@ use toposense::stages::reference::{self, DemandContext};
 use toposense::stages::subscription::{BackoffTable, NodeInputs};
 use toposense::stages::{bottleneck, congestion, sharing, subscription, SharingScratch};
 use toposense::Config;
+use toposense::BW_EQUAL_TOLERANCE;
 use traffic::LayerSpec;
 
 /// Build a session tree from a parent vector: node `i + 1` attaches under
@@ -240,11 +241,7 @@ proptest! {
                         hist,
                         parent_congested: gen.f64() < 0.2,
                         sibling_congested: gen.f64() < 0.2,
-                        bw: BwEquality::classify(
-                            bytes_older,
-                            bytes_recent,
-                            cfg.bw_equal_tolerance,
-                        ),
+                        bw: BwEquality::classify(bytes_older, bytes_recent, BW_EQUAL_TOLERANCE),
                         loss: gen.f64() * 0.4,
                         supply_older,
                         supply_recent,

@@ -406,7 +406,7 @@ fn wire_failover_standby_is_input_synced_and_takes_over_in_bound() {
     // Takeover within failover_after + one interval of the mid-interval
     // crash (heartbeat silence is only observable at the next check).
     let at = standby.failover_at.expect("standby must take over");
-    let bound = cfg.failover_after + cfg.interval;
+    let bound = cfg.failover_after() + cfg.interval;
     assert!(
         at.since(crash_at) <= bound,
         "takeover at {at:?} missed the bound {bound:?} after the {crash_at:?} crash"

@@ -120,7 +120,7 @@ fn rlm_baseline_shows_the_topology_blind_pathology() {
     // Under RLM, the n4 receiver's failed experiments at layer 3 leak loss
     // onto n3 over the shared 110 kb/s link — the Fig. 1 argument.
     let s = Scenario::new(generators::figure1(), TrafficModel::Cbr, 13)
-        .with_control(ControlMode::Rlm(baselines::rlm::RlmParams::default()))
+        .with_control(ControlMode::Rlm)
         .with_duration(SimDuration::from_secs(600));
     let result = run(&s);
     let n3 = result.receivers.iter().find(|r| r.set == 0).unwrap();
