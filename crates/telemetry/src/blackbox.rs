@@ -9,85 +9,35 @@
 //! reruns the same way it diffs the JSONL trail.
 
 use crate::flight::Occurrence;
-use serde_json::{json, to_value, ToJson, Value};
+use crate::record::counter_map;
+use serde_json::wire;
 
 /// Bump when the dump shape changes incompatibly.
 pub const BLACKBOX_SCHEMA: &str = "blackbox.v1";
 
-/// One failure dump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Blackbox {
-    /// What tripped the dump: `"campaign_gate_failure"`,
-    /// `"replica_quarantine"`, or `"chaos_recovery_failure"`.
-    pub reason: String,
-    /// Scenario / run / replica label.
-    pub label: String,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Fingerprint of the effective configuration (hex).
-    pub config_fingerprint: String,
-    /// Simulated time of the dump in nanoseconds.
-    pub t_ns: u64,
-    /// Sorted counter snapshot at dump time.
-    pub counters: Vec<(String, u64)>,
-    /// The flight-recorder window preceding the failure.
-    pub occurrences: Vec<Occurrence>,
-    /// Occurrences that rolled off the ring before the dump.
-    pub ring_dropped: u64,
-}
-
-impl ToJson for Blackbox {
-    fn to_json(&self) -> Value {
-        let counters =
-            Value::Object(self.counters.iter().map(|(k, v)| (k.clone(), to_value(v))).collect());
-        json!({
-            "schema": BLACKBOX_SCHEMA,
-            "reason": self.reason,
-            "label": self.label,
-            "seed": self.seed,
-            "config_fingerprint": self.config_fingerprint,
-            "t_ns": self.t_ns,
-            "counters": counters,
-            "occurrences": self.occurrences,
-            "ring_dropped": self.ring_dropped,
-        })
+wire! {
+    /// One failure dump.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Blackbox {
+        "schema" = BLACKBOX_SCHEMA;
+        /// What tripped the dump: `"campaign_gate_failure"`,
+        /// `"replica_quarantine"`, or `"chaos_recovery_failure"`.
+        pub reason: String,
+        /// Scenario / run / replica label.
+        pub label: String,
+        /// Master seed of the run.
+        pub seed: u64,
+        /// Fingerprint of the effective configuration (hex).
+        pub config_fingerprint: String,
+        /// Simulated time of the dump in nanoseconds.
+        pub t_ns: u64,
+        /// Sorted counter snapshot at dump time.
+        pub counters: Vec<(String, u64)> as counter_map,
+        /// The flight-recorder window preceding the failure.
+        pub occurrences: Vec<Occurrence>,
+        /// Occurrences that rolled off the ring before the dump.
+        pub ring_dropped: u64,
     }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' is not a u64"))
-}
-
-fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?.as_str().ok_or_else(|| format!("field '{key}' is not a string"))?.to_string())
-}
-
-/// Intern an occurrence kind back to the static label space. Kinds are a
-/// closed set; an unknown kind is a schema violation worth surfacing.
-fn intern_kind(kind: &str) -> Result<&'static str, String> {
-    const KINDS: &[&str] = &[
-        "interval_start",
-        "interval_end",
-        "fallback",
-        "quarantine",
-        "takeover",
-        "checkpoint",
-        "gate_failure",
-        "recovery_failure",
-        "view_change",
-        "divergence",
-        "border_summary",
-        "border_fold",
-    ];
-    KINDS
-        .iter()
-        .find(|k| **k == kind)
-        .copied()
-        .ok_or_else(|| format!("unknown occurrence kind '{kind}'"))
 }
 
 impl Blackbox {
@@ -98,42 +48,7 @@ impl Blackbox {
 
     /// Parse and validate a dump; errors name the first schema mismatch.
     pub fn decode(text: &str) -> Result<Blackbox, String> {
-        let v: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let schema = get_str(&v, "schema")?;
-        if schema != BLACKBOX_SCHEMA {
-            return Err(format!("unsupported schema '{schema}' (expected {BLACKBOX_SCHEMA})"));
-        }
-        let counters = field(&v, "counters")?
-            .as_object()
-            .ok_or("field 'counters' is not an object")?
-            .iter()
-            .map(|(k, val)| {
-                Ok((k.clone(), val.as_u64().ok_or_else(|| format!("counter '{k}' is not a u64"))?))
-            })
-            .collect::<Result<_, String>>()?;
-        let occurrences = field(&v, "occurrences")?
-            .as_array()
-            .ok_or("field 'occurrences' is not an array")?
-            .iter()
-            .map(|o| {
-                Ok(Occurrence {
-                    t_ns: get_u64(o, "t_ns")?,
-                    kind: intern_kind(&get_str(o, "kind")?)?,
-                    seq: get_u64(o, "seq")?,
-                    detail: get_str(o, "detail")?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(Blackbox {
-            reason: get_str(&v, "reason")?,
-            label: get_str(&v, "label")?,
-            seed: get_u64(&v, "seed")?,
-            config_fingerprint: get_str(&v, "config_fingerprint")?,
-            t_ns: get_u64(&v, "t_ns")?,
-            counters,
-            occurrences,
-            ring_dropped: get_u64(&v, "ring_dropped")?,
-        })
+        serde_json::decode(text)
     }
 
     /// Write the dump to `path` (with a trailing newline).

@@ -7,25 +7,53 @@
 //! last window of packets. Like every instrument in this crate it is a
 //! pure observer: nothing ever reads an occurrence back into a decision.
 
-use serde_json::{json, ToJson, Value};
+use serde_json::wire;
 
-/// One notable control-plane happening.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Occurrence {
-    /// Simulated time in nanoseconds.
-    pub t_ns: u64,
-    /// Stable kind label (`"interval_start"`, `"quarantine"`, ...).
-    pub kind: &'static str,
-    /// Interval or replication sequence number the occurrence belongs to.
-    pub seq: u64,
-    /// Free-form detail (node id, fingerprint, reason...). Must be a
-    /// function of simulation state only — it lands in deterministic dumps.
-    pub detail: String,
+/// Wire form of [`Occurrence::kind`]: the label on the way out, interned
+/// back to the static label space on the way in. Kinds are a closed set;
+/// an unknown kind is a schema violation worth surfacing.
+mod kind {
+    use serde_json::{FromJson, ToJson, Value};
+
+    const KINDS: &[&str] = &[
+        "interval_start",
+        "interval_end",
+        "fallback",
+        "quarantine",
+        "takeover",
+        "checkpoint",
+        "gate_failure",
+        "recovery_failure",
+        "view_change",
+        "divergence",
+        "border_summary",
+        "border_fold",
+    ];
+
+    pub fn to_json(kind: &&'static str) -> Value {
+        kind.to_json()
+    }
+
+    pub fn from_json(v: &Value) -> Result<&'static str, String> {
+        let kind = String::from_json(v)?;
+        let known = KINDS.iter().find(|k| **k == kind).copied();
+        known.ok_or_else(|| format!("unknown occurrence kind '{kind}'"))
+    }
 }
 
-impl ToJson for Occurrence {
-    fn to_json(&self) -> Value {
-        json!({"t_ns": self.t_ns, "kind": self.kind, "seq": self.seq, "detail": self.detail})
+wire! {
+    /// One notable control-plane happening.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Occurrence {
+        /// Simulated time in nanoseconds.
+        pub t_ns: u64,
+        /// Stable kind label (`"interval_start"`, `"quarantine"`, ...).
+        pub kind: &'static str as kind,
+        /// Interval or replication sequence number the occurrence belongs to.
+        pub seq: u64,
+        /// Free-form detail (node id, fingerprint, reason...). Must be a
+        /// function of simulation state only — it lands in deterministic dumps.
+        pub detail: String,
     }
 }
 

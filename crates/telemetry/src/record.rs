@@ -15,67 +15,109 @@
 //!   `report | decide | apply`), keyed by the deterministic cause id the
 //!   receiver minted when it sent the report (`trace.v1`).
 //!
-//! Encoding and decoding are exact inverses over the shim's compact
-//! serializer: `decode(parse(line))` re-encodes to the original line
-//! byte-for-byte (Rust's shortest-representation float formatting is
-//! round-trip stable; infinite bandwidths encode as `null`). The
-//! `validate` entry point in `src/bin/inspect.rs` and the CI quickstart
-//! job both lean on that property.
+//! These are wire records (DESIGN.md "Wire records"): every struct is
+//! declared once, and `decode(parse(line))` re-encodes to the original
+//! line byte-for-byte (Rust's shortest-representation float formatting is
+//! round-trip stable). The `validate` entry point in `src/bin/inspect.rs`
+//! and the CI quickstart job both lean on that property.
 
-use serde_json::{json, to_value, ToJson, Value};
+use serde_json::{check_schema, field, field_with, json, to_value, wire, FromJson, ToJson, Value};
 
 /// Bump when the JSONL shape changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Stage 1 output for one node: loss input plus the three congestion
-/// flags the later stages consume.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CongestionNode {
-    pub node: u64,
-    pub loss: f64,
-    pub self_congested: bool,
-    pub congested: bool,
-    pub parent_congested: bool,
+/// Wire form of a bandwidth: JSON has no infinity, so an unconstrained
+/// one (`f64::INFINITY`) travels as `null`.
+mod bandwidth {
+    use serde_json::{FromJson, ToJson, Value};
+
+    pub fn to_json(bps: &f64) -> Value {
+        bps.is_finite().then_some(*bps).to_json()
+    }
+
+    pub fn from_json(v: &Value) -> Result<f64, String> {
+        Ok(Option::from_json(v)?.unwrap_or(f64::INFINITY))
+    }
 }
 
-/// Stage 2 output for one directed link (identified by its raw link id):
-/// the current estimate and how this interval arrived at it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CapacityLink {
-    pub link: u64,
-    pub bps: f64,
-    /// `"learned" | "recomputed" | "crept" | "reset" | "held"`.
-    pub event: String,
+/// Wire form of a counter snapshot: one object, name → value, in snapshot
+/// order (shared with `blackbox.v1`).
+pub(crate) mod counter_map {
+    use serde_json::{FromJson, ToJson, Value};
+
+    pub fn to_json(entries: &[(String, u64)]) -> Value {
+        Value::Object(entries.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+
+    pub fn from_json(v: &Value) -> Result<Vec<(String, u64)>, String> {
+        let entries = v.as_object().ok_or("expected an object")?;
+        let entry = |(k, n): &(String, Value)| match u64::from_json(n) {
+            Ok(n) => Ok((k.clone(), n)),
+            Err(e) => Err(format!("counter '{k}': {e}")),
+        };
+        entries.iter().map(entry).collect()
+    }
 }
 
-/// Stage 3 output for one node. `f64::INFINITY` means unconstrained and
-/// encodes as JSON `null`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BottleneckNode {
-    pub node: u64,
-    pub bottleneck_bps: f64,
-    pub max_handle_bps: f64,
+wire! {
+    /// Stage 1 output for one node: loss input plus the three congestion
+    /// flags the later stages consume.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CongestionNode {
+        pub node: u64,
+        pub loss: f64,
+        pub self_congested: bool,
+        pub congested: bool,
+        pub parent_congested: bool,
+    }
 }
 
-/// Stage 4 output: one session's allowed share at one shared link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharingEntry {
-    pub link: u64,
-    pub session: u64,
-    pub allowed_bps: f64,
+wire! {
+    /// Stage 2 output for one directed link (identified by its raw link id):
+    /// the current estimate and how this interval arrived at it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CapacityLink {
+        pub link: u64,
+        pub bps: f64,
+        /// `"learned" | "recomputed" | "crept" | "reset" | "held"`.
+        pub event: String,
+    }
 }
 
-/// Stage 5 output for one node: the Table I branch taken plus the
-/// demand/supply levels it produced. `suggested` is the level actually
-/// sent to a registered receiver at this node (`None` for internal nodes
-/// and unregistered leaves).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubscriptionNode {
-    pub node: u64,
-    pub branch: String,
-    pub demand: u8,
-    pub supply: u8,
-    pub suggested: Option<u8>,
+wire! {
+    /// Stage 3 output for one node. `f64::INFINITY` means unconstrained and
+    /// encodes as JSON `null`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BottleneckNode {
+        pub node: u64,
+        pub bottleneck_bps: f64 as bandwidth,
+        pub max_handle_bps: f64 as bandwidth,
+    }
+}
+
+wire! {
+    /// Stage 4 output: one session's allowed share at one shared link.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SharingEntry {
+        pub link: u64,
+        pub session: u64,
+        pub allowed_bps: f64 as bandwidth,
+    }
+}
+
+wire! {
+    /// Stage 5 output for one node: the Table I branch taken plus the
+    /// demand/supply levels it produced. `suggested` is the level actually
+    /// sent to a registered receiver at this node (`None` for internal nodes
+    /// and unregistered leaves).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SubscriptionNode {
+        pub node: u64,
+        pub branch: String,
+        pub demand: u8,
+        pub supply: u8,
+        pub suggested: Option<u8>,
+    }
 }
 
 /// Per-session grouping for node-indexed stage payloads.
@@ -85,17 +127,31 @@ pub struct SessionNodes<T> {
     pub nodes: Vec<T>,
 }
 
-/// Aggregated statistics for one named timer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimerStat {
-    pub name: String,
-    pub count: u64,
-    pub sum_ns: u64,
-    pub min_ns: u64,
-    pub max_ns: u64,
-    /// Sorted `(pow, count)` pairs: `count` spans fell in
-    /// `[2^pow, 2^(pow+1))` nanoseconds.
-    pub buckets: Vec<(u32, u64)>,
+impl<T: ToJson> ToJson for SessionNodes<T> {
+    fn to_json(&self) -> Value {
+        json!({"session": self.session, "nodes": self.nodes})
+    }
+}
+
+impl<T: FromJson> FromJson for SessionNodes<T> {
+    fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(SessionNodes { session: field(v, "session")?, nodes: field(v, "nodes")? })
+    }
+}
+
+wire! {
+    /// Aggregated statistics for one named timer.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TimerStat {
+        pub name: String,
+        pub count: u64,
+        pub sum_ns: u64,
+        pub min_ns: u64,
+        pub max_ns: u64,
+        /// Sorted `(pow, count)` pairs: `count` spans fell in
+        /// `[2^pow, 2^(pow+1))` nanoseconds.
+        pub buckets: Vec<(u32, u64)>,
+    }
 }
 
 /// Stage-specific payload of a `"stage"` record.
@@ -193,84 +249,6 @@ impl IntervalAudit {
     }
 }
 
-// --- encoding ---------------------------------------------------------
-
-/// Finite floats encode as numbers; infinities as `null` (JSON has no
-/// Inf, and `null` decodes back to `f64::INFINITY` for bandwidth
-/// fields).
-fn bw(v: f64) -> Value {
-    if v.is_finite() {
-        Value::Float(v)
-    } else {
-        Value::Null
-    }
-}
-
-impl ToJson for CongestionNode {
-    fn to_json(&self) -> Value {
-        json!({
-            "node": self.node,
-            "loss": self.loss,
-            "self_congested": self.self_congested,
-            "congested": self.congested,
-            "parent_congested": self.parent_congested,
-        })
-    }
-}
-
-impl ToJson for CapacityLink {
-    fn to_json(&self) -> Value {
-        json!({"link": self.link, "bps": self.bps, "event": self.event})
-    }
-}
-
-impl ToJson for BottleneckNode {
-    fn to_json(&self) -> Value {
-        json!({
-            "node": self.node,
-            "bottleneck_bps": bw(self.bottleneck_bps),
-            "max_handle_bps": bw(self.max_handle_bps),
-        })
-    }
-}
-
-impl ToJson for SharingEntry {
-    fn to_json(&self) -> Value {
-        json!({"link": self.link, "session": self.session, "allowed_bps": bw(self.allowed_bps)})
-    }
-}
-
-impl ToJson for SubscriptionNode {
-    fn to_json(&self) -> Value {
-        json!({
-            "node": self.node,
-            "branch": self.branch,
-            "demand": self.demand,
-            "supply": self.supply,
-            "suggested": self.suggested,
-        })
-    }
-}
-
-impl<T: ToJson> ToJson for SessionNodes<T> {
-    fn to_json(&self) -> Value {
-        json!({"session": self.session, "nodes": self.nodes})
-    }
-}
-
-impl ToJson for TimerStat {
-    fn to_json(&self) -> Value {
-        json!({
-            "name": self.name,
-            "count": self.count,
-            "sum_ns": self.sum_ns,
-            "min_ns": self.min_ns,
-            "max_ns": self.max_ns,
-            "buckets": self.buckets,
-        })
-    }
-}
-
 impl ToJson for Record {
     fn to_json(&self) -> Value {
         match self {
@@ -298,16 +276,12 @@ impl ToJson for Record {
                     (payload.0.into(), payload.1),
                 ])
             }
-            Record::Counters { t_ns, entries } => {
-                let counters =
-                    Value::Object(entries.iter().map(|(k, v)| (k.clone(), to_value(v))).collect());
-                json!({
-                    "schema": SCHEMA_VERSION,
-                    "kind": "counters",
-                    "t_ns": t_ns,
-                    "counters": counters,
-                })
-            }
+            Record::Counters { t_ns, entries } => json!({
+                "schema": SCHEMA_VERSION,
+                "kind": "counters",
+                "t_ns": t_ns,
+                "counters": counter_map::to_json(entries),
+            }),
             Record::Timers { entries } => json!({
                 "schema": SCHEMA_VERSION,
                 "kind": "timers",
@@ -328,207 +302,64 @@ impl ToJson for Record {
     }
 }
 
+impl StageBody {
+    /// The payload of a `"stage"` record `v`, chosen by its `"stage"` key.
+    fn from_record(v: &Value) -> Result<StageBody, String> {
+        match field::<String>(v, "stage")?.as_str() {
+            "congestion" => Ok(StageBody::Congestion(field(v, "sessions")?)),
+            "capacity" => Ok(StageBody::Capacity(field(v, "links")?)),
+            "bottleneck" => Ok(StageBody::Bottleneck(field(v, "sessions")?)),
+            "sharing" => Ok(StageBody::Sharing(field(v, "links")?)),
+            "subscription" => Ok(StageBody::Subscription(field(v, "sessions")?)),
+            other => Err(format!("unknown stage '{other}'")),
+        }
+    }
+}
+
+impl FromJson for Record {
+    /// Decode one parsed JSONL line; errors describe the first mismatch
+    /// with the schema.
+    fn from_json(v: &Value) -> Result<Record, String> {
+        check_schema(v, SCHEMA_VERSION)?;
+        match field::<String>(v, "kind")?.as_str() {
+            "run" => Ok(Record::Run {
+                label: field(v, "label")?,
+                seed: field(v, "seed")?,
+                duration_ns: field(v, "duration_ns")?,
+            }),
+            "stage" => Ok(Record::Stage {
+                seq: field(v, "seq")?,
+                t_ns: field(v, "t_ns")?,
+                body: StageBody::from_record(v)?,
+            }),
+            "counters" => Ok(Record::Counters {
+                t_ns: field(v, "t_ns")?,
+                entries: field_with(v, "counters", counter_map::from_json)?,
+            }),
+            "timers" => Ok(Record::Timers { entries: field(v, "timers")? }),
+            "trace" => Ok(Record::Trace {
+                seq: field(v, "seq")?,
+                t_ns: field(v, "t_ns")?,
+                phase: field(v, "phase")?,
+                session: field(v, "session")?,
+                receiver: field(v, "receiver")?,
+                cause: field(v, "cause")?,
+                level: field(v, "level")?,
+            }),
+            other => Err(format!("unknown record kind '{other}'")),
+        }
+    }
+}
+
 impl Record {
     /// Compact JSON, i.e. exactly one JSONL line (without the newline).
     pub fn to_jsonl(&self) -> String {
         serde_json::to_string(self).expect("record serialization is infallible")
     }
-}
-
-// --- decoding ---------------------------------------------------------
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' is not a u64"))
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?.as_f64().ok_or_else(|| format!("field '{key}' is not a number"))
-}
-
-/// Bandwidth field: `null` decodes to infinity.
-fn get_bw(v: &Value, key: &str) -> Result<f64, String> {
-    let f = field(v, key)?;
-    if f.is_null() {
-        Ok(f64::INFINITY)
-    } else {
-        f.as_f64().ok_or_else(|| format!("field '{key}' is not a number or null"))
-    }
-}
-
-fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
-    field(v, key)?.as_bool().ok_or_else(|| format!("field '{key}' is not a bool"))
-}
-
-fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?.as_str().ok_or_else(|| format!("field '{key}' is not a string"))?.to_string())
-}
-
-fn get_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    field(v, key)?.as_array().ok_or_else(|| format!("field '{key}' is not an array"))
-}
-
-fn sessions_of<T>(
-    v: &Value,
-    parse_node: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<SessionNodes<T>>, String> {
-    get_array(v, "sessions")?
-        .iter()
-        .map(|s| {
-            Ok(SessionNodes {
-                session: get_u64(s, "session")?,
-                nodes: get_array(s, "nodes")?.iter().map(&parse_node).collect::<Result<_, _>>()?,
-            })
-        })
-        .collect()
-}
-
-impl Record {
-    /// Decode one parsed JSONL line; errors describe the first mismatch
-    /// with the schema.
-    pub fn from_value(v: &Value) -> Result<Record, String> {
-        let schema = get_u64(v, "schema")?;
-        if schema != SCHEMA_VERSION {
-            return Err(format!("unsupported schema version {schema} (expected {SCHEMA_VERSION})"));
-        }
-        let kind = get_str(v, "kind")?;
-        match kind.as_str() {
-            "run" => Ok(Record::Run {
-                label: get_str(v, "label")?,
-                seed: get_u64(v, "seed")?,
-                duration_ns: get_u64(v, "duration_ns")?,
-            }),
-            "stage" => {
-                let stage = get_str(v, "stage")?;
-                let body = match stage.as_str() {
-                    "congestion" => StageBody::Congestion(sessions_of(v, |n| {
-                        Ok(CongestionNode {
-                            node: get_u64(n, "node")?,
-                            loss: get_f64(n, "loss")?,
-                            self_congested: get_bool(n, "self_congested")?,
-                            congested: get_bool(n, "congested")?,
-                            parent_congested: get_bool(n, "parent_congested")?,
-                        })
-                    })?),
-                    "capacity" => StageBody::Capacity(
-                        get_array(v, "links")?
-                            .iter()
-                            .map(|l| {
-                                Ok(CapacityLink {
-                                    link: get_u64(l, "link")?,
-                                    bps: get_f64(l, "bps")?,
-                                    event: get_str(l, "event")?,
-                                })
-                            })
-                            .collect::<Result<_, String>>()?,
-                    ),
-                    "bottleneck" => StageBody::Bottleneck(sessions_of(v, |n| {
-                        Ok(BottleneckNode {
-                            node: get_u64(n, "node")?,
-                            bottleneck_bps: get_bw(n, "bottleneck_bps")?,
-                            max_handle_bps: get_bw(n, "max_handle_bps")?,
-                        })
-                    })?),
-                    "sharing" => StageBody::Sharing(
-                        get_array(v, "links")?
-                            .iter()
-                            .map(|l| {
-                                Ok(SharingEntry {
-                                    link: get_u64(l, "link")?,
-                                    session: get_u64(l, "session")?,
-                                    allowed_bps: get_bw(l, "allowed_bps")?,
-                                })
-                            })
-                            .collect::<Result<_, String>>()?,
-                    ),
-                    "subscription" => StageBody::Subscription(sessions_of(v, |n| {
-                        let suggested = match field(n, "suggested")? {
-                            Value::Null => None,
-                            s => Some(
-                                s.as_u64()
-                                    .and_then(|x| u8::try_from(x).ok())
-                                    .ok_or("field 'suggested' is not a u8")?,
-                            ),
-                        };
-                        Ok(SubscriptionNode {
-                            node: get_u64(n, "node")?,
-                            branch: get_str(n, "branch")?,
-                            demand: u8::try_from(get_u64(n, "demand")?)
-                                .map_err(|_| "field 'demand' is not a u8")?,
-                            supply: u8::try_from(get_u64(n, "supply")?)
-                                .map_err(|_| "field 'supply' is not a u8")?,
-                            suggested,
-                        })
-                    })?),
-                    other => return Err(format!("unknown stage '{other}'")),
-                };
-                Ok(Record::Stage { seq: get_u64(v, "seq")?, t_ns: get_u64(v, "t_ns")?, body })
-            }
-            "counters" => {
-                let obj =
-                    field(v, "counters")?.as_object().ok_or("field 'counters' is not an object")?;
-                let entries = obj
-                    .iter()
-                    .map(|(k, val)| {
-                        Ok((
-                            k.clone(),
-                            val.as_u64().ok_or_else(|| format!("counter '{k}' is not a u64"))?,
-                        ))
-                    })
-                    .collect::<Result<_, String>>()?;
-                Ok(Record::Counters { t_ns: get_u64(v, "t_ns")?, entries })
-            }
-            "timers" => {
-                let entries = get_array(v, "timers")?
-                    .iter()
-                    .map(|t| {
-                        let buckets = get_array(t, "buckets")?
-                            .iter()
-                            .map(|b| {
-                                let pair = b.as_array().ok_or("timer bucket is not an array")?;
-                                match pair {
-                                    [p, c] => Ok((
-                                        p.as_u64()
-                                            .and_then(|x| u32::try_from(x).ok())
-                                            .ok_or("bucket pow is not a u32")?,
-                                        c.as_u64().ok_or("bucket count is not a u64")?,
-                                    )),
-                                    _ => Err("timer bucket is not a 2-element array".to_string()),
-                                }
-                            })
-                            .collect::<Result<_, String>>()?;
-                        Ok(TimerStat {
-                            name: get_str(t, "name")?,
-                            count: get_u64(t, "count")?,
-                            sum_ns: get_u64(t, "sum_ns")?,
-                            min_ns: get_u64(t, "min_ns")?,
-                            max_ns: get_u64(t, "max_ns")?,
-                            buckets,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?;
-                Ok(Record::Timers { entries })
-            }
-            "trace" => Ok(Record::Trace {
-                seq: get_u64(v, "seq")?,
-                t_ns: get_u64(v, "t_ns")?,
-                phase: get_str(v, "phase")?,
-                session: get_u64(v, "session")?,
-                receiver: get_u64(v, "receiver")?,
-                cause: get_u64(v, "cause")?,
-                level: get_u64(v, "level")?,
-            }),
-            other => Err(format!("unknown record kind '{other}'")),
-        }
-    }
 
     /// Parse and decode one JSONL line.
     pub fn from_jsonl(line: &str) -> Result<Record, String> {
-        let v = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        Record::from_value(&v)
+        serde_json::decode(line)
     }
 }
 

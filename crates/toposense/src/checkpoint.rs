@@ -10,229 +10,106 @@
 //! [`invalidate`](crate::algorithm::AlgorithmState::invalidate), and is
 //! byte-identical to a warm run per DESIGN.md §11).
 //!
-//! The JSON rendering is schema-versioned (`toposense.checkpoint.v1`,
-//! mirroring telemetry's `toposense.telemetry.v1`) and embeds a
+//! The JSON rendering is `toposense.checkpoint.v1`, a wire record
+//! (DESIGN.md "Wire records": declared once below, every field an integer,
+//! so restore is exact by construction) and embeds a
 //! [`Config::fingerprint`](crate::Config::fingerprint) so a snapshot can
-//! only be restored under the parameter set it was taken with. Floats
-//! travel as raw bit patterns (`u64`), never as decimal text — restore is
-//! exact by construction, not by printf round-tripping.
+//! only be restored under the parameter set it was taken with.
 
-use serde_json::{json, Value};
+use serde_json::wire;
 use std::path::Path;
 
 /// Schema identifier written into every checkpoint file.
 pub const SCHEMA: &str = "toposense.checkpoint.v1";
 
-/// One finite link-capacity estimate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EstimateEntry {
-    pub link: u32,
-    /// `f64::to_bits` of the capacity in bits/s.
-    pub capacity_bits: u64,
-    /// When the estimate was (re)learned, in sim nanoseconds.
-    pub set_at_ns: u64,
+wire! {
+    /// One finite link-capacity estimate.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct EstimateEntry {
+        pub link: u32,
+        /// `f64::to_bits` of the capacity in bits/s.
+        pub capacity_bits: u64 => "cap_bits",
+        /// When the estimate was (re)learned, in sim nanoseconds.
+        pub set_at_ns: u64,
+    }
 }
 
-/// One `(session, node)` memory cell of the congestion/subscription stages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoryEntry {
-    pub session: u32,
-    pub node: u32,
-    /// 3-bit congestion history (`CongestionHistory::bits`).
-    pub hist: u8,
-    pub bytes_older: u64,
-    pub bytes_recent: u64,
-    pub supply_older: u8,
-    pub supply_recent: u8,
-    pub demand_prev: Option<u8>,
+wire! {
+    /// One `(session, node)` memory cell of the congestion/subscription stages.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct MemoryEntry {
+        pub session: u32,
+        pub node: u32,
+        /// 3-bit congestion history (`CongestionHistory::bits`).
+        pub hist: u8,
+        pub bytes_older: u64,
+        pub bytes_recent: u64,
+        pub supply_older: u8,
+        pub supply_recent: u8,
+        pub demand_prev: Option<u8>,
+    }
 }
 
-/// One `(session, node, level)` backoff record: live timer and/or failure
-/// count (failures persist past expiry — they scale future draws).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackoffEntry {
-    pub session: u32,
-    pub node: u32,
-    pub level: u8,
-    /// Expiry in sim nanoseconds; `None` when only the failure count lives.
-    pub until_ns: Option<u64>,
-    pub failures: u32,
+wire! {
+    /// One `(session, node, level)` backoff record: live timer and/or failure
+    /// count (failures persist past expiry — they scale future draws).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct BackoffEntry {
+        pub session: u32,
+        pub node: u32,
+        pub level: u8,
+        /// Expiry in sim nanoseconds; `None` when only the failure count lives.
+        pub until_ns: Option<u64>,
+        pub failures: u32,
+    }
 }
 
-/// A complete, canonical capture of one `AlgorithmState`.
-///
-/// All vectors are sorted by their id columns; equality on `Snapshot` is
-/// therefore state equality, and the JSON rendering is byte-stable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    /// [`Config::fingerprint`](crate::Config::fingerprint) of the
-    /// parameter set the state ran under.
-    pub config_fingerprint: u64,
-    /// Completed pipeline runs.
-    pub runs: u64,
-    /// Raw xoshiro256** state of the algorithm's RNG stream.
-    pub rng: [u64; 4],
-    pub estimates: Vec<EstimateEntry>,
-    pub memories: Vec<MemoryEntry>,
-    pub backoffs: Vec<BackoffEntry>,
-}
-
-/// Checked narrowing for decoded integers: a value the target type cannot
-/// hold is rejected by name, never truncated into a plausible one.
-pub(crate) fn narrow<T: TryFrom<u64>>(key: &str, v: u64) -> Result<T, String> {
-    T::try_from(v).map_err(|_| format!("'{key}' out of range: {v}"))
+wire! {
+    /// A complete, canonical capture of one `AlgorithmState`.
+    ///
+    /// All vectors are sorted by their id columns; equality on `Snapshot` is
+    /// therefore state equality, and the JSON rendering is byte-stable.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Snapshot {
+        "schema" = SCHEMA;
+        /// [`Config::fingerprint`](crate::Config::fingerprint) of the
+        /// parameter set the state ran under.
+        pub config_fingerprint: u64,
+        /// Completed pipeline runs.
+        pub runs: u64,
+        /// Raw xoshiro256** state of the algorithm's RNG stream.
+        pub rng: [u64; 4],
+        pub estimates: Vec<EstimateEntry>,
+        pub memories: Vec<MemoryEntry>,
+        pub backoffs: Vec<BackoffEntry>,
+    }
 }
 
 impl Snapshot {
-    /// Render as canonical (compact, sorted) JSON.
-    pub fn to_json(&self) -> Value {
-        let estimates: Vec<Value> = self
-            .estimates
-            .iter()
-            .map(|e| json!({"link": e.link, "cap_bits": e.capacity_bits, "set_at_ns": e.set_at_ns}))
-            .collect();
-        let memories: Vec<Value> = self
-            .memories
-            .iter()
-            .map(|m| {
-                json!({
-                    "session": m.session,
-                    "node": m.node,
-                    "hist": m.hist,
-                    "bytes_older": m.bytes_older,
-                    "bytes_recent": m.bytes_recent,
-                    "supply_older": m.supply_older,
-                    "supply_recent": m.supply_recent,
-                    "demand_prev": m.demand_prev,
-                })
-            })
-            .collect();
-        let backoffs: Vec<Value> = self
-            .backoffs
-            .iter()
-            .map(|b| {
-                json!({
-                    "session": b.session,
-                    "node": b.node,
-                    "level": b.level,
-                    "until_ns": b.until_ns,
-                    "failures": b.failures,
-                })
-            })
-            .collect();
-        json!({
-            "schema": SCHEMA,
-            "config_fingerprint": self.config_fingerprint,
-            "runs": self.runs,
-            "rng": self.rng.to_vec(),
-            "estimates": estimates,
-            "memories": memories,
-            "backoffs": backoffs,
-        })
-    }
-
     /// Canonical single-line JSON text (what [`Self::save`] writes and the
     /// replication layer's `CheckpointTransfer` carries).
     pub fn encode(&self) -> String {
-        serde_json::to_string(&self.to_json()).expect("checkpoint serialization is infallible")
+        serde_json::to_string(self).expect("checkpoint serialization is infallible")
     }
 
-    /// Parse and validate a checkpoint document.
+    /// Parse and validate a checkpoint document: the schema tag, every
+    /// field's presence and type, and the invariants no field type carries.
     pub fn decode(text: &str) -> Result<Snapshot, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        Self::from_json(&v)
-    }
-
-    /// Build a snapshot from a parsed [`Value`], checking the schema tag,
-    /// every field's presence and type, and the sort invariants.
-    pub fn from_json(v: &Value) -> Result<Snapshot, String> {
-        let schema = v.get("schema").and_then(Value::as_str).ok_or("missing schema tag")?;
-        if schema != SCHEMA {
-            return Err(format!("schema mismatch: expected {SCHEMA}, found {schema}"));
-        }
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key).and_then(Value::as_u64).ok_or(format!("missing or non-integer '{key}'"))
-        };
-        let config_fingerprint = u("config_fingerprint")?;
-        let runs = u("runs")?;
-        let rng_arr = v.get("rng").and_then(Value::as_array).ok_or("missing 'rng' array")?;
-        if rng_arr.len() != 4 {
-            return Err(format!("'rng' must hold 4 words, found {}", rng_arr.len()));
-        }
-        let mut rng = [0u64; 4];
-        for (i, w) in rng_arr.iter().enumerate() {
-            rng[i] = w.as_u64().ok_or("non-integer 'rng' word")?;
-        }
-
-        fn field<T: TryFrom<u64>>(row: &Value, key: &str) -> Result<T, String> {
-            let v = row.get(key).and_then(Value::as_u64);
-            narrow(key, v.ok_or(format!("missing or non-integer '{key}'"))?)
-        }
-        let rows = |key: &str| -> Result<Vec<Value>, String> {
-            Ok(v.get(key)
-                .and_then(Value::as_array)
-                .ok_or(format!("missing '{key}' array"))?
-                .to_vec())
-        };
-
-        let mut estimates = Vec::new();
-        for row in rows("estimates")? {
-            estimates.push(EstimateEntry {
-                link: field(&row, "link")?,
-                capacity_bits: field(&row, "cap_bits")?,
-                set_at_ns: field(&row, "set_at_ns")?,
-            });
-        }
-        if !estimates.windows(2).all(|w| w[0].link < w[1].link) {
+        let s: Snapshot = serde_json::decode(text)?;
+        if !s.estimates.windows(2).all(|w| w[0].link < w[1].link) {
             return Err("'estimates' not strictly sorted by link".into());
         }
-
-        let mut memories = Vec::new();
-        for row in rows("memories")? {
-            let demand_prev = match row.get("demand_prev") {
-                Some(Value::Null) | None => None,
-                Some(d) => {
-                    Some(narrow("demand_prev", d.as_u64().ok_or("non-integer 'demand_prev'")?)?)
-                }
-            };
-            memories.push(MemoryEntry {
-                session: field(&row, "session")?,
-                node: field(&row, "node")?,
-                hist: field(&row, "hist")?,
-                bytes_older: field(&row, "bytes_older")?,
-                bytes_recent: field(&row, "bytes_recent")?,
-                supply_older: field(&row, "supply_older")?,
-                supply_recent: field(&row, "supply_recent")?,
-                demand_prev,
-            });
-        }
-        if !memories.windows(2).all(|w| (w[0].session, w[0].node) < (w[1].session, w[1].node)) {
+        if !s.memories.windows(2).all(|w| (w[0].session, w[0].node) < (w[1].session, w[1].node)) {
             return Err("'memories' not strictly sorted by (session, node)".into());
         }
-        if let Some(m) = memories.iter().find(|m| m.hist >= 8) {
+        if let Some(m) = s.memories.iter().find(|m| m.hist >= 8) {
             return Err(format!("memory ({}, {}) has a >3-bit history", m.session, m.node));
         }
-
-        let mut backoffs = Vec::new();
-        for row in rows("backoffs")? {
-            let until_ns = match row.get("until_ns") {
-                Some(Value::Null) | None => None,
-                Some(d) => Some(d.as_u64().ok_or("non-integer 'until_ns'")?),
-            };
-            backoffs.push(BackoffEntry {
-                session: field(&row, "session")?,
-                node: field(&row, "node")?,
-                level: field(&row, "level")?,
-                until_ns,
-                failures: field(&row, "failures")?,
-            });
-        }
         let bkey = |b: &BackoffEntry| (b.session, b.node, b.level);
-        if !backoffs.windows(2).all(|w| bkey(&w[0]) < bkey(&w[1])) {
+        if !s.backoffs.windows(2).all(|w| bkey(&w[0]) < bkey(&w[1])) {
             return Err("'backoffs' not strictly sorted by (session, node, level)".into());
         }
-
-        Ok(Snapshot { config_fingerprint, runs, rng, estimates, memories, backoffs })
+        Ok(s)
     }
 
     /// Write the canonical rendering to `path`.

@@ -1536,7 +1536,9 @@ mod tests {
     /// Satellite: a checkpoint transfer is bytes off the wire. One whose
     /// blob decodes but whose `next_seq` disagrees with it is dropped and
     /// counted like a corrupt one (the parent panics here under `cargo
-    /// test`), and does not spoil the honest transfer that follows.
+    /// test`), and so is one nested deeper than any parser stack (which
+    /// used to abort the process); neither spoils the honest transfer
+    /// that follows.
     #[test]
     fn checkpoint_transfer_with_a_wrong_next_seq_is_dropped() {
         let (mut sim, catalog, _def, src, mid, _rcv) = chain();
@@ -1548,6 +1550,7 @@ mod tests {
         let snap = AlgorithmState::new(cfg, 9).checkpoint();
         let transfers = vec![
             (SimTime::from_secs(1), snap.runs + 7, snap.encode()),
+            (SimTime::from_millis(1_500), snap.runs, "[".repeat(1_000_000)),
             (SimTime::from_secs(3), snap.runs, snap.encode()),
         ];
         sim.add_app(
@@ -1559,11 +1562,11 @@ mod tests {
             counters.iter().find(|(k, _)| k == "controller.replica_resync_failures").map(|e| e.1)
         };
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(shared.lock().unwrap().replica_resyncs, 0, "the lying transfer was applied");
-        assert_eq!(failures(&telemetry), Some(1));
+        assert_eq!(shared.lock().unwrap().replica_resyncs, 0, "a bad transfer was applied");
+        assert_eq!(failures(&telemetry), Some(2));
         sim.run_until(SimTime::from_secs(4));
         assert_eq!(shared.lock().unwrap().replica_resyncs, 1, "the honest transfer was refused");
-        assert_eq!(failures(&telemetry), Some(1));
+        assert_eq!(failures(&telemetry), Some(2));
     }
 
     /// Satellite: the whole silence life-cycle through the table — three

@@ -12,8 +12,8 @@
 //!    last interval ([`AlgorithmState::set_border_caps`]).
 //! 2. Each domain distills its interval into a [`BorderSummary`] — the
 //!    congestion/throughput/bottleneck picture at its gateway link — and
-//!    ships it as canonical single-line JSON (`toposense.border.v1`, the
-//!    same schema discipline as `toposense.checkpoint.v1`).
+//!    ships it as canonical single-line JSON (`toposense.border.v1`, a
+//!    wire record like `toposense.checkpoint.v1`: DESIGN.md "Wire records").
 //! 3. A parent aggregator decodes the summaries and **folds** each one
 //!    into its own pipeline as a synthetic receiver report stationed at
 //!    that domain's gateway node, so child-domain congestion flows through
@@ -32,14 +32,13 @@
 //! `tests/baselines.rs` pins as a fingerprint.
 
 use crate::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
-use crate::checkpoint::narrow;
 use crate::config::Config;
 use netsim::{
     derive_stream_seed, AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimDuration,
     SimTime,
 };
 use rayon::prelude::*;
-use serde_json::{json, Value};
+use serde_json::wire;
 use telemetry::{FlightRecorder, Telemetry};
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
@@ -53,35 +52,38 @@ pub const SCHEMA: &str = "toposense.border.v1";
 /// far above any real receiver id a scenario mints.
 pub const BORDER_APP_BASE: u32 = 0xF000_0000;
 
-/// One domain's per-interval digest of its border state: what the parent
-/// aggregator needs to treat the whole domain as a single receiver sitting
-/// behind the gateway link. All fields are integers (floats travel as raw
-/// bit patterns), so the canonical JSON rendering is byte-stable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BorderSummary {
-    /// Domain ordinal inside the federation.
-    pub domain: u32,
-    /// Federation interval sequence number the summary belongs to.
-    pub seq: u64,
-    /// Gateway node id *in the parent topology*.
-    pub gateway: u32,
-    /// The domain's root supply this interval — the layer ceiling it is
-    /// actually sustaining (bottleneck layer as seen from inside).
-    pub level: u8,
-    /// Packets received, summed across the domain's reports. Summing keeps
-    /// the border loss rate audience-weighted: a single lossy last mile
-    /// inside a large domain must not read as border congestion.
-    pub received: u64,
-    /// Packets lost, summed across the domain's reports.
-    pub lost: u64,
-    /// Max per-receiver bytes observed in the window — the throughput of
-    /// the best-fed receiver, i.e. the flow actually crossing the gateway.
-    pub bytes: u64,
-    /// Tree slots labelled congested inside the domain this interval.
-    pub congested_nodes: u64,
-    /// `f64::to_bits` of the domain's tightest finite internal capacity
-    /// estimate (bits of `f64::INFINITY` when it has learned none).
-    pub capacity_bits: u64,
+wire! {
+    /// One domain's per-interval digest of its border state: what the parent
+    /// aggregator needs to treat the whole domain as a single receiver sitting
+    /// behind the gateway link. All fields are integers (floats travel as raw
+    /// bit patterns), so the canonical JSON rendering is byte-stable.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct BorderSummary {
+        "schema" = SCHEMA;
+        /// Domain ordinal inside the federation.
+        pub domain: u32,
+        /// Federation interval sequence number the summary belongs to.
+        pub seq: u64,
+        /// Gateway node id *in the parent topology*.
+        pub gateway: u32,
+        /// The domain's root supply this interval — the layer ceiling it is
+        /// actually sustaining (bottleneck layer as seen from inside).
+        pub level: u8,
+        /// Packets received, summed across the domain's reports. Summing keeps
+        /// the border loss rate audience-weighted: a single lossy last mile
+        /// inside a large domain must not read as border congestion.
+        pub received: u64,
+        /// Packets lost, summed across the domain's reports.
+        pub lost: u64,
+        /// Max per-receiver bytes observed in the window — the throughput of
+        /// the best-fed receiver, i.e. the flow actually crossing the gateway.
+        pub bytes: u64,
+        /// Tree slots labelled congested inside the domain this interval.
+        pub congested_nodes: u64,
+        /// `f64::to_bits` of the domain's tightest finite internal capacity
+        /// estimate (bits of `f64::INFINITY` when it has learned none).
+        pub capacity_bits: u64,
+    }
 }
 
 impl BorderSummary {
@@ -90,54 +92,15 @@ impl BorderSummary {
         netsim::stats::loss_rate(self.received, self.lost)
     }
 
-    /// Render as canonical (compact, field-stable) JSON.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "schema": SCHEMA,
-            "domain": self.domain,
-            "seq": self.seq,
-            "gateway": self.gateway,
-            "level": self.level,
-            "received": self.received,
-            "lost": self.lost,
-            "bytes": self.bytes,
-            "congested_nodes": self.congested_nodes,
-            "capacity_bits": self.capacity_bits,
-        })
-    }
-
     /// Canonical single-line JSON text — the border protocol's wire form.
     pub fn encode(&self) -> String {
-        serde_json::to_string(&self.to_json()).expect("border serialization is infallible")
+        serde_json::to_string(self).expect("border serialization is infallible")
     }
 
-    /// Parse and validate a border summary document.
+    /// Parse and validate a border summary document: the schema tag and
+    /// every field's presence and type.
     pub fn decode(text: &str) -> Result<BorderSummary, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        Self::from_json(&v)
-    }
-
-    /// Build a summary from a parsed [`Value`], checking the schema tag
-    /// and every field's presence and type.
-    pub fn from_json(v: &Value) -> Result<BorderSummary, String> {
-        let schema = v.get("schema").and_then(Value::as_str).ok_or("missing schema tag")?;
-        if schema != SCHEMA {
-            return Err(format!("schema mismatch: expected {SCHEMA}, found {schema}"));
-        }
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key).and_then(Value::as_u64).ok_or(format!("missing or non-integer '{key}'"))
-        };
-        Ok(BorderSummary {
-            domain: narrow("domain", u("domain")?)?,
-            seq: u("seq")?,
-            gateway: narrow("gateway", u("gateway")?)?,
-            level: narrow("level", u("level")?)?,
-            received: u("received")?,
-            lost: u("lost")?,
-            bytes: u("bytes")?,
-            congested_nodes: u("congested_nodes")?,
-            capacity_bits: u("capacity_bits")?,
-        })
+        serde_json::decode(text)
     }
 }
 

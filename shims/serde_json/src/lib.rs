@@ -1,14 +1,19 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! The workspace emits JSON (the `fig*`/`ablations` binaries dump result
-//! tables, the telemetry layer writes JSONL audit records) and — since the
-//! telemetry work — reads it back: this shim provides a [`Value`] tree,
-//! the [`json!`] object/array macro, [`to_string`]/[`to_string_pretty`],
-//! and a small recursive-descent [`from_str`] parser plus the usual
-//! `Value` accessors (`get`, `as_u64`, ...). There is no `Serialize`
-//! derive; conversion into `Value` goes through the [`ToJson`] trait,
-//! which takes `&self` so the macro never moves fields out of borrowed
-//! structs (matching real `json!`, which serializes by reference).
+//! The workspace emits JSON (the campaign dumps result tables, the
+//! telemetry layer writes JSONL audit records, replicas and domains
+//! exchange checkpoints and border summaries) and reads it back: this
+//! shim provides a [`Value`] tree, the [`json!`] object/array macro,
+//! [`to_string`]/[`to_string_pretty`], and a small recursive-descent
+//! [`from_str`] parser plus the usual `Value` accessors (`get`,
+//! `as_u64`, ...). There are no `Serialize`/`Deserialize` derives;
+//! conversion into `Value` goes through the [`ToJson`] trait, which takes
+//! `&self` so the macro never moves fields out of borrowed structs
+//! (matching real `json!`, which serializes by reference), and conversion
+//! out of it through its mirror [`FromJson`], the only place an integer is
+//! narrowed. A record that travels both ways is declared once, in a
+//! [`wire!`] table, which emits the struct and both impls from one field
+//! list (DESIGN.md "Wire records").
 
 #![forbid(unsafe_code)]
 
@@ -137,6 +142,183 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     }
 }
 
+/// Conversion out of a [`Value`]: the mirror of [`ToJson`] and the shim's
+/// substitute for `serde::Deserialize`. The input is bytes this program
+/// did not author, so every impl refuses what its type cannot hold — an
+/// error says what was expected and what was found — and none panics.
+pub trait FromJson: Sized {
+    fn from_json(v: &Value) -> Result<Self, String>;
+}
+
+fn expected(what: &str, found: &Value) -> String {
+    format!("expected {what}, found {}", render(found, false))
+}
+
+/// Checked narrowing, the only way an integer leaves a [`Value`]: one the
+/// target type cannot hold is refused by name, never truncated into a
+/// plausible one.
+fn uint<T: TryFrom<u64>>(v: &Value) -> Result<T, String> {
+    let wide = v.as_u64().ok_or_else(|| expected("an unsigned integer", v))?;
+    T::try_from(wide).map_err(|_| format!("{wide} out of range for {}", std::any::type_name::<T>()))
+}
+
+macro_rules! from_json_scalar {
+    ($($t:ty => $get:expr),* $(,)?) => {
+        $(impl FromJson for $t {
+            fn from_json(v: &Value) -> Result<Self, String> {
+                let get: fn(&Value) -> Result<$t, String> = $get;
+                get(v)
+            }
+        })*
+    };
+}
+
+from_json_scalar!(
+    u8 => uint, u16 => uint, u32 => uint, u64 => uint, usize => uint,
+    bool => |v| v.as_bool().ok_or_else(|| expected("a bool", v)),
+    f64 => |v| v.as_f64().ok_or_else(|| expected("a number", v)),
+    String => |v| v.as_str().map(str::to_owned).ok_or_else(|| expected("a string", v)),
+);
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Value) -> Result<Self, String> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::from_json(v).map(Some)
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Value) -> Result<Self, String> {
+        let items = v.as_array().ok_or_else(|| expected("array", v))?;
+        let item = |(i, x)| T::from_json(x).map_err(|e| format!("[{i}]: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(v: &Value) -> Result<Self, String> {
+        Vec::from_json(v)?.try_into().map_err(|_| expected(&format!("{N} elements"), v))
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(v: &Value) -> Result<Self, String> {
+        match v.as_array() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(expected("2 elements", v)),
+        }
+    }
+}
+
+/// Decode the value under `key` of object `v`. A declared key must be
+/// present (an `Option` travels as `null`, never as absence); keys nothing
+/// asks for are ignored. The error names the key.
+pub fn field<T: FromJson>(v: &Value, key: &str) -> Result<T, String> {
+    field_with(v, key, T::from_json)
+}
+
+/// [`field`] for a value whose wire form is not its type's own: `decode`
+/// is the `from_json` half of a [`wire!`] `as` codec.
+pub fn field_with<T>(
+    v: &Value,
+    key: &str,
+    decode: impl FnOnce(&Value) -> Result<T, String>,
+) -> Result<T, String> {
+    let found = v.get(key).ok_or_else(|| format!("missing field '{key}'"))?;
+    decode(found).map_err(|e| format!("field '{key}': {e}"))
+}
+
+/// Parse `text` and decode it: what every record's `decode` starts with.
+pub fn decode<T: FromJson>(text: &str) -> Result<T, String> {
+    T::from_json(&from_str(text).map_err(|e| format!("invalid JSON: {e}"))?)
+}
+
+/// Refuse a document whose `"schema"` is absent or is not `tag`.
+pub fn check_schema<T: std::fmt::Debug>(v: &Value, tag: T) -> Result<(), String>
+where
+    Value: PartialEq<T>,
+{
+    match v.get("schema") {
+        Some(found) if *found == tag => Ok(()),
+        found => Err(format!(
+            "schema mismatch: unsupported schema {} (expected {tag:?})",
+            found.map_or("<absent>".into(), |f| render(f, false)),
+        )),
+    }
+}
+
+impl PartialEq<&str> for Value {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == Some(*other)
+    }
+}
+
+impl PartialEq<u64> for Value {
+    fn eq(&self, other: &u64) -> bool {
+        self.as_u64() == Some(*other)
+    }
+}
+
+/// Declare a record that crosses a wire once: the struct, its [`ToJson`]
+/// and its [`FromJson`] from one field list, in wire order.
+///
+/// ```text
+/// wire! {
+///     #[derive(Debug, PartialEq)]
+///     pub struct Sample {
+///         "schema" = "sample.v1";  // optional: written first, any other tag refused
+///         pub id: u8,              // key "id"; narrowed checked on the way in
+///         pub label: Option<String> => "name",  // renamed key; `null`, never absent
+///         pub share: f64 as percent,  // wire form is not `f64`'s own: a module or type
+///     }                               // `percent` in scope supplies `to_json(&f64) -> Value`
+/// }                                   // and `from_json(&Value) -> Result<f64, String>`
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (
+        $(#[$sm:meta])* $sv:vis struct $name:ident {
+            $("schema" = $tag:expr;)?
+            $($(#[$fm:meta])* $fv:vis $f:ident : $t:ty $(as $codec:ident)? $(=> $key:literal)?),*
+            $(,)?
+        }
+    ) => {
+        $(#[$sm])* $sv struct $name { $($(#[$fm])* $fv $f: $t),* }
+
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Value {
+                $crate::Value::Object(vec![
+                    $(("schema".to_string(), $crate::to_value(&$tag)),)?
+                    $((
+                        $crate::wire!(@key $f $($key)?).to_string(),
+                        ($crate::wire!(@codec to_json $($codec)?))(&self.$f),
+                    )),*
+                ])
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn from_json(v: &$crate::Value) -> Result<Self, String> {
+                $($crate::check_schema(v, $tag)?;)?
+                Ok($name {
+                    $($f: $crate::field_with(
+                        v,
+                        $crate::wire!(@key $f $($key)?),
+                        $crate::wire!(@codec from_json $($codec)?),
+                    )?),*
+                })
+            }
+        }
+    };
+    (@key $f:ident) => { stringify!($f) };
+    (@key $f:ident $key:literal) => { $key };
+    (@codec to_json) => { $crate::ToJson::to_json };
+    (@codec from_json) => { $crate::FromJson::from_json };
+    (@codec $half:ident $codec:ident) => { $codec::$half };
+}
+
 /// Build a [`Value`] from an object/array literal or any [`ToJson`]
 /// expression, e.g. `json!({"knob": r.knob, "rows": rows})`.
 #[macro_export]
@@ -248,7 +430,7 @@ impl Value {
 /// [`Value::UInt`] otherwise — the same split the serializer writes, so a
 /// parse → serialize round trip is textually stable.
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -258,9 +440,15 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (real `serde_json`'s
+/// limit). The parser recurses once per level and its input is bytes off
+/// the wire: unbounded, one packet of `[[[[…` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -302,12 +490,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error::at(self.pos, format!("unexpected character '{}'", b as char))),
             None => Err(Error::at(self.pos, "unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::at(self.pos, format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -419,12 +617,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar (input is &str, so
-                    // slicing at char boundaries is safe via chars()).
+                    // Consume one full UTF-8 scalar, looking only at its own
+                    // (at most four) bytes: validating the whole rest of the
+                    // input here made a string of n characters cost n².
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::at(self.pos, "invalid UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
+                    let ch = (1..=rest.len().min(4))
+                        .find_map(|n| std::str::from_utf8(&rest[..n]).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| Error::at(self.pos, "invalid UTF-8"))?;
                     if (ch as u32) < 0x20 {
                         return Err(Error::at(self.pos, "unescaped control character"));
                     }
@@ -465,18 +665,22 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::at(start, format!("invalid number '{text}'")))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error::at(start, format!("invalid number '{text}'")))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| Error::at(start, format!("invalid number '{text}'")))
+        // An integer too wide for 64 bits reads as a float, and so does
+        // `-0` (both as in real serde_json): the serializer writes large
+        // and negative-zero floats without a `.`, and must read them back.
+        if !is_float {
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Value::UInt(u));
+            }
+            match text.parse::<i64>() {
+                Ok(i) if i != 0 => return Ok(Value::Int(i)),
+                _ => {}
+            }
+        }
+        // `1e999` parses to infinity, which the serializer writes as `null`.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => Err(Error::at(start, format!("invalid number '{text}'"))),
         }
     }
 }
@@ -567,18 +771,18 @@ fn write_value(out: &mut String, v: &Value, indent: usize, pretty: bool) {
     }
 }
 
-pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = value.to_json();
+fn render(v: &Value, pretty: bool) -> String {
     let mut out = String::new();
-    write_value(&mut out, &v, 0, true);
-    Ok(out)
+    write_value(&mut out, v, 0, pretty);
+    out
+}
+
+pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(render(&value.to_json(), true))
 }
 
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
-    let v = value.to_json();
-    let mut out = String::new();
-    write_value(&mut out, &v, 0, false);
-    Ok(out)
+    Ok(render(&value.to_json(), false))
 }
 
 #[cfg(test)]
@@ -659,6 +863,10 @@ mod tests {
     fn parse_string_escapes_and_unicode() {
         let v = from_str(r#""a\"b\\c\nd é 😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nd \u{e9} \u{1F600}"));
+        // Linear in the string's length (a megabyte took minutes when each
+        // character re-validated everything after it).
+        let long = "é😀a".repeat(150_000);
+        assert_eq!(from_str(&format!("\"{long}\"")).unwrap().as_str(), Some(long.as_str()));
     }
 
     #[test]
@@ -684,5 +892,105 @@ mod tests {
         assert_eq!(from_str("-9223372036854775808").unwrap(), Value::Int(i64::MIN));
         assert_eq!(from_str("1e3").unwrap(), Value::Float(1000.0));
         assert_eq!(from_str("-2.5E-1").unwrap(), Value::Float(-0.25));
+    }
+
+    /// Both abort the process at the parent commit (`fatal runtime error:
+    /// stack overflow`): the recursion had no bound.
+    #[test]
+    fn parse_refuses_nesting_past_the_depth_bound() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
+        for open in ["[", "{\"k\":"] {
+            let err = from_str(&open.repeat(1_000_000)).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    /// `1e999` read as `Float(inf)` at the parent, re-encoded as `null`,
+    /// and the decoder that accepted it then refused its own output.
+    #[test]
+    fn parse_keeps_every_number_it_accepts_re_encodable() {
+        for bad in ["1e999", "-1e999", &"9".repeat(400), "1-2", "--1", "-"] {
+            assert!(from_str(bad).is_err(), "expected parse failure for {bad:?}");
+        }
+        // What the serializer writes for a float with no fractional part
+        // reads back as that float, not as a u64 overflow or an integer 0.
+        for f in [1e21, -1e21, 18446744073709551616.0, -0.0, f64::MAX] {
+            let text = to_string(&f).unwrap();
+            let back = from_str(&text).unwrap();
+            assert_eq!(back.as_f64().map(f64::to_bits), Some(f.to_bits()), "{text}");
+            assert_eq!(to_string(&back).unwrap(), text);
+            assert_eq!(back.as_u64(), None, "{text} must not pass for an integer");
+        }
+    }
+
+    #[test]
+    fn from_json_narrows_checked_and_names_the_path() {
+        let v = from_str(r#"{"a":255,"b":256,"c":[[1,2],[3]],"d":null,"e":-1,"f":0.5}"#).unwrap();
+        assert_eq!(field::<u8>(&v, "a"), Ok(255));
+        assert_eq!(field::<u8>(&v, "b").unwrap_err(), "field 'b': 256 out of range for u8");
+        let unsigned = |key| field::<u32>(&v, key).unwrap_err();
+        assert_eq!(unsigned("e"), "field 'e': expected an unsigned integer, found -1");
+        assert_eq!(unsigned("f"), "field 'f': expected an unsigned integer, found 0.5");
+        assert_eq!(field::<f64>(&v, "a"), Ok(255.0));
+        assert_eq!(
+            field::<Vec<(u32, u64)>>(&v, "c").unwrap_err(),
+            "field 'c': [1]: expected 2 elements, found [3]"
+        );
+        assert_eq!(
+            field::<[u8; 2]>(&v, "c").unwrap_err(),
+            "field 'c': [0]: expected an unsigned integer, found [1,2]"
+        );
+        assert_eq!(
+            field::<Vec<[u8; 2]>>(&v, "c").unwrap_err(),
+            "field 'c': [1]: expected 2 elements, found [3]"
+        );
+        assert_eq!(field::<Option<u8>>(&v, "d"), Ok(None));
+        assert_eq!(field::<Option<u8>>(&v, "a"), Ok(Some(255)));
+        assert_eq!(field::<Option<u8>>(&v, "absent").unwrap_err(), "missing field 'absent'");
+        assert_eq!(
+            field::<String>(&v, "d").unwrap_err(),
+            "field 'd': expected a string, found null"
+        );
+        assert!(check_schema(&v, 1u64).unwrap_err().contains("unsupported schema <absent>"));
+    }
+
+    mod percent {
+        use super::Value;
+        pub fn to_json(p: &f64) -> Value {
+            Value::UInt((p * 100.0) as u64)
+        }
+        pub fn from_json(v: &Value) -> Result<f64, String> {
+            v.as_u64().map(|p| p as f64 / 100.0).ok_or("expected a percentage".to_string())
+        }
+    }
+
+    wire! {
+        #[derive(Debug, PartialEq)]
+        struct Sample {
+            "schema" = "sample.v1";
+            id: u8,
+            label: Option<String> => "name",
+            share: f64 as percent,
+        }
+    }
+
+    #[test]
+    fn wire_table_emits_the_struct_its_encoder_and_its_decoder() {
+        let s = Sample { id: 7, label: None, share: 0.25 };
+        let text = to_string(&s).unwrap();
+        assert_eq!(text, r#"{"schema":"sample.v1","id":7,"name":null,"share":25}"#);
+        assert_eq!(Sample::from_json(&from_str(&text).unwrap()), Ok(s));
+        let decode = |text: &str| Sample::from_json(&from_str(text).unwrap()).unwrap_err();
+        assert_eq!(decode(&text.replace('7', "256")), "field 'id': 256 out of range for u8");
+        assert_eq!(decode(&text.replace("\"name\":null,", "")), "missing field 'name'");
+        assert_eq!(decode(&text.replace("25}", "\"x\"}")), "field 'share': expected a percentage");
+        assert_eq!(
+            decode(&text.replace("v1", "v2")),
+            r#"schema mismatch: unsupported schema "sample.v2" (expected "sample.v1")"#
+        );
+        // Keys nothing declares are ignored.
+        assert!(Sample::from_json(&from_str(&text.replace('{', "{\"extra\":[],")).unwrap()).is_ok());
     }
 }
