@@ -35,6 +35,7 @@ pub mod link;
 pub mod multicast;
 pub mod node;
 pub mod packet;
+pub mod par;
 pub mod rng;
 pub mod shard;
 pub mod sim;

@@ -13,9 +13,10 @@
 //! ## Conservative lookahead
 //!
 //! Execution proceeds in **barrier epochs** of length `H = min(delay)` over
-//! all registered handoffs. Each epoch, every shard runs independently (in
-//! parallel) up to the epoch boundary `E`; then the runner drains all
-//! mailboxes and schedules each captured packet into its destination shard.
+//! all registered handoffs. Each epoch, every shard runs independently — in
+//! parallel ([`crate::par::for_each`]), on whichever worker thread is free —
+//! up to the epoch boundary `E`; then the runner drains all mailboxes and
+//! schedules each captured packet into its destination shard.
 //!
 //! Correctness argument: a packet captured at time `t` in the epoch
 //! `(E - H, E]` is injected at `t + delay`. Since `t > E - H` and
@@ -43,6 +44,7 @@ use crate::app::{App, Ctx};
 use crate::faults::FaultPlan;
 use crate::node::NodeId;
 use crate::packet::Packet;
+use crate::par;
 use crate::sim::{SimProfile, Simulator};
 use crate::time::{SimDuration, SimTime};
 use std::sync::{Arc, Mutex};
@@ -112,13 +114,12 @@ impl ShardedSim {
     pub fn new(shards: Vec<Simulator>) -> Self {
         assert!(!shards.is_empty(), "a sharded sim needs at least one shard");
         let n = shards.len();
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
         ShardedSim {
             shards,
             handoffs: (0..n).map(|_| Vec::new()).collect(),
             clock: SimTime::ZERO,
             lookahead: None,
-            workers,
+            workers: par::workers_for(n),
             stat_handoffs: 0,
             stat_epochs: 0,
             stat_stalls: 0,
@@ -224,27 +225,12 @@ impl ShardedSim {
         }
     }
 
-    /// The parallel phase: shards advance independently to `until` on a
-    /// scoped thread pool — one contiguous chunk of shards per worker, no
-    /// work stealing, so the schedule (and therefore any ordering inside a
-    /// shard) never depends on thread timing.
+    /// The parallel phase: shards advance independently to `until`. A shard
+    /// is run by one thread per epoch and shares nothing until the barrier,
+    /// so which thread that was, or when it picked the shard up, never shows
+    /// in its events — `tests/netsim_differential.rs` pins that.
     fn run_shards_to(&mut self, until: SimTime) {
-        if self.workers <= 1 || self.shards.len() <= 1 {
-            for s in &mut self.shards {
-                s.run_until(until);
-            }
-            return;
-        }
-        let chunk = self.shards.len().div_ceil(self.workers);
-        std::thread::scope(|scope| {
-            for shards in self.shards.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for s in shards {
-                        s.run_until(until);
-                    }
-                });
-            }
-        });
+        par::for_each(self.shards.iter_mut(), self.workers, |s| s.run_until(until));
     }
 
     /// The barrier phase: move every captured packet into its destination

@@ -1,6 +1,6 @@
 //! Ablation studies for the open questions of the paper's §V
 //! ("Challenges in using topology"), each a small parameter sweep and a
-//! [`Figure`] of the campaign's `paper` workload:
+//! [`Cell`] of the campaign's `paper` workload:
 //!
 //! * **interval size** — "choosing the optimal interval size is crucial";
 //! * **group-leave latency** — "the latency in dropping a layer can cause
@@ -15,9 +15,9 @@
 //! * **capacity estimate** — "it can possibly under-estimate … not a serious
 //!   problem since the capacities are recomputed at frequent intervals".
 
-use crate::campaign::Gate;
+use crate::campaign::{Cell, Gate};
 use crate::experiments::WARMUP;
-use crate::paper::{at_least, at_most, f2, f4, max_of, mean, min_of, whole_run_loss, Cell, Figure};
+use crate::paper::{at_least, at_most, f2, f4, max_of, mean, min_of, whole_run_loss, Slot};
 use crate::runner::{Scenario, ScenarioResult};
 use netsim::{QueueDiscipline, SimDuration, SimTime};
 use topology::generators;
@@ -38,14 +38,14 @@ struct Knob {
 /// The knob sweeps share one table shape — one scenario per named variant,
 /// each measured the same way — and bring their own gates.
 fn ablation(
-    cell: Cell,
+    slot: Slot,
     claim: &'static str,
     variants: Vec<(String, Scenario)>,
     gates: impl Fn(&[Knob]) -> Vec<Gate> + 'static,
-) -> Figure {
+) -> Cell {
     let (names, scenarios): (Vec<String>, Vec<Scenario>) = variants.into_iter().unzip();
     let header = ["knob", "rel. dev.", "mean loss", "max changes", "control bytes"];
-    cell.figure(claim, &header, scenarios, move |rs| {
+    slot.figure(claim, &header, scenarios, move |rs| {
         let measure = |r: &ScenarioResult| {
             let end = SimTime::ZERO + r.duration;
             Knob {
@@ -70,21 +70,21 @@ fn ablation(
 }
 
 /// §V "Interval size": sweep the controller interval on Topology A.
-pub(crate) fn interval(cell: Cell) -> Figure {
+pub(crate) fn interval(slot: Slot) -> Cell {
     let variant = |&iv: &u64| {
         // Every timeout that counts controller intervals is a function of
         // `interval` (`Config::quarantine_after` and friends), so the 4 s
         // and 8 s points need nothing else set.
-        let cfg = Config { interval: SimDuration::from_secs(iv), ..cell.cfg };
+        let cfg = Config { interval: SimDuration::from_secs(iv), ..slot.cfg };
         (
             format!("{iv}s"),
-            cell.scenario(generators::topology_a_default(2), TrafficModel::Vbr { p: 3.0 })
+            slot.scenario(generators::topology_a_default(2), TrafficModel::Vbr { p: 3.0 })
                 .with_config(cfg),
         )
     };
-    let variants = cell.size.xs.iter().map(variant).collect();
+    let variants = slot.size.xs.iter().map(variant).collect();
     ablation(
-        cell,
+        slot,
         "§V: \"choosing the optimal interval size is crucial\" — small intervals react fast but \
          misread bursts, large ones react slowly (Topology A, VBR(P=3)).",
         variants,
@@ -102,16 +102,16 @@ pub(crate) fn interval(cell: Cell) -> Figure {
 }
 
 /// §V "Group-leave latency": sweep the IGMP leave latency on Topology A.
-pub(crate) fn leave_latency(cell: Cell) -> Figure {
+pub(crate) fn leave_latency(slot: Slot) -> Cell {
     let variant = |&ms: &u64| {
-        let s = cell
+        let s = slot
             .scenario(generators::topology_a_default(2), TrafficModel::Cbr)
             .with_leave_latency(SimDuration::from_millis(ms));
         (format!("{ms}ms"), s)
     };
-    let variants = cell.size.xs.iter().map(variant).collect();
+    let variants = slot.size.xs.iter().map(variant).collect();
     ablation(
-        cell,
+        slot,
         "§V: \"the latency in dropping a layer can cause congestion\" — a slow IGMP leave \
          prolongs every failed probe's loss (Topology A, CBR).",
         variants,
@@ -131,7 +131,7 @@ pub(crate) fn leave_latency(cell: Cell) -> Figure {
 /// §V "Layer granularity": the paper's 6 doubling layers vs. a
 /// finer-grained 12-layer encoding with the same total rate (each doubling
 /// step split into two equal halves).
-pub(crate) fn granularity(cell: Cell) -> Figure {
+pub(crate) fn granularity(slot: Slot) -> Cell {
     let fine = LayerSpec::from_rates(vec![
         16_000.0, 16_000.0, 32_000.0, 32_000.0, 64_000.0, 64_000.0, 128_000.0, 128_000.0,
         256_000.0, 256_000.0, 512_000.0, 512_000.0,
@@ -139,7 +139,7 @@ pub(crate) fn granularity(cell: Cell) -> Figure {
     let variant = |(name, layers): (&str, LayerSpec)| {
         (
             name.to_string(),
-            cell.scenario(generators::topology_a_default(2), TrafficModel::Cbr).with_layers(layers),
+            slot.scenario(generators::topology_a_default(2), TrafficModel::Cbr).with_layers(layers),
         )
     };
     let variants = [("6 layers (paper)", LayerSpec::paper_default()), ("12 fine layers", fine)]
@@ -147,7 +147,7 @@ pub(crate) fn granularity(cell: Cell) -> Figure {
         .map(variant)
         .collect();
     ablation(
-        cell,
+        slot,
         "§V: \"finer granularity … limits the magnitude of possible congestion [but] can delay \
          convergence\" — 6 doubling layers vs. 12 half-sized ones (Topology A, CBR).",
         variants,
@@ -162,10 +162,10 @@ pub(crate) fn granularity(cell: Cell) -> Figure {
 /// Drop-tail (paper) vs. layer-priority dropping (cited alternative) on
 /// Topology A: priority dropping protects base layers during probes, so
 /// receivers at their optimum should see less loss.
-pub(crate) fn queue(cell: Cell) -> Figure {
+pub(crate) fn queue(slot: Slot) -> Cell {
     let variant = |(name, d): (&str, QueueDiscipline)| {
         let topo = generators::topology_a_default(2).with_discipline_everywhere(d);
-        (name.to_string(), cell.scenario(topo, TrafficModel::Cbr))
+        (name.to_string(), slot.scenario(topo, TrafficModel::Cbr))
     };
     let variants = [
         ("drop-tail (paper)", QueueDiscipline::DropTail),
@@ -173,7 +173,7 @@ pub(crate) fn queue(cell: Cell) -> Figure {
     ];
     let variants = variants.into_iter().map(variant).collect();
     ablation(
-        cell,
+        slot,
         "Drop-tail (the paper's choice) vs. the layer-priority dropping it cites: priority \
          dropping shields base layers during neighbours' probes (Topology A, CBR).",
         variants,
@@ -187,17 +187,17 @@ pub(crate) fn queue(cell: Cell) -> Figure {
 
 /// §V "Minimizing control traffic": control bytes vs. receiver count on
 /// Topology A — should scale linearly.
-pub(crate) fn control_traffic(cell: Cell) -> Figure {
-    let counts = cell.size.counts();
+pub(crate) fn control_traffic(slot: Slot) -> Cell {
+    let counts = slot.size.counts();
     let variant = |&n: &usize| {
         (
             format!("{} receivers", 2 * n),
-            cell.scenario(generators::topology_a_default(n), TrafficModel::Cbr),
+            slot.scenario(generators::topology_a_default(n), TrafficModel::Cbr),
         )
     };
     let variants = counts.iter().map(variant).collect();
     ablation(
-        cell,
+        slot,
         "§V: \"the number of information packets exchanged in every interval is linear with \
          respect to the number of receivers and sessions\" (Topology A, CBR).",
         variants,
@@ -217,13 +217,13 @@ pub(crate) fn control_traffic(cell: Cell) -> Figure {
 /// `n x 500 kb/s`) and reports the fraction of controller intervals in
 /// which the shared link had a finite estimate (coverage) and the mean and
 /// worst `|estimate - true| / true` over those intervals.
-pub(crate) fn estimator(cell: Cell) -> Figure {
-    let counts = cell.size.counts();
+pub(crate) fn estimator(slot: Slot) -> Cell {
+    let counts = slot.size.counts();
     let scenarios = counts
         .iter()
-        .map(|&n| cell.scenario(generators::topology_b_default(n), TrafficModel::Vbr { p: 3.0 }))
+        .map(|&n| slot.scenario(generators::topology_b_default(n), TrafficModel::Vbr { p: 3.0 }))
         .collect();
-    cell.figure(
+    slot.figure(
         "§V: the capacity estimate \"can possibly under-estimate … not a serious problem since \
          the capacities are recomputed at frequent intervals\" — shared-link estimate vs. ground \
          truth (Topology B, VBR(P=3)); the deliberate upward creep between congestion events \
@@ -266,7 +266,7 @@ pub(crate) fn estimator(cell: Cell) -> Figure {
 mod tests {
     use super::*;
     use crate::campaign::GateStatus;
-    use crate::paper::tests::{cell, judged};
+    use crate::paper::tests::{judged, slot};
     use crate::paper::Size;
 
     fn finite(rows: &[Vec<String>]) -> bool {
@@ -277,7 +277,7 @@ mod tests {
     fn interval_sweep_runs() {
         // The paper's own list: the 8 s point only runs because the
         // quarantine/failover timeouts follow the interval past their 6 s.
-        let (rows, gates) = judged(interval(cell(Size::new(120, &[1, 2, 4, 8]))));
+        let (rows, gates) = judged(interval(slot(Size::new(120, &[1, 2, 4, 8]))));
         assert_eq!(rows.len(), 4);
         assert!(finite(&rows), "{rows:?}");
         assert!(gates.iter().all(|g| g.value.is_some_and(f64::is_finite)), "{gates:?}");
@@ -285,20 +285,20 @@ mod tests {
 
     #[test]
     fn leave_latency_sweep_runs() {
-        let (rows, _) = judged(leave_latency(cell(Size::new(120, &[100, 2000]))));
+        let (rows, _) = judged(leave_latency(slot(Size::new(120, &[100, 2000]))));
         assert_eq!(rows.len(), 2);
         assert!(finite(&rows), "{rows:?}");
     }
 
     #[test]
     fn granularity_has_two_variants() {
-        let (rows, _) = judged(granularity(cell(Size::secs(120))));
+        let (rows, _) = judged(granularity(slot(Size::secs(120))));
         assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn control_traffic_grows_with_receivers() {
-        let (rows, gates) = judged(control_traffic(cell(Size::new(200, &[1, 4]))));
+        let (rows, gates) = judged(control_traffic(slot(Size::new(200, &[1, 4]))));
         let bytes = |row: &Vec<String>| row[4].parse::<u64>().unwrap();
         assert!(bytes(&rows[1]) > bytes(&rows[0]));
         // Exactly linear: 4x the receivers cost 4x the bytes.
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn discipline_variants_run() {
-        let (rows, _) = judged(queue(cell(Size::secs(120))));
+        let (rows, _) = judged(queue(slot(Size::secs(120))));
         assert_eq!(rows.len(), 2);
     }
 
@@ -317,7 +317,7 @@ mod tests {
         // estimate probes upward between congestion events), so the mean
         // error is dominated by the sawtooth amplitude, not by bad
         // measurements: coverage > 0.3, mean relative error < 0.6.
-        let (rows, gates) = judged(estimator(cell(Size::new(300, &[4]))));
+        let (rows, gates) = judged(estimator(slot(Size::new(300, &[4]))));
         assert_eq!(rows.len(), 1);
         assert!(gates.iter().all(|g| g.status == GateStatus::Pass), "{gates:?}");
     }

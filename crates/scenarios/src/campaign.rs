@@ -10,8 +10,14 @@
 //! this), so a campaign run is a regression fingerprint for the whole
 //! system, not a one-off measurement.
 //!
-//! The **zoo** contributes five workload families beyond the per-figure
-//! scenarios the repo already had:
+//! The matrix is a list of [`Cell`]s and a cell is the only unit there is:
+//! an id, its axes, a cap, the scenarios it needs run and a judge that turns
+//! their results into metrics, table rows and gates. [`cells`] lists them —
+//! the zoo workloads below, then the paper's figures ([`crate::paper`]) —
+//! and [`run_campaign`] runs every cell's scenarios in one parallel batch
+//! and judges them in one loop. A cell with no scenario (`flash-crowd`,
+//! `diurnal-churn`, both federations, `paper/table1`) drives what it
+//! measures inside its judge. The **zoo** workloads:
 //!
 //! * `flash-crowd` — the whole audience joins inside one control
 //!   interval (100k receivers in the full profile) and the pipeline must
@@ -42,19 +48,22 @@
 //!   handoffs must flow, the SoA multicast invariants must audit clean,
 //!   and the cell must fit its wall budget.
 //!
-//! Every run yields a [`RunRecord`] (its own JSON artifact) and the
-//! campaign aggregates them into one JSON + one markdown report.
-//! **Coverage caps are never silent**: whenever a profile truncates the
-//! matrix (smoke shrinking the flash crowd, seed truncation, …) the cap is
-//! recorded in the artifact's `coverage_caps` list; the binary
-//! cross-checks the list against the caps it applied and screams
-//! `SILENT-CAP` — a CI failure — if anything was dropped unrecorded.
+//! Every cell yields a [`RunRecord`] (its own JSON artifact) and the
+//! campaign aggregates them into one JSON + one markdown report; a cell
+//! with a red gate also leaves a black box (the flight window of its run if
+//! exactly one simulator ran behind it, a minimal dump otherwise).
+//! **Coverage caps are never silent**: whenever a profile shrinks a cell
+//! the cap rides on the cell and is recorded, once, in the artifact's
+//! `coverage_caps` list; the binary cross-checks the list against
+//! [`expected_caps`]' rule and screams `SILENT-CAP` — a CI failure — if
+//! anything was dropped unrecorded.
 
 use crate::chaos::{self, FaultAxis};
+use crate::experiments::Reader;
 use crate::largetree::{
     self, balanced_session_tree, churn_fraction, registry_for_leaves, reports_for_leaves,
 };
-use crate::paper::{self, Figure};
+use crate::paper;
 use crate::runner::{self, ControlMode, Scenario, ScenarioResult};
 use metrics::{jain_index, max_min_ratio};
 use netsim::{derive_stream_seed, SimDuration, SimTime};
@@ -100,6 +109,19 @@ impl Gate {
     /// Gate on `value >= threshold`.
     pub fn at_least(name: &str, value: Option<f64>, threshold: f64, skip_reason: &str) -> Gate {
         Self::check(name, value, threshold, skip_reason, |v, t| v >= t, ">=")
+    }
+
+    /// Gate on a check that yields no number (an audit, a wall-clock budget):
+    /// `value` stays `None`, so nothing run-dependent reaches an artifact, and
+    /// a failure carries the `Err` text as its reason.
+    pub fn holds(name: &str, threshold: f64, outcome: Result<(), String>) -> Gate {
+        Gate {
+            name: name.into(),
+            status: if outcome.is_ok() { GateStatus::Pass } else { GateStatus::Fail },
+            value: None,
+            threshold,
+            reason: outcome.err().unwrap_or_default(),
+        }
     }
 
     fn check(
@@ -191,8 +213,36 @@ impl Table {
     }
 }
 
-/// A pipeline-level cell's metrics and gates.
-type Measured = (Vec<(String, String)>, Vec<Gate>);
+/// What a cell's judge makes of its results.
+pub struct Verdict {
+    /// Workload-specific deterministic measurements.
+    pub metrics: Vec<(String, String)>,
+    /// The rows under the cell's table header (none without a table).
+    pub rows: Vec<Vec<String>>,
+    pub gates: Vec<Gate>,
+}
+
+/// One cell of the matrix — the campaign's only unit: a zoo workload at one
+/// point of its axes, or one figure of the paper ([`crate::paper`]), at one
+/// seed. [`run_campaign`] pushes `scenarios` through its one batch and hands
+/// the results to `judge`; a cell with no scenario drives whatever it
+/// measures inside its judge. `id`, `workload`, `axes` and `seed` are the
+/// [`RunRecord`]'s.
+pub struct Cell {
+    pub id: String,
+    pub workload: &'static str,
+    pub axes: Vec<(String, String)>,
+    pub seed: u64,
+    /// The paper's sentence a figure answers and its column header.
+    pub table: Option<(&'static str, Vec<String>)>,
+    /// The config the cell runs under (a red cell's black box fingerprints it).
+    pub cfg: toposense::Config,
+    /// What the profile shrank relative to the paper's size.
+    pub cap: Option<String>,
+    pub scenarios: Vec<Scenario>,
+    /// Results of `scenarios`, same order, to metrics, table rows and gates.
+    pub judge: Reader<Verdict>,
+}
 
 /// Everything one cell of the matrix produced.
 #[derive(Clone, Debug)]
@@ -456,23 +506,65 @@ impl CampaignSpec {
         self.config_override.unwrap_or_else(chaos::chaos_config)
     }
 
-    fn cell_seed(&self, workload: &str, cell: u64) -> u64 {
+    pub(crate) fn cell_seed(&self, workload: &str, cell: u64) -> u64 {
         derive_stream_seed(self.seed_index, workload, cell)
     }
 
     /// The `config` axis of every cell the override reaches.
-    fn config_label(&self) -> &'static str {
+    pub(crate) fn config_label(&self) -> &'static str {
         if self.config_override.is_some() {
             "override"
         } else {
             "default"
         }
     }
+
+    /// The cells of a zoo workload that drives itself — the pipeline, or the
+    /// sharded packet world: one per seed and no scenario for the batch, so
+    /// the judge is the whole run (as `paper/table1`'s is).
+    fn driven(
+        &self,
+        workload: &'static str,
+        variant: &str,
+        cap: Option<String>,
+        axes: &[(&str, &str)],
+        seeds: usize,
+        drive: impl Fn(u64) -> Verdict + Clone + 'static,
+    ) -> Vec<Cell> {
+        let cell = |s_ord: usize| {
+            let seed = self.cell_seed(workload, s_ord as u64);
+            let drive = drive.clone();
+            Cell {
+                id: format!("{workload}/{variant}/s{s_ord}"),
+                workload,
+                axes: axes.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
+                table: None,
+                cfg: self.base_config(),
+                cap: cap.clone(),
+                seed,
+                scenarios: Vec::new(),
+                judge: Box::new(move |_| drive(seed)),
+            }
+        };
+        (0..seeds).map(cell).collect()
+    }
 }
 
 // ------------------------------------------------------------------ zoo
 
+/// A wall-clock budget as a [`Gate::holds`] outcome. Wall-clock stays out of
+/// the artifact (no value, static reason) so a rerun at the same seed is
+/// byte-identical; only the pass/fail verdict reflects the measured time.
+fn within(wall: std::time::Duration, budget_s: u64, overrun: &str) -> Result<(), String> {
+    if wall <= std::time::Duration::from_secs(budget_s) {
+        Ok(())
+    } else {
+        Err(overrun.into())
+    }
+}
+
 /// Flash-crowd dimensions per profile.
+#[derive(Clone, Copy)]
 struct FlashParams {
     fanout: usize,
     depth: usize,
@@ -506,15 +598,25 @@ fn flash_params(profile: Profile) -> (FlashParams, Option<String>) {
     }
 }
 
+fn flash_crowd(spec: &CampaignSpec) -> Vec<Cell> {
+    let ((p, cap), cfg) = (flash_params(spec.profile), spec.base_config());
+    spec.driven(
+        "flash-crowd",
+        "join-in-one-interval",
+        cap,
+        &[("topology", "balanced"), ("traffic", "report-level"), ("fault", "none")],
+        spec.seeds_per_cell,
+        move |seed| run_flash_crowd(p, cfg, seed),
+    )
+}
+
 /// Drive the five-stage pipeline through a flash crowd: a small overnight
 /// core, then every leaf registered and reporting from `join_round` on.
-fn run_flash_crowd(spec: &CampaignSpec, seed: u64) -> Measured {
-    let p = flash_params(spec.profile).0;
+fn run_flash_crowd(p: FlashParams, cfg: toposense::Config, seed: u64) -> Verdict {
     let (tree, leaves) = balanced_session_tree(0, p.fanout, p.depth);
     let layer_spec = LayerSpec::paper_default();
     let trees = [tree];
     let specs = [&layer_spec];
-    let cfg = spec.base_config();
     let mut state = AlgorithmState::new(cfg, derive_stream_seed(seed, "campaign-flash", 0));
     let mut levels = vec![1u8; leaves.len()];
     let mut prev_suggestions: Vec<(u32, u8)> = Vec::new();
@@ -574,10 +676,11 @@ fn run_flash_crowd(spec: &CampaignSpec, seed: u64) -> Measured {
             stabilized_after.map(|v| v.to_string()).unwrap_or_else(|| "never".into()),
         ),
     ];
-    (metrics, gates)
+    Verdict { metrics, rows: Vec::new(), gates }
 }
 
 /// Diurnal-churn dimensions per profile.
+#[derive(Clone, Copy)]
 struct DiurnalParams {
     fanout: usize,
     depth: usize,
@@ -603,16 +706,26 @@ fn diurnal_params(profile: Profile) -> (DiurnalParams, Option<String>) {
     }
 }
 
+fn diurnal_churn(spec: &CampaignSpec) -> Vec<Cell> {
+    let ((p, cap), cfg) = (diurnal_params(spec.profile), spec.base_config());
+    spec.driven(
+        "diurnal-churn",
+        "triangle-day",
+        cap,
+        &[("topology", "balanced"), ("traffic", "report-level churn"), ("fault", "none")],
+        spec.seeds_per_cell,
+        move |seed| run_diurnal(p, cfg, seed),
+    )
+}
+
 /// Drive the change-driven pipeline through deterministic day/night report
 /// churn and check it tracks the profile: incremental rounds dominate, and
 /// midday dirties more slots than the dead of night.
-fn run_diurnal(spec: &CampaignSpec, seed: u64) -> Measured {
-    let p = diurnal_params(spec.profile).0;
+fn run_diurnal(p: DiurnalParams, cfg: toposense::Config, seed: u64) -> Verdict {
     let (tree, leaves) = balanced_session_tree(0, p.fanout, p.depth);
     let layer_spec = LayerSpec::paper_default();
     let trees = [tree];
     let specs = [&layer_spec];
-    let cfg = spec.base_config();
     let mut state = AlgorithmState::new(cfg, derive_stream_seed(seed, "campaign-diurnal", 0));
     let registry = registry_for_leaves(0, &leaves);
     let mut reports = reports_for_leaves(0, &leaves, 3, 11);
@@ -662,10 +775,11 @@ fn run_diurnal(spec: &CampaignSpec, seed: u64) -> Measured {
         ("night_slots".into(), night_slots.to_string()),
         ("peak_slots".into(), peak_slots.to_string()),
     ];
-    (metrics, gates)
+    Verdict { metrics, rows: Vec::new(), gates }
 }
 
 /// Federation dimensions per profile.
+#[derive(Clone, Copy)]
 struct FederationParams {
     domains: usize,
     fanout: usize,
@@ -696,20 +810,37 @@ fn federation_params(profile: Profile) -> (FederationParams, Option<String>) {
 /// fitting levels 2 / 4 / 5 under the paper layer spec.
 const FEDERATION_GW_KBPS: [f64; 3] = [150.0, 600.0, 1200.0];
 
+fn federation(spec: &CampaignSpec) -> Vec<Cell> {
+    let ((p, cap), cfg) = (federation_params(spec.profile), spec.base_config());
+    let telemetry = spec.telemetry.clone();
+    let axes = [
+        ("topology", "federated balanced domains"),
+        ("traffic", "report-level border oracle"),
+        ("fault", "none"),
+        ("control", "per-domain pipelines + parent aggregator"),
+    ];
+    let seeds = spec.seeds_per_cell;
+    spec.driven("federation", "border-aggregation", cap, &axes, seeds, move |seed| {
+        run_federation(p, cfg, telemetry.clone(), seed)
+    })
+}
+
 /// Drive the federated control plane (DESIGN.md §16) over a multi-domain
 /// world: per-domain pipelines in parallel, border summaries folded by the
 /// parent aggregator, caps handed back. Gates: every domain converges to
 /// its own border fit, the caps land within one probe layer of the fits,
 /// and no control interval overruns the paper's 2 s budget wall-clock.
-fn run_federation(spec: &CampaignSpec, seed: u64) -> Measured {
+fn run_federation(
+    p: FederationParams,
+    cfg: toposense::Config,
+    telemetry: Telemetry,
+    seed: u64,
+) -> Verdict {
     use toposense::federation::Federation;
-    let p = federation_params(spec.profile).0;
     let layer_spec = LayerSpec::paper_default();
-    let cfg = spec.base_config();
     let (domains, leaves) = largetree::federated_domains(p.domains, p.fanout, p.depth, cfg, seed);
     let receivers = p.domains * leaves.len();
-    let mut fed = Federation::new(cfg, seed, domains, layer_spec.clone())
-        .with_telemetry(spec.telemetry.clone());
+    let mut fed = Federation::new(cfg, seed, domains, layer_spec.clone()).with_telemetry(telemetry);
     let fits: Vec<u8> = (0..p.domains)
         .map(|d| {
             layer_spec.level_fitting(FEDERATION_GW_KBPS[d % FEDERATION_GW_KBPS.len()] * 1000.0)
@@ -759,24 +890,12 @@ fn run_federation(spec: &CampaignSpec, seed: u64) -> Measured {
         .zip(&fits)
         .map(|(&c, &f)| (c as f64 - f as f64).abs())
         .fold(0.0f64, f64::max);
-    let budget_ok = worst_interval <= std::time::Duration::from_secs(2);
+    let in_budget =
+        within(worst_interval, 2, "a federated control interval overran the 2 s budget");
     let gates = vec![
         Gate::at_least("cross_domain_convergence", Some(convergence), 1.0, ""),
         Gate::at_most("border_cap_deviation", Some(cap_dev), 1.0, ""),
-        // Wall-clock stays out of the artifact (value: None, static
-        // reason) so a rerun at the same seed is byte-identical; only the
-        // pass/fail verdict reflects the measured time.
-        Gate {
-            name: "interval_wall_budget_2s".into(),
-            status: if budget_ok { GateStatus::Pass } else { GateStatus::Fail },
-            value: None,
-            threshold: 2.0,
-            reason: if budget_ok {
-                String::new()
-            } else {
-                "a federated control interval overran the 2 s budget".into()
-            },
-        },
+        Gate::holds("interval_wall_budget_2s", 2.0, in_budget),
     ];
     let metrics = vec![
         ("domains".into(), p.domains.to_string()),
@@ -786,10 +905,11 @@ fn run_federation(spec: &CampaignSpec, seed: u64) -> Measured {
         ("border_folds".into(), fed.border_folds().to_string()),
         ("final_caps".into(), final_caps.iter().map(u8::to_string).collect::<Vec<_>>().join(",")),
     ];
-    (metrics, gates)
+    Verdict { metrics, rows: Vec::new(), gates }
 }
 
 /// Federation-packet dimensions per profile.
+#[derive(Clone, Copy)]
 struct FederationPacketParams {
     domains: usize,
     fanout: usize,
@@ -832,6 +952,20 @@ fn federation_packet_params(profile: Profile) -> (FederationPacketParams, Option
     }
 }
 
+fn federation_packet(spec: &CampaignSpec) -> Vec<Cell> {
+    let (p, cap) = federation_packet_params(spec.profile);
+    let axes = [
+        ("topology", "federated balanced domains"),
+        ("traffic", "packet-level CBR media"),
+        ("fault", "none"),
+        ("control", "sharded wheels + conservative barriers"),
+    ];
+    // The world takes no randomness, so one cell covers the workload — more
+    // seeds would be byte-identical reruns of a heavyweight world; the
+    // derived seed is recorded for matrix-id stability only.
+    spec.driven("federation-packet", "sharded-1m", cap, &axes, 1, move |_| run_federation_packet(p))
+}
+
 /// Drive the 1M-receiver federation workload end-to-end at the *packet*
 /// level through [`netsim::ShardedSim`] (DESIGN.md §17): a core shard feeds
 /// per-domain shards across handoff links, each domain runs its own
@@ -839,11 +973,8 @@ fn federation_packet_params(profile: Profile) -> (FederationPacketParams, Option
 /// the run bit-identical to a sequential wheel (pinned by the differential
 /// suite). Gates: every domain delivers media, cross-shard handoffs
 /// actually flowed, the SoA multicast invariants hold in every shard after
-/// the run, and the whole cell fits its wall budget. The world takes no
-/// randomness, so one cell covers the workload; the derived seed is
-/// recorded for matrix-id stability only.
-fn run_federation_packet(spec: &CampaignSpec, _seed: u64) -> Measured {
-    let p = federation_packet_params(spec.profile).0;
+/// the run, and the whole cell fits its wall budget.
+fn run_federation_packet(p: FederationPacketParams) -> Verdict {
     let params = largetree::FederationWorldParams {
         domains: p.domains,
         fanout: p.fanout,
@@ -866,31 +997,13 @@ fn run_federation_packet(spec: &CampaignSpec, _seed: u64) -> Measured {
     let audit = (1..world.sharded.shard_count())
         .map(|d| world.sharded.shard(d).network().multicast_audit())
         .collect::<Result<Vec<_>, _>>();
-    let budget_ok = wall <= std::time::Duration::from_secs(p.wall_budget_s);
+    let overrun = "the packet-level federation run overran its wall budget";
+    let budget = format!("wall_budget_{}s", p.wall_budget_s);
     let gates = vec![
         Gate::at_least("domains_delivering", Some(delivering as f64 / p.domains as f64), 1.0, ""),
         Gate::at_least("cross_shard_handoffs", Some(profile.shard_handoffs as f64), 1.0, ""),
-        Gate {
-            name: "soa_multicast_invariants".into(),
-            status: if audit.is_ok() { GateStatus::Pass } else { GateStatus::Fail },
-            value: None,
-            threshold: 0.0,
-            reason: audit.err().map(|e| e.to_string()).unwrap_or_default(),
-        },
-        // Wall-clock stays out of the artifact (value: None, static
-        // reason) so reruns are byte-identical; only the verdict reflects
-        // the measured time.
-        Gate {
-            name: format!("wall_budget_{}s", p.wall_budget_s),
-            status: if budget_ok { GateStatus::Pass } else { GateStatus::Fail },
-            value: None,
-            threshold: p.wall_budget_s as f64,
-            reason: if budget_ok {
-                String::new()
-            } else {
-                "the packet-level federation run overran its wall budget".into()
-            },
-        },
+        Gate::holds("soa_multicast_invariants", 0.0, audit.map(drop).map_err(|e| e.to_string())),
+        Gate::holds(&budget, p.wall_budget_s as f64, within(wall, p.wall_budget_s, overrun)),
     ];
     let metrics = vec![
         ("receivers".into(), receivers.to_string()),
@@ -899,93 +1012,26 @@ fn run_federation_packet(spec: &CampaignSpec, _seed: u64) -> Measured {
         ("cross_shard_handoffs".into(), profile.shard_handoffs.to_string()),
         ("barrier_epochs".into(), profile.shard_barrier_epochs.to_string()),
     ];
-    (metrics, gates)
+    Verdict { metrics, rows: Vec::new(), gates }
 }
 
-/// One pipeline-level zoo workload: no simulator run by [`runner::run_many`]
-/// behind it — `run` drives the pipeline (or the sharded packet world)
-/// inline and returns the cell's metrics and gates.
-struct PipelineCell {
-    workload: &'static str,
-    variant: &'static str,
-    cap: Option<String>,
-    axes: &'static [(&'static str, &'static str)],
-    /// `false` for a world that takes no randomness.
-    seeded: bool,
-    run: fn(&CampaignSpec, u64) -> Measured,
-}
-
-fn pipeline_cells(profile: Profile) -> [PipelineCell; 4] {
-    [
-        PipelineCell {
-            workload: "flash-crowd",
-            variant: "join-in-one-interval",
-            cap: flash_params(profile).1,
-            axes: &[("topology", "balanced"), ("traffic", "report-level"), ("fault", "none")],
-            seeded: true,
-            run: run_flash_crowd,
-        },
-        PipelineCell {
-            workload: "diurnal-churn",
-            variant: "triangle-day",
-            cap: diurnal_params(profile).1,
-            axes: &[("topology", "balanced"), ("traffic", "report-level churn"), ("fault", "none")],
-            seeded: true,
-            run: run_diurnal,
-        },
-        PipelineCell {
-            workload: "federation",
-            variant: "border-aggregation",
-            cap: federation_params(profile).1,
-            axes: &[
-                ("topology", "federated balanced domains"),
-                ("traffic", "report-level border oracle"),
-                ("fault", "none"),
-                ("control", "per-domain pipelines + parent aggregator"),
-            ],
-            seeded: true,
-            run: run_federation,
-        },
-        PipelineCell {
-            workload: "federation-packet",
-            variant: "sharded-1m",
-            cap: federation_packet_params(profile).1,
-            axes: &[
-                ("topology", "federated balanced domains"),
-                ("traffic", "packet-level CBR media"),
-                ("fault", "none"),
-                ("control", "sharded wheels + conservative barriers"),
-            ],
-            seeded: false,
-            run: run_federation_packet,
-        },
+/// The measurements every scenario-backed zoo record starts with.
+fn run_metrics(r: &ScenarioResult) -> Vec<(String, String)> {
+    vec![
+        ("events".into(), r.events.to_string()),
+        ("total_drops".into(), r.total_drops.to_string()),
+        ("control_bytes".into(), r.control_bytes.to_string()),
     ]
 }
 
-/// The scenario-level matrix: heterogeneous last-mile cells crossed with
-/// traffic and fault axes, plus the mixed-session fairness cells. Returns
-/// prepared scenarios and the per-cell gate evaluator inputs.
-struct ScenarioCell {
-    id: String,
-    workload: &'static str,
-    axes: Vec<(String, String)>,
-    seed: u64,
-    scenario: Scenario,
-    heal_at: Option<SimTime>,
-    cfg: toposense::Config,
-}
-
-fn lastmile_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCell> {
-    let (fanout, depth, duration) = match spec.profile {
-        Profile::Full => (4, 3, SimDuration::from_secs(600)),
-        Profile::Smoke => {
-            caps.push(
-                "het-lastmile: smoke runs 9 receivers for 150 s instead of 64 for 600 s"
-                    .to_string(),
-            );
-            (3, 2, SimDuration::from_secs(150))
-        }
-    };
+/// `het-lastmile`: heterogeneous last-mile domains crossed with the traffic
+/// and fault axes, one scenario per cell.
+fn het_lastmile(spec: &CampaignSpec) -> Vec<Cell> {
+    let smoke = spec.profile == Profile::Smoke;
+    let (fanout, depth, secs) = if smoke { (3, 2, 150) } else { (4, 3, 600) };
+    let cap = smoke
+        .then(|| "het-lastmile: smoke runs 9 receivers for 150 s instead of 64 for 600 s".into());
+    let duration = SimDuration::from_secs(secs);
     let lastmile = [150.0, 600.0, 2500.0];
     let traffic_axis = [TrafficModel::Cbr, TrafficModel::Vbr { p: 3.0 }];
     // Spec link 1 is the first leaf's access link (root link is 0).
@@ -1002,7 +1048,7 @@ fn lastmile_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCe
                 let base =
                     Scenario::new(topo, traffic, seed).with_config(cfg).with_duration(duration);
                 let (scenario, heal_at) = fault.apply(base);
-                cells.push(ScenarioCell {
+                cells.push(Cell {
                     id: format!(
                         "het-lastmile/{}+{}+{}/s{s_ord}",
                         traffic.label().to_lowercase().replace(['(', ')', '='], ""),
@@ -1016,10 +1062,12 @@ fn lastmile_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCe
                         ("fault".into(), fault.label()),
                         ("config".into(), spec.config_label().into()),
                     ],
-                    seed,
-                    scenario,
-                    heal_at,
+                    table: None,
                     cfg,
+                    cap: cap.clone(),
+                    seed,
+                    scenarios: vec![scenario],
+                    judge: Box::new(move |rs| judge_lastmile(&rs[0], &cfg, heal_at)),
                 });
             }
         }
@@ -1027,20 +1075,50 @@ fn lastmile_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCe
     cells
 }
 
-fn mixed_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCell> {
-    let (sessions, duration) = match spec.profile {
-        Profile::Full => (4, SimDuration::from_secs(600)),
-        Profile::Smoke => {
-            caps.push(
-                "mixed-sessions: smoke runs 3 sessions for 150 s instead of 4 for 600 s"
-                    .to_string(),
-            );
-            (3, SimDuration::from_secs(150))
-        }
-    };
+fn judge_lastmile(
+    r: &ScenarioResult,
+    cfg: &toposense::Config,
+    heal_at: Option<SimTime>,
+) -> Verdict {
+    let end = SimTime::ZERO + r.duration;
+    let half = SimTime::ZERO + r.duration / 2;
+    let mut metrics = run_metrics(r);
+    let dev = r.mean_relative_deviation(half, end);
+    if let Some(d) = dev {
+        metrics.push(("mean_relative_deviation".into(), format!("{d:.6}")));
+    }
+    let recovery = "recovery_within_10_intervals";
+    let gates = vec![
+        Gate::at_most(
+            "mean_relative_deviation",
+            dev,
+            0.75,
+            "undefined: no receiver had a positive optimum over the window",
+        ),
+        match heal_at {
+            Some(heal) => Gate::holds(recovery, 10.0, chaos::verify_recovery(r, cfg, heal, 10)),
+            None => Gate {
+                name: recovery.into(),
+                status: GateStatus::Skipped,
+                value: None,
+                threshold: 10.0,
+                reason: "skipped: fault-free cell has nothing to recover from".into(),
+            },
+        },
+    ];
+    Verdict { metrics, rows: Vec::new(), gates }
+}
+
+/// `mixed-sessions`: a TopoSense CBR foreground against RLM-controlled VBR
+/// backgrounds on Topology B's shared link.
+fn mixed_sessions(spec: &CampaignSpec) -> Vec<Cell> {
+    let smoke = spec.profile == Profile::Smoke;
+    let (sessions, secs) = if smoke { (3, 150) } else { (4, 600) };
+    let cap = smoke
+        .then(|| "mixed-sessions: smoke runs 3 sessions for 150 s instead of 4 for 600 s".into());
+    let duration = SimDuration::from_secs(secs);
     let cfg = spec.base_config();
-    let mut cells = Vec::new();
-    for s_ord in 0..spec.seeds_per_cell {
+    let cell = |s_ord: usize| {
         let seed = spec.cell_seed("mixed-sessions", s_ord as u64);
         let mut scenario =
             Scenario::new(generators::topology_b_default(sessions), TrafficModel::Cbr, seed)
@@ -1053,7 +1131,7 @@ fn mixed_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCell>
                 .with_session_control(bg, ControlMode::Rlm)
                 .with_session_traffic(bg, TrafficModel::Vbr { p: 3.0 });
         }
-        cells.push(ScenarioCell {
+        Cell {
             id: format!("mixed-sessions/cbr-vs-rlm-vbr/s{s_ord}"),
             workload: "mixed-sessions",
             axes: vec![
@@ -1062,29 +1140,78 @@ fn mixed_cells(spec: &CampaignSpec, caps: &mut Vec<String>) -> Vec<ScenarioCell>
                 ("fault".into(), "none".into()),
                 ("control".into(), "toposense + rlm background".into()),
             ],
-            seed,
-            scenario,
-            heal_at: None,
+            table: None,
             cfg,
-        });
-    }
-    cells
+            cap: cap.clone(),
+            seed,
+            scenarios: vec![scenario],
+            judge: Box::new(|rs| judge_mixed(&rs[0])),
+        }
+    };
+    (0..spec.seeds_per_cell).map(cell).collect()
 }
 
-/// Replicated-controller failover cells: the primary dies mid-interval and
-/// the input-synced standby must take over inside the heartbeat bound and
-/// resume steering with zero re-learning (ISSUE 7 / DESIGN.md §14).
-fn failover_cells(spec: &CampaignSpec) -> Vec<ScenarioCell> {
+fn judge_mixed(r: &ScenarioResult) -> Verdict {
+    let end = SimTime::ZERO + r.duration;
+    let half = SimTime::ZERO + r.duration / 2;
+    let mut metrics = run_metrics(r);
+    let bytes: Vec<f64> = r.session_bytes().iter().map(|&(_, b)| b as f64).collect();
+    // An RLM/VBR background is *expected* to lose ground against the
+    // controller-steered foreground, so the bound is a floor against
+    // outright starvation, not the paper's same-system fairness claim. One
+    // of n sessions taking everything scores Jain = 1/n; the floor sits 8 %
+    // above that — 0.36 for smoke's three sessions (observed 0.42–0.49),
+    // 0.27 for the full profile's four (0.324 / 0.345 / 0.275 on s0–s2).
+    // Full s2 is genuinely starved (backgrounds at 1.08 layers, share ratio
+    // 82); the share-ratio gate, which needs no scaling, is the one that
+    // holds it red (EXPERIMENTS.md, divergence 4).
+    let jain = if bytes.is_empty() { None } else { Some(jain_index(&bytes)) };
+    let floor = 1.08 / bytes.len().max(1) as f64;
+    let ratio = max_min_ratio(&bytes);
+    let mut gates = vec![
+        Gate::at_least("jain_fairness", jain, floor, "no session bytes recorded"),
+        Gate::at_most("max_min_share_ratio", Some(ratio), 25.0, ""),
+    ];
+    // A failed share gate names who starved: per-session bytes and
+    // whole-run mean levels (topology B hosts one receiver each).
+    let levels: Vec<String> = r
+        .receivers
+        .iter()
+        .map(|x| format!("s{} {:.2}", x.session, x.level_series().mean(SimTime::ZERO, end)))
+        .collect();
+    for g in gates.iter_mut().filter(|g| g.status == GateStatus::Fail) {
+        g.reason += &format!("; session bytes {bytes:?}, mean levels [{}]", levels.join(", "));
+    }
+    let fg: Vec<f64> = r
+        .receivers
+        .iter()
+        .filter(|x| x.session == 0)
+        .filter_map(|x| x.relative_deviation(half, end))
+        .collect();
+    let fg_dev = if fg.is_empty() { None } else { Some(fg.iter().sum::<f64>() / fg.len() as f64) };
+    gates.push(Gate::at_most(
+        "foreground_deviation",
+        fg_dev,
+        0.9,
+        "undefined: foreground session has no receivers with a positive optimum",
+    ));
+    if let Some(j) = jain {
+        metrics.push(("jain".into(), format!("{j:.6}")));
+    }
+    metrics.push(("max_min_ratio".into(), format!("{ratio:.6}")));
+    Verdict { metrics, rows: Vec::new(), gates }
+}
+
+/// `primary-crash-mid-interval`: the primary dies mid-interval and the
+/// input-synced standby must take over inside the heartbeat bound and resume
+/// steering with zero re-learning (ISSUE 7 / DESIGN.md §14). The plan is
+/// 150 s at either profile, so smoke caps nothing.
+fn primary_crash(spec: &CampaignSpec) -> Vec<Cell> {
     let cfg = spec.base_config();
-    let mut cells = Vec::new();
-    for s_ord in 0..spec.seeds_per_cell {
+    let cell = |s_ord: usize| {
         let seed = spec.cell_seed("primary-crash-mid-interval", s_ord as u64);
         let (base, crash_at) = chaos::primary_crash_mid_interval(seed);
-        // Re-stamp the campaign config so the broken-config regression
-        // hook reaches this workload too (a config with replication off
-        // is *meant* to fail the replicated-batches gate).
-        let scenario = base.with_config(cfg);
-        cells.push(ScenarioCell {
+        Cell {
             id: format!("primary-crash-mid-interval/crash-41s/s{s_ord}"),
             workload: "primary-crash-mid-interval",
             axes: vec![
@@ -1094,278 +1221,156 @@ fn failover_cells(spec: &CampaignSpec) -> Vec<ScenarioCell> {
                 ("config".into(), spec.config_label().into()),
                 ("control".into(), "toposense + replicated standby".into()),
             ],
-            seed,
-            scenario,
-            heal_at: Some(crash_at),
+            table: None,
             cfg,
-        });
-    }
-    cells
+            cap: None,
+            seed,
+            // Re-stamp the campaign config so the broken-config regression
+            // hook reaches this workload too (a config with replication off
+            // is *meant* to fail the replicated-batches gate).
+            scenarios: vec![base.with_config(cfg)],
+            judge: Box::new(move |rs| judge_failover(&rs[0], &cfg, crash_at)),
+        }
+    };
+    (0..spec.seeds_per_cell).map(cell).collect()
 }
 
-/// Evaluate the gates for one completed scenario cell.
-fn judge_scenario(cell: &ScenarioCell, r: &ScenarioResult) -> RunRecord {
-    let end = SimTime::ZERO + r.duration;
-    let half = SimTime::ZERO + r.duration / 2;
-    let mut gates = Vec::new();
-    let mut metrics: Vec<(String, String)> = vec![
-        ("events".into(), r.events.to_string()),
-        ("total_drops".into(), r.total_drops.to_string()),
-        ("control_bytes".into(), r.control_bytes.to_string()),
+fn judge_failover(r: &ScenarioResult, cfg: &toposense::Config, crash_at: SimTime) -> Verdict {
+    let mut metrics = run_metrics(r);
+    let interval = cfg.interval.as_secs_f64();
+    let standby = r.standby.as_ref();
+    // One-interval takeover bound: the standby must declare failover within
+    // failover_after + one interval of the crash (heartbeat silence is only
+    // observable at the next check).
+    let takeover = standby.and_then(|s| s.failover_at).map(|t| t.since(crash_at).as_secs_f64());
+    // Zero re-learning: the promoted standby's own first steering interval
+    // lands within one control interval of the takeover — it resumes from
+    // its replicated AlgorithmState instead of re-observing the domain from
+    // scratch.
+    let first_steer = standby.and_then(|s| {
+        let at = s.failover_at?;
+        s.suggestion_series
+            .iter()
+            .find(|(t, sugg)| *t >= at && !sugg.is_empty())
+            .map(|(t, _)| t.since(at).as_secs_f64() / interval)
+    });
+    // The precondition for both bounds: the standby was an input-synced
+    // twin before the crash (it applied replicated batches, so takeover
+    // needs no warm-up).
+    let applied = standby.map(|s| s.replica_applied as f64);
+    let gates = vec![
+        Gate::at_most(
+            "takeover_seconds",
+            takeover,
+            cfg.failover_after().as_secs_f64() + interval,
+            "standby never took over",
+        ),
+        Gate::at_most("first_steer_intervals", first_steer, 1.0, "promoted standby never steered"),
+        Gate::at_least("replicated_batches", applied, 1.0, "no standby hosted"),
     ];
-    match cell.workload {
-        "het-lastmile" => {
-            let dev = r.mean_relative_deviation(half, end);
-            gates.push(Gate::at_most(
-                "mean_relative_deviation",
-                dev,
-                0.75,
-                "undefined: no receiver had a positive optimum over the window",
-            ));
-            if let Some(d) = dev {
-                metrics.push(("mean_relative_deviation".into(), format!("{d:.6}")));
-            }
-            match cell.heal_at {
-                Some(heal) => {
-                    let ok = chaos::verify_recovery(r, &cell.cfg, heal, 10);
-                    gates.push(Gate {
-                        name: "recovery_within_10_intervals".into(),
-                        status: if ok.is_ok() { GateStatus::Pass } else { GateStatus::Fail },
-                        value: None,
-                        threshold: 10.0,
-                        reason: ok.err().unwrap_or_default(),
-                    });
-                }
-                None => gates.push(Gate {
-                    name: "recovery_within_10_intervals".into(),
-                    status: GateStatus::Skipped,
-                    value: None,
-                    threshold: 10.0,
-                    reason: "skipped: fault-free cell has nothing to recover from".into(),
-                }),
-            }
-        }
-        "mixed-sessions" => {
-            let bytes: Vec<f64> = r.session_bytes().iter().map(|&(_, b)| b as f64).collect();
-            // An RLM/VBR background is *expected* to lose ground against
-            // the controller-steered foreground, so the bound is a floor
-            // against outright starvation, not the paper's same-system
-            // fairness claim. One of n sessions taking everything scores
-            // Jain = 1/n; the floor sits 8 % above that — 0.36 for smoke's
-            // three sessions (observed 0.42–0.49), 0.27 for the full
-            // profile's four (0.324 / 0.345 / 0.275 on s0–s2). Full s2 is
-            // genuinely starved (backgrounds at 1.08 layers, share ratio
-            // 82); the share-ratio gate, which needs no scaling, is the one
-            // that holds it red (EXPERIMENTS.md, divergence 4).
-            let jain = if bytes.is_empty() { None } else { Some(jain_index(&bytes)) };
-            let floor = 1.08 / bytes.len().max(1) as f64;
-            gates.push(Gate::at_least("jain_fairness", jain, floor, "no session bytes recorded"));
-            let ratio = max_min_ratio(&bytes);
-            gates.push(Gate::at_most("max_min_share_ratio", Some(ratio), 25.0, ""));
-            // A failed share gate names who starved: per-session bytes and
-            // whole-run mean levels (topology B hosts one receiver each).
-            let levels: Vec<String> = r
-                .receivers
-                .iter()
-                .map(|x| format!("s{} {:.2}", x.session, x.level_series().mean(SimTime::ZERO, end)))
-                .collect();
-            for g in gates.iter_mut().filter(|g| g.status == GateStatus::Fail) {
-                g.reason +=
-                    &format!("; session bytes {bytes:?}, mean levels [{}]", levels.join(", "));
-            }
-            let fg: Vec<f64> = r
-                .receivers
-                .iter()
-                .filter(|x| x.session == 0)
-                .filter_map(|x| x.relative_deviation(half, end))
-                .collect();
-            let fg_dev =
-                if fg.is_empty() { None } else { Some(fg.iter().sum::<f64>() / fg.len() as f64) };
-            gates.push(Gate::at_most(
-                "foreground_deviation",
-                fg_dev,
-                0.9,
-                "undefined: foreground session has no receivers with a positive optimum",
-            ));
-            if let Some(j) = jain {
-                metrics.push(("jain".into(), format!("{j:.6}")));
-            }
-            metrics.push(("max_min_ratio".into(), format!("{ratio:.6}")));
-        }
-        "primary-crash-mid-interval" => {
-            let crash_at = cell.heal_at.expect("failover cell always records the crash instant");
-            let interval = cell.cfg.interval.as_secs_f64();
-            let standby = r.standby.as_ref();
-            // One-interval takeover bound: the standby must declare
-            // failover within failover_after + one interval of the crash
-            // (heartbeat silence is only observable at the next check).
-            let takeover =
-                standby.and_then(|s| s.failover_at).map(|t| t.since(crash_at).as_secs_f64());
-            gates.push(Gate::at_most(
-                "takeover_seconds",
-                takeover,
-                cell.cfg.failover_after().as_secs_f64() + interval,
-                "standby never took over",
-            ));
-            // Zero re-learning: the promoted standby's own first steering
-            // interval lands within one control interval of the takeover —
-            // it resumes from its replicated AlgorithmState instead of
-            // re-observing the domain from scratch.
-            let first_steer = standby.and_then(|s| {
-                let at = s.failover_at?;
-                s.suggestion_series
-                    .iter()
-                    .find(|(t, sugg)| *t >= at && !sugg.is_empty())
-                    .map(|(t, _)| t.since(at).as_secs_f64() / interval)
-            });
-            gates.push(Gate::at_most(
-                "first_steer_intervals",
-                first_steer,
-                1.0,
-                "promoted standby never steered",
-            ));
-            // The precondition for both bounds: the standby was an
-            // input-synced twin before the crash (it applied replicated
-            // batches, so takeover needs no warm-up).
-            let applied = standby.map(|s| s.replica_applied as f64);
-            gates.push(Gate::at_least("replicated_batches", applied, 1.0, "no standby hosted"));
-            if let Some(s) = standby {
-                metrics.push(("replica_applied".into(), s.replica_applied.to_string()));
-                metrics.push((
-                    "failover_at".into(),
-                    s.failover_at
-                        .map(|t| format!("{:.3}", t.as_secs_f64()))
-                        .unwrap_or_else(|| "never".into()),
-                ));
-                metrics.push(("standby_suggestions".into(), s.suggestions_sent.to_string()));
-            }
-        }
-        other => unreachable!("unknown scenario workload {other}"),
+    if let Some(s) = standby {
+        metrics.push(("replica_applied".into(), s.replica_applied.to_string()));
+        metrics.push((
+            "failover_at".into(),
+            s.failover_at
+                .map(|t| format!("{:.3}", t.as_secs_f64()))
+                .unwrap_or_else(|| "never".into()),
+        ));
+        metrics.push(("standby_suggestions".into(), s.suggestions_sent.to_string()));
     }
-    RunRecord {
-        id: cell.id.clone(),
-        workload: cell.workload.into(),
-        axes: cell.axes.clone(),
-        seed: cell.seed,
-        metrics,
-        gates,
-        table: None,
-    }
+    Verdict { metrics, rows: Vec::new(), gates }
 }
 
 // ------------------------------------------------------------------ runner
 
-/// Expand and run the whole campaign. Scenario cells run concurrently via
-/// the existing rayon sweep ([`runner::run_many`]); pipeline cells run
-/// inline (they are single-interval-loop drives). The returned report is a
-/// pure function of `(spec.name, seed_index, profile, seeds_per_cell,
-/// config_override)` — nothing wall-clock-dependent leaks in.
-pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
-    let tel = &spec.telemetry;
-    let mut caps: Vec<String> = Vec::new();
-    let mut runs: Vec<RunRecord> = Vec::new();
+/// Every cell of the campaign, in artifact order: the zoo workloads, then
+/// the paper's figures seed by seed. `runs`, `campaign.md`, the file list
+/// and the coverage caps all follow this order, so it is part of the
+/// byte-identical contract. Pure construction — nothing runs here.
+pub fn cells(spec: &CampaignSpec) -> Vec<Cell> {
+    let zoo = [
+        flash_crowd,
+        diurnal_churn,
+        federation,
+        federation_packet,
+        het_lastmile,
+        mixed_sessions,
+        primary_crash,
+    ];
+    let mut cells: Vec<Cell> = zoo.iter().flat_map(|workload| workload(spec)).collect();
+    for s_ord in 0..spec.seeds_per_cell {
+        cells.extend(paper::figures(spec, s_ord));
+    }
+    cells
+}
 
-    for cell in pipeline_cells(spec.profile) {
-        caps.extend(cell.cap);
-        // A seed-free world is covered by one cell — extra seeds would be
-        // byte-identical reruns of a heavyweight world.
-        for s_ord in 0..if cell.seeded { spec.seeds_per_cell } else { 1 } {
-            let seed = spec.cell_seed(cell.workload, s_ord as u64);
-            let (metrics, gates) = (cell.run)(spec, seed);
-            runs.push(RunRecord {
-                id: format!("{}/{}/s{s_ord}", cell.workload, cell.variant),
-                workload: cell.workload.into(),
-                axes: cell.axes.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
-                seed,
-                metrics,
-                gates,
-                table: None,
-            });
+/// Expand and run the whole campaign: every cell's scenarios go through the
+/// one parallel batch ([`runner::run_many`]) and every cell is judged in one
+/// loop, in order. The returned report is a pure function of `(spec.name,
+/// seed_index, profile, seeds_per_cell, config_override)` — nothing
+/// wall-clock-dependent leaks in.
+pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
+    let cells = cells(spec);
+    // One record per distinct cap: a workload's cells all carry the same one.
+    let mut caps: Vec<String> = Vec::new();
+    for cap in cells.iter().filter_map(|c| c.cap.as_ref()) {
+        if !caps.contains(cap) {
+            caps.push(cap.clone());
         }
     }
-
-    // Scenario-level matrix, swept in parallel.
-    let mut cells = lastmile_cells(spec, &mut caps);
-    cells.extend(mixed_cells(spec, &mut caps));
-    cells.extend(failover_cells(spec));
-    // The paper's figures ride the same batch: one cell per figure per
-    // seed, under the stock config unless the campaign overrides it.
-    let paper_cfg = spec.config_override.unwrap_or_default();
-    let mut figures: Vec<(usize, Figure)> = Vec::new();
-    for s_ord in 0..spec.seeds_per_cell {
-        let seed_of = |id: &str| spec.cell_seed(&format!("paper/{id}"), s_ord as u64);
-        let at_seed = paper::figures(spec.profile, paper_cfg, &seed_of);
-        figures.extend(at_seed.into_iter().map(|f| (s_ord, f)));
-    }
-    caps.extend(figures.iter().filter(|(s_ord, _)| *s_ord == 0).filter_map(|(_, f)| f.cap.clone()));
-    let scenarios: Vec<Scenario> = cells
-        .iter()
-        .map(|c| &c.scenario)
-        .chain(figures.iter().flat_map(|(_, f)| &f.scenarios))
-        .cloned()
-        .collect();
-    let results = runner::run_many(&scenarios);
-    let (results, mut figure_results) = results.split_at(cells.len());
+    let batch: Vec<Scenario> = cells.iter().flat_map(|c| &c.scenarios).cloned().collect();
+    // The batch runs when the first cell asks for results. The self-driven
+    // zoo cells head the list, so the full profile's 1M-receiver world
+    // (3 GB) has come and gone before the results (0.3 GB) exist.
+    let mut results: Option<Vec<ScenarioResult>> = None;
+    let mut taken = 0;
+    let mut runs: Vec<RunRecord> = Vec::new();
     let mut blackboxes: Vec<(String, telemetry::Blackbox)> = Vec::new();
-    for (cell, result) in cells.iter().zip(results) {
-        let rec = judge_scenario(cell, result);
+    for cell in cells {
+        let mine = match cell.scenarios.len() {
+            0 => &[][..],
+            n => {
+                taken += n;
+                &results.get_or_insert_with(|| runner::run_many(&batch))[taken - n..taken]
+            }
+        };
+        let Verdict { metrics, rows, gates } = (cell.judge)(mine);
+        let rec = RunRecord {
+            id: cell.id,
+            workload: cell.workload.into(),
+            axes: cell.axes,
+            seed: cell.seed,
+            metrics,
+            gates,
+            table: cell.table.map(|(claim, header)| Table { caption: claim.into(), header, rows }),
+        };
         if rec.failed() {
-            // Capture the failing run's last moments — flight window,
-            // profile counters, seed — so the gate report is actionable
-            // without a re-run.
-            let bb =
-                chaos::blackbox(result, &cell.cfg, cell.seed, "campaign_gate_failure", &cell.id);
+            // Every red gate leaves a black box. With exactly one simulator
+            // behind the cell it holds that run's last moments — flight
+            // window, profile counters, seed — so the gate report is
+            // actionable without a re-run; a cell that drove itself or
+            // compared several runs has no single window to show and gets
+            // the minimal dump.
+            let reason = "campaign_gate_failure";
+            let bb = match mine {
+                [run] => chaos::blackbox(run, &cell.cfg, cell.seed, reason, &rec.id),
+                _ => telemetry::Blackbox {
+                    reason: reason.into(),
+                    label: rec.id.clone(),
+                    seed: rec.seed,
+                    config_fingerprint: format!("{:016x}", cell.cfg.fingerprint()),
+                    t_ns: 0,
+                    counters: vec![(
+                        "gates_failed".into(),
+                        rec.gates.iter().filter(|g| g.status == GateStatus::Fail).count() as u64,
+                    )],
+                    occurrences: Vec::new(),
+                    ring_dropped: 0,
+                },
+            };
             blackboxes.push((rec.id.clone(), bb));
         }
         runs.push(rec);
-    }
-    for (s_ord, fig) in &figures {
-        let (mine, rest) = figure_results.split_at(fig.scenarios.len());
-        figure_results = rest;
-        let (rows, gates) = (fig.judge)(mine);
-        runs.push(RunRecord {
-            id: format!("paper/{}/s{s_ord}", fig.id),
-            workload: "paper".into(),
-            axes: vec![
-                ("figure".into(), fig.id.into()),
-                ("config".into(), spec.config_label().into()),
-            ],
-            seed: fig.seed,
-            metrics: vec![
-                ("scenarios".into(), mine.len().to_string()),
-                ("events".into(), mine.iter().map(|r| r.events).sum::<u64>().to_string()),
-            ],
-            gates,
-            table: Some(Table { caption: fig.claim.into(), header: fig.header.clone(), rows }),
-        });
-    }
-    // Pipeline-level and figure cells have no single simulator behind
-    // them; a failed one still gets a minimal dump so every red gate leaves
-    // a black box.
-    for rec in runs.iter().filter(|r| r.failed()) {
-        if blackboxes.iter().any(|(id, _)| id == &rec.id) {
-            continue;
-        }
-        blackboxes.push((
-            rec.id.clone(),
-            telemetry::Blackbox {
-                reason: "campaign_gate_failure".into(),
-                label: rec.id.clone(),
-                seed: rec.seed,
-                config_fingerprint: format!(
-                    "{:016x}",
-                    if rec.workload == "paper" { paper_cfg } else { spec.base_config() }
-                        .fingerprint()
-                ),
-                t_ns: 0,
-                counters: vec![(
-                    "gates_failed".into(),
-                    rec.gates.iter().filter(|g| g.status == GateStatus::Fail).count() as u64,
-                )],
-                occurrences: Vec::new(),
-                ring_dropped: 0,
-            },
-        ));
     }
     blackboxes.sort_by(|a, b| a.0.cmp(&b.0));
 
@@ -1377,6 +1382,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
         coverage_caps: caps,
         blackboxes,
     };
+    let tel = &spec.telemetry;
     if tel.is_enabled() {
         tel.set("campaign.runs", report.runs.len() as u64);
         tel.set("campaign.gates_passed", report.gates_passed() as u64);
@@ -1388,19 +1394,29 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     report
 }
 
-/// The number of caps the active profile is expected to record — the
-/// binary audits `coverage_caps` against this and reports `SILENT-CAP` on
-/// any mismatch, so a profile that starts truncating without logging
-/// cannot slip through CI.
+/// The number of caps the active profile must record — the binary audits
+/// `coverage_caps` against this and reports `SILENT-CAP` on any mismatch,
+/// so a profile that starts truncating without logging cannot slip through
+/// CI. The rule, stated rather than read off the cells' caps: the full
+/// profile is the paper's size and shrinks nothing; smoke shrinks every zoo
+/// workload and every figure except the two that are the same size in both
+/// profiles, and each shrink is one cap however many cells (variants, seeds)
+/// it reaches.
 pub fn expected_caps(spec: &CampaignSpec) -> usize {
-    let mut n = pipeline_cells(spec.profile).iter().filter(|c| c.cap.is_some()).count();
-    if spec.profile == Profile::Smoke {
-        n += 2; // het-lastmile + mixed-sessions duration/size caps
-        let figures = paper::figures(spec.profile, toposense::Config::default(), &|_| 0);
-        // Every figure that runs scenarios runs fewer or shorter ones.
-        n += figures.iter().filter(|f| !f.scenarios.is_empty()).count();
+    // The failover plan is 150 s either way and Table I runs no scenario.
+    const NOTHING_TO_SHRINK: [&str; 2] = ["primary-crash-mid-interval", "paper/table1"];
+    if spec.profile == Profile::Full {
+        return 0;
     }
-    n
+    let cells = cells(spec);
+    // `het-lastmile/…` is one workload; `paper/fig6/…` is one figure.
+    let shrinkable = cells.iter().map(|c| match c.workload {
+        "paper" => c.id.rsplit_once('/').expect("ids end in /s<k>").0,
+        zoo => zoo,
+    });
+    let shrunk: std::collections::BTreeSet<&str> =
+        shrinkable.filter(|name| !NOTHING_TO_SHRINK.contains(name)).collect();
+    shrunk.len()
 }
 
 #[cfg(test)]
@@ -1419,6 +1435,13 @@ mod tests {
         assert!(skip.reason.contains("no receivers"));
         let nan = Gate::at_least("j", Some(f64::NAN), 0.5, "ctx");
         assert_eq!(nan.status, GateStatus::Skipped);
+        // A check without a number: the value never reaches an artifact, a
+        // pass is silent and a failure says what the check said.
+        let held = Gate::holds("audit", 0.0, Ok(()));
+        assert_eq!((held.status, held.value, held.reason.as_str()), (GateStatus::Pass, None, ""));
+        let broke = Gate::holds("audit", 0.0, Err("slot 3 dangling".into()));
+        assert_eq!((broke.status, broke.value), (GateStatus::Fail, None));
+        assert_eq!(broke.reason, "slot 3 dangling");
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //!
 //! * [`runner`] — one scenario = one simulation run ([`runner::run`]); a
 //!   batch of them in parallel ([`runner::run_many`]).
-//! * [`campaign`] — the one evaluation harness (DESIGN.md §13): the
-//!   paper's figures and the zoo workloads as one deterministic matrix
-//!   with pass/fail gates, coverage caps and byte-identical JSON/markdown
-//!   artifacts.
-//! * [`paper`] — every table and figure of the paper described once as a
-//!   [`paper::Figure`]: its sentence, sizes, scenarios, and the judge that
-//!   turns results into a table and gates.
+//! * [`campaign`] — the one evaluation harness (DESIGN.md §13): the zoo
+//!   workloads and the paper's figures as one list of [`campaign::Cell`]s
+//!   — scenarios to run, a judge for their results — with pass/fail gates,
+//!   coverage caps and byte-identical JSON/markdown artifacts.
+//! * [`paper`] — every table and figure of the paper described once as
+//!   such a cell: its sentence, sizes, scenarios, and the judge that turns
+//!   results into a table and gates.
 //! * [`experiments`] — the typed sweeps behind Figs. 1 and 6–8; the
 //!   campaign gates their rows and the integration tests assert on them.
 //! * [`ablations`] — the open questions of the paper's §V as figures

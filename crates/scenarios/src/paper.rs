@@ -1,14 +1,13 @@
 //! The paper's evaluation as campaign cells (DESIGN.md §13).
 //!
 //! Table I, Figs. 1 and 6–10, the §IV convergence claim and the §V open
-//! questions ([`crate::ablations`]) are each described once as a
-//! [`Figure`]: the paper's sentence it answers, its table header, the
+//! questions ([`crate::ablations`]) are each described once as a campaign
+//! [`Cell`] with a table: the paper's sentence it answers, its header, the
 //! scenarios it needs at the profile's size, and a judge that turns their
 //! results into table rows **and gates**.
-//! [`crate::campaign::run_campaign`] pushes every figure's scenarios
-//! through its one [`crate::runner::run_many`] batch and records each
-//! figure as a `paper/<id>/s<k>` run, so a claim that stops holding is a
-//! failing gate, not a stale paragraph.
+//! [`crate::campaign::run_campaign`] runs and judges them like every other
+//! cell and records each as a `paper/<id>/s<k>` run, so a claim that stops
+//! holding is a failing gate, not a stale paragraph.
 //!
 //! Every threshold carries the values measured on seeds s0–s2 of
 //! `campaign --full --seed-index 1` when it was set; the smoke profile
@@ -16,8 +15,8 @@
 //! coverage cap.
 
 use crate::ablations;
-use crate::campaign::{Gate, Profile};
-use crate::experiments::{self, cartesian, paper_traffic_models, Reader, Sweep};
+use crate::campaign::{CampaignSpec, Cell, Gate, Profile, Verdict};
+use crate::experiments::{self, cartesian, paper_traffic_models, Sweep};
 use crate::runner::{ControlMode, ReceiverOutcome, Scenario, ScenarioResult};
 use netsim::{SimDuration, SimTime};
 use topology::{generators, TopoSpec};
@@ -28,36 +27,32 @@ use traffic::TrafficModel;
 /// Table rows and gates: what a figure's judge makes of its results.
 pub type Judged = (Vec<Vec<String>>, Vec<Gate>);
 
-/// One figure (or table, or §V ablation) of the paper's evaluation.
-pub struct Figure {
-    /// `table1`, `fig1`, `fig6` … `fig10`, `convergence`, `ablation-*`.
-    pub id: &'static str,
-    /// The paper's sentence this figure answers.
-    pub claim: &'static str,
-    pub header: Vec<String>,
-    /// What the smoke profile shrank relative to the paper's size.
-    pub cap: Option<String>,
-    pub seed: u64,
-    pub scenarios: Vec<Scenario>,
-    /// Results of `scenarios`, same order, to table rows and gates.
-    pub judge: Reader<Judged>,
-}
-
-/// Every figure at the profile's size, in the paper's order. `seed_of` maps
-/// a figure id to its cell seed.
-pub fn figures(profile: Profile, cfg: Config, seed_of: &dyn Fn(&str) -> u64) -> Vec<Figure> {
-    let sized = |id, full: Size, smoke: Size| {
-        let (size, cap) = match profile {
-            Profile::Full => (full, None),
-            Profile::Smoke => (smoke, Some(format!("{id}: smoke runs {smoke} instead of {full}"))),
-        };
-        Cell { id, cfg, seed: seed_of(id), size, cap }
+/// Every figure (or table, or §V ablation) of the paper's evaluation at the
+/// profile's size, in the paper's order, as the cells of seed ordinal
+/// `s_ord`: ids `paper/<figure>/s<s_ord>` with `<figure>` one of `table1`,
+/// `fig1`, `fig6` … `fig10`, `convergence`, `ablation-*`. They run under the
+/// stock config unless the campaign overrides it.
+pub fn figures(spec: &CampaignSpec, s_ord: usize) -> Vec<Cell> {
+    let slot = |id, size, cap| Slot {
+        id,
+        run_id: format!("paper/{id}/s{s_ord}"),
+        config_label: spec.config_label(),
+        cfg: spec.config_override.unwrap_or_default(),
+        seed: spec.cell_seed(&format!("paper/{id}"), s_ord as u64),
+        size,
+        cap,
+    };
+    let sized = |id, full: Size, smoke: Size| match spec.profile {
+        Profile::Full => slot(id, full, None),
+        Profile::Smoke => {
+            slot(id, smoke, Some(format!("{id}: smoke runs {smoke} instead of {full}")))
+        }
     };
     let fig10_full =
         Size { ages: &[0, 2, 4, 6, 8, 10, 12, 14, 16, 18], ..Size::new(1200, &[1, 2, 4, 8]) };
     vec![
         // Table I runs no scenario, so smoke shrinks nothing.
-        table1(Cell { id: "table1", cfg, seed: seed_of("table1"), size: Size::secs(0), cap: None }),
+        table1(slot("table1", Size::secs(0), None)),
         fig1(sized("fig1", Size::secs(1200), Size::secs(600))),
         stability(
             sized("fig6", Size::new(1200, &[1, 2, 4, 6, 8]), Size::new(200, &[1, 2])),
@@ -141,40 +136,59 @@ impl std::fmt::Display for Size {
     }
 }
 
-/// Where one figure sits in the campaign: id, config, seed and size.
-pub(crate) struct Cell {
+/// Where one figure sits in the campaign: ids, config, seed and size.
+pub(crate) struct Slot {
     pub id: &'static str,
+    pub run_id: String,
+    /// The `config` axis: `default`, or `override`.
+    pub config_label: &'static str,
     pub cfg: Config,
     pub seed: u64,
     pub size: Size,
     pub cap: Option<String>,
 }
 
-impl Cell {
+impl Slot {
     pub fn duration(&self) -> SimDuration {
         SimDuration::from_secs(self.size.secs)
     }
 
-    /// A scenario under this cell's seed, config and duration.
+    /// A scenario under this slot's seed, config and duration.
     pub fn scenario(&self, topo: TopoSpec, traffic: TrafficModel) -> Scenario {
         Scenario::new(topo, traffic, self.seed).with_config(self.cfg).with_duration(self.duration())
     }
 
+    /// The campaign cell of the figure in this slot: `claim` is the paper's
+    /// sentence it answers, `judge` turns the results of `scenarios` (same
+    /// order) into the rows under `header` and the gates.
     pub fn figure<H: ToString>(
         self,
         claim: &'static str,
         header: &[H],
         scenarios: Vec<Scenario>,
         judge: impl Fn(&[ScenarioResult]) -> Judged + 'static,
-    ) -> Figure {
-        Figure {
-            id: self.id,
-            claim,
-            header: header.iter().map(H::to_string).collect(),
+    ) -> Cell {
+        Cell {
+            id: self.run_id,
+            workload: "paper",
+            axes: vec![
+                ("figure".into(), self.id.into()),
+                ("config".into(), self.config_label.into()),
+            ],
+            table: Some((claim, header.iter().map(H::to_string).collect())),
+            cfg: self.cfg,
             cap: self.cap,
             seed: self.seed,
             scenarios,
-            judge: Box::new(judge),
+            judge: Box::new(move |rs| {
+                let (rows, gates) = judge(rs);
+                let events = rs.iter().map(|r| r.events).sum::<u64>();
+                let metrics = vec![
+                    ("scenarios".into(), rs.len().to_string()),
+                    ("events".into(), events.to_string()),
+                ];
+                Verdict { metrics, rows, gates }
+            }),
         }
     }
 }
@@ -259,8 +273,8 @@ fn action_str(a: Action) -> String {
 /// at bit 1, T2 at bit 0; CONGESTED = 1). `toposense::decision`'s unit
 /// tests assert each row against the printed table; this regenerates it
 /// for side-by-side comparison.
-fn table1(cell: Cell) -> Figure {
-    cell.figure(
+fn table1(slot: Slot) -> Cell {
+    slot.figure(
         "Table I: the decision table for computing demand at each node at time T2.",
         &["kind", "history", "BW-eq", "action"],
         Vec::new(),
@@ -291,9 +305,9 @@ fn table1(cell: Cell) -> Figure {
 
 // ------------------------------------------------------------------ Fig. 1
 
-fn fig1(cell: Cell) -> Figure {
-    let Sweep { scenarios, read } = experiments::motivation(cell.duration(), cell.seed, cell.cfg);
-    cell.figure(
+fn fig1(slot: Slot) -> Cell {
+    let Sweep { scenarios, read } = experiments::motivation(slot.duration(), slot.seed, slot.cfg);
+    slot.figure(
         "Fig. 1: a mechanism unaware that nodes 3 and 4 share a link \"may take incorrect \
          decisions to control losses at node 3\"; topology awareness must not cost the innocent \
          n3 loss, must give the greedy n4 its optimum, and leaves the disjoint n5 alone \
@@ -342,22 +356,22 @@ fn fig1(cell: Cell) -> Figure {
 /// flip sign on 3 of 12 probe seeds even at 1200 s, so no smoke size can
 /// hold it and Fig. 6 does not claim it.
 fn stability(
-    cell: Cell,
+    slot: Slot,
     topo: fn(usize) -> TopoSpec,
     x: &str,
     claim: &'static str,
     burstier_changes_more: bool,
-) -> Figure {
-    let opportunities = cell.size.secs as f64 / cell.cfg.interval.as_secs_f64();
+) -> Cell {
+    let opportunities = slot.size.secs as f64 / slot.cfg.interval.as_secs_f64();
     let Sweep { scenarios, read } = experiments::stability(
         topo,
-        &cell.size.counts(),
+        &slot.size.counts(),
         &paper_traffic_models(),
-        cell.duration(),
-        cell.seed,
-        cell.cfg,
+        slot.duration(),
+        slot.seed,
+        slot.cfg,
     );
-    cell.figure(claim, &["traffic", x, "max changes", "mean gap (s)"], scenarios, move |rs| {
+    slot.figure(claim, &["traffic", x, "max changes", "mean gap (s)"], scenarios, move |rs| {
         let rows = read(rs);
         let total = |model: &str| -> f64 {
             rows.iter().filter(|r| r.model == model).map(|r| r.max_changes as f64).sum()
@@ -391,15 +405,15 @@ fn stability(
 
 // ------------------------------------------------------------------ Fig. 8
 
-fn fig8(cell: Cell) -> Figure {
+fn fig8(slot: Slot) -> Cell {
     let Sweep { scenarios, read } = experiments::fairness(
-        &cell.size.counts(),
+        &slot.size.counts(),
         &paper_traffic_models(),
-        cell.duration(),
-        cell.seed,
-        cell.cfg,
+        slot.duration(),
+        slot.seed,
+        slot.cfg,
     );
-    cell.figure(
+    slot.figure(
         "Fig. 8 (Topology B, optimum 4 layers per session): \"a small relative deviation in both \
          these intervals indicates that TopoSense imposes fairness among competing sessions \
          irrespective of the time intervals\".",
@@ -435,9 +449,9 @@ fn fig8(cell: Cell) -> Figure {
 
 // ------------------------------------------------------------------ Fig. 9
 
-fn fig9(cell: Cell) -> Figure {
-    let run = cell.scenario(generators::topology_b_default(4), TrafficModel::Vbr { p: 3.0 });
-    cell.figure(
+fn fig9(slot: Slot) -> Cell {
+    let run = slot.scenario(generators::topology_b_default(4), TrafficModel::Vbr { p: 3.0 });
+    slot.figure(
         "Fig. 9 (4 competing VBR(P=3) sessions): \"some of the sessions over-subscribe to layers \
          5 and 6 at several points in time … heavy losses on adding layer 6 allow TopoSense to \
          compute the link capacity and the system returns to a stable state\".",
@@ -474,23 +488,23 @@ fn fig9(cell: Cell) -> Figure {
 /// same order as the staleness effect).
 const FIG10_SEEDS: usize = 5;
 
-fn fig10(cell: Cell) -> Figure {
-    let (counts, ages) = (cell.size.counts(), cell.size.ages);
+fn fig10(slot: Slot) -> Cell {
+    let (counts, ages) = (slot.size.counts(), slot.size.ages);
     // Receiver-count-major, `FIG10_SEEDS` runs per point: point (n, age)
     // is chunk `n * ages.len() + age`.
     let scenarios = cartesian(&counts, ages)
         .into_iter()
         .flat_map(|(n, age)| (0..FIG10_SEEDS as u64).map(move |k| (n, age, k)))
         .map(|(n, age, k)| {
-            cell.scenario(generators::topology_a_default(n), TrafficModel::Vbr { p: 3.0 })
-                .with_seed(cell.seed + k * 7919)
+            slot.scenario(generators::topology_a_default(n), TrafficModel::Vbr { p: 3.0 })
+                .with_seed(slot.seed + k * 7919)
                 .with_control(ControlMode::TopoSense { staleness: SimDuration::from_secs(age) })
         })
         .collect();
     let mut header = vec!["staleness (s)".to_string()];
     header.extend(counts.iter().map(|n| format!("loss {n}/set")));
     header.extend(counts.iter().map(|n| format!("dev {n}/set")));
-    cell.figure(
+    slot.figure(
         "Fig. 10 (Topology A, VBR(P=3), 5 seeds per point): \"performance deteriorates with stale \
          information\"; \"the session with only 2 receivers appears to be least affected\" — held \
          on loss, where this implementation's staleness cost lands (EXPERIMENTS.md, divergence 1).",
@@ -552,11 +566,11 @@ fn fig10(cell: Cell) -> Figure {
 /// over the second half of the run: per traffic model and receiver set, how
 /// close to optimal the steady state sits and how far apart receivers of
 /// one set end up (intra-session fairness: should be small).
-fn convergence(cell: Cell) -> Figure {
+fn convergence(slot: Slot) -> Cell {
     let models = paper_traffic_models();
     let scenarios =
-        models.iter().map(|&m| cell.scenario(generators::topology_a_default(4), m)).collect();
-    cell.figure(
+        models.iter().map(|&m| slot.scenario(generators::topology_a_default(4), m)).collect();
+    slot.figure(
         "§IV (citing [5]): \"TopoSense converged to optimal subscription of layers in a \
          heterogeneous environment [and] imposed intra-session fairness\" (Topology A, 4 \
          receivers per set, second half of the run).",
@@ -605,14 +619,23 @@ pub(crate) mod tests {
     use crate::campaign::GateStatus;
     use crate::runner;
 
-    /// A default-config cell of the given size under seed 3.
-    pub(crate) fn cell(size: Size) -> Cell {
-        Cell { id: "test", cfg: Config::default(), seed: 3, size, cap: None }
+    /// A default-config slot of the given size under seed 3.
+    pub(crate) fn slot(size: Size) -> Slot {
+        Slot {
+            id: "test",
+            run_id: "paper/test/s0".into(),
+            config_label: "default",
+            cfg: Config::default(),
+            seed: 3,
+            size,
+            cap: None,
+        }
     }
 
     /// Run one figure alone and judge it.
-    pub(crate) fn judged(fig: Figure) -> Judged {
-        (fig.judge)(&runner::run_many(&fig.scenarios))
+    pub(crate) fn judged(fig: Cell) -> Judged {
+        let Verdict { rows, gates, .. } = (fig.judge)(&runner::run_many(&fig.scenarios));
+        (rows, gates)
     }
 
     #[test]
@@ -620,12 +643,12 @@ pub(crate) mod tests {
         // Fig. 1 measures loss from 30 s on; a 20 s run has no report window
         // there. That is missing data, not a lossless run: the row says so
         // and the gate skips with the reason instead of passing on 0.0.
-        let fig = fig1(cell(Size::secs(20)));
+        let fig = fig1(slot(Size::secs(20)));
         let results = runner::run_many(&fig.scenarios);
         assert!(results.iter().all(|r| r.receivers[0]
             .mean_loss(SimTime::from_secs(30), SimTime::from_secs(20))
             .is_none()));
-        let (rows, gates) = (fig.judge)(&results);
+        let Verdict { rows, gates, .. } = (fig.judge)(&results);
         assert_eq!(rows[0][1], "-");
         let gate = gates.iter().find(|g| g.name == "innocent_n3_loss_over_rlm").unwrap();
         assert_eq!(gate.status, GateStatus::Skipped);
@@ -644,27 +667,29 @@ pub(crate) mod tests {
     #[test]
     fn figure_ids_are_unique_and_only_scenario_figures_are_capped() {
         for profile in [Profile::Smoke, Profile::Full] {
-            let figs = figures(profile, Config::default(), &|_| 7);
-            let ids: std::collections::BTreeSet<&str> = figs.iter().map(|f| f.id).collect();
+            let figs = figures(&CampaignSpec::new("t", 7, profile), 0);
+            let ids: std::collections::BTreeSet<&str> = figs.iter().map(|f| &*f.id).collect();
             assert_eq!(ids.len(), figs.len());
             for f in &figs {
                 let shrunk = profile == Profile::Smoke && !f.scenarios.is_empty();
                 assert_eq!(f.cap.is_some(), shrunk, "{}", f.id);
-                assert!(f.cap.iter().all(|c| c.starts_with(&format!("{}: ", f.id))));
+                let figure = &f.axes[0].1;
+                assert_eq!(f.id, format!("paper/{figure}/s0"));
+                assert!(f.cap.iter().all(|c| c.starts_with(&format!("{figure}: "))));
             }
         }
     }
 
     #[test]
     fn fig9_smoke() {
-        let (rows, gates) = judged(fig9(cell(Size::secs(90))));
+        let (rows, gates) = judged(fig9(slot(Size::secs(90))));
         assert_eq!(rows.len(), 4);
         assert!(gates.iter().all(|g| g.status != GateStatus::Skipped), "{gates:?}");
     }
 
     #[test]
     fn fig10_smoke() {
-        let (rows, gates) = judged(fig10(cell(Size { ages: &[0, 4], ..Size::new(120, &[1]) })));
+        let (rows, gates) = judged(fig10(slot(Size { ages: &[0, 4], ..Size::new(120, &[1]) })));
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.len() == 3));
         assert!(gates.iter().any(|g| g.name == "mean_relative_deviation" && g.value.is_some()));
@@ -672,7 +697,7 @@ pub(crate) mod tests {
 
     #[test]
     fn convergence_smoke() {
-        let (rows, _) = judged(convergence(cell(Size::secs(120))));
+        let (rows, _) = judged(convergence(slot(Size::secs(120))));
         assert_eq!(rows.len(), 6);
         assert_eq!((rows[0][2].as_str(), rows[1][2].as_str()), ("2", "4"));
     }

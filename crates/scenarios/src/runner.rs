@@ -14,7 +14,6 @@ use netsim::sim::SimConfig;
 use netsim::{
     derive_stream_seed, FaultPlan, GroupId, NodeId, QueueBackend, SessionId, SimDuration, SimTime,
 };
-use rayon::prelude::*;
 use telemetry::{Record, Span, Telemetry};
 use topology::spec::TopoSpec;
 use toposense::controller::{Controller, ControllerShared};
@@ -610,12 +609,12 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     }
 }
 
-/// Run many scenarios concurrently (rayon), preserving input order in the
-/// results. Each simulation is single-threaded and fully deterministic, so
-/// the parallel sweep returns exactly what a sequential loop would — only
-/// faster on multi-core hosts.
+/// Run many scenarios concurrently ([`netsim::par`]), preserving input order
+/// in the results. Each simulation is single-threaded and fully
+/// deterministic, so the parallel sweep returns exactly what a sequential
+/// loop would — only faster on multi-core hosts.
 pub fn run_many(scenarios: &[Scenario]) -> Vec<ScenarioResult> {
-    scenarios.par_iter().map(run).collect()
+    netsim::par::map(scenarios.iter(), run)
 }
 
 /// Run the same scenario under each seed in `seeds`, concurrently. Results

@@ -293,6 +293,14 @@ impl Controller {
             self.state.runs(),
             "",
         );
+        // Beacon the warm standby before anything can return: a primary
+        // that is cold-starting or suspended is still alive, and one that
+        // stopped beaconing there would be deposed by its own standby.
+        let my_node = ctx.node_id();
+        if let Some(peer) = self.peer {
+            let hb: ControlBody = Arc::new(Heartbeat { from: my_node, time: now });
+            ctx.send_control(peer, Heartbeat::WIRE_SIZE, hb);
+        }
         // Hard deadlines first: forget receivers silent past evict_after.
         self.sweep_silent(now);
         // 0. Age the loss reports: only reports older than the staleness
@@ -428,7 +436,6 @@ impl Controller {
         // a fixed back-to-back burst would tail-drop the same receivers'
         // suggestions at a congested link every single interval.
         self.outbox.clear();
-        let my_node = ctx.node_id();
         for s in &outputs.suggestions {
             let Some(e) = self.receivers.get(&s.receiver) else { continue };
             if self.telemetry.is_enabled() {
@@ -456,15 +463,12 @@ impl Controller {
         if !self.outbox.is_empty() {
             ctx.set_timer(SimDuration::ZERO, TOKEN_SEND);
         }
-        // Beacon the warm standby.
         if let Some(peer) = self.peer {
-            let hb: ControlBody = Arc::new(Heartbeat { from: my_node, time: now });
-            ctx.send_control(peer, Heartbeat::WIRE_SIZE, hb);
-            // Replicate this interval's pipeline inputs (DESIGN.md §14):
-            // the replica runs the same byte-deterministic pipeline over
-            // them, so its AlgorithmState stays a live twin and a takeover
-            // needs zero re-learning. A quarantined peer gets nothing —
-            // its state already diverged.
+            // Replicate this interval's pipeline inputs (DESIGN.md §14)
+            // behind the tick's heartbeat: the replica runs the same
+            // byte-deterministic pipeline over them, so its AlgorithmState
+            // stays a live twin and a takeover needs zero re-learning. A
+            // quarantined peer gets nothing — its state already diverged.
             if !self.repl_peer_quarantined {
                 let fingerprint = fingerprint_outputs(&outputs);
                 self.repl_tracker.record(seq, fingerprint);
@@ -1334,6 +1338,70 @@ mod tests {
     /// steering them.
     #[test]
     fn standby_takes_over_after_primary_crash() {
+        let mut w = failover_world(SimDuration::ZERO, |primary| primary);
+        w.sim.install_faults(&netsim::FaultPlan::new().node_crash(w.ctl, SimTime::from_secs(7)));
+        w.sim.run_until(SimTime::from_secs(40));
+
+        let p = w.primary.lock().unwrap();
+        assert!(p.suggestions_sent > 0, "primary steered before the crash");
+        assert!(p.failover_at.is_none());
+        let s = w.standby.lock().unwrap();
+        let at = s.failover_at.expect("standby must take over");
+        assert!(at > SimTime::from_secs(7) && at <= SimTime::from_secs(16), "takeover at {at:?}");
+        assert!(s.intervals > 0, "standby runs the algorithm after takeover");
+        assert!(s.suggestions_sent > 0);
+        assert!(s.acks_sent >= 1, "receivers re-ACKed on takeover");
+        let r = w.receiver.lock().unwrap();
+        // The unconstrained path must still end at the top level — steering
+        // continued across the failover.
+        assert_eq!(r.final_level(), 6, "changes: {:?}", r.changes);
+    }
+
+    /// A primary whose tick returns early is alive, and says so: with 8 s of
+    /// staleness (longer than `failover_after`) every tick until a snapshot
+    /// is old enough is a cold start, and no fault is injected — the standby
+    /// must stay passive through all 16 of the primary's intervals.
+    #[test]
+    fn a_cold_starting_primary_is_not_deposed_by_its_standby() {
+        let mut w = failover_world(SimDuration::from_secs(8), |primary| primary);
+        w.sim.run_until(SimTime::from_secs(33));
+        assert!(w.primary.lock().unwrap().intervals > 0, "the primary did leave its cold start");
+        let s = w.standby.lock().unwrap();
+        assert_eq!((s.failover_at, s.acks_sent), (None, 0));
+    }
+
+    /// The same through the suspended branch: discovery is down for longer
+    /// than `max_degradation_age + failover_after` (16 s), so the primary
+    /// suspends suggestions — and keeps beaconing.
+    #[test]
+    fn a_suspended_primary_is_not_deposed_by_its_standby() {
+        let outage = (SimTime::from_secs(9), SimTime::from_secs(41));
+        let mut w = failover_world(SimDuration::ZERO, |primary| {
+            primary.with_discovery_outage(outage.0, outage.1)
+        });
+        w.sim.run_until(SimTime::from_secs(50));
+        let p = w.primary.lock().unwrap();
+        assert!(p.suspended_intervals >= 8, "suspended {} intervals", p.suspended_intervals);
+        assert_eq!(w.standby.lock().unwrap().failover_at, None);
+    }
+
+    /// The five-node world of the standby tests, ready to run.
+    struct FailoverWorld {
+        sim: netsim::Simulator,
+        /// The primary's node.
+        ctl: NodeId,
+        primary: ControllerHandle,
+        standby: ControllerHandle,
+        receiver: crate::receiver::ReceiverHandle,
+    }
+
+    /// Source, primary on `ctl`, warm standby on `ctl2` and one receiver
+    /// behind `mid`, all links fat; both controllers see the topology
+    /// `staleness` late and `configure` finishes the primary.
+    fn failover_world(
+        staleness: SimDuration,
+        configure: impl FnOnce(Controller) -> Controller,
+    ) -> FailoverWorld {
         let mut b = NetworkBuilder::new(SimConfig::default());
         let src = b.add_node("src");
         let ctl = b.add_node("ctl");
@@ -1357,32 +1425,16 @@ mod tests {
         let catalog = catalog.share();
 
         let cfg = Config::default();
-        let (primary, p_shared) = Controller::new(Arc::clone(&catalog), cfg, SimDuration::ZERO, 1);
-        let primary = primary.with_peer(ctl2);
-        let (standby, s_shared) = Controller::new(Arc::clone(&catalog), cfg, SimDuration::ZERO, 2);
+        let (primary, p_shared) = Controller::new(Arc::clone(&catalog), cfg, staleness, 1);
+        let primary = configure(primary.with_peer(ctl2));
+        let (standby, s_shared) = Controller::new(Arc::clone(&catalog), cfg, staleness, 2);
         let standby = standby.with_peer(ctl).as_standby();
         sim.add_app(ctl, Box::new(primary));
         sim.add_app(ctl2, Box::new(standby));
         sim.add_app(src, Box::new(LayeredSource::new(def.clone(), TrafficModel::Cbr, 2)));
         let (rx, rx_shared) = Receiver::new(def, ctl, cfg, 3, "r0");
         sim.add_app(rcv, Box::new(rx));
-
-        sim.install_faults(&netsim::FaultPlan::new().node_crash(ctl, SimTime::from_secs(7)));
-        sim.run_until(SimTime::from_secs(40));
-
-        let p = p_shared.lock().unwrap();
-        assert!(p.suggestions_sent > 0, "primary steered before the crash");
-        assert!(p.failover_at.is_none());
-        let s = s_shared.lock().unwrap();
-        let at = s.failover_at.expect("standby must take over");
-        assert!(at > SimTime::from_secs(7) && at <= SimTime::from_secs(16), "takeover at {at:?}");
-        assert!(s.intervals > 0, "standby runs the algorithm after takeover");
-        assert!(s.suggestions_sent > 0);
-        assert!(s.acks_sent >= 1, "receivers re-ACKed on takeover");
-        let r = rx_shared.lock().unwrap();
-        // The unconstrained path must still end at the top level — steering
-        // continued across the failover.
-        assert_eq!(r.final_level(), 6, "changes: {:?}", r.changes);
+        FailoverWorld { sim, ctl, primary: p_shared, standby: s_shared, receiver: rx_shared }
     }
 
     /// One step of a [`Scripted`] receiver.

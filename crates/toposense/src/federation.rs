@@ -24,8 +24,8 @@
 //!    above the gateways is therefore reflected in every domain's root
 //!    ceiling one interval after it first shows in the summaries.
 //!
-//! Determinism: domains run via the deterministic parallel iterator (input
-//! order is preserved regardless of thread count), summaries are canonical
+//! Determinism: domains run as independent pieces of [`netsim::par::map`]
+//! (results in domain order, whatever the thread count), summaries are canonical
 //! JSON round-tripped through [`BorderSummary::decode`] before folding,
 //! and caps are normalized by [`AlgorithmState::set_border_caps`] — the
 //! whole federation interval is a pure function of `(seed, inputs)`, which
@@ -34,10 +34,9 @@
 use crate::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
 use crate::config::Config;
 use netsim::{
-    derive_stream_seed, AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimDuration,
-    SimTime,
+    derive_stream_seed, par, AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId,
+    SimDuration, SimTime,
 };
-use rayon::prelude::*;
 use serde_json::wire;
 use telemetry::{FlightRecorder, Telemetry};
 use topology::discovery::{LinkView, TopologyView};
@@ -349,39 +348,31 @@ impl Federation {
         assert_eq!(reports.len(), self.domains.len(), "one report batch per domain");
         let seq = self.seq;
 
-        // Per-domain pipelines, in parallel. The deterministic parallel
-        // iterator reassembles results in input order, so the interval is
-        // byte-identical at any thread count. Domains move into the
-        // closure and come back out — no shared mutable state.
-        let work: Vec<(Domain, Vec<ReceiverReport>, u8)> = std::mem::take(&mut self.domains)
-            .into_iter()
-            .zip(reports)
-            .zip(self.caps.iter().copied())
-            .map(|((d, r), c)| (d, r, c))
-            .collect();
-        let ran: Vec<(Domain, AlgorithmOutputs, BorderSummary)> = work
-            .into_par_iter()
-            .map(move |(mut d, reports, cap)| {
-                d.state.set_border_caps(&[(SessionId(0), cap)]);
-                let trees = std::slice::from_ref(&d.tree);
-                let specs = [&d.spec];
-                let inputs = AlgorithmInputs {
-                    now,
-                    interval,
-                    trees,
-                    specs: &specs,
-                    registry: &d.registry,
-                    reports: &reports,
-                };
-                let out = d.state.run_incremental(&inputs);
-                let summary = d.summarize(seq, &reports, &out);
-                (d, out, summary)
-            })
-            .collect();
+        // Per-domain pipelines, in parallel and in place. A piece of work is
+        // a domain, its report batch (by value: dropped when the domain is
+        // done) and its cap; pieces share no mutable state, so the interval
+        // is byte-identical at any thread count.
+        let work = self.domains.iter_mut().zip(reports).zip(&self.caps);
+        let ran: Vec<(AlgorithmOutputs, BorderSummary)> = par::map(work, |((d, reports), &cap)| {
+            d.state.set_border_caps(&[(SessionId(0), cap)]);
+            let trees = std::slice::from_ref(&d.tree);
+            let specs = [&d.spec];
+            let inputs = AlgorithmInputs {
+                now,
+                interval,
+                trees,
+                specs: &specs,
+                registry: &d.registry,
+                reports: &reports,
+            };
+            let out = d.state.run_incremental(&inputs);
+            let summary = d.summarize(seq, &reports, &out);
+            (out, summary)
+        });
 
         let mut domain_outputs = Vec::with_capacity(ran.len());
         let mut summaries = Vec::with_capacity(ran.len());
-        for (d, out, summary) in ran {
+        for (out, summary) in ran {
             // The border protocol's wire round-trip: what the parent folds
             // is the decoded canonical JSON, never the in-memory struct,
             // so a schema drift fails loudly here and not in a replica.
@@ -401,7 +392,6 @@ impl Federation {
                     decoded.bytes
                 ),
             );
-            self.domains.push(d);
             domain_outputs.push(out);
             summaries.push(decoded);
         }

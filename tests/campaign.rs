@@ -8,10 +8,10 @@
 //! configuration — a gate that cannot fail is not a gate.
 
 use scenarios::campaign::{
-    expected_caps, run_campaign, CampaignReport, CampaignSpec, GateStatus, Profile,
+    cells, expected_caps, run_campaign, CampaignReport, CampaignSpec, GateStatus, Profile,
 };
 use scenarios::chaos;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -170,6 +170,33 @@ fn smoke_campaign_is_deterministic_and_covers_the_zoo() {
 }
 
 #[test]
+fn the_cell_list_is_the_committed_run_table_and_the_caps_follow_the_rule() {
+    // The cell list is a pure construction, so this runs nothing: the
+    // full-profile cells at seed-index 1 are the runs of the committed
+    // `results/campaign.md`, in its order (artifacts depend on that order).
+    let ids: Vec<String> =
+        cells(&CampaignSpec::new("zoo", 1, Profile::Full)).into_iter().map(|c| c.id).collect();
+    let md = fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/campaign.md"))
+        .expect("committed results/campaign.md");
+    let mut committed: Vec<&str> = md
+        .lines()
+        .skip_while(|l| *l != "## Runs")
+        .take_while(|l| *l != "## Figures")
+        .filter_map(|l| l.strip_prefix("| ")?.split(" | ").next())
+        .filter(|run| run.contains('/'))
+        .collect();
+    committed.dedup();
+    assert_eq!(ids, committed);
+
+    // `expected_caps` states a rule; the caps the cells carry obey it.
+    for profile in [Profile::Smoke, Profile::Full] {
+        let spec = CampaignSpec::new("zoo", 1, profile);
+        let carried: BTreeSet<String> = cells(&spec).into_iter().filter_map(|c| c.cap).collect();
+        assert_eq!(expected_caps(&spec), carried.len(), "{profile:?}");
+    }
+}
+
+#[test]
 fn different_seed_index_changes_the_matrix_seeds() {
     let r1 = smoke_report();
     let r2 = run_campaign(&CampaignSpec::new("zoo", 2, Profile::Smoke));
@@ -214,4 +241,27 @@ fn broken_config_fails_gates() {
         failed.iter().any(|(r, _)| r.workload == "paper"),
         "no paper/ gate failed under the broken config"
     );
+    // Every red cell leaves a black box, and one rule decides what is in it:
+    // the flight window of the run when exactly one simulator ran behind the
+    // cell, the failed-gate count when it drove itself or compared several.
+    let red: BTreeSet<&str> = failed.iter().map(|(r, _)| r.id.as_str()).collect();
+    let boxed: BTreeSet<&str> = report.blackboxes.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(red, boxed);
+    let simulators: BTreeMap<String, usize> =
+        cells(&spec).into_iter().map(|c| (c.id, c.scenarios.len())).collect();
+    let (mut flight_windows, mut red_figures) = (0, 0);
+    for (id, bb) in &report.blackboxes {
+        if simulators[id] == 1 {
+            assert!(!bb.occurrences.is_empty(), "{id}: no flight window");
+            assert!(bb.t_ns > 0 && bb.counters.len() > 1, "{id}: no profile counters");
+            flight_windows += 1;
+        } else {
+            assert!(bb.occurrences.is_empty(), "{id}: whose flight window?");
+            assert_eq!(bb.counters.len(), 1, "{id}");
+            assert!(bb.counters[0].0 == "gates_failed" && bb.counters[0].1 >= 1, "{id}");
+            red_figures += id.starts_with("paper/") as usize;
+        }
+    }
+    assert!(flight_windows >= 1, "no red one-scenario cell under the broken config");
+    assert!(red_figures >= 1, "no red multi-scenario figure under the broken config");
 }

@@ -252,7 +252,7 @@ fn chaos_plans_are_backend_identical() {
     }
 }
 
-/// The rayon seed sweep returns exactly what a sequential loop over the
+/// The parallel seed sweep returns exactly what a sequential loop over the
 /// same seeds would, in input order.
 #[test]
 fn parallel_seed_sweep_matches_sequential() {
