@@ -25,4 +25,4 @@ pub mod tree;
 pub use discovery::{DiscoveryTool, LinkView, SnapshotError, TopologyView};
 pub use session_tree::SessionTree;
 pub use spec::{LinkSpec, NodeRole, TopoSpec};
-pub use tree::{DirtySet, Tree};
+pub use tree::{DirtySet, SlotQueue, Tree};

@@ -154,13 +154,6 @@ impl SessionTree {
     pub fn mark_ancestors(&self, slot: usize, dirty: &mut DirtySet) {
         self.tree.mark_ancestors(slot, dirty);
     }
-
-    /// Mark `slot` and its whole subtree in `dirty` (see
-    /// [`Tree::mark_subtree`]): the propagation pattern of top-down
-    /// effects such as backoff timers, which block every descendant.
-    pub fn mark_subtree(&self, slot: usize, dirty: &mut DirtySet) {
-        self.tree.mark_subtree(slot, dirty);
-    }
 }
 
 #[cfg(test)]

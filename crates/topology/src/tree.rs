@@ -309,17 +309,6 @@ impl Tree {
         }
     }
 
-    /// Mark `slot` and every slot of its subtree in `dirty`. No pruning at
-    /// already-marked slots: a slot marked by an earlier, unrelated pass
-    /// (e.g. an ancestor walk) says nothing about its descendants.
-    pub fn mark_subtree(&self, slot: usize, dirty: &mut DirtySet) {
-        let mut stack = vec![slot];
-        while let Some(s) = stack.pop() {
-            dirty.mark(s);
-            stack.extend(self.child_slots(s));
-        }
-    }
-
     /// Graphviz DOT rendering (debugging aid); `label` decorates each node.
     pub fn to_dot(&self, mut label: impl FnMut(NodeId) -> String) -> String {
         let mut out = String::from("digraph tree {\n  rankdir=TB;\n");
@@ -333,6 +322,50 @@ impl Tree {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// A reusable work list of tree slots, handed out lowest slot first —
+/// parents before children — as one bit per slot scanned a word at a
+/// time: the pattern of a top-down pass that visits only what moved. A
+/// slot marked while the list drains must lie above the last slot popped
+/// (a child of it, say), which is all a top-down pass ever marks.
+#[derive(Clone, Debug, Default)]
+pub struct SlotQueue {
+    bits: Vec<u64>,
+    /// Every word below this one is clear.
+    cursor: usize,
+}
+
+impl SlotQueue {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Start a fresh round over a tree of `len` slots, forgetting every
+    /// mark left over.
+    pub fn begin(&mut self, len: usize) {
+        self.bits.clear();
+        self.bits.resize(len.div_ceil(64), 0);
+        self.cursor = 0;
+    }
+
+    /// Mark `slot` (a no-op if it is already marked).
+    pub fn mark(&mut self, slot: usize) {
+        debug_assert!(slot / 64 >= self.cursor, "slot {slot} is behind the drain");
+        self.bits[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Remove and return the lowest marked slot.
+    pub fn pop(&mut self) -> Option<usize> {
+        while let Some(&w) = self.bits.get(self.cursor) {
+            if w != 0 {
+                self.bits[self.cursor] = w & (w - 1);
+                return Some(self.cursor * 64 + w.trailing_zeros() as usize);
+            }
+            self.cursor += 1;
+        }
+        None
     }
 }
 
@@ -675,19 +708,32 @@ mod tests {
     }
 
     #[test]
-    fn mark_subtree_covers_descendants_even_through_marked_slots() {
+    fn slot_queue_pops_ascending_and_reaches_marks_made_while_draining() {
         let t = fig1();
-        let s1 = t.slot_of(n(1)).unwrap();
-        let s2 = t.slot_of(n(2)).unwrap();
-        let mut d = DirtySet::new();
-        d.begin(t.len());
-        // Pre-mark an interior slot of the subtree (as an ancestor walk
-        // would); the subtree DFS must still reach its children.
-        assert!(d.mark(s2));
-        t.mark_subtree(s1, &mut d);
-        for node in [n(1), n(2), n(5), n(3), n(4)] {
-            assert!(d.contains(t.slot_of(node).unwrap()), "node {} missing", node.0);
+        let mut q = SlotQueue::new();
+        q.begin(130);
+        q.mark(0);
+        q.mark(70);
+        // Popping a slot marks its children, as a top-down pass does; a
+        // mark in the word being drained and one in a later word both
+        // come out in order.
+        let mut seen = Vec::new();
+        while let Some(s) = q.pop() {
+            seen.push(s);
+            if s < t.len() {
+                t.child_slots(s).for_each(|c| q.mark(c));
+            }
+            if s == 0 {
+                q.mark(129);
+            }
         }
-        assert!(!d.contains(t.slot_of(n(0)).unwrap()));
+        let mut want: Vec<usize> = t.slots().collect();
+        want.extend([70, 129]);
+        assert_eq!(seen, want);
+        // A fresh round forgets leftover marks.
+        q.begin(130);
+        q.mark(3);
+        q.begin(5);
+        assert_eq!(q.pop(), None);
     }
 }

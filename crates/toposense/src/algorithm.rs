@@ -126,15 +126,24 @@ struct SessionScratch {
     level_cap: Vec<u8>,
     demand: Vec<u8>,
     supply: Vec<u8>,
-    /// Stage 5's blocked-level view, refilled every interval once the
-    /// session's backoff table has expired its timers.
+    /// Stage 5's blocked-level view, refilled once the session's backoff
+    /// table has expired its timers — on a warm run only when the table's
+    /// key set changed since the last fill.
     blocked: BlockedView,
+    /// The view as of the fill before, diffed against `blocked` to find
+    /// the slots whose `blocked` answers moved.
+    blocked_prev: BlockedView,
+    /// The backoff table's generation when `blocked` was filled.
+    blocked_gen: u64,
     /// Table I branch labels per tree slot (filled only when auditing).
     branches: Vec<&'static str>,
-    /// Snapshot of `states` as of the previous interval, taken before the
-    /// stage-1 recompute; diffed afterwards to find slots whose stage-5
-    /// inputs may have moved.
+    /// At every slot stage 1's top-down walk visited this interval, the
+    /// slot's state as of the previous interval (saved just before it is
+    /// overwritten); stage 5 reads it only at slots in `state_dirty`.
     states_prev: Vec<NodeState>,
+    /// How many slots of `states` are congested, kept up to date by the
+    /// top-down walk as flags flip.
+    congested: usize,
     /// Slots whose observation was re-folded this interval (report diff).
     obs_dirty: Vec<u32>,
     /// Slots whose memory the stage-1 fold changed this interval.
@@ -142,6 +151,9 @@ struct SessionScratch {
     /// Slots whose propagated congestion state (congested / parent flag /
     /// loss) moved this interval relative to `states_prev`.
     state_dirty: Vec<u32>,
+    /// The session's top-down work list (stage 1's propagation, stage 5's
+    /// supply).
+    walk: topology::SlotQueue,
 }
 
 /// Per-session inputs frozen by [`IncCache`] at the last cold start. As
@@ -163,8 +175,8 @@ struct SessionCache {
     /// registry order.
     sugg_route: Vec<(AppId, u32)>,
     /// Slots holding at least one backoff timer after the previous run.
-    /// Their subtrees must be re-decided next interval even if the timer
-    /// has expired since — expiry itself changes `blocked`.
+    /// They are re-decided next interval even if the timer has expired
+    /// since: their branch may arm again and draw from the RNG.
     backoff_slots: Vec<u32>,
     /// Slots whose memory the previous run's stage-5 persistence changed
     /// (supply/demand writes land after that interval's inputs were built,
@@ -200,8 +212,8 @@ struct IncCache {
     crossed_links: Vec<DirLinkId>,
     /// The border caps in force when the cache was last primed/refreshed.
     /// A cap change is an *input* change at the root slot: stage 5 diffs
-    /// against this copy and marks the root dirty, and the full-width
-    /// top-down supply pass propagates the new ceiling.
+    /// against this copy and marks the root dirty, and the supply walk
+    /// carries the new ceiling down as far as it moves supply.
     border_caps: Vec<(SessionId, u8)>,
     sessions: Vec<SessionCache>,
 }
@@ -572,6 +584,11 @@ impl AlgorithmState {
             sc.obs.resize(t.len(), None);
             sc.states.clear();
             sc.states.resize(t.len(), NodeState::default());
+            sc.states_prev.clear();
+            sc.states_prev.resize(t.len(), NodeState::default());
+            sc.congested = 0;
+            // Last interval's fold changes index the old tree.
+            sc.mem_dirty.clear();
             sc.mem.clear();
             sc.mem.extend(
                 t.slots()
@@ -653,10 +670,6 @@ impl AlgorithmState {
             let t = tree.tree();
             let sc = &mut scratch[k];
             let cs = &cache.sessions[k];
-            // Snapshot last interval's states: stage 5 diffs against this
-            // to find slots whose inputs (own/parent/sibling congestion,
-            // loss) moved.
-            sc.states_prev.clone_from(&sc.states);
             dirty.begin(t.len());
             for &(sess, slot) in &report_dirty {
                 if sess as usize != k || !dirty.mark(slot as usize) {
@@ -701,6 +714,7 @@ impl AlgorithmState {
             for &s in dirty.slots() {
                 let s = s as usize;
                 let old = sc.states[s];
+                sc.states_prev[s] = old;
                 let new = congestion::slot_state(tree, s, &sc.obs, &sc.states, &cfg);
                 sc.states[s] = new;
                 // Bit-compare: what stage 2 reads from a state is its
@@ -709,19 +723,33 @@ impl AlgorithmState {
                     state_changed.push((k as u32, s as u32));
                 }
             }
-            // One fused top-down pass over the session: congestion
+            // One fused top-down walk over the session: congestion
             // propagation, the congested-node count, the memory fold, and
-            // the stage-5 feed diffs. Slots whose memory or propagated
-            // state actually moved are recorded for the stage-5 input diff
-            // — in steady state (stable history, stable byte counts) the
-            // fold is a fixed point and both lists stay short.
+            // the stage-5 feed diffs. The memory fold is a function of
+            // (memory, state), so a slot whose state did not move and whose
+            // memory the fold left alone last interval is at a fixed point:
+            // the walk visits the recomputed slots, last interval's
+            // `mem_dirty`, and the children of every slot whose congestion
+            // flag flipped (the one thing a child's propagation reads).
+            // Slots whose memory or propagated state actually moved are
+            // recorded for the stage-5 input diff.
+            sc.walk.begin(t.len());
+            for &s in dirty.slots().iter().chain(&sc.mem_dirty) {
+                sc.walk.mark(s as usize);
+            }
             sc.mem_dirty.clear();
             sc.state_dirty.clear();
-            for s in t.slots() {
+            while let Some(s) = sc.walk.pop() {
+                if !dirty.contains(s) {
+                    sc.states_prev[s] = sc.states[s];
+                }
                 congestion::propagate_slot(tree, s, &mut sc.states);
                 let st = sc.states[s];
-                congested_nodes += st.congested as usize;
                 let old = sc.states_prev[s];
+                if old.congested != st.congested {
+                    sc.congested = sc.congested + st.congested as usize - old.congested as usize;
+                    t.child_slots(s).for_each(|c| sc.walk.mark(c));
+                }
                 if old.congested != st.congested
                     || old.parent_congested != st.parent_congested
                     || old.loss.to_bits() != st.loss.to_bits()
@@ -748,6 +776,7 @@ impl AlgorithmState {
                     sc.mem[s] = mem;
                 }
             }
+            congested_nodes += sc.congested;
         }
         if let Some(a) = stage_end(&mut audit, "stage1_congestion", stage_span) {
             a.congestion = congestion_audit(inputs.trees, &scratch);
@@ -878,6 +907,7 @@ impl AlgorithmState {
             // them against the cached copy to find the dirty decisions.
             dirty.begin(t.len());
             dirty_aux.begin(t.len());
+            sc.walk.begin(t.len());
             if refreshed_sessions.binary_search(&(k as u32)).is_ok() {
                 // Sharing refreshed this session's allowances: any slot's
                 // level cap may have moved, so every slot is a candidate.
@@ -893,8 +923,7 @@ impl AlgorithmState {
                 if border_cap_moved {
                     // The cap feeds exactly one input — the root's level
                     // cap — so the root is the (only) candidate; the
-                    // full-width supply pass below propagates the change
-                    // to every descendant.
+                    // supply walk below carries the change down.
                     dirty_aux.mark(0);
                 }
                 for &s in &sc.obs_dirty {
@@ -946,6 +975,9 @@ impl AlgorithmState {
                 );
                 // Cold buffers hold placeholders, not a previous interval.
                 if cold || inp != sc.inputs[s] || lc != sc.level_cap[s] {
+                    if lc != sc.level_cap[s] {
+                        sc.walk.mark(s);
+                    }
                     sc.inputs[s] = inp;
                     sc.level_cap[s] = lc;
                     dirty.mark(s);
@@ -971,28 +1003,36 @@ impl AlgorithmState {
             }
             // Like the dense kernel, expire timers before the demand pass
             // and answer every `blocked` query of the pass from one view.
+            // After `expire` the view is a function of the timer key set,
+            // so a warm run refills it only when that set changed, and
+            // re-decides the slots whose row moved.
             backoffs.expire(inputs.now);
-            backoffs.fill_blocked(tree, spec.max_level(), inputs.now, &mut sc.blocked);
-            // A timer influences `blocked` for its whole subtree: dirty
-            // the subtrees of every live timer, and of every slot that
-            // held one after the previous run — expiry itself changes
-            // `blocked`, so those subtrees must re-decide once.
-            for &s in &cs.backoff_slots {
-                tree.mark_subtree(s as usize, &mut dirty);
+            if cold || backoffs.generation() != sc.blocked_gen {
+                std::mem::swap(&mut sc.blocked, &mut sc.blocked_prev);
+                backoffs.fill_blocked(tree, spec.max_level(), inputs.now, &mut sc.blocked);
+                sc.blocked_gen = backoffs.generation();
+                sc.blocked.changed_rows(&sc.blocked_prev, t.len(), |s| {
+                    dirty.mark(s);
+                });
             }
-            for node in backoffs.armed_nodes() {
-                if let Some(s) = t.slot_of(node) {
-                    tree.mark_subtree(s, &mut dirty);
-                }
+            // A slot that held a timer after the previous run re-decides
+            // itself (its branch may arm again and draw); what the timer
+            // does to its subtree is the view's row diff above. Timers are
+            // armed only by the decide loop and a restore starts cold, so
+            // on a warm run this covers every live timer too.
+            for &s in &cs.backoff_slots {
+                dirty.mark(s as usize);
             }
 
             // Demand over dirty slots, in the dense kernel's bottom-up
             // order. A clean slot repeats last interval's decision by
             // construction (same inputs, same children demands, same
-            // backoff view — and no RNG draw: had its branch armed a
-            // timer, the slot would be backoff-dirty). A changed demand
+            // view row — and no RNG draw: had its branch armed a timer,
+            // the slot would hold one and be dirty). A changed demand
             // dirties the parent, which sits at a lower slot and is
-            // therefore still ahead of the scan.
+            // therefore still ahead of the scan, and seeds the supply
+            // walk and the persistence below.
+            dirty_aux.begin(t.len());
             for s in (0..t.len()).rev() {
                 if !dirty.contains(s) {
                     continue;
@@ -1016,19 +1056,48 @@ impl AlgorithmState {
                 }
                 if sc.demand[s] != d {
                     sc.demand[s] = d;
+                    sc.walk.mark(s);
+                    dirty_aux.mark(s);
                     if let Some(p) = t.parent_slot_of(s) {
                         dirty.mark(p);
                     }
                 }
             }
-            subscription::supply_pass(tree, &sc.demand, &sc.level_cap, &mut sc.supply);
+            // Supply follows the slots whose demand or level cap moved;
+            // cold buffers hold placeholders, so a cold run fills it all.
+            if cold {
+                subscription::supply_pass(tree, &sc.demand, &sc.level_cap, &mut sc.supply);
+            } else {
+                subscription::supply_walk(
+                    tree,
+                    &sc.demand,
+                    &sc.level_cap,
+                    &mut sc.supply,
+                    &mut sc.walk,
+                    |s| {
+                        dirty_aux.mark(s);
+                    },
+                );
+            }
 
-            // Persist this interval's history/byte updates together with
-            // the new supply/demand windows, into the dense copies only;
-            // the `memories` map is synced lazily on the next cold start.
-            // Slots whose memory moved feed the next interval's input diff.
+            // Persist the new supply/demand windows into the dense copies
+            // only; the `memories` map is synced lazily on the next cold
+            // start. The windows are a function of (memory, supply,
+            // demand), so a warm run visits only the slots whose supply or
+            // demand moved and those whose memory this step changed last
+            // run — everywhere else it is a fixed point. Slots whose
+            // memory moved feed the next interval's input diff.
+            if cold {
+                for s in t.slots() {
+                    dirty_aux.mark(s);
+                }
+            }
+            for &s in &cs.mem5_dirty {
+                dirty_aux.mark(s as usize);
+            }
             cs.mem5_dirty.clear();
-            for s in t.slots() {
+            for &s in dirty_aux.slots() {
+                let s = s as usize;
                 let mut mem = sc.mem[s];
                 mem.supply_older = mem.supply_recent;
                 mem.supply_recent = sc.supply[s];
@@ -1624,6 +1693,160 @@ mod tests {
         }
     }
 
+    /// A receiver that ignores the controller and keeps reporting the same
+    /// heavy loss at the same level: once its windows settle, its inputs
+    /// repeat every interval, yet its branch re-arms a timer (and draws)
+    /// each time. Incremental must still re-decide it — the timer table,
+    /// failure counts included, must match the full run's.
+    #[test]
+    fn a_slot_that_re_arms_on_repeated_inputs_is_re_decided() {
+        let tree = one_session_tree();
+        let spec = LayerSpec::paper_default();
+        let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
+        let reports = vec![report(10, 2, 4, 70, 30, 20_000), report(11, 3, 2, 100, 0, 24_000)];
+        let mut full = AlgorithmState::new(Config::default(), 5);
+        let mut inc = AlgorithmState::new(Config::default(), 5);
+        let timers = |st: &AlgorithmState| {
+            let mut v = st.checkpoint().backoffs;
+            v.sort_by_key(|e| (e.session, e.node, e.level));
+            v
+        };
+        for t in 1..=12u64 {
+            let inputs = AlgorithmInputs {
+                now: SimTime::from_secs(2 * t),
+                interval: SimDuration::from_secs(2),
+                trees: std::slice::from_ref(&tree),
+                specs: &[&spec],
+                registry: &registry,
+                reports: &reports,
+            };
+            let a = full.run(&inputs);
+            let b = inc.run_incremental(&inputs);
+            assert_eq!(a.suggestions, b.suggestions, "interval {t}");
+            assert_eq!(timers(&full), timers(&inc), "interval {t}");
+        }
+    }
+
+    /// A balanced `fanout^depth` session tree rooted at node 0, every leaf
+    /// a member; returns the tree and its leaves in slot order.
+    fn balanced_tree(fanout: u32, depth: u32) -> (SessionTree, Vec<NodeId>) {
+        let mut links = Vec::new();
+        let mut tier = vec![0u32];
+        for _ in 0..depth {
+            let mut next = Vec::new();
+            for &p in &tier {
+                for _ in 0..fanout {
+                    let c = links.len() as u32 + 1;
+                    links.push(LinkView { id: l(c - 1), from: n(p), to: n(c) });
+                    next.push(c);
+                }
+            }
+            tier = next;
+        }
+        let view = TopologyView {
+            time: SimTime::ZERO,
+            groups: vec![GroupSnapshot {
+                group: GroupId(0),
+                root: n(0),
+                active_links: links.iter().map(|lv| lv.id).collect(),
+                member_nodes: tier.iter().map(|&i| n(i)).collect(),
+            }],
+            links,
+        };
+        let tree = SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap();
+        let leaves = tree.tree().slots().filter(|&s| tree.tree().is_leaf_slot(s));
+        let leaves = leaves.map(|s| tree.tree().node_at(s)).collect();
+        (tree, leaves)
+    }
+
+    /// A domain behind a 300 kb/s border link and a border cap of 4
+    /// layers, closed loop: each leaf reports the level it was last
+    /// suggested, with loss in proportion to the overshoot. Climbing to
+    /// level 4 (480 kb/s) congests the whole tree, the root halves and
+    /// arms a backoff for level 4 at itself, and the tree settles at
+    /// level 3 under that live root timer. Incremental must equal the
+    /// full run throughout, and once settled re-decide only what moved —
+    /// not the whole tree the root timer sits above.
+    #[test]
+    fn a_live_root_timer_does_not_redecide_its_subtree() {
+        let (tree, leaves) = balanced_tree(3, 3);
+        let spec = LayerSpec::paper_default();
+        let registry: Vec<(AppId, NodeId, SessionId)> =
+            leaves.iter().enumerate().map(|(i, &nd)| (AppId(i as u32), nd, SessionId(0))).collect();
+        let mut full = AlgorithmState::new(Config::default(), 11);
+        let mut inc = AlgorithmState::new(Config::default(), 11);
+        for st in [&mut full, &mut inc] {
+            st.set_border_caps(&[(SessionId(0), 4)]);
+        }
+        let mut levels = vec![1u8; leaves.len()];
+        let (mut repeats, mut settled_rounds) = (0, 0);
+        for t in 1..=34u64 {
+            if t == 27 {
+                // A warm border-cap cut under the live timer: supply must
+                // follow it down the tree even where demand holds.
+                for st in [&mut full, &mut inc] {
+                    st.set_border_caps(&[(SessionId(0), 2)]);
+                }
+            }
+            let reports: Vec<ReceiverReport> = leaves
+                .iter()
+                .zip(&levels)
+                .enumerate()
+                .map(|(i, (&nd, &level))| {
+                    let cum = spec.cumulative_rate(level);
+                    let received = (100.0 * (300_000.0 / cum).min(1.0)).round() as u64;
+                    ReceiverReport {
+                        receiver: AppId(i as u32),
+                        node: nd,
+                        session: SessionId(0),
+                        level,
+                        received,
+                        lost: 100 - received,
+                        bytes: (cum.min(300_000.0) / 8.0 * 2.0) as u64,
+                    }
+                })
+                .collect();
+            let inputs = AlgorithmInputs {
+                now: SimTime::from_secs(2 * t),
+                interval: SimDuration::from_secs(2),
+                trees: std::slice::from_ref(&tree),
+                specs: &[&spec],
+                registry: &registry,
+                reports: &reports,
+            };
+            let a = full.run(&inputs);
+            let b = inc.run_incremental(&inputs);
+            assert_eq!(a.suggestions, b.suggestions, "interval {t}");
+            assert_eq!(a.root_supply, b.root_supply, "interval {t}");
+            assert_eq!(a.congested_nodes, b.congested_nodes, "interval {t}");
+            let bits = |o: &AlgorithmOutputs| {
+                o.estimated_links.iter().map(|&(lk, c)| (lk, c.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&a), bits(&b), "interval {t}");
+            let root_timer = inc
+                .checkpoint()
+                .backoffs
+                .iter()
+                .any(|e| e.node == 0 && e.until_ns.is_some_and(|u| u > inputs.now.0));
+            // Settled: the reports have repeated for as long as the 3-bit
+            // congestion history takes to forget the overshoot.
+            if root_timer && repeats >= 3 {
+                settled_rounds += 1;
+                assert!(
+                    (b.slots_recomputed as usize) < tree.tree().len(),
+                    "interval {t}: {} slots recomputed under a live root timer",
+                    b.slots_recomputed
+                );
+            }
+            let before = levels.clone();
+            for (level, s) in levels.iter_mut().zip(&b.suggestions) {
+                *level = s.level;
+            }
+            repeats = if levels == before { repeats + 1 } else { 0 };
+        }
+        assert!(settled_rounds >= 5, "the tree settled under a root timer {settled_rounds} times");
+    }
+
     #[test]
     fn audited_incremental_matches_audited_full_including_records() {
         let tree = one_session_tree();
@@ -1696,12 +1919,17 @@ mod tests {
             Invalidate,
             Restore,
             AuditAfterUnaudited,
+            RootTimer,
         }
         use Trigger::*;
         // (round it fires in, trigger). Input changes persist, so the round
         // after each one repeats its inputs and must be served warm. Lossy
         // round 1 learns the shared-link estimates at t = 2 s; every later
         // round is clean, so their reset falls due at t = 26 s, round 13.
+        // `RootTimer` arms a level-4 timer at both sessions' root (through
+        // a checkpoint, so both twins hold it): every receiver's next
+        // layer is blocked through rounds 21-24, which run warm under it
+        // after the first, and round 25 climbs, warm, across its expiry.
         let table = [
             (1, FirstRun),
             (3, Routing),
@@ -1713,12 +1941,13 @@ mod tests {
             (15, Invalidate),
             (17, Restore),
             (19, AuditAfterUnaudited),
+            (21, RootTimer),
         ];
         let cfg = Config::default();
         let specs = [LayerSpec::paper_default(), LayerSpec::doubling(32_000.0, 5)];
         let mut full = AlgorithmState::new(cfg, 9);
         let mut inc = AlgorithmState::new(cfg, 9);
-        for t in 1..=22u64 {
+        for t in 1..=28u64 {
             let fired = |trigger: Trigger| table.iter().any(|&(at, tr)| tr == trigger && at <= t);
             let now = |trigger: Trigger| table.contains(&(t, trigger));
             let trees = two_session_trees(fired(Routing));
@@ -1756,6 +1985,19 @@ mod tests {
             }
             if now(Restore) {
                 inc = AlgorithmState::restore(cfg, &inc.checkpoint()).unwrap();
+            }
+            if now(RootTimer) {
+                for st in [&mut full, &mut inc] {
+                    let mut snap = st.checkpoint();
+                    snap.backoffs.extend((0..2).map(|session| crate::checkpoint::BackoffEntry {
+                        session,
+                        node: 0,
+                        level: 4,
+                        until_ns: Some(SimTime::from_secs(49).0),
+                        failures: 1,
+                    }));
+                    *st = AlgorithmState::restore(cfg, &snap).unwrap();
+                }
             }
             let a = full.run(&inputs);
             let mut audit = telemetry::IntervalAudit::new(inc.runs(), 0);

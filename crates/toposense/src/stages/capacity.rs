@@ -188,7 +188,20 @@ impl CapacityEstimator {
         // upward creep — creeping on silence would inflate the estimate
         // without a single packet to justify it. Hold any estimate as-is
         // (the reset clock still runs in `begin_interval`).
-        let total_bytes: u64 = sessions.iter().map(|s| s.bytes).sum();
+        // One fold over the sessions: byte sums saturate (raw reports are
+        // outside input, and two near `u64::MAX` must not wrap into a
+        // bogus estimate); the float sum starts at `-0.0` like `f64::sum`.
+        let per_session_bar = cfg.capacity_loss_threshold / 3.0;
+        let (mut total_bytes, mut weighted_loss, mut lossy_count, mut lossy_bytes) =
+            (0u64, -0.0f64, 0usize, 0u64);
+        for s in sessions {
+            total_bytes = total_bytes.saturating_add(s.bytes);
+            weighted_loss += s.loss * s.bytes as f64;
+            if s.loss > per_session_bar {
+                lossy_count += 1;
+                lossy_bytes = lossy_bytes.saturating_add(s.bytes);
+            }
+        }
         if total_bytes == 0 {
             if let Some(e) = self.estimates.get(&link) {
                 audit(e.capacity_bps, "held");
@@ -218,18 +231,14 @@ impl CapacityEstimator {
         }
         // Byte-weighted loss across sessions (dead air returned above,
         // so `total_bytes > 0` here).
-        let overall_loss =
-            sessions.iter().map(|s| s.loss * s.bytes as f64).sum::<f64>() / total_bytes as f64;
+        let overall_loss = weighted_loss / total_bytes as f64;
         // The paper's condition 2 asks for *all* sessions to be lossy.
         // With many sessions a single momentarily-clean low-rate session
         // would forever block the estimate, so we use a quorum: most
         // sessions (by count), carrying most of the bytes, must see loss
-        // above a (lower) per-session bar. Documented in DESIGN.md §5.
-        let per_session_bar = cfg.capacity_loss_threshold / 3.0;
-        let lossy: Vec<&SessionLinkObs> =
-            sessions.iter().filter(|s| s.loss > per_session_bar).collect();
-        let lossy_count_frac = lossy.len() as f64 / sessions.len() as f64;
-        let lossy_bytes: u64 = lossy.iter().map(|s| s.bytes).sum();
+        // above a (lower) per-session bar (`per_session_bar` above).
+        // Documented in DESIGN.md §5.
+        let lossy_count_frac = lossy_count as f64 / sessions.len() as f64;
         let lossy_bytes_frac = lossy_bytes as f64 / total_bytes as f64;
         let congested = overall_loss > cfg.capacity_loss_threshold
             && lossy_count_frac >= 0.75
@@ -470,5 +479,19 @@ mod tests {
         assert!(est.capacity(l(0)).is_some());
         assert!(est.capacity(l(1)).is_none());
         assert_eq!(est.estimated_links(), 1);
+    }
+
+    /// Two lossy sessions whose raw byte reports sum past `u64::MAX`: the
+    /// sum saturates instead of overflowing (a panic in a debug build, in
+    /// release a wrap to 0 that read as dead air), so the link learns an
+    /// estimate at least as large as either session's share.
+    #[test]
+    fn byte_sums_past_the_integer_ceiling_saturate() {
+        let half = u64::MAX / 2 + 1;
+        let mut est = CapacityEstimator::new();
+        let usage = flat(&[(l(0), vec![obs(0, 0.3, half), obs(1, 0.3, half)])]);
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        let c = est.capacity(l(0)).expect("a lossy shared link learns an estimate");
+        assert!(c.is_finite() && c >= half as f64 * 8.0 / 2.0, "estimate {c}");
     }
 }

@@ -18,8 +18,9 @@ use crate::config::Config;
 use crate::decision::{decide, Action, NodeKind, SupplyWindow};
 use crate::history::{BwEquality, CongestionHistory};
 use netsim::{NodeId, RngStream, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use topology::SessionTree;
+use topology::{SessionTree, SlotQueue};
 use traffic::LayerSpec;
 
 /// Per-node inputs assembled by the algorithm driver.
@@ -82,6 +83,11 @@ pub struct BackoffTable {
     /// gets probed more and more rarely — the same exponential persistence
     /// RLM applies to its join timers.
     failures: HashMap<(NodeId, u8), u32>,
+    /// Bumped whenever the key set of `until` changes (a new
+    /// `(node, level)` timer, or an expiry that removes one). Once
+    /// [`Self::expire`] has run, [`Self::fill_blocked`] depends on the key
+    /// set alone, so an unchanged generation means an unchanged view.
+    generation: u64,
 }
 
 /// Cap on the exponential backoff doubling (2^3 = 8x the base draw).
@@ -112,9 +118,15 @@ impl BackoffTable {
     }
 
     /// Arm a timer at `node` for `level` with an explicit expiry.
+    /// Re-arming a live timer only ever raises its expiry.
     pub fn set(&mut self, node: NodeId, level: u8, until: SimTime) {
-        let e = self.until.entry((node, level)).or_insert(until);
-        *e = (*e).max(until);
+        match self.until.entry((node, level)) {
+            Entry::Occupied(mut e) => *e.get_mut() = (*e.get()).max(until),
+            Entry::Vacant(e) => {
+                e.insert(until);
+                self.generation += 1;
+            }
+        }
     }
 
     /// Is subscribing `level` blocked at `node` (checking ancestors too)?
@@ -137,7 +149,18 @@ impl BackoffTable {
 
     /// Drop expired timers.
     pub fn expire(&mut self, now: SimTime) {
+        let before = self.until.len();
         self.until.retain(|_, &mut u| u > now);
+        if self.until.len() != before {
+            self.generation += 1;
+        }
+    }
+
+    /// Changes whenever the set of timer keys does (see the field). The
+    /// driver refills its [`BlockedView`] only when this moved since the
+    /// last fill.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Fill `view` with what [`Self::blocked`] answers at `now` for every
@@ -178,10 +201,10 @@ impl BackoffTable {
         }
     }
 
-    /// The nodes holding at least one live timer, in `HashMap` iteration
-    /// order (callers needing determinism must sort). The incremental path
-    /// uses this to dirty the subtrees a timer can influence — `blocked`
-    /// consults ancestors, so an entry at a node affects every descendant.
+    /// The nodes holding at least one timer, in `HashMap` iteration order
+    /// (callers needing determinism must sort). The incremental path
+    /// re-decides these slots the next interval: a slot whose branch arms
+    /// a timer holds one afterwards, so its RNG draws are never skipped.
     pub fn armed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.until.keys().map(|&(node, _)| node)
     }
@@ -252,6 +275,35 @@ impl BlockedView {
         debug_assert!(l / 64 < self.words, "level {level} beyond the view's rows");
         self.bits.get(slot * self.words + l / 64).is_some_and(|w| w >> (l % 64) & 1 != 0)
     }
+
+    /// Word `w` of `slot`'s row; a row or word the view lacks (an empty
+    /// view, a shorter tree, a narrower row) reads as unblocked.
+    fn word(&self, slot: usize, w: usize) -> u64 {
+        if w >= self.words {
+            return 0;
+        }
+        self.bits.get(slot * self.words + w).copied().unwrap_or(0)
+    }
+
+    /// Call `changed` for every slot below `slots` at which [`Self::blocked`]
+    /// answers differently from `prev` for some level. `prev` may have been
+    /// filled for a tree of another length or for another `max_level`.
+    pub(crate) fn changed_rows(
+        &self,
+        prev: &BlockedView,
+        slots: usize,
+        mut changed: impl FnMut(usize),
+    ) {
+        if self.bits.is_empty() && prev.bits.is_empty() {
+            return;
+        }
+        let words = self.words.max(prev.words);
+        for s in 0..slots {
+            if (0..words).any(|w| self.word(s, w) != prev.word(s, w)) {
+                changed(s);
+            }
+        }
+    }
 }
 
 /// Stage 5 over a whole session tree: `inputs[slot]` / `level_cap[slot]`
@@ -314,18 +366,50 @@ pub fn compute_into(
     supply_pass(tree, demand, level_cap, supply);
 }
 
-/// Supply, top-down: each slot gets the minimum of its demand, its
-/// parent's supply and its level cap. Always full width — the driver runs
-/// exactly this pass after re-deciding its dirty slots.
+/// Supply, top-down over every slot: the cold form of [`supply_walk`].
 pub(crate) fn supply_pass(tree: &SessionTree, demand: &[u8], level_cap: &[u8], supply: &mut [u8]) {
-    let t = tree.tree();
-    for s in t.slots() {
-        let v = match t.parent_slot_of(s) {
-            None => demand[s].min(level_cap[s]),
-            Some(p) => demand[s].min(supply[p]).min(level_cap[s]),
-        };
-        // The paper assumes every session keeps at least its base layer.
-        supply[s] = v.max(1);
+    for s in tree.tree().slots() {
+        supply[s] = supply_at(tree, s, demand, level_cap, supply);
+    }
+}
+
+/// The supply rule: a slot gets the minimum of its demand, its parent's
+/// supply and its level cap. `supply` must hold the parent's current value.
+#[inline]
+pub(crate) fn supply_at(
+    tree: &SessionTree,
+    s: usize,
+    demand: &[u8],
+    level_cap: &[u8],
+    supply: &[u8],
+) -> u8 {
+    let v = match tree.tree().parent_slot_of(s) {
+        None => demand[s].min(level_cap[s]),
+        Some(p) => demand[s].min(supply[p]).min(level_cap[s]),
+    };
+    // The paper assumes every session keeps at least its base layer.
+    v.max(1)
+}
+
+/// Supply, top-down over only what can have moved: `queue` holds the
+/// slots whose demand or level cap changed since `supply` was last
+/// consistent. Each is recomputed; one whose supply moved queues its
+/// children and is reported to `moved`. Drains `queue`.
+pub(crate) fn supply_walk(
+    tree: &SessionTree,
+    demand: &[u8],
+    level_cap: &[u8],
+    supply: &mut [u8],
+    queue: &mut SlotQueue,
+    mut moved: impl FnMut(usize),
+) {
+    while let Some(s) = queue.pop() {
+        let v = supply_at(tree, s, demand, level_cap, supply);
+        if v != supply[s] {
+            supply[s] = v;
+            moved(s);
+            tree.tree().child_slots(s).for_each(|c| queue.mark(c));
+        }
     }
 }
 
@@ -862,6 +946,88 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The generation follows the key set: a new timer and an expiry that
+    /// drops one move it; re-arming a live key (even through `arm`, which
+    /// draws and counts a failure) and an expiry that drops nothing do not.
+    #[test]
+    fn generation_moves_with_the_timer_keys_only() {
+        let mut b = BackoffTable::new();
+        let cfg = Config::default();
+        let mut rng = RngStream::derive(3, "generation-test");
+        let at = SimTime::from_secs;
+        let mut last = b.generation();
+        let mut step = |b: &BackoffTable, moved: bool, what: &str| {
+            assert_eq!(b.generation() != last, moved, "{what}");
+            last = b.generation();
+        };
+        b.set(n(1), 2, at(20));
+        step(&b, true, "new key");
+        b.set(n(1), 2, at(30));
+        step(&b, false, "later expiry on a live key");
+        b.set(n(1), 2, at(5));
+        step(&b, false, "earlier expiry on a live key");
+        b.arm(n(1), 2, at(10), &cfg, &mut rng);
+        step(&b, false, "arm on a live key");
+        b.arm(n(2), 4, at(10), &cfg, &mut rng);
+        step(&b, true, "arm on a new key");
+        b.set(n(3), 2, at(12));
+        step(&b, true, "another new key");
+        b.expire(at(11));
+        step(&b, false, "expiry that drops nothing");
+        b.expire(at(12));
+        step(&b, true, "expiry that drops (3, 2)");
+        b.expire(at(12));
+        step(&b, false, "the same expiry again");
+    }
+
+    proptest::proptest! {
+        /// `changed_rows` reports exactly the slots at which `blocked`
+        /// answers differently for some level — against a previous view
+        /// filled for a tree of another length, for another `max_level`,
+        /// or never filled at all. A level beyond a view's rows reads as
+        /// unblocked, the way the driver never asks it.
+        #[test]
+        fn changed_rows_are_the_slots_whose_answers_moved(
+            parents in proptest::collection::vec(0usize..20, 0..20),
+            prev_parents in proptest::collection::vec(0usize..20, 0..20),
+            widths in (0usize..4, 0usize..4),
+            timers in proptest::collection::vec((0u32..22, 0u8..=200, proptest::prelude::any::<bool>()), 0..10),
+            prev_filled in proptest::prelude::any::<bool>(),
+        ) {
+            let grow = |ps: &[usize]| {
+                tree_of(&ps.iter().enumerate().map(|(i, &p)| (p % (i + 1)) as u32).collect::<Vec<_>>())
+            };
+            let (tree, prev_tree) = (grow(&parents), grow(&prev_parents));
+            let levels = [6u8, 63, 64, 200];
+            let now = SimTime::from_secs(10);
+            // Each timer lands in the current table, the previous one, or
+            // both, so rows both agree and differ.
+            let (mut cur, mut prev) = (BackoffTable::new(), BackoffTable::new());
+            for (i, &(node, level, both)) in timers.iter().enumerate() {
+                let table = if i % 2 == 0 { &mut cur } else { &mut prev };
+                table.set(n(node), level, SimTime::from_secs(99));
+                if both {
+                    let other = if i % 2 == 0 { &mut prev } else { &mut cur };
+                    other.set(n(node), level, SimTime::from_secs(99));
+                }
+            }
+            let (mut view, mut prev_view) = (BlockedView::default(), BlockedView::default());
+            cur.fill_blocked(&tree, levels[widths.0], now, &mut view);
+            if prev_filled {
+                prev.fill_blocked(&prev_tree, levels[widths.1], now, &mut prev_view);
+            }
+            let answer = |v: &BlockedView, s: usize, l: usize| l / 64 < v.words && v.blocked(s, l as u8);
+            let want: Vec<usize> = tree
+                .tree()
+                .slots()
+                .filter(|&s| (0..256).any(|l| answer(&view, s, l) != answer(&prev_view, s, l)))
+                .collect();
+            let mut got = Vec::new();
+            view.changed_rows(&prev_view, tree.tree().len(), |s| got.push(s));
+            proptest::prop_assert_eq!(got, want);
         }
     }
 

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
+use toposense::checkpoint::BackoffEntry;
 use toposense::Config;
 use traffic::LayerSpec;
 
@@ -118,6 +119,23 @@ fn inputs_at<'a>(
     }
 }
 
+/// The round the report-churn twins are handed their root timer.
+const ROOT_TIMER_ROUND: u64 = 4;
+
+/// `state` as restored from its own checkpoint plus a session-0 backoff
+/// timer for `level` at the root, live until `until`.
+fn with_root_timer(state: &AlgorithmState, level: u8, until: SimTime) -> AlgorithmState {
+    let mut snap = state.checkpoint();
+    snap.backoffs.push(BackoffEntry {
+        session: 0,
+        node: 0,
+        level,
+        until_ns: Some(until.0),
+        failures: 1,
+    });
+    AlgorithmState::restore(*state.config(), &snap).unwrap()
+}
+
 /// Field-wise byte-identity on everything except the diagnostics that are
 /// *supposed* to differ (`incremental`, `slots_recomputed`).
 macro_rules! assert_outputs_eq {
@@ -135,11 +153,15 @@ proptest! {
 
     /// Report churn only (stable keys, stable topology): after the first
     /// cache-priming interval every run must take the incremental path and
-    /// still match a twin that recomputes everything.
+    /// still match a twin that recomputes everything. Mid-run both twins
+    /// are handed a timer at the root (through a checkpoint, which starts
+    /// that one round cold) that blocks `timer.0` for the whole tree and
+    /// expires `timer.1` rounds later, warm.
     #[test]
     fn incremental_matches_full_across_report_churn(
         parents in prop::collection::vec(0usize..12, 2..14),
         seed in 0u64..1000,
+        timer in (2u8..=6, 1u64..6),
     ) {
         let trees = vec![session_tree(&parents, 0, 0)];
         let leaves = leaf_receivers(&trees[0]);
@@ -152,13 +174,18 @@ proptest! {
         let mut full = AlgorithmState::new(Config::default(), seed);
         let mut inc = AlgorithmState::new(Config::default(), seed);
 
-        for round in 1..=8u64 {
+        for round in 1..=12u64 {
             churn(&mut reports, &mut rng);
+            if round == ROOT_TIMER_ROUND {
+                let until = SimTime::from_secs(2 * (round + timer.1) - 1);
+                full = with_root_timer(&full, timer.0, until);
+                inc = with_root_timer(&inc, timer.0, until);
+            }
             let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
             assert_outputs_eq!(prop_assert, a, b, format_args!("round {round}"));
-            if round >= 2 {
+            if round >= 2 && round != ROOT_TIMER_ROUND {
                 prop_assert!(b.incremental, "round {} should be incremental", round);
             }
             // Some intervals the receivers obey the controller, so the
