@@ -5,6 +5,7 @@
 //! [`AlgorithmState::run`] is a pure-ish function of its inputs: given the
 //! same sequence of `(trees, reports)` and the same seed it produces the
 //! same suggestions, which is what makes whole simulations reproducible.
+#![deny(clippy::too_many_lines)]
 
 use crate::config::Config;
 use crate::history::{BwEquality, CongestionHistory, BW_EQUAL_TOLERANCE};
@@ -12,14 +13,14 @@ use crate::stages::bottleneck;
 use crate::stages::capacity::{CapacityEstimator, CapacityEvent, SessionLinkObs};
 use crate::stages::congestion::{self, LeafObs, NodeState};
 use crate::stages::sharing::{self, SharingScratch};
-use crate::stages::subscription::{self, BackoffTable, BlockedView, NodeInputs};
+use crate::stages::subscription::{self, BackoffTable, NodeInputs};
 use netsim::{AppId, DirLinkId, NodeId, RngStream, SessionId, SimDuration, SimTime};
 use std::collections::HashMap;
 use telemetry::{
     BottleneckNode, CapacityLink, CongestionNode, IntervalAudit, SessionNodes, SharingEntry, Span,
     SubscriptionNode,
 };
-use topology::SessionTree;
+use topology::{DirtySet, SessionTree};
 use traffic::LayerSpec;
 
 /// One receiver's aggregated report for the interval.
@@ -112,48 +113,28 @@ impl Default for NodeMemory {
 /// kept), so the steady-state hot path allocates nothing.
 #[derive(Debug, Default)]
 struct SessionScratch {
-    /// Aggregated leaf observation per tree slot (stage 1 input).
-    obs: Vec<Option<LeafObs>>,
-    /// Congestion state per tree slot (stage 1 output).
-    states: Vec<NodeState>,
+    /// Stage 1's observations and congestion states.
+    stage1: congestion::Buffers,
     /// This interval's working copy of each node's persistent memory.
     mem: Vec<NodeMemory>,
     /// Stage-3 outputs per tree slot.
     bottleneck: Vec<f64>,
     max_handle: Vec<f64>,
-    /// Stage-5 inputs/outputs per tree slot.
-    inputs: Vec<NodeInputs>,
-    level_cap: Vec<u8>,
-    demand: Vec<u8>,
-    supply: Vec<u8>,
-    /// Stage 5's blocked-level view, refilled once the session's backoff
-    /// table has expired its timers — on a warm run only when the table's
-    /// key set changed since the last fill.
-    blocked: BlockedView,
-    /// The view as of the fill before, diffed against `blocked` to find
-    /// the slots whose `blocked` answers moved.
-    blocked_prev: BlockedView,
-    /// The backoff table's generation when `blocked` was filled.
-    blocked_gen: u64,
+    /// Stage 5's inputs, decisions and blocked-level view.
+    stage5: subscription::Buffers,
     /// Table I branch labels per tree slot (filled only when auditing).
     branches: Vec<&'static str>,
-    /// At every slot stage 1's top-down walk visited this interval, the
-    /// slot's state as of the previous interval (saved just before it is
-    /// overwritten); stage 5 reads it only at slots in `state_dirty`.
-    states_prev: Vec<NodeState>,
-    /// How many slots of `states` are congested, kept up to date by the
-    /// top-down walk as flags flip.
+    /// How many slots of stage 1's states are congested, kept up to date
+    /// as flags flip.
     congested: usize,
-    /// Slots whose observation was re-folded this interval (report diff).
+    /// The session's slot change sets of the interval in flight (see
+    /// [`Changes`]). Entry: the slots whose reports moved, repeats allowed.
     obs_dirty: Vec<u32>,
-    /// Slots whose memory the stage-1 fold changed this interval.
-    mem_dirty: Vec<u32>,
-    /// Slots whose propagated congestion state (congested / parent flag /
-    /// loss) moved this interval relative to `states_prev`.
+    /// Stage 1: the slots whose propagated state (congested, parent flag,
+    /// loss or subtree bytes) moved.
     state_dirty: Vec<u32>,
-    /// The session's top-down work list (stage 1's propagation, stage 5's
-    /// supply).
-    walk: topology::SlotQueue,
+    /// Stage 1: the slots of `state_dirty` whose congested flag flipped.
+    flipped: Vec<u32>,
 }
 
 /// Per-session inputs frozen by [`IncCache`] at the last cold start. As
@@ -163,7 +144,6 @@ struct SessionScratch {
 #[derive(Debug)]
 struct SessionCache {
     session: SessionId,
-    tree: SessionTree,
     spec: LayerSpec,
     /// CSR attribution: `rep_idx[rep_start[slot]..rep_start[slot + 1]]`
     /// are the global report indices folding into `slot`, in report order
@@ -174,14 +154,61 @@ struct SessionCache {
     /// per registered receiver of this session present in the tree, in
     /// registry order.
     sugg_route: Vec<(AppId, u32)>,
-    /// Slots holding at least one backoff timer after the previous run.
-    /// They are re-decided next interval even if the timer has expired
-    /// since: their branch may arm again and draw from the RNG.
-    backoff_slots: Vec<u32>,
-    /// Slots whose memory the previous run's stage-5 persistence changed
-    /// (supply/demand writes land after that interval's inputs were built,
-    /// so they surface as input changes one interval later).
+}
+
+impl SessionCache {
+    /// Slot `s`'s observation, folded from its reports in global report
+    /// order (loss = min, bytes/level = max). A report is outside input: a
+    /// level above the session's top means "everything", not a number to
+    /// do arithmetic on.
+    fn fold(&self, s: usize, reports: &[ReceiverReport], max_level: u8) -> Option<LeafObs> {
+        let rows = &self.rep_idx[self.rep_start[s] as usize..self.rep_start[s + 1] as usize];
+        rows.iter().map(|&ri| &reports[ri as usize]).fold(None, |acc, r| {
+            let e = acc.unwrap_or(LeafObs { loss: f64::INFINITY, bytes: 0, level: 0 });
+            Some(LeafObs {
+                loss: e.loss.min(r.loss_rate()),
+                bytes: e.bytes.max(r.bytes),
+                level: e.level.max(r.level.min(max_level)),
+            })
+        })
+    }
+}
+
+/// What one interval hands the next besides the per-slot values
+/// themselves: the bases the next input diff runs against, and the seeds
+/// — the slots not yet at a fixed point.
+///
+/// The invariant every warm step relies on (and [`AlgorithmState::audit`]
+/// checks): re-running a stage at a slot on the cached results of the
+/// stages before it reproduces the slot's cached values everywhere except
+/// at the seeds. Stage 1's memory fold, `mem' = f(mem, state)`, moves
+/// memory only at `mem_dirty`; stage 5's cached inputs and level caps
+/// equal a rebuild from the current stage 1–4 results, `border_caps` and
+/// the layers of `tree` except at `mem5_dirty` (persistence wrote their
+/// memory after the rebuild); and a cached Table I decision is what its
+/// cached inputs decide, without an RNG draw, except at `backoff_slots`
+/// (a slot holding a timer may arm again and draw). A cold start seeds
+/// every slot of `mem5_dirty`: no persisted window is known to be at a
+/// fixed point.
+#[derive(Debug, Default)]
+struct Carry {
+    /// The reports stage 1's observations were folded from.
+    reports: Vec<ReceiverReport>,
+    /// The border caps stage 5's root level caps were built from.
+    border_caps: Vec<(SessionId, u8)>,
+    sessions: Vec<SessionCarry>,
+}
+
+#[derive(Debug)]
+struct SessionCarry {
+    /// The tree whose per-edge layers stage 5's inputs were built from.
+    tree: SessionTree,
+    /// Slots whose memory stage 1's fold changed.
+    mem_dirty: Vec<u32>,
+    /// Slots whose memory stage 5's persistence changed.
     mem5_dirty: Vec<u32>,
+    /// Slots holding at least one backoff timer, ascending.
+    backoff_slots: Vec<u32>,
 }
 
 /// Everything an interval needs to prove, cheaply, that only the changed
@@ -197,10 +224,7 @@ struct IncCache {
     branches_valid: bool,
     interval: SimDuration,
     registry: Vec<(AppId, NodeId, SessionId)>,
-    /// The previous interval's reports, diffed element-wise against the
-    /// current ones to find changed slots.
-    reports: Vec<ReceiverReport>,
-    /// Per cached report: `(session index, slot)` it folds into, or
+    /// Per report: `(session index, slot)` it folds into, or
     /// `(u32::MAX, u32::MAX)` when unattributable (node outside the tree).
     report_target: Vec<(u32, u32)>,
     /// One `(link, session index, slot)` row per non-root slot, stably
@@ -210,12 +234,32 @@ struct IncCache {
     /// Every link any session crosses, sorted (dedup of `usage`'s link
     /// column).
     crossed_links: Vec<DirLinkId>,
-    /// The border caps in force when the cache was last primed/refreshed.
-    /// A cap change is an *input* change at the root slot: stage 5 diffs
-    /// against this copy and marks the root dirty, and the supply walk
-    /// carries the new ceiling down as far as it moves supply.
-    border_caps: Vec<(SessionId, u8)>,
     sessions: Vec<SessionCache>,
+    carry: Carry,
+}
+
+/// One interval's change sets as the stage steps hand them on (the
+/// per-session slot sets live in [`SessionScratch`] and [`Carry`]); each
+/// step reads the sets of the steps before it and writes its own. A cold
+/// start enters with `Changes::all()` — every slot's reports moved, every
+/// tree is new — and then runs the same steps.
+#[derive(Debug, Default)]
+struct Changes {
+    /// Entry: sessions whose tree is new to the cache, ascending. Stages
+    /// 3 and 4 recompute them whole.
+    trees: Vec<u32>,
+    /// Stage 2: links whose estimate moved, sorted.
+    caps: Vec<DirLinkId>,
+    /// Stage 4: sessions whose allowances were refreshed, ascending.
+    refreshed: Vec<u32>,
+    /// Stage 2's audit events (a cold start's reset pass first).
+    cap_events: Vec<CapacityEvent>,
+    /// Work buffers: stage 2's candidate links and observation run, and
+    /// two slot-marking sets.
+    links: Vec<DirLinkId>,
+    run: Vec<SessionLinkObs>,
+    dirty: DirtySet,
+    aux: DirtySet,
 }
 
 /// The controller's persistent algorithm state.
@@ -229,10 +273,7 @@ pub struct AlgorithmState {
     scratch: Vec<SessionScratch>,
     sharing_scratch: SharingScratch,
     cache: IncCache,
-    dirty: topology::DirtySet,
-    /// Second marking set for stage 5: candidate slots whose inputs may
-    /// have moved (`dirty` holds the slots whose decisions must re-run).
-    dirty_aux: topology::DirtySet,
+    changes: Changes,
     /// Per-session root-level ceilings imposed from outside the domain
     /// (federation border aggregation, DESIGN.md §16). Sorted by session,
     /// deduplicated; `u8::MAX` / absence means uncapped. These are
@@ -256,8 +297,7 @@ impl AlgorithmState {
             scratch: Vec::new(),
             sharing_scratch: SharingScratch::default(),
             cache: IncCache::default(),
-            dirty: topology::DirtySet::new(),
-            dirty_aux: topology::DirtySet::new(),
+            changes: Changes::default(),
             border_caps: Vec::new(),
         }
     }
@@ -343,15 +383,7 @@ impl AlgorithmState {
     pub fn checkpoint(&self) -> crate::checkpoint::Snapshot {
         use crate::checkpoint::{BackoffEntry, EstimateEntry, MemoryEntry, Snapshot};
         let mut mem = self.memories.clone();
-        if self.cache.valid {
-            for (k, cs) in self.cache.sessions.iter().enumerate() {
-                let t = cs.tree.tree();
-                let sc = &self.scratch[k];
-                for s in t.slots() {
-                    mem.insert((cs.session, t.node_at(s)), sc.mem[s]);
-                }
-            }
-        }
+        flush_memories(&self.cache, &self.scratch, &mut mem);
         let mut memories: Vec<MemoryEntry> = mem
             .iter()
             .map(|(&(sid, node), m)| MemoryEntry {
@@ -463,17 +495,8 @@ impl AlgorithmState {
     /// map and invalidate the cache. Runs update only the dense copies,
     /// so this must happen before anything reads the map.
     fn sync_memories(&mut self) {
-        if !self.cache.valid {
-            return;
-        }
+        flush_memories(&self.cache, &self.scratch, &mut self.memories);
         self.cache.valid = false;
-        for (k, cs) in self.cache.sessions.iter().enumerate() {
-            let t = cs.tree.tree();
-            let sc = &self.scratch[k];
-            for s in t.slots() {
-                self.memories.insert((cs.session, t.node_at(s)), sc.mem[s]);
-            }
-        }
     }
 
     /// Can this interval be served from the change cache? Every check
@@ -485,7 +508,7 @@ impl AlgorithmState {
         }
         if inputs.trees.len() != c.sessions.len()
             || inputs.registry != c.registry.as_slice()
-            || inputs.reports.len() != c.reports.len()
+            || inputs.reports.len() != c.carry.reports.len()
         {
             return false;
         }
@@ -494,14 +517,15 @@ impl AlgorithmState {
         // steady-state common case). A layer feeds exactly one input —
         // the no-report fallback level of its own slot — so stage 5
         // re-decides the changed slots instead of the cache dying.
-        for ((tree, spec), cs) in inputs.trees.iter().zip(inputs.specs).zip(&c.sessions) {
-            if tree.session() != cs.session || **spec != cs.spec || !tree.routing_eq(&cs.tree) {
+        let trees = inputs.trees.iter().zip(inputs.specs).zip(&c.sessions).zip(&c.carry.sessions);
+        for (((tree, spec), cs), carry) in trees {
+            if tree.session() != cs.session || **spec != cs.spec || !tree.routing_eq(&carry.tree) {
                 return false;
             }
         }
         // Report *keys* must match index-for-index so the cached
         // slot attribution still applies; values are what gets diffed.
-        for (new, old) in inputs.reports.iter().zip(&c.reports) {
+        for (new, old) in inputs.reports.iter().zip(&c.carry.reports) {
             if (new.receiver, new.node, new.session) != (old.receiver, old.node, old.session) {
                 return false;
             }
@@ -512,19 +536,23 @@ impl AlgorithmState {
     }
 
     /// Cold start: flush the dense memories, then rebuild every cached
-    /// input and resize every per-slot buffer from `inputs`, so the
-    /// interval body can run over full work sets. The cached reports are
-    /// left empty — every row then differs from its cached copy, which is
-    /// what puts it in the work set.
-    fn prime_cache(&mut self, inputs: &AlgorithmInputs<'_>) {
+    /// input and resize every per-slot buffer from `inputs`, and do the
+    /// two things only a cold start does: the estimator's reset pass
+    /// (audited into `Changes::cap_events` when `timing`) and the rebuild
+    /// of stage 4's link-crossing table. The interval then enters with
+    /// `Changes::all()`: every slot's reports moved and every tree is new.
+    fn prime_cache(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) {
         self.sync_memories();
         let pool = inputs.trees.len().max(self.scratch.len());
         self.scratch.resize_with(pool, SessionScratch::default);
+        self.estimator.begin_interval(inputs.now, timing.then_some(&mut self.changes.cap_events));
+        sharing::prime(inputs.trees, &mut self.sharing_scratch);
+        self.changes.trees.clear();
+        self.changes.trees.extend(0..inputs.trees.len() as u32);
         let c = &mut self.cache;
         c.interval = inputs.interval;
         c.registry.clear();
         c.registry.extend_from_slice(inputs.registry);
-        c.reports.clear();
 
         c.report_target.clear();
         for r in inputs.reports {
@@ -538,28 +566,21 @@ impl AlgorithmState {
         }
 
         c.sessions.clear();
+        c.carry.sessions.clear();
         for (k, tree) in inputs.trees.iter().enumerate() {
             let t = tree.tree();
             let sid = tree.session();
-            // Counting sort into a CSR keeps each slot's report indices in
-            // global report order — the order the observation fold runs in.
-            let mut rep_start = vec![0u32; t.len() + 1];
-            for &(sess, slot) in &c.report_target {
-                if sess as usize == k {
-                    rep_start[slot as usize + 1] += 1;
-                }
-            }
-            for i in 1..rep_start.len() {
-                rep_start[i] += rep_start[i - 1];
-            }
-            let mut cursor = rep_start.clone();
-            let mut rep_idx = vec![0u32; *rep_start.last().unwrap() as usize];
-            for (i, &(sess, slot)) in c.report_target.iter().enumerate() {
-                if sess as usize == k {
-                    rep_idx[cursor[slot as usize] as usize] = i as u32;
-                    cursor[slot as usize] += 1;
-                }
-            }
+            // Each slot's report indices in global report order — the
+            // order the observation fold runs in — as a CSR.
+            let mut rows: Vec<(u32, u32)> = (c.report_target.iter().enumerate())
+                .filter(|&(_, &(sess, _))| sess as usize == k)
+                .map(|(i, &(_, slot))| (slot, i as u32))
+                .collect();
+            rows.sort_unstable();
+            let rep_idx = rows.iter().map(|&(_, i)| i).collect();
+            let rep_start = (0..=t.len() as u32)
+                .map(|s| rows.partition_point(|&(slot, _)| slot < s) as u32)
+                .collect();
             // Suggestions go to every registered receiver of this session
             // whose node is in the (possibly stale) tree.
             let sugg_route = inputs
@@ -570,38 +591,29 @@ impl AlgorithmState {
                 .collect();
             c.sessions.push(SessionCache {
                 session: sid,
-                tree: tree.clone(),
                 spec: inputs.specs[k].clone(),
                 rep_start,
                 rep_idx,
                 sugg_route,
+            });
+            c.carry.sessions.push(SessionCarry {
+                tree: tree.clone(),
+                mem_dirty: Vec::new(),
+                mem5_dirty: (0..t.len() as u32).collect(),
                 backoff_slots: Vec::new(),
-                mem5_dirty: Vec::new(),
             });
 
             let sc = &mut self.scratch[k];
-            sc.obs.clear();
-            sc.obs.resize(t.len(), None);
-            sc.states.clear();
-            sc.states.resize(t.len(), NodeState::default());
-            sc.states_prev.clear();
-            sc.states_prev.resize(t.len(), NodeState::default());
+            sc.obs_dirty.clear();
+            sc.obs_dirty.extend(0..t.len() as u32);
+            sc.stage1.reset(t.len());
             sc.congested = 0;
-            // Last interval's fold changes index the old tree.
-            sc.mem_dirty.clear();
             sc.mem.clear();
             sc.mem.extend(
                 t.slots()
                     .map(|s| self.memories.get(&(sid, t.node_at(s))).copied().unwrap_or_default()),
             );
-            sc.inputs.clear();
-            sc.inputs.resize(t.len(), NodeInputs::default());
-            sc.level_cap.clear();
-            sc.level_cap.resize(t.len(), 0);
-            sc.demand.clear();
-            sc.demand.resize(t.len(), 1);
-            sc.supply.clear();
-            sc.supply.resize(t.len(), 1);
+            sc.stage5.reset(t.len());
             sc.branches.clear();
             sc.branches.resize(t.len(), "");
         }
@@ -621,6 +633,21 @@ impl AlgorithmState {
         c.valid = true;
     }
 
+    /// A warm run's entry change set: each report row whose value moved
+    /// since [`Carry::reports`] names the slot it folds into; no tree is
+    /// new.
+    fn diff_reports(&mut self, inputs: &AlgorithmInputs<'_>) {
+        let Self { scratch, cache, changes, .. } = self;
+        changes.trees.clear();
+        scratch.iter_mut().for_each(|sc| sc.obs_dirty.clear());
+        let rows = inputs.reports.iter().zip(&cache.carry.reports).zip(&cache.report_target);
+        for ((new, old), &(k, slot)) in rows {
+            if new != old && k != u32::MAX {
+                scratch[k as usize].obs_dirty.push(slot);
+            }
+        }
+    }
+
     /// [`Self::run_incremental`] plus an optional decision audit: when
     /// `audit` is `Some`, every stage's intermediate output is copied into
     /// it after the stage runs, along with wall-clock spans per kernel.
@@ -635,356 +662,232 @@ impl AlgorithmState {
         mut audit: Option<&mut IntervalAudit>,
     ) -> AlgorithmOutputs {
         assert_eq!(inputs.trees.len(), inputs.specs.len());
-        let cfg = self.cfg;
-        let nsess = inputs.trees.len();
         let timing = audit.is_some();
         let whole_span = timing.then(Span::new);
         let cold = !self.can_run_incremental(inputs, timing);
+        self.changes.cap_events.clear();
         if cold {
-            self.prime_cache(inputs);
+            self.prime_cache(inputs, timing);
+        } else {
+            self.diff_reports(inputs);
         }
+        let mut out = AlgorithmOutputs { incremental: !cold, ..AlgorithmOutputs::default() };
 
-        let mut cache = std::mem::take(&mut self.cache);
-        let mut dirty = std::mem::take(&mut self.dirty);
-        let mut dirty_aux = std::mem::take(&mut self.dirty_aux);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let spare = scratch.split_off(nsess);
-        let mut outputs = AlgorithmOutputs { incremental: !cold, ..AlgorithmOutputs::default() };
-        let mut slots_recomputed: u64 = 0;
-
-        // Stage 1: diff the reports against the previous interval's copy
-        // (empty when cold, so every row differs); each changed row
-        // dirties the slot it folds into, and every ancestor of a dirty
-        // slot re-runs the bottom-up kernel (its child fold reads the
-        // recomputed state).
-        let stage_span = timing.then(Span::new);
-        let mut report_dirty: Vec<(u32, u32)> = Vec::new();
-        for (i, (new, &target)) in inputs.reports.iter().zip(&cache.report_target).enumerate() {
-            if cache.reports.get(i) != Some(new) && target.0 != u32::MAX {
-                report_dirty.push(target);
-            }
+        let span = timing.then(Span::new);
+        out.slots_recomputed = self.congestion_step(inputs);
+        if let Some(a) = stage_end(&mut audit, "stage1_congestion", span) {
+            a.congestion = congestion_audit(inputs.trees, &self.scratch);
         }
-        let mut state_changed: Vec<(u32, u32)> = Vec::new();
-        let mut congested_nodes = 0usize;
+        let span = timing.then(Span::new);
+        self.capacity_step(inputs, timing);
+        if let Some(a) = stage_end(&mut audit, "stage2_capacity", span) {
+            // Reset events surface in HashMap iteration order; a stable
+            // sort by link makes the record deterministic while keeping
+            // a link's reset ahead of its re-learn.
+            self.changes.cap_events.sort_by_key(|&(l, _, _)| l);
+            a.capacity = capacity_audit(&self.changes.cap_events);
+        }
+        let span = timing.then(Span::new);
+        self.bottleneck_step(inputs);
+        if let Some(a) = stage_end(&mut audit, "stage3_bottleneck", span) {
+            a.bottleneck = bottleneck_audit(inputs.trees, &self.scratch);
+        }
+        let span = timing.then(Span::new);
+        self.sharing_step(inputs);
+        if let Some(a) = stage_end(&mut audit, "stage4_sharing", span) {
+            a.sharing = sharing_audit(&self.sharing_scratch, inputs.trees);
+        }
+        let span = timing.then(Span::new);
+        out.slots_recomputed += self.subscription_step(inputs, timing);
+        stage_end(&mut audit, "stage5_subscription", span);
+        stage_end(&mut audit, "interval", whole_span);
+
+        self.emit(inputs, &mut out, audit);
+        self.refresh_carry(inputs, timing);
+        self.runs += 1;
+        out
+    }
+
+    /// Stage 1: re-fold the observations of the slots whose reports moved,
+    /// then run the congestion step from them and from the carried
+    /// `mem_dirty`. Its visit does the driver's per-slot work: the
+    /// congested-node count, the state diff stages 2 and 5 read, and the
+    /// memory fold, which is a function of (memory, state) — so a slot
+    /// whose state did not move and whose memory the fold left alone last
+    /// interval is at a fixed point. Returns the slots recomputed.
+    fn congestion_step(&mut self, inputs: &AlgorithmInputs<'_>) -> u64 {
+        let Self { cfg, scratch, cache, changes, .. } = self;
+        let mut recomputed = 0;
         for (k, tree) in inputs.trees.iter().enumerate() {
-            let t = tree.tree();
-            let sc = &mut scratch[k];
-            let cs = &cache.sessions[k];
-            dirty.begin(t.len());
-            for &(sess, slot) in &report_dirty {
-                if sess as usize != k || !dirty.mark(slot as usize) {
-                    continue;
-                }
-                // Re-aggregate this slot's observation from its reports
-                // (loss = min, bytes/level = max), in global report order.
-                // A report is outside input: a level above the session's
-                // top means "everything", not a number to do arithmetic on.
-                let max_level = inputs.specs[k].max_level();
-                let slot = slot as usize;
-                sc.obs[slot] = None;
-                let (lo, hi) = (cs.rep_start[slot] as usize, cs.rep_start[slot + 1] as usize);
-                for &ri in &cs.rep_idx[lo..hi] {
-                    let r = &inputs.reports[ri as usize];
-                    let e = sc.obs[slot].get_or_insert(LeafObs {
-                        loss: f64::INFINITY,
-                        bytes: 0,
-                        level: 0,
-                    });
-                    e.loss = e.loss.min(r.loss_rate());
-                    e.bytes = e.bytes.max(r.bytes);
-                    e.level = e.level.max(r.level.min(max_level));
+            let (sc, cs) = (&mut scratch[k], &cache.sessions[k]);
+            let max_level = inputs.specs[k].max_level();
+            let dirty = &mut changes.dirty;
+            dirty.begin(tree.tree().len());
+            for &s in &sc.obs_dirty {
+                if dirty.mark(s as usize) {
+                    sc.stage1.obs[s as usize] = cs.fold(s as usize, inputs.reports, max_level);
                 }
             }
-            sc.obs_dirty.clear();
-            sc.obs_dirty.extend_from_slice(dirty.slots());
-            if cold {
-                for s in t.slots() {
-                    dirty.mark(s);
-                }
-            }
-            for i in 0..sc.obs_dirty.len() {
-                // Start the walk at the parent: the changed slot is already
-                // marked, and `mark_ancestors` stops at the first marked slot.
-                if let Some(p) = t.parent_slot_of(sc.obs_dirty[i] as usize) {
-                    tree.mark_ancestors(p, &mut dirty);
-                }
-            }
-            dirty.sort_descending();
-            slots_recomputed += dirty.len() as u64;
-            for &s in dirty.slots() {
-                let s = s as usize;
-                let old = sc.states[s];
-                sc.states_prev[s] = old;
-                let new = congestion::slot_state(tree, s, &sc.obs, &sc.states, &cfg);
-                sc.states[s] = new;
-                // Bit-compare: what stage 2 reads from a state is its
-                // (loss, bytes) pair; NaN-safe and exact.
-                if old.loss.to_bits() != new.loss.to_bits() || old.max_bytes != new.max_bytes {
-                    state_changed.push((k as u32, s as u32));
-                }
-            }
-            // One fused top-down walk over the session: congestion
-            // propagation, the congested-node count, the memory fold, and
-            // the stage-5 feed diffs. The memory fold is a function of
-            // (memory, state), so a slot whose state did not move and whose
-            // memory the fold left alone last interval is at a fixed point:
-            // the walk visits the recomputed slots, last interval's
-            // `mem_dirty`, and the children of every slot whose congestion
-            // flag flipped (the one thing a child's propagation reads).
-            // Slots whose memory or propagated state actually moved are
-            // recorded for the stage-5 input diff.
-            sc.walk.begin(t.len());
-            for &s in dirty.slots().iter().chain(&sc.mem_dirty) {
-                sc.walk.mark(s as usize);
-            }
-            sc.mem_dirty.clear();
-            sc.state_dirty.clear();
-            while let Some(s) = sc.walk.pop() {
-                if !dirty.contains(s) {
-                    sc.states_prev[s] = sc.states[s];
-                }
-                congestion::propagate_slot(tree, s, &mut sc.states);
-                let st = sc.states[s];
-                let old = sc.states_prev[s];
+            let SessionScratch { stage1, mem, congested, state_dirty, flipped, .. } = sc;
+            state_dirty.clear();
+            flipped.clear();
+            let revisit = &mut cache.carry.sessions[k].mem_dirty;
+            stage1.step(tree, cfg, dirty, revisit, |s, old, st| {
                 if old.congested != st.congested {
-                    sc.congested = sc.congested + st.congested as usize - old.congested as usize;
-                    t.child_slots(s).for_each(|c| sc.walk.mark(c));
+                    *congested = *congested + st.congested as usize - old.congested as usize;
+                    flipped.push(s as u32);
                 }
                 if old.congested != st.congested
                     || old.parent_congested != st.parent_congested
                     || old.loss.to_bits() != st.loss.to_bits()
+                    || old.max_bytes != st.max_bytes
                 {
-                    sc.state_dirty.push(s as u32);
+                    state_dirty.push(s as u32);
                 }
-                let mut mem = sc.mem[s];
-                if st.has_data || st.parent_congested {
-                    mem.hist.push(st.congested);
-                    mem.bytes_older = mem.bytes_recent;
-                    mem.bytes_recent = st.max_bytes;
-                } else {
-                    // No-data subtree (every receiver below quarantined,
-                    // evicted, or silenced by an outage): the interval is
-                    // not evidence of anything, so the node inherits its
-                    // prior state instead of recording a fabricated
-                    // all-clear. The byte windows hold too — rotating a 0
-                    // in would crater the goodput floor the reduce rules
-                    // use once reports resume.
-                    mem.hist.push(mem.hist.now());
-                }
-                if mem != sc.mem[s] {
-                    sc.mem_dirty.push(s as u32);
-                    sc.mem[s] = mem;
-                }
-            }
-            congested_nodes += sc.congested;
+                fold_memory(&mut mem[s], st)
+            });
+            recomputed += dirty.len() as u64;
         }
-        if let Some(a) = stage_end(&mut audit, "stage1_congestion", stage_span) {
-            a.congestion = congestion_audit(inputs.trees, &scratch);
-        }
+        recomputed
+    }
 
-        // Stage 2: links holding an estimate always re-run —
-        // creep/hold/recompute fire even on clean intervals — and links
-        // under a changed observation re-run to learn. Skipping the rest
-        // is provably a no-op: learning is a pure function of the link's
-        // unchanged observations (it declined identically last time), and
-        // the reset pass was proven empty before entry. A cold run makes
-        // neither argument: it runs the reset pass and every crossed link.
-        let stage_span = timing.then(Span::new);
-        let mut cap_events: Vec<CapacityEvent> = Vec::new();
-        let mut candidates: Vec<DirLinkId> = Vec::new();
-        if cold {
-            self.estimator.begin_interval(inputs.now, timing.then_some(&mut cap_events));
-            candidates.clone_from(&cache.crossed_links);
-        } else {
-            candidates.extend(
-                self.estimator
-                    .iter()
-                    .map(|(l, _)| l)
-                    .filter(|l| cache.crossed_links.binary_search(l).is_ok()),
-            );
-            for &(sess, slot) in &state_changed {
-                if slot != 0 {
-                    candidates.push(inputs.trees[sess as usize].in_link_at(slot as usize));
-                }
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
+    /// Stage 2: links holding an estimate always re-run — creep/hold/
+    /// recompute fire even on clean intervals — and links under a moved
+    /// state re-run to learn. Skipping the rest is provably a no-op:
+    /// learning is a pure function of the link's observations, which did
+    /// not move (it declined identically last time) or, on a cold start,
+    /// match the placeholder states (nothing crossed the link, which a
+    /// link without an estimate ignores); and the reset pass ran in
+    /// `prime_cache` or was proven empty before entry. Fills
+    /// `Changes::caps`.
+    fn capacity_step(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) {
+        let Self { cfg, estimator, scratch, cache, changes, .. } = self;
+        let Changes { caps, cap_events, links, run, .. } = changes;
+        let crossed = &cache.crossed_links;
+        links.clear();
+        links.extend(estimator.iter().map(|(l, _)| l).filter(|l| crossed.binary_search(l).is_ok()));
+        for (tree, sc) in inputs.trees.iter().zip(scratch.iter()) {
+            let moved = sc.state_dirty.iter().filter(|&&s| s != 0);
+            links.extend(moved.map(|&s| tree.in_link_at(s as usize)));
         }
-        let mut cap_changed: Vec<DirLinkId> = Vec::new();
-        let mut run_buf: Vec<SessionLinkObs> = Vec::new();
-        for &link in &candidates {
+        links.sort_unstable();
+        links.dedup();
+        caps.clear();
+        for &link in links.iter() {
             let lo = cache.usage.partition_point(|&(l, _, _)| l < link);
             let hi = cache.usage.partition_point(|&(l, _, _)| l <= link);
-            run_buf.clear();
-            for &(_, sess, slot) in &cache.usage[lo..hi] {
-                let st = scratch[sess as usize].states[slot as usize];
-                run_buf.push(SessionLinkObs {
-                    session: inputs.trees[sess as usize].session(),
-                    loss: st.loss,
-                    bytes: st.max_bytes,
-                });
-            }
-            let before = self.estimator.capacity(link).map(f64::to_bits);
-            self.estimator.update_link(
-                inputs.now,
-                inputs.interval,
-                link,
-                &run_buf,
-                &cfg,
-                timing.then_some(&mut cap_events),
-            );
-            if self.estimator.capacity(link).map(f64::to_bits) != before {
-                cap_changed.push(link);
+            run.clear();
+            run.extend(cache.usage[lo..hi].iter().map(|&(_, sess, slot)| {
+                let st = scratch[sess as usize].stage1.states[slot as usize];
+                let session = inputs.trees[sess as usize].session();
+                SessionLinkObs { session, loss: st.loss, bytes: st.max_bytes }
+            }));
+            let before = estimator.capacity(link).map(f64::to_bits);
+            let events = timing.then_some(&mut *cap_events);
+            estimator.update_link(inputs.now, inputs.interval, link, run, cfg, events);
+            if estimator.capacity(link).map(f64::to_bits) != before {
+                caps.push(link);
             }
         }
-        if let Some(a) = stage_end(&mut audit, "stage2_capacity", stage_span) {
-            // Reset events surface in HashMap iteration order; a stable
-            // sort by link makes the record deterministic while keeping
-            // a link's reset ahead of its re-learn.
-            cap_events.sort_by_key(|&(l, _, _)| l);
-            a.capacity = capacity_audit(&cap_events);
-        }
+    }
 
-        // Stage 3: the bottleneck curves are a pure function of tree +
-        // estimates, so only sessions crossing a changed link need a
-        // recompute (every session when cold).
-        let est = &self.estimator;
-        let stage_span = timing.then(Span::new);
-        if cold || !cap_changed.is_empty() {
-            for (tree, sc) in inputs.trees.iter().zip(scratch.iter_mut()) {
-                let crosses = |s| cap_changed.binary_search(&tree.in_link_at(s)).is_ok();
-                if cold || (1..tree.tree().len()).any(crosses) {
-                    bottleneck::compute_into(
-                        tree,
-                        |l| est.capacity(l),
-                        &mut sc.bottleneck,
-                        &mut sc.max_handle,
-                    );
-                }
+    /// Stage 3: the bottleneck curves are a pure function of tree +
+    /// estimates, so only new trees and the sessions crossing a link whose
+    /// estimate moved need a recompute.
+    fn bottleneck_step(&mut self, inputs: &AlgorithmInputs<'_>) {
+        let Self { estimator, scratch, changes, .. } = self;
+        for (k, (tree, sc)) in inputs.trees.iter().zip(scratch.iter_mut()).enumerate() {
+            let crosses = |s| changes.caps.binary_search(&tree.in_link_at(s)).is_ok();
+            if changes.trees.binary_search(&(k as u32)).is_ok()
+                || (!changes.caps.is_empty() && (1..tree.tree().len()).any(crosses))
+            {
+                let (b, m) = (&mut sc.bottleneck, &mut sc.max_handle);
+                bottleneck::compute_into(tree, |l| estimator.capacity(l), b, m);
             }
         }
-        if let Some(a) = stage_end(&mut audit, "stage3_bottleneck", stage_span) {
-            a.bottleneck = bottleneck_audit(inputs.trees, &scratch);
-        }
+    }
 
-        // Stage 4: session-granular refresh around the changed
-        // capacities, a no-op when none changed; the full cross-session
-        // pass when cold.
-        let stage_span = timing.then(Span::new);
-        let refreshed_sessions: Vec<u32> = if cold {
-            sharing::compute_into(
-                inputs.trees,
-                inputs.specs,
-                |l| est.capacity(l),
-                &mut self.sharing_scratch,
-            );
-            (0..nsess as u32).collect()
-        } else {
-            sharing::compute_incremental_into(
-                inputs.trees,
-                inputs.specs,
-                |l| est.capacity(l),
-                &mut self.sharing_scratch,
-                &cap_changed,
-            )
-        };
-        if let Some(a) = stage_end(&mut audit, "stage4_sharing", stage_span) {
-            a.sharing = sharing_audit(&self.sharing_scratch, inputs.trees);
-        }
+    /// Stage 4: a session-granular refresh around new trees and moved
+    /// estimates, a no-op when there are neither. Fills
+    /// `Changes::refreshed`.
+    fn sharing_step(&mut self, inputs: &AlgorithmInputs<'_>) {
+        let Self { estimator, sharing_scratch, changes, .. } = self;
+        let Changes { trees, caps, refreshed, .. } = changes;
+        let capacity = |l| estimator.capacity(l);
+        sharing::update(
+            inputs.trees,
+            inputs.specs,
+            capacity,
+            sharing_scratch,
+            caps,
+            trees,
+            refreshed,
+        );
+    }
 
-        // Stage 5 per session (sequential: shares one RNG stream).
-        let stage_span = timing.then(Span::new);
+    /// Stage 5, per session and in session order (the sessions share one
+    /// RNG stream). A slot's decision inputs are rebuilt only when one of
+    /// its feeds moved: every slot of a session whose allowances were
+    /// refreshed; otherwise a re-folded observation, a memory write (the
+    /// stage-1 fold this interval or persistence last interval), a state
+    /// change at the slot, a congestion flip at a sibling, a per-edge layer
+    /// move, or — at the root — a border-cap change. A rebuilt slot whose
+    /// inputs compare equal is not re-decided: its cached decision and
+    /// armed backoffs stand, and no RNG is drawn. Fills the carried
+    /// `mem5_dirty`; returns the number of decisions.
+    fn subscription_step(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) -> u64 {
+        let Self {
+            cfg, rng, backoffs, scratch, sharing_scratch, cache, changes, border_caps, ..
+        } = self;
+        let cfg = &*cfg;
+        let mut decisions = 0;
         for (k, tree) in inputs.trees.iter().enumerate() {
-            let sid = tree.session();
-            let spec = inputs.specs[k];
-            let t = tree.tree();
-            let sc = &mut scratch[k];
-            let cs = &mut cache.sessions[k];
-
-            let border_cap = Self::border_cap_of(&self.border_caps, sid);
-            let border_cap_moved = border_cap != Self::border_cap_of(&cache.border_caps, sid);
-            // Rebuild the stage-5 inputs of every candidate slot and diff
-            // them against the cached copy to find the dirty decisions.
-            dirty.begin(t.len());
-            dirty_aux.begin(t.len());
-            sc.walk.begin(t.len());
-            if refreshed_sessions.binary_search(&(k as u32)).is_ok() {
-                // Sharing refreshed this session's allowances: any slot's
-                // level cap may have moved, so every slot is a candidate.
-                for s in t.slots() {
-                    dirty_aux.mark(s);
-                }
+            let (sid, spec, t) = (tree.session(), inputs.specs[k], tree.tree());
+            let (sc, carry) = (&mut scratch[k], &mut cache.carry.sessions[k]);
+            let Changes { refreshed, dirty: decide, aux: cand, .. } = &mut *changes;
+            let border_cap = Self::border_cap_of(border_caps, sid);
+            cand.begin(t.len());
+            decide.begin(t.len());
+            sc.stage5.queue.begin(t.len());
+            if refreshed.binary_search(&(k as u32)).is_ok() {
+                t.slots().for_each(|s| _ = cand.mark(s));
             } else {
-                // Allowances untouched: a slot's inputs can only have moved
-                // through one of its trackable feeds — a re-folded
-                // observation, a memory write (stage-1 fold this interval
-                // or stage-5 persistence last interval), or a congestion
-                // state change at the slot, its parent, or a sibling.
-                if border_cap_moved {
-                    // The cap feeds exactly one input — the root's level
-                    // cap — so the root is the (only) candidate; the
-                    // supply walk below carries the change down.
-                    dirty_aux.mark(0);
+                if border_cap != Self::border_cap_of(&cache.carry.border_caps, sid) {
+                    cand.mark(0);
                 }
-                for &s in &sc.obs_dirty {
-                    dirty_aux.mark(s as usize);
-                }
-                for &s in &sc.mem_dirty {
-                    dirty_aux.mark(s as usize);
-                }
-                for &s in &cs.mem5_dirty {
-                    dirty_aux.mark(s as usize);
-                }
+                let seeds = [&sc.obs_dirty, &carry.mem_dirty, &carry.mem5_dirty, &sc.state_dirty];
+                seeds.into_iter().flatten().for_each(|&s| _ = cand.mark(s as usize));
                 // Per-edge layer moves (routing unchanged — the entry
                 // precondition) alter the no-report fallback level of
                 // exactly their own slot.
                 for s in 1..t.len() {
-                    if tree.max_layer_at(s) != cs.tree.max_layer_at(s) {
-                        dirty_aux.mark(s);
+                    if tree.max_layer_at(s) != carry.tree.max_layer_at(s) {
+                        cand.mark(s);
                     }
                 }
-                for i in 0..sc.state_dirty.len() {
-                    let s = sc.state_dirty[i] as usize;
-                    dirty_aux.mark(s);
-                    // Siblings read this slot's `congested` in their
-                    // sibling scan.
-                    if sc.states_prev[s].congested != sc.states[s].congested {
-                        if let Some(p) = t.parent_slot_of(s) {
-                            for sib in t.child_slots(p) {
-                                dirty_aux.mark(sib);
-                            }
-                        }
-                    }
+                // Siblings read a slot's `congested` in their sibling scan.
+                for p in sc.flipped.iter().filter_map(|&s| t.parent_slot_of(s as usize)) {
+                    t.child_slots(p).for_each(|c| _ = cand.mark(c));
                 }
             }
-            for &s in dirty_aux.slots() {
+            let (interval, allowed) = (inputs.interval, sharing_scratch.allowed(k));
+            let (stage1, mem, max_handle) = (&sc.stage1, &sc.mem[..], &sc.max_handle[..]);
+            let feed =
+                Feed { tree, spec, cfg, interval, allowed, border_cap, stage1, mem, max_handle };
+            let b = &mut sc.stage5;
+            for &s in cand.slots() {
                 let s = s as usize;
-                let (inp, lc) = stage5_input_at(
-                    tree,
-                    k,
-                    spec,
-                    &cfg,
-                    inputs.interval,
-                    &self.sharing_scratch,
-                    &sc.obs,
-                    &sc.states,
-                    &sc.mem,
-                    &sc.max_handle,
-                    border_cap,
-                    s,
-                );
-                // Cold buffers hold placeholders, not a previous interval.
-                if cold || inp != sc.inputs[s] || lc != sc.level_cap[s] {
-                    if lc != sc.level_cap[s] {
-                        sc.walk.mark(s);
+                let (inp, lc) = feed.input_at(s);
+                if inp != b.inputs[s] || lc != b.level_cap[s] {
+                    if lc != b.level_cap[s] {
+                        b.queue.mark(s);
                     }
-                    sc.inputs[s] = inp;
-                    sc.level_cap[s] = lc;
-                    dirty.mark(s);
+                    (b.inputs[s], b.level_cap[s]) = (inp, lc);
+                    decide.mark(s);
                 }
             }
 
-            let backoffs = self.backoffs.entry(sid).or_default();
+            let table = backoffs.entry(sid).or_default();
             // A receiver sitting below the level we last supplied while its
             // loss is high just aborted a failed probe (possibly
             // unilaterally, if our drop suggestion died at the congested
@@ -994,188 +897,222 @@ impl AlgorithmState {
             // Full width even when warm: the scan order is the RNG draw
             // order.
             for s in t.slots() {
-                let Some(o) = sc.obs[s] else { continue };
-                let st = sc.states[s];
-                let mem = sc.mem[s];
+                let Some(o) = sc.stage1.obs[s] else { continue };
+                let (st, mem) = (sc.stage1.states[s], sc.mem[s]);
                 if st.loss > cfg.high_loss && o.level < mem.supply_recent {
-                    backoffs.arm(t.node_at(s), mem.supply_recent, inputs.now, &cfg, &mut self.rng);
+                    table.arm(t.node_at(s), mem.supply_recent, inputs.now, cfg, rng);
                 }
-            }
-            // Like the dense kernel, expire timers before the demand pass
-            // and answer every `blocked` query of the pass from one view.
-            // After `expire` the view is a function of the timer key set,
-            // so a warm run refills it only when that set changed, and
-            // re-decides the slots whose row moved.
-            backoffs.expire(inputs.now);
-            if cold || backoffs.generation() != sc.blocked_gen {
-                std::mem::swap(&mut sc.blocked, &mut sc.blocked_prev);
-                backoffs.fill_blocked(tree, spec.max_level(), inputs.now, &mut sc.blocked);
-                sc.blocked_gen = backoffs.generation();
-                sc.blocked.changed_rows(&sc.blocked_prev, t.len(), |s| {
-                    dirty.mark(s);
-                });
             }
             // A slot that held a timer after the previous run re-decides
             // itself (its branch may arm again and draw); what the timer
-            // does to its subtree is the view's row diff above. Timers are
-            // armed only by the decide loop and a restore starts cold, so
-            // on a warm run this covers every live timer too.
-            for &s in &cs.backoff_slots {
-                dirty.mark(s as usize);
-            }
+            // does to its subtree is the blocked view's row diff. Timers
+            // are armed only by decisions and a restore starts cold, so on
+            // a warm run this covers every live timer too.
+            carry.backoff_slots.iter().for_each(|&s| _ = decide.mark(s as usize));
 
-            // Demand over dirty slots, in the dense kernel's bottom-up
-            // order. A clean slot repeats last interval's decision by
-            // construction (same inputs, same children demands, same
-            // view row — and no RNG draw: had its branch armed a timer,
-            // the slot would hold one and be dirty). A changed demand
-            // dirties the parent, which sits at a lower slot and is
-            // therefore still ahead of the scan, and seeds the supply
-            // walk and the persistence below.
-            dirty_aux.begin(t.len());
-            for s in (0..t.len()).rev() {
-                if !dirty.contains(s) {
-                    continue;
-                }
-                let (d, br) = subscription::decide_slot(
-                    tree,
-                    spec,
-                    &cfg,
-                    inputs.now,
-                    s,
-                    &sc.inputs[s],
-                    sc.level_cap[s],
-                    &sc.demand,
-                    &sc.blocked,
-                    backoffs,
-                    &mut self.rng,
-                );
-                slots_recomputed += 1;
+            cand.begin(t.len());
+            let branches = &mut sc.branches;
+            let cx = subscription::Ctx { tree, spec, cfg, now: inputs.now };
+            let decided = |s: usize, branch| {
+                decisions += 1;
                 if timing {
-                    sc.branches[s] = br;
+                    branches[s] = branch;
                 }
-                if sc.demand[s] != d {
-                    sc.demand[s] = d;
-                    sc.walk.mark(s);
-                    dirty_aux.mark(s);
-                    if let Some(p) = t.parent_slot_of(s) {
-                        dirty.mark(p);
-                    }
-                }
-            }
-            // Supply follows the slots whose demand or level cap moved;
-            // cold buffers hold placeholders, so a cold run fills it all.
-            if cold {
-                subscription::supply_pass(tree, &sc.demand, &sc.level_cap, &mut sc.supply);
-            } else {
-                subscription::supply_walk(
-                    tree,
-                    &sc.demand,
-                    &sc.level_cap,
-                    &mut sc.supply,
-                    &mut sc.walk,
-                    |s| {
-                        dirty_aux.mark(s);
-                    },
-                );
-            }
+            };
+            b.step(cx, table, rng, decide, decided, |s| _ = cand.mark(s));
 
             // Persist the new supply/demand windows into the dense copies
             // only; the `memories` map is synced lazily on the next cold
             // start. The windows are a function of (memory, supply,
-            // demand), so a warm run visits only the slots whose supply or
-            // demand moved and those whose memory this step changed last
-            // run — everywhere else it is a fixed point. Slots whose
-            // memory moved feed the next interval's input diff.
-            if cold {
-                for s in t.slots() {
-                    dirty_aux.mark(s);
+            // demand), so only the slots whose supply or demand moved and
+            // those whose memory this step changed last run can move.
+            carry.mem5_dirty.iter().for_each(|&s| _ = cand.mark(s as usize));
+            carry.mem5_dirty.clear();
+            for &s in cand.slots() {
+                let (s, m) = (s as usize, &mut sc.mem[s as usize]);
+                let mut new = *m;
+                new.supply_older = m.supply_recent;
+                (new.supply_recent, new.demand_prev) = (b.supply[s], Some(b.demand[s]));
+                if new != *m {
+                    carry.mem5_dirty.push(s as u32);
+                    *m = new;
                 }
             }
-            for &s in &cs.mem5_dirty {
-                dirty_aux.mark(s as usize);
-            }
-            cs.mem5_dirty.clear();
-            for &s in dirty_aux.slots() {
-                let s = s as usize;
-                let mut mem = sc.mem[s];
-                mem.supply_older = mem.supply_recent;
-                mem.supply_recent = sc.supply[s];
-                mem.demand_prev = Some(sc.demand[s]);
-                if mem != sc.mem[s] {
-                    cs.mem5_dirty.push(s as u32);
-                    sc.mem[s] = mem;
-                }
-            }
-            outputs.root_supply.push(sc.supply[0]);
+        }
+        decisions
+    }
 
-            // Suggestions via the cached route, in registry order.
-            for &(app, slot) in &cs.sugg_route {
-                outputs.suggestions.push(SuggestionOut {
-                    receiver: app,
-                    session: sid,
-                    level: sc.supply[slot as usize].clamp(1, spec.max_level()),
-                });
-            }
-
+    /// Emit the outputs from the stage buffers: per session the root
+    /// supply, the congested-node count and the suggestions via the cached
+    /// route, in registry order (plus, audited, stage 5's record); then the
+    /// estimated links, over the sorted crossed-link list.
+    fn emit(
+        &self,
+        inputs: &AlgorithmInputs<'_>,
+        out: &mut AlgorithmOutputs,
+        mut audit: Option<&mut IntervalAudit>,
+    ) {
+        for (k, tree) in inputs.trees.iter().enumerate() {
+            let (sc, cs) = (&self.scratch[k], &self.cache.sessions[k]);
+            let supply = &sc.stage5.supply;
+            let level = |slot: u32| supply[slot as usize].clamp(1, inputs.specs[k].max_level());
+            out.root_supply.push(supply[0]);
+            out.congested_nodes += sc.congested;
+            out.suggestions.extend(cs.sugg_route.iter().map(|&(receiver, slot)| SuggestionOut {
+                receiver,
+                session: cs.session,
+                level: level(slot),
+            }));
             if let Some(a) = audit.as_deref_mut() {
-                let mut suggested: Vec<Option<u8>> = vec![None; t.len()];
+                let mut suggested: Vec<Option<u8>> = vec![None; tree.tree().len()];
                 for &(_, slot) in &cs.sugg_route {
-                    suggested[slot as usize] =
-                        Some(sc.supply[slot as usize].clamp(1, spec.max_level()));
+                    suggested[slot as usize] = Some(level(slot));
                 }
                 a.subscription.push(subscription_session_audit(tree, sc, &suggested));
             }
         }
-        stage_end(&mut audit, "stage5_subscription", stage_span);
-        stage_end(&mut audit, "interval", whole_span);
+        let (est, crossed) = (&self.estimator, &self.cache.crossed_links);
+        out.estimated_links.extend(crossed.iter().filter_map(|&l| est.capacity(l).map(|c| (l, c))));
+    }
 
-        // Estimated links, over the sorted crossed-link list.
-        for &l in &cache.crossed_links {
-            if let Some(c) = self.estimator.capacity(l) {
-                outputs.estimated_links.push((l, c));
+    /// Refresh the carry for the next interval: the reports and border
+    /// caps just applied, the per-edge layers stage 5 just decided from
+    /// (routing is unchanged by the entry precondition), and the slots
+    /// holding a timer.
+    fn refresh_carry(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) {
+        let c = &mut self.cache;
+        c.carry.reports.clear();
+        c.carry.reports.extend_from_slice(inputs.reports);
+        c.carry.border_caps.clone_from(&self.border_caps);
+        for (tree, carry) in inputs.trees.iter().zip(&mut c.carry.sessions) {
+            if !tree.structure_eq(&carry.tree) {
+                carry.tree = tree.clone();
             }
-        }
-        outputs.congested_nodes = congested_nodes;
-        outputs.slots_recomputed = slots_recomputed;
-
-        // Refresh the cache for the next interval: new report values
-        // (keys unchanged), the border caps just applied, fresh backoff
-        // snapshots, and — without an audit — stale branch labels at the
-        // slots just re-decided.
-        cache.reports.clear();
-        cache.reports.extend_from_slice(inputs.reports);
-        cache.border_caps.clear();
-        cache.border_caps.extend_from_slice(&self.border_caps);
-        for (k, tree) in inputs.trees.iter().enumerate() {
             let t = tree.tree();
-            let cs = &mut cache.sessions[k];
-            // Adopt this interval's per-edge layers (routing is unchanged
-            // by the entry precondition): the next interval's layer diff
-            // must run against what stage 5 just decided from.
-            if !tree.structure_eq(&cs.tree) {
-                cs.tree = tree.clone();
-            }
-            cs.backoff_slots.clear();
+            carry.backoff_slots.clear();
             if let Some(b) = self.backoffs.get(&tree.session()) {
-                cs.backoff_slots
+                carry
+                    .backoff_slots
                     .extend(b.armed_nodes().filter_map(|n| t.slot_of(n)).map(|s| s as u32));
             }
-            cs.backoff_slots.sort_unstable();
-            cs.backoff_slots.dedup();
+            carry.backoff_slots.sort_unstable();
+            carry.backoff_slots.dedup();
         }
         // Warm audited runs require current labels on entry, so the labels
         // are current afterwards exactly when this run wrote its own.
-        cache.branches_valid = timing;
-
-        scratch.extend(spare);
-        self.scratch = scratch;
-        self.cache = cache;
-        self.dirty = dirty;
-        self.dirty_aux = dirty_aux;
-        self.runs += 1;
-        outputs
+        c.branches_valid = timing;
     }
+
+    /// Check the state between two intervals against a recompute from the
+    /// values it was derived from, and return the first violation: the
+    /// `Carry` invariant (cached stage-5 inputs and level caps equal a
+    /// rebuild everywhere but `mem5_dirty`, `backoff_slots` are the slots
+    /// holding a timer), cached congestion states and counts equal a
+    /// stage-1 recompute, the blocked view equals the
+    /// [`BackoffTable::blocked`] walk, supply never grows down the tree and
+    /// the root's respects its border cap, and every capacity estimate is
+    /// finite and positive. A test oracle; no run calls it.
+    pub fn audit(&self) -> Result<(), String> {
+        if let Some((l, c)) = self.estimator.iter().find(|&(_, c)| !(c.is_finite() && c > 0.0)) {
+            return Err(format!("link {}: estimate {c}", l.0));
+        }
+        if !self.cache.valid {
+            return Ok(());
+        }
+        let c = &self.cache;
+        for (k, (cs, carry)) in c.sessions.iter().zip(&c.carry.sessions).enumerate() {
+            let (tree, sc, b) = (&carry.tree, &self.scratch[k], &self.scratch[k].stage5);
+            let t = tree.tree();
+            let fail =
+                |what: &str, s: usize| Err(format!("session {} slot {s}: {what}", cs.session.0));
+            let mut states = vec![NodeState::default(); t.len()];
+            for s in t.slots_bottom_up() {
+                states[s] = congestion::slot_state(tree, s, &sc.stage1.obs, &states, &self.cfg);
+            }
+            t.slots().for_each(|s| congestion::propagate_slot(tree, s, &mut states));
+            if let Some(s) = t.slots().find(|&s| states[s] != sc.stage1.states[s]) {
+                return fail("cached congestion state is not a recompute", s);
+            }
+            if sc.congested != states.iter().filter(|st| st.congested).count() {
+                return fail("congested count is off", 0);
+            }
+            let border_cap = Self::border_cap_of(&c.carry.border_caps, cs.session);
+            let (spec, cfg, interval) = (&cs.spec, &self.cfg, c.interval);
+            let (allowed, stage1) = (self.sharing_scratch.allowed(k), &sc.stage1);
+            let (mem, max_handle) = (&sc.mem[..], &sc.max_handle[..]);
+            let feed =
+                Feed { tree, spec, cfg, interval, allowed, border_cap, stage1, mem, max_handle };
+            let mut persisted = vec![false; t.len()];
+            carry.mem5_dirty.iter().for_each(|&s| persisted[s as usize] = true);
+            let stale = |s: usize| feed.input_at(s) != (b.inputs[s], b.level_cap[s]);
+            if let Some(s) = t.slots().find(|&s| !persisted[s] && stale(s)) {
+                return fail("cached stage-5 inputs are not a rebuild", s);
+            }
+            let table = self.backoffs.get(&cs.session).cloned().unwrap_or_default();
+            let mut armed: Vec<u32> =
+                table.armed_nodes().filter_map(|n| t.slot_of(n)).map(|s| s as u32).collect();
+            armed.sort_unstable();
+            armed.dedup();
+            if armed != carry.backoff_slots {
+                return fail("backoff_slots are not the slots holding a timer", 0);
+            }
+            if b.blocked_gen == Some(table.generation()) {
+                let walk = |s, l| table.blocked(tree, t.node_at(s), l, SimTime::ZERO);
+                let levels = 0..=cs.spec.max_level();
+                if let Some(s) = t
+                    .slots()
+                    .find(|&s| levels.clone().any(|l| b.blocked.blocked(s, l) != walk(s, l)))
+                {
+                    return fail("blocked view disagrees with the timer walk", s);
+                }
+            }
+            if let Some(s) =
+                (1..t.len()).find(|&s| b.supply[s] > b.supply[t.parent_slot_of(s).unwrap()])
+            {
+                return fail("supply above the parent's", s);
+            }
+            if b.supply[0] > border_cap.max(1) {
+                return fail("root supply above the border cap", 0);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Copy the dense per-slot memories of a valid cache over `map` — the
+/// one flush behind both [`AlgorithmState::checkpoint`] and
+/// `sync_memories`.
+fn flush_memories(
+    cache: &IncCache,
+    scratch: &[SessionScratch],
+    map: &mut HashMap<(SessionId, NodeId), NodeMemory>,
+) {
+    if !cache.valid {
+        return;
+    }
+    for ((cs, carry), sc) in cache.sessions.iter().zip(&cache.carry.sessions).zip(scratch) {
+        let t = carry.tree.tree();
+        map.extend(t.slots().map(|s| ((cs.session, t.node_at(s)), sc.mem[s])));
+    }
+}
+
+/// Stage 1's memory fold at one slot; returns whether the memory moved.
+fn fold_memory(mem: &mut NodeMemory, st: NodeState) -> bool {
+    let old = *mem;
+    if st.has_data || st.parent_congested {
+        mem.hist.push(st.congested);
+        mem.bytes_older = mem.bytes_recent;
+        mem.bytes_recent = st.max_bytes;
+    } else {
+        // No-data subtree (every receiver below quarantined, evicted, or
+        // silenced by an outage): the interval is not evidence of
+        // anything, so the node inherits its prior state instead of
+        // recording a fabricated all-clear. The byte windows hold too —
+        // rotating a 0 in would crater the goodput floor the reduce rules
+        // use once reports resume.
+        mem.hist.push(mem.hist.now());
+    }
+    *mem != old
 }
 
 /// Close a stage: record its wall span (audited runs only) and hand back
@@ -1190,80 +1127,82 @@ fn stage_end<'a>(
     Some(a)
 }
 
-/// The stage-5 decision inputs and level cap of a single slot, from the
-/// stage-1..4 results.
-#[allow(clippy::too_many_arguments)]
-fn stage5_input_at(
-    tree: &SessionTree,
-    sess_idx: usize,
-    spec: &LayerSpec,
-    cfg: &Config,
+/// What stage 5 reads of one session's stage 1–4 results to build a
+/// slot's decision inputs.
+struct Feed<'a> {
+    tree: &'a SessionTree,
+    spec: &'a LayerSpec,
+    cfg: &'a Config,
     interval: SimDuration,
-    sharing: &SharingScratch,
-    obs: &[Option<LeafObs>],
-    states: &[NodeState],
-    mem: &[NodeMemory],
-    max_handle: &[f64],
+    /// Stage 4's allowances, slot-indexed.
+    allowed: &'a [f64],
     border_cap: u8,
-    s: usize,
-) -> (NodeInputs, u8) {
-    let t = tree.tree();
-    let st = states[s];
-    let sibling_congested = match t.parent_slot_of(s) {
-        None => false,
-        Some(p) => t.child_slots(p).any(|c| c != s && states[c].congested),
-    };
-    let m = mem[s];
-    // Receivers that did not report this interval fall back to
-    // the subscription implied by the tree itself.
-    let reported = obs[s]
-        .map(|o| o.level)
-        .or_else(|| (s != 0).then(|| tree.max_layer_at(s).saturating_add(1)));
-    // Reports lag suggestions by up to an interval. While a node
-    // is clean, a reported level below our last supply is just
-    // that lag (the receiver is catching up to the suggestion),
-    // not a deliberate drop — trusting the stale value makes the
-    // controller re-suggest it and flap. Under congestion the
-    // report is authoritative (unilateral drops are real).
-    // The trust is bounded to one unreported step (`r + 1`):
-    // with a stale discovery tool the reports lag by much more
-    // than an interval, and trusting the full supply would let
-    // the controller climb on the echo of its own suggestions.
-    let current_level = reported.map(|r| {
-        if st.congested || st.loss > cfg.p_threshold {
-            r
-        } else {
-            r.max(m.supply_recent.min(r.saturating_add(1)))
+    stage1: &'a congestion::Buffers,
+    mem: &'a [NodeMemory],
+    max_handle: &'a [f64],
+}
+
+impl Feed<'_> {
+    /// The stage-5 decision inputs and level cap of slot `s`.
+    fn input_at(&self, s: usize) -> (NodeInputs, u8) {
+        let t = self.tree.tree();
+        let states = &self.stage1.states;
+        let st = states[s];
+        let sibling_congested = match t.parent_slot_of(s) {
+            None => false,
+            Some(p) => t.child_slots(p).any(|c| c != s && states[c].congested),
+        };
+        let m = self.mem[s];
+        // Receivers that did not report this interval fall back to
+        // the subscription implied by the tree itself.
+        let reported = self.stage1.obs[s]
+            .map(|o| o.level)
+            .or_else(|| (s != 0).then(|| self.tree.max_layer_at(s).saturating_add(1)));
+        // Reports lag suggestions by up to an interval. While a node
+        // is clean, a reported level below our last supply is just
+        // that lag (the receiver is catching up to the suggestion),
+        // not a deliberate drop — trusting the stale value makes the
+        // controller re-suggest it and flap. Under congestion the
+        // report is authoritative (unilateral drops are real).
+        // The trust is bounded to one unreported step (`r + 1`):
+        // with a stale discovery tool the reports lag by much more
+        // than an interval, and trusting the full supply would let
+        // the controller climb on the echo of its own suggestions.
+        let current_level = reported.map(|r| {
+            if st.congested || st.loss > self.cfg.p_threshold {
+                r
+            } else {
+                r.max(m.supply_recent.min(r.saturating_add(1)))
+            }
+        });
+        let inp = NodeInputs {
+            hist: m.hist,
+            parent_congested: st.parent_congested,
+            sibling_congested,
+            bw: BwEquality::classify(m.bytes_older, m.bytes_recent, BW_EQUAL_TOLERANCE),
+            loss: st.loss,
+            supply_older: m.supply_older,
+            supply_recent: m.supply_recent,
+            demand_prev: m.demand_prev,
+            current_level,
+            // Two-interval max: during a neighbour's transient
+            // probe this interval's goodput dips, but the prior
+            // interval still witnesses the sustainable level, so
+            // innocent subtrees are not dragged down with the
+            // prober (see reduce_target).
+            goodput_bps: m.bytes_recent.max(m.bytes_older) as f64 * 8.0
+                / self.interval.as_secs_f64().max(1e-9),
+        };
+        let mut lc = self.spec.level_fitting(self.allowed[s].min(self.max_handle[s]));
+        if s == 0 {
+            // Federation border cap (DESIGN.md §16): an externally imposed
+            // ceiling on what this domain's root may carry. Applied at the
+            // root only — the top-down supply pass min-folds it over every
+            // slot, so one capped slot steers the whole domain.
+            lc = lc.min(self.border_cap);
         }
-    });
-    let inp = NodeInputs {
-        hist: m.hist,
-        parent_congested: st.parent_congested,
-        sibling_congested,
-        bw: BwEquality::classify(m.bytes_older, m.bytes_recent, BW_EQUAL_TOLERANCE),
-        loss: st.loss,
-        supply_older: m.supply_older,
-        supply_recent: m.supply_recent,
-        demand_prev: m.demand_prev,
-        current_level,
-        // Two-interval max: during a neighbour's transient
-        // probe this interval's goodput dips, but the prior
-        // interval still witnesses the sustainable level, so
-        // innocent subtrees are not dragged down with the
-        // prober (see reduce_target).
-        goodput_bps: m.bytes_recent.max(m.bytes_older) as f64 * 8.0
-            / interval.as_secs_f64().max(1e-9),
-    };
-    let bw = sharing.allowed_at(sess_idx, s).min(max_handle[s]);
-    let mut lc = spec.level_fitting(bw);
-    if s == 0 {
-        // Federation border cap (DESIGN.md §16): an externally imposed
-        // ceiling on what this domain's root may carry. Applied at the
-        // root only — the top-down supply pass min-folds it over every
-        // slot, so one capped slot steers the whole domain.
-        lc = lc.min(border_cap);
+        (inp, lc)
     }
-    (inp, lc)
 }
 
 /// Stage-1 audit record.
@@ -1281,7 +1220,7 @@ fn congestion_audit(
                 nodes: t
                     .slots()
                     .map(|s| {
-                        let st = sc.states[s];
+                        let st = sc.stage1.states[s];
                         CongestionNode {
                             node: t.node_at(s).0 as u64,
                             loss: st.loss,
@@ -1358,8 +1297,8 @@ fn subscription_session_audit(
             .map(|s| SubscriptionNode {
                 node: t.node_at(s).0 as u64,
                 branch: sc.branches[s].into(),
-                demand: sc.demand[s],
-                supply: sc.supply[s],
+                demand: sc.stage5.demand[s],
+                supply: sc.stage5.supply[s],
                 suggested: suggested[s],
             })
             .collect(),
@@ -1727,6 +1666,65 @@ mod tests {
         }
     }
 
+    /// The audit reads the carry: with either of stage 5's seeds dropped
+    /// from it, the state no longer checks out.
+    #[test]
+    fn audit_fails_without_a_carry_seed() {
+        let tree = one_session_tree();
+        let spec = LayerSpec::paper_default();
+        let reports = vec![report(10, 2, 4, 70, 30, 20_000), report(11, 3, 2, 100, 0, 24_000)];
+        let mut state = AlgorithmState::new(Config::default(), 5);
+        for t in 1..=3 {
+            run_once(&mut state, &tree, &spec, &reports, 2 * t);
+        }
+        assert_eq!(state.audit(), Ok(()));
+        let carry = &mut state.cache.carry.sessions[0];
+        let mem5 = std::mem::take(&mut carry.mem5_dirty);
+        let timers = std::mem::take(&mut carry.backoff_slots);
+        assert!(!mem5.is_empty() && !timers.is_empty());
+        assert!(state.audit().is_err(), "mem5_dirty dropped");
+        state.cache.carry.sessions[0].mem5_dirty = mem5;
+        assert!(state.audit().is_err(), "backoff_slots dropped");
+        state.cache.carry.sessions[0].backoff_slots = timers;
+        assert_eq!(state.audit(), Ok(()));
+    }
+
+    /// A border-cap change is an input change at the root alone. Once a
+    /// clean closed loop has settled at the top level every other feed is
+    /// at a fixed point, so a warm cap cut must still reach the root's
+    /// level cap and, through supply, every suggestion.
+    #[test]
+    fn a_warm_border_cap_cut_reaches_a_settled_root() {
+        let tree = one_session_tree();
+        let spec = LayerSpec::paper_default();
+        let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
+        let mut full = AlgorithmState::new(Config::default(), 3);
+        let mut inc = AlgorithmState::new(Config::default(), 3);
+        let mut level = 1;
+        for t in 1..=24u64 {
+            if t == 20 {
+                assert_eq!(level, spec.max_level(), "the loop settles at the top");
+                full.set_border_caps(&[(SessionId(0), 2)]);
+                inc.set_border_caps(&[(SessionId(0), 2)]);
+            }
+            let reports =
+                [report(10, 2, level, 100, 0, 90_000), report(11, 3, level, 100, 0, 90_000)];
+            let inputs = AlgorithmInputs {
+                now: SimTime::from_secs(2 * t),
+                interval: SimDuration::from_secs(2),
+                trees: std::slice::from_ref(&tree),
+                specs: &[&spec],
+                registry: &registry,
+                reports: &reports,
+            };
+            let (a, b) = (full.run(&inputs), inc.run_incremental(&inputs));
+            assert_eq!(a.suggestions, b.suggestions, "interval {t}");
+            assert_eq!(inc.audit(), Ok(()), "interval {t}");
+            level = b.suggestions[0].level;
+        }
+        assert_eq!(level, 2, "the cut reached the receivers");
+    }
+
     /// A balanced `fanout^depth` session tree rooted at node 0, every leaf
     /// a member; returns the tree and its leaves in slot order.
     fn balanced_tree(fanout: u32, depth: u32) -> (SessionTree, Vec<NodeId>) {
@@ -2016,6 +2014,7 @@ mod tests {
             if now(CapacityReset) {
                 assert_eq!(inc.capacity_estimate(l(0)), None, "the due reset must fire");
             }
+            assert_eq!(inc.audit(), Ok(()), "interval {t}");
             assert!(!a.incremental);
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
             assert_eq!(a.root_supply, b.root_supply, "interval {t}");

@@ -50,9 +50,6 @@ struct Estimate {
 #[derive(Debug, Default)]
 pub struct CapacityEstimator {
     estimates: HashMap<DirLinkId, Estimate>,
-    /// Reusable buffer for one link's observation run in
-    /// [`Self::update_sorted`].
-    run_scratch: Vec<SessionLinkObs>,
 }
 
 impl CapacityEstimator {
@@ -106,43 +103,11 @@ impl CapacityEstimator {
         est
     }
 
-    /// Run one interval's update over every link seen in the session
-    /// trees, given as a link-sorted flat slice: consecutive entries with
-    /// the same link form that link's per-session observation list. The
-    /// slice must be sorted by link with a stable sort so per-link session
-    /// order is preserved.
-    ///
-    /// `events` optionally audits what happened to each estimate (see
-    /// [`CapacityEvent`]). The log is write-only: passing `Some` vs `None`
-    /// cannot change any estimate. Events from the periodic reset pass
-    /// come from `HashMap` iteration, so callers that need determinism
-    /// must sort the collected events by link.
-    pub fn update_sorted(
-        &mut self,
-        now: SimTime,
-        interval: SimDuration,
-        sorted: &[(DirLinkId, SessionLinkObs)],
-        cfg: &Config,
-        mut events: Option<&mut Vec<CapacityEvent>>,
-    ) {
-        debug_assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0), "input must be link-sorted");
-        self.begin_interval(now, events.as_deref_mut());
-        let mut start = 0;
-        while start < sorted.len() {
-            let link = sorted[start].0;
-            let end = start + sorted[start..].iter().take_while(|&&(l, _)| l == link).count();
-            self.run_scratch.clear();
-            self.run_scratch.extend(sorted[start..end].iter().map(|&(_, o)| o));
-            let run = std::mem::take(&mut self.run_scratch);
-            self.update_link(now, interval, link, &run, cfg, events.as_deref_mut());
-            self.run_scratch = run;
-            start = end;
-        }
-    }
-
     /// Periodic reset: stale estimates return to infinity and must be
     /// re-earned ("the capacity is reset to infinity at periodic
-    /// intervals and recomputed").
+    /// intervals and recomputed"). `events` optionally audits each discarded
+    /// estimate; it comes from `HashMap` iteration, so callers that need
+    /// determinism must sort the collected events by link.
     pub(crate) fn begin_interval(
         &mut self,
         now: SimTime,
@@ -159,10 +124,14 @@ impl CapacityEstimator {
         });
     }
 
-    /// Update a single link from this interval's per-session observations
-    /// — one link's run of [`Self::update_sorted`]. The reset pass is the
-    /// caller's: the driver either runs [`Self::begin_interval`] itself
-    /// (cold) or has proven it a no-op via [`Self::has_pending_reset`].
+    /// Update a single link from this interval's per-session observations,
+    /// in tree order. The reset pass is the caller's: the driver either
+    /// runs [`Self::begin_interval`] when it primes a cold start or has
+    /// proven it a no-op via [`Self::has_pending_reset`].
+    ///
+    /// `events` optionally audits what happened to the estimate (see
+    /// [`CapacityEvent`]). The log is write-only: passing `Some` vs `None`
+    /// cannot change any estimate.
     pub(crate) fn update_link(
         &mut self,
         now: SimTime,
@@ -289,8 +258,24 @@ mod tests {
 
     const INTERVAL: SimDuration = SimDuration(2_000_000_000);
 
+    /// One interval over link-sorted `(link, observation)` rows, through
+    /// the calls the algorithm driver makes on a cold start: the reset
+    /// pass, then one `update_link` per link's run of rows.
+    fn one_interval(
+        est: &mut CapacityEstimator,
+        now: SimTime,
+        sorted: &[(DirLinkId, SessionLinkObs)],
+        mut events: Option<&mut Vec<CapacityEvent>>,
+    ) {
+        est.begin_interval(now, events.as_deref_mut());
+        for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+            let obs: Vec<SessionLinkObs> = run.iter().map(|&(_, o)| o).collect();
+            est.update_link(now, INTERVAL, run[0].0, &obs, &cfg(), events.as_deref_mut());
+        }
+    }
+
     /// Flatten `(link, observations)` rows into the link-sorted slice
-    /// [`CapacityEstimator::update_sorted`] takes.
+    /// [`one_interval`] takes.
     fn flat(rows: &[(DirLinkId, Vec<SessionLinkObs>)]) -> Vec<(DirLinkId, SessionLinkObs)> {
         let mut v: Vec<_> =
             rows.iter().flat_map(|(l, os)| os.iter().map(move |&o| (*l, o))).collect();
@@ -302,7 +287,7 @@ mod tests {
     fn no_loss_keeps_infinity() {
         let mut est = CapacityEstimator::new();
         let usage = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         assert_eq!(est.capacity(l(0)), None);
     }
 
@@ -311,7 +296,7 @@ mod tests {
         let mut est = CapacityEstimator::new();
         // 125_000 B over 2 s = 500 kb/s.
         let usage = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.08, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         let c = est.capacity(l(0)).unwrap();
         assert!((c - 500_000.0).abs() < 1.0, "got {c}");
     }
@@ -322,7 +307,7 @@ mod tests {
         // the culprit, so capacity stays infinite.
         let mut est = CapacityEstimator::new();
         let usage = flat(&[(l(0), vec![obs(0, 0.2, 100_000), obs(1, 0.0, 50_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         assert_eq!(est.capacity(l(0)), None);
     }
 
@@ -330,11 +315,11 @@ mod tests {
     fn estimate_creeps_upward_each_interval() {
         let mut est = CapacityEstimator::new();
         let usage = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         let c0 = est.capacity(l(0)).unwrap();
         // Next interval, no matter the loss, the estimate creeps by 5%.
         let quiet = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(4), INTERVAL, &quiet, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(4), &quiet, None);
         let c1 = est.capacity(l(0)).unwrap();
         assert!((c1 / c0 - 1.05).abs() < 1e-9);
     }
@@ -343,11 +328,11 @@ mod tests {
     fn periodic_reset_returns_to_infinity() {
         let mut est = CapacityEstimator::new();
         let usage = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         assert!(est.capacity(l(0)).is_some());
         // Fast-forward past the reset period with clean traffic.
         let quiet = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2 + 30), INTERVAL, &quiet, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2 + 30), &quiet, None);
         assert_eq!(est.capacity(l(0)), None, "estimate must reset to infinity");
     }
 
@@ -355,10 +340,10 @@ mod tests {
     fn reset_then_relearn() {
         let mut est = CapacityEstimator::new();
         let lossy = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &lossy, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &lossy, None);
         // Past reset, still lossy: re-learned in the same update.
         let lossy2 = flat(&[(l(0), vec![obs(0, 0.1, 200_000), obs(1, 0.1, 50_000)])]);
-        est.update_sorted(SimTime::from_secs(40), INTERVAL, &lossy2, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(40), &lossy2, None);
         let c = est.capacity(l(0)).unwrap();
         assert!((c - 1_000_000.0).abs() < 1.0, "got {c}");
     }
@@ -367,7 +352,7 @@ mod tests {
     fn zero_bytes_never_sets_a_zero_capacity() {
         let mut est = CapacityEstimator::new();
         let usage = flat(&[(l(0), vec![obs(0, 0.5, 0), obs(1, 0.5, 0)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         assert_eq!(est.capacity(l(0)), None);
     }
 
@@ -380,16 +365,16 @@ mod tests {
         // creep as usual.
         let mut est = CapacityEstimator::new();
         let shared = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &shared, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &shared, None);
         let c0 = est.capacity(l(0)).unwrap();
 
         let lossy_solo = flat(&[(l(0), vec![obs(0, 0.2, 100_000)])]);
-        est.update_sorted(SimTime::from_secs(4), INTERVAL, &lossy_solo, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(4), &lossy_solo, None);
         let c1 = est.capacity(l(0)).unwrap();
         assert_eq!(c1, c0, "lossy single-session interval must not creep");
 
         let clean_solo = flat(&[(l(0), vec![obs(0, 0.0, 100_000)])]);
-        est.update_sorted(SimTime::from_secs(6), INTERVAL, &clean_solo, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(6), &clean_solo, None);
         let c2 = est.capacity(l(0)).unwrap();
         assert!((c2 / c1 - 1.05).abs() < 1e-9, "clean single-session interval creeps");
     }
@@ -403,44 +388,43 @@ mod tests {
         // dead-air interval on a link down to a single session.
         let mut est = CapacityEstimator::new();
         let shared = flat(&[(l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &shared, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &shared, None);
         let c0 = est.capacity(l(0)).unwrap();
 
         let mut ev = Vec::new();
         let dead = vec![(l(0), obs(0, 0.0, 0)), (l(0), obs(1, 0.0, 0))];
-        est.update_sorted(SimTime::from_secs(4), INTERVAL, &dead, &cfg(), Some(&mut ev));
+        one_interval(&mut est, SimTime::from_secs(4), &dead, Some(&mut ev));
         let c1 = est.capacity(l(0)).unwrap();
         assert!(c1.is_finite());
         assert_eq!(c1, c0, "dead-air shared interval must hold, not creep");
         assert_eq!((ev[0].0, ev[0].2), (l(0), "held"));
 
         let dead_solo = flat(&[(l(0), vec![obs(0, 0.0, 0)])]);
-        est.update_sorted(SimTime::from_secs(6), INTERVAL, &dead_solo, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(6), &dead_solo, None);
         let c2 = est.capacity(l(0)).unwrap();
         assert_eq!(c2, c0, "dead-air single-session interval must hold, not creep");
 
         // Traffic resumes clean: the creep picks back up as usual.
         let quiet = flat(&[(l(0), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)])]);
-        est.update_sorted(SimTime::from_secs(8), INTERVAL, &quiet, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(8), &quiet, None);
         let c3 = est.capacity(l(0)).unwrap();
         assert!((c3 / c0 - 1.05).abs() < 1e-9);
     }
 
     #[test]
     fn traced_update_reports_learn_creep_and_reset() {
-        let c = cfg();
         let mut est = CapacityEstimator::new();
         let lossy = vec![(l(0), obs(0, 0.1, 100_000)), (l(0), obs(1, 0.1, 25_000))];
         let quiet = vec![(l(0), obs(0, 0.0, 100_000)), (l(0), obs(1, 0.0, 25_000))];
 
         let mut ev = Vec::new();
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &lossy, &c, Some(&mut ev));
+        one_interval(&mut est, SimTime::from_secs(2), &lossy, Some(&mut ev));
         assert_eq!(ev.len(), 1);
         assert_eq!((ev[0].0, ev[0].2), (l(0), "learned"));
         let learned_bps = ev[0].1;
 
         ev.clear();
-        est.update_sorted(SimTime::from_secs(4), INTERVAL, &quiet, &c, Some(&mut ev));
+        one_interval(&mut est, SimTime::from_secs(4), &quiet, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "crept"));
         assert!(ev[0].1 > learned_bps);
 
@@ -448,13 +432,13 @@ mod tests {
         // audit says so.
         ev.clear();
         let solo = vec![(l(0), obs(0, 0.3, 100_000))];
-        est.update_sorted(SimTime::from_secs(6), INTERVAL, &solo, &c, Some(&mut ev));
+        one_interval(&mut est, SimTime::from_secs(6), &solo, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "held"));
 
         // Past the reset horizon with clean traffic: reset is reported
         // with the discarded value.
         ev.clear();
-        est.update_sorted(SimTime::from_secs(60), INTERVAL, &quiet, &c, Some(&mut ev));
+        one_interval(&mut est, SimTime::from_secs(60), &quiet, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "reset"));
         assert!(est.capacity(l(0)).is_none());
 
@@ -462,7 +446,7 @@ mod tests {
         // in the same state.
         let mut twin = CapacityEstimator::new();
         for (t, usage) in [(2u64, &lossy), (4, &quiet), (6, &solo), (60, &quiet)] {
-            twin.update_sorted(SimTime::from_secs(t), INTERVAL, usage, &c, None);
+            one_interval(&mut twin, SimTime::from_secs(t), usage, None);
         }
         assert_eq!(twin.capacity(l(0)), est.capacity(l(0)));
         assert_eq!(twin.estimated_links(), est.estimated_links());
@@ -475,7 +459,7 @@ mod tests {
             (l(0), vec![obs(0, 0.1, 100_000), obs(1, 0.1, 25_000)]),
             (l(1), vec![obs(0, 0.0, 100_000), obs(1, 0.0, 25_000)]),
         ]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         assert!(est.capacity(l(0)).is_some());
         assert!(est.capacity(l(1)).is_none());
         assert_eq!(est.estimated_links(), 1);
@@ -490,7 +474,7 @@ mod tests {
         let half = u64::MAX / 2 + 1;
         let mut est = CapacityEstimator::new();
         let usage = flat(&[(l(0), vec![obs(0, 0.3, half), obs(1, 0.3, half)])]);
-        est.update_sorted(SimTime::from_secs(2), INTERVAL, &usage, &cfg(), None);
+        one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         let c = est.capacity(l(0)).expect("a lossy shared link learns an estimate");
         assert!(c.is_finite() && c >= half as f64 * 8.0 / 2.0, "estimate {c}");
     }

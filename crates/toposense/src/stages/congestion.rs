@@ -17,7 +17,7 @@
 //! receiver in the subtree — the input to the capacity estimator.
 
 use crate::config::Config;
-use topology::SessionTree;
+use topology::{DirtySet, SessionTree, SlotQueue};
 
 /// Absolute loss-rate deviation treated as "close to the average".
 pub const SIMILARITY_TOLERANCE: f64 = 0.05;
@@ -56,38 +56,94 @@ pub struct NodeState {
     pub has_data: bool,
 }
 
-/// Stage 1 over a whole session tree: `obs[slot]` holds the aggregated
-/// observation for the node at that tree slot; `states[slot]` receives its
-/// state. The output vector is cleared and refilled, reusing its
-/// allocation.
-pub fn compute_into(
-    tree: &SessionTree,
-    obs: &[Option<LeafObs>],
-    cfg: &Config,
-    states: &mut Vec<NodeState>,
-) {
-    let t = tree.tree();
-    debug_assert_eq!(obs.len(), t.len());
-    states.clear();
-    states.resize(t.len(), NodeState::default());
+/// One session's stage-1 buffers, slot-indexed and reused across
+/// intervals: `obs[slot]` holds the aggregated observation for the node at
+/// that tree slot, `states[slot]` its state.
+#[derive(Debug, Default)]
+pub struct Buffers {
+    /// Aggregated leaf observation per slot (the stage's input).
+    pub obs: Vec<Option<LeafObs>>,
+    /// Congestion state per slot (its output).
+    pub states: Vec<NodeState>,
+    /// At every slot the last step visited, the state it overwrote.
+    prev: Vec<NodeState>,
+    /// The step's top-down work list.
+    walk: SlotQueue,
+}
 
-    // Bottom-up: loss, self-congestion, subtree byte maxima. Children
-    // occupy higher slots than their parent, so reverse slot order visits
-    // every child first.
-    for s in t.slots_bottom_up() {
-        let st = slot_state(tree, s, obs, states, cfg);
-        states[s] = st;
+impl Buffers {
+    /// Size the buffers for a tree of `len` slots, holding no observation
+    /// and default states.
+    pub fn reset(&mut self, len: usize) {
+        self.obs.clear();
+        self.obs.resize(len, None);
+        self.states.clear();
+        self.states.resize(len, NodeState::default());
+        self.prev.clear();
+        self.prev.resize(len, NodeState::default());
     }
-    for s in t.slots() {
-        propagate_slot(tree, s, states);
+
+    /// Stage 1 over the slots that can have moved. `changed` holds the
+    /// slots whose observation changed since the last step; their
+    /// ancestors join it (a parent's child fold reads the recomputed
+    /// state), and `slot_state` re-runs on the lot, bottom-up. One
+    /// top-down walk then re-propagates congestion from those slots, from
+    /// `revisit`, and from the children of every slot whose `congested`
+    /// flag flips (the one thing a child's propagation reads).
+    ///
+    /// `visit(slot, before, after)` sees every slot the walk pops, with its
+    /// state before this step and after it. A slot for which it returns
+    /// `true` is not yet at a fixed point of the caller's per-slot work:
+    /// the step drains `revisit` and refills it with those slots, so the
+    /// next step walks them even if nothing under them moves.
+    pub fn step(
+        &mut self,
+        tree: &SessionTree,
+        cfg: &Config,
+        changed: &mut DirtySet,
+        revisit: &mut Vec<u32>,
+        mut visit: impl FnMut(usize, NodeState, NodeState) -> bool,
+    ) {
+        let t = tree.tree();
+        for i in 0..changed.len() {
+            // Start the walk at the parent: the changed slot is already
+            // marked, and `mark_ancestors` stops at the first marked slot.
+            if let Some(p) = t.parent_slot_of(changed.slots()[i] as usize) {
+                tree.mark_ancestors(p, changed);
+            }
+        }
+        // Bottom-up: children occupy higher slots than their parent.
+        changed.sort_descending();
+        for &s in changed.slots() {
+            let s = s as usize;
+            let st = slot_state(tree, s, &self.obs, &self.states, cfg);
+            self.prev[s] = std::mem::replace(&mut self.states[s], st);
+        }
+        self.walk.begin(t.len());
+        for &s in changed.slots().iter().chain(revisit.iter()) {
+            self.walk.mark(s as usize);
+        }
+        revisit.clear();
+        while let Some(s) = self.walk.pop() {
+            if !changed.contains(s) {
+                self.prev[s] = self.states[s];
+            }
+            propagate_slot(tree, s, &mut self.states);
+            let (before, after) = (self.prev[s], self.states[s]);
+            if before.congested != after.congested {
+                t.child_slots(s).for_each(|c| self.walk.mark(c));
+            }
+            if visit(s, before, after) {
+                revisit.push(s as u32);
+            }
+        }
     }
 }
 
-/// The per-slot bottom-up kernel of [`compute_into`]: the state of one
-/// slot given its children's (already computed) states. Exposed to the
-/// crate so the algorithm driver runs the same code over its dirty slots.
-/// Only the bottom-up fields are set here; `congested` /
-/// `parent_congested` come from [`propagate_slot`].
+/// The per-slot bottom-up kernel of [`Buffers::step`]: the state of one
+/// slot given its children's (already computed) states. Only the
+/// bottom-up fields are set here; `congested` / `parent_congested` come
+/// from [`propagate_slot`].
 pub(crate) fn slot_state(
     tree: &SessionTree,
     s: usize,
@@ -168,10 +224,7 @@ pub(crate) fn slot_state(
 }
 
 /// The per-slot top-down half of stage 1: parental congestion propagates.
-/// Slots must be visited in ascending order (parents first). The driver
-/// fuses this into its own full-width top-down loop — a cheap linear scan;
-/// localizing it would have to track congestion flips across arbitrary
-/// subtrees for no measurable win.
+/// Slots must be visited in ascending order (parents first).
 #[inline]
 pub(crate) fn propagate_slot(tree: &SessionTree, s: usize, states: &mut [NodeState]) {
     let parent_congested =
@@ -209,17 +262,22 @@ mod tests {
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
     }
 
-    /// Run the whole-tree entry over [`tree`] with `(node, loss, bytes)`
-    /// observations; the result maps a node number to its state.
+    /// Run the step over [`tree`] with every slot changed and
+    /// `(node, loss, bytes)` observations; the result maps a node number
+    /// to its state.
     fn compute(pairs: &[(u32, f64, u64)], cfg: &Config) -> impl Fn(u32) -> NodeState {
         let tree = tree();
-        let mut obs = vec![None; tree.tree().len()];
+        let t = tree.tree();
+        let mut b = Buffers::default();
+        b.reset(t.len());
         for &(i, loss, bytes) in pairs {
-            obs[tree.tree().slot_of(n(i)).unwrap()] = Some(LeafObs { loss, bytes, level: 1 });
+            b.obs[t.slot_of(n(i)).unwrap()] = Some(LeafObs { loss, bytes, level: 1 });
         }
-        let mut states = Vec::new();
-        compute_into(&tree, &obs, cfg, &mut states);
-        move |i| states[tree.tree().slot_of(n(i)).unwrap()]
+        let mut all = DirtySet::new();
+        all.begin(t.len());
+        t.slots().for_each(|s| _ = all.mark(s));
+        b.step(&tree, cfg, &mut all, &mut Vec::new(), |_, _, _| false);
+        move |i| b.states[tree.tree().slot_of(n(i)).unwrap()]
     }
 
     #[test]

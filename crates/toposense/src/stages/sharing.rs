@@ -36,6 +36,9 @@ pub struct SharingScratch {
     maxposs: Vec<Vec<f64>>,
     aggdem: Vec<Vec<f64>>,
     allowed: Vec<Vec<f64>>,
+    /// A step's work buffers: stale sessions, affected links.
+    stale: Vec<bool>,
+    affected: Vec<DirLinkId>,
 }
 
 impl SharingScratch {
@@ -43,6 +46,11 @@ impl SharingScratch {
     /// unconstrained). Valid until the next [`compute_into`] call.
     pub fn allowed_at(&self, idx: usize, slot: usize) -> f64 {
         self.allowed[idx][slot]
+    }
+
+    /// Session `idx`'s allowances, slot-indexed.
+    pub(crate) fn allowed(&self, idx: usize) -> &[f64] {
+        &self.allowed[idx]
     }
 
     /// The proportional shares computed at shared links, as
@@ -75,7 +83,9 @@ pub(crate) fn proportional_share(x: u32, total: u32, b: f64, n: usize) -> f64 {
 /// Stage 4 over every session: fills `scratch` so that
 /// [`SharingScratch::allowed_at`] answers the bandwidth session `i` may use
 /// at each of its tree slots. `trees[i]` and `specs[i]` describe session
-/// `i`; `capacity` is the stage-2 estimate (`None` = infinite).
+/// `i`; `capacity` is the stage-2 estimate (`None` = infinite). This is
+/// `prime` and the algorithm driver's step, `update`, with every
+/// session new.
 pub fn compute_into(
     trees: &[SessionTree],
     specs: &[&LayerSpec],
@@ -83,7 +93,14 @@ pub fn compute_into(
     scratch: &mut SharingScratch,
 ) {
     assert_eq!(trees.len(), specs.len());
+    prime(trees, scratch);
+    let all: Vec<u32> = (0..trees.len() as u32).collect();
+    update(trees, specs, capacity, scratch, &[], &all, &mut Vec::new());
+}
 
+/// Rebuild the link-crossing table for `trees` and forget every share:
+/// what a cold start does before its first [`update`].
+pub(crate) fn prime(trees: &[SessionTree], scratch: &mut SharingScratch) {
     // Which sessions cross each link, and where that link enters their tree.
     let crossing = &mut scratch.crossing;
     for v in crossing.values_mut() {
@@ -98,67 +115,57 @@ pub fn compute_into(
     for bufs in [&mut scratch.maxposs, &mut scratch.aggdem, &mut scratch.allowed] {
         bufs.resize_with(trees.len().max(bufs.len()), Vec::new);
     }
-    refresh(trees, specs, capacity, scratch, &[], vec![true; trees.len()]);
 }
 
-/// Incremental stage-4 update: refresh `scratch` after a capacity change
-/// on exactly the links in `cap_changed` (sorted, deduplicated), assuming
-/// the topology (`trees`/`specs`) is unchanged since the last
-/// [`compute_into`] over the same `scratch`. Returns the refreshed
-/// sessions, ascending, so downstream stages know whose per-slot
-/// allowances (and hence level caps) may have moved.
+/// Stage 4's step: refresh `scratch` for the sessions in `fresh`
+/// (ascending: sessions whose tree is new since the last step, every one
+/// after a [`prime`]) and after a capacity change on exactly the links in
+/// `cap_changed` (sorted, deduplicated) — a no-op, the steady-state hot
+/// path, when both are empty. `refreshed` receives the refreshed sessions,
+/// ascending, so downstream stages know whose per-slot allowances (and
+/// hence level caps) may have moved. Effect propagation, session-granular:
 ///
-/// With an empty `cap_changed` this is a no-op — the steady-state hot path.
-pub(crate) fn compute_incremental_into(
-    trees: &[SessionTree],
-    specs: &[&LayerSpec],
-    capacity: impl Fn(DirLinkId) -> Option<f64>,
-    scratch: &mut SharingScratch,
-    cap_changed: &[DirLinkId],
-) -> Vec<u32> {
-    if cap_changed.is_empty() {
-        return Vec::new();
-    }
-    debug_assert_eq!(trees.len(), specs.len());
-    debug_assert!(scratch.allowed.len() >= trees.len(), "scratch not primed by a full pass");
-    // Sessions whose pass-A/B results the changed capacities can reach.
-    let mut stale = vec![false; trees.len()];
-    for link in cap_changed {
-        for &(i, _) in scratch.crossing.get(link).into_iter().flatten() {
-            stale[i as usize] = true;
-        }
-    }
-    refresh(trees, specs, capacity, scratch, cap_changed, stale)
-}
-
-/// The one stage-4 body. `stale[i]` marks the sessions whose pass-A path
-/// mins may have moved (every session on a cold call; those crossing a
-/// link in `cap_changed` on a warm one). Effect propagation,
-/// session-granular:
-///
-/// * stale sessions get fresh `maxposs`/`aggdem`;
+/// * stale sessions — the fresh ones and those crossing a changed link —
+///   get fresh `maxposs`/`aggdem`;
 /// * every link those sessions cross — plus the changed links themselves —
 ///   may see its proportional share move (shares read the crossing
 ///   sessions' `aggdem` heads), so those links' shares are recomputed;
 /// * sessions crossing any such link get a fresh final `allowed` pass, and
-///   are returned.
+///   are the refreshed ones.
 ///
 /// Links and sessions outside that closure provably keep their previous
 /// values: an untouched link has unchanged capacity and (by construction)
 /// no crossing session with changed `aggdem`, so its share — and every
 /// `allowed` path through it — is byte-identical to a full recompute. The
-/// caller guarantees estimates never *disappear* between warm calls (a
-/// periodic reset forces a cold one), which is what keeps stale `share`
-/// entries for untouched links valid.
-fn refresh(
+/// caller guarantees estimates never *disappear* between steps without a
+/// [`prime`] (a periodic reset forces a cold start), which is what keeps
+/// stale `share` entries for untouched links valid.
+pub(crate) fn update(
     trees: &[SessionTree],
     specs: &[&LayerSpec],
     capacity: impl Fn(DirLinkId) -> Option<f64>,
     scratch: &mut SharingScratch,
     cap_changed: &[DirLinkId],
-    stale: Vec<bool>,
-) -> Vec<u32> {
-    let SharingScratch { crossing, share, maxposs, aggdem, allowed } = scratch;
+    fresh: &[u32],
+    refreshed: &mut Vec<u32>,
+) {
+    refreshed.clear();
+    if cap_changed.is_empty() && fresh.is_empty() {
+        return;
+    }
+    debug_assert_eq!(trees.len(), specs.len());
+    debug_assert!(scratch.allowed.len() >= trees.len(), "scratch not primed");
+    let SharingScratch { crossing, share, maxposs, aggdem, allowed, stale, affected } = scratch;
+    stale.clear();
+    stale.resize(trees.len(), false);
+    for &i in fresh {
+        stale[i as usize] = true;
+    }
+    for link in cap_changed {
+        for &(i, _) in crossing.get(link).into_iter().flatten() {
+            stale[i as usize] = true;
+        }
+    }
     let reset = |buf: &mut Vec<f64>, len: usize| {
         buf.clear();
         buf.resize(len, f64::INFINITY);
@@ -207,7 +214,8 @@ fn refresh(
 
     // Links whose share inputs may have moved: the changed links, plus
     // everything a stale session crosses.
-    let mut affected: Vec<DirLinkId> = cap_changed.to_vec();
+    affected.clear();
+    affected.extend_from_slice(cap_changed);
     for (i, tree) in trees.iter().enumerate() {
         if stale[i] {
             affected.extend((1..tree.tree().len()).map(|s| tree.in_link_at(s)));
@@ -219,11 +227,10 @@ fn refresh(
     // Per affected shared link: x_i in layers, then the proportional
     // share. Sessions crossing an affected link need a fresh final pass
     // (their path mins read the recomputed entries).
-    let mut refreshed = stale;
-    for &link in &affected {
+    for &link in affected.iter() {
         let Some(sessions) = crossing.get(&link) else { continue };
         for &(i, _) in sessions {
-            refreshed[i as usize] = true;
+            stale[i as usize] = true;
         }
         if sessions.len() < 2 {
             continue;
@@ -241,9 +248,10 @@ fn refresh(
     // Final top-down pass: allowed bandwidth per node = min over the path of
     // (fair share on shared links, raw estimate on private links).
     for (i, tree) in trees.iter().enumerate() {
-        if !refreshed[i] {
+        if !stale[i] {
             continue;
         }
+        refreshed.push(i as u32);
         let t = tree.tree();
         let m = &mut allowed[i];
         reset(m, t.len());
@@ -258,7 +266,6 @@ fn refresh(
             m[s] = m[p].min(limit);
         }
     }
-    refreshed.iter().enumerate().filter_map(|(i, &r)| r.then_some(i as u32)).collect()
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use crate::history::{BwEquality, CongestionHistory};
 use netsim::{NodeId, RngStream, SimTime};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use topology::{SessionTree, SlotQueue};
+use topology::{DirtySet, SessionTree, SlotQueue};
 use traffic::LayerSpec;
 
 /// Per-node inputs assembled by the algorithm driver.
@@ -131,7 +131,7 @@ impl BackoffTable {
 
     /// Is subscribing `level` blocked at `node` (checking ancestors too)?
     /// The `NodeId`-keyed oracle of [`BlockedView`]: the driver and
-    /// [`compute_into`] test one bit of the view instead of walking.
+    /// [`Buffers::step`] test one bit of the view instead of walking.
     pub fn blocked(&self, tree: &SessionTree, node: NodeId, level: u8, now: SimTime) -> bool {
         if self.until.is_empty() {
             return false;
@@ -306,135 +306,136 @@ impl BlockedView {
     }
 }
 
-/// Stage 5 over a whole session tree: `inputs[slot]` / `level_cap[slot]`
-/// (the stage-3/4 bandwidth cap, already in level units) describe the node
-/// at each tree slot; `demand[slot]` / `supply[slot]` receive the two
-/// passes' results (cleared and refilled, reusing allocations). `backoffs`
-/// is the session's persistent backoff table; `rng` draws the random
-/// backoff durations.
-///
-/// Backoff timers stay keyed by [`NodeId`] because they outlive any one
-/// tree shape; the bottom-up slot order equals the reverse-BFS node order,
-/// which fixes the RNG draw sequence.
-///
-/// `branches` optionally audits which Table I branch each decision took
-/// (`branches[slot]` receives a label like `"leaf.add"` or
-/// `"internal.reduce_half"`). The trace is write-only — passing `Some` vs
-/// `None` cannot change demand/supply or the RNG draw sequence, which is
-/// what keeps telemetry a pure observer.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_into(
-    tree: &SessionTree,
-    spec: &LayerSpec,
-    cfg: &Config,
-    now: SimTime,
-    inputs: &[NodeInputs],
-    level_cap: &[u8],
-    backoffs: &mut BackoffTable,
-    rng: &mut RngStream,
-    demand: &mut Vec<u8>,
-    supply: &mut Vec<u8>,
-    mut branches: Option<&mut Vec<&'static str>>,
-) {
-    let t = tree.tree();
-    debug_assert_eq!(inputs.len(), t.len());
-    debug_assert_eq!(level_cap.len(), t.len());
-    demand.clear();
-    demand.resize(t.len(), 1);
-    if let Some(b) = branches.as_deref_mut() {
-        b.clear();
-        b.resize(t.len(), "");
+/// What one session's stage-5 decisions read besides the per-slot buffers.
+#[derive(Clone, Copy)]
+pub struct Ctx<'a> {
+    pub tree: &'a SessionTree,
+    pub spec: &'a LayerSpec,
+    pub cfg: &'a Config,
+    pub now: SimTime,
+}
+
+/// One session's stage-5 buffers, slot-indexed and reused across
+/// intervals.
+#[derive(Debug, Default)]
+pub struct Buffers {
+    /// Decision inputs and level cap (the stage-3/4 bandwidth cap, in
+    /// levels) per slot.
+    pub inputs: Vec<NodeInputs>,
+    pub level_cap: Vec<u8>,
+    /// The two passes' results per slot.
+    pub demand: Vec<u8>,
+    pub supply: Vec<u8>,
+    /// The blocked-level view as of the last fill, the fill before it, and
+    /// the backoff table's generation at the last fill (`None`: the view
+    /// describes no table yet).
+    pub(crate) blocked: BlockedView,
+    blocked_prev: BlockedView,
+    pub(crate) blocked_gen: Option<u64>,
+    /// Supply's top-down work list: the slots whose level cap or demand
+    /// moved since `supply` was last consistent.
+    pub queue: SlotQueue,
+}
+
+impl Buffers {
+    /// Size the buffers for a tree of `len` slots with placeholders no
+    /// step has decided from: demand and supply at the base layer, and
+    /// inputs no rebuilt input equals (a NaN loss), so the first step
+    /// decides every slot handed to it.
+    pub fn reset(&mut self, len: usize) {
+        let unseen = NodeInputs { loss: f64::NAN, ..NodeInputs::default() };
+        self.inputs.clear();
+        self.inputs.resize(len, unseen);
+        self.level_cap.clear();
+        self.level_cap.resize(len, 0);
+        self.demand.clear();
+        self.demand.resize(len, 1);
+        self.supply.clear();
+        self.supply.resize(len, 1);
+        self.blocked_gen = None;
     }
 
-    backoffs.expire(now);
-    let mut view = BlockedView::default();
-    backoffs.fill_blocked(tree, spec.max_level(), now, &mut view);
-
-    // Demand, bottom-up.
-    for s in t.slots_bottom_up() {
-        let (inp, cap) = (&inputs[s], level_cap[s]);
-        let (d, branch) =
-            decide_slot(tree, spec, cfg, now, s, inp, cap, demand, &view, backoffs, rng);
-        if let Some(b) = branches.as_deref_mut() {
-            b[s] = branch;
+    /// Stage 5's step over one session. Expires the table's timers, and
+    /// refills the blocked view when the table's key set moved since the
+    /// last fill, adding the slots whose row moved to `decide`. Then
+    /// re-decides every slot in `decide` in bottom-up order — a slot whose
+    /// demand moves queues its parent, still ahead of the scan, and itself
+    /// for supply — and walks supply top-down from `queue`, queueing the
+    /// children of every slot whose supply moves.
+    ///
+    /// Backoff timers stay keyed by [`NodeId`] because they outlive any one
+    /// tree shape; the bottom-up slot order equals the reverse-BFS node
+    /// order, which fixes the RNG draw sequence.
+    ///
+    /// `decided(slot, branch)` sees every decision and its Table I branch
+    /// label (like `"leaf.add"` or `"internal.reduce_half"`); `moved(slot)`
+    /// every slot whose demand or supply moved. Neither can change a
+    /// decision or the RNG draw sequence, which is what keeps telemetry a
+    /// pure observer.
+    pub fn step(
+        &mut self,
+        cx: Ctx<'_>,
+        backoffs: &mut BackoffTable,
+        rng: &mut RngStream,
+        decide: &mut DirtySet,
+        mut decided: impl FnMut(usize, &'static str),
+        mut moved: impl FnMut(usize),
+    ) {
+        let t = cx.tree.tree();
+        // After `expire` the view is a function of the timer key set.
+        backoffs.expire(cx.now);
+        if self.blocked_gen != Some(backoffs.generation()) {
+            std::mem::swap(&mut self.blocked, &mut self.blocked_prev);
+            backoffs.fill_blocked(cx.tree, cx.spec.max_level(), cx.now, &mut self.blocked);
+            self.blocked_gen = Some(backoffs.generation());
+            self.blocked.changed_rows(&self.blocked_prev, t.len(), |s| {
+                decide.mark(s);
+            });
         }
-        demand[s] = d;
-    }
-
-    supply.clear();
-    supply.resize(t.len(), 1);
-    supply_pass(tree, demand, level_cap, supply);
-}
-
-/// Supply, top-down over every slot: the cold form of [`supply_walk`].
-pub(crate) fn supply_pass(tree: &SessionTree, demand: &[u8], level_cap: &[u8], supply: &mut [u8]) {
-    for s in tree.tree().slots() {
-        supply[s] = supply_at(tree, s, demand, level_cap, supply);
-    }
-}
-
-/// The supply rule: a slot gets the minimum of its demand, its parent's
-/// supply and its level cap. `supply` must hold the parent's current value.
-#[inline]
-pub(crate) fn supply_at(
-    tree: &SessionTree,
-    s: usize,
-    demand: &[u8],
-    level_cap: &[u8],
-    supply: &[u8],
-) -> u8 {
-    let v = match tree.tree().parent_slot_of(s) {
-        None => demand[s].min(level_cap[s]),
-        Some(p) => demand[s].min(supply[p]).min(level_cap[s]),
-    };
-    // The paper assumes every session keeps at least its base layer.
-    v.max(1)
-}
-
-/// Supply, top-down over only what can have moved: `queue` holds the
-/// slots whose demand or level cap changed since `supply` was last
-/// consistent. Each is recomputed; one whose supply moved queues its
-/// children and is reported to `moved`. Drains `queue`.
-pub(crate) fn supply_walk(
-    tree: &SessionTree,
-    demand: &[u8],
-    level_cap: &[u8],
-    supply: &mut [u8],
-    queue: &mut SlotQueue,
-    mut moved: impl FnMut(usize),
-) {
-    while let Some(s) = queue.pop() {
-        let v = supply_at(tree, s, demand, level_cap, supply);
-        if v != supply[s] {
-            supply[s] = v;
-            moved(s);
-            tree.tree().child_slots(s).for_each(|c| queue.mark(c));
+        for s in t.slots_bottom_up() {
+            if !decide.contains(s) {
+                continue;
+            }
+            let (d, branch) = decide_slot(cx, s, self, backoffs, rng);
+            decided(s, branch);
+            if self.demand[s] != d {
+                self.demand[s] = d;
+                self.queue.mark(s);
+                moved(s);
+                if let Some(p) = t.parent_slot_of(s) {
+                    decide.mark(p);
+                }
+            }
+        }
+        // The supply rule: the minimum of the slot's demand, its parent's
+        // supply and its level cap — never below the base layer, which the
+        // paper assumes every session keeps.
+        while let Some(s) = self.queue.pop() {
+            let parent = t.parent_slot_of(s).map_or(u8::MAX, |p| self.supply[p]);
+            let v = self.demand[s].min(parent).min(self.level_cap[s]).max(1);
+            if v != self.supply[s] {
+                self.supply[s] = v;
+                moved(s);
+                t.child_slots(s).for_each(|c| self.queue.mark(c));
+            }
         }
     }
 }
 
-/// The per-slot Table I decision kernel of [`compute_into`]: one slot's
+/// The per-slot Table I decision kernel of [`Buffers::step`]: one slot's
 /// demand (already clamped to the base layer) and branch label, given its
-/// children's (already computed) entries in `demand` and the interval's
-/// [`BlockedView`]. Exposed to the crate so the algorithm driver runs the
-/// same decision code — including the same backoff arming and RNG draws —
-/// over its dirty slots.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide_slot(
-    tree: &SessionTree,
-    spec: &LayerSpec,
-    cfg: &Config,
-    now: SimTime,
+/// inputs, its children's (already computed) entries in `demand` and the
+/// interval's [`BlockedView`].
+fn decide_slot(
+    cx: Ctx<'_>,
     s: usize,
-    inp: &NodeInputs,
-    cap: u8,
-    demand: &[u8],
-    view: &BlockedView,
+    b: &Buffers,
     backoffs: &mut BackoffTable,
     rng: &mut RngStream,
 ) -> (u8, &'static str) {
+    let Ctx { tree, spec, cfg, now } = cx;
+    let (inp, cap, demand, view) = (b.inputs[s], b.level_cap[s], &b.demand, &b.blocked);
     let t = tree.tree();
-    let inp = *inp;
     let cs = t.child_slots(s);
     let branch;
     let d = if cs.is_empty() {
@@ -615,13 +616,43 @@ mod tests {
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
     }
 
+    /// The step over every slot of `cx.tree`, as changed, from the given
+    /// inputs and caps; `branches` optionally receives the branch labels.
+    fn decide_all(
+        cx: Ctx<'_>,
+        inputs: &[NodeInputs],
+        level_cap: &[u8],
+        backoffs: &mut BackoffTable,
+        rng: &mut RngStream,
+        mut branches: Option<&mut Vec<&'static str>>,
+    ) -> (Vec<u8>, Vec<u8>) {
+        let t = cx.tree.tree();
+        let mut b = Buffers::default();
+        b.reset(t.len());
+        b.inputs.copy_from_slice(inputs);
+        b.level_cap.copy_from_slice(level_cap);
+        let mut all = DirtySet::new();
+        all.begin(t.len());
+        b.queue.begin(t.len());
+        for s in t.slots() {
+            all.mark(s);
+            b.queue.mark(s);
+        }
+        if let Some(br) = branches.as_deref_mut() {
+            br.resize(t.len(), "");
+        }
+        let label = |s: usize, branch| branches.iter_mut().for_each(|br| br[s] = branch);
+        b.step(cx, backoffs, rng, &mut all, label, |_| {});
+        (b.demand, b.supply)
+    }
+
     /// Stage-5 results keyed back by node.
     struct Out {
         demand: HashMap<NodeId, u8>,
         supply: HashMap<NodeId, u8>,
     }
 
-    /// Run the whole-tree entry over [`tree`]: per-node inputs and caps
+    /// Run [`decide_all`] over [`tree`]: per-node inputs and caps
     /// are spread into slot vectors (absent nodes get default inputs).
     fn run(
         inputs: HashMap<NodeId, NodeInputs>,
@@ -636,20 +667,9 @@ mod tests {
             nodes().map(|n| inputs.get(&n).copied().unwrap_or_default()).collect();
         let level_cap: Vec<u8> = nodes().map(cap).collect();
         let mut rng = RngStream::derive(1, "stage5-test");
-        let (mut demand, mut supply) = (Vec::new(), Vec::new());
-        compute_into(
-            &tree,
-            &LayerSpec::paper_default(),
-            &Config::default(),
-            now,
-            &slot_inputs,
-            &level_cap,
-            backoffs,
-            &mut rng,
-            &mut demand,
-            &mut supply,
-            None,
-        );
+        let (spec, cfg) = (LayerSpec::paper_default(), Config::default());
+        let cx = Ctx { tree: &tree, spec: &spec, cfg: &cfg, now };
+        let (demand, supply) = decide_all(cx, &slot_inputs, &level_cap, backoffs, &mut rng, None);
         Out { demand: nodes().zip(demand).collect(), supply: nodes().zip(supply).collect() }
     }
 
@@ -1051,23 +1071,12 @@ mod tests {
             t.slots().map(|s| by_node.get(&t.node_at(s)).copied().unwrap_or_default()).collect();
         let level_cap = vec![6u8; t.len()];
 
+        let cx = Ctx { tree: &tree, spec: &spec, cfg: &cfg, now };
         let go = |branches: Option<&mut Vec<&'static str>>| {
             let mut backoffs = BackoffTable::new();
             let mut rng = RngStream::derive(7, "stage5-trace-test");
-            let (mut demand, mut supply) = (Vec::new(), Vec::new());
-            compute_into(
-                &tree,
-                &spec,
-                &cfg,
-                now,
-                &inputs,
-                &level_cap,
-                &mut backoffs,
-                &mut rng,
-                &mut demand,
-                &mut supply,
-                branches,
-            );
+            let (demand, supply) =
+                decide_all(cx, &inputs, &level_cap, &mut backoffs, &mut rng, branches);
             // Drain the RNG once more: any extra draw in the traced run
             // would desynchronize this value.
             (demand, supply, rng.range_u64(0, u64::MAX))

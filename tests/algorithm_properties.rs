@@ -4,7 +4,7 @@
 use netsim::{AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimDuration, SimTime};
 use proptest::prelude::*;
 use topology::discovery::{LinkView, TopologyView};
-use topology::SessionTree;
+use topology::{DirtySet, SessionTree};
 use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
 use toposense::Config;
 use traffic::LayerSpec;
@@ -223,9 +223,14 @@ fn chain_loss_propagates_to_root() {
         let t = tree.tree();
         let mut obs = vec![None; t.len()];
         obs[t.slot_of(leaves[0]).unwrap()] = Some(LeafObs { loss: 0.2, bytes: 1000, level: 2 });
-        let mut states = Vec::new();
-        congestion::compute_into(&tree, &obs, &Config::default(), &mut states);
-        let root_state = states[0];
+        let mut b = congestion::Buffers::default();
+        b.reset(t.len());
+        b.obs.copy_from_slice(&obs);
+        let mut all = DirtySet::new();
+        all.begin(t.len());
+        t.slots().for_each(|s| _ = all.mark(s));
+        b.step(&tree, &Config::default(), &mut all, &mut Vec::new(), |_, _, _| false);
+        let root_state = b.states[0];
         assert!((root_state.loss - 0.2).abs() < 1e-12, "chain length {len}");
         assert!(root_state.congested);
     }

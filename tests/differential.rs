@@ -1,6 +1,6 @@
-//! Differential tests: the dense slot-indexed stage entries — built from
-//! the same per-slot kernels and passes the algorithm driver runs — must
-//! reproduce the pre-refactor `HashMap`-indexed implementations bit for bit.
+//! Differential tests: the slot-indexed stage entries — the steps the
+//! algorithm driver runs, handed every slot as changed — must reproduce
+//! the pre-refactor `HashMap`-indexed implementations bit for bit.
 //!
 //! The originals are preserved verbatim in `toposense::stages::reference`
 //! and act as the oracle; every comparison below is exact (`==` on floats
@@ -15,9 +15,9 @@ use netsim::{
 use proptest::prelude::*;
 use std::collections::HashMap;
 use topology::discovery::{LinkView, TopologyView};
-use topology::SessionTree;
+use topology::{DirtySet, SessionTree};
 use toposense::history::{BwEquality, CongestionHistory};
-use toposense::stages::congestion::LeafObs;
+use toposense::stages::congestion::{LeafObs, NodeState};
 use toposense::stages::reference::{self, DemandContext};
 use toposense::stages::subscription::{BackoffTable, NodeInputs};
 use toposense::stages::{bottleneck, congestion, sharing, subscription, SharingScratch};
@@ -50,6 +50,28 @@ fn session_tree(parents: &[usize], session: u32, link_offset: u32) -> SessionTre
         }],
     };
     SessionTree::build(&view, SessionId(session), &[GroupId(0)]).unwrap()
+}
+
+/// Every slot of `tree`, as a change set.
+fn all_slots(tree: &SessionTree) -> DirtySet {
+    let mut all = DirtySet::new();
+    all.begin(tree.tree().len());
+    tree.tree().slots().for_each(|s| _ = all.mark(s));
+    all
+}
+
+/// Stage 1's step — the one the algorithm driver runs — with every slot
+/// changed.
+fn congestion_step_all(
+    tree: &SessionTree,
+    obs: &[Option<LeafObs>],
+    cfg: &Config,
+) -> Vec<NodeState> {
+    let mut b = congestion::Buffers::default();
+    b.reset(obs.len());
+    b.obs.copy_from_slice(obs);
+    b.step(tree, cfg, &mut all_slots(tree), &mut Vec::new(), |_, _, _| false);
+    b.states
 }
 
 /// Deterministic pseudo-random observations over a subset of nodes.
@@ -101,8 +123,7 @@ proptest! {
         let t = tree.tree();
         let slot_obs: Vec<Option<LeafObs>> =
             t.slots().map(|s| obs.get(&t.node_at(s)).copied()).collect();
-        let mut dense = Vec::new();
-        congestion::compute_into(&tree, &slot_obs, &cfg, &mut dense);
+        let dense = congestion_step_all(&tree, &slot_obs, &cfg);
         let oracle = reference::congestion_compute(&tree, &obs, &cfg);
         for node in t.top_down() {
             let a = dense[t.slot_of(node).unwrap()];
@@ -266,20 +287,16 @@ proptest! {
             let slot_inputs: Vec<NodeInputs> =
                 t.slots().map(|s| inputs[&t.node_at(s)]).collect();
             let slot_caps: Vec<u8> = t.slots().map(|s| caps[&t.node_at(s)]).collect();
-            let (mut demand, mut supply) = (Vec::new(), Vec::new());
-            subscription::compute_into(
-                &tree,
-                &spec,
-                &cfg,
-                ctx.now,
-                &slot_inputs,
-                &slot_caps,
-                &mut dense_backoffs,
-                &mut dense_rng,
-                &mut demand,
-                &mut supply,
-                None,
-            );
+            let cx = subscription::Ctx { tree: &tree, spec: &spec, cfg: &cfg, now };
+            let mut b = subscription::Buffers::default();
+            b.reset(t.len());
+            b.inputs.copy_from_slice(&slot_inputs);
+            b.level_cap.copy_from_slice(&slot_caps);
+            b.queue.begin(t.len());
+            let mut all = all_slots(&tree);
+            t.slots().for_each(|s| b.queue.mark(s));
+            b.step(cx, &mut dense_backoffs, &mut dense_rng, &mut all, |_, _| {}, |_| {});
+            let (demand, supply) = (b.demand, b.supply);
             let oracle =
                 reference::subscription_compute(&ctx, &mut oracle_backoffs, &mut oracle_rng);
             for node in t.top_down() {

@@ -185,6 +185,8 @@ proptest! {
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
             assert_outputs_eq!(prop_assert, a, b, format_args!("round {round}"));
+            let audit = inc.audit();
+            prop_assert!(audit.is_ok(), "round {}: {:?}", round, audit);
             if round >= 2 && round != ROOT_TIMER_ROUND {
                 prop_assert!(b.incremental, "round {} should be incremental", round);
             }
@@ -234,6 +236,8 @@ proptest! {
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
             assert_outputs_eq!(prop_assert, a, b, format_args!("round {round}"));
+            let audit = inc.audit();
+            prop_assert!(audit.is_ok(), "round {}: {:?}", round, audit);
             match round {
                 // Cache priming (1) and each membership flip (4, 7) must
                 // fall back to the full path...
@@ -280,6 +284,7 @@ fn large_tree_smoke_incremental_matches_full() {
         let a = full.run(&inputs);
         let b = inc.run_incremental(&inputs);
         assert_outputs_eq!(assert, a, b, format_args!("round {round}"));
+        assert_eq!(inc.audit(), Ok(()), "round {round}");
         if round >= 2 {
             assert!(b.incremental, "round {round} should be incremental");
         }
