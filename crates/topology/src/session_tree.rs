@@ -10,6 +10,7 @@ use crate::discovery::TopologyView;
 use crate::tree::{DirtySet, Tree, TreeError};
 use netsim::{DirLinkId, GroupId, NodeId, SessionId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The overlay of one session's per-layer trees.
 ///
@@ -17,8 +18,16 @@ use std::collections::HashMap;
 /// [`Tree::slot_of`]): every non-root node enters the overlay through
 /// exactly one edge, so `in_link`/`max_layer_in` are plain `Vec`s indexed
 /// by slot, with the root's entries unused.
+///
+/// A built tree never changes (no method takes `&mut self`), so its data
+/// sits behind an `Arc`: `clone` is O(1), and two handles on one build
+/// are equal by pointer — [`Self::routing_eq`] and [`Self::layers_eq`]
+/// answer them without comparing a slot.
 #[derive(Clone, Debug)]
-pub struct SessionTree {
+pub struct SessionTree(Arc<Overlay>);
+
+#[derive(Debug)]
+struct Overlay {
     session: SessionId,
     tree: Tree,
     /// Highest layer index crossing the edge *into* each slot's node
@@ -77,50 +86,51 @@ impl SessionTree {
             max_layer_v[s] = layer;
             in_link_v[s] = in_link[&node];
         }
-        Ok(SessionTree { session, tree, max_layer_in: max_layer_v, in_link: in_link_v })
+        let overlay = Overlay { session, tree, max_layer_in: max_layer_v, in_link: in_link_v };
+        Ok(SessionTree(Arc::new(overlay)))
     }
 
     /// Which session this tree describes.
     pub fn session(&self) -> SessionId {
-        self.session
+        self.0.session
     }
 
     /// The overlay tree.
     pub fn tree(&self) -> &Tree {
-        &self.tree
+        &self.0.tree
     }
 
     /// Highest layer crossing the edge into `node` (`None` for the root).
     pub fn max_layer_into(&self, node: NodeId) -> Option<u8> {
-        let s = self.tree.slot_of(node)?;
-        (s != 0).then(|| self.max_layer_in[s])
+        let s = self.0.tree.slot_of(node)?;
+        (s != 0).then(|| self.0.max_layer_in[s])
     }
 
     /// The directed link carrying the session into `node` (`None` for the
     /// root).
     pub fn in_link(&self, node: NodeId) -> Option<DirLinkId> {
-        let s = self.tree.slot_of(node)?;
-        (s != 0).then(|| self.in_link[s])
+        let s = self.0.tree.slot_of(node)?;
+        (s != 0).then(|| self.0.in_link[s])
     }
 
     /// Highest layer crossing the edge into the node at `slot` (must be a
     /// non-root slot).
     pub fn max_layer_at(&self, slot: usize) -> u8 {
         debug_assert_ne!(slot, 0, "the root has no incoming edge");
-        self.max_layer_in[slot]
+        self.0.max_layer_in[slot]
     }
 
     /// The directed link into the node at `slot` (must be a non-root slot).
     pub fn in_link_at(&self, slot: usize) -> DirLinkId {
         debug_assert_ne!(slot, 0, "the root has no incoming edge");
-        self.in_link[slot]
+        self.0.in_link[slot]
     }
 
     /// Iterate `(node, incoming link, max layer)` over all non-root nodes,
     /// top-down.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, DirLinkId, u8)> + '_ {
-        (1..self.tree.len())
-            .map(move |s| (self.tree.node_at(s), self.in_link[s], self.max_layer_in[s]))
+        let o = &*self.0;
+        (1..o.tree.len()).map(move |s| (o.tree.node_at(s), o.in_link[s], o.max_layer_in[s]))
     }
 
     /// Routing equality: the underlying tree (see [`Tree::structure_eq`])
@@ -132,19 +142,20 @@ impl SessionTree {
     /// interval: subscription-level churn alone (receivers moving a layer
     /// up or down under steering — the steady-state common case) keeps
     /// the caches valid, with the changed slots re-decided from the new
-    /// layers.
+    /// layers. Two handles on one build answer at once.
     pub fn routing_eq(&self, other: &SessionTree) -> bool {
-        self.session == other.session
-            && self.tree.structure_eq(&other.tree)
-            && self.in_link == other.in_link
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.session == b.session && a.tree.structure_eq(&b.tree) && a.in_link == b.in_link)
     }
 
-    /// Structural equality of the whole overlay: [`Self::routing_eq`] plus
-    /// the per-edge layer attributes. Two session trees that compare equal
-    /// here produce identical results from every slot-indexed stage given
-    /// identical per-slot inputs.
-    pub fn structure_eq(&self, other: &SessionTree) -> bool {
-        self.routing_eq(other) && self.max_layer_in == other.max_layer_in
+    /// Whether the per-edge layer attributes equal `other`'s, slot for
+    /// slot — meaningful between two trees already [`Self::routing_eq`],
+    /// which together are equal as whole overlays: identical per-slot
+    /// inputs then give identical results from every slot-indexed stage.
+    /// Two handles on one build answer at once.
+    pub fn layers_eq(&self, other: &SessionTree) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.max_layer_in == other.0.max_layer_in
     }
 
     /// Mark `slot` and its ancestors in `dirty` (see
@@ -152,7 +163,7 @@ impl SessionTree {
     /// stages, where a changed observation at a slot can only affect the
     /// states on its root path.
     pub fn mark_ancestors(&self, slot: usize, dirty: &mut DirtySet) {
-        self.tree.mark_ancestors(slot, dirty);
+        self.0.tree.mark_ancestors(slot, dirty);
     }
 }
 
@@ -231,24 +242,28 @@ mod tests {
     }
 
     #[test]
-    fn routing_eq_ignores_layer_changes_structure_eq_does_not() {
+    fn routing_eq_ignores_layer_changes_layers_eq_does_not() {
         // Same shape and links; node 1's max layer differs (a receiver
         // there dropped from layer 1 to layer 0 between snapshots).
-        let a = SessionTree::build(
-            &view(vec![snap(0, vec![l(0), l(2)], vec![n(2)]), snap(1, vec![l(0)], vec![n(1)])]),
-            SessionId(0),
-            &[GroupId(0), GroupId(1)],
-        )
-        .unwrap();
-        let b = SessionTree::build(
-            &view(vec![snap(0, vec![l(0), l(2)], vec![n(2)])]),
-            SessionId(0),
-            &[GroupId(0), GroupId(1)],
-        )
-        .unwrap();
+        let layered =
+            || vec![snap(0, vec![l(0), l(2)], vec![n(2)]), snap(1, vec![l(0)], vec![n(1)])];
+        let groups = [GroupId(0), GroupId(1)];
+        let build = |snaps, sid| SessionTree::build(&view(snaps), sid, &groups).unwrap();
+        let a = build(layered(), SessionId(0));
+        let b = build(vec![snap(0, vec![l(0), l(2)], vec![n(2)])], SessionId(0));
         assert!(a.routing_eq(&b), "layer-only change must keep routing equality");
-        assert!(!a.structure_eq(&b), "layer change must break full structural equality");
-        assert!(a.structure_eq(&a.clone()));
+        assert!(!a.layers_eq(&b), "layer change must break layer equality");
+
+        // A clone shares the build, so both answer through the pointer.
+        let c = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &c.0));
+        assert!(a.routing_eq(&c) && a.layers_eq(&c));
+        // The same view built again is another build, equal by content.
+        let again = build(layered(), SessionId(0));
+        assert!(!Arc::ptr_eq(&a.0, &again.0));
+        assert!(a.routing_eq(&again) && a.layers_eq(&again));
+        // Another session over the same links does not route alike.
+        assert!(!a.routing_eq(&build(layered(), SessionId(1))));
     }
 
     #[test]

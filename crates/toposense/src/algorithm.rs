@@ -135,6 +135,64 @@ struct SessionScratch {
     state_dirty: Vec<u32>,
     /// Stage 1: the slots of `state_dirty` whose congested flag flipped.
     flipped: Vec<u32>,
+    /// Stage 5: one bit per slot, set where [`aborted_probe`] holds on
+    /// the slot's observation, state and memory as stage 5 last read them.
+    armable: Vec<u64>,
+}
+
+impl SessionScratch {
+    /// A receiver sitting below the level we last supplied while its loss
+    /// is high just aborted a failed probe (possibly unilaterally, if our
+    /// drop suggestion died at the congested link). Arm the backoff for
+    /// the abandoned level here, because the decision table never will: by
+    /// the time it runs, the receiver's current level already equals the
+    /// reduced target.
+    ///
+    /// [`aborted_probe`] reads a slot's observation, state and memory,
+    /// which move only at `obs_dirty`, `state_dirty` and the carried
+    /// `mem5_dirty` (stage 1's fold never writes `supply_recent`). So
+    /// `armable` is refreshed at those slots, or at every slot of a tree
+    /// new to the cache, and the timers are armed from its set bits a word
+    /// at a time in ascending slot order: the RNG draw order of a scan
+    /// over every slot.
+    fn arm_aborted_probes(
+        &mut self,
+        cx: subscription::Ctx<'_>,
+        mem5_dirty: &[u32],
+        new_tree: bool,
+        table: &mut BackoffTable,
+        rng: &mut RngStream,
+    ) {
+        let t = cx.tree.tree();
+        let (obs, states, mem) = (&self.stage1.obs, &self.stage1.states, &self.mem);
+        let probe = |s: usize| aborted_probe(obs[s], states[s], mem[s].supply_recent, cx.cfg);
+        let bits = &mut self.armable;
+        if new_tree {
+            bits.clear();
+            bits.resize(t.len().div_ceil(64), 0);
+            t.slots().filter(|&s| probe(s)).for_each(|s| bits[s / 64] |= 1u64 << (s % 64));
+        } else {
+            for &s in self.obs_dirty.iter().chain(&self.state_dirty).chain(mem5_dirty) {
+                let (w, bit) = (s as usize / 64, 1u64 << (s % 64));
+                bits[w] = if probe(s as usize) { bits[w] | bit } else { bits[w] & !bit };
+            }
+        }
+        for (w, &word) in bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let s = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                table.arm(t.node_at(s), mem[s].supply_recent, cx.now, cx.cfg, rng);
+            }
+        }
+    }
+}
+
+/// Whether a slot's receivers just aborted a failed probe: an observed
+/// level below `supply_recent`, the supply last persisted, under a loss
+/// above `high_loss`.
+fn aborted_probe(obs: Option<LeafObs>, st: NodeState, supply_recent: u8, cfg: &Config) -> bool {
+    obs.is_some_and(|o| st.loss > cfg.high_loss && o.level < supply_recent)
 }
 
 /// Per-session inputs frozen by [`IncCache`] at the last cold start. As
@@ -506,6 +564,8 @@ impl AlgorithmState {
         if !c.valid || (want_audit && !c.branches_valid) || inputs.interval != c.interval {
             return false;
         }
+        // Report keys are checked row by row in `diff_reports`, the last
+        // entry check.
         if inputs.trees.len() != c.sessions.len()
             || inputs.registry != c.registry.as_slice()
             || inputs.reports.len() != c.carry.reports.len()
@@ -520,13 +580,6 @@ impl AlgorithmState {
         let trees = inputs.trees.iter().zip(inputs.specs).zip(&c.sessions).zip(&c.carry.sessions);
         for (((tree, spec), cs), carry) in trees {
             if tree.session() != cs.session || **spec != cs.spec || !tree.routing_eq(&carry.tree) {
-                return false;
-            }
-        }
-        // Report *keys* must match index-for-index so the cached
-        // slot attribution still applies; values are what gets diffed.
-        for (new, old) in inputs.reports.iter().zip(&c.carry.reports) {
-            if (new.receiver, new.node, new.session) != (old.receiver, old.node, old.session) {
                 return false;
             }
         }
@@ -633,19 +686,32 @@ impl AlgorithmState {
         c.valid = true;
     }
 
-    /// A warm run's entry change set: each report row whose value moved
-    /// since [`Carry::reports`] names the slot it folds into; no tree is
-    /// new.
-    fn diff_reports(&mut self, inputs: &AlgorithmInputs<'_>) {
+    /// The last entry check and a warm run's entry change set, in one pass
+    /// over the index-aligned rows of `inputs.reports` and
+    /// [`Carry::reports`]: an equal row is skipped; a row whose key
+    /// `(receiver, node, session)` moved voids the cached attribution, and
+    /// the run starts cold (`false`); any other row is written back into
+    /// the carry and names the slot it folds into. No tree is new. A cold
+    /// start after a partial pass is sound: priming never reads the
+    /// carried reports, and a cold `refresh_carry` rewrites all of them.
+    fn diff_reports(&mut self, inputs: &AlgorithmInputs<'_>) -> bool {
         let Self { scratch, cache, changes, .. } = self;
         changes.trees.clear();
         scratch.iter_mut().for_each(|sc| sc.obs_dirty.clear());
-        let rows = inputs.reports.iter().zip(&cache.carry.reports).zip(&cache.report_target);
+        let rows = inputs.reports.iter().zip(&mut cache.carry.reports).zip(&cache.report_target);
         for ((new, old), &(k, slot)) in rows {
-            if new != old && k != u32::MAX {
+            if new == old {
+                continue;
+            }
+            if (new.receiver, new.node, new.session) != (old.receiver, old.node, old.session) {
+                return false;
+            }
+            *old = *new;
+            if k != u32::MAX {
                 scratch[k as usize].obs_dirty.push(slot);
             }
         }
+        true
     }
 
     /// [`Self::run_incremental`] plus an optional decision audit: when
@@ -664,12 +730,10 @@ impl AlgorithmState {
         assert_eq!(inputs.trees.len(), inputs.specs.len());
         let timing = audit.is_some();
         let whole_span = timing.then(Span::new);
-        let cold = !self.can_run_incremental(inputs, timing);
+        let cold = !self.can_run_incremental(inputs, timing) || !self.diff_reports(inputs);
         self.changes.cap_events.clear();
         if cold {
             self.prime_cache(inputs, timing);
-        } else {
-            self.diff_reports(inputs);
         }
         let mut out = AlgorithmOutputs { incremental: !cold, ..AlgorithmOutputs::default() };
 
@@ -703,7 +767,7 @@ impl AlgorithmState {
         stage_end(&mut audit, "interval", whole_span);
 
         self.emit(inputs, &mut out, audit);
-        self.refresh_carry(inputs, timing);
+        self.refresh_carry(inputs, cold, timing);
         self.runs += 1;
         out
     }
@@ -844,7 +908,8 @@ impl AlgorithmState {
         for (k, tree) in inputs.trees.iter().enumerate() {
             let (sid, spec, t) = (tree.session(), inputs.specs[k], tree.tree());
             let (sc, carry) = (&mut scratch[k], &mut cache.carry.sessions[k]);
-            let Changes { refreshed, dirty: decide, aux: cand, .. } = &mut *changes;
+            let Changes { trees: new_trees, refreshed, dirty: decide, aux: cand, .. } =
+                &mut *changes;
             let border_cap = Self::border_cap_of(border_caps, sid);
             cand.begin(t.len());
             decide.begin(t.len());
@@ -860,9 +925,11 @@ impl AlgorithmState {
                 // Per-edge layer moves (routing unchanged — the entry
                 // precondition) alter the no-report fallback level of
                 // exactly their own slot.
-                for s in 1..t.len() {
-                    if tree.max_layer_at(s) != carry.tree.max_layer_at(s) {
-                        cand.mark(s);
+                if !tree.layers_eq(&carry.tree) {
+                    for s in 1..t.len() {
+                        if tree.max_layer_at(s) != carry.tree.max_layer_at(s) {
+                            cand.mark(s);
+                        }
                     }
                 }
                 // Siblings read a slot's `congested` in their sibling scan.
@@ -870,6 +937,10 @@ impl AlgorithmState {
                     t.child_slots(p).for_each(|c| _ = cand.mark(c));
                 }
             }
+            let cx = subscription::Ctx { tree, spec, cfg, now: inputs.now };
+            let table = backoffs.entry(sid).or_default();
+            let new_tree = new_trees.binary_search(&(k as u32)).is_ok();
+            sc.arm_aborted_probes(cx, &carry.mem5_dirty, new_tree, table, rng);
             let (interval, allowed) = (inputs.interval, sharing_scratch.allowed(k));
             let (stage1, mem, max_handle) = (&sc.stage1, &sc.mem[..], &sc.max_handle[..]);
             let feed =
@@ -887,22 +958,6 @@ impl AlgorithmState {
                 }
             }
 
-            let table = backoffs.entry(sid).or_default();
-            // A receiver sitting below the level we last supplied while its
-            // loss is high just aborted a failed probe (possibly
-            // unilaterally, if our drop suggestion died at the congested
-            // link). Arm the backoff for the abandoned level here, because
-            // the decision table never will: by the time it runs, the
-            // receiver's current level already equals the reduced target.
-            // Full width even when warm: the scan order is the RNG draw
-            // order.
-            for s in t.slots() {
-                let Some(o) = sc.stage1.obs[s] else { continue };
-                let (st, mem) = (sc.stage1.states[s], sc.mem[s]);
-                if st.loss > cfg.high_loss && o.level < mem.supply_recent {
-                    table.arm(t.node_at(s), mem.supply_recent, inputs.now, cfg, rng);
-                }
-            }
             // A slot that held a timer after the previous run re-decides
             // itself (its branch may arm again and draw); what the timer
             // does to its subtree is the blocked view's row diff. Timers
@@ -912,7 +967,6 @@ impl AlgorithmState {
 
             cand.begin(t.len());
             let branches = &mut sc.branches;
-            let cx = subscription::Ctx { tree, spec, cfg, now: inputs.now };
             let decided = |s: usize, branch| {
                 decisions += 1;
                 if timing {
@@ -975,17 +1029,20 @@ impl AlgorithmState {
         out.estimated_links.extend(crossed.iter().filter_map(|&l| est.capacity(l).map(|c| (l, c))));
     }
 
-    /// Refresh the carry for the next interval: the reports and border
-    /// caps just applied, the per-edge layers stage 5 just decided from
-    /// (routing is unchanged by the entry precondition), and the slots
-    /// holding a timer.
-    fn refresh_carry(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) {
+    /// Refresh the carry for the next interval: the reports, copied only
+    /// by a cold run (a warm entry pass wrote back every row that moved),
+    /// the border caps just applied, the per-edge layers stage 5 just
+    /// decided from (routing is proven equal on entry, so only the layers
+    /// can differ), and the slots holding a timer.
+    fn refresh_carry(&mut self, inputs: &AlgorithmInputs<'_>, cold: bool, timing: bool) {
         let c = &mut self.cache;
-        c.carry.reports.clear();
-        c.carry.reports.extend_from_slice(inputs.reports);
+        if cold {
+            c.carry.reports.clear();
+            c.carry.reports.extend_from_slice(inputs.reports);
+        }
         c.carry.border_caps.clone_from(&self.border_caps);
         for (tree, carry) in inputs.trees.iter().zip(&mut c.carry.sessions) {
-            if !tree.structure_eq(&carry.tree) {
+            if !tree.layers_eq(&carry.tree) {
                 carry.tree = tree.clone();
             }
             let t = tree.tree();
@@ -1008,10 +1065,15 @@ impl AlgorithmState {
     /// `Carry` invariant (cached stage-5 inputs and level caps equal a
     /// rebuild everywhere but `mem5_dirty`, `backoff_slots` are the slots
     /// holding a timer), cached congestion states and counts equal a
-    /// stage-1 recompute, the blocked view equals the
-    /// [`BackoffTable::blocked`] walk, supply never grows down the tree and
-    /// the root's respects its border cap, and every capacity estimate is
-    /// finite and positive. A test oracle; no run calls it.
+    /// stage-1 recompute, the armable set equals the aborted-probe
+    /// predicate at every slot as the arming read it, every live timer
+    /// sits on a node of its session's tree (timers are armed only at tree
+    /// slots; a routing change that prunes a timer's node would leave it
+    /// behind until it expires, and the audited runs keep their node
+    /// sets), the blocked view equals the [`BackoffTable::blocked`] walk,
+    /// supply never grows down the tree and the root's respects its border
+    /// cap, and every capacity estimate is finite and positive. A test
+    /// oracle; no run calls it.
     pub fn audit(&self) -> Result<(), String> {
         if let Some((l, c)) = self.estimator.iter().find(|&(_, c)| !(c.is_finite() && c > 0.0)) {
             return Err(format!("link {}: estimate {c}", l.0));
@@ -1048,7 +1110,25 @@ impl AlgorithmState {
             if let Some(s) = t.slots().find(|&s| !persisted[s] && stale(s)) {
                 return fail("cached stage-5 inputs are not a rebuild", s);
             }
+            // Persistence moved `supply_recent` into `supply_older` after
+            // the arming read it.
+            let read =
+                |s: usize| if persisted[s] { mem[s].supply_older } else { mem[s].supply_recent };
+            let probe = |s: usize| aborted_probe(stage1.obs[s], stage1.states[s], read(s), cfg);
+            let bit = |s: usize| sc.armable.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 != 0);
+            if sc.armable.len() != t.len().div_ceil(64) {
+                return fail("armable set is not one bit per slot", 0);
+            }
+            if let Some(s) = t.slots().find(|&s| bit(s) != probe(s)) {
+                return fail("armable set is not a recompute", s);
+            }
             let table = self.backoffs.get(&cs.session).cloned().unwrap_or_default();
+            if let Some(n) = table.armed_nodes().find(|&n| t.slot_of(n).is_none()) {
+                return Err(format!(
+                    "session {}: timer on node {} off the tree",
+                    cs.session.0, n.0
+                ));
+            }
             let mut armed: Vec<u32> =
                 table.armed_nodes().filter_map(|n| t.slot_of(n)).map(|s| s as u32).collect();
             armed.sort_unstable();
@@ -1687,6 +1767,79 @@ mod tests {
         assert!(state.audit().is_err(), "backoff_slots dropped");
         state.cache.carry.sessions[0].backoff_slots = timers;
         assert_eq!(state.audit(), Ok(()));
+        // The root hosts no receiver, so it is never armable.
+        state.scratch[0].armable[0] ^= 1;
+        assert!(state.audit().is_err(), "armable bit flipped");
+        state.scratch[0].armable[0] ^= 1;
+        assert_eq!(state.audit(), Ok(()));
+        // A timer on a node the tree does not hold.
+        state.backoffs.get_mut(&SessionId(0)).unwrap().set(n(99), 2, SimTime::from_secs(99));
+        assert!(state.audit().is_err(), "timer off the tree");
+    }
+
+    /// `0 -> 1 -> {2, 3}` over two layers; layer 1 crosses the link into
+    /// node 1 when `layer_at_1`, and no link otherwise.
+    fn two_layer_tree(layer_at_1: bool) -> SessionTree {
+        let group = |g: u32, active_links: Vec<DirLinkId>| GroupSnapshot {
+            group: GroupId(g),
+            root: n(0),
+            active_links,
+            member_nodes: vec![n(2), n(3)],
+        };
+        let view = TopologyView {
+            time: SimTime::ZERO,
+            links: vec![
+                LinkView { id: l(0), from: n(0), to: n(1) },
+                LinkView { id: l(1), from: n(1), to: n(2) },
+                LinkView { id: l(2), from: n(1), to: n(3) },
+            ],
+            groups: vec![
+                group(0, vec![l(0), l(1), l(2)]),
+                group(1, if layer_at_1 { vec![l(0)] } else { vec![] }),
+            ],
+        };
+        SessionTree::build(&view, SessionId(0), &[GroupId(0), GroupId(1)]).unwrap()
+    }
+
+    /// A per-edge layer move is a stage-5 input change at its own slot
+    /// alone. Node 1 hosts no receiver, so the layer into it is its
+    /// no-report fallback level. Once a clean loop has settled at the top
+    /// level, the same tree — a clone, or a rebuild from the same view —
+    /// re-decides nothing, and a rebuild whose layer into node 1 moved
+    /// re-decides that one slot: node 1 is internal, its demand is its
+    /// children's, and nothing propagates.
+    #[test]
+    fn a_rebuilt_tree_re_decides_exactly_its_moved_layers() {
+        let spec = LayerSpec::paper_default();
+        let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
+        let top = spec.max_level();
+        let reports = [report(10, 2, top, 100, 0, 90_000), report(11, 3, top, 100, 0, 90_000)];
+        let mut full = AlgorithmState::new(Config::default(), 3);
+        let mut inc = AlgorithmState::new(Config::default(), 3);
+        let mut t = 0;
+        let mut run = |tree: &SessionTree| {
+            t += 1;
+            let inputs = AlgorithmInputs {
+                now: SimTime::from_secs(2 * t),
+                interval: SimDuration::from_secs(2),
+                trees: std::slice::from_ref(tree),
+                specs: &[&spec],
+                registry: &registry,
+                reports: &reports,
+            };
+            let (a, b) = (full.run(&inputs), inc.run_incremental(&inputs));
+            assert_eq!(a.suggestions, b.suggestions, "interval {t}");
+            assert_eq!(a.root_supply, b.root_supply, "interval {t}");
+            assert_eq!(inc.audit(), Ok(()), "interval {t}");
+            assert!(t == 1 || b.incremental, "interval {t} fell back");
+            b.slots_recomputed
+        };
+        let tree = two_layer_tree(true);
+        assert!((0..12).any(|_| run(&tree) == 0), "the clean loop never settled");
+        assert_eq!(run(&tree.clone()), 0, "a clone");
+        assert_eq!(run(&two_layer_tree(true)), 0, "a rebuild from the same view");
+        assert_eq!(run(&two_layer_tree(false)), 1, "node 1's layer moved");
+        assert_eq!(run(&two_layer_tree(false)), 0, "the moved layer is carried");
     }
 
     /// A border-cap change is an input change at the root alone. Once a

@@ -14,6 +14,7 @@
 //! (reported bytes can under-count packets still in flight) and is reset to
 //! infinity periodically so transient flows and downstream bottlenecks
 //! cannot poison it forever.
+#![deny(clippy::too_many_lines)]
 
 use crate::config::Config;
 use netsim::{DirLinkId, SessionId, SimDuration, SimTime};

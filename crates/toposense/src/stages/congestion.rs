@@ -15,6 +15,7 @@
 //!
 //! The stage also records, per node, the maximum bytes received by any
 //! receiver in the subtree — the input to the capacity estimator.
+#![deny(clippy::too_many_lines)]
 
 use crate::config::Config;
 use topology::{DirtySet, SessionTree, SlotQueue};

@@ -13,6 +13,7 @@
 //! A session bottlenecked further downstream therefore asks for little and
 //! cedes the rest: with downstream bottlenecks of 250 kb/s and 1 Mb/s the
 //! paper expects exactly those allocations, not an equal split.
+#![deny(clippy::too_many_lines)]
 
 use netsim::DirLinkId;
 use std::collections::HashMap;

@@ -13,6 +13,7 @@
 //! * **supply**, top-down: each node gets the minimum of its demand, its
 //!   parent's supply, and the stage-3/4 bandwidth cap. Leaf supplies are
 //!   the suggestions sent to receivers.
+#![deny(clippy::too_many_lines)]
 
 use crate::config::Config;
 use crate::decision::{decide, Action, NodeKind, SupplyWindow};

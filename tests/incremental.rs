@@ -76,7 +76,8 @@ fn registry_for(leaves: &[NodeId], session: u32) -> Vec<(AppId, NodeId, SessionI
 }
 
 /// Randomly perturb the report values in place: byte-counter drift, loss
-/// toggles (which flip congestion labels and arm/expire backoffs) and
+/// toggles (which flip congestion labels and arm/expire backoffs; 25 % is
+/// above `high_loss`, so a receiver below its supply aborts a probe) and
 /// level changes. Keys are left alone so the incremental path stays on.
 fn churn(reports: &mut [ReceiverReport], rng: &mut RngStream) {
     for r in reports.iter_mut() {
@@ -84,9 +85,8 @@ fn churn(reports: &mut [ReceiverReport], rng: &mut RngStream) {
         if x < 0.30 {
             r.bytes = 10_000 + (rng.f64() * 40_000.0) as u64;
         } else if x < 0.45 {
-            let lossy = rng.f64() < 0.5;
-            r.received = if lossy { 90 } else { 100 };
-            r.lost = if lossy { 10 } else { 0 };
+            r.lost = [0, 10, 25][(rng.f64() * 3.0) as usize];
+            r.received = 100 - r.lost;
         } else if x < 0.55 {
             r.level = 1 + (rng.f64() * 5.0) as u8;
         }
@@ -164,11 +164,15 @@ proptest! {
         timer in (2u8..=6, 1u64..6),
     ) {
         let trees = vec![session_tree(&parents, 0, 0)];
-        let leaves = leaf_receivers(&trees[0]);
+        // Every non-root node hosts a receiver: an internal one folds its
+        // own loss with its children's, so its state can move while its
+        // reports do not.
+        let t = trees[0].tree();
+        let members: Vec<NodeId> = t.slots().skip(1).map(|s| t.node_at(s)).collect();
         let spec = LayerSpec::paper_default();
         let specs: Vec<&LayerSpec> = vec![&spec];
-        let registry = registry_for(&leaves, 0);
-        let mut reports = reports_for(&leaves, 0);
+        let registry = registry_for(&members, 0);
+        let mut reports = reports_for(&members, 0);
         let mut rng = RngStream::derive(seed, "incremental/churn");
 
         let mut full = AlgorithmState::new(Config::default(), seed);
@@ -252,6 +256,82 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+/// A receiver can sit at an internal node, whose state's loss is the
+/// minimum over its own reports and its children's, so the state moves
+/// while the node's own reports repeat. Node 1 keeps reporting level 1
+/// under 25 % loss, below what it is supplied, while one child's loss
+/// toggles: its aborted-probe arming must follow the state, and the
+/// audit checks the armable set after every interval.
+#[test]
+fn an_internal_receivers_aborted_probe_follows_its_childrens_loss() {
+    let trees = vec![session_tree(&[0, 1, 1], 0, 0)];
+    let members = [NodeId(1), NodeId(2), NodeId(3)];
+    let spec = LayerSpec::paper_default();
+    let specs: Vec<&LayerSpec> = vec![&spec];
+    let registry = registry_for(&members, 0);
+    let mut reports = reports_for(&members, 0);
+    for r in &mut reports {
+        (r.received, r.lost, r.bytes) = (75, 25, 60_000);
+    }
+    reports[0].level = 1;
+
+    let mut full = AlgorithmState::new(Config::default(), 21);
+    let mut inc = AlgorithmState::new(Config::default(), 21);
+    let mut probes_at_1 = 0;
+    for round in 1..=12u64 {
+        let lost = if round % 2 == 0 { 0 } else { 25 };
+        (reports[1].received, reports[1].lost) = (100 - lost, lost);
+        let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
+        let a = full.run(&inputs);
+        let b = inc.run_incremental(&inputs);
+        assert_outputs_eq!(assert, a, b, format_args!("round {round}"));
+        assert_eq!(inc.audit(), Ok(()), "round {round}");
+        assert_eq!(b.incremental, round > 1, "round {round}");
+        let live = |e: &BackoffEntry| e.until_ns.is_some_and(|u| u > inputs.now.0);
+        probes_at_1 += inc.checkpoint().backoffs.iter().filter(|e| e.node == 1 && live(e)).count();
+    }
+    assert!(probes_at_1 > 0, "node 1 never aborted a probe");
+}
+
+/// The entry pass writes each moved report row back into the carry as it
+/// goes, so a key change partway through leaves a half-written carry
+/// behind. Rows before the middle move value and the middle row swaps in
+/// another receiver (same node, same registry): that run must start cold
+/// and equal its twin, and the next one, over the same keys, must be warm
+/// and equal again — which it is only if the cold run rewrote every
+/// carried row.
+#[test]
+fn a_key_change_partway_through_the_report_pass_starts_cold() {
+    use scenarios::largetree::{balanced_session_tree, registry_for_leaves, reports_for_leaves};
+
+    let (tree, leaves) = balanced_session_tree(0, 4, 3);
+    let trees = vec![tree];
+    let spec = LayerSpec::paper_default();
+    let specs: Vec<&LayerSpec> = vec![&spec];
+    let registry = registry_for_leaves(0, &leaves);
+    let mut reports = reports_for_leaves(0, &leaves, 3, 5);
+    let mid = reports.len() / 2;
+
+    let mut full = AlgorithmState::new(Config::default(), 13);
+    let mut inc = AlgorithmState::new(Config::default(), 13);
+    for round in 1..=6u64 {
+        match round {
+            4 => {
+                reports[..mid].iter_mut().for_each(|r| r.bytes += 1_000);
+                reports[mid].receiver = AppId(9_999);
+            }
+            5 | 6 => reports[mid..].iter_mut().for_each(|r| r.bytes += 500),
+            _ => {}
+        }
+        let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
+        let a = full.run(&inputs);
+        let b = inc.run_incremental(&inputs);
+        assert_outputs_eq!(assert, a, b, format_args!("round {round}"));
+        assert_eq!(inc.audit(), Ok(()), "round {round}");
+        assert_eq!(b.incremental, round != 1 && round != 4, "round {round}");
     }
 }
 
