@@ -20,7 +20,6 @@ pub mod rlm;
 pub mod tfrc;
 
 pub use fixed::FixedReceiver;
-pub use oracle::optimal_levels;
 pub use rlm::RlmReceiver;
 pub use tfrc::TfrcReceiver;
 

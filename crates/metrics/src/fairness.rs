@@ -13,15 +13,6 @@ pub fn jain_index(shares: &[f64]) -> f64 {
     sum * sum / (shares.len() as f64 * sq)
 }
 
-/// Each party's fraction of the total.
-pub fn normalized_shares(values: &[f64]) -> Vec<f64> {
-    let total: f64 = values.iter().sum();
-    if total == 0.0 {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|&v| v / total).collect()
-}
-
 /// Max/min ratio of the shares (∞ when someone is starved while another
 /// party gets traffic).
 ///
@@ -73,12 +64,6 @@ mod tests {
     #[test]
     fn jain_all_zero_is_fair() {
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn normalized() {
-        assert_eq!(normalized_shares(&[1.0, 3.0]), vec![0.25, 0.75]);
-        assert_eq!(normalized_shares(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //!   `Σ_Δt |x_i(Δt) − y_i| · ‖Δt‖  /  Σ_Δt y_i · ‖Δt‖`.
 //! * [`stability`] — subscription-change counts and mean time between
 //!   changes (Figs. 6–7).
-//! * [`fairness`] — Jain's index and per-session shares (Fig. 8 support).
-//! * [`summary`] — small descriptive-statistics helpers.
-//! * [`timeseries`] — windowed stats, EWMA, and convergence-time
-//!   extraction for the ablation studies.
+//! * [`fairness`] — Jain's index and max/min share ratio (Fig. 8 support).
+//! * [`window_mean`] — the mean of `(time, value)` samples in a window.
 //! * [`recovery`] — post-fault recovery time (wall clock and controller
 //!   intervals) for the chaos scenarios.
 
@@ -20,13 +18,10 @@ pub mod fairness;
 pub mod recovery;
 pub mod stability;
 pub mod step;
-pub mod summary;
-pub mod timeseries;
+mod timeseries;
 
-pub use deviation::{mean_relative_deviation, relative_deviation};
+pub use deviation::relative_deviation;
 pub use fairness::{jain_index, max_min_ratio};
 pub use recovery::{intervals_to_recover, recovery_time};
-pub use stability::{change_count, mean_time_between_changes};
 pub use step::StepSeries;
-pub use summary::Summary;
-pub use timeseries::{convergence_time, ewma, window_mean};
+pub use timeseries::window_mean;

@@ -10,7 +10,7 @@ use netsim::SimTime;
 
 /// Number of subscription changes in `[start, end)`, excluding the initial
 /// join at or before `start` (joining the base layer is not a "change").
-pub fn change_count(series: &StepSeries, start: SimTime, end: SimTime) -> usize {
+fn change_count(series: &StepSeries, start: SimTime, end: SimTime) -> usize {
     series.changes_in(start, end)
 }
 
@@ -18,7 +18,7 @@ pub fn change_count(series: &StepSeries, start: SimTime, end: SimTime) -> usize 
 ///
 /// With fewer than two changes there is no gap to average; the window
 /// length is returned (the subscription was stable for the whole window).
-pub fn mean_time_between_changes(series: &StepSeries, start: SimTime, end: SimTime) -> f64 {
+fn mean_time_between_changes(series: &StepSeries, start: SimTime, end: SimTime) -> f64 {
     let times: Vec<SimTime> =
         series.points().map(|(t, _)| t).filter(|&t| t >= start && t < end).collect();
     if times.len() < 2 {

@@ -1,8 +1,5 @@
-//! Time-series utilities for experiment post-processing: windowed
-//! statistics over `(time, value)` samples, exponentially weighted moving
-//! averages, and convergence-time extraction.
+//! Windowed statistics over `(time, value)` samples.
 
-use crate::step::StepSeries;
 use netsim::SimTime;
 
 /// Mean of the samples falling in `[start, end)`; `None` when the window is
@@ -15,68 +12,6 @@ pub fn window_mean(series: &[(SimTime, f64)], start: SimTime, end: SimTime) -> O
     } else {
         Some(vals.iter().sum::<f64>() / vals.len() as f64)
     }
-}
-
-/// Largest sample value in `[start, end)`.
-pub fn window_max(series: &[(SimTime, f64)], start: SimTime, end: SimTime) -> Option<f64> {
-    series
-        .iter()
-        .filter(|&&(t, _)| t >= start && t < end)
-        .map(|&(_, v)| v)
-        .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-}
-
-/// Exponentially weighted moving average with new-sample weight `alpha`.
-pub fn ewma(series: &[(SimTime, f64)], alpha: f64) -> Vec<(SimTime, f64)> {
-    assert!((0.0..=1.0).contains(&alpha));
-    let mut out = Vec::with_capacity(series.len());
-    let mut acc: Option<f64> = None;
-    for &(t, v) in series {
-        let next = match acc {
-            None => v,
-            Some(a) => a * (1.0 - alpha) + v * alpha,
-        };
-        acc = Some(next);
-        out.push((t, next));
-    }
-    out
-}
-
-/// The earliest time after which the level series stays within
-/// `tolerance` of `target` for at least `hold` seconds — the
-/// convergence-time metric of the granularity/interval ablations.
-///
-/// Returns `None` when the series never settles.
-pub fn convergence_time(
-    series: &StepSeries,
-    target: f64,
-    tolerance: f64,
-    hold_secs: f64,
-    horizon: SimTime,
-) -> Option<SimTime> {
-    // Candidate settle points: every change point plus t=0.
-    let mut candidates: Vec<SimTime> = vec![SimTime::ZERO];
-    candidates.extend(series.points().map(|(t, _)| t));
-    for &start in &candidates {
-        if start >= horizon {
-            break;
-        }
-        let hold_end =
-            SimTime::from_secs_f64((start.as_secs_f64() + hold_secs).min(horizon.as_secs_f64()));
-        if hold_end.since(start).as_secs_f64() + 1e-9 < hold_secs {
-            // Not enough room before the horizon to prove the hold.
-            return None;
-        }
-        // The series must stay within tolerance across [start, hold_end):
-        // check the value at `start` and at every change inside the window.
-        let ok_at = |t: SimTime| (series.value_at(t) as f64 - target).abs() <= tolerance;
-        let all_ok = ok_at(start)
-            && series.points().filter(|&(t, _)| t > start && t < hold_end).all(|(t, _)| ok_at(t));
-        if all_ok {
-            return Some(start);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -95,52 +30,7 @@ mod tests {
     fn window_stats() {
         let s = series(&[(1, 1.0), (2, 2.0), (3, 3.0), (10, 100.0)]);
         assert_eq!(window_mean(&s, t(0), t(5)), Some(2.0));
-        assert_eq!(window_max(&s, t(0), t(5)), Some(3.0));
         assert_eq!(window_mean(&s, t(4), t(9)), None);
         assert_eq!(window_mean(&s, t(0), t(20)), Some(26.5));
-    }
-
-    #[test]
-    fn ewma_smooths() {
-        let s = series(&[(1, 0.0), (2, 1.0), (3, 1.0)]);
-        let e = ewma(&s, 0.5);
-        assert_eq!(e[0].1, 0.0);
-        assert_eq!(e[1].1, 0.5);
-        assert_eq!(e[2].1, 0.75);
-    }
-
-    #[test]
-    fn ewma_alpha_one_is_identity() {
-        let s = series(&[(1, 3.0), (2, 7.0)]);
-        let e = ewma(&s, 1.0);
-        assert_eq!(e[1].1, 7.0);
-    }
-
-    #[test]
-    fn convergence_found() {
-        // 0 until 10, then 2 until 20, then 4 forever.
-        let mut s = StepSeries::new();
-        s.push(t(10), 2);
-        s.push(t(20), 4);
-        let ct = convergence_time(&s, 4.0, 0.5, 30.0, t(100)).unwrap();
-        assert_eq!(ct, t(20));
-    }
-
-    #[test]
-    fn convergence_requires_holding() {
-        // Bounces between 4 and 1 every 5 s: never holds 30 s.
-        let mut s = StepSeries::new();
-        for k in 0..20 {
-            s.push(t(5 * k), if k % 2 == 0 { 4 } else { 1 });
-        }
-        assert_eq!(convergence_time(&s, 4.0, 0.5, 30.0, t(100)), None);
-    }
-
-    #[test]
-    fn convergence_near_horizon_needs_room() {
-        let mut s = StepSeries::new();
-        s.push(t(95), 4);
-        // Only 5 s left before the horizon: cannot prove a 30 s hold.
-        assert_eq!(convergence_time(&s, 4.0, 0.5, 30.0, t(100)), None);
     }
 }

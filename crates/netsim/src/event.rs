@@ -427,6 +427,7 @@ impl CalendarWheel {
     }
 
     /// O(pending) scan for the earliest time; diagnostics only.
+    #[cfg(test)]
     fn peek_time(&self) -> Option<SimTime> {
         self.slots.iter().flatten().chain(self.overflow.iter()).map(|e| e.time).min()
     }
@@ -502,7 +503,7 @@ impl EventQueue {
     /// Pop the earliest event iff it fires at or before `deadline` — a
     /// single queue access on the run loop's hot path instead of
     /// peek-then-pop. Events past the deadline stay pending.
-    pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Event)> {
+    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Event)> {
         self.pop_due_seq(deadline).map(|(time, _, event)| (time, event))
     }
 
@@ -532,7 +533,8 @@ impl EventQueue {
 
     /// The time of the earliest pending event. O(1) on the heap backend,
     /// O(pending) on the wheel — diagnostics, not the run loop.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    fn peek_time(&self) -> Option<SimTime> {
         match &self.backing {
             Backing::Wheel(w) => w.peek_time(),
             Backing::Heap(h) => h.peek().map(|e| e.time),

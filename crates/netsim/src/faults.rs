@@ -180,7 +180,8 @@ impl FaultPlan {
     }
 
     /// The instant the last scheduled fault fires (heal time of the plan).
-    pub fn last_event_time(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    fn last_event_time(&self) -> Option<SimTime> {
         self.events.iter().map(|&(t, _)| t).max()
     }
 }

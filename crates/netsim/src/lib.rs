@@ -44,18 +44,17 @@ pub mod time;
 pub mod trace;
 
 pub use app::{App, AppId, Ctx};
-pub use event::{Event, EventQueue, QueueBackend, WheelStats};
+pub use event::{Event, EventQueue, QueueBackend};
 pub use faults::{FaultKind, FaultPlan};
-pub use link::{DirLinkId, Link, LinkConfig, LinkStats, QueueDiscipline, QueuedPacket};
-pub use multicast::{GroupId, GroupSnapshot, MulticastConfig, TreeOp};
-pub use node::{Node, NodeId, Routing};
-pub use packet::{ControlBody, Dest, Packet, PacketId, PacketSlab, Payload, SessionId};
+pub use link::{DirLinkId, LinkConfig, LinkStats, QueueDiscipline};
+pub use multicast::{GroupId, GroupSnapshot, MulticastConfig};
+pub use node::NodeId;
+pub use packet::{ControlBody, Packet, SessionId};
 pub use rng::{derive_stream_seed, RngStream};
 pub use shard::{RelayApp, ShardedSim};
 pub use sim::{NetworkBuilder, SimConfig, SimProfile, Simulator};
 pub use stats::{LossWindow, SeqTracker};
 pub use time::{SimDuration, SimTime};
-pub use trace::{DropReason, TraceEvent, TraceLog};
 
 /// Hint the CPU to pull every cache line `*r` overlaps into L1. The run loop
 /// issues this for the links the wheel's draining slot says the next few

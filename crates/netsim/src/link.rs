@@ -84,7 +84,8 @@ impl LinkConfig {
     }
 
     /// Override the overflow discipline.
-    pub fn with_discipline(mut self, discipline: QueueDiscipline) -> Self {
+    #[cfg(test)]
+    fn with_discipline(mut self, discipline: QueueDiscipline) -> Self {
         self.discipline = discipline;
         self
     }
@@ -129,7 +130,8 @@ impl LinkStats {
     }
 
     /// Fraction of offered packets that were dropped.
-    pub fn drop_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn drop_rate(&self) -> f64 {
         if self.offered_packets == 0 {
             0.0
         } else {
@@ -401,22 +403,26 @@ impl Link {
     }
 
     /// Packets currently crossing the wire.
-    pub fn wire_len(&self) -> usize {
+    #[cfg(test)]
+    fn wire_len(&self) -> usize {
         self.wire.len()
     }
 
     /// Packets currently waiting (excluding the one in transmission).
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
     /// True if the transmitter is serializing a packet.
-    pub fn is_busy(&self) -> bool {
+    #[cfg(test)]
+    fn is_busy(&self) -> bool {
         self.in_flight.is_some()
     }
 
     /// Average utilization over `[start, now]` from cumulative counters.
-    pub fn utilization(&self, start: SimTime, now: SimTime) -> f64 {
+    #[cfg(test)]
+    fn utilization(&self, start: SimTime, now: SimTime) -> f64 {
         let secs = now.since(start).as_secs_f64();
         if secs <= 0.0 {
             return 0.0;

@@ -200,7 +200,8 @@ impl MulticastState {
     }
 
     /// Whether a directed link currently carries `group`.
-    pub fn is_active(&self, group: GroupId, link: DirLinkId) -> bool {
+    #[cfg(test)]
+    fn is_active(&self, group: GroupId, link: DirLinkId) -> bool {
         bit_get(&self.groups[group.0 as usize].active_bits, link.0 as usize)
     }
 

@@ -259,7 +259,8 @@ impl Routing {
     }
 
     /// Whether the compact tree representation is in use (diagnostics).
-    pub fn is_tree(&self) -> bool {
+    #[cfg(test)]
+    fn is_tree(&self) -> bool {
         matches!(self.backing, Backing::Tree(_))
     }
 

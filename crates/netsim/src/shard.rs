@@ -131,7 +131,7 @@ impl ShardedSim {
     /// of `src_shard` is captured and injected at `dest_node` of
     /// `dest_shard`, `delay` after its capture time. The runner owns the
     /// mailbox and installs the capturing app on `stub` itself, so this must
-    /// come before the run starts — [`Self::shard_mut`]'s assert is the only
+    /// come before the run starts — `shard_mut`'s assert is the only
     /// guard that needs. `delay` must be positive — it is the lookahead that
     /// makes conservative sync correct; the epoch length becomes the minimum
     /// delay over all handoffs.
@@ -178,7 +178,7 @@ impl ShardedSim {
     }
 
     /// Mutably borrow one shard (setup: apps, groups, faults).
-    pub fn shard_mut(&mut self, i: usize) -> &mut Simulator {
+    fn shard_mut(&mut self, i: usize) -> &mut Simulator {
         assert!(self.clock == SimTime::ZERO, "shards must be configured before the run starts");
         &mut self.shards[i]
     }

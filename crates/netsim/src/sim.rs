@@ -1044,7 +1044,7 @@ mod tests {
         mod parking_lot_free {
             use std::sync::Mutex;
             #[derive(Default)]
-            pub struct Cell(pub Mutex<Vec<u64>>);
+            pub(crate) struct Cell(pub Mutex<Vec<u64>>);
         }
         impl App for TimerApp {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {

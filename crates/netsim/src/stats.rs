@@ -96,12 +96,14 @@ impl SeqTracker {
     }
 
     /// Peek at the running window without resetting.
-    pub fn current_window(&self) -> LossWindow {
+    #[cfg(test)]
+    fn current_window(&self) -> LossWindow {
         self.window
     }
 
     /// Cumulative counters over all harvested windows.
-    pub fn lifetime(&self) -> LossWindow {
+    #[cfg(test)]
+    fn lifetime(&self) -> LossWindow {
         self.total.merge(&self.window)
     }
 

@@ -22,9 +22,9 @@ pub struct SimTime(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
-pub const NANOS_PER_MICRO: u64 = 1_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_MILLI: u64 = 1_000_000;
+const NANOS_PER_MICRO: u64 = 1_000;
 
 impl SimTime {
     /// The origin of simulated time.

@@ -196,7 +196,7 @@ pub struct Table {
 impl Table {
     /// The one text rendering: a markdown table with every column padded to
     /// its widest cell, so it reads aligned as plain text too.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let width = |c: usize| {
             let cells =
                 std::iter::once(&self.header).chain(&self.rows).map(|r| r[c].chars().count());
@@ -354,7 +354,7 @@ impl CampaignReport {
     }
 
     /// The per-campaign markdown artifact (same determinism contract).
-    pub fn to_markdown(&self) -> String {
+    fn to_markdown(&self) -> String {
         use std::fmt::Write;
         let mut md = String::new();
         writeln!(md, "# Campaign `{}` — profile `{}`", self.name, self.profile.label()).unwrap();

@@ -93,7 +93,7 @@ pub fn partial_discovery_outage(seed: u64) -> (Scenario, SimTime) {
 ///   ctl ----/    \---- [600] lan1 -- 2 receivers
 ///   ctl2 ---/
 /// ```
-pub fn failover_topo() -> TopoSpec {
+fn failover_topo() -> TopoSpec {
     let fat = || LinkConfig::kbps(100_000.0).with_delay(LATENCY);
     let thin = |kbps: f64| LinkConfig::kbps(kbps).with_delay(LATENCY);
     let mut s = TopoSpec::new("failover-a");

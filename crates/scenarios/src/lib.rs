@@ -35,5 +35,4 @@ pub mod largetree;
 pub mod paper;
 pub mod runner;
 
-pub use campaign::{CampaignReport, CampaignSpec, Gate, GateStatus, Profile, RunRecord};
 pub use runner::{run, ControlMode, ReceiverOutcome, Scenario, ScenarioResult, SpecFault};

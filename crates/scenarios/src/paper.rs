@@ -25,7 +25,7 @@ use toposense::{decision, Action, Config, NodeKind, SupplyWindow};
 use traffic::TrafficModel;
 
 /// Table rows and gates: what a figure's judge makes of its results.
-pub type Judged = (Vec<Vec<String>>, Vec<Gate>);
+type Judged = (Vec<Vec<String>>, Vec<Gate>);
 
 /// Every figure (or table, or §V ablation) of the paper's evaluation at the
 /// profile's size, in the paper's order, as the cells of seed ordinal
@@ -112,13 +112,13 @@ pub(crate) struct Size {
 }
 
 impl Size {
-    pub fn new(secs: u64, xs: &'static [u64]) -> Size {
+    pub(crate) fn new(secs: u64, xs: &'static [u64]) -> Size {
         Size { secs, xs, ages: &[] }
     }
-    pub fn secs(secs: u64) -> Size {
+    pub(crate) fn secs(secs: u64) -> Size {
         Size::new(secs, &[])
     }
-    pub fn counts(&self) -> Vec<usize> {
+    pub(crate) fn counts(&self) -> Vec<usize> {
         self.xs.iter().map(|&x| x as usize).collect()
     }
 }
@@ -149,19 +149,19 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         SimDuration::from_secs(self.size.secs)
     }
 
     /// A scenario under this slot's seed, config and duration.
-    pub fn scenario(&self, topo: TopoSpec, traffic: TrafficModel) -> Scenario {
+    pub(crate) fn scenario(&self, topo: TopoSpec, traffic: TrafficModel) -> Scenario {
         Scenario::new(topo, traffic, self.seed).with_config(self.cfg).with_duration(self.duration())
     }
 
     /// The campaign cell of the figure in this slot: `claim` is the paper's
     /// sentence it answers, `judge` turns the results of `scenarios` (same
     /// order) into the rows under `header` and the gates.
-    pub fn figure<H: ToString>(
+    pub(crate) fn figure<H: ToString>(
         self,
         claim: &'static str,
         header: &[H],

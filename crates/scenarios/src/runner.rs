@@ -296,7 +296,7 @@ impl ScenarioResult {
     /// (the quantity Figs. 8 and 10 plot). `None` when nothing is there
     /// to average: the scenario had no receivers, the window is empty, or
     /// every receiver's optimum is zero (undefined receivers are skipped,
-    /// mirroring [`metrics::mean_relative_deviation`]).
+    /// mirroring [`metrics::deviation::mean_relative_deviation`]).
     pub fn mean_relative_deviation(&self, start: SimTime, end: SimTime) -> Option<f64> {
         let vals: Vec<f64> =
             self.receivers.iter().filter_map(|r| r.relative_deviation(start, end)).collect();

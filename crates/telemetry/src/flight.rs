@@ -30,11 +30,11 @@ mod kind {
         "border_fold",
     ];
 
-    pub fn to_json(kind: &&'static str) -> Value {
+    pub(crate) fn to_json(kind: &&'static str) -> Value {
         kind.to_json()
     }
 
-    pub fn from_json(v: &Value) -> Result<&'static str, String> {
+    pub(crate) fn from_json(v: &Value) -> Result<&'static str, String> {
         let kind = String::from_json(v)?;
         let known = KINDS.iter().find(|k| **k == kind).copied();
         known.ok_or_else(|| format!("unknown occurrence kind '{kind}'"))

@@ -32,15 +32,16 @@ pub mod sink;
 pub mod timers;
 
 pub use blackbox::{Blackbox, BLACKBOX_SCHEMA};
-pub use causal::{Chain, Hop};
-pub use counters::Counters;
 pub use flight::{FlightRecorder, Occurrence};
 pub use record::{
     BottleneckNode, CapacityLink, CongestionNode, IntervalAudit, Record, SessionNodes,
     SharingEntry, StageBody, SubscriptionNode, TimerStat, SCHEMA_VERSION,
 };
-pub use sink::{JsonlFileSink, MemorySink, Sink};
-pub use timers::{Span, StageTimers};
+pub use timers::Span;
+
+use counters::Counters;
+use sink::{JsonlFileSink, MemorySink, Sink};
+use timers::StageTimers;
 
 use std::sync::{Arc, Mutex};
 
@@ -85,7 +86,7 @@ impl Telemetry {
     }
 
     /// Enabled handle writing records into the given sink.
-    pub fn with_sink(sink: Box<dyn Sink>) -> Self {
+    fn with_sink(sink: Box<dyn Sink>) -> Self {
         Telemetry(Some(Arc::new(Inner {
             sink: Mutex::new(Some(sink)),
             counters: Mutex::new(Counters::default()),
@@ -151,7 +152,7 @@ impl Telemetry {
     }
 
     /// Per-stage timer statistics, sorted by stage name.
-    pub fn timers_snapshot(&self) -> Vec<TimerStat> {
+    fn timers_snapshot(&self) -> Vec<TimerStat> {
         match &self.0 {
             Some(inner) => inner.timers.lock().unwrap().snapshot(),
             None => Vec::new(),

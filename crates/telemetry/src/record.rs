@@ -31,11 +31,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 mod bandwidth {
     use serde_json::{FromJson, ToJson, Value};
 
-    pub fn to_json(bps: &f64) -> Value {
+    pub(crate) fn to_json(bps: &f64) -> Value {
         bps.is_finite().then_some(*bps).to_json()
     }
 
-    pub fn from_json(v: &Value) -> Result<f64, String> {
+    pub(crate) fn from_json(v: &Value) -> Result<f64, String> {
         Ok(Option::from_json(v)?.unwrap_or(f64::INFINITY))
     }
 }
@@ -45,11 +45,11 @@ mod bandwidth {
 pub(crate) mod counter_map {
     use serde_json::{FromJson, ToJson, Value};
 
-    pub fn to_json(entries: &[(String, u64)]) -> Value {
+    pub(crate) fn to_json(entries: &[(String, u64)]) -> Value {
         Value::Object(entries.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
     }
 
-    pub fn from_json(v: &Value) -> Result<Vec<(String, u64)>, String> {
+    pub(crate) fn from_json(v: &Value) -> Result<Vec<(String, u64)>, String> {
         let entries = v.as_object().ok_or("expected an object")?;
         let entry = |(k, n): &(String, Value)| match u64::from_json(n) {
             Ok(n) => Ok((k.clone(), n)),

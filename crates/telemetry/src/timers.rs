@@ -58,14 +58,6 @@ impl Histogram {
         self.buckets.iter().map(|(p, c)| (*p, *c)).collect()
     }
 
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
     /// Approximate percentile (`0.0..=100.0`) from the log2 buckets: the
     /// upper bound of the bucket holding the `p`-th sample. `None` on an
     /// empty histogram — there is no sample to name.
@@ -161,7 +153,6 @@ mod tests {
         assert_eq!(h.max_ns, 1025);
         // 0,1 -> pow 0; 2,3 -> pow 1; 4 -> pow 2; 1024,1025 -> pow 10.
         assert_eq!(h.buckets(), vec![(0, 2), (1, 2), (2, 1), (10, 2)]);
-        assert!((h.mean_ns() - 2059.0 / 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl TopologyView {
     /// removed, modelling a discovery pass that could not reach part of the
     /// domain. Implemented as a restriction to the reachable remainder, so
     /// roots inside a hidden subtree are re-based exactly as for domains.
-    pub fn without_nodes(&self, hidden: &[NodeId]) -> TopologyView {
+    fn without_nodes(&self, hidden: &[NodeId]) -> TopologyView {
         let mut domain = self.known_nodes();
         for n in hidden {
             domain.remove(n);
@@ -313,13 +313,13 @@ impl DiscoveryTool {
     ///
     /// Returns `None` when the tool has not been running long enough —
     /// early in a session even a perfect tool has produced nothing yet.
-    pub fn query(&self, now: SimTime) -> Option<&TopologyView> {
+    fn query(&self, now: SimTime) -> Option<&TopologyView> {
         let cutoff = now.saturating_sub(self.staleness);
         self.history.iter().rev().find(|v| v.time <= cutoff)
     }
 
-    /// Like [`DiscoveryTool::query`], but honouring the scheduled failure
-    /// windows.
+    /// The newest snapshot taken at or before `now - staleness`, honouring
+    /// the scheduled failure windows.
     ///
     /// `Ok(None)` still means a cold start (nothing captured yet);
     /// `Err(Unavailable)` means the tool itself is down right now; and
@@ -344,7 +344,8 @@ impl DiscoveryTool {
     }
 
     /// Number of archived snapshots.
-    pub fn history_len(&self) -> usize {
+    #[cfg(test)]
+    fn history_len(&self) -> usize {
         self.history.len()
     }
 }

@@ -37,7 +37,7 @@ fn thin(kbps: f64) -> LinkConfig {
 ///
 /// With the defaults (`cap_a = 150`, `cap_b = 600`) the optimal subscription
 /// is 2 layers (96 kb/s) for set A and 4 layers (480 kb/s) for set B.
-pub fn topology_a(receivers_per_set: usize, cap_a_kbps: f64, cap_b_kbps: f64) -> TopoSpec {
+fn topology_a(receivers_per_set: usize, cap_a_kbps: f64, cap_b_kbps: f64) -> TopoSpec {
     assert!(receivers_per_set >= 1);
     let mut s = TopoSpec::new(format!("topology-a/{receivers_per_set}"));
     let src = s.node("src", vec![NodeRole::Source { session: 0 }, NodeRole::Controller]);

@@ -22,7 +22,6 @@ pub mod session_tree;
 pub mod spec;
 pub mod tree;
 
-pub use discovery::{DiscoveryTool, LinkView, SnapshotError, TopologyView};
 pub use session_tree::SessionTree;
-pub use spec::{LinkSpec, NodeRole, TopoSpec};
+pub use spec::{NodeRole, TopoSpec};
 pub use tree::{DirtySet, SlotQueue, Tree};

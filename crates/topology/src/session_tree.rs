@@ -101,7 +101,8 @@ impl SessionTree {
     }
 
     /// Highest layer crossing the edge into `node` (`None` for the root).
-    pub fn max_layer_into(&self, node: NodeId) -> Option<u8> {
+    #[cfg(test)]
+    fn max_layer_into(&self, node: NodeId) -> Option<u8> {
         let s = self.0.tree.slot_of(node)?;
         (s != 0).then(|| self.0.max_layer_in[s])
     }

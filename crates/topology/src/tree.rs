@@ -264,21 +264,6 @@ impl Tree {
         false
     }
 
-    /// Lowest common ancestor of two nodes (both must be in the tree).
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let path_a = self.path_from_root(a);
-        let path_b = self.path_from_root(b);
-        let mut last = self.root;
-        for (&x, &y) in path_a.iter().zip(path_b.iter()) {
-            if x == y {
-                last = x;
-            } else {
-                break;
-            }
-        }
-        last
-    }
-
     /// Structural equality over the dense layout: same root, same BFS
     /// order, same CSR child index. Two trees that compare equal here have
     /// identical slot assignments, so per-slot caches built against one
@@ -307,21 +292,6 @@ impl Tree {
                 None => return,
             }
         }
-    }
-
-    /// Graphviz DOT rendering (debugging aid); `label` decorates each node.
-    pub fn to_dot(&self, mut label: impl FnMut(NodeId) -> String) -> String {
-        let mut out = String::from("digraph tree {\n  rankdir=TB;\n");
-        for n in self.top_down() {
-            out.push_str(&format!("  n{} [label=\"{}\"];\n", n.0, label(n)));
-        }
-        for n in self.top_down() {
-            if let Some(p) = self.parent(n) {
-                out.push_str(&format!("  n{} -> n{};\n", p.0, n.0));
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -540,26 +510,6 @@ mod tests {
     fn error_disconnected() {
         let e = Tree::from_edges(n(0), &[(n(0), n(1)), (n(5), n(6))]);
         assert_eq!(e.unwrap_err(), TreeError::Disconnected(n(6)));
-    }
-
-    #[test]
-    fn lca_queries() {
-        let t = fig1();
-        assert_eq!(t.lca(n(3), n(4)), n(2));
-        assert_eq!(t.lca(n(3), n(5)), n(1));
-        assert_eq!(t.lca(n(0), n(4)), n(0));
-        assert_eq!(t.lca(n(4), n(4)), n(4));
-    }
-
-    #[test]
-    fn dot_rendering_contains_every_edge() {
-        let t = fig1();
-        let dot = t.to_dot(|n| format!("node{}", n.0));
-        assert!(dot.starts_with("digraph tree {"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.contains("n2 -> n4;"));
-        assert!(dot.contains("[label=\"node5\"]"));
-        assert_eq!(dot.matches("->").count(), 5);
     }
 
     #[test]

@@ -401,8 +401,9 @@ impl AlgorithmState {
         self.runs
     }
 
-    /// Current capacity estimate for a link (diagnostics / tests).
-    pub fn capacity_estimate(&self, link: DirLinkId) -> Option<f64> {
+    /// Current capacity estimate for a link.
+    #[cfg(test)]
+    fn capacity_estimate(&self, link: DirLinkId) -> Option<f64> {
         self.estimator.capacity(link)
     }
 

@@ -49,7 +49,7 @@ pub const SCHEMA: &str = "toposense.border.v1";
 /// Synthetic receivers the parent aggregator stations at gateway nodes
 /// live in this reserved high `AppId` range (`BORDER_APP_BASE + domain`),
 /// far above any real receiver id a scenario mints.
-pub const BORDER_APP_BASE: u32 = 0xF000_0000;
+const BORDER_APP_BASE: u32 = 0xF000_0000;
 
 wire! {
     /// One domain's per-interval digest of its border state: what the parent

@@ -45,7 +45,8 @@ impl CongestionHistory {
     }
 
     /// Congestion state two intervals ago, `T0` (bit 2).
-    pub fn prev2(self) -> bool {
+    #[cfg(test)]
+    fn prev2(self) -> bool {
         self.0 & 0b100 != 0
     }
 }

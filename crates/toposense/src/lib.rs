@@ -44,13 +44,12 @@ pub mod replication;
 pub mod stages;
 pub mod sync;
 
-pub use algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
+pub use algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
 pub use checkpoint::Snapshot;
 pub use config::Config;
-pub use controller::{Controller, ControllerShared};
+pub use controller::Controller;
 pub use decision::{Action, NodeKind, SupplyWindow};
-pub use federation::{BorderSummary, Domain, Federation, FederationInterval};
-pub use history::{BwEquality, CongestionHistory, BW_EQUAL_TOLERANCE};
-pub use receiver::{Receiver, ReceiverShared};
-pub use replication::{fingerprint_outputs, AckVerdict, Cluster, ReplicaTracker};
-pub use sync::lock_or_recover;
+pub use federation::BorderSummary;
+pub use history::BW_EQUAL_TOLERANCE;
+pub use receiver::Receiver;
+pub use replication::fingerprint_outputs;

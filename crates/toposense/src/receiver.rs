@@ -185,7 +185,7 @@ impl Subscriber {
     /// network lost the grafts (a router crash wipes group state).
     /// Idempotent — on a healthy tree it grafts nothing and costs no wire
     /// traffic.
-    pub fn rejoin(&mut self, ctx: &mut Ctx<'_>) {
+    fn rejoin(&mut self, ctx: &mut Ctx<'_>) {
         for layer in 0..self.level {
             ctx.join(self.def.group_of_layer(layer));
             self.rebaseline(layer);

@@ -289,7 +289,7 @@ impl Cluster {
 
     /// Promote the smallest-id live, unquarantined, in-sync replica —
     /// the deterministic view-change rule.
-    pub fn promote(&mut self) {
+    fn promote(&mut self) {
         self.view_changes += 1;
         let next = self
             .replicas

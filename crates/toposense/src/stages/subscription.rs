@@ -131,7 +131,7 @@ impl BackoffTable {
     }
 
     /// Is subscribing `level` blocked at `node` (checking ancestors too)?
-    /// The `NodeId`-keyed oracle of [`BlockedView`]: the driver and
+    /// The `NodeId`-keyed oracle of the dense `BlockedView`: the driver and
     /// [`Buffers::step`] test one bit of the view instead of walking.
     pub fn blocked(&self, tree: &SessionTree, node: NodeId, level: u8, now: SimTime) -> bool {
         if self.until.is_empty() {
@@ -172,7 +172,7 @@ impl BackoffTable {
     /// node, and levels above `max_level` are never asked about, so both
     /// are skipped. The buffer is reused; an empty table leaves it empty
     /// and costs no pass.
-    pub fn fill_blocked(
+    pub(crate) fn fill_blocked(
         &self,
         tree: &SessionTree,
         max_level: u8,
@@ -262,7 +262,7 @@ impl BackoffTable {
 /// leaf below it has already decided (a leaf arming at itself does so
 /// after its own query, in a different Table I branch).
 #[derive(Clone, Debug, Default)]
-pub struct BlockedView {
+pub(crate) struct BlockedView {
     words: usize,
     /// `slots x words` bit rows; empty when the table held no timer.
     bits: Vec<u64>,
@@ -271,7 +271,7 @@ pub struct BlockedView {
 impl BlockedView {
     /// Is subscribing `level` (at most the `max_level` the view was filled
     /// for) blocked at `slot`?
-    pub fn blocked(&self, slot: usize, level: u8) -> bool {
+    pub(crate) fn blocked(&self, slot: usize, level: u8) -> bool {
         let l = level as usize;
         debug_assert!(l / 64 < self.words, "level {level} beyond the view's rows");
         self.bits.get(slot * self.words + l / 64).is_some_and(|w| w >> (l % 64) & 1 != 0)

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// Marker payload carried by flood packets (receivers ignore it).
 #[derive(Debug)]
-pub struct FloodPayload;
+struct FloodPayload;
 
 /// A periodic on/off unicast CBR flooder.
 pub struct OnOffFlood {

@@ -55,7 +55,7 @@ impl LayerSpec {
     }
 
     /// Rate of layer `k` (0-based) in bits/s.
-    pub fn layer_rate(&self, k: u8) -> f64 {
+    fn layer_rate(&self, k: u8) -> f64 {
         self.rates_bps[k as usize]
     }
 

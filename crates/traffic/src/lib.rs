@@ -26,7 +26,7 @@ pub mod source;
 
 pub use layers::LayerSpec;
 pub use model::TrafficModel;
-pub use session::{SessionCatalog, SessionDef};
+pub use session::SessionCatalog;
 pub use source::LayeredSource;
 
 /// The paper's packet size: 1000 bytes.

@@ -71,7 +71,8 @@ impl SessionCatalog {
     }
 
     /// Find which `(session, layer)` a group carries.
-    pub fn locate_group(&self, g: GroupId) -> Option<(SessionId, u8)> {
+    #[cfg(test)]
+    fn locate_group(&self, g: GroupId) -> Option<(SessionId, u8)> {
         for s in &self.sessions {
             if let Some(k) = s.groups.iter().position(|&x| x == g) {
                 return Some((s.id, k as u8));

@@ -36,9 +36,6 @@ pub struct LayeredSource {
     rngs: Vec<RngStream>,
     /// Per-layer media sequence numbers.
     seqs: Vec<u64>,
-    /// Per-layer packets remaining in the current frame (for diagnostics).
-    sent_packets: u64,
-    sent_bytes: u64,
 }
 
 impl LayeredSource {
@@ -47,17 +44,7 @@ impl LayeredSource {
         let rngs = (0..layers)
             .map(|k| RngStream::derive_sub(seed, &format!("source/{}", def.id.0), k as u64))
             .collect();
-        LayeredSource { def, model, rngs, seqs: vec![0; layers], sent_packets: 0, sent_bytes: 0 }
-    }
-
-    /// Total media packets emitted so far.
-    pub fn sent_packets(&self) -> u64 {
-        self.sent_packets
-    }
-
-    /// Total media bytes emitted so far.
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
+        LayeredSource { def, model, rngs, seqs: vec![0; layers] }
     }
 
     fn start_frame(&mut self, ctx: &mut Ctx<'_>, layer: u8) {
@@ -78,8 +65,6 @@ impl LayeredSource {
     fn emit(&mut self, ctx: &mut Ctx<'_>, layer: u8) {
         let seq = self.seqs[layer as usize];
         self.seqs[layer as usize] += 1;
-        self.sent_packets += 1;
-        self.sent_bytes += PACKET_SIZE as u64;
         ctx.send_media(self.def.group_of_layer(layer), self.def.id, layer, seq, PACKET_SIZE);
     }
 }

@@ -11,9 +11,10 @@
 //! The artifacts are byte-identical across reruns with the same seed-index.
 //!
 //! Exit codes: `0` all gates passed (skips allowed, each with a logged
-//! reason), `2` at least one gate failed, `3` coverage-cap audit failure —
-//! the profile truncated the matrix without recording it in the artifact
-//! (the `SILENT-CAP` line below is what CI greps for).
+//! reason), `1` malformed arguments (usage printed) or unwritable artifacts,
+//! `2` at least one gate failed, `3` coverage-cap audit failure — the
+//! profile truncated the matrix without recording it in the artifact (the
+//! `SILENT-CAP` line below is what CI greps for).
 
 use scenarios::campaign::{self, CampaignSpec, GateStatus, Profile};
 use std::path::PathBuf;
@@ -28,16 +29,15 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--smoke" => profile = Profile::Smoke,
             "--full" => profile = Profile::Full,
-            "--seed-index" => {
-                let v = args.next().expect("--seed-index needs a value");
-                seed_index = v.parse().expect("--seed-index must be a u64");
-            }
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out needs a path"))),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: campaign [--smoke|--full] [--seed-index N] [--out DIR]");
-                return ExitCode::from(1);
-            }
+            "--seed-index" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(v) => seed_index = v,
+                None => return usage("--seed-index needs a u64 value"),
+            },
+            "--out" => match args.next() {
+                Some(dir) => out = Some(PathBuf::from(dir)),
+                None => return usage("--out needs a path"),
+            },
+            other => return usage(&format!("unknown argument: {other}")),
         }
     }
     let out = out.unwrap_or_else(|| PathBuf::from("target/campaign").join(profile.label()));
@@ -104,4 +104,11 @@ fn main() -> ExitCode {
         eprintln!("gate failure: {} gate(s) violated their bound", report.gates_failed());
         ExitCode::from(2)
     }
+}
+
+/// Report a malformed command line: the problem, the usage line, exit 1.
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("{problem}");
+    eprintln!("usage: campaign [--smoke|--full] [--seed-index N] [--out DIR]");
+    ExitCode::from(1)
 }

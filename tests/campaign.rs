@@ -265,3 +265,15 @@ fn broken_config_fails_gates() {
     assert!(flight_windows >= 1, "no red one-scenario cell under the broken config");
     assert!(red_figures >= 1, "no red multi-scenario figure under the broken config");
 }
+
+/// A malformed command line prints the usage line and exits 1, like an
+/// unknown argument does, instead of panicking.
+#[test]
+fn malformed_arguments_print_usage_and_exit_1() {
+    for args in [&["--seed-index"][..], &["--seed-index", "abc"], &["--out"]] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_campaign")).args(args).output();
+        let run = run.expect("campaign starts");
+        assert_eq!(run.status.code(), Some(1), "{args:?}");
+        assert!(String::from_utf8_lossy(&run.stderr).contains("usage: campaign"), "{args:?}");
+    }
+}

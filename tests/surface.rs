@@ -1,0 +1,150 @@
+//! Public-surface gate. Rule 1: every `pub` item in `crates/*/src` is named by another file.
+//! Rule 2: every crate-root re-export is used through that root outside the crate. Scans stop
+//! at a file's top-level `#[cfg(test)]`; `shims/*` mirror external APIs and are out of scope.
+
+use std::fs;
+
+fn load(rel: &str, out: &mut Vec<(String, String)>) {
+    let dir = fs::read_dir(format!("{}/{rel}", env!("CARGO_MANIFEST_DIR")));
+    for entry in dir.into_iter().flatten().flatten() {
+        let path = format!("{rel}/{}", entry.file_name().to_string_lossy());
+        if entry.path().is_dir() {
+            load(&path, out);
+        } else if path.ends_with(".rs") {
+            out.push((path, fs::read_to_string(entry.path()).expect("readable source")));
+        }
+    }
+}
+
+/// The numbered lines before the file's first top-level `#[cfg(test)]`.
+fn live(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().take_while(|(_, l)| !l.starts_with("#[cfg(test)]"))
+}
+
+/// True if `hay` contains `name` with no identifier character either side.
+fn mentions(hay: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    hay.match_indices(name)
+        .any(|(i, _)| !hay[..i].ends_with(ident) && !hay[i + name.len()..].starts_with(ident))
+}
+
+/// The text that can name an item: no comments, `mod` lines or `pub use`
+/// statements (a multi-line `pub use` runs to its `;`).
+fn refs(text: &str) -> String {
+    let mut in_use = false;
+    let keep = |l: &&str| {
+        let t = l.trim_start();
+        let skip = in_use || t.starts_with("pub use ");
+        in_use = skip && !t.contains(';');
+        !skip && !t.starts_with("//") && !t.starts_with("mod ") && !t.starts_with("pub mod ")
+    };
+    text.lines().filter(keep).collect::<Vec<_>>().join("\n")
+}
+
+/// `(kind, name)` of a `pub` item declared on this line.
+fn decl(line: &str) -> Option<(&str, &str)> {
+    let s = line.trim_start().strip_prefix("pub ")?;
+    let mut words = s.split(|c: char| !c.is_alphanumeric() && c != '_').filter(|w| !w.is_empty());
+    let (mut kind, mut name) = (words.next()?, words.next()?);
+    if name == "fn" {
+        (kind, name) = ("fn", words.next()?);
+    }
+    let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+    kinds.contains(&kind).then_some((kind, name))
+}
+
+/// The crate a path belongs to, if it is library source under `crates/`.
+fn krate(path: &str) -> Option<&str> {
+    let (name, tail) = path.strip_prefix("crates/")?.split_once('/')?;
+    tail.starts_with("src/").then_some(name)
+}
+
+/// True if a `pub` line of the crate, or a line of a multi-line `pub fn` up to
+/// its `{` or `;`, names the type: rustc's `private_interfaces` keeps it `pub`.
+fn in_signature(files: &[(&str, &str)], own: &str, kind: &str, name: &str) -> bool {
+    files.iter().filter(|(p, _)| krate(p) == Some(own)).any(|(_, text)| {
+        let mut open = false;
+        live(text).any(|(_, l)| {
+            let t = l.trim_start();
+            let public = t.starts_with("pub ") && !t.starts_with("pub use ");
+            let hit = (open || public) && decl(l) != Some((kind, name)) && mentions(l, name);
+            open = (open || public && t.contains("fn ")) && !t.contains('{') && !t.contains(';');
+            hit
+        })
+    })
+}
+
+/// True if some `krate::{…}` group in `text` names `name` at its top level.
+fn in_group(text: &str, krate: &str, name: &str) -> bool {
+    text.split(&format!("{krate}::{{")).skip(1).any(|group| {
+        let (mut depth, mut top) = (0, String::new());
+        for c in group.chars() {
+            depth += (c == '{') as i32 - (c == '}') as i32;
+            match depth {
+                -1 => break,
+                0 if c != '}' => top.push(c),
+                _ => {}
+            }
+        }
+        top.split(',').any(|item| item.trim().split(" as ").next() == Some(name))
+    })
+}
+
+fn hits<S: AsRef<str>>(files: &[(S, S)]) -> Vec<String> {
+    let files: Vec<(&str, &str)> = files.iter().map(|(p, t)| (p.as_ref(), t.as_ref())).collect();
+    let named: Vec<(&str, String)> = files.iter().map(|&(p, t)| (p, refs(t))).collect();
+    let mut out = Vec::new();
+    for &(path, text) in &files {
+        let Some(own) = krate(path) else { continue };
+        for (n, line) in live(text) {
+            let Some((kind, name)) = decl(line) else { continue };
+            let used = named.iter().any(|(p, t)| *p != path && mentions(t, name));
+            let typed = matches!(kind, "struct" | "enum" | "type" | "trait");
+            if !(used || typed && in_signature(&files, own, kind, name)) {
+                out.push(format!("{path}:{}: pub {kind} {name}", n + 1));
+            }
+        }
+        let code = format!("\n{}", live(text).map(|(_, l)| l).collect::<Vec<_>>().join("\n"));
+        for (i, _) in code.match_indices("\npub use ").filter(|_| path.ends_with("/src/lib.rs")) {
+            let at = code[..=i].matches('\n').count();
+            let tree = code[i + 9..].split(';').next().unwrap_or("");
+            let leaves = tree.split(['{', '}', ',']).map(|l| l.trim().rsplit([' ', ':']).next());
+            for name in leaves.flatten().filter(|n| !matches!(*n, "" | "*" | "self")) {
+                let root = format!("{own}::{name}");
+                let mut outside = named.iter().filter(|(p, _)| krate(p) != Some(own));
+                if !outside.any(|(_, t)| mentions(t, &root) || in_group(t, own, name)) {
+                    out.push(format!("{path}:{at}: pub use {root}"));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_public_name_has_a_caller_outside_its_file() {
+    let mut files = Vec::new();
+    ["crates", "src", "tests", "examples", "perfbench/src"]
+        .iter()
+        .for_each(|d| load(d, &mut files));
+    let found = hits(&files);
+    assert!(found.is_empty(), "{} unused public names:\n{}", found.len(), found.join("\n"));
+}
+
+#[test]
+fn the_rules_flag_what_they_should_and_nothing_else() {
+    // A `pub fn` nothing else names, or names only in a comment or a `pub use`.
+    let lonely = ("crates/a/src/x.rs", "pub fn lonely() {}");
+    let hit = ["crates/a/src/x.rs:1: pub fn lonely"];
+    assert_eq!(hits(&[lonely]), hit);
+    assert_eq!(hits(&[lonely, ("tests/t.rs", "// lonely\npub use a::x::lonely;")]), hit);
+    // A type named only in the tail of another item's multi-line signature.
+    let out = ("crates/a/src/x.rs", "pub struct Out;\npub fn make(\n    n: u32,\n) -> Out {\n}");
+    assert!(hits(&[out, ("src/main.rs", "a::x::make(1);")]).is_empty());
+    // A re-export used only through its module path, then inside a group.
+    let root = ("crates/a/src/lib.rs", "pub mod m;\npub use m::Thing;");
+    let thing = ("crates/a/src/m.rs", "pub struct Thing;");
+    let hit = ["crates/a/src/lib.rs:2: pub use a::Thing"];
+    assert_eq!(hits(&[root, thing, ("tests/t.rs", "use a::m::Thing;")]), hit);
+    assert!(hits(&[root, thing, ("tests/t.rs", "use a::{\n    m,\n    Thing,\n};")]).is_empty());
+}
