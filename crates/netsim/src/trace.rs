@@ -57,37 +57,28 @@ impl TraceEvent {
 
 /// A bounded in-memory ring of the most recent trace events.
 pub struct TraceLog {
-    enabled: bool,
+    /// Events kept; 0 records nothing.
     cap: usize,
     events: Vec<TraceEvent>,
     /// Next slot to overwrite once the ring is full.
     head: usize,
-    overflowed: bool,
     dropped: u64,
 }
 
 impl TraceLog {
     /// A trace that records nothing.
     pub fn disabled() -> Self {
-        TraceLog {
-            enabled: false,
-            cap: 0,
-            events: Vec::new(),
-            head: 0,
-            overflowed: false,
-            dropped: 0,
-        }
+        Self::bounded(0)
     }
 
     /// A trace that keeps the most recent `cap` events; older ones are
     /// overwritten (and counted in [`TraceLog::dropped`]).
     pub fn bounded(cap: usize) -> Self {
-        TraceLog { enabled: true, cap, events: Vec::new(), head: 0, overflowed: false, dropped: 0 }
+        TraceLog { cap, events: Vec::new(), head: 0, dropped: 0 }
     }
 
     /// Enable recording on an existing log.
     pub fn enable(&mut self, cap: usize) {
-        self.enabled = true;
         self.cap = cap;
     }
 
@@ -104,7 +95,7 @@ impl TraceLog {
     }
 
     fn record(&mut self, ev: TraceEvent) {
-        if !self.enabled || self.cap == 0 {
+        if self.cap == 0 {
             return;
         }
         if self.events.len() < self.cap {
@@ -112,7 +103,6 @@ impl TraceLog {
         } else {
             self.events[self.head] = ev;
             self.head = (self.head + 1) % self.cap;
-            self.overflowed = true;
             self.dropped += 1;
         }
     }
@@ -123,11 +113,6 @@ impl TraceLog {
         out.extend_from_slice(&self.events[self.head..]);
         out.extend_from_slice(&self.events[..self.head]);
         out
-    }
-
-    /// True if old events were overwritten because the bound was hit.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
     }
 
     /// How many events were overwritten past the bound. An overflowed ring
@@ -165,7 +150,6 @@ mod tests {
         let mut t = TraceLog::disabled();
         t.drop(SimTime::ZERO, DirLinkId(0), 100, DropReason::QueueFull);
         assert!(t.events().is_empty());
-        assert!(!t.overflowed());
         assert_eq!(t.dropped(), 0);
     }
 
@@ -182,7 +166,6 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].time(), SimTime::from_secs(3));
         assert_eq!(evs[1].time(), SimTime::from_secs(4));
-        assert!(t.overflowed());
         assert_eq!(t.dropped(), 3, "every event rolled off the ring is counted");
     }
 
@@ -193,7 +176,6 @@ mod tests {
             t.drop(SimTime::from_secs(i), DirLinkId(0), 100, DropReason::QueueFull);
         }
         assert_eq!(t.events().len(), 2);
-        assert!(!t.overflowed());
         assert_eq!(t.dropped(), 0);
     }
 

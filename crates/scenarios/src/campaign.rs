@@ -68,7 +68,6 @@ use crate::runner::{self, ControlMode, Scenario, ScenarioResult};
 use metrics::{jain_index, max_min_ratio};
 use netsim::{derive_stream_seed, SimDuration, SimTime};
 use serde_json::{json, Value};
-use telemetry::Telemetry;
 use topology::generators;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmState};
 use traffic::{LayerSpec, TrafficModel};
@@ -472,9 +471,6 @@ pub struct CampaignSpec {
     /// Config override for every scenario-level cell — the hook the
     /// broken-config regression test uses to prove gates can fail.
     pub config_override: Option<toposense::Config>,
-    /// Campaign counters land here (`campaign.*` namespace); disabled by
-    /// default.
-    pub telemetry: Telemetry,
 }
 
 impl CampaignSpec {
@@ -488,17 +484,11 @@ impl CampaignSpec {
                 Profile::Full => 3,
             },
             config_override: None,
-            telemetry: Telemetry::disabled(),
         }
     }
 
     pub fn with_config_override(mut self, cfg: toposense::Config) -> Self {
         self.config_override = Some(cfg);
-        self
-    }
-
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -812,7 +802,6 @@ const FEDERATION_GW_KBPS: [f64; 3] = [150.0, 600.0, 1200.0];
 
 fn federation(spec: &CampaignSpec) -> Vec<Cell> {
     let ((p, cap), cfg) = (federation_params(spec.profile), spec.base_config());
-    let telemetry = spec.telemetry.clone();
     let axes = [
         ("topology", "federated balanced domains"),
         ("traffic", "report-level border oracle"),
@@ -821,7 +810,7 @@ fn federation(spec: &CampaignSpec) -> Vec<Cell> {
     ];
     let seeds = spec.seeds_per_cell;
     spec.driven("federation", "border-aggregation", cap, &axes, seeds, move |seed| {
-        run_federation(p, cfg, telemetry.clone(), seed)
+        run_federation(p, cfg, seed)
     })
 }
 
@@ -830,17 +819,12 @@ fn federation(spec: &CampaignSpec) -> Vec<Cell> {
 /// parent aggregator, caps handed back. Gates: every domain converges to
 /// its own border fit, the caps land within one probe layer of the fits,
 /// and no control interval overruns the paper's 2 s budget wall-clock.
-fn run_federation(
-    p: FederationParams,
-    cfg: toposense::Config,
-    telemetry: Telemetry,
-    seed: u64,
-) -> Verdict {
+fn run_federation(p: FederationParams, cfg: toposense::Config, seed: u64) -> Verdict {
     use toposense::federation::Federation;
     let layer_spec = LayerSpec::paper_default();
     let (domains, leaves) = largetree::federated_domains(p.domains, p.fanout, p.depth, cfg, seed);
     let receivers = p.domains * leaves.len();
-    let mut fed = Federation::new(cfg, seed, domains, layer_spec.clone()).with_telemetry(telemetry);
+    let mut fed = Federation::new(cfg, seed, domains, layer_spec.clone());
     let fits: Vec<u8> = (0..p.domains)
         .map(|d| {
             layer_spec.level_fitting(FEDERATION_GW_KBPS[d % FEDERATION_GW_KBPS.len()] * 1000.0)
@@ -1374,24 +1358,14 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     }
     blackboxes.sort_by(|a, b| a.0.cmp(&b.0));
 
-    let report = CampaignReport {
+    CampaignReport {
         name: spec.name.clone(),
         seed_index: spec.seed_index,
         profile: spec.profile,
         runs,
         coverage_caps: caps,
         blackboxes,
-    };
-    let tel = &spec.telemetry;
-    if tel.is_enabled() {
-        tel.set("campaign.runs", report.runs.len() as u64);
-        tel.set("campaign.gates_passed", report.gates_passed() as u64);
-        tel.set("campaign.gates_failed", report.gates_failed() as u64);
-        tel.set("campaign.gates_skipped", report.gates_skipped() as u64);
-        tel.set("campaign.coverage_caps", report.coverage_caps.len() as u64);
-        tel.set("campaign.blackboxes", report.blackboxes.len() as u64);
     }
-    report
 }
 
 /// The number of caps the active profile must record — the binary audits

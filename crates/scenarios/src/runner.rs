@@ -282,8 +282,6 @@ pub struct ScenarioResult {
     pub run_wall_ns: u64,
     /// Wall-clock spent harvesting stats afterwards (nanoseconds).
     pub harvest_wall_ns: u64,
-    /// True if the structured trace hit its bound and discarded events.
-    pub trace_overflowed: bool,
     /// How many trace events were discarded past the bound.
     pub trace_dropped: u64,
     /// The simulator's always-on profile: per-event-type counts, drop
@@ -603,7 +601,6 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
         setup_wall_ns,
         run_wall_ns,
         harvest_wall_ns,
-        trace_overflowed: sim.trace.overflowed(),
         trace_dropped: sim.trace.dropped(),
         profile: sim.profile(),
     }
@@ -663,7 +660,6 @@ mod tests {
             setup_wall_ns: 0,
             run_wall_ns: 0,
             harvest_wall_ns: 0,
-            trace_overflowed: false,
             trace_dropped: 0,
             profile: netsim::SimProfile::default(),
         };

@@ -28,16 +28,6 @@ impl Counters {
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         self.values.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
-
-    /// Fold another registry into this one, summing shared names. Campaign
-    /// runs use this to roll per-cell counters up into one `campaign.*`
-    /// snapshot; BTreeMap ordering keeps the merged result deterministic
-    /// regardless of merge order.
-    pub fn merge(&mut self, other: &Counters) {
-        for (name, value) in &other.values {
-            *self.values.entry(name.clone()).or_insert(0) += value;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -58,22 +48,5 @@ mod tests {
         let snap = c.snapshot();
         let names: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, ["a.early", "m.gauge", "z.late"]);
-    }
-
-    #[test]
-    fn merge_sums_shared_names_and_keeps_disjoint_ones() {
-        let mut a = Counters::default();
-        a.incr("campaign.gates_passed", 3);
-        a.incr("shared", 1);
-        let mut b = Counters::default();
-        b.incr("campaign.gates_failed", 2);
-        b.incr("shared", 4);
-        a.merge(&b);
-        assert_eq!(a.get("campaign.gates_passed"), 3);
-        assert_eq!(a.get("campaign.gates_failed"), 2);
-        assert_eq!(a.get("shared"), 5);
-        // Merging an empty registry is a no-op.
-        a.merge(&Counters::default());
-        assert_eq!(a.snapshot().len(), 3);
     }
 }

@@ -65,7 +65,7 @@ pub struct SuggestionOut {
 }
 
 /// One interval's outputs plus diagnostics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AlgorithmOutputs {
     pub suggestions: Vec<SuggestionOut>,
     /// Links with a finite capacity estimate after this run.
@@ -122,7 +122,7 @@ struct SessionScratch {
     max_handle: Vec<f64>,
     /// Stage 5's inputs, decisions and blocked-level view.
     stage5: subscription::Buffers,
-    /// Table I branch labels per tree slot (filled only when auditing).
+    /// Table I branch label of each slot's last decision.
     branches: Vec<&'static str>,
     /// How many slots of stage 1's states are congested, kept up to date
     /// as flags flip.
@@ -276,10 +276,6 @@ struct SessionCarry {
 #[derive(Debug, Default)]
 struct IncCache {
     valid: bool,
-    /// Whether `SessionScratch::branches` is current for every slot — an
-    /// audited incremental run reuses clean slots' cached labels, which is
-    /// only sound if the previous run filled them.
-    branches_valid: bool,
     interval: SimDuration,
     registry: Vec<(AppId, NodeId, SessionId)>,
     /// Per report: `(session index, slot)` it folds into, or
@@ -310,7 +306,8 @@ struct Changes {
     caps: Vec<DirLinkId>,
     /// Stage 4: sessions whose allowances were refreshed, ascending.
     refreshed: Vec<u32>,
-    /// Stage 2's audit events (a cold start's reset pass first).
+    /// Stage 2's estimator events (a cold start's reset pass first), in
+    /// the order they happened; only an audit reads them.
     cap_events: Vec<CapacityEvent>,
     /// Work buffers: stage 2's candidate links and observation run, and
     /// two slot-marking sets.
@@ -340,7 +337,21 @@ pub struct AlgorithmState {
     /// so a restored or promoted controller is reprimed before its next
     /// run (the determinism argument is in DESIGN.md §16).
     border_caps: Vec<(SessionId, u8)>,
+    /// The last run's wall spans, nanoseconds, in [`SPANS`] order. Only
+    /// an audit reads them.
+    stage_ns: [u64; 6],
 }
+
+/// The wall spans every run takes: the five stage steps, then the whole
+/// interval before its outputs are emitted.
+const SPANS: [&str; 6] = [
+    "stage1_congestion",
+    "stage2_capacity",
+    "stage3_bottleneck",
+    "stage4_sharing",
+    "stage5_subscription",
+    "interval",
+];
 
 impl AlgorithmState {
     pub fn new(cfg: Config, seed: u64) -> Self {
@@ -357,6 +368,7 @@ impl AlgorithmState {
             cache: IncCache::default(),
             changes: Changes::default(),
             border_caps: Vec::new(),
+            stage_ns: [0; 6],
         }
     }
 
@@ -420,8 +432,51 @@ impl AlgorithmState {
     /// changed since the previous interval. When the change cache cannot
     /// vouch for the inputs (see `Self::can_run_incremental`) the cache
     /// is primed from them and the same body runs over full work sets.
+    ///
+    /// The one interval body, watched or not: it always keeps what an
+    /// audit reads — each decided slot's Table I branch, stage 2's
+    /// estimator events and the wall span of each stage step and of the
+    /// whole interval — and nothing reads those back into a decision or a
+    /// checkpoint.
     pub fn run_incremental(&mut self, inputs: &AlgorithmInputs<'_>) -> AlgorithmOutputs {
-        self.run_incremental_audited(inputs, None)
+        assert_eq!(inputs.trees.len(), inputs.specs.len());
+        let whole = Span::new();
+        let cold = !self.can_run_incremental(inputs) || !self.diff_reports(inputs);
+        self.changes.cap_events.clear();
+        if cold {
+            self.prime_cache(inputs);
+        }
+        let mut out = AlgorithmOutputs { incremental: !cold, ..AlgorithmOutputs::default() };
+        let mut ns = [0; 6];
+        out.slots_recomputed = timed(&mut ns[0], || self.congestion_step(inputs));
+        timed(&mut ns[1], || self.capacity_step(inputs));
+        timed(&mut ns[2], || self.bottleneck_step(inputs));
+        timed(&mut ns[3], || self.sharing_step(inputs));
+        out.slots_recomputed += timed(&mut ns[4], || self.subscription_step(inputs));
+        ns[5] = whole.elapsed_ns();
+        self.stage_ns = ns;
+
+        self.emit(inputs, &mut out);
+        self.refresh_carry(inputs, cold);
+        self.runs += 1;
+        out
+    }
+
+    /// [`Self::run_incremental`], then, when `audit` is `Some`, one read
+    /// of what the interval left behind into it: every stage's record and
+    /// the wall spans. No stage overwrites an earlier stage's buffers, so
+    /// the read sees each stage's output. It takes `&self`, so watching a
+    /// run cannot change a decision, an RNG draw or whether it ran warm.
+    pub fn run_incremental_audited(
+        &mut self,
+        inputs: &AlgorithmInputs<'_>,
+        audit: Option<&mut IntervalAudit>,
+    ) -> AlgorithmOutputs {
+        let out = self.run_incremental(inputs);
+        if let Some(a) = audit {
+            self.read_audit(inputs, a);
+        }
+        out
     }
 
     /// Drop the change cache (flushing the dense node memories back into
@@ -560,9 +615,9 @@ impl AlgorithmState {
 
     /// Can this interval be served from the change cache? Every check
     /// guards a specific invariant the change-driven work sets assume.
-    fn can_run_incremental(&self, inputs: &AlgorithmInputs<'_>, want_audit: bool) -> bool {
+    fn can_run_incremental(&self, inputs: &AlgorithmInputs<'_>) -> bool {
         let c = &self.cache;
-        if !c.valid || (want_audit && !c.branches_valid) || inputs.interval != c.interval {
+        if !c.valid || inputs.interval != c.interval {
             return false;
         }
         // Report keys are checked row by row in `diff_reports`, the last
@@ -592,14 +647,14 @@ impl AlgorithmState {
     /// Cold start: flush the dense memories, then rebuild every cached
     /// input and resize every per-slot buffer from `inputs`, and do the
     /// two things only a cold start does: the estimator's reset pass
-    /// (audited into `Changes::cap_events` when `timing`) and the rebuild
-    /// of stage 4's link-crossing table. The interval then enters with
+    /// (logged into `Changes::cap_events`) and the rebuild of stage 4's
+    /// link-crossing table. The interval then enters with
     /// `Changes::all()`: every slot's reports moved and every tree is new.
-    fn prime_cache(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) {
+    fn prime_cache(&mut self, inputs: &AlgorithmInputs<'_>) {
         self.sync_memories();
         let pool = inputs.trees.len().max(self.scratch.len());
         self.scratch.resize_with(pool, SessionScratch::default);
-        self.estimator.begin_interval(inputs.now, timing.then_some(&mut self.changes.cap_events));
+        self.estimator.begin_interval(inputs.now, &mut self.changes.cap_events);
         sharing::prime(inputs.trees, &mut self.sharing_scratch);
         self.changes.trees.clear();
         self.changes.trees.extend(0..inputs.trees.len() as u32);
@@ -715,64 +770,6 @@ impl AlgorithmState {
         true
     }
 
-    /// [`Self::run_incremental`] plus an optional decision audit: when
-    /// `audit` is `Some`, every stage's intermediate output is copied into
-    /// it after the stage runs, along with wall-clock spans per kernel.
-    /// The audit is strictly write-only — auditing cannot alter any
-    /// decision or the RNG draw sequence, so outputs are identical either
-    /// way (the telemetry determinism test pins this down). Clean slots
-    /// reuse their cached branch labels, so an audited run after an
-    /// unaudited one starts cold.
-    pub fn run_incremental_audited(
-        &mut self,
-        inputs: &AlgorithmInputs<'_>,
-        mut audit: Option<&mut IntervalAudit>,
-    ) -> AlgorithmOutputs {
-        assert_eq!(inputs.trees.len(), inputs.specs.len());
-        let timing = audit.is_some();
-        let whole_span = timing.then(Span::new);
-        let cold = !self.can_run_incremental(inputs, timing) || !self.diff_reports(inputs);
-        self.changes.cap_events.clear();
-        if cold {
-            self.prime_cache(inputs, timing);
-        }
-        let mut out = AlgorithmOutputs { incremental: !cold, ..AlgorithmOutputs::default() };
-
-        let span = timing.then(Span::new);
-        out.slots_recomputed = self.congestion_step(inputs);
-        if let Some(a) = stage_end(&mut audit, "stage1_congestion", span) {
-            a.congestion = congestion_audit(inputs.trees, &self.scratch);
-        }
-        let span = timing.then(Span::new);
-        self.capacity_step(inputs, timing);
-        if let Some(a) = stage_end(&mut audit, "stage2_capacity", span) {
-            // Reset events surface in HashMap iteration order; a stable
-            // sort by link makes the record deterministic while keeping
-            // a link's reset ahead of its re-learn.
-            self.changes.cap_events.sort_by_key(|&(l, _, _)| l);
-            a.capacity = capacity_audit(&self.changes.cap_events);
-        }
-        let span = timing.then(Span::new);
-        self.bottleneck_step(inputs);
-        if let Some(a) = stage_end(&mut audit, "stage3_bottleneck", span) {
-            a.bottleneck = bottleneck_audit(inputs.trees, &self.scratch);
-        }
-        let span = timing.then(Span::new);
-        self.sharing_step(inputs);
-        if let Some(a) = stage_end(&mut audit, "stage4_sharing", span) {
-            a.sharing = sharing_audit(&self.sharing_scratch, inputs.trees);
-        }
-        let span = timing.then(Span::new);
-        out.slots_recomputed += self.subscription_step(inputs, timing);
-        stage_end(&mut audit, "stage5_subscription", span);
-        stage_end(&mut audit, "interval", whole_span);
-
-        self.emit(inputs, &mut out, audit);
-        self.refresh_carry(inputs, cold, timing);
-        self.runs += 1;
-        out
-    }
-
     /// Stage 1: re-fold the observations of the slots whose reports moved,
     /// then run the congestion step from them and from the carried
     /// `mem_dirty`. Its visit does the driver's per-slot work: the
@@ -825,7 +822,7 @@ impl AlgorithmState {
     /// link without an estimate ignores); and the reset pass ran in
     /// `prime_cache` or was proven empty before entry. Fills
     /// `Changes::caps`.
-    fn capacity_step(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) {
+    fn capacity_step(&mut self, inputs: &AlgorithmInputs<'_>) {
         let Self { cfg, estimator, scratch, cache, changes, .. } = self;
         let Changes { caps, cap_events, links, run, .. } = changes;
         let crossed = &cache.crossed_links;
@@ -848,8 +845,7 @@ impl AlgorithmState {
                 SessionLinkObs { session, loss: st.loss, bytes: st.max_bytes }
             }));
             let before = estimator.capacity(link).map(f64::to_bits);
-            let events = timing.then_some(&mut *cap_events);
-            estimator.update_link(inputs.now, inputs.interval, link, run, cfg, events);
+            estimator.update_link(inputs.now, inputs.interval, link, run, cfg, cap_events);
             if estimator.capacity(link).map(f64::to_bits) != before {
                 caps.push(link);
             }
@@ -900,7 +896,7 @@ impl AlgorithmState {
     /// inputs compare equal is not re-decided: its cached decision and
     /// armed backoffs stand, and no RNG is drawn. Fills the carried
     /// `mem5_dirty`; returns the number of decisions.
-    fn subscription_step(&mut self, inputs: &AlgorithmInputs<'_>, timing: bool) -> u64 {
+    fn subscription_step(&mut self, inputs: &AlgorithmInputs<'_>) -> u64 {
         let Self {
             cfg, rng, backoffs, scratch, sharing_scratch, cache, changes, border_caps, ..
         } = self;
@@ -970,9 +966,7 @@ impl AlgorithmState {
             let branches = &mut sc.branches;
             let decided = |s: usize, branch| {
                 decisions += 1;
-                if timing {
-                    branches[s] = branch;
-                }
+                branches[s] = branch;
             };
             b.step(cx, table, rng, decide, decided, |s| _ = cand.mark(s));
 
@@ -999,35 +993,44 @@ impl AlgorithmState {
 
     /// Emit the outputs from the stage buffers: per session the root
     /// supply, the congested-node count and the suggestions via the cached
-    /// route, in registry order (plus, audited, stage 5's record); then the
-    /// estimated links, over the sorted crossed-link list.
-    fn emit(
-        &self,
-        inputs: &AlgorithmInputs<'_>,
-        out: &mut AlgorithmOutputs,
-        mut audit: Option<&mut IntervalAudit>,
-    ) {
-        for (k, tree) in inputs.trees.iter().enumerate() {
+    /// route, in registry order; then the estimated links, over the sorted
+    /// crossed-link list.
+    fn emit(&self, inputs: &AlgorithmInputs<'_>, out: &mut AlgorithmOutputs) {
+        for k in 0..inputs.trees.len() {
             let (sc, cs) = (&self.scratch[k], &self.cache.sessions[k]);
-            let supply = &sc.stage5.supply;
-            let level = |slot: u32| supply[slot as usize].clamp(1, inputs.specs[k].max_level());
-            out.root_supply.push(supply[0]);
+            out.root_supply.push(sc.stage5.supply[0]);
             out.congested_nodes += sc.congested;
             out.suggestions.extend(cs.sugg_route.iter().map(|&(receiver, slot)| SuggestionOut {
                 receiver,
                 session: cs.session,
-                level: level(slot),
+                level: suggested_level(sc, slot, inputs.specs[k]),
             }));
-            if let Some(a) = audit.as_deref_mut() {
-                let mut suggested: Vec<Option<u8>> = vec![None; tree.tree().len()];
-                for &(_, slot) in &cs.sugg_route {
-                    suggested[slot as usize] = Some(level(slot));
-                }
-                a.subscription.push(subscription_session_audit(tree, sc, &suggested));
-            }
         }
         let (est, crossed) = (&self.estimator, &self.cache.crossed_links);
         out.estimated_links.extend(crossed.iter().filter_map(|&l| est.capacity(l).map(|c| (l, c))));
+    }
+
+    /// Fill `a` from the buffers the last run over `inputs` left: stage
+    /// 1's states, stage 2's events (sorted by link: the reset pass
+    /// surfaces in `HashMap` order, and a stable sort keeps a link's reset
+    /// ahead of its re-learn), stage 3's curves, stage 4's shares, stage
+    /// 5's branches, demand, supply and suggestions, and the wall spans.
+    fn read_audit(&self, inputs: &AlgorithmInputs<'_>, a: &mut IntervalAudit) {
+        let (trees, scratch) = (inputs.trees, &self.scratch);
+        a.congestion = congestion_audit(trees, scratch);
+        a.capacity = capacity_audit(&self.changes.cap_events);
+        a.capacity.sort_by_key(|c| c.link);
+        a.bottleneck = bottleneck_audit(trees, scratch);
+        a.sharing = sharing_audit(&self.sharing_scratch, trees);
+        a.subscription.extend(trees.iter().enumerate().map(|(k, tree)| {
+            let (sc, cs) = (&scratch[k], &self.cache.sessions[k]);
+            let mut suggested: Vec<Option<u8>> = vec![None; tree.tree().len()];
+            for &(_, slot) in &cs.sugg_route {
+                suggested[slot as usize] = Some(suggested_level(sc, slot, inputs.specs[k]));
+            }
+            subscription_session_audit(tree, sc, &suggested)
+        }));
+        a.stage_ns.extend(SPANS.into_iter().zip(self.stage_ns));
     }
 
     /// Refresh the carry for the next interval: the reports, copied only
@@ -1035,7 +1038,7 @@ impl AlgorithmState {
     /// the border caps just applied, the per-edge layers stage 5 just
     /// decided from (routing is proven equal on entry, so only the layers
     /// can differ), and the slots holding a timer.
-    fn refresh_carry(&mut self, inputs: &AlgorithmInputs<'_>, cold: bool, timing: bool) {
+    fn refresh_carry(&mut self, inputs: &AlgorithmInputs<'_>, cold: bool) {
         let c = &mut self.cache;
         if cold {
             c.carry.reports.clear();
@@ -1056,9 +1059,6 @@ impl AlgorithmState {
             carry.backoff_slots.sort_unstable();
             carry.backoff_slots.dedup();
         }
-        // Warm audited runs require current labels on entry, so the labels
-        // are current afterwards exactly when this run wrote its own.
-        c.branches_valid = timing;
     }
 
     /// Check the state between two intervals against a recompute from the
@@ -1196,16 +1196,18 @@ fn fold_memory(mem: &mut NodeMemory, st: NodeState) -> bool {
     *mem != old
 }
 
-/// Close a stage: record its wall span (audited runs only) and hand back
-/// the audit for the stage's record.
-fn stage_end<'a>(
-    audit: &'a mut Option<&mut IntervalAudit>,
-    stage: &'static str,
-    span: Option<Span>,
-) -> Option<&'a mut IntervalAudit> {
-    let a = audit.as_deref_mut()?;
-    a.stage_ns.extend(span.map(|s| (stage, s.elapsed_ns())));
-    Some(a)
+/// Run `f`, storing its wall time in `ns`.
+fn timed<T>(ns: &mut u64, f: impl FnOnce() -> T) -> T {
+    let span = Span::new();
+    let out = f();
+    *ns = span.elapsed_ns();
+    out
+}
+
+/// The level suggested to a receiver at `slot`: the slot's supply,
+/// clamped to the session's layers.
+fn suggested_level(sc: &SessionScratch, slot: u32, spec: &LayerSpec) -> u8 {
+    sc.stage5.supply[slot as usize].clamp(1, spec.max_level())
 }
 
 /// What stage 5 reads of one session's stage 1–4 results to build a
@@ -2070,7 +2072,6 @@ mod tests {
             CapacityReset,
             Invalidate,
             Restore,
-            AuditAfterUnaudited,
             RootTimer,
         }
         use Trigger::*;
@@ -2082,6 +2083,8 @@ mod tests {
         // a checkpoint, so both twins hold it): every receiver's next
         // layer is blocked through rounds 21-24, which run warm under it
         // after the first, and round 25 climbs, warm, across its expiry.
+        // Rounds 19 and 20 are audited, and watching is no trigger: both
+        // follow unaudited rounds and must be served warm.
         let table = [
             (1, FirstRun),
             (3, Routing),
@@ -2092,7 +2095,6 @@ mod tests {
             (13, CapacityReset),
             (15, Invalidate),
             (17, Restore),
-            (19, AuditAfterUnaudited),
             (21, RootTimer),
         ];
         let cfg = Config::default();
@@ -2153,8 +2155,6 @@ mod tests {
             }
             let a = full.run(&inputs);
             let mut audit = telemetry::IntervalAudit::new(inc.runs(), 0);
-            // Audited on its trigger round and the one after, which must
-            // then be served warm (the labels are current).
             let audited = (19..=20).contains(&t);
             let b = inc.run_incremental_audited(&inputs, audited.then_some(&mut audit));
             match table.iter().find(|&&(at, _)| at == t) {

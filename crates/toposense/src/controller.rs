@@ -412,9 +412,9 @@ impl Controller {
         }
 
         // 3. Overlay the session trees and run the algorithm. With
-        // telemetry attached, the same run also fills a decision audit:
-        // one record per stage, stamped with this interval's sequence
-        // number and (simulated) time.
+        // telemetry attached, what the run left in its buffers is then
+        // read into a decision audit: one record per stage, stamped with
+        // this interval's sequence number and (simulated) time.
         let mut audit =
             self.telemetry.is_enabled().then(|| IntervalAudit::new(self.state.runs(), now.nanos()));
         // The interval's replication seq is the completed-run count before

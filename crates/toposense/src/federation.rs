@@ -38,7 +38,7 @@ use netsim::{
     SimDuration, SimTime,
 };
 use serde_json::wire;
-use telemetry::{FlightRecorder, Telemetry};
+use telemetry::FlightRecorder;
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use traffic::LayerSpec;
@@ -237,7 +237,6 @@ pub struct Federation {
     parent_registry: Vec<(AppId, NodeId, SessionId)>,
     caps: Vec<u8>,
     seq: u64,
-    telemetry: Telemetry,
     flight: FlightRecorder,
     summaries_sent: u64,
     border_folds: u64,
@@ -287,18 +286,10 @@ impl Federation {
             parent_spec,
             parent_registry,
             seq: 0,
-            telemetry: Telemetry::disabled(),
             flight: FlightRecorder::new(256),
             summaries_sent: 0,
             border_folds: 0,
         }
-    }
-
-    /// Route `federation.*` counters into `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self.telemetry.set("federation.domains", self.domains.len() as u64);
-        self
     }
 
     /// Number of federated domains.
@@ -396,7 +387,6 @@ impl Federation {
             summaries.push(decoded);
         }
         self.summaries_sent += summaries.len() as u64;
-        self.telemetry.incr("federation.summaries_sent", summaries.len() as u64);
 
         // The fold: each domain becomes one synthetic receiver at its
         // gateway, and the parent runs the ordinary five-stage pipeline
@@ -427,7 +417,6 @@ impl Federation {
         };
         let parent = self.parent.run_incremental(&inputs);
         self.border_folds += folded.len() as u64;
-        self.telemetry.incr("federation.border_folds", folded.len() as u64);
 
         // Hand back next interval's caps from the parent's per-gateway
         // supply. Computed at interval n, binding at n + 1: the one-hop
@@ -452,7 +441,6 @@ impl Federation {
                     .join(",")
             ),
         );
-        self.telemetry.set("federation.domains", self.domains.len() as u64);
         self.seq += 1;
         FederationInterval { domain_outputs, summaries, parent, caps: self.caps.clone() }
     }
@@ -645,21 +633,17 @@ mod tests {
 
     #[test]
     fn federation_counters_and_flight_events_are_wired() {
-        let tel = Telemetry::collecting();
         let domains: Vec<Domain> = (0..2).map(|i| tiny_domain(i, 3).0).collect();
         let leaves = tiny_domain(0, 3).1;
-        let mut fed = Federation::new(Config::default(), 3, domains, LayerSpec::paper_default())
-            .with_telemetry(tel.clone());
+        let mut fed = Federation::new(Config::default(), 3, domains, LayerSpec::paper_default());
         for round in 1..=2u64 {
             let reports: Vec<Vec<ReceiverReport>> =
                 (0..2).map(|i| clean_reports(i, &leaves, 1)).collect();
             fed.run_interval(SimTime::from_secs(2 * round), SimDuration::from_secs(2), reports);
         }
-        let counters = tel.counters_snapshot();
-        let get = |name: &str| counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
-        assert_eq!(get("federation.summaries_sent"), Some(4));
-        assert_eq!(get("federation.border_folds"), Some(4));
-        assert_eq!(get("federation.domains"), Some(2));
+        assert_eq!(fed.summaries_sent(), 4);
+        assert_eq!(fed.border_folds(), 4);
+        assert_eq!(fed.domains(), 2);
         let kinds: Vec<&str> = fed.flight().occurrences().iter().map(|o| o.kind).collect();
         assert!(kinds.contains(&"border_summary"));
         assert!(kinds.contains(&"border_fold"));

@@ -18,7 +18,8 @@
 //!   `(seq, fingerprint)` pairs and its ack verdict logic;
 //! * [`Cluster`] — an in-process N-replica simulator driving real
 //!   checkpoint JSON through crash, partition, and bit-flip faults, used
-//!   by the failover differential suite and the `inspect` audit tool.
+//!   by the failover differential suite, the black-box tests and the
+//!   `failover_checkpoint` example.
 
 use crate::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState};
 use crate::checkpoint::Snapshot;

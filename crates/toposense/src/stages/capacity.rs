@@ -106,20 +106,14 @@ impl CapacityEstimator {
 
     /// Periodic reset: stale estimates return to infinity and must be
     /// re-earned ("the capacity is reset to infinity at periodic
-    /// intervals and recomputed"). `events` optionally audits each discarded
-    /// estimate; it comes from `HashMap` iteration, so callers that need
+    /// intervals and recomputed"). Each discarded estimate is logged into
+    /// `events` in `HashMap` iteration order, so callers that need
     /// determinism must sort the collected events by link.
-    pub(crate) fn begin_interval(
-        &mut self,
-        now: SimTime,
-        mut events: Option<&mut Vec<CapacityEvent>>,
-    ) {
+    pub(crate) fn begin_interval(&mut self, now: SimTime, events: &mut Vec<CapacityEvent>) {
         self.estimates.retain(|&link, e| {
             let keep = now.since(e.set_at) < CAPACITY_RESET;
             if !keep {
-                if let Some(ev) = events.as_deref_mut() {
-                    ev.push((link, e.capacity_bps, "reset"));
-                }
+                events.push((link, e.capacity_bps, "reset"));
             }
             keep
         });
@@ -130,9 +124,8 @@ impl CapacityEstimator {
     /// runs [`Self::begin_interval`] when it primes a cold start or has
     /// proven it a no-op via [`Self::has_pending_reset`].
     ///
-    /// `events` optionally audits what happened to the estimate (see
-    /// [`CapacityEvent`]). The log is write-only: passing `Some` vs `None`
-    /// cannot change any estimate.
+    /// What happened to the estimate is logged into `events` (see
+    /// [`CapacityEvent`]); nothing reads the log back into an estimate.
     pub(crate) fn update_link(
         &mut self,
         now: SimTime,
@@ -140,14 +133,10 @@ impl CapacityEstimator {
         link: DirLinkId,
         sessions: &[SessionLinkObs],
         cfg: &Config,
-        mut events: Option<&mut Vec<CapacityEvent>>,
+        events: &mut Vec<CapacityEvent>,
     ) {
         let secs = interval.as_secs_f64();
-        let mut audit = move |bps: f64, what: &'static str| {
-            if let Some(ev) = events.as_deref_mut() {
-                ev.push((link, bps, what));
-            }
-        };
+        let mut audit = |bps: f64, what: &'static str| events.push((link, bps, what));
         if sessions.is_empty() {
             return;
         }
@@ -266,12 +255,14 @@ mod tests {
         est: &mut CapacityEstimator,
         now: SimTime,
         sorted: &[(DirLinkId, SessionLinkObs)],
-        mut events: Option<&mut Vec<CapacityEvent>>,
+        events: Option<&mut Vec<CapacityEvent>>,
     ) {
-        est.begin_interval(now, events.as_deref_mut());
+        let mut unread = Vec::new();
+        let events = events.unwrap_or(&mut unread);
+        est.begin_interval(now, events);
         for run in sorted.chunk_by(|a, b| a.0 == b.0) {
             let obs: Vec<SessionLinkObs> = run.iter().map(|&(_, o)| o).collect();
-            est.update_link(now, INTERVAL, run[0].0, &obs, &cfg(), events.as_deref_mut());
+            est.update_link(now, INTERVAL, run[0].0, &obs, &cfg(), events);
         }
     }
 
@@ -442,15 +433,6 @@ mod tests {
         one_interval(&mut est, SimTime::from_secs(60), &quiet, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "reset"));
         assert!(est.capacity(l(0)).is_none());
-
-        // Tracing must not perturb the estimates: an untraced twin ends
-        // in the same state.
-        let mut twin = CapacityEstimator::new();
-        for (t, usage) in [(2u64, &lossy), (4, &quiet), (6, &solo), (60, &quiet)] {
-            one_interval(&mut twin, SimTime::from_secs(t), usage, None);
-        }
-        assert_eq!(twin.capacity(l(0)), est.capacity(l(0)));
-        assert_eq!(twin.estimated_links(), est.estimated_links());
     }
 
     #[test]

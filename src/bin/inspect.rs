@@ -7,10 +7,8 @@
 //! cargo run --release --bin inspect -- summary  <trail.jsonl>
 //! cargo run --release --bin inspect -- timeline <trail.jsonl> <session> <node>
 //! cargo run --release --bin inspect -- diff     <trail.jsonl> <seqA> <seqB>
-//! cargo run --release --bin inspect -- counters <trail.jsonl> [top_n]
+//! cargo run --release --bin inspect -- counters <trail.jsonl> [prefix]
 //! cargo run --release --bin inspect -- trace    <trail.jsonl> <session> <receiver>
-//! cargo run --release --bin inspect -- profile  <trail.jsonl>
-//! cargo run --release --bin inspect -- federation <trail.jsonl>
 //! cargo run --release --bin inspect -- blackbox <blackbox.json>
 //! cargo run --release --bin inspect -- snapshot validate <ckpt.json>
 //! cargo run --release --bin inspect -- snapshot summary  <ckpt.json>
@@ -28,7 +26,9 @@
 //! `timeline <trail.jsonl> <session> <node>` is the controller's
 //! per-interval view of one session-tree node (loss, congestion, capacity,
 //! demand, supply, suggestion, Table I branch) — the raw material behind
-//! every debugging session of this reproduction.
+//! every debugging session of this reproduction. `counters <trail.jsonl>
+//! netsim.profile.` is the simulator's profile (per-event-type counts,
+//! drop reasons, high-water marks).
 
 use netsim::{SimDuration, SimTime};
 use scenarios::{run, ControlMode, Scenario};
@@ -45,8 +45,6 @@ fn main() {
         Some("diff") => diff(&args[2..]),
         Some("counters") => counters(&args[2..]),
         Some("trace") => trace(&args[2..]),
-        Some("profile") => profile(&args[2..]),
-        Some("federation") => federation(&args[2..]),
         Some("blackbox") => blackbox(&args[2..]),
         Some("snapshot") => snapshot(&args[2..]),
         Some("a2" | "b4" | "fig1") => scenario_mode(&args),
@@ -63,10 +61,8 @@ fn usage(msg: &str) -> ! {
     eprintln!("       inspect validate|summary <trail.jsonl>");
     eprintln!("       inspect timeline <trail.jsonl> <session> <node>");
     eprintln!("       inspect diff <trail.jsonl> <seqA> <seqB>");
-    eprintln!("       inspect counters <trail.jsonl> [top_n]");
+    eprintln!("       inspect counters <trail.jsonl> [prefix]");
     eprintln!("       inspect trace <trail.jsonl> <session> <receiver>");
-    eprintln!("       inspect profile <trail.jsonl>");
-    eprintln!("       inspect federation <trail.jsonl>");
     eprintln!("       inspect blackbox <blackbox.json>");
     eprintln!("       inspect snapshot validate|summary <ckpt.json>");
     eprintln!("       inspect snapshot diff <a.json> <b.json>");
@@ -382,10 +378,12 @@ fn nodes_of<T>(sessions: &[telemetry::SessionNodes<T>]) -> impl Iterator<Item = 
     sessions.iter().flat_map(|s| s.nodes.iter().map(move |n| (s.session, n)))
 }
 
-/// `counters <file> [top_n]`: the last counters snapshot, largest first.
+/// `counters <file> [prefix]`: every counter of the last counters record
+/// whose name starts with `prefix` (default: all of them), largest first.
+/// Exits 1 when none matches.
 fn counters(args: &[String]) {
     let path = args.first().unwrap_or_else(|| usage("counters needs a file"));
-    let top: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let prefix = args.get(1).map_or("", String::as_str);
     let records = load(path);
     let last = records.iter().rev().find_map(|(_, _, r)| match r {
         Record::Counters { entries, .. } => Some(entries.clone()),
@@ -395,8 +393,13 @@ fn counters(args: &[String]) {
         eprintln!("no counters record in {path}");
         std::process::exit(1);
     };
+    entries.retain(|(name, _)| name.starts_with(prefix));
+    if entries.is_empty() {
+        eprintln!("no counter in {path} starts with '{prefix}'");
+        std::process::exit(1);
+    }
     entries.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-    for (name, value) in entries.into_iter().take(top) {
+    for (name, value) in entries {
         println!("{value:>12}  {name}");
     }
 }
@@ -468,75 +471,6 @@ fn trace(args: &[String]) {
         "{} chains ({complete} complete) for session {session} receiver {receiver}",
         chains.len()
     );
-}
-
-/// `profile <trail.jsonl>`: the simulator's per-event-type counters, drop
-/// reasons, and high-water marks from the trail's closing counters record.
-fn profile(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage("profile needs a file"));
-    let records = load(path);
-    let last = records.iter().rev().find_map(|(_, _, r)| match r {
-        Record::Counters { entries, .. } => Some(entries.clone()),
-        _ => None,
-    });
-    let Some(entries) = last else {
-        eprintln!("no counters record in {path}");
-        std::process::exit(1);
-    };
-    let mut shown = 0usize;
-    for (name, value) in &entries {
-        if let Some(short) = name.strip_prefix("netsim.profile.") {
-            println!("{value:>12}  {short}");
-            shown += 1;
-        }
-    }
-    if shown == 0 {
-        eprintln!("no netsim.profile.* counters in {path} (recorded before the profiler?)");
-        std::process::exit(1);
-    }
-    for key in ["netsim.events", "netsim.events_per_sec"] {
-        if let Some((_, v)) = entries.iter().find(|(n, _)| n == key) {
-            println!("{v:>12}  {}", key.strip_prefix("netsim.").unwrap());
-        }
-    }
-}
-
-/// `federation <trail.jsonl>`: the control plane's federation counters
-/// (`federation.*`) from the trail's last counters record — how many
-/// domains the run sharded into, how many border summaries crossed the
-/// wire, and how many the parent aggregator folded.
-fn federation(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage("federation needs a file"));
-    let records = load(path);
-    let last = records.iter().rev().find_map(|(_, _, r)| match r {
-        Record::Counters { entries, .. } => Some(entries.clone()),
-        _ => None,
-    });
-    let Some(entries) = last else {
-        eprintln!("no counters record in {path}");
-        std::process::exit(1);
-    };
-    let mut shown = 0usize;
-    for (name, value) in &entries {
-        if let Some(short) = name.strip_prefix("federation.") {
-            println!("{value:>12}  {short}");
-            shown += 1;
-        }
-    }
-    if shown == 0 {
-        eprintln!("no federation.* counters in {path} (single-domain run?)");
-        std::process::exit(1);
-    }
-    // Summaries and folds should stay in lock-step: every summary sent is
-    // folded exactly once by the parent. Call out a mismatch loudly.
-    let get = |key: &str| entries.iter().find(|(n, _)| n == key).map(|(_, v)| *v);
-    if let (Some(sent), Some(folds)) =
-        (get("federation.summaries_sent"), get("federation.border_folds"))
-    {
-        if sent != folds {
-            println!("warning: summaries_sent ({sent}) != border_folds ({folds})");
-        }
-    }
 }
 
 /// `blackbox <blackbox.json>`: validate a failure dump (schema + canonical

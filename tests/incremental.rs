@@ -14,6 +14,7 @@ use netsim::{
     AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
 };
 use proptest::prelude::*;
+use telemetry::IntervalAudit;
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
@@ -156,12 +157,16 @@ proptest! {
     /// still match a twin that recomputes everything. Mid-run both twins
     /// are handed a timer at the root (through a checkpoint, which starts
     /// that one round cold) that blocks `timer.0` for the whole tree and
-    /// expires `timer.1` rounds later, warm.
+    /// expires `timer.1` rounds later, warm. A third twin is audited on
+    /// the rounds whose bit is set in `audit_mask` and must equal the
+    /// never-audited one every round, path diagnostics included: watching
+    /// a run changes nothing about it.
     #[test]
     fn incremental_matches_full_across_report_churn(
         parents in prop::collection::vec(0usize..12, 2..14),
         seed in 0u64..1000,
         timer in (2u8..=6, 1u64..6),
+        audit_mask in 0u64..1 << 13,
     ) {
         let trees = vec![session_tree(&parents, 0, 0)];
         // Every non-root node hosts a receiver: an internal one folds its
@@ -177,6 +182,7 @@ proptest! {
 
         let mut full = AlgorithmState::new(Config::default(), seed);
         let mut inc = AlgorithmState::new(Config::default(), seed);
+        let mut watched = AlgorithmState::new(Config::default(), seed);
 
         for round in 1..=12u64 {
             churn(&mut reports, &mut rng);
@@ -184,13 +190,24 @@ proptest! {
                 let until = SimTime::from_secs(2 * (round + timer.1) - 1);
                 full = with_root_timer(&full, timer.0, until);
                 inc = with_root_timer(&inc, timer.0, until);
+                watched = with_root_timer(&watched, timer.0, until);
             }
             let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
+            let mut record = IntervalAudit::new(round, 0);
+            let audited = audit_mask >> round & 1 == 1;
+            let c = watched.run_incremental_audited(&inputs, audited.then_some(&mut record));
             assert_outputs_eq!(prop_assert, a, b, format_args!("round {round}"));
+            prop_assert!(b == c, "round {}: audited {}: {:?} != {:?}", round, audited, b, c);
+            if audited {
+                let filled = record.subscription.len() == 1 && record.stage_ns.len() == 6;
+                prop_assert!(filled, "round {}: audit left unfilled", round);
+            }
             let audit = inc.audit();
             prop_assert!(audit.is_ok(), "round {}: {:?}", round, audit);
+            let audit = watched.audit();
+            prop_assert!(audit.is_ok(), "round {}: watched: {:?}", round, audit);
             if round >= 2 && round != ROOT_TIMER_ROUND {
                 prop_assert!(b.incremental, "round {} should be incremental", round);
             }

@@ -1,7 +1,7 @@
 //! Smoke tests for the `inspect` binary's CLI contract: no args or an
 //! unknown subcommand exit 2 with a usage message naming every
 //! subcommand, and the telemetry-trail queries (`validate`, `trace`,
-//! `profile`) and the `blackbox` validator work end-to-end against
+//! `counters`) and the `blackbox` validator work end-to-end against
 //! artifacts recorded by a real run.
 
 use netsim::SimDuration;
@@ -24,18 +24,9 @@ fn no_args_and_unknown_subcommand_exit_two_with_usage() {
     let err = String::from_utf8_lossy(&none.stderr);
     assert!(err.contains("no subcommand given"));
     assert!(err.contains("usage:"));
-    for sub in [
-        "validate",
-        "summary",
-        "timeline",
-        "diff",
-        "counters",
-        "trace",
-        "profile",
-        "federation",
-        "blackbox",
-        "snapshot",
-    ] {
+    for sub in
+        ["validate", "summary", "timeline", "diff", "counters", "trace", "blackbox", "snapshot"]
+    {
         assert!(err.contains(sub), "usage must mention '{sub}'");
     }
 
@@ -44,8 +35,9 @@ fn no_args_and_unknown_subcommand_exit_two_with_usage() {
     assert!(String::from_utf8_lossy(&unknown.stderr).contains("unknown subcommand 'frobnicate'"));
 }
 
-/// Record a real trail, then drive `validate`, `trace`, and `profile`
-/// over it exactly as a debugging session would.
+/// Record a real trail, then drive `validate`, `trace`, and the profile
+/// query `counters <trail> netsim.profile.` over it exactly as a debugging
+/// session would.
 #[test]
 fn trail_queries_work_against_a_recorded_run() {
     let path = std::env::temp_dir().join(format!("toposense-inspect-{}.jsonl", std::process::id()));
@@ -99,14 +91,18 @@ fn trail_queries_work_against_a_recorded_run() {
         assert!(out.contains(phase), "chain output missing the {phase} hop");
     }
 
-    // profile: the closing counters carry the simulator profile.
-    let p = inspect(&["profile", trail]);
+    // The closing counters carry the simulator profile, and the prefix
+    // keeps everything else out.
+    let p = inspect(&["counters", trail, "netsim.profile."]);
     assert_eq!(p.status.code(), Some(0), "profile failed: {}", String::from_utf8_lossy(&p.stderr));
     let out = String::from_utf8_lossy(&p.stdout);
     for counter in ["ev_link_deliver", "slab_hwm", "pending_events_hwm"] {
-        assert!(out.contains(counter), "profile output missing {counter}:\n{out}");
+        let name = format!("netsim.profile.{counter}");
+        assert!(out.contains(&name), "profile output missing {name}:\n{out}");
     }
-    assert!(out.contains("events_per_sec"));
+    assert!(out.lines().all(|l| l.contains("  netsim.profile.")), "off-prefix line in:\n{out}");
+    let rate = inspect(&["counters", trail, "netsim.events_per_sec"]);
+    assert!(String::from_utf8_lossy(&rate.stdout).contains("netsim.events_per_sec"));
 
     // An absent (session, receiver) pair is a hard miss, not silence.
     let miss = inspect(&["trace", trail, "--session", "999", "--receiver", "999"]);
@@ -115,69 +111,35 @@ fn trail_queries_work_against_a_recorded_run() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Record a federated run's counters, then summarize them with the
-/// `federation` subcommand; a trail without federation counters is a
-/// hard miss.
+/// `counters` with no prefix prints every counter, largest first; a
+/// prefix no counter carries is a hard miss (exit 1), not silence.
 #[test]
-fn federation_subcommand_summarizes_border_counters() {
-    use netsim::SimTime;
-    use scenarios::largetree::{federated_domains, reports_behind_border};
-    use toposense::federation::Federation;
-    use traffic::LayerSpec;
-
+fn counters_prefix_without_a_match_exits_one() {
     let path =
-        std::env::temp_dir().join(format!("toposense-inspect-fed-{}.jsonl", std::process::id()));
+        std::env::temp_dir().join(format!("toposense-inspect-ctr-{}.jsonl", std::process::id()));
     let tel = Telemetry::jsonl_file(&path).expect("create trail file");
-    let cfg = scenarios::chaos::chaos_config();
-    let (domains, leaves) = federated_domains(2, 2, 2, cfg, 3);
-    let spec = LayerSpec::paper_default();
-    let mut fed = Federation::new(cfg, 3, domains, spec.clone()).with_telemetry(tel.clone());
-    for round in 1..=4u64 {
-        let reports = (0..2)
-            .map(|_| {
-                reports_behind_border(
-                    0,
-                    &leaves,
-                    &vec![1u8; leaves.len()],
-                    300_000.0,
-                    &spec,
-                    SimDuration::from_secs(2),
-                )
-            })
-            .collect();
-        fed.run_interval(SimTime::from_secs(2 * round), SimDuration::from_secs(2), reports);
-    }
-    tel.emit_counters(8_000_000_000);
+    tel.incr("netsim.events", 1);
+    tel.incr("controller.intervals", 8);
+    tel.emit_counters(1_000_000_000);
     tel.flush();
     let trail = path.to_str().expect("utf8 temp path");
 
-    let f = inspect(&["federation", trail]);
+    let all = inspect(&["counters", trail]);
     assert_eq!(
-        f.status.code(),
+        all.status.code(),
         Some(0),
-        "federation failed: {}",
-        String::from_utf8_lossy(&f.stderr)
+        "counters failed: {}",
+        String::from_utf8_lossy(&all.stderr)
     );
-    let out = String::from_utf8_lossy(&f.stdout);
-    for counter in ["domains", "summaries_sent", "border_folds"] {
-        assert!(out.contains(counter), "federation output missing {counter}:\n{out}");
-    }
-    // 2 domains x 4 intervals, every summary folded exactly once.
-    assert!(out.contains("           8"), "expected 8 summaries in:\n{out}");
-    assert!(!out.contains("warning:"), "summary/fold ledgers out of lock-step:\n{out}");
+    let out = String::from_utf8_lossy(&all.stdout);
+    let names: Vec<&str> = out.lines().filter_map(|l| l.split_whitespace().nth(1)).collect();
+    assert_eq!(names, ["controller.intervals", "netsim.events"], "largest first:\n{out}");
 
-    // A trail with no federation counters must exit 1, not print nothing.
-    let bare = std::env::temp_dir()
-        .join(format!("toposense-inspect-fed-bare-{}.jsonl", std::process::id()));
-    let tel2 = Telemetry::jsonl_file(&bare).expect("create trail file");
-    tel2.incr("netsim.events", 1);
-    tel2.emit_counters(1_000_000_000);
-    tel2.flush();
-    let miss = inspect(&["federation", bare.to_str().expect("utf8 temp path")]);
-    assert_eq!(miss.status.code(), Some(1), "federation-free trail must exit 1");
+    let miss = inspect(&["counters", trail, "federation."]);
+    assert_eq!(miss.status.code(), Some(1), "a prefix nothing matches must exit 1");
+    assert!(miss.stdout.is_empty());
 
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&bare);
 }
 
 #[test]

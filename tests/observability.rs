@@ -64,7 +64,6 @@ fn fully_armed_recorder_is_a_pure_observer() {
         "no causal trace records were emitted"
     );
     assert!(armed.profile.events_total > 0, "profiler counted nothing");
-    assert!(!armed.trace_overflowed || armed.trace_dropped > 0);
     let flight = armed.controller.as_ref().expect("toposense run").flight.occurrences();
     assert!(!flight.is_empty(), "flight recorder saw no control-plane occurrences");
     assert!(flight.iter().any(|o| o.kind == "interval_start"));
