@@ -1,12 +1,11 @@
 //! Black-box dumps: a bounded, deterministic snapshot written on failure.
 //!
-//! When a campaign gate fails, a replica is quarantined, or a chaos
-//! recovery bound trips, the harness dumps a `blackbox.json` carrying the
-//! recent flight-recorder window, the counter registry, the run's seed
-//! and config fingerprint — everything needed to understand the last
-//! moments without re-running. The dump is schema-versioned
-//! (`blackbox.v1`) and round-trips exactly, so CI can diff dumps across
-//! reruns the same way it diffs the JSONL trail.
+//! When a campaign gate fails or a chaos recovery bound trips, the harness
+//! dumps a `blackbox.json` carrying the recent flight-recorder window, the
+//! counter registry, the run's seed and config fingerprint — everything
+//! needed to understand the last moments without re-running. The dump is
+//! schema-versioned (`blackbox.v1`) and round-trips exactly, so CI can
+//! diff dumps across reruns the same way it diffs the JSONL trail.
 
 use crate::flight::Occurrence;
 use crate::record::counter_map;

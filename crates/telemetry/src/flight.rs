@@ -24,10 +24,11 @@ mod kind {
         "checkpoint",
         "gate_failure",
         "recovery_failure",
-        "view_change",
-        "divergence",
         "border_summary",
         "border_fold",
+        // No longer written; kept so older `blackbox.v1` dumps decode.
+        "view_change",
+        "divergence",
     ];
 
     pub(crate) fn to_json(kind: &&'static str) -> Value {

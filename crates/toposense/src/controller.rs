@@ -226,7 +226,7 @@ impl Controller {
             last_good: None,
             last_heartbeat_at: None,
             algo_seed: seed,
-            repl_tracker: ReplicaTracker::default(),
+            repl_tracker: ReplicaTracker::new(),
             repl_next_seq: None,
             repl_peer_quarantined: false,
             telemetry: Telemetry::disabled(),
@@ -682,8 +682,8 @@ impl Controller {
             }
             Some(AckVerdict::Divergent) => {
                 // Silent divergence caught: the replica ran the same inputs
-                // and produced different outputs. Its state can no longer
-                // be trusted for takeover — quarantine it (stop
+                // and produced different outputs, and the pair cannot tell
+                // whose state is corrupted. Quarantine the replica (stop
                 // replicating; the heartbeat keeps flowing so it does not
                 // false-failover).
                 self.repl_peer_quarantined = true;
@@ -877,7 +877,7 @@ impl App for Controller {
         // as a new standby we rejoin via checkpoint resync, and a fresh
         // fingerprint window starts if we ever become primary again.
         self.repl_next_seq = None;
-        self.repl_tracker = ReplicaTracker::default();
+        self.repl_tracker = ReplicaTracker::new();
         self.repl_peer_quarantined = false;
         if self.peer.is_some() && self.active {
             // The standby has taken over (or is about to): come back as the
@@ -1558,13 +1558,18 @@ mod tests {
         assert_eq!(c.quarantined, 0);
     }
 
-    /// What the controller sent its peer node: every replicated batch, and
-    /// (for the checkpoint test) a script of transfers to send back.
+    /// What the controller sent its peer node: every replicated batch and
+    /// the send time of every heartbeat. Scripted, it sends back
+    /// checkpoint transfers, or acks every batch — from seq `diverge_at` on
+    /// with a flipped fingerprint, then an honest ack and a resync request
+    /// that a quarantined replica must not be heard on.
     #[derive(Default)]
     struct ScriptedPeer {
         controller: Option<NodeId>,
         transfers: Vec<(SimTime, u64, String)>,
+        diverge_at: Option<u64>,
         batches: Arc<Mutex<Vec<ReplicateInputs>>>,
+        heartbeats: Arc<Mutex<Vec<SimTime>>>,
     }
     impl App for ScriptedPeer {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1578,11 +1583,58 @@ mod tests {
                 Arc::new(CheckpointTransfer { next_seq, blob, from: ctx.node_id() });
             ctx.send_control(self.controller.expect("scripted with a target"), 512, body);
         }
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, packet: &netsim::Packet) {
-            if let Some(m) = packet.control_as::<ReplicateInputs>() {
-                self.batches.lock().unwrap().push(m.clone());
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &netsim::Packet) {
+            if let Some(h) = packet.control_as::<Heartbeat>() {
+                self.heartbeats.lock().unwrap().push(h.time);
+            }
+            let Some(m) = packet.control_as::<ReplicateInputs>() else { return };
+            self.batches.lock().unwrap().push(m.clone());
+            let fp = m.fingerprint;
+            let acks = match self.diverge_at {
+                Some(at) if m.seq >= at => vec![Some(fp ^ 1), Some(fp), None],
+                Some(_) => vec![Some(fp)],
+                None => vec![],
+            };
+            for fingerprint in acks {
+                let ack = ReplicaAck { seq: m.seq, fingerprint, from: ctx.node_id() };
+                ctx.send_control(m.from, ReplicaAck::WIRE_SIZE, Arc::new(ack));
             }
         }
+    }
+
+    /// A replica whose ack disagrees with the primary's own fingerprint is
+    /// quarantined the moment the ack lands — the primary stops
+    /// replicating to it but keeps beaconing it, and nothing the replica
+    /// says afterwards moves a counter.
+    #[test]
+    fn divergent_ack_quarantines_the_replica() {
+        let (mut sim, catalog, _def, src, mid, _rcv) = chain();
+        let telemetry = Telemetry::collecting();
+        let (ctrl, shared) = Controller::new(catalog, Config::default(), SimDuration::ZERO, 1);
+        sim.add_app(src, Box::new(ctrl.with_peer(mid).with_telemetry(telemetry.clone())));
+        let (batches, heartbeats) = (Arc::default(), Arc::default());
+        let (b, h) = (Arc::clone(&batches), Arc::clone(&heartbeats));
+        let peer =
+            ScriptedPeer { diverge_at: Some(3), batches: b, heartbeats: h, ..Default::default() };
+        sim.add_app(mid, Box::new(peer));
+        sim.run_until(SimTime::from_secs(21));
+
+        let c = shared.lock().unwrap();
+        assert_eq!((c.replica_acks, c.replica_divergences, c.replica_resyncs), (3, 1, 0));
+        assert!(c.replica_quarantined);
+        let occurrences = c.flight.occurrences().into_iter();
+        let quarantines: Vec<(u64, String)> =
+            occurrences.filter(|o| o.kind == "quarantine").map(|o| (o.seq, o.detail)).collect();
+        assert_eq!(quarantines, [(3, "node 1".to_string())]);
+        let counters = telemetry.counters_snapshot();
+        assert!(counters.contains(&("controller.replica_divergences".into(), 1)), "{counters:?}");
+
+        // The divergent ack answered seq 3, sent at 8 s: nothing is
+        // replicated after it, and a beacon still goes out every tick.
+        let batches = batches.lock().unwrap();
+        assert_eq!(batches.iter().map(|m| m.seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let beacons = heartbeats.lock().unwrap();
+        assert_eq!(beacons.iter().filter(|&&t| t > batches[3].now).count(), 6, "10 s to 20 s");
     }
 
     /// Satellite: a checkpoint transfer is bytes off the wire. One whose

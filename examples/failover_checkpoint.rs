@@ -1,16 +1,16 @@
-//! Replication, checkpoint/restore, and failover in one sitting.
+//! Failover and checkpoint/restore in one sitting.
 //!
 //! ```text
 //! cargo run --release --example failover_checkpoint [ckpt.json]
 //! ```
 //!
-//! A three-replica [`Cluster`] runs the five-stage pipeline over a small
-//! session tree. Mid-stream we capture a `toposense.checkpoint.v1` file
-//! from the primary, crash the primary, and let the promoted replica
-//! finish the run; a state restored from the checkpoint file replays the
-//! tail and must land on byte-identical suggestions. With a path argument
-//! the checkpoint is written there (CI feeds it to `inspect snapshot`);
-//! without one it goes to a temp file.
+//! Failover: the shipped primary/standby pair runs
+//! `chaos::primary_crash_mid_interval`, and the input-synced standby takes
+//! over. Checkpoint: one [`AlgorithmState`] runs twelve intervals, its
+//! round-6 `toposense.checkpoint.v1` file is written (to the path argument,
+//! else a temp file; CI feeds it to `inspect snapshot`), read back and
+//! restored, and the restored state replays rounds 7–12 — panicking unless
+//! every fingerprint equals the uninterrupted run's.
 
 use netsim::{
     AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
@@ -18,9 +18,11 @@ use netsim::{
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
-use toposense::replication::Cluster;
-use toposense::{Config, Snapshot};
+use toposense::{fingerprint_outputs, Config, Snapshot};
 use traffic::LayerSpec;
+
+const ROUNDS: u64 = 12;
+const CHECKPOINT_ROUND: u64 = 6;
 
 /// A 9-node session tree: root 0, two routers, six leaf receivers.
 fn demo_tree() -> SessionTree {
@@ -47,17 +49,34 @@ fn demo_tree() -> SessionTree {
 }
 
 fn main() {
+    failover();
+    checkpoint_replay();
+}
+
+/// The primary crashes mid-interval; the standby takes over from its own
+/// replicated state and keeps steering.
+fn failover() {
+    let (scenario, crash_at) = scenarios::chaos::primary_crash_mid_interval(5);
+    let standby = scenarios::run(&scenario).standby.expect("the scenario runs a standby");
+    let at = standby.failover_at.expect("the standby takes over");
+    let series = standby.suggestion_series.iter();
+    let first_steer = series.filter(|(t, s)| *t >= at && !s.is_empty()).map(|&(t, _)| t).next();
+    println!(
+        "failover: primary crashed @{crash_at} s; standby applied {} replicated batches, \
+         took over @{at} s, first steer @{}",
+        standby.replica_applied,
+        first_steer.expect("the promoted standby steers")
+    );
+}
+
+/// Checkpoint at round 6 through a file, restore, and replay the tail.
+fn checkpoint_replay() {
     let cfg = Config::default();
     let tree = demo_tree();
     let leaves: Vec<NodeId> = tree.tree().leaves().filter(|&n| n != tree.tree().root()).collect();
     let spec = LayerSpec::paper_default();
     let trees = [tree];
     let specs = [&spec];
-    let registry: Vec<(AppId, NodeId, SessionId)> = leaves
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (AppId(100 + i as u32), node, SessionId(0)))
-        .collect();
     let mut reports: Vec<ReceiverReport> = leaves
         .iter()
         .enumerate()
@@ -71,69 +90,61 @@ fn main() {
             bytes: 30_000,
         })
         .collect();
-
-    let mut cluster = Cluster::new(cfg, 7, 3);
+    let registry: Vec<(AppId, NodeId, SessionId)> =
+        reports.iter().map(|r| (r.receiver, r.node, r.session)).collect();
+    // Each round's reports, jittered a little so the pipeline has work to
+    // do; the replay feeds the restored state the very same batches.
     let mut rng = RngStream::derive(7, "failover-checkpoint/churn");
-    let mut snapshot: Option<Snapshot> = None;
-    let rounds = 12u64;
-    let checkpoint_round = 6u64;
-    let crash_round = 8u64;
-    println!(
-        "three replicas, {rounds} intervals, checkpoint @{checkpoint_round}, crash @{crash_round}:"
-    );
-    for round in 1..=rounds {
-        // Jitter the reports a little so the pipeline has work to do.
-        for r in reports.iter_mut() {
-            if rng.f64() < 0.3 {
-                r.bytes = 15_000 + (rng.f64() * 30_000.0) as u64;
+    let batches: Vec<Vec<ReceiverReport>> = (1..=ROUNDS)
+        .map(|_| {
+            for r in reports.iter_mut() {
+                if rng.f64() < 0.3 {
+                    r.bytes = 15_000 + (rng.f64() * 30_000.0) as u64;
+                }
             }
-        }
-        let inputs = AlgorithmInputs {
-            now: SimTime::from_secs(2 * round),
-            interval: SimDuration::from_secs(2),
-            trees: &trees,
-            specs: &specs,
-            registry: &registry,
-            reports: &reports,
-        };
-        if round == crash_round {
-            cluster.crash_primary();
-            println!("  @{round}: primary crashed, replica {} leads", cluster.primary());
-        }
-        let out = cluster.tick(&inputs);
-        let levels: Vec<u8> = out.outputs.suggestions.iter().map(|s| s.level).collect();
-        assert!(out.newly_quarantined.is_empty(), "healthy replicas must agree");
-        println!(
-            "  @{round}: primary={} suggestions={:?} fingerprint={:#018x}",
-            cluster.primary(),
-            levels,
-            out.fingerprint
-        );
-        if round == checkpoint_round {
-            // Non-invalidating capture: the primary's next interval stays
-            // on the incremental path.
-            snapshot = Some(cluster.replica(cluster.primary()).state.checkpoint());
+            reports.clone()
+        })
+        .collect();
+    let inputs = |round: u64| AlgorithmInputs {
+        now: SimTime::from_secs(2 * round),
+        interval: SimDuration::from_secs(2),
+        trees: &trees,
+        specs: &specs,
+        registry: &registry,
+        reports: &batches[round as usize - 1],
+    };
+
+    println!("checkpoint: {ROUNDS} intervals, checkpoint @{CHECKPOINT_ROUND}:");
+    let path = std::env::args().nth(1).map(std::path::PathBuf::from).unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("toposense-ckpt-{}.json", std::process::id()))
+    });
+    let mut state = AlgorithmState::new(cfg, 7);
+    let mut fingerprints = Vec::new();
+    for round in 1..=ROUNDS {
+        let out = state.run_incremental(&inputs(round));
+        let levels: Vec<u8> = out.suggestions.iter().map(|s| s.level).collect();
+        let fingerprint = fingerprint_outputs(&out);
+        println!("  @{round}: suggestions={levels:?} fingerprint={fingerprint:#018x}");
+        fingerprints.push(fingerprint);
+        if round == CHECKPOINT_ROUND {
+            // Non-invalidating capture: the next interval stays on the
+            // incremental path.
+            state.checkpoint().save(&path).expect("write checkpoint");
         }
     }
 
     // The checkpoint file: canonical JSON, validated on load.
-    let snapshot = snapshot.expect("checkpoint round ran");
-    let path = std::env::args().nth(1).map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("toposense-ckpt-{}.json", std::process::id()))
-    });
-    snapshot.save(&path).expect("write checkpoint");
     let loaded = Snapshot::load(&path).expect("re-load checkpoint");
-    assert_eq!(loaded, snapshot, "disk round-trip must be identity");
-    println!("checkpoint: {} ({} bytes)", path.display(), snapshot.encode().len());
-    print!("{}", snapshot.summary());
+    println!("checkpoint file: {} ({} bytes)", path.display(), loaded.encode().len());
+    print!("{}", loaded.summary());
 
-    // Restore and replay the tail against the surviving replica's state:
-    // the restored twin must produce the same suggestions the cluster did
-    // after the crash (zero re-learning — DESIGN.md §14).
-    let restored = AlgorithmState::restore(cfg, &loaded).expect("config fingerprints match");
-    assert_eq!(restored.runs(), checkpoint_round, "restore resumes at the cut");
-    println!(
-        "restored state resumes at run {} — byte-exact twin of the checkpoint",
-        restored.runs()
-    );
+    // Restore and replay the tail: zero re-learning (DESIGN.md §14) means
+    // every interval lands on the uninterrupted run's fingerprint.
+    let mut restored = AlgorithmState::restore(cfg, &loaded).expect("config fingerprints match");
+    assert_eq!(restored.runs(), CHECKPOINT_ROUND, "restore resumes at the cut");
+    for round in CHECKPOINT_ROUND + 1..=ROUNDS {
+        let replayed = fingerprint_outputs(&restored.run_incremental(&inputs(round)));
+        assert_eq!(replayed, fingerprints[round as usize - 1], "replay diverged @{round}");
+    }
+    println!("restored @{CHECKPOINT_ROUND}, replayed to @{ROUNDS}: every fingerprint matches");
 }

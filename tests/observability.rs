@@ -10,22 +10,17 @@
 //!    applies is reconstructible from the audit trail as a complete
 //!    report → decide → apply chain under one cause id, causally ordered
 //!    in simulated time.
-//! 3. **Failures carry forensics.** A quarantined replica and a failed
-//!    campaign gate each yield a `blackbox.v1` dump that decodes against
-//!    its schema and re-encodes byte-identically.
+//! 3. **Failures carry forensics.** A failed campaign gate yields a
+//!    `blackbox.v1` dump that decodes against its schema and re-encodes
+//!    byte-identically.
 
-use netsim::{
-    AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
-};
+use netsim::{SimDuration, SimTime};
 use scenarios::campaign::{run_campaign, CampaignSpec, Profile};
 use scenarios::{chaos, run, ControlMode, Scenario};
 use telemetry::{Blackbox, Record, Telemetry};
-use topology::discovery::{LinkView, TopologyView};
-use topology::{generators, SessionTree};
-use toposense::algorithm::{AlgorithmInputs, ReceiverReport};
-use toposense::replication::Cluster;
+use topology::generators;
 use toposense::Config;
-use traffic::{LayerSpec, TrafficModel};
+use traffic::TrafficModel;
 
 fn scenario(seed: u64) -> Scenario {
     Scenario::new(generators::topology_a_default(2), TrafficModel::Vbr { p: 3.0 }, seed)
@@ -108,135 +103,6 @@ fn causal_chains_close_report_decide_apply() {
             "chain {cause:016x} hops are not causally ordered"
         );
     }
-}
-
-// ---- forced replica quarantine (same harness as tests/replication.rs) ----
-
-fn session_tree(parents: &[usize]) -> SessionTree {
-    let mut links = Vec::new();
-    let mut active = Vec::new();
-    for (i, &p) in parents.iter().enumerate() {
-        let id = DirLinkId(i as u32);
-        links.push(LinkView { id, from: NodeId((p % (i + 1)) as u32), to: NodeId(i as u32 + 1) });
-        active.push(id);
-    }
-    let all: Vec<NodeId> = (0..=parents.len() as u32).map(NodeId).collect();
-    let view = TopologyView {
-        time: SimTime::ZERO,
-        links,
-        groups: vec![GroupSnapshot {
-            group: GroupId(0),
-            root: NodeId(0),
-            active_links: active,
-            member_nodes: all,
-        }],
-    };
-    SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
-}
-
-/// A bit-flipped replica is quarantined, and the cluster's black box
-/// dump records the divergence and quarantine, decodes against the
-/// `blackbox.v1` schema, and re-encodes byte-identically.
-#[test]
-fn forced_quarantine_produces_a_validating_blackbox() {
-    let parents = [0usize, 0, 1, 2, 2, 3];
-    let trees = vec![session_tree(&parents)];
-    let leaves: Vec<NodeId> =
-        trees[0].tree().leaves().filter(|&n| n != trees[0].tree().root()).collect();
-    let spec = LayerSpec::paper_default();
-    let specs: Vec<&LayerSpec> = vec![&spec];
-    let registry: Vec<(AppId, NodeId, SessionId)> = leaves
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (AppId(500 + i as u32), node, SessionId(0)))
-        .collect();
-    let mut reports: Vec<ReceiverReport> = leaves
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| ReceiverReport {
-            receiver: AppId(500 + i as u32),
-            node,
-            session: SessionId(0),
-            level: 3,
-            received: if i % 2 == 0 { 100 } else { 90 },
-            lost: if i % 2 == 0 { 0 } else { 10 },
-            bytes: 25_000,
-        })
-        .collect();
-    // Same churn as tests/replication.rs — keys stay stable, values move
-    // enough that corrupted congestion memory must alter an output.
-    let churn = |reports: &mut [ReceiverReport], rng: &mut RngStream| {
-        for r in reports.iter_mut() {
-            let x = rng.f64();
-            if x < 0.30 {
-                r.bytes = 10_000 + (rng.f64() * 40_000.0) as u64;
-            } else if x < 0.50 {
-                let lossy = rng.f64() < 0.5;
-                r.received = if lossy { 90 } else { 100 };
-                r.lost = if lossy { 10 } else { 0 };
-            } else if x < 0.60 {
-                r.level = 1 + (rng.f64() * 5.0) as u8;
-            }
-        }
-    };
-    let mut rng = RngStream::derive(23, "replication/bitflip");
-
-    let cfg = Config::default();
-    let mut cluster = Cluster::new(cfg, 23, 3);
-    for round in 1..=4u64 {
-        churn(&mut reports, &mut rng);
-        let inputs = AlgorithmInputs {
-            now: SimTime::from_secs(2 * round),
-            interval: SimDuration::from_secs(2),
-            trees: &trees,
-            specs: &specs,
-            registry: &registry,
-            reports: &reports,
-        };
-        cluster.tick(&inputs);
-    }
-
-    // The corruption is silent until it first alters an output; churn the
-    // reports until the cross-check catches it.
-    cluster.bit_flip(1);
-    let mut caught_at = None;
-    for round in 5..=16u64 {
-        churn(&mut reports, &mut rng);
-        let inputs = AlgorithmInputs {
-            now: SimTime::from_secs(2 * round),
-            interval: SimDuration::from_secs(2),
-            trees: &trees,
-            specs: &specs,
-            registry: &registry,
-            reports: &reports,
-        };
-        if cluster.tick(&inputs).newly_quarantined == vec![1] {
-            caught_at = Some(2 * round);
-            break;
-        }
-    }
-    let caught_at = caught_at.expect("bit flip never surfaced — scenario too quiet");
-
-    let bb = cluster.blackbox("replica_quarantine", "observability-bitflip");
-    assert_eq!(bb.reason, "replica_quarantine");
-    assert_eq!(
-        bb.t_ns,
-        SimTime::from_secs(caught_at).nanos(),
-        "dump stamped at the failing interval"
-    );
-    assert!(
-        bb.counters.iter().any(|(k, v)| k == "repl.divergences" && *v == 1),
-        "dump must carry the divergence counter"
-    );
-    for kind in ["divergence", "quarantine"] {
-        assert!(
-            bb.occurrences.iter().any(|o| o.kind == kind && o.detail.contains("replica 1")),
-            "flight window missing a {kind} occurrence for replica 1"
-        );
-    }
-    let text = bb.encode();
-    let back = Blackbox::decode(&text).expect("dump must decode against blackbox.v1");
-    assert_eq!(back.encode(), text, "decode/re-encode must be byte-identical");
 }
 
 /// A deliberately broken config fails campaign gates, and every failed
