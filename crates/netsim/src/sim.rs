@@ -253,7 +253,7 @@ pub struct SimProfile {
 }
 
 impl SimProfile {
-    /// Flat `("name", value)` pairs for folding into a counter registry.
+    /// Flat `("name", value)` pairs for a run's counter list.
     pub fn counter_entries(&self) -> [(&'static str, u64); 23] {
         [
             ("ev_link_tx_done", self.ev_link_tx_done),
@@ -1104,6 +1104,40 @@ mod tests {
         assert_eq!(sim.network().link(ab).stats.dropped_packets, 2);
         assert!(sim.network().link_is_up(ab));
         assert_eq!(sim.packets_live(), 0, "aborted and flushed packets must be released");
+    }
+
+    /// The structured trace ring is a pure observer: a lossy world (tail
+    /// drops, an outage flush) run with the ring off and with a ring small
+    /// enough to wrap processes the same events, profiles the same, and
+    /// leaves every link's stats where they were.
+    #[test]
+    fn trace_ring_does_not_change_a_run() {
+        let go = |cap: usize| {
+            let mut b = NetworkBuilder::new(SimConfig::default());
+            let a = b.add_node("a");
+            let c = b.add_node("c");
+            let (ab, _) = b.add_link(a, c, LinkConfig::kbps(32.0).with_queue(2));
+            let mut sim = b.build();
+            if cap > 0 {
+                sim.trace.enable(cap);
+            }
+            let g = sim.create_group(a);
+            let got = Arc::new(AtomicU64::new(0));
+            sim.add_app(c, Box::new(Counter { group: g, got }));
+            sim.add_app(a, Box::new(TimedBurst { group: g, at: SimDuration::from_secs(1), n: 10 }));
+            let plan = FaultPlan::new()
+                .at(SimTime::from_millis(1300), FaultKind::LinkDown(ab))
+                .at(SimTime::from_secs(3), FaultKind::LinkUp(ab));
+            sim.install_faults(&plan);
+            sim.run_until(SimTime::from_secs(10));
+            let net = sim.network();
+            let stats: Vec<_> =
+                (0..net.link_count() as u32).map(|i| net.link(DirLinkId(i)).stats).collect();
+            (sim.events_processed(), sim.profile(), stats, sim.trace.dropped())
+        };
+        let (plain, ringed) = (go(0), go(4));
+        assert!(ringed.3 > 0, "the ring must wrap, or the comparison is vacuous");
+        assert_eq!((plain.0, plain.1, plain.2), (ringed.0, ringed.1, ringed.2));
     }
 
     #[test]

@@ -323,8 +323,9 @@ pub fn verify_recovery(
 }
 
 /// Build a `blackbox.v1` failure dump from a completed run: the
-/// controllers' flight-recorder windows, the simulator's profile counters,
-/// the seed and the effective-config fingerprint. Harnesses write it next
+/// controllers' flight-recorder windows, the run's counters (the same list
+/// as the trail's, [`ScenarioResult::counters`]), the seed and the
+/// effective-config fingerprint. Harnesses write it next
 /// to their artifacts when [`verify_recovery`] trips or a campaign gate
 /// fails, so the last moments survive without a re-run.
 pub fn blackbox(
@@ -334,16 +335,6 @@ pub fn blackbox(
     reason: &str,
     label: &str,
 ) -> telemetry::Blackbox {
-    let mut counters: Vec<(String, u64)> = r
-        .profile
-        .counter_entries()
-        .iter()
-        .map(|&(n, v)| (format!("netsim.profile.{n}"), v))
-        .collect();
-    counters.push(("scenario.control_bytes".into(), r.control_bytes));
-    counters.push(("scenario.events".into(), r.events));
-    counters.push(("scenario.total_drops".into(), r.total_drops));
-    counters.sort();
     let mut occurrences = Vec::new();
     let mut ring_dropped = 0;
     for c in [r.controller.as_ref(), r.standby.as_ref()].into_iter().flatten() {
@@ -358,7 +349,7 @@ pub fn blackbox(
         seed,
         config_fingerprint: format!("{:016x}", cfg.fingerprint()),
         t_ns: r.duration.nanos(),
-        counters,
+        counters: r.counters(),
         occurrences,
         ring_dropped,
     }

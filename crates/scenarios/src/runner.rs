@@ -82,8 +82,6 @@ pub struct Scenario {
     /// pass. Disabled by default; attaching a sink must not change the
     /// simulation (the telemetry determinism test pins this).
     pub telemetry: Telemetry,
-    /// Structured-trace bound (events); 0 leaves tracing off.
-    pub trace_cap: usize,
     /// Event-queue backend for the underlying simulator. The calendar
     /// wheel is the fast default; the binary heap is the differential
     /// oracle (both produce bit-identical runs).
@@ -117,7 +115,6 @@ impl Scenario {
             discovery_partial_outages: Vec::new(),
             standby: None,
             telemetry: Telemetry::disabled(),
-            trace_cap: 0,
             queue_backend: QueueBackend::default(),
             session_control: Vec::new(),
             session_traffic: Vec::new(),
@@ -150,15 +147,11 @@ impl Scenario {
         self
     }
 
-    /// Attach a telemetry handle (audit records, timers, counters).
+    /// Attach a telemetry handle: the controller's audit records and
+    /// trace hops, the stage timers, and one closing `"counters"` record
+    /// ([`ScenarioResult::counters`]).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Enable the bounded structured trace (drops, link/node state).
-    pub fn with_trace(mut self, cap: usize) -> Self {
-        self.trace_cap = cap;
         self
     }
 
@@ -266,6 +259,8 @@ pub struct ScenarioResult {
     pub duration: SimDuration,
     /// Total packets dropped at queues across all links.
     pub total_drops: u64,
+    /// Total packets dropped because their link was down.
+    pub down_link_drops: u64,
     /// Estimated control bytes exchanged (registrations excluded): reports
     /// up plus suggestions down — the paper's §V claims this scales
     /// linearly in receivers and sessions.
@@ -282,8 +277,6 @@ pub struct ScenarioResult {
     pub run_wall_ns: u64,
     /// Wall-clock spent harvesting stats afterwards (nanoseconds).
     pub harvest_wall_ns: u64,
-    /// How many trace events were discarded past the bound.
-    pub trace_dropped: u64,
     /// The simulator's always-on profile: per-event-type counts, drop
     /// reasons, slab/queue high-water marks, wheel internals.
     pub profile: netsim::SimProfile,
@@ -330,6 +323,42 @@ impl ScenarioResult {
         } else {
             self.events as f64 / (self.run_wall_ns as f64 / 1e9)
         }
+    }
+
+    /// Every counter of the run, sorted by name: the simulator's
+    /// (`netsim.*`, `netsim.profile.*`), the receivers' sums
+    /// (`receivers.*`), and each controller's under its role
+    /// (`controller.*` for the primary, `standby.*` for the standby). The
+    /// trail's closing `"counters"` record and the black-box dump both
+    /// carry exactly this list; no wall-clock value is in it.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = vec![
+            ("netsim.events".into(), self.events),
+            ("netsim.queue_drops".into(), self.total_drops),
+            ("netsim.down_link_drops".into(), self.down_link_drops),
+        ];
+        let named = |prefix: &str, entries: &[(&str, u64)]| -> Vec<(String, u64)> {
+            entries.iter().map(|&(n, v)| (format!("{prefix}.{n}"), v)).collect()
+        };
+        out.extend(named("netsim.profile", &self.profile.counter_entries()));
+        let sum = |f: fn(&ReceiverShared) -> u64| self.receivers.iter().map(|r| f(&r.stats)).sum();
+        out.extend(named(
+            "receivers",
+            &[
+                ("reports_sent", sum(|s| s.reports_sent)),
+                ("register_retries", sum(|s| s.registers_sent.saturating_sub(1))),
+                ("unilateral_actions", sum(|s| s.unilateral_actions)),
+                ("dead_air_rejoins", sum(|s| s.rejoins)),
+                ("suggestions_received", sum(|s| s.suggestions_received)),
+            ],
+        ));
+        for (role, c) in [("controller", &self.controller), ("standby", &self.standby)] {
+            if let Some(c) = c {
+                out.extend(named(role, &c.counter_entries()));
+            }
+        }
+        out.sort_unstable();
+        out
     }
 }
 
@@ -404,8 +433,9 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
                 staleness,
                 derive_stream_seed(scenario.seed, "controller", 1),
             );
-            // The standby shares the handle: it only emits once active, so
-            // the audit stream follows whichever controller is steering.
+            // The standby shares the handle's records and timers: it only
+            // emits once active, so the audit stream follows whichever
+            // controller is steering. Its counts stay in its own stats.
             let standby = apply_outages(standby)
                 .with_telemetry(scenario.telemetry.clone())
                 .with_peer(ctrl_node)
@@ -501,9 +531,6 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     if !plan.is_empty() {
         sim.install_faults(&plan);
     }
-    if scenario.trace_cap > 0 {
-        sim.trace.enable(scenario.trace_cap);
-    }
     let setup_wall_ns = setup_span.elapsed_ns();
     tel.record_span_ns("scenario_setup", setup_wall_ns);
 
@@ -531,7 +558,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     let total_drops: u64 = (0..net.link_count() as u32)
         .map(|i| net.link(netsim::DirLinkId(i)).stats.dropped_packets)
         .sum();
-    let down_drops: u64 = (0..net.link_count() as u32)
+    let down_link_drops: u64 = (0..net.link_count() as u32)
         .map(|i| net.link(netsim::DirLinkId(i)).stats.down_dropped_packets)
         .sum();
     let controller = controller_handle.map(|(_, h)| h.lock().unwrap().clone());
@@ -542,34 +569,27 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
                 .as_ref()
                 .map(|c| c.suggestions_sent * Suggestion::WIRE_SIZE as u64)
                 .unwrap_or(0);
+    let mut result = ScenarioResult {
+        receivers,
+        controller,
+        standby,
+        duration: scenario.duration,
+        total_drops,
+        down_link_drops,
+        control_bytes,
+        events: sim.events_processed(),
+        optima,
+        setup_wall_ns,
+        run_wall_ns,
+        harvest_wall_ns: 0,
+        profile: sim.profile(),
+    };
 
-    // Fold the silent operational events into the counter registry, then
-    // close the stream: one counters snapshot, one timers record.
+    // Close the stream: one "apply" hop per layer change a suggestion
+    // actually caused (recorded receiver-side, closing each causal chain),
+    // then the run's counters, then the timers.
     if tel.is_enabled() {
-        tel.set("netsim.queue_drops", total_drops);
-        tel.set("netsim.down_link_drops", down_drops);
-        tel.set("netsim.trace_dropped", sim.trace.dropped());
-        tel.set("netsim.events", sim.events_processed());
-        tel.set(
-            "netsim.events_per_sec",
-            if run_wall_ns == 0 {
-                0
-            } else {
-                (sim.events_processed() as f64 / (run_wall_ns as f64 / 1e9)) as u64
-            },
-        );
-        for (name, value) in sim.profile().counter_entries() {
-            tel.set(&format!("netsim.profile.{name}"), value);
-        }
-        let sum = |f: fn(&ReceiverShared) -> u64| receivers.iter().map(|r| f(&r.stats)).sum();
-        tel.set("receivers.reports_sent", sum(|s| s.reports_sent));
-        tel.set("receivers.register_retries", sum(|s| s.registers_sent.saturating_sub(1)));
-        tel.set("receivers.unilateral_actions", sum(|s| s.unilateral_actions));
-        tel.set("receivers.dead_air_rejoins", sum(|s| s.rejoins));
-        tel.set("receivers.suggestions_received", sum(|s| s.suggestions_received));
-        // Close each causal chain: one "apply" hop per layer change a
-        // suggestion actually caused (recorded receiver-side).
-        for r in &receivers {
+        for r in &result.receivers {
             for &(when, cause, _old, new) in &r.stats.applies {
                 tel.emit(&Record::Trace {
                     seq: 0,
@@ -582,28 +602,13 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
                 });
             }
         }
+        tel.emit(&Record::Counters { t_ns: sim.now().nanos(), entries: result.counters() });
     }
-    let harvest_wall_ns = harvest_span.elapsed_ns();
-    tel.record_span_ns("scenario_harvest", harvest_wall_ns);
-    tel.emit_counters(sim.now().nanos());
+    result.harvest_wall_ns = harvest_span.elapsed_ns();
+    tel.record_span_ns("scenario_harvest", result.harvest_wall_ns);
     tel.emit_timers();
     tel.flush();
-
-    ScenarioResult {
-        receivers,
-        controller,
-        standby,
-        duration: scenario.duration,
-        total_drops,
-        control_bytes,
-        events: sim.events_processed(),
-        optima,
-        setup_wall_ns,
-        run_wall_ns,
-        harvest_wall_ns,
-        trace_dropped: sim.trace.dropped(),
-        profile: sim.profile(),
-    }
+    result
 }
 
 /// Run many scenarios concurrently ([`netsim::par`]), preserving input order
@@ -654,13 +659,13 @@ mod tests {
             standby: None,
             duration: SimDuration::from_secs(10),
             total_drops: 0,
+            down_link_drops: 0,
             control_bytes: 0,
             events: 0,
             optima: Vec::new(),
             setup_wall_ns: 0,
             run_wall_ns: 0,
             harvest_wall_ns: 0,
-            trace_dropped: 0,
             profile: netsim::SimProfile::default(),
         };
         assert_eq!(r.mean_relative_deviation(SimTime::ZERO, SimTime::from_secs(10)), None);

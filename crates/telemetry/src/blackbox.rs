@@ -2,7 +2,7 @@
 //!
 //! When a campaign gate fails or a chaos recovery bound trips, the harness
 //! dumps a `blackbox.json` carrying the recent flight-recorder window, the
-//! counter registry, the run's seed and config fingerprint — everything
+//! run's counters, its seed and config fingerprint — everything
 //! needed to understand the last moments without re-running. The dump is
 //! schema-versioned (`blackbox.v1`) and round-trips exactly, so CI can
 //! diff dumps across reruns the same way it diffs the JSONL trail.

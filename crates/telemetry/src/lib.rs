@@ -1,15 +1,18 @@
 //! Deterministic observability for the TopoSense reproduction.
 //!
-//! The crate provides three instruments behind one cheap [`Telemetry`]
-//! handle:
+//! One cheap [`Telemetry`] handle carries two things:
 //!
-//! * a **decision audit trail** — schema-versioned [`Record`]s capturing
-//!   every stage's intermediate output per control interval, emitted
-//!   through a pluggable [`Sink`] (JSONL file, in-memory buffer, ...);
+//! * a **record sink** — schema-versioned [`Record`]s (every stage's
+//!   intermediate output per control interval, causal-trace hops, the
+//!   closing counters) written through a pluggable [`Sink`] (JSONL file,
+//!   in-memory buffer, ...);
 //! * **stage timers** — wall-clock span timing aggregated into log2
-//!   histograms ([`timers`]);
-//! * a **counter registry** for operational events that previously
-//!   happened silently ([`counters`]).
+//!   histograms ([`timers`]).
+//!
+//! The handle holds no counters. Operational counts live in the structs
+//! that own them (the controller's shared stats, the simulator profile,
+//! the receivers' stats); a harness harvests them once at the end of a
+//! run and emits them as one `"counters"` record.
 //!
 //! The hard invariant is that telemetry is a *pure observer*: attaching
 //! or detaching sinks must never change simulation behaviour. The handle
@@ -25,7 +28,6 @@
 
 pub mod blackbox;
 pub mod causal;
-pub mod counters;
 pub mod flight;
 pub mod record;
 pub mod sink;
@@ -39,15 +41,13 @@ pub use record::{
 };
 pub use timers::Span;
 
-use counters::Counters;
 use sink::{JsonlFileSink, MemorySink, Sink};
 use timers::StageTimers;
 
 use std::sync::{Arc, Mutex};
 
 struct Inner {
-    sink: Mutex<Option<Box<dyn Sink>>>,
-    counters: Mutex<Counters>,
+    sink: Mutex<Box<dyn Sink>>,
     timers: Mutex<StageTimers>,
 }
 
@@ -56,7 +56,7 @@ struct Inner {
 /// `Telemetry::disabled()` (also the `Default`) carries no allocation and
 /// makes every method a single-branch no-op. Enabled handles share one
 /// inner state across clones, so the controller, runner, and test harness
-/// can all write into the same sink/registries.
+/// can all write into the same sink and timers.
 #[derive(Clone, Default)]
 pub struct Telemetry(Option<Arc<Inner>>);
 
@@ -75,21 +75,10 @@ impl Telemetry {
         Telemetry(None)
     }
 
-    /// Enabled handle with no sink: counters and timers accumulate and
-    /// can be snapshotted, audit records are dropped.
-    pub fn collecting() -> Self {
-        Telemetry(Some(Arc::new(Inner {
-            sink: Mutex::new(None),
-            counters: Mutex::new(Counters::default()),
-            timers: Mutex::new(StageTimers::default()),
-        })))
-    }
-
     /// Enabled handle writing records into the given sink.
     fn with_sink(sink: Box<dyn Sink>) -> Self {
         Telemetry(Some(Arc::new(Inner {
-            sink: Mutex::new(Some(sink)),
-            counters: Mutex::new(Counters::default()),
+            sink: Mutex::new(sink),
             timers: Mutex::new(StageTimers::default()),
         })))
     }
@@ -111,28 +100,10 @@ impl Telemetry {
         self.0.is_some()
     }
 
-    /// Emit one audit record into the sink (dropped when disabled or
-    /// sink-less).
+    /// Emit one record into the sink (dropped when disabled).
     pub fn emit(&self, record: &Record) {
         if let Some(inner) = &self.0 {
-            if let Some(sink) = inner.sink.lock().unwrap().as_mut() {
-                sink.emit(record);
-            }
-        }
-    }
-
-    /// Bump a named counter.
-    pub fn incr(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.0 {
-            inner.counters.lock().unwrap().incr(name, delta);
-        }
-    }
-
-    /// Set a named counter to an absolute value (gauge-style harvest of
-    /// totals already tracked elsewhere).
-    pub fn set(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.0 {
-            inner.counters.lock().unwrap().set(name, value);
+            inner.sink.lock().unwrap().emit(record);
         }
     }
 
@@ -143,28 +114,11 @@ impl Telemetry {
         }
     }
 
-    /// Sorted snapshot of all counters.
-    pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
-        match &self.0 {
-            Some(inner) => inner.counters.lock().unwrap().snapshot(),
-            None => Vec::new(),
-        }
-    }
-
     /// Per-stage timer statistics, sorted by stage name.
     fn timers_snapshot(&self) -> Vec<TimerStat> {
         match &self.0 {
             Some(inner) => inner.timers.lock().unwrap().snapshot(),
             None => Vec::new(),
-        }
-    }
-
-    /// Emit the current counter registry as a `"counters"` record
-    /// stamped with simulated time `t_ns`.
-    pub fn emit_counters(&self, t_ns: u64) {
-        if self.0.is_some() {
-            let entries = self.counters_snapshot();
-            self.emit(&Record::Counters { t_ns, entries });
         }
     }
 
@@ -180,9 +134,7 @@ impl Telemetry {
     /// Flush the sink (file sinks buffer internally).
     pub fn flush(&self) {
         if let Some(inner) = &self.0 {
-            if let Some(sink) = inner.sink.lock().unwrap().as_mut() {
-                sink.flush();
-            }
+            inner.sink.lock().unwrap().flush();
         }
     }
 }
@@ -195,13 +147,10 @@ mod tests {
     fn disabled_handle_is_inert() {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
-        tel.incr("x", 3);
         tel.record_span_ns("s", 10);
         tel.emit(&Record::Run { label: "t".into(), seed: 1, duration_ns: 2 });
-        tel.emit_counters(0);
         tel.emit_timers();
         tel.flush();
-        assert!(tel.counters_snapshot().is_empty());
         assert!(tel.timers_snapshot().is_empty());
     }
 
@@ -209,39 +158,22 @@ mod tests {
     fn memory_sink_captures_records_across_clones() {
         let (tel, sink) = Telemetry::memory();
         let tel2 = tel.clone();
-        tel.incr("a.b", 2);
-        tel2.incr("a.b", 1);
-        tel2.incr("a.a", 5);
+        let entries = vec![("a.a".to_string(), 5), ("a.b".to_string(), 3)];
+        tel2.emit(&Record::Counters { t_ns: 7, entries: entries.clone() });
         tel.record_span_ns("stage", 100);
-        tel.emit_counters(7);
+        tel2.record_span_ns("stage", 50);
         tel.emit_timers();
         let records = sink.records();
         assert_eq!(records.len(), 2);
-        match &records[0] {
-            Record::Counters { t_ns, entries } => {
-                assert_eq!(*t_ns, 7);
-                // BTreeMap order: sorted by name.
-                assert_eq!(entries, &[("a.a".to_string(), 5), ("a.b".to_string(), 3)]);
-            }
-            other => panic!("expected counters record, got {other:?}"),
-        }
+        assert_eq!(records[0], Record::Counters { t_ns: 7, entries });
         match &records[1] {
             Record::Timers { entries } => {
                 assert_eq!(entries.len(), 1);
                 assert_eq!(entries[0].name, "stage");
-                assert_eq!(entries[0].count, 1);
-                assert_eq!(entries[0].sum_ns, 100);
+                assert_eq!(entries[0].count, 2);
+                assert_eq!(entries[0].sum_ns, 150);
             }
             other => panic!("expected timers record, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn collecting_handle_accumulates_without_sink() {
-        let tel = Telemetry::collecting();
-        assert!(tel.is_enabled());
-        tel.incr("n", 1);
-        tel.emit(&Record::Run { label: "t".into(), seed: 0, duration_ns: 0 });
-        assert_eq!(tel.counters_snapshot(), vec![("n".to_string(), 1)]);
     }
 }

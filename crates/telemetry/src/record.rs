@@ -8,7 +8,8 @@
 //!   (`"stage"` ∈ `congestion | capacity | bottleneck | sharing |
 //!   subscription`), stamped with the interval sequence number and the
 //!   simulated time in nanoseconds;
-//! * `"counters"` — a sorted dump of the counter registry;
+//! * `"counters"` — the run's counters, sorted by name, harvested once at
+//!   the end of the run;
 //! * `"timers"` — per-stage wall-clock histograms (non-deterministic;
 //!   determinism checks filter this kind out);
 //! * `"trace"` — one causal hop of a suggestion chain (`"phase"` ∈

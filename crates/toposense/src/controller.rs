@@ -62,11 +62,18 @@ const FLIGHT_CAP: usize = 128;
 /// interval at a congested link; spacing them shares the risk.
 const SEND_SPACING: SimDuration = SimDuration(25_000_000);
 
-/// Observable controller state, shared with the harness.
+/// Observable controller state, shared with the harness — and the
+/// controller's only counter store: [`ControllerShared::counter_entries`]
+/// names every count for the telemetry trail and black-box dumps.
 #[derive(Clone, Debug, Default)]
 pub struct ControllerShared {
     /// Algorithm intervals completed.
     pub intervals: u64,
+    /// Intervals the pipeline ran cold (full recompute) instead of
+    /// incrementally; counted at the same line as `intervals`.
+    pub full_fallbacks: u64,
+    /// Slots the pipeline re-decided, summed over intervals.
+    pub slots_recomputed: u64,
     /// Suggestions sent (packets).
     pub suggestions_sent: u64,
     /// Registered receivers at last interval.
@@ -94,21 +101,62 @@ pub struct ControllerShared {
     pub evicted: u64,
     /// Registration acknowledgements sent.
     pub acks_sent: u64,
-    /// When this controller took over from a failed peer, if it did.
+    /// When this controller first took over from a failed peer, if it did.
     pub failover_at: Option<SimTime>,
+    /// Takeovers from a failed peer. Roles swap on restart, so one
+    /// controller can take over more than once.
+    pub failovers: u64,
+    /// Input batches replicated to the peer while active.
+    pub replicate_sent: u64,
     /// Replicated input batches this controller applied while standing by.
     pub replica_applied: u64,
     /// Matching fingerprint acks this controller received while active.
     pub replica_acks: u64,
+    /// Intervals the replica trailed by at its latest matching ack.
+    pub replication_lag: u64,
     /// Fingerprint mismatches caught by the cross-check while active.
     pub replica_divergences: u64,
     /// Whether the peer replica is quarantined (divergence detected).
     pub replica_quarantined: bool,
     /// Checkpoint resyncs served (active) or applied (standing by).
     pub replica_resyncs: u64,
+    /// Checkpoint transfers dropped as corrupt or mis-sequenced (standing
+    /// by).
+    pub replica_resync_failures: u64,
     /// Last-N control-plane occurrences (interval start/end, fallback,
     /// quarantine, takeover, checkpoint) for black-box dumps.
     pub flight: FlightRecorder,
+}
+
+impl ControllerShared {
+    /// Every count and gauge under its trail name; the harness prefixes
+    /// the role, `controller.` or `standby.`. `intervals_incremental` is
+    /// derived: both of its terms are counted at the same line of `tick`.
+    pub fn counter_entries(&self) -> [(&'static str, u64); 21] {
+        [
+            ("intervals", self.intervals),
+            ("intervals_incremental", self.intervals - self.full_fallbacks),
+            ("full_fallbacks", self.full_fallbacks),
+            ("slots_recomputed", self.slots_recomputed),
+            ("suggestions_sent", self.suggestions_sent),
+            ("degraded_intervals", self.degraded_intervals),
+            ("suspended_intervals", self.suspended_intervals),
+            ("partial_intervals", self.partial_intervals),
+            ("registered", self.registered as u64),
+            ("quarantined", self.quarantined as u64),
+            ("evictions", self.evicted),
+            ("acks_sent", self.acks_sent),
+            ("failovers", self.failovers),
+            ("replicate_sent", self.replicate_sent),
+            ("replica_applied", self.replica_applied),
+            ("replica_acks", self.replica_acks),
+            ("replication_lag", self.replication_lag),
+            ("replica_divergences", self.replica_divergences),
+            ("replica_quarantined", self.replica_quarantined as u64),
+            ("replica_resyncs", self.replica_resyncs),
+            ("replica_resync_failures", self.replica_resync_failures),
+        ]
+    }
 }
 
 /// Handle for reading controller stats after a run.
@@ -193,9 +241,10 @@ pub struct Controller {
     /// Set when the peer's ack fingerprint diverged: the primary stops
     /// replicating to it (its state can no longer be trusted).
     repl_peer_quarantined: bool,
-    /// Telemetry handle: decision audit records, stage timers and counters
-    /// flow through here. Disabled by default — a disabled handle is inert
-    /// and the control decisions are byte-identical either way.
+    /// Telemetry handle: decision audit records, causal-trace hops and
+    /// stage timers flow through here (counts live in `shared`). Disabled
+    /// by default — a disabled handle is inert and the control decisions
+    /// are byte-identical either way.
     telemetry: Telemetry,
 }
 
@@ -235,9 +284,11 @@ impl Controller {
     }
 
     /// Attach a telemetry handle: every interval then emits one audit
-    /// record per pipeline stage, feeds the stage-timer histograms, and
-    /// maintains operational counters. Telemetry is a pure observer — the
-    /// controller's decisions are identical with or without it.
+    /// record per pipeline stage and the causal-trace hops, and feeds the
+    /// stage-timer histograms. Counters are not kept here: they live in
+    /// [`ControllerShared`] whether or not a handle is attached. Telemetry
+    /// is a pure observer — the controller's decisions are identical with
+    /// or without it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -368,7 +419,6 @@ impl Controller {
                 // Too old (or never had one): suspend suggestions outright
                 // rather than steer on fiction.
                 _ => {
-                    self.telemetry.incr("controller.suspended_intervals", 1);
                     let mut sh = lock_or_recover(&self.shared);
                     sh.suspended_intervals += 1;
                     sh.flight.note(now.nanos(), "fallback", self.state.runs(), "suspended");
@@ -487,22 +537,14 @@ impl Controller {
                     from: my_node,
                 });
                 ctx.send_control(peer, size, body);
-                self.telemetry.incr("controller.replicate_sent", 1);
+                lock_or_recover(&self.shared).replicate_sent += 1;
             }
         }
 
-        self.telemetry.incr("controller.intervals", 1);
-        self.telemetry.incr("controller.intervals_incremental", outputs.incremental as u64);
-        if !outputs.incremental {
-            self.telemetry.incr("controller.full_fallbacks", 1);
-        }
-        self.telemetry.incr("controller.slots_recomputed", outputs.slots_recomputed);
-        self.telemetry.incr("controller.suggestions_sent", outputs.suggestions.len() as u64);
-        self.telemetry.incr("controller.degraded_intervals", degraded as u64);
-        self.telemetry.incr("controller.partial_intervals", partial as u64);
-
         let mut sh = lock_or_recover(&self.shared);
         sh.intervals += 1;
+        sh.full_fallbacks += u64::from(!outputs.incremental);
+        sh.slots_recomputed += outputs.slots_recomputed;
         sh.suggestions_sent += outputs.suggestions.len() as u64;
         sh.congestion_series.push((now, outputs.congested_nodes));
         for &(l, c) in &outputs.estimated_links {
@@ -529,9 +571,6 @@ impl Controller {
         let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after());
         let quarantined =
             self.receivers.values().filter(|e| e.last_heard < quarantine_cutoff).count();
-        self.telemetry.incr("controller.evictions", evicted);
-        self.telemetry.set("controller.quarantined", quarantined as u64);
-        self.telemetry.set("controller.registered", self.receivers.len() as u64);
         let mut sh = lock_or_recover(&self.shared);
         sh.evicted += evicted;
         sh.registered = self.receivers.len();
@@ -616,10 +655,9 @@ impl Controller {
                 Arc::new(RegisterAck { receiver: app, controller: ctx.node_id(), time: now });
             ctx.send_control(e.node, RegisterAck::WIRE_SIZE, ack);
         }
-        self.telemetry.incr("controller.failovers", 1);
-        self.telemetry.incr("controller.acks_sent", acks);
         let mut sh = lock_or_recover(&self.shared);
         sh.failover_at.get_or_insert(now);
+        sh.failovers += 1;
         sh.acks_sent += acks;
         sh.flight.note(now.nanos(), "takeover", self.state.runs(), format!("{acks} acks"));
     }
@@ -664,7 +702,6 @@ impl Controller {
         let ack: ControlBody =
             Arc::new(ReplicaAck { seq: m.seq, fingerprint: Some(fp), from: my_node });
         ctx.send_control(peer, ReplicaAck::WIRE_SIZE, ack);
-        self.telemetry.incr("controller.replica_applied", 1);
         lock_or_recover(&self.shared).replica_applied += 1;
     }
 
@@ -676,9 +713,9 @@ impl Controller {
         }
         match self.repl_tracker.verdict(a.seq, a.fingerprint) {
             Some(AckVerdict::Match) => {
-                self.telemetry.incr("controller.replica_acks", 1);
-                self.telemetry.set("controller.replication_lag", self.repl_tracker.lag_of(a.seq));
-                lock_or_recover(&self.shared).replica_acks += 1;
+                let mut sh = lock_or_recover(&self.shared);
+                sh.replica_acks += 1;
+                sh.replication_lag = self.repl_tracker.lag_of(a.seq);
             }
             Some(AckVerdict::Divergent) => {
                 // Silent divergence caught: the replica ran the same inputs
@@ -687,8 +724,6 @@ impl Controller {
                 // replicating; the heartbeat keeps flowing so it does not
                 // false-failover).
                 self.repl_peer_quarantined = true;
-                self.telemetry.incr("controller.replica_divergences", 1);
-                self.telemetry.set("controller.replica_quarantined", 1);
                 let mut sh = lock_or_recover(&self.shared);
                 sh.replica_divergences += 1;
                 sh.replica_quarantined = true;
@@ -711,7 +746,6 @@ impl Controller {
                 let body: ControlBody =
                     Arc::new(CheckpointTransfer { next_seq, blob, from: ctx.node_id() });
                 ctx.send_control(a.from, size, body);
-                self.telemetry.incr("controller.replica_resyncs", 1);
                 let mut sh = lock_or_recover(&self.shared);
                 sh.replica_resyncs += 1;
                 sh.flight.note(ctx.now().nanos(), "checkpoint", next_seq, "served");
@@ -727,7 +761,6 @@ impl Controller {
             Ok(state) if state.runs() == t.next_seq => {
                 self.state = state;
                 self.repl_next_seq = Some(t.next_seq);
-                self.telemetry.incr("controller.replica_resyncs", 1);
                 let mut sh = lock_or_recover(&self.shared);
                 sh.replica_resyncs += 1;
                 sh.flight.note(now.nanos(), "checkpoint", t.next_seq, "applied");
@@ -737,7 +770,7 @@ impl Controller {
                 // the blob's own run count, which would leave this replica
                 // discarding the live stream as stale duplicates — is
                 // dropped; the next batch's gap ack requests another.
-                self.telemetry.incr("controller.replica_resync_failures", 1);
+                lock_or_recover(&self.shared).replica_resync_failures += 1;
             }
         }
     }
@@ -775,7 +808,6 @@ impl App for Controller {
             let e = self.receivers.entry(r.receiver).or_insert(admitted);
             (e.node, e.session, e.last_heard) = (r.node, r.session, now);
             if self.active {
-                self.telemetry.incr("controller.acks_sent", 1);
                 lock_or_recover(&self.shared).acks_sent += 1;
                 let ack: ControlBody = Arc::new(RegisterAck {
                     receiver: r.receiver,
@@ -1609,9 +1641,8 @@ mod tests {
     #[test]
     fn divergent_ack_quarantines_the_replica() {
         let (mut sim, catalog, _def, src, mid, _rcv) = chain();
-        let telemetry = Telemetry::collecting();
         let (ctrl, shared) = Controller::new(catalog, Config::default(), SimDuration::ZERO, 1);
-        sim.add_app(src, Box::new(ctrl.with_peer(mid).with_telemetry(telemetry.clone())));
+        sim.add_app(src, Box::new(ctrl.with_peer(mid)));
         let (batches, heartbeats) = (Arc::default(), Arc::default());
         let (b, h) = (Arc::clone(&batches), Arc::clone(&heartbeats));
         let peer =
@@ -1626,8 +1657,9 @@ mod tests {
         let quarantines: Vec<(u64, String)> =
             occurrences.filter(|o| o.kind == "quarantine").map(|o| (o.seq, o.detail)).collect();
         assert_eq!(quarantines, [(3, "node 1".to_string())]);
-        let counters = telemetry.counters_snapshot();
-        assert!(counters.contains(&("controller.replica_divergences".into(), 1)), "{counters:?}");
+        let counters = c.counter_entries();
+        assert!(counters.contains(&("replica_divergences", 1)), "{counters:?}");
+        assert!(counters.contains(&("replica_quarantined", 1)), "{counters:?}");
 
         // The divergent ack answered seq 3, sent at 8 s: nothing is
         // replicated after it, and a beacon still goes out every tick.
@@ -1647,9 +1679,8 @@ mod tests {
     fn checkpoint_transfer_with_a_wrong_next_seq_is_dropped() {
         let (mut sim, catalog, _def, src, mid, _rcv) = chain();
         let cfg = Config::default();
-        let telemetry = Telemetry::collecting();
         let (standby, shared) = Controller::new(catalog, cfg, SimDuration::ZERO, 1);
-        let standby = standby.with_peer(mid).as_standby().with_telemetry(telemetry.clone());
+        let standby = standby.with_peer(mid).as_standby();
         sim.add_app(src, Box::new(standby));
         let snap = AlgorithmState::new(cfg, 9).checkpoint();
         let transfers = vec![
@@ -1661,16 +1692,14 @@ mod tests {
             mid,
             Box::new(ScriptedPeer { controller: Some(src), transfers, ..Default::default() }),
         );
-        let failures = |t: &Telemetry| {
-            let counters = t.counters_snapshot();
-            counters.iter().find(|(k, _)| k == "controller.replica_resync_failures").map(|e| e.1)
+        let resyncs = || {
+            let c = shared.lock().unwrap();
+            (c.replica_resyncs, c.replica_resync_failures)
         };
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(shared.lock().unwrap().replica_resyncs, 0, "a bad transfer was applied");
-        assert_eq!(failures(&telemetry), Some(2));
+        assert_eq!(resyncs(), (0, 2), "a bad transfer was applied, or not counted");
         sim.run_until(SimTime::from_secs(4));
-        assert_eq!(shared.lock().unwrap().replica_resyncs, 1, "the honest transfer was refused");
-        assert_eq!(failures(&telemetry), Some(2));
+        assert_eq!(resyncs(), (1, 2), "the honest transfer was refused");
     }
 
     /// Satellite: the whole silence life-cycle through the table — three

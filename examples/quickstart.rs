@@ -13,9 +13,11 @@
 //! fingerprint — CI runs this twice and diffs the outputs.
 //!
 //! Set `QUICKSTART_TELEMETRY=<path>` to record the controller's decision
-//! audit trail (one JSONL record per pipeline stage per interval, plus
-//! counters and stage timers) to `<path>`. Telemetry is a pure observer:
-//! stdout stays byte-identical to a run without it — CI diffs the two.
+//! audit trail (one JSONL record per pipeline stage per interval, plus one
+//! closing counters record harvested from the simulator profile and the
+//! controller's stats, and the stage timers) to `<path>`. Telemetry is a
+//! pure observer: stdout stays byte-identical to a run without it — CI
+//! diffs the two, and diffs two trails with their timers dropped.
 //!
 //! Set `QUICKSTART_RECORDER=1` to additionally arm the simulator's
 //! structured trace ring. Same pure-observer contract, same CI diff: the
@@ -83,7 +85,8 @@ fn main() {
 
     // 4. Run five simulated minutes. The closing telemetry mirrors the
     //    scenario harness: apply-side trace hops (closing each causal
-    //    chain) and the simulator profile, then counters and timers.
+    //    chain), then one counters record harvested from the structs that
+    //    hold the counts, then the timers.
     sim.run_until(SimTime::from_secs(300));
     for &(when, cause, _old, new) in &rcv_stats.lock().unwrap().applies {
         telemetry.emit(&Record::Trace {
@@ -96,11 +99,14 @@ fn main() {
             level: new as u64,
         });
     }
-    for (name, value) in sim.profile().counter_entries() {
-        telemetry.set(&format!("netsim.profile.{name}"), value);
-    }
-    telemetry.set("netsim.events", sim.events_processed());
-    telemetry.emit_counters(sim.now().nanos());
+    let controller = ctrl_stats.lock().unwrap().counter_entries();
+    let mut entries: Vec<(String, u64)> = (sim.profile().counter_entries().iter())
+        .map(|&(n, v)| (format!("netsim.profile.{n}"), v))
+        .chain(controller.iter().map(|&(n, v)| (format!("controller.{n}"), v)))
+        .collect();
+    entries.push(("netsim.events".to_string(), sim.events_processed()));
+    entries.sort_unstable();
+    telemetry.emit(&Record::Counters { t_ns: sim.now().nanos(), entries });
     telemetry.emit_timers();
     telemetry.flush();
 

@@ -101,8 +101,6 @@ fn trail_queries_work_against_a_recorded_run() {
         assert!(out.contains(&name), "profile output missing {name}:\n{out}");
     }
     assert!(out.lines().all(|l| l.contains("  netsim.profile.")), "off-prefix line in:\n{out}");
-    let rate = inspect(&["counters", trail, "netsim.events_per_sec"]);
-    assert!(String::from_utf8_lossy(&rate.stdout).contains("netsim.events_per_sec"));
 
     // An absent (session, receiver) pair is a hard miss, not silence.
     let miss = inspect(&["trace", trail, "--session", "999", "--receiver", "999"]);
@@ -118,9 +116,8 @@ fn counters_prefix_without_a_match_exits_one() {
     let path =
         std::env::temp_dir().join(format!("toposense-inspect-ctr-{}.jsonl", std::process::id()));
     let tel = Telemetry::jsonl_file(&path).expect("create trail file");
-    tel.incr("netsim.events", 1);
-    tel.incr("controller.intervals", 8);
-    tel.emit_counters(1_000_000_000);
+    let entries = vec![("controller.intervals".to_string(), 8), ("netsim.events".to_string(), 1)];
+    tel.emit(&Record::Counters { t_ns: 1_000_000_000, entries });
     tel.flush();
     let trail = path.to_str().expect("utf8 temp path");
 

@@ -3,9 +3,10 @@
 //! Three hard guarantees, each pinned here:
 //!
 //! 1. **Pure observer, everything armed.** A run with the telemetry sink
-//!    attached *and* the simulator trace ring enabled is byte-identical
-//!    (in everything the simulation can observe about itself) to a plain
-//!    run. The recorder may count, it may never steer.
+//!    attached and the flight recorder running is byte-identical (in
+//!    everything the simulation can observe about itself) to a plain run.
+//!    The recorder may count, it may never steer. (That the simulator's
+//!    trace ring changes nothing is pinned by a `netsim::sim` unit test.)
 //! 2. **Causal chains close.** Every subscription change a receiver
 //!    applies is reconstructible from the audit trail as a complete
 //!    report → decide → apply chain under one cause id, causally ordered
@@ -41,14 +42,14 @@ fn fingerprint(r: &scenarios::ScenarioResult) -> Fingerprint {
     )
 }
 
-/// Arming *all* of it at once — telemetry sink, simulator trace ring,
-/// profile harvest, flight recorder — must leave the simulation
-/// event-for-event identical to a plain run.
+/// Arming all of it at once — telemetry sink, profile and counter harvest,
+/// flight recorder — must leave the simulation event-for-event identical
+/// to a plain run.
 #[test]
 fn fully_armed_recorder_is_a_pure_observer() {
     let plain = run(&scenario(17));
     let (tel, store) = Telemetry::memory();
-    let armed = run(&scenario(17).with_telemetry(tel).with_trace(1 << 14));
+    let armed = run(&scenario(17).with_telemetry(tel));
     assert_eq!(fingerprint(&plain), fingerprint(&armed), "instrumentation steered the run");
 
     // The armed run must have actually observed something, or the

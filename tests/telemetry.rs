@@ -43,6 +43,32 @@ fn sinks_attached_or_detached_simulation_is_identical() {
     );
 }
 
+/// Everything outside the `"timers"` record is a function of simulation
+/// state alone: two recordings of one scenario match line for line, and
+/// the closing counters record is exactly the run's
+/// [`scenarios::ScenarioResult::counters`].
+#[test]
+fn trail_without_timers_is_byte_identical_across_runs() {
+    let record = || {
+        let (tel, store) = Telemetry::memory();
+        let result = run(&scenario(7).with_telemetry(tel));
+        let records: Vec<Record> =
+            store.records().into_iter().filter(|r| !matches!(r, Record::Timers { .. })).collect();
+        (result, records)
+    };
+    let (result, first) = record();
+    let (_, second) = record();
+    let lines = |records: &[Record]| records.iter().map(Record::to_jsonl).collect::<Vec<_>>();
+    assert_eq!(lines(&first), lines(&second), "the trail moved between identical runs");
+
+    let counters: Vec<&Record> =
+        first.iter().filter(|r| matches!(r, Record::Counters { .. })).collect();
+    assert_eq!(counters.len(), 1, "one closing counters record");
+    let Record::Counters { entries, .. } = counters[0] else { unreachable!() };
+    assert_eq!(entries, &result.counters());
+    assert!(entries.iter().any(|(n, v)| n == "controller.intervals" && *v > 0));
+}
+
 /// Every controller interval emits exactly one audit record per stage,
 /// and the subscription decisions recorded are exactly the levels the
 /// controller applied (its `suggestion_series` ground truth).
