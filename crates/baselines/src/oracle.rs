@@ -29,7 +29,8 @@ pub struct OptimalEntry {
 type DirUse = (usize, bool);
 
 /// Compute the optimal level for every receiver in `spec`, assuming every
-/// session uses `layer_spec` (the paper's sessions are homogeneous).
+/// session uses `layer_spec` (the paper's sessions are homogeneous). The
+/// entries follow [`TopoSpec::receivers`] order.
 ///
 /// `headroom` scales capacities before fitting (e.g. `0.95` leaves 5% for
 /// control traffic and VBR jitter; `1.0` = exact CBR fit).
@@ -155,15 +156,6 @@ pub fn optimal_levels(spec: &TopoSpec, layer_spec: &LayerSpec, headroom: f64) ->
         .into_iter()
         .map(|r| OptimalEntry { node: r.node, session: r.session, set: r.set, level: r.level })
         .collect()
-}
-
-/// Convenience: the optimal level of the receiver at spec node `node`.
-pub fn optimal_for_node(entries: &[OptimalEntry], node: usize) -> u8 {
-    entries
-        .iter()
-        .find(|e| e.node == node)
-        .map(|e| e.level)
-        .unwrap_or_else(|| panic!("node {node} is not a receiver"))
 }
 
 #[cfg(test)]

@@ -466,14 +466,6 @@ impl EventQueue {
         EventQueue { backing, scheduled: 0, pending_hwm: 0 }
     }
 
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backing {
-            Backing::Wheel(_) => QueueBackend::CalendarWheel,
-            Backing::Heap(_) => QueueBackend::BinaryHeap,
-        }
-    }
-
     /// Pre-size for about `n` concurrently pending events (the simulator
     /// calls this with links + apps once the topology is frozen).
     pub fn reserve(&mut self, n: usize) {

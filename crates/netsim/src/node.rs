@@ -2,19 +2,17 @@
 //!
 //! A node is a router that may also host application agents (a media source,
 //! a receiver, a controller). Unicast routing is precomputed after the
-//! topology is frozen. All evaluation topologies in the paper are trees, so
-//! the build detects tree/forest graphs and stores an O(n) interval-labelled
-//! routing structure (parent links + Euler tin/tout ranges + a CSR child
-//! table); the dense BFS next-hop table is kept as a fallback for arbitrary
-//! connected graphs, where shortest-path choice genuinely needs a search.
-//! On a tree both representations answer identically because paths are
-//! unique — the interval form just avoids the O(n²) memory that made
-//! million-node domains impossible to even allocate.
+//! topology is frozen. Every topology the paper evaluates is a tree, and so
+//! is every world this program builds, so netsim routes duplex forests only:
+//! [`Routing::build`] stores an O(n) interval-labelled structure (parent
+//! links + Euler tin/tout ranges + a CSR child table) and refuses any other
+//! graph, naming the link that breaks the forest. Paths in a forest are
+//! unique, so no search is needed; an all-pairs next-hop table would cost n²
+//! entries, which no million-node domain could allocate.
 
 use crate::app::AppId;
 use crate::link::DirLinkId;
 use std::collections::HashSet;
-use std::collections::VecDeque;
 
 /// Index of a node.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -43,23 +41,11 @@ pub struct Node {
     pub label: String,
 }
 
-/// Precomputed unicast routing. `next_hop(from, to)` is the directed link to
-/// take at `from` for a packet headed to `to`.
+/// Precomputed unicast routing over a duplex forest. `next_hop(from, to)` is
+/// the directed link to take at `from` for a packet headed to `to`: up
+/// towards the root, unless the destination's Euler interval nests inside
+/// ours, in which case down into the unique child subtree containing it.
 pub struct Routing {
-    num_nodes: usize,
-    backing: Backing,
-}
-
-enum Backing {
-    /// Dense N×N next-hop table from all-sources BFS (arbitrary graphs).
-    Dense(Vec<Vec<Option<DirLinkId>>>),
-    /// O(n) tree/forest routing: go up towards the root unless the
-    /// destination's Euler interval nests inside ours, in which case descend
-    /// into the unique child subtree containing it.
-    Tree(TreeRouting),
-}
-
-struct TreeRouting {
     /// Connected-component id per node (forests route `None` across them).
     comp: Vec<u32>,
     /// Directed link towards the parent; `None` at component roots.
@@ -76,51 +62,27 @@ struct TreeRouting {
     child_link: Vec<DirLinkId>,
 }
 
-impl TreeRouting {
-    fn next_hop(&self, from: NodeId, to: NodeId) -> Option<DirLinkId> {
-        let (f, t) = (from.index(), to.index());
-        if f == t || self.comp[f] != self.comp[t] {
-            return None;
-        }
-        let tt = self.tin[t];
-        if self.tin[f] < tt && tt <= self.tout[f] {
-            // `to` is in our subtree: descend into the child whose Euler
-            // interval contains it. Children are interval-contiguous in DFS
-            // order, so it is the last child with `tin <= tt`.
-            let (lo, hi) = (self.child_start[f] as usize, self.child_start[f + 1] as usize);
-            let kids = &self.child_tin[lo..hi];
-            let idx = kids.partition_point(|&k| k <= tt) - 1;
-            Some(self.child_link[lo + idx])
-        } else {
-            // `to` is outside our subtree: the unique path leads through the
-            // parent. Roots always hit the descend branch for same-component
-            // destinations, so `up` is present here.
-            self.up[f]
-        }
-    }
-}
-
-/// Try to interpret `links` as a duplex tree/forest: every directed link has
-/// exactly one reverse twin, no parallel edges, and the undirected edge set
-/// is acyclic. Returns per-node `(up-link, children)` adjacency on success.
+/// Check that `links` form a duplex tree/forest: no self-loops, no parallel
+/// edges, every directed link has its reverse twin, and the undirected edge
+/// set is acyclic. Returns each node's outgoing `(link, neighbor)` list on
+/// success, or names the first link that breaks one of those rules.
 #[allow(clippy::type_complexity)]
 fn duplex_forest(
     num_nodes: usize,
     links: &[(DirLinkId, NodeId, NodeId)],
-) -> Option<Vec<Vec<(DirLinkId, NodeId)>>> {
-    if !links.len().is_multiple_of(2) {
-        return None;
-    }
+) -> Result<Vec<Vec<(DirLinkId, NodeId)>>, String> {
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(links.len());
-    for &(_, from, to) in links {
-        if from == to || !seen.insert((from.0, to.0)) {
-            return None; // self-loop or parallel edge
+    for &(id, from, to) in links {
+        if from == to {
+            return Err(format!("link {} is a self-loop at node {}", id.0, from.0));
+        }
+        if !seen.insert((from.0, to.0)) {
+            return Err(format!("link {} ({} -> {}) is a parallel edge", id.0, from.0, to.0));
         }
     }
-    // Every directed link needs its reverse twin.
-    for &(_, from, to) in links {
+    for &(id, from, to) in links {
         if !seen.contains(&(to.0, from.0)) {
-            return None;
+            return Err(format!("link {} ({} -> {}) has no reverse twin", id.0, from.0, to.0));
         }
     }
     // Union-find acyclicity over the undirected edges.
@@ -138,29 +100,25 @@ fn duplex_forest(
         if from.0 < to.0 {
             let (a, b) = (find(&mut parent, from.0), find(&mut parent, to.0));
             if a == b {
-                return None; // cycle
+                return Err(format!("link {} ({} -> {}) closes a cycle", id.0, from.0, to.0));
             }
             parent[a as usize] = b;
         }
     }
-    Some(adj)
+    Ok(adj)
 }
 
 impl Routing {
     /// Build from `links`, where each entry is `(id, from, to)` of a directed
-    /// link. Trees/forests get the O(n) interval representation; anything
-    /// else falls back to the dense all-sources BFS table.
+    /// link.
+    ///
+    /// # Panics
+    /// If `links` is not a duplex forest, naming the offending link. Every
+    /// topology is authored by this program (the generators, the scenario
+    /// specs, the large-tree worlds), so a non-forest is a bug in its author.
     pub fn build(num_nodes: usize, links: &[(DirLinkId, NodeId, NodeId)]) -> Self {
-        if let Some(adj) = duplex_forest(num_nodes, links) {
-            return Routing {
-                num_nodes,
-                backing: Backing::Tree(Self::build_tree(num_nodes, &adj)),
-            };
-        }
-        Routing { num_nodes, backing: Backing::Dense(Self::build_dense(num_nodes, links)) }
-    }
-
-    fn build_tree(num_nodes: usize, adj: &[Vec<(DirLinkId, NodeId)>]) -> TreeRouting {
+        let adj = duplex_forest(num_nodes, links)
+            .unwrap_or_else(|e| panic!("netsim routes duplex forests only: {e}"));
         let mut comp = vec![u32::MAX; num_nodes];
         let mut up = vec![None; num_nodes];
         let mut tin = vec![0u32; num_nodes];
@@ -170,7 +128,7 @@ impl Routing {
         let mut ncomp = 0u32;
         // Iterative DFS per component; the component root is the smallest
         // unvisited node id, children are visited in adjacency (= link
-        // insertion) order, matching the BFS table's deterministic choice.
+        // insertion) order.
         let mut stack: Vec<(usize, usize)> = Vec::new(); // (node, next child idx)
         for root in 0..num_nodes {
             if comp[root] != u32::MAX {
@@ -218,9 +176,62 @@ impl Routing {
             }
             child_start.push(child_tin.len() as u32);
         }
-        TreeRouting { comp, up, tin, tout, child_start, child_tin, child_link }
+        Routing { comp, up, tin, tout, child_start, child_tin, child_link }
     }
 
+    /// Next directed link at `from` toward `to`, or `None` if unreachable or
+    /// already there.
+    pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<DirLinkId> {
+        let (f, t) = (from.index(), to.index());
+        if f == t || self.comp[f] != self.comp[t] {
+            return None;
+        }
+        let tt = self.tin[t];
+        if self.tin[f] < tt && tt <= self.tout[f] {
+            // `to` is in our subtree: descend into the child whose Euler
+            // interval contains it. Children are interval-contiguous in DFS
+            // order, so it is the last child with `tin <= tt`.
+            let (lo, hi) = (self.child_start[f] as usize, self.child_start[f + 1] as usize);
+            let kids = &self.child_tin[lo..hi];
+            let idx = kids.partition_point(|&k| k <= tt) - 1;
+            Some(self.child_link[lo + idx])
+        } else {
+            // `to` is outside our subtree: the unique path leads through the
+            // parent. Roots always hit the descend branch for same-component
+            // destinations, so `up` is present here.
+            self.up[f]
+        }
+    }
+
+    /// The sequence of directed links on the path `from -> to`.
+    ///
+    /// `link_to` maps a directed link to its head node. Returns an empty
+    /// vector when `from == to`; panics if `to` is unreachable.
+    pub fn path(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        link_to: impl Fn(DirLinkId) -> NodeId,
+    ) -> Vec<DirLinkId> {
+        let mut path = Vec::new();
+        let mut cur = from;
+        while cur != to {
+            let l = self.next_hop(cur, to).unwrap_or_else(|| panic!("no route {cur:?} -> {to:?}"));
+            path.push(l);
+            cur = link_to(l);
+            assert!(path.len() <= self.comp.len(), "routing loop {from:?} -> {to:?}");
+        }
+        path
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// All-sources BFS next-hop table: the oracle the interval form must
+    /// match hop for hop on trees.
     fn build_dense(
         num_nodes: usize,
         links: &[(DirLinkId, NodeId, NodeId)],
@@ -258,47 +269,6 @@ impl Routing {
         next
     }
 
-    /// Whether the compact tree representation is in use (diagnostics).
-    #[cfg(test)]
-    fn is_tree(&self) -> bool {
-        matches!(self.backing, Backing::Tree(_))
-    }
-
-    /// Next directed link at `from` toward `to`, or `None` if unreachable or
-    /// already there.
-    pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<DirLinkId> {
-        match &self.backing {
-            Backing::Dense(next) => next[from.index()][to.index()],
-            Backing::Tree(t) => t.next_hop(from, to),
-        }
-    }
-
-    /// The sequence of directed links on the path `from -> to`.
-    ///
-    /// `link_to` maps a directed link to its head node. Returns an empty
-    /// vector when `from == to`; panics if `to` is unreachable.
-    pub fn path(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        link_to: impl Fn(DirLinkId) -> NodeId,
-    ) -> Vec<DirLinkId> {
-        let mut path = Vec::new();
-        let mut cur = from;
-        while cur != to {
-            let l = self.next_hop(cur, to).unwrap_or_else(|| panic!("no route {cur:?} -> {to:?}"));
-            path.push(l);
-            cur = link_to(l);
-            assert!(path.len() <= self.num_nodes, "routing loop {from:?} -> {to:?}");
-        }
-        path
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     /// Chain 0 - 1 - 2 with duplex links (ids: 0:0->1, 1:1->0, 2:1->2, 3:2->1).
     fn chain() -> Routing {
         let links = vec![
@@ -313,7 +283,6 @@ mod tests {
     #[test]
     fn next_hops_on_chain() {
         let r = chain();
-        assert!(r.is_tree());
         assert_eq!(r.next_hop(NodeId(0), NodeId(1)), Some(DirLinkId(0)));
         assert_eq!(r.next_hop(NodeId(0), NodeId(2)), Some(DirLinkId(0)));
         assert_eq!(r.next_hop(NodeId(1), NodeId(2)), Some(DirLinkId(2)));
@@ -347,7 +316,6 @@ mod tests {
             id += 1;
         }
         let r = Routing::build(4, &links);
-        assert!(r.is_tree());
         // leaf 1 -> leaf 2 goes via its uplink to the hub.
         assert_eq!(r.next_hop(NodeId(1), NodeId(2)), Some(DirLinkId(1)));
         assert_eq!(r.next_hop(NodeId(0), NodeId(3)), Some(DirLinkId(4)));
@@ -357,7 +325,7 @@ mod tests {
     fn unreachable_is_none() {
         // Two disconnected nodes.
         let r = Routing::build(2, &[]);
-        assert!(r.is_tree()); // a forest of singletons
+        // A forest of singletons.
         assert_eq!(r.next_hop(NodeId(0), NodeId(1)), None);
     }
 
@@ -371,7 +339,6 @@ mod tests {
             (DirLinkId(3), NodeId(3), NodeId(2)),
         ];
         let r = Routing::build(4, &links);
-        assert!(r.is_tree());
         assert_eq!(r.next_hop(NodeId(0), NodeId(1)), Some(DirLinkId(0)));
         assert_eq!(r.next_hop(NodeId(3), NodeId(2)), Some(DirLinkId(3)));
         assert_eq!(r.next_hop(NodeId(0), NodeId(3)), None);
@@ -379,8 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_graph_falls_back_to_dense_bfs() {
-        // Triangle 0-1-2-0: not a tree, must still route shortest paths.
+    #[should_panic(expected = "netsim routes duplex forests only: link 5 (0 -> 2) closes a cycle")]
+    fn cyclic_graph_is_refused() {
+        // Triangle 0-1-2-0: the third edge closes a cycle.
         let mut links = Vec::new();
         let mut id = 0;
         for (a, b) in [(0u32, 1u32), (1, 2), (2, 0)] {
@@ -389,22 +357,17 @@ mod tests {
             links.push((DirLinkId(id), NodeId(b), NodeId(a)));
             id += 1;
         }
-        let r = Routing::build(3, &links);
-        assert!(!r.is_tree());
-        // One hop everywhere.
-        assert_eq!(r.next_hop(NodeId(0), NodeId(1)), Some(DirLinkId(0)));
-        assert_eq!(r.next_hop(NodeId(0), NodeId(2)), Some(DirLinkId(5)));
-        assert_eq!(r.next_hop(NodeId(2), NodeId(1)), Some(DirLinkId(3)));
+        Routing::build(3, &links);
     }
 
     #[test]
-    fn unidirectional_link_falls_back_to_dense() {
-        // 0 -> 1 with no reverse: tree form can't represent asymmetric
-        // reachability, so the dense table must take over.
-        let r = Routing::build(2, &[(DirLinkId(0), NodeId(0), NodeId(1))]);
-        assert!(!r.is_tree());
-        assert_eq!(r.next_hop(NodeId(0), NodeId(1)), Some(DirLinkId(0)));
-        assert_eq!(r.next_hop(NodeId(1), NodeId(0)), None);
+    #[should_panic(
+        expected = "netsim routes duplex forests only: link 0 (0 -> 1) has no reverse twin"
+    )]
+    fn unidirectional_link_is_refused() {
+        // 0 -> 1 with no reverse: the tree form cannot route asymmetric
+        // reachability.
+        Routing::build(2, &[(DirLinkId(0), NodeId(0), NodeId(1))]);
     }
 
     /// The interval form and the dense BFS table agree hop-for-hop on random
@@ -425,14 +388,12 @@ mod tests {
                 id += 1;
             }
             let tree = Routing::build(n, &links);
-            assert!(tree.is_tree());
-            let dense =
-                Routing { num_nodes: n, backing: Backing::Dense(Routing::build_dense(n, &links)) };
+            let dense = build_dense(n, &links);
             for a in 0..n as u32 {
                 for b in 0..n as u32 {
                     assert_eq!(
                         tree.next_hop(NodeId(a), NodeId(b)),
-                        dense.next_hop(NodeId(a), NodeId(b)),
+                        dense[a as usize][b as usize],
                         "divergence at {a}->{b} (n={n})"
                     );
                 }

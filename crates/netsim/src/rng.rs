@@ -6,13 +6,14 @@
 //! which components are created or fire, which keeps sweeps comparable: the
 //! traffic a source generates does not change when an unrelated receiver is
 //! added to the scenario.
+//!
+//! The generator is xoshiro256** seeded through SplitMix64. Its bits are
+//! pinned by every digest and checkpoint in the workspace, so the draw
+//! arithmetic below must not change.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A named, seeded random stream.
+/// A named, seeded random stream: the four-word xoshiro256** state.
 pub struct RngStream {
-    rng: StdRng,
+    s: [u64; 4],
 }
 
 /// Stable 64-bit FNV-1a hash used to mix labels into the master seed (and
@@ -53,10 +54,17 @@ pub fn derive_stream_seed(seed: u64, stream: &str, index: u64) -> u64 {
 }
 
 impl RngStream {
+    /// Expand one 64-bit seed into the four state words: word `i` is the
+    /// `i`-th output of a SplitMix64 sequence started at `seed`.
+    fn seed_from_u64(seed: u64) -> Self {
+        let word = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(0x9e3779b97f4a7c15)));
+        RngStream { s: [word(0), word(1), word(2), word(3)] }
+    }
+
     /// Derive a stream from `master_seed` and a stable `label`.
     pub fn derive(master_seed: u64, label: &str) -> Self {
         let mixed = master_seed ^ fnv1a(label.as_bytes()).rotate_left(17);
-        RngStream { rng: StdRng::seed_from_u64(mixed) }
+        Self::seed_from_u64(mixed)
     }
 
     /// Derive a sub-stream, e.g. one per layer of a source.
@@ -64,49 +72,67 @@ impl RngStream {
         let mixed = master_seed
             ^ fnv1a(label.as_bytes()).rotate_left(17)
             ^ index.wrapping_mul(0x9e3779b97f4a7c15);
-        RngStream { rng: StdRng::seed_from_u64(mixed) }
+        Self::seed_from_u64(mixed)
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// One xoshiro256** step.
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform float in `[0, 1)`: 53 random mantissa bits.
     pub fn f64(&mut self) -> f64 {
-        self.rng.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform float in `[lo, hi)`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
         if lo == hi {
             return lo;
         }
-        self.rng.gen_range(lo..hi)
+        assert!(lo < hi, "empty f64 range");
+        let v = lo + self.f64() * (hi - lo);
+        // Guard against rounding up to the excluded endpoint.
+        if v >= hi {
+            lo
+        } else {
+            v
+        }
     }
 
-    /// Uniform integer in `[lo, hi)`.
+    /// Uniform integer in `[lo, hi)`, by multiply-shift bounded sampling
+    /// (Lemire): the bias is negligible for the simulator's span sizes and
+    /// costs no rejection loop.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        self.rng.gen_range(lo..hi)
+        assert!(lo < hi, "empty u64 range");
+        let span = hi - lo;
+        lo + ((self.next_u64() as u128 * span as u128) >> 64) as u64
     }
 
     /// Bernoulli trial with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p));
-        self.rng.gen::<f64>() < p
-    }
-
-    /// Access the underlying RNG for anything else.
-    pub fn inner(&mut self) -> &mut impl Rng {
-        &mut self.rng
+        self.f64() < p
     }
 
     /// Capture the generator's raw state for checkpointing.
     pub fn state(&self) -> [u64; 4] {
-        self.rng.state()
+        self.s
     }
 
     /// Rebuild a stream from a previously captured [`Self::state`]. The
     /// restored stream continues the exact draw sequence of the original.
     pub fn from_state(s: [u64; 4]) -> Self {
-        RngStream { rng: StdRng::from_state(s) }
+        RngStream { s }
     }
 }
 
@@ -158,6 +184,57 @@ mod tests {
             assert!((2.0..3.0).contains(&v));
             let u = r.range_u64(5, 10);
             assert!((5..10).contains(&u));
+            let f = r.f64();
+            assert!((0.0..1.0).contains(&f));
+        }
+    }
+
+    #[test]
+    fn mean_is_roughly_centered() {
+        let mut r = RngStream::derive(3, "mean");
+        let n = 100_000;
+        let sum: f64 = (0..n).map(|_| r.f64()).sum();
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    /// The bitstream itself, not only through the digests built on it: the
+    /// first eight `f64` and `range_u64` draws of one stream and one
+    /// sub-stream.
+    #[test]
+    fn draws_are_pinned() {
+        let pinned: [([u64; 8], [u64; 8]); 2] = [
+            (
+                [
+                    0x3fe1384a5e20499c,
+                    0x3fbdc217ab4e3638,
+                    0x3fe978eb9bd1e2a1,
+                    0x3fe12b3f133769b3,
+                    0x3fed32c88cdd5a9e,
+                    0x3fe33b0ece702ed9,
+                    0x3fd8fa1c2a432840,
+                    0x3fefceeca75924d7,
+                ],
+                [709329, 867542, 128899, 646950, 181315, 455407, 197257, 682851],
+            ),
+            (
+                [
+                    0x3fa05d593e280230,
+                    0x3fd612403c43b552,
+                    0x3fd91220663bad34,
+                    0x3fea14b21740fff7,
+                    0x3fea495814fb8c1f,
+                    0x3fde59288e8c610c,
+                    0x3fec30685bce8479,
+                    0x3fd2a65ec5a5e102,
+                ],
+                [35179, 219641, 543840, 187603, 879047, 561860, 845429, 749022],
+            ),
+        ];
+        let streams = [RngStream::derive(1, "pin"), RngStream::derive_sub(1, "pin", 3)];
+        for (mut r, (floats, ints)) in streams.into_iter().zip(pinned) {
+            assert_eq!(floats.map(|_| r.f64().to_bits()), floats);
+            assert_eq!(ints.map(|_| r.range_u64(0, 1_000_000)), ints);
         }
     }
 

@@ -21,7 +21,9 @@ use crate::trace::{DropReason, TraceLog};
 /// Global simulation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// Master seed; all component RNG streams derive from it.
+    /// Master seed the world is built for. The simulator itself draws
+    /// nothing: each component derives its own stream from the seed (see
+    /// [`crate::rng`]), so this field is a label only.
     pub seed: u64,
     /// Multicast graft/prune latencies.
     pub multicast: MulticastConfig,
@@ -191,7 +193,6 @@ impl NetworkBuilder {
             app_node: Vec::new(),
             timer_floor: Vec::new(),
             started: false,
-            cfg: self.cfg,
             events_done: 0,
             ev_counts: [0; 7],
             drop_counts: [0; 3],
@@ -333,7 +334,6 @@ pub struct Simulator {
     /// when it comes due — whether the node is still down or already back.
     timer_floor: Vec<u64>,
     started: bool,
-    cfg: SimConfig,
     events_done: u64,
     /// Events processed, indexed by event type (see `event_type_index`).
     ev_counts: [u64; 7],
@@ -355,11 +355,6 @@ impl Simulator {
         self.clock
     }
 
-    /// The master seed for this run.
-    pub fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
     /// The network (topology, link stats, multicast ground truth).
     pub fn network(&self) -> &Network {
         &self.net
@@ -379,13 +374,6 @@ impl Simulator {
         self.timer_floor.push(0);
         self.net.nodes[node.index()].apps.push(id);
         id
-    }
-
-    /// Borrow an app back (e.g. to read collected statistics after a run).
-    ///
-    /// Panics if the id is out of range.
-    pub fn app(&self, id: AppId) -> &dyn App {
-        self.apps[id.index()].as_deref().expect("app is being dispatched")
     }
 
     /// Total events processed so far.

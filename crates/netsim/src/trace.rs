@@ -73,7 +73,7 @@ impl TraceLog {
 
     /// A trace that keeps the most recent `cap` events; older ones are
     /// overwritten (and counted in [`TraceLog::dropped`]).
-    pub fn bounded(cap: usize) -> Self {
+    fn bounded(cap: usize) -> Self {
         TraceLog { cap, events: Vec::new(), head: 0, dropped: 0 }
     }
 

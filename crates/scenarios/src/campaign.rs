@@ -113,7 +113,7 @@ impl Gate {
     /// Gate on a check that yields no number (an audit, a wall-clock budget):
     /// `value` stays `None`, so nothing run-dependent reaches an artifact, and
     /// a failure carries the `Err` text as its reason.
-    pub fn holds(name: &str, threshold: f64, outcome: Result<(), String>) -> Gate {
+    fn holds(name: &str, threshold: f64, outcome: Result<(), String>) -> Gate {
         Gate {
             name: name.into(),
             status: if outcome.is_ok() { GateStatus::Pass } else { GateStatus::Fail },
@@ -885,8 +885,6 @@ fn run_federation(p: FederationParams, cfg: toposense::Config, seed: u64) -> Ver
         ("domains".into(), p.domains.to_string()),
         ("receivers".into(), receivers.to_string()),
         ("rounds".into(), p.rounds.to_string()),
-        ("summaries_sent".into(), fed.summaries_sent().to_string()),
-        ("border_folds".into(), fed.border_folds().to_string()),
         ("final_caps".into(), final_caps.iter().map(u8::to_string).collect::<Vec<_>>().join(",")),
     ];
     Verdict { metrics, rows: Vec::new(), gates }

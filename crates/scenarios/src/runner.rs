@@ -7,7 +7,7 @@
 //! node. After `duration` simulated seconds it harvests every agent's
 //! shared stats plus the ground-truth optimum from the oracle.
 
-use baselines::oracle::{self, OptimalEntry};
+use baselines::oracle;
 use baselines::{FixedReceiver, RlmReceiver, TfrcReceiver};
 use metrics::StepSeries;
 use netsim::sim::SimConfig;
@@ -267,8 +267,6 @@ pub struct ScenarioResult {
     pub control_bytes: u64,
     /// Total events processed (throughput diagnostics).
     pub events: u64,
-    /// The oracle allocation (aligned with nothing; lookup by node).
-    pub optima: Vec<OptimalEntry>,
     /// Wall-clock spent assembling the simulation (nanoseconds). The
     /// pipeline has no separate warmup phase, so the issue's
     /// setup/warmup/run split collapses to setup/run/harvest here.
@@ -542,12 +540,15 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
 
     // Harvest.
     let harvest_span = Span::new();
+    // `optimal_levels` lists its entries in `TopoSpec::receivers()` order,
+    // the order `handles` was filled in.
     let receivers: Vec<ReceiverOutcome> = handles
         .into_iter()
-        .map(|(spec_node, node, app, session, set, handle)| {
+        .zip(optima)
+        .map(|((spec_node, node, app, session, set, handle), entry)| {
+            assert_eq!(entry.node, spec_node, "oracle entries follow the receiver order");
             let stats = handle.lock().unwrap().clone();
-            let optimal = oracle::optimal_for_node(&optima, spec_node);
-            ReceiverOutcome { spec_node, node, app, session, set, optimal, stats }
+            ReceiverOutcome { spec_node, node, app, session, set, optimal: entry.level, stats }
         })
         .collect();
     let net = sim.network();
@@ -578,7 +579,6 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
         down_link_drops,
         control_bytes,
         events: sim.events_processed(),
-        optima,
         setup_wall_ns,
         run_wall_ns,
         harvest_wall_ns: 0,
@@ -662,7 +662,6 @@ mod tests {
             down_link_drops: 0,
             control_bytes: 0,
             events: 0,
-            optima: Vec::new(),
             setup_wall_ns: 0,
             run_wall_ns: 0,
             harvest_wall_ns: 0,

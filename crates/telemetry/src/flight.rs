@@ -24,8 +24,6 @@ mod kind {
         "checkpoint",
         "gate_failure",
         "recovery_failure",
-        "border_summary",
-        "border_fold",
         // No longer written; kept so older `blackbox.v1` dumps decode.
         "view_change",
         "divergence",

@@ -264,7 +264,6 @@ enum Outage {
 pub struct DiscoveryTool {
     staleness: SimDuration,
     history: VecDeque<TopologyView>,
-    max_history: usize,
     outages: Vec<Outage>,
 }
 
@@ -273,7 +272,7 @@ impl DiscoveryTool {
     /// instantaneous oracle (the paper's baseline premise, which it calls
     /// "clearly unrealistic").
     pub fn new(staleness: SimDuration) -> Self {
-        DiscoveryTool { staleness, history: VecDeque::new(), max_history: 64, outages: Vec::new() }
+        DiscoveryTool { staleness, history: VecDeque::new(), outages: Vec::new() }
     }
 
     /// Schedule a total outage: queries in `[from, until)` return
@@ -296,15 +295,22 @@ impl DiscoveryTool {
     }
 
     /// Record a snapshot (call this periodically, e.g. once per controller
-    /// interval). Old snapshots beyond what staleness can ever need are
-    /// discarded.
+    /// interval).
+    ///
+    /// The archive keeps exactly what staleness can still serve. Queries
+    /// move forward in time and come no earlier than the newest snapshot, so
+    /// every query's cutoff is at or after `newest.time - staleness`, and
+    /// the newest snapshot at or before that horizon is the oldest one a
+    /// query can ever pick again: everything before it is dropped. At zero
+    /// staleness that leaves the newest snapshot alone.
     pub fn record(&mut self, view: TopologyView) {
         debug_assert!(
             self.history.back().is_none_or(|v| v.time <= view.time),
             "snapshots must be recorded in time order"
         );
+        let horizon = view.time.saturating_sub(self.staleness);
         self.history.push_back(view);
-        while self.history.len() > self.max_history {
+        while self.history.get(1).is_some_and(|v| v.time <= horizon) {
             self.history.pop_front();
         }
     }
@@ -394,9 +400,24 @@ mod tests {
         for s in 0..200 {
             d.record(view_at(s));
         }
-        assert!(d.history_len() <= 64);
-        // Newest snapshots survive the trimming.
+        // Zero staleness can only ever serve the newest snapshot.
+        assert_eq!(d.history_len(), 1);
         assert_eq!(d.query(SimTime::from_secs(500)).unwrap().time, SimTime::from_secs(199));
+    }
+
+    /// A staleness longer than any fixed archive depth is still served: at
+    /// 130 s and a snapshot every 2 s, the query at t = 300 s needs the
+    /// 170 s snapshot, 65 snapshots back.
+    #[test]
+    fn long_staleness_is_served() {
+        let mut d = DiscoveryTool::new(SimDuration::from_secs(130));
+        for s in (0..=300).step_by(2) {
+            d.record(view_at(s));
+        }
+        let v = d.query_checked(SimTime::from_secs(300)).unwrap().unwrap();
+        assert_eq!(v.time, SimTime::from_secs(170));
+        // Nothing older than the servable snapshot is kept.
+        assert_eq!(d.history_len(), 66);
     }
 
     #[test]

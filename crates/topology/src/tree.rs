@@ -217,17 +217,6 @@ impl Tree {
         out
     }
 
-    /// All nodes of the subtree rooted at `node` (including `node`).
-    pub fn subtree(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            stack.extend(self.children(n).iter().copied());
-        }
-        out
-    }
-
     /// Hop depth of `node` below the root (root = 0).
     pub fn depth(&self, node: NodeId) -> usize {
         let mut d = 0;
@@ -469,9 +458,6 @@ mod tests {
         let mut sl = t.subtree_leaves(n(2));
         sl.sort();
         assert_eq!(sl, vec![n(3), n(4)]);
-        let mut sub = t.subtree(n(1));
-        sub.sort();
-        assert_eq!(sub, vec![n(1), n(2), n(3), n(4), n(5)]);
     }
 
     #[test]

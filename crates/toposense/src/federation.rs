@@ -38,7 +38,6 @@ use netsim::{
     SimDuration, SimTime,
 };
 use serde_json::wire;
-use telemetry::FlightRecorder;
 use topology::discovery::{LinkView, TopologyView};
 use topology::SessionTree;
 use traffic::LayerSpec;
@@ -146,11 +145,6 @@ impl Domain {
         self.registry.len()
     }
 
-    /// The domain's pipeline state (diagnostics / tests).
-    pub fn state(&self) -> &AlgorithmState {
-        &self.state
-    }
-
     /// Distill one interval into the border digest the parent folds.
     fn summarize(
         &self,
@@ -237,9 +231,6 @@ pub struct Federation {
     parent_registry: Vec<(AppId, NodeId, SessionId)>,
     caps: Vec<u8>,
     seq: u64,
-    flight: FlightRecorder,
-    summaries_sent: u64,
-    border_folds: u64,
 }
 
 impl Federation {
@@ -286,45 +277,7 @@ impl Federation {
             parent_spec,
             parent_registry,
             seq: 0,
-            flight: FlightRecorder::new(256),
-            summaries_sent: 0,
-            border_folds: 0,
         }
-    }
-
-    /// Number of federated domains.
-    pub fn domains(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// The domains themselves (diagnostics / tests).
-    pub fn domain(&self, i: usize) -> &Domain {
-        &self.domains[i]
-    }
-
-    /// Border caps currently in force (`u8::MAX` = uncapped).
-    pub fn caps(&self) -> &[u8] {
-        &self.caps
-    }
-
-    /// Completed federation intervals.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Border summaries shipped so far (k per interval).
-    pub fn summaries_sent(&self) -> u64 {
-        self.summaries_sent
-    }
-
-    /// Summaries the parent folded into its pipeline so far.
-    pub fn border_folds(&self) -> u64 {
-        self.border_folds
-    }
-
-    /// The control-plane flight recorder (border events land here).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// Run one federated control interval: domains in parallel under last
@@ -370,23 +323,9 @@ impl Federation {
             let decoded = BorderSummary::decode(&summary.encode())
                 .expect("border summary must round-trip its own wire form");
             debug_assert_eq!(decoded, summary);
-            self.flight.note(
-                now.nanos(),
-                "border_summary",
-                seq,
-                format!(
-                    "domain {} level {} loss {}/{} bytes {}",
-                    decoded.domain,
-                    decoded.level,
-                    decoded.lost,
-                    decoded.received.saturating_add(decoded.lost),
-                    decoded.bytes
-                ),
-            );
             domain_outputs.push(out);
             summaries.push(decoded);
         }
-        self.summaries_sent += summaries.len() as u64;
 
         // The fold: each domain becomes one synthetic receiver at its
         // gateway, and the parent runs the ordinary five-stage pipeline
@@ -416,7 +355,6 @@ impl Federation {
             reports: &folded,
         };
         let parent = self.parent.run_incremental(&inputs);
-        self.border_folds += folded.len() as u64;
 
         // Hand back next interval's caps from the parent's per-gateway
         // supply. Computed at interval n, binding at n + 1: the one-hop
@@ -427,20 +365,6 @@ impl Federation {
                 *cap = s.level;
             }
         }
-        self.flight.note(
-            now.nanos(),
-            "border_fold",
-            seq,
-            format!(
-                "folded {} summaries, caps [{}]",
-                summaries.len(),
-                self.caps
-                    .iter()
-                    .map(|c| if *c == u8::MAX { "-".into() } else { c.to_string() })
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
         self.seq += 1;
         FederationInterval { domain_outputs, summaries, parent, caps: self.caps.clone() }
     }
@@ -620,32 +544,13 @@ mod tests {
                     reports,
                 );
                 fps.push(out.fingerprint());
+                // Interval n (from 0) ships one summary per domain, all
+                // stamped with sequence number n.
+                let seqs: Vec<u64> = out.summaries.iter().map(|s| s.seq).collect();
+                assert_eq!(seqs, [round - 1; 3]);
             }
-            (fps, fed.summaries_sent(), fed.border_folds(), fed.seq())
+            fps
         };
-        let (a, sent, folds, seq) = go();
-        let (b, ..) = go();
-        assert_eq!(a, b, "federation interval must be bit-reproducible");
-        assert_eq!(sent, 12, "3 domains x 4 intervals");
-        assert_eq!(folds, 12);
-        assert_eq!(seq, 4);
-    }
-
-    #[test]
-    fn federation_counters_and_flight_events_are_wired() {
-        let domains: Vec<Domain> = (0..2).map(|i| tiny_domain(i, 3).0).collect();
-        let leaves = tiny_domain(0, 3).1;
-        let mut fed = Federation::new(Config::default(), 3, domains, LayerSpec::paper_default());
-        for round in 1..=2u64 {
-            let reports: Vec<Vec<ReceiverReport>> =
-                (0..2).map(|i| clean_reports(i, &leaves, 1)).collect();
-            fed.run_interval(SimTime::from_secs(2 * round), SimDuration::from_secs(2), reports);
-        }
-        assert_eq!(fed.summaries_sent(), 4);
-        assert_eq!(fed.border_folds(), 4);
-        assert_eq!(fed.domains(), 2);
-        let kinds: Vec<&str> = fed.flight().occurrences().iter().map(|o| o.kind).collect();
-        assert!(kinds.contains(&"border_summary"));
-        assert!(kinds.contains(&"border_fold"));
+        assert_eq!(go(), go(), "federation interval must be bit-reproducible");
     }
 }

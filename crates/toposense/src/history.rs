@@ -39,11 +39,6 @@ impl CongestionHistory {
         self.0 & 1 == 1
     }
 
-    /// Congestion state one interval ago, `T1` (bit 1).
-    pub fn prev(self) -> bool {
-        self.0 & 0b10 != 0
-    }
-
     /// Congestion state two intervals ago, `T0` (bit 2).
     #[cfg(test)]
     fn prev2(self) -> bool {
@@ -99,7 +94,6 @@ mod tests {
         h.push(false); // that 1 moves to T1   -> 0b010
         assert_eq!(h.bits(), 0b010);
         assert!(!h.now());
-        assert!(h.prev());
         h.push(false); // 1 moves to T0        -> 0b100
         assert_eq!(h.bits(), 0b100);
         assert!(h.prev2());

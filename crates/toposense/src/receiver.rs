@@ -118,7 +118,7 @@ impl Subscriber {
     }
 
     /// The shared stats, for the counters an app keeps beside the series.
-    pub fn shared(&self) -> MutexGuard<'_, ReceiverShared> {
+    fn shared(&self) -> MutexGuard<'_, ReceiverShared> {
         lock_or_recover(&self.shared)
     }
 

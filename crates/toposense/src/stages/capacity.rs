@@ -63,11 +63,6 @@ impl CapacityEstimator {
         self.estimates.get(&link).map(|e| e.capacity_bps)
     }
 
-    /// Number of links with a finite estimate.
-    pub fn estimated_links(&self) -> usize {
-        self.estimates.len()
-    }
-
     /// Iterate `(link, capacity_bps)` over every finite estimate, in
     /// `HashMap` order (callers needing determinism must sort). The set of
     /// estimated links is typically tiny next to the tree, which is what
@@ -445,7 +440,6 @@ mod tests {
         one_interval(&mut est, SimTime::from_secs(2), &usage, None);
         assert!(est.capacity(l(0)).is_some());
         assert!(est.capacity(l(1)).is_none());
-        assert_eq!(est.estimated_links(), 1);
     }
 
     /// Two lossy sessions whose raw byte reports sum past `u64::MAX`: the

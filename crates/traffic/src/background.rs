@@ -19,7 +19,6 @@ pub struct OnOffFlood {
     packet_size: u32,
     on_at: SimTime,
     off_at: SimTime,
-    sent: u64,
 }
 
 const TOKEN_TICK: u64 = 1;
@@ -28,12 +27,7 @@ impl OnOffFlood {
     /// Flood `dest` at `rate_bps` between `on_at` and `off_at`.
     pub fn new(dest: NodeId, rate_bps: f64, on_at: SimTime, off_at: SimTime) -> Self {
         assert!(rate_bps > 0.0 && off_at > on_at);
-        OnOffFlood { dest, rate_bps, packet_size: 1000, on_at, off_at, sent: 0 }
-    }
-
-    /// Packets sent so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
+        OnOffFlood { dest, rate_bps, packet_size: 1000, on_at, off_at }
     }
 
     fn gap(&self) -> SimDuration {
@@ -53,7 +47,6 @@ impl App for OnOffFlood {
         }
         let body: ControlBody = Arc::new(FloodPayload);
         ctx.send_control(self.dest, self.packet_size, body);
-        self.sent += 1;
         ctx.set_timer(self.gap(), TOKEN_TICK);
     }
 }

@@ -1,6 +1,8 @@
-//! Public-surface gate. Rule 1: every `pub` item in `crates/*/src` is named by another file.
-//! Rule 2: every crate-root re-export is used through that root outside the crate. Scans stop
-//! at a file's top-level `#[cfg(test)]`; `shims/*` mirror external APIs and are out of scope.
+//! Public-surface gate. Rule 1: every `pub` item in `crates/*/src` is named by another file,
+//! and every `pub fn` inside an `impl` is called or pathed there (a field or local of the same
+//! name is not a caller). Rule 2: every crate-root re-export is used through that root outside
+//! the crate. Scans stop at a file's top-level `#[cfg(test)]`; `shims/*` mirror external APIs
+//! and are out of scope.
 
 use std::fs;
 
@@ -26,6 +28,32 @@ fn mentions(hay: &str, name: &str) -> bool {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
     hay.match_indices(name)
         .any(|(i, _)| !hay[..i].ends_with(ident) && !hay[i + name.len()..].starts_with(ident))
+}
+
+/// True if `hay` calls or paths to `name`: `.name(`, `.name::<`, or `::name` followed by a
+/// non-identifier character other than `:` (a module of that name is not the method), or by `::<`.
+fn calls(hay: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    hay.match_indices(name).any(|(i, _)| {
+        let (before, after) = (&hay[..i], &hay[i + name.len()..]);
+        let turbofish = after.starts_with("::<");
+        before.ends_with('.') && (after.starts_with('(') || turbofish)
+            || before.ends_with("::") && (turbofish || !after.starts_with(|c| ident(c) || c == ':'))
+    })
+}
+
+/// True if the `pub fn` on `lines[n]` is a method: the nearest line above it with less
+/// indentation (past a `where` clause and its lone `{`) opens an `impl` block.
+fn in_impl(lines: &[&str], n: usize) -> bool {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let k = indent(lines[n]);
+    lines[..n]
+        .iter()
+        .rev()
+        .filter(|l| !l.trim().is_empty() && indent(l) < k)
+        .map(|l| l.trim_start())
+        .find(|t| *t != "{" && !t.starts_with("where"))
+        .is_some_and(|t| t.starts_with("impl") || t.starts_with("unsafe impl"))
 }
 
 /// The text that can name an item: no comments, `mod` lines or `pub use`
@@ -96,9 +124,12 @@ fn hits<S: AsRef<str>>(files: &[(S, S)]) -> Vec<String> {
     let mut out = Vec::new();
     for &(path, text) in &files {
         let Some(own) = krate(path) else { continue };
+        let lines: Vec<&str> = text.lines().collect();
         for (n, line) in live(text) {
             let Some((kind, name)) = decl(line) else { continue };
-            let used = named.iter().any(|(p, t)| *p != path && mentions(t, name));
+            let method = kind == "fn" && in_impl(&lines, n);
+            let used_by = |t: &str| if method { calls(t, name) } else { mentions(t, name) };
+            let used = named.iter().any(|(p, t)| *p != path && used_by(t));
             let typed = matches!(kind, "struct" | "enum" | "type" | "trait");
             if !(used || typed && in_signature(&files, own, kind, name)) {
                 out.push(format!("{path}:{}: pub {kind} {name}", n + 1));
@@ -147,4 +178,13 @@ fn the_rules_flag_what_they_should_and_nothing_else() {
     let hit = ["crates/a/src/lib.rs:2: pub use a::Thing"];
     assert_eq!(hits(&[root, thing, ("tests/t.rs", "use a::m::Thing;")]), hit);
     assert!(hits(&[root, thing, ("tests/t.rs", "use a::{\n    m,\n    Thing,\n};")]).is_empty());
+    // A method whose name elsewhere is only a field, a local or a module is not called; a
+    // method call, a turbofish or a path is.
+    let method = ("crates/a/src/x.rs", "pub struct S;\nimpl S {\n    pub fn knob(&self) {}\n}");
+    let hit = ["crates/a/src/x.rs:3: pub fn knob"];
+    let field = "let c = a::x::S.knob;\nlet knob = Out { knob };\nuse b::knob::Table;";
+    assert_eq!(hits(&[method, ("src/main.rs", field)]), hit);
+    for call in ["s.knob();", "s.knob::<u8>();", "v.map(a::x::S::knob);"] {
+        assert!(hits(&[method, ("src/main.rs", &format!("a::x::S;\n{call}"))]).is_empty());
+    }
 }
