@@ -136,6 +136,29 @@ impl RngStream {
     }
 }
 
+/// The master seed every property test's cases derive from.
+const PROPERTY_SEED: u64 = 0x7e57_5eed;
+
+/// Run the property `name`: `body` once per case `0..cases`, in order, each
+/// on its own stream `RngStream::derive_sub(PROPERTY_SEED, name, case)` to
+/// draw its inputs from. A failing case panics again as `property '{name}'
+/// failed at case {case} of {cases}: {message}`, which names the one stream
+/// that replays it.
+pub fn check(name: &str, cases: u64, mut body: impl FnMut(&mut RngStream)) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for case in 0..cases {
+        let mut g = RngStream::derive_sub(PROPERTY_SEED, name, case);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&mut g))) {
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            panic!("property '{name}' failed at case {case} of {cases}: {message}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +314,27 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.f64().to_bits(), b.f64().to_bits());
         }
+    }
+
+    #[test]
+    fn check_runs_each_case_on_its_own_stream() {
+        let n = 7;
+        let mut firsts = Vec::new();
+        check("own-stream", n, |g| firsts.push(g.next_u64()));
+        let want: Vec<u64> = (0..n)
+            .map(|k| RngStream::derive_sub(PROPERTY_SEED, "own-stream", k).next_u64())
+            .collect();
+        assert_eq!(firsts, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "property 'boom' failed at case 3 of 5: case three")]
+    fn check_names_the_failing_case() {
+        let mut case = 0;
+        check("boom", 5, |_| {
+            assert!(case != 3, "case three");
+            case += 1;
+        });
     }
 
     #[test]

@@ -238,10 +238,6 @@ pub enum FaultAxis {
     None,
     /// Spec link `link` flaps three times, 3 s down per flap.
     LinkFlap { link: usize },
-    /// Spec node `node` crashes and restarts 4 s later.
-    RouterCrash { node: usize },
-    /// Seeded random chaos, `events` outages across the whole topology.
-    Chaos { events: u32 },
 }
 
 impl FaultAxis {
@@ -250,18 +246,13 @@ impl FaultAxis {
         match *self {
             FaultAxis::None => "none".into(),
             FaultAxis::LinkFlap { link } => format!("flap-l{link}"),
-            FaultAxis::RouterCrash { node } => format!("crash-n{node}"),
-            FaultAxis::Chaos { events } => format!("chaos-{events}"),
         }
     }
 
     /// Stamp the fault onto `s`. Returns the scenario plus the instant the
-    /// last fault heals (`None` for the control cell and for chaos, whose
-    /// recovery is unbounded by design — a chaos plan may crash the source
-    /// or the controller for good).
+    /// last fault heals (`None` for the control cell).
     pub fn apply(&self, s: Scenario) -> (Scenario, Option<SimTime>) {
-        let dur = s.duration.as_secs_f64();
-        let third = SimTime::ZERO + SimDuration::from_secs_f64(dur / 3.0);
+        let third = SimTime::ZERO + SimDuration::from_secs_f64(s.duration.as_secs_f64() / 3.0);
         match *self {
             FaultAxis::None => (s, None),
             FaultAxis::LinkFlap { link } => {
@@ -275,17 +266,6 @@ impl FaultAxis {
                     repeats: 3,
                 });
                 (s, Some(third + period * 2 + down))
-            }
-            FaultAxis::RouterCrash { node } => {
-                let heal = third + SimDuration::from_secs(4);
-                let s = s.with_fault(SpecFault::NodeOutage { node, from: third, until: heal });
-                (s, Some(heal))
-            }
-            FaultAxis::Chaos { events } => {
-                let seed = netsim::derive_stream_seed(s.seed, "chaos-plan", 1);
-                let until = SimTime::ZERO + SimDuration::from_secs_f64(dur * 2.0 / 3.0);
-                let s = s.with_fault(SpecFault::Chaos { seed, from: third, until, events });
-                (s, None)
             }
         }
     }

@@ -638,6 +638,7 @@ impl FederatedMediaWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::rng::check;
 
     #[test]
     fn balanced_tree_shape() {
@@ -832,25 +833,35 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// The walk is the numbering every generator here relies on.
-        #[test]
-        fn balanced_walk_numbers_breadth_first(fanout in 1usize..=6, depth in 1usize..=5) {
+    /// The walk is the numbering every generator here relies on.
+    #[test]
+    fn balanced_walk_numbers_breadth_first() {
+        check("balanced_walk_numbers_breadth_first", 64, |g| {
+            let fanout = g.range_u64(1, 7) as usize;
+            let depth = g.range_u64(1, 6) as usize;
             let edges: Vec<_> = balanced_walk(fanout, depth).collect();
             let leaves = fanout.pow(depth as u32);
             for (i, &(parent, child, level)) in edges.iter().enumerate() {
                 // Children are `1..n` in visiting order.
-                proptest::prop_assert_eq!(child, i + 1);
-                proptest::prop_assert_eq!(parent, (child - 1) / fanout);
+                assert_eq!(child, i + 1, "edge {i}: fanout {fanout}, depth {depth}");
+                assert_eq!(
+                    parent,
+                    (child - 1) / fanout,
+                    "edge {i}: fanout {fanout}, depth {depth}"
+                );
                 // Exactly the last `fanout^depth` edges reach the leaf level.
-                proptest::prop_assert_eq!(level == depth, i >= edges.len() - leaves);
-                proptest::prop_assert!((1..=depth).contains(&level));
+                assert_eq!(
+                    level == depth,
+                    i >= edges.len() - leaves,
+                    "edge {i}: fanout {fanout}, depth {depth}"
+                );
+                assert!((1..=depth).contains(&level), "edge {i}: fanout {fanout}, depth {depth}");
             }
             let (_, tree_leaves) = balanced_session_tree(0, fanout, depth);
             let walk_leaves: Vec<NodeId> =
                 edges[edges.len() - leaves..].iter().map(|&(_, c, _)| NodeId(c as u32)).collect();
-            proptest::prop_assert_eq!(tree_leaves, walk_leaves);
-        }
+            assert_eq!(tree_leaves, walk_leaves, "fanout {fanout}, depth {depth}");
+        });
     }
 
     #[test]

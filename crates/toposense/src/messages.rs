@@ -6,10 +6,11 @@
 //! node "so control messages could be lost due to congestion".
 
 use crate::algorithm::ReceiverReport;
+use netsim::rng::splitmix64;
 use netsim::{AppId, NodeId, SessionId, SimDuration, SimTime};
 use topology::discovery::TopologyView;
 
-/// Deterministic cause id for one receiver report: a splitmix64-style mix
+/// Deterministic cause id for one receiver report: the [`splitmix64`] mix
 /// of (receiver, session, report sequence number). The receiver mints it
 /// when the report is sent; the controller copies it onto the decision the
 /// report feeds and onto the suggestion it sends back, and the receiver
@@ -20,20 +21,15 @@ use topology::discovery::TopologyView;
 /// Zero is reserved for "no known cause" (e.g. a fallback suggestion from
 /// a standby that never saw the triggering report).
 pub fn cause_id(receiver: u64, session: u64, seq: u64) -> u64 {
-    let mut z = receiver
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(session.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(seq)
-        .wrapping_add(0x94d0_49bb_1331_11eb);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = splitmix64(
+        receiver
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(session.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+            .wrapping_add(seq)
+            .wrapping_add(0xf698_d001_93e6_95d6),
+    );
     // Never collide with the reserved "no cause" value.
-    if z == 0 {
-        1
-    } else {
-        z
-    }
+    z.max(1)
 }
 
 /// Receiver -> controller: announce existence (sent once at startup and
@@ -253,6 +249,22 @@ mod tests {
         assert_ne!(cause_id(1, 0, 0), cause_id(1, 1, 0));
         for seq in 0..64 {
             assert_ne!(cause_id(0, 0, seq), 0, "zero is reserved for 'no cause'");
+        }
+    }
+
+    /// The ids the receivers mint and the telemetry trail carries.
+    #[test]
+    fn cause_ids_are_pinned() {
+        let m = u64::MAX;
+        let pinned = [
+            ((0, 0, 0), 0x2848_d6a4_a7b2_8bc1),
+            ((1, 0, 0), 0xbb1f_d59c_964c_1554),
+            ((7, 2, 1234), 0x9098_058d_149b_8aee),
+            ((m, m, m), 0x48cd_7a1d_970f_4ae5),
+            ((0, m, 0), 0xdc55_e62f_e0ed_2310),
+        ];
+        for ((receiver, session, seq), id) in pinned {
+            assert_eq!(cause_id(receiver, session, seq), id, "({receiver}, {session}, {seq})");
         }
     }
 }

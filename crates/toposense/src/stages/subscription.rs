@@ -584,6 +584,7 @@ pub(crate) fn half_supply_level(spec: &LayerSpec, inp: &NodeInputs, w: SupplyWin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::rng::check;
     use netsim::{DirLinkId, GroupId, GroupSnapshot, SessionId, SimTime};
     use topology::discovery::{LinkView, TopologyView};
 
@@ -615,6 +616,12 @@ mod tests {
             links,
         };
         SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap()
+    }
+
+    /// A random parent vector for [`tree_of`], shorter than `max_len`:
+    /// node `i + 1` hangs under a node drawn from `0..=i`.
+    fn random_parents(g: &mut RngStream, max_len: u64) -> Vec<u32> {
+        (0..g.range_u64(0, max_len)).map(|i| g.range_u64(0, i + 1) as u32).collect()
     }
 
     /// The step over every slot of `cx.tree`, as changed, from the given
@@ -924,30 +931,32 @@ mod tests {
         assert_eq!(blocked_nodes(5), vec![n(5)]);
     }
 
-    proptest::proptest! {
-        /// The view is the oracle, bit for bit: for every slot and every
-        /// level up to the spec's maximum it answers what the ancestor
-        /// walk answers — with timers on nodes outside the tree, expired
-        /// and just-expiring timers still in the table, timers at and
-        /// above `max_level`, and rows wider than one word.
-        #[test]
-        fn view_equals_blocked_walk(
-            parents in proptest::collection::vec(0usize..24, 0..24),
-            width in 0usize..7,
-            timers in proptest::collection::vec((0u32..28, 0u8..=255, 0u64..3), 0..12),
-            reuse in proptest::any::<bool>(),
-        ) {
+    /// The view is the oracle, bit for bit: for every slot and every
+    /// level up to the spec's maximum it answers what the ancestor
+    /// walk answers — with timers on nodes outside the tree, expired
+    /// and just-expiring timers still in the table, timers at and
+    /// above `max_level`, and rows wider than one word.
+    #[test]
+    fn view_equals_blocked_walk() {
+        check("view_equals_blocked_walk", 64, |g| {
+            let parents = random_parents(g, 24);
+            let width = g.range_u64(0, 7) as usize;
+            let timers: Vec<(u32, u8, u64)> = (0..g.range_u64(0, 12))
+                .map(|_| (g.range_u64(0, 28) as u32, g.range_u64(0, 256) as u8, g.range_u64(0, 3)))
+                .collect();
+            let reuse = g.chance(0.5);
             let max_level = [1u8, 6, 63, 64, 65, 200, 255][width];
-            let parents: Vec<u32> =
-                parents.iter().enumerate().map(|(i, &p)| (p % (i + 1)) as u32).collect();
             let tree = tree_of(&parents);
             let t = tree.tree();
             let now = SimTime::from_secs(10);
             let mut b = BackoffTable::new();
             for &(node, level, age) in &timers {
                 // Snap most levels into range; keep some above it.
-                let level =
-                    if level % 4 == 0 { level } else { (level as u16 % (max_level as u16 + 1)) as u8 };
+                let level = if level % 4 == 0 {
+                    level
+                } else {
+                    (level as u16 % (max_level as u16 + 1)) as u8
+                };
                 // Expired a second ago, expiring this instant, or live.
                 b.set(n(node), level, SimTime::from_secs(9 + age));
             }
@@ -961,13 +970,13 @@ mod tests {
             b.fill_blocked(&tree, max_level, now, &mut view);
             for s in t.slots() {
                 for level in 0..=max_level {
-                    proptest::prop_assert!(
+                    assert!(
                         view.blocked(s, level) == b.blocked(&tree, t.node_at(s), level, now),
-                        "slot {s} level {level} of {max_level}"
+                        "slot {s} level {level} of {max_level}: parents {parents:?}, timers {timers:?}"
                     );
                 }
             }
-        }
+        });
     }
 
     /// The generation follows the key set: a new timer and an expiry that
@@ -1004,24 +1013,22 @@ mod tests {
         step(&b, false, "the same expiry again");
     }
 
-    proptest::proptest! {
-        /// `changed_rows` reports exactly the slots at which `blocked`
-        /// answers differently for some level — against a previous view
-        /// filled for a tree of another length, for another `max_level`,
-        /// or never filled at all. A level beyond a view's rows reads as
-        /// unblocked, the way the driver never asks it.
-        #[test]
-        fn changed_rows_are_the_slots_whose_answers_moved(
-            parents in proptest::collection::vec(0usize..20, 0..20),
-            prev_parents in proptest::collection::vec(0usize..20, 0..20),
-            widths in (0usize..4, 0usize..4),
-            timers in proptest::collection::vec((0u32..22, 0u8..=200, proptest::prelude::any::<bool>()), 0..10),
-            prev_filled in proptest::prelude::any::<bool>(),
-        ) {
-            let grow = |ps: &[usize]| {
-                tree_of(&ps.iter().enumerate().map(|(i, &p)| (p % (i + 1)) as u32).collect::<Vec<_>>())
-            };
-            let (tree, prev_tree) = (grow(&parents), grow(&prev_parents));
+    /// `changed_rows` reports exactly the slots at which `blocked`
+    /// answers differently for some level — against a previous view
+    /// filled for a tree of another length, for another `max_level`,
+    /// or never filled at all. A level beyond a view's rows reads as
+    /// unblocked, the way the driver never asks it.
+    #[test]
+    fn changed_rows_are_the_slots_whose_answers_moved() {
+        check("changed_rows_are_the_slots_whose_answers_moved", 64, |g| {
+            let parents = random_parents(g, 20);
+            let prev_parents = random_parents(g, 20);
+            let widths = (g.range_u64(0, 4) as usize, g.range_u64(0, 4) as usize);
+            let timers: Vec<(u32, u8, bool)> = (0..g.range_u64(0, 10))
+                .map(|_| (g.range_u64(0, 22) as u32, g.range_u64(0, 201) as u8, g.chance(0.5)))
+                .collect();
+            let prev_filled = g.chance(0.5);
+            let (tree, prev_tree) = (tree_of(&parents), tree_of(&prev_parents));
             let levels = [6u8, 63, 64, 200];
             let now = SimTime::from_secs(10);
             // Each timer lands in the current table, the previous one, or
@@ -1040,7 +1047,8 @@ mod tests {
             if prev_filled {
                 prev.fill_blocked(&prev_tree, levels[widths.1], now, &mut prev_view);
             }
-            let answer = |v: &BlockedView, s: usize, l: usize| l / 64 < v.words && v.blocked(s, l as u8);
+            let answer =
+                |v: &BlockedView, s: usize, l: usize| l / 64 < v.words && v.blocked(s, l as u8);
             let want: Vec<usize> = tree
                 .tree()
                 .slots()
@@ -1048,8 +1056,8 @@ mod tests {
                 .collect();
             let mut got = Vec::new();
             view.changed_rows(&prev_view, tree.tree().len(), |s| got.push(s));
-            proptest::prop_assert_eq!(got, want);
-        }
+            assert_eq!(got, want, "parents {parents:?} after {prev_parents:?}, timers {timers:?}");
+        });
     }
 
     /// The branch trace is a pure observer: traced and untraced runs make

@@ -1,67 +1,38 @@
 //! Property-based tests over the TopoSense algorithm stages: invariants
 //! that must hold for *any* tree shape and any report pattern.
 
-use netsim::{AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, SessionId, SimDuration, SimTime};
-use proptest::prelude::*;
-use topology::discovery::{LinkView, TopologyView};
-use topology::{DirtySet, SessionTree};
-use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
+use netsim::rng::check;
+use netsim::{AppId, NodeId, SessionId};
+use topology::DirtySet;
+use toposense::algorithm::{AlgorithmState, ReceiverReport};
 use toposense::Config;
 use traffic::LayerSpec;
 
-/// Build a random tree: node `i + 1` attaches under some node `0..=i`.
-fn random_session_tree(parents: &[usize]) -> (SessionTree, Vec<NodeId>) {
-    let mut links = Vec::new();
-    let mut active = Vec::new();
-    for (i, &p) in parents.iter().enumerate() {
-        let child = NodeId(i as u32 + 1);
-        let parent = NodeId((p % (i + 1)) as u32);
-        let id = DirLinkId(i as u32);
-        links.push(LinkView { id, from: parent, to: child });
-        active.push(id);
-    }
-    let all: Vec<NodeId> = (0..=parents.len() as u32).map(NodeId).collect();
-    let view = TopologyView {
-        time: SimTime::ZERO,
-        links,
-        groups: vec![GroupSnapshot {
-            group: GroupId(0),
-            root: NodeId(0),
-            active_links: active,
-            member_nodes: all.clone(),
-        }],
-    };
-    let tree = SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap();
-    let leaves: Vec<NodeId> = tree.tree().leaves().filter(|&n| n != tree.tree().root()).collect();
-    (tree, leaves)
-}
+mod trees;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// For any random tree and any random report pattern, across several
-    /// intervals:
-    /// * every suggestion stays within [1, max_level];
-    /// * supply is monotone down the tree (a child never gets more than
-    ///   its parent's supply would allow — verified via the root bound);
-    /// * the algorithm never panics and stays deterministic.
-    #[test]
-    fn suggestions_always_in_range(
-        parents in prop::collection::vec(0usize..12, 1..12),
-        losses in prop::collection::vec(0u64..40, 1..12),
-        levels in prop::collection::vec(1u8..=6, 1..12),
-        seed in 0u64..500,
-    ) {
-        let (tree, leaves) = random_session_tree(&parents);
-        prop_assume!(!leaves.is_empty());
+/// For any random tree and any random report pattern, across several
+/// intervals:
+/// * every suggestion stays within [1, max_level];
+/// * supply is monotone down the tree (a child never gets more than
+///   its parent's supply would allow — verified via the root bound);
+/// * the algorithm never panics and stays deterministic.
+#[test]
+fn suggestions_always_in_range() {
+    check("suggestions_always_in_range", 48, |g| {
+        let len = g.range_u64(1, 12) as usize;
+        let parents = trees::parents(g, len);
+        let losses: Vec<u64> = (0..g.range_u64(1, 12)).map(|_| g.range_u64(0, 40)).collect();
+        let levels: Vec<u8> = (0..g.range_u64(1, 12)).map(|_| g.range_u64(1, 7) as u8).collect();
+        let seed = g.range_u64(0, 500);
+        let tree = trees::session_tree(&parents, 0, 0);
+        let leaves = trees::leaf_receivers(&tree);
+        assert!(!leaves.is_empty(), "a tree with a parent has a non-root leaf");
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let mut state = AlgorithmState::new(Config::default(), seed);
         let trees = vec![tree];
-        let registry: Vec<(AppId, NodeId, SessionId)> = leaves
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (AppId(i as u32), n, SessionId(0)))
-            .collect();
+        let registry: Vec<(AppId, NodeId, SessionId)> =
+            leaves.iter().enumerate().map(|(i, &n)| (AppId(i as u32), n, SessionId(0))).collect();
         for round in 0..4u64 {
             let reports: Vec<ReceiverReport> = leaves
                 .iter()
@@ -80,53 +51,46 @@ proptest! {
                     }
                 })
                 .collect();
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * (round + 1)),
-                interval: SimDuration::from_secs(2),
-                trees: &trees,
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = trees::inputs_at(2 * (round + 1), &trees, &specs, &registry, &reports);
             let out = state.run(&inputs);
             // One suggestion per registered receiver (all nodes in tree).
-            prop_assert_eq!(out.suggestions.len(), leaves.len());
+            assert_eq!(out.suggestions.len(), leaves.len(), "parents {parents:?}");
             for s in &out.suggestions {
-                prop_assert!(s.level >= 1, "below base: {:?}", s);
-                prop_assert!(s.level <= spec.max_level(), "above max: {:?}", s);
+                assert!(s.level >= 1, "below base: {s:?}, parents {parents:?}");
+                assert!(s.level <= spec.max_level(), "above max: {s:?}, parents {parents:?}");
             }
             // Root supply bounds every suggestion (supply is monotone
             // down the tree).
             let root_supply = out.root_supply[0];
             for s in &out.suggestions {
-                prop_assert!(
+                assert!(
                     s.level <= root_supply,
-                    "suggestion {} above root supply {}",
-                    s.level,
-                    root_supply
+                    "suggestion {} above root supply {root_supply}, parents {parents:?}",
+                    s.level
                 );
             }
         }
-    }
+    });
+}
 
-    /// With zero loss everywhere, the algorithm never *reduces* a
-    /// receiver's level below what it reports (no spurious drops).
-    #[test]
-    fn clean_network_never_reduces(
-        parents in prop::collection::vec(0usize..8, 1..8),
-        level in 1u8..=5,
-        seed in 0u64..100,
-    ) {
-        let (tree, leaves) = random_session_tree(&parents);
-        prop_assume!(!leaves.is_empty());
+/// With zero loss everywhere, the algorithm never *reduces* a
+/// receiver's level below what it reports (no spurious drops).
+#[test]
+fn clean_network_never_reduces() {
+    check("clean_network_never_reduces", 48, |g| {
+        let len = g.range_u64(1, 8) as usize;
+        let parents = trees::parents(g, len);
+        let level = g.range_u64(1, 6) as u8;
+        let seed = g.range_u64(0, 100);
+        let tree = trees::session_tree(&parents, 0, 0);
+        let leaves = trees::leaf_receivers(&tree);
+        assert!(!leaves.is_empty(), "a tree with a parent has a non-root leaf");
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let mut state = AlgorithmState::new(Config::default(), seed);
         let trees = vec![tree];
-        let registry: Vec<(AppId, NodeId, SessionId)> = leaves
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (AppId(i as u32), n, SessionId(0)))
-            .collect();
+        let registry: Vec<(AppId, NodeId, SessionId)> =
+            leaves.iter().enumerate().map(|(i, &n)| (AppId(i as u32), n, SessionId(0))).collect();
         for round in 0..3u64 {
             let reports: Vec<ReceiverReport> = leaves
                 .iter()
@@ -141,36 +105,32 @@ proptest! {
                     bytes: (spec.cumulative_rate(level) / 4.0) as u64,
                 })
                 .collect();
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * (round + 1)),
-                interval: SimDuration::from_secs(2),
-                trees: &trees,
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = trees::inputs_at(2 * (round + 1), &trees, &specs, &registry, &reports);
             let out = state.run(&inputs);
             for s in &out.suggestions {
-                prop_assert!(
+                assert!(
                     s.level >= level,
-                    "clean network reduced {} -> {}",
-                    level,
+                    "clean network reduced {level} -> {}: parents {parents:?}, round {round}",
                     s.level
                 );
             }
         }
-    }
+    });
+}
 
-    /// Determinism: same seed and inputs produce identical suggestion
-    /// sequences.
-    #[test]
-    fn algorithm_is_deterministic(
-        parents in prop::collection::vec(0usize..6, 1..6),
-        seed in 0u64..100,
-    ) {
+/// Determinism: same seed and inputs produce identical suggestion
+/// sequences.
+#[test]
+fn algorithm_is_deterministic() {
+    check("algorithm_is_deterministic", 48, |g| {
+        let len = g.range_u64(1, 6) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 100);
         let run_all = || {
-            let (tree, leaves) = random_session_tree(&parents);
+            let tree = trees::session_tree(&parents, 0, 0);
+            let leaves = trees::leaf_receivers(&tree);
             let spec = LayerSpec::paper_default();
+            let specs = [&spec];
             let mut state = AlgorithmState::new(Config::default(), seed);
             let trees = vec![tree];
             let registry: Vec<(AppId, NodeId, SessionId)> = leaves
@@ -193,23 +153,16 @@ proptest! {
                         bytes: 20_000,
                     })
                     .collect();
-                let inputs = AlgorithmInputs {
-                    now: SimTime::from_secs(2 * (round + 1)),
-                    interval: SimDuration::from_secs(2),
-                    trees: &trees,
-                    specs: &[&spec],
-                    registry: &registry,
-                    reports: &reports,
-                };
+                let inputs = trees::inputs_at(2 * (round + 1), &trees, &specs, &registry, &reports);
                 all.push(state.run(&inputs).suggestions);
             }
             all
         };
-        prop_assert_eq!(run_all(), run_all());
-    }
+        assert_eq!(run_all(), run_all(), "parents {parents:?}, seed {seed}");
+    });
 }
 
-/// Deterministic (non-proptest) check: the congestion stage's internal
+/// Deterministic (non-random) check: the congestion stage's internal
 /// loss is never larger than the smallest child loss — for a chain of any
 /// length the root's loss equals the leaf's.
 #[test]
@@ -218,7 +171,8 @@ fn chain_loss_propagates_to_root() {
     for len in 1..8usize {
         // A pure chain: node i+1 under node i.
         let chain: Vec<usize> = (0..len).collect();
-        let (tree, leaves) = random_session_tree(&chain);
+        let tree = trees::session_tree(&chain, 0, 0);
+        let leaves = trees::leaf_receivers(&tree);
         assert_eq!(leaves.len(), 1);
         let t = tree.tree();
         let mut obs = vec![None; t.len()];

@@ -9,12 +9,9 @@
 //! its `NodeId`-keyed inputs into slot vectors for the dense side and reads
 //! the dense result back at `slot_of(node)`.
 
-use netsim::{
-    AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
-};
-use proptest::prelude::*;
+use netsim::rng::check;
+use netsim::{AppId, DirLinkId, NodeId, RngStream, SessionId, SimDuration, SimTime};
 use std::collections::HashMap;
-use topology::discovery::{LinkView, TopologyView};
 use topology::{DirtySet, SessionTree};
 use toposense::history::{BwEquality, CongestionHistory};
 use toposense::stages::congestion::{LeafObs, NodeState};
@@ -25,32 +22,8 @@ use toposense::Config;
 use toposense::BW_EQUAL_TOLERANCE;
 use traffic::LayerSpec;
 
-/// Build a session tree from a parent vector: node `i + 1` attaches under
-/// node `parents[i] % (i + 1)`, link ids offset so several sessions can
-/// either share or disjointly own their links.
-fn session_tree(parents: &[usize], session: u32, link_offset: u32) -> SessionTree {
-    let mut links = Vec::new();
-    let mut active = Vec::new();
-    for (i, &p) in parents.iter().enumerate() {
-        let child = NodeId(i as u32 + 1);
-        let parent = NodeId((p % (i + 1)) as u32);
-        let id = DirLinkId(link_offset + i as u32);
-        links.push(LinkView { id, from: parent, to: child });
-        active.push(id);
-    }
-    let all: Vec<NodeId> = (0..=parents.len() as u32).map(NodeId).collect();
-    let view = TopologyView {
-        time: SimTime::ZERO,
-        links,
-        groups: vec![GroupSnapshot {
-            group: GroupId(0),
-            root: NodeId(0),
-            active_links: active,
-            member_nodes: all,
-        }],
-    };
-    SessionTree::build(&view, SessionId(session), &[GroupId(0)]).unwrap()
-}
+mod trees;
+use trees::session_tree;
 
 /// Every slot of `tree`, as a change set.
 fn all_slots(tree: &SessionTree) -> DirtySet {
@@ -107,16 +80,14 @@ fn random_capacities(trees: &[SessionTree], seed: u64) -> HashMap<DirLinkId, f64
     caps
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Stage 1: identical `NodeState` for every node, including exact
-    /// float equality on the loss field (same summation order).
-    #[test]
-    fn congestion_matches_reference(
-        parents in prop::collection::vec(0usize..16, 1..16),
-        seed in 0u64..1000,
-    ) {
+/// Stage 1: identical `NodeState` for every node, including exact
+/// float equality on the loss field (same summation order).
+#[test]
+fn congestion_matches_reference() {
+    check("congestion_matches_reference", 64, |g| {
+        let len = g.range_u64(1, 16) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 1000);
         let tree = session_tree(&parents, 0, 0);
         let obs = random_obs(&tree, seed);
         let cfg = Config::default();
@@ -128,20 +99,28 @@ proptest! {
         for node in t.top_down() {
             let a = dense[t.slot_of(node).unwrap()];
             let b = oracle.node(node);
-            prop_assert_eq!(a.loss, b.loss);
-            prop_assert_eq!(a.self_congested, b.self_congested);
-            prop_assert_eq!(a.congested, b.congested);
-            prop_assert_eq!(a.parent_congested, b.parent_congested);
-            prop_assert_eq!(a.max_bytes, b.max_bytes);
+            assert_eq!(a.loss, b.loss, "{node:?}: parents {parents:?}, seed {seed}");
+            assert_eq!(
+                a.self_congested, b.self_congested,
+                "{node:?}: parents {parents:?}, seed {seed}"
+            );
+            assert_eq!(a.congested, b.congested, "{node:?}: parents {parents:?}, seed {seed}");
+            assert_eq!(
+                a.parent_congested, b.parent_congested,
+                "{node:?}: parents {parents:?}, seed {seed}"
+            );
+            assert_eq!(a.max_bytes, b.max_bytes, "{node:?}: parents {parents:?}, seed {seed}");
         }
-    }
+    });
+}
 
-    /// Stage 3: identical bottleneck and max-handle values per node.
-    #[test]
-    fn bottleneck_matches_reference(
-        parents in prop::collection::vec(0usize..16, 1..16),
-        seed in 0u64..1000,
-    ) {
+/// Stage 3: identical bottleneck and max-handle values per node.
+#[test]
+fn bottleneck_matches_reference() {
+    check("bottleneck_matches_reference", 64, |g| {
+        let len = g.range_u64(1, 16) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 1000);
         let tree = session_tree(&parents, 0, 0);
         let trees = [tree];
         let caps = random_capacities(&trees, seed);
@@ -152,20 +131,30 @@ proptest! {
         let t = trees[0].tree();
         for node in t.top_down() {
             let s = t.slot_of(node).unwrap();
-            prop_assert_eq!(bottleneck[s], oracle.bottleneck(node));
-            prop_assert_eq!(max_handle[s], oracle.max_handle(node));
+            assert_eq!(
+                bottleneck[s],
+                oracle.bottleneck(node),
+                "{node:?}: parents {parents:?}, seed {seed}"
+            );
+            assert_eq!(
+                max_handle[s],
+                oracle.max_handle(node),
+                "{node:?}: parents {parents:?}, seed {seed}"
+            );
         }
-    }
+    });
+}
 
-    /// Stage 4 with several sessions sharing every link: identical allowed
-    /// bandwidth per (session, node) — the proportional-share arithmetic
-    /// must sum the crossing sessions in the same order.
-    #[test]
-    fn sharing_matches_reference(
-        parents in prop::collection::vec(0usize..12, 1..12),
-        nsess in 1usize..4,
-        seed in 0u64..1000,
-    ) {
+/// Stage 4 with several sessions sharing every link: identical allowed
+/// bandwidth per (session, node) — the proportional-share arithmetic
+/// must sum the crossing sessions in the same order.
+#[test]
+fn sharing_matches_reference() {
+    check("sharing_matches_reference", 64, |g| {
+        let len = g.range_u64(1, 12) as usize;
+        let parents = trees::parents(g, len);
+        let nsess = g.range_u64(1, 4) as usize;
+        let seed = g.range_u64(0, 1000);
         // Same parent vector and link ids: all sessions share all links.
         let trees: Vec<SessionTree> =
             (0..nsess).map(|s| session_tree(&parents, s as u32, 0)).collect();
@@ -180,20 +169,25 @@ proptest! {
             let t = tree.tree();
             for node in t.top_down() {
                 let s = t.slot_of(node).unwrap();
-                prop_assert_eq!(dense.allowed_at(i, s), oracle.allowed(i, node));
+                assert_eq!(
+                    dense.allowed_at(i, s),
+                    oracle.allowed(i, node),
+                    "session {i}, {node:?}: parents {parents:?}, seed {seed}"
+                );
             }
         }
-    }
+    });
+}
 
-    /// Stage 4 with disjoint links (nothing shared): the fallback
-    /// "allowed = capacity" path must also match.
-    #[test]
-    fn sharing_matches_reference_disjoint_links(
-        parents in prop::collection::vec(0usize..10, 1..10),
-        seed in 0u64..1000,
-    ) {
-        let trees =
-            vec![session_tree(&parents, 0, 0), session_tree(&parents, 1, 100)];
+/// Stage 4 with disjoint links (nothing shared): the fallback
+/// "allowed = capacity" path must also match.
+#[test]
+fn sharing_matches_reference_disjoint_links() {
+    check("sharing_matches_reference_disjoint_links", 64, |g| {
+        let len = g.range_u64(1, 10) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 1000);
+        let trees = vec![session_tree(&parents, 0, 0), session_tree(&parents, 1, 100)];
         let spec = LayerSpec::paper_default();
         let specs: Vec<&LayerSpec> = trees.iter().map(|_| &spec).collect();
         let caps = random_capacities(&trees, seed);
@@ -205,23 +199,29 @@ proptest! {
             let t = tree.tree();
             for node in t.top_down() {
                 let s = t.slot_of(node).unwrap();
-                prop_assert_eq!(dense.allowed_at(i, s), oracle.allowed(i, node));
+                assert_eq!(
+                    dense.allowed_at(i, s),
+                    oracle.allowed(i, node),
+                    "session {i}, {node:?}: parents {parents:?}, seed {seed}"
+                );
             }
         }
-    }
+    });
+}
 
-    /// Stage 5 over several rounds with persistent backoff tables and RNG
-    /// streams on both sides: demand and supply must stay identical, which
-    /// also proves the RNG draw order (backoff arming) is unchanged. Every
-    /// round plants the same extra timers in both tables, internal nodes
-    /// included, so leaves are blocked through ancestors and the dense
-    /// side's once-per-pass blocked view meets timers armed mid-pass above
-    /// slots that have yet to decide.
-    #[test]
-    fn subscription_matches_reference(
-        parents in prop::collection::vec(0usize..12, 1..12),
-        seed in 0u64..1000,
-    ) {
+/// Stage 5 over several rounds with persistent backoff tables and RNG
+/// streams on both sides: demand and supply must stay identical, which
+/// also proves the RNG draw order (backoff arming) is unchanged. Every
+/// round plants the same extra timers in both tables, internal nodes
+/// included, so leaves are blocked through ancestors and the dense
+/// side's once-per-pass blocked view meets timers armed mid-pass above
+/// slots that have yet to decide.
+#[test]
+fn subscription_matches_reference() {
+    check("subscription_matches_reference", 64, |g| {
+        let len = g.range_u64(1, 12) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 1000);
         let tree = session_tree(&parents, 0, 0);
         let t = tree.tree();
         let spec = LayerSpec::paper_default();
@@ -266,8 +266,7 @@ proptest! {
                         loss: gen.f64() * 0.4,
                         supply_older,
                         supply_recent,
-                        demand_prev: (gen.f64() < 0.8)
-                            .then(|| 1 + (gen.f64() * 5.0) as u8),
+                        demand_prev: (gen.f64() < 0.8).then(|| 1 + (gen.f64() * 5.0) as u8),
                         current_level: (gen.f64() < 0.8).then_some(cur),
                         goodput_bps: gen.f64() * 1_500_000.0,
                     },
@@ -284,8 +283,7 @@ proptest! {
                 inputs: &inputs,
                 level_cap,
             };
-            let slot_inputs: Vec<NodeInputs> =
-                t.slots().map(|s| inputs[&t.node_at(s)]).collect();
+            let slot_inputs: Vec<NodeInputs> = t.slots().map(|s| inputs[&t.node_at(s)]).collect();
             let slot_caps: Vec<u8> = t.slots().map(|s| caps[&t.node_at(s)]).collect();
             let cx = subscription::Ctx { tree: &tree, spec: &spec, cfg: &cfg, now };
             let mut b = subscription::Buffers::default();
@@ -301,12 +299,22 @@ proptest! {
                 reference::subscription_compute(&ctx, &mut oracle_backoffs, &mut oracle_rng);
             for node in t.top_down() {
                 let s = t.slot_of(node).unwrap();
-                prop_assert_eq!(demand[s], oracle.demand[&node]);
-                prop_assert_eq!(supply[s], oracle.supply[&node]);
+                assert_eq!(
+                    demand[s], oracle.demand[&node],
+                    "round {round}, {node:?}: parents {parents:?}, seed {seed}"
+                );
+                assert_eq!(
+                    supply[s], oracle.supply[&node],
+                    "round {round}, {node:?}: parents {parents:?}, seed {seed}"
+                );
             }
-            prop_assert_eq!(dense_backoffs.len(), oracle_backoffs.len());
+            assert_eq!(
+                dense_backoffs.len(),
+                oracle_backoffs.len(),
+                "round {round}: parents {parents:?}, seed {seed}"
+            );
         }
-    }
+    });
 }
 
 /// End-to-end determinism: two identical `scenarios::run` invocations with
@@ -344,7 +352,7 @@ fn scenario_results_are_byte_identical_for_fixed_seeds() {
 /// when run alone.
 #[test]
 fn disjoint_sessions_paired_run_matches_solo_run() {
-    use toposense::{AlgorithmInputs, AlgorithmState, ReceiverReport};
+    use toposense::{AlgorithmState, ReceiverReport};
 
     let parents = [0usize, 0, 1, 1, 2];
     // Disjoint link id spaces: the sessions never interact through stage 2/4.
@@ -352,7 +360,7 @@ fn disjoint_sessions_paired_run_matches_solo_run() {
     let t1 = session_tree(&parents, 1, 100);
     let spec = LayerSpec::paper_default();
 
-    let leaves: Vec<NodeId> = t0.tree().leaves().filter(|&n| n != t0.tree().root()).collect();
+    let leaves = trees::leaf_receivers(&t0);
     let mk_reports = |sid: u32| -> Vec<ReceiverReport> {
         leaves
             .iter()
@@ -384,33 +392,24 @@ fn disjoint_sessions_paired_run_matches_solo_run() {
     // Solo run: session 0 alone.
     let mut solo = AlgorithmState::new(Config::default(), 5);
 
+    // Session 0 alone is the first of the paired trees, receivers and reports.
+    let trees = [t0, t1];
+    let (solo_registry, solo_reports) = (registry_for(0), mk_reports(0));
+    let mut registry = solo_registry.clone();
+    registry.extend(registry_for(1));
+    let mut reports = solo_reports.clone();
+    reports.extend(mk_reports(1));
+    let specs = [&spec, &spec];
     for round in 1..=4u64 {
-        let now = SimTime::from_secs(2 * round);
-        let interval = SimDuration::from_secs(2);
-
-        let trees = vec![t0.clone(), t1.clone()];
-        let mut registry = registry_for(0);
-        registry.extend(registry_for(1));
-        let mut reports = mk_reports(0);
-        reports.extend(mk_reports(1));
-        let out_paired = paired.run(&AlgorithmInputs {
-            now,
-            interval,
-            trees: &trees,
-            specs: &[&spec, &spec],
-            registry: &registry,
-            reports: &reports,
-        });
-
-        let trees_solo = vec![t0.clone()];
-        let out_solo = solo.run(&AlgorithmInputs {
-            now,
-            interval,
-            trees: &trees_solo,
-            specs: &[&spec],
-            registry: &registry_for(0),
-            reports: &mk_reports(0),
-        });
+        let out_paired =
+            paired.run(&trees::inputs_at(2 * round, &trees, &specs, &registry, &reports));
+        let out_solo = solo.run(&trees::inputs_at(
+            2 * round,
+            &trees[..1],
+            &specs[..1],
+            &solo_registry,
+            &solo_reports,
+        ));
 
         let paired_s0: Vec<_> =
             out_paired.suggestions.iter().filter(|s| s.session == SessionId(0)).collect();

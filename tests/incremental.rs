@@ -10,47 +10,16 @@
 //! promises identical arithmetic on the slots it recomputes and untouched
 //! cached values everywhere else, not merely "close" results.
 
-use netsim::{
-    AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
-};
-use proptest::prelude::*;
+use netsim::rng::check;
+use netsim::{AppId, NodeId, RngStream, SessionId, SimTime};
 use telemetry::IntervalAudit;
-use topology::discovery::{LinkView, TopologyView};
-use topology::SessionTree;
-use toposense::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
+use toposense::algorithm::{AlgorithmOutputs, AlgorithmState, ReceiverReport};
 use toposense::checkpoint::BackoffEntry;
 use toposense::Config;
 use traffic::LayerSpec;
 
-/// Build a session tree from a parent vector: node `i + 1` attaches under
-/// node `parents[i] % (i + 1)` (same generator as `tests/differential.rs`).
-fn session_tree(parents: &[usize], session: u32, link_offset: u32) -> SessionTree {
-    let mut links = Vec::new();
-    let mut active = Vec::new();
-    for (i, &p) in parents.iter().enumerate() {
-        let child = NodeId(i as u32 + 1);
-        let parent = NodeId((p % (i + 1)) as u32);
-        let id = DirLinkId(link_offset + i as u32);
-        links.push(LinkView { id, from: parent, to: child });
-        active.push(id);
-    }
-    let all: Vec<NodeId> = (0..=parents.len() as u32).map(NodeId).collect();
-    let view = TopologyView {
-        time: SimTime::ZERO,
-        links,
-        groups: vec![GroupSnapshot {
-            group: GroupId(0),
-            root: NodeId(0),
-            active_links: active,
-            member_nodes: all,
-        }],
-    };
-    SessionTree::build(&view, SessionId(session), &[GroupId(0)]).unwrap()
-}
-
-fn leaf_receivers(tree: &SessionTree) -> Vec<NodeId> {
-    tree.tree().leaves().filter(|&n| n != tree.tree().root()).collect()
-}
+mod trees;
+use trees::{assert_outputs_eq, inputs_at, leaf_receivers, registry_for, session_tree};
 
 fn reports_for(leaves: &[NodeId], session: u32) -> Vec<ReceiverReport> {
     leaves
@@ -65,14 +34,6 @@ fn reports_for(leaves: &[NodeId], session: u32) -> Vec<ReceiverReport> {
             lost: 0,
             bytes: 25_000,
         })
-        .collect()
-}
-
-fn registry_for(leaves: &[NodeId], session: u32) -> Vec<(AppId, NodeId, SessionId)> {
-    leaves
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (AppId(500 + i as u32), node, SessionId(session)))
         .collect()
 }
 
@@ -103,23 +64,6 @@ fn follow_suggestions(out: &AlgorithmOutputs, reports: &mut [ReceiverReport]) {
     }
 }
 
-fn inputs_at<'a>(
-    now_secs: u64,
-    trees: &'a [SessionTree],
-    specs: &'a [&'a LayerSpec],
-    registry: &'a [(AppId, NodeId, SessionId)],
-    reports: &'a [ReceiverReport],
-) -> AlgorithmInputs<'a> {
-    AlgorithmInputs {
-        now: SimTime::from_secs(now_secs),
-        interval: SimDuration::from_secs(2),
-        trees,
-        specs,
-        registry,
-        reports,
-    }
-}
-
 /// The round the report-churn twins are handed their root timer.
 const ROOT_TIMER_ROUND: u64 = 4;
 
@@ -137,37 +81,23 @@ fn with_root_timer(state: &AlgorithmState, level: u8, until: SimTime) -> Algorit
     AlgorithmState::restore(*state.config(), &snap).unwrap()
 }
 
-/// Field-wise byte-identity on everything except the diagnostics that are
-/// *supposed* to differ (`incremental`, `slots_recomputed`).
-macro_rules! assert_outputs_eq {
-    ($assert:ident, $full:expr, $inc:expr, $ctx:expr) => {{
-        let (a, b) = (&$full, &$inc);
-        $assert!(a.suggestions == b.suggestions, "suggestions diverged at {}", $ctx);
-        $assert!(a.estimated_links == b.estimated_links, "estimates diverged at {}", $ctx);
-        $assert!(a.congested_nodes == b.congested_nodes, "congested count diverged at {}", $ctx);
-        $assert!(a.root_supply == b.root_supply, "root supply diverged at {}", $ctx);
-    }};
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Report churn only (stable keys, stable topology): after the first
-    /// cache-priming interval every run must take the incremental path and
-    /// still match a twin that recomputes everything. Mid-run both twins
-    /// are handed a timer at the root (through a checkpoint, which starts
-    /// that one round cold) that blocks `timer.0` for the whole tree and
-    /// expires `timer.1` rounds later, warm. A third twin is audited on
-    /// the rounds whose bit is set in `audit_mask` and must equal the
-    /// never-audited one every round, path diagnostics included: watching
-    /// a run changes nothing about it.
-    #[test]
-    fn incremental_matches_full_across_report_churn(
-        parents in prop::collection::vec(0usize..12, 2..14),
-        seed in 0u64..1000,
-        timer in (2u8..=6, 1u64..6),
-        audit_mask in 0u64..1 << 13,
-    ) {
+/// Report churn only (stable keys, stable topology): after the first
+/// cache-priming interval every run must take the incremental path and
+/// still match a twin that recomputes everything. Mid-run both twins
+/// are handed a timer at the root (through a checkpoint, which starts
+/// that one round cold) that blocks `timer.0` for the whole tree and
+/// expires `timer.1` rounds later, warm. A third twin is audited on
+/// the rounds whose bit is set in `audit_mask` and must equal the
+/// never-audited one every round, path diagnostics included: watching
+/// a run changes nothing about it.
+#[test]
+fn incremental_matches_full_across_report_churn() {
+    check("incremental_matches_full_across_report_churn", 48, |g| {
+        let len = g.range_u64(2, 14) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 1000);
+        let timer = (g.range_u64(2, 7) as u8, g.range_u64(1, 6));
+        let audit_mask = g.range_u64(0, 1 << 13);
         let trees = vec![session_tree(&parents, 0, 0)];
         // Every non-root node hosts a receiver: an internal one folds its
         // own loss with its children's, so its state can move while its
@@ -198,18 +128,19 @@ proptest! {
             let mut record = IntervalAudit::new(round, 0);
             let audited = audit_mask >> round & 1 == 1;
             let c = watched.run_incremental_audited(&inputs, audited.then_some(&mut record));
-            assert_outputs_eq!(prop_assert, a, b, format_args!("round {round}"));
-            prop_assert!(b == c, "round {}: audited {}: {:?} != {:?}", round, audited, b, c);
+            let at = format!("round {round}, parents {parents:?}, seed {seed}, timer {timer:?}");
+            assert_outputs_eq(&a, &b, &at);
+            assert!(b == c, "{at}: audited {audited}: {b:?} != {c:?}");
             if audited {
                 let filled = record.subscription.len() == 1 && record.stage_ns.len() == 6;
-                prop_assert!(filled, "round {}: audit left unfilled", round);
+                assert!(filled, "{at}: audit left unfilled");
             }
             let audit = inc.audit();
-            prop_assert!(audit.is_ok(), "round {}: {:?}", round, audit);
+            assert!(audit.is_ok(), "{at}: {audit:?}");
             let audit = watched.audit();
-            prop_assert!(audit.is_ok(), "round {}: watched: {:?}", round, audit);
+            assert!(audit.is_ok(), "{at}: watched: {audit:?}");
             if round >= 2 && round != ROOT_TIMER_ROUND {
-                prop_assert!(b.incremental, "round {} should be incremental", round);
+                assert!(b.incremental, "{at}: should be incremental");
             }
             // Some intervals the receivers obey the controller, so the
             // domain converges and clean (skippable) slots actually appear.
@@ -217,18 +148,22 @@ proptest! {
                 follow_suggestions(&b, &mut reports);
             }
         }
-    }
+    });
+}
 
-    /// Join/leave churn: receivers leave mid-run and later rejoin. The
-    /// registry change must force a full-run fallback (the cached report
-    /// → slot attribution no longer applies) and the outputs must stay
-    /// identical through the transition — including the report-less
-    /// subtrees the departures leave behind.
-    #[test]
-    fn incremental_matches_full_across_membership_churn(
-        parents in prop::collection::vec(0usize..10, 4..12),
-        seed in 0u64..500,
-    ) {
+/// Join/leave churn: receivers leave mid-run and later rejoin. A
+/// registry change must force a full-run fallback (the cached report →
+/// slot attribution no longer applies), a repeated registry must be
+/// served warm, and the outputs must stay identical through the
+/// transition — including the report-less subtrees the departures leave
+/// behind. With one leaf the half registry is the full one, so nothing
+/// changes and only round 1 is cold.
+#[test]
+fn incremental_matches_full_across_membership_churn() {
+    check("incremental_matches_full_across_membership_churn", 48, |g| {
+        let len = g.range_u64(4, 12) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 500);
         let trees = vec![session_tree(&parents, 0, 0)];
         let leaves = leaf_receivers(&trees[0]);
         let spec = LayerSpec::paper_default();
@@ -237,14 +172,13 @@ proptest! {
         let all_reports = reports_for(&leaves, 0);
         // After the leave, only every other receiver remains: the pruned
         // half's subtrees go report-less.
-        let half_registry: Vec<_> =
-            all_registry.iter().step_by(2).copied().collect();
-        let half_reports: Vec<_> =
-            all_reports.iter().step_by(2).cloned().collect();
+        let half_registry: Vec<_> = all_registry.iter().step_by(2).copied().collect();
+        let half_reports: Vec<_> = all_reports.iter().step_by(2).cloned().collect();
         let mut rng = RngStream::derive(seed, "incremental/membership");
 
         let mut full = AlgorithmState::new(Config::default(), seed);
         let mut inc = AlgorithmState::new(Config::default(), seed);
+        let mut previous = None;
 
         for round in 1..=9u64 {
             let (registry, mut reports) = match round {
@@ -256,24 +190,16 @@ proptest! {
             let inputs = inputs_at(2 * round, &trees, &specs, registry, &reports);
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
-            assert_outputs_eq!(prop_assert, a, b, format_args!("round {round}"));
+            let at = format!("round {round}, parents {parents:?}, seed {seed}");
+            assert_outputs_eq(&a, &b, &at);
             let audit = inc.audit();
-            prop_assert!(audit.is_ok(), "round {}: {:?}", round, audit);
-            match round {
-                // Cache priming (1) and each membership flip (4, 7) must
-                // fall back to the full path...
-                1 | 4 | 7 => prop_assert!(
-                    !b.incremental,
-                    "round {} must fall back on membership change", round
-                ),
-                // ...and every steady round must be served incrementally.
-                _ => prop_assert!(
-                    b.incremental,
-                    "round {} should be incremental", round
-                ),
-            }
+            assert!(audit.is_ok(), "{at}: {audit:?}");
+            // Cold exactly on cache priming and on a membership change.
+            let cold = previous != Some(registry);
+            assert_eq!(b.incremental, !cold, "{at}: expected cold: {cold}");
+            previous = Some(registry);
         }
-    }
+    });
 }
 
 /// A receiver can sit at an internal node, whose state's loss is the
@@ -304,7 +230,7 @@ fn an_internal_receivers_aborted_probe_follows_its_childrens_loss() {
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
         let a = full.run(&inputs);
         let b = inc.run_incremental(&inputs);
-        assert_outputs_eq!(assert, a, b, format_args!("round {round}"));
+        assert_outputs_eq(&a, &b, format_args!("round {round}"));
         assert_eq!(inc.audit(), Ok(()), "round {round}");
         assert_eq!(b.incremental, round > 1, "round {round}");
         let live = |e: &BackoffEntry| e.until_ns.is_some_and(|u| u > inputs.now.0);
@@ -346,7 +272,7 @@ fn a_key_change_partway_through_the_report_pass_starts_cold() {
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
         let a = full.run(&inputs);
         let b = inc.run_incremental(&inputs);
-        assert_outputs_eq!(assert, a, b, format_args!("round {round}"));
+        assert_outputs_eq(&a, &b, format_args!("round {round}"));
         assert_eq!(inc.audit(), Ok(()), "round {round}");
         assert_eq!(b.incremental, round != 1 && round != 4, "round {round}");
     }
@@ -380,7 +306,7 @@ fn large_tree_smoke_incremental_matches_full() {
         let inputs = inputs_at(t, &trees, &specs, &registry, &reports);
         let a = full.run(&inputs);
         let b = inc.run_incremental(&inputs);
-        assert_outputs_eq!(assert, a, b, format_args!("round {round}"));
+        assert_outputs_eq(&a, &b, format_args!("round {round}"));
         assert_eq!(inc.audit(), Ok(()), "round {round}");
         if round >= 2 {
             assert!(b.incremental, "round {round} should be incremental");

@@ -12,13 +12,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use netsim::rng::check;
 use netsim::sim::{NetworkBuilder, SimConfig};
 use netsim::trace::TraceEvent;
 use netsim::{
     App, Ctx, DirLinkId, FaultPlan, GroupId, LinkConfig, LinkStats, NodeId, Packet, QueueBackend,
     SessionId, SimDuration, SimTime,
 };
-use proptest::prelude::*;
 use scenarios::chaos::{
     self, discovery_outage, link_flap, partial_discovery_outage, random_chaos, router_crash,
 };
@@ -26,6 +26,8 @@ use scenarios::largetree::{federated_media_world, FederatedMediaWorld, Federatio
 use scenarios::{run, runner, Scenario};
 use topology::generators;
 use traffic::TrafficModel;
+
+mod trees;
 
 /// Timer-driven CBR source multicasting from the tree root.
 struct Source {
@@ -74,12 +76,11 @@ struct Digest {
 /// Link capacities mixed so some worlds congest and some do not.
 const CAPS_KBPS: [f64; 4] = [150.0, 500.0, 2_000.0, 10_000.0];
 
-/// Build a random world from raw proptest vectors and run it for 3 s.
+/// Build a random world from raw drawn vectors and run it for 3 s.
 ///
-/// `parents[i]` (mod `i+1`) is node `i+1`'s parent, so any input is a valid
-/// tree; `caps`/`sinks` are indexed cyclically. Each raw fault is
-/// `(target, kind, from_ms, len_ms)` with kind 0 = duplex link outage,
-/// 1 = node outage, 2 = permanent node crash.
+/// `parents[i] <= i` is node `i+1`'s parent; `caps`/`sinks` are indexed
+/// cyclically. Each raw fault is `(target, kind, from_ms, len_ms)` with
+/// kind 0 = duplex link outage, 1 = node outage, 2 = permanent node crash.
 #[allow(clippy::too_many_arguments)]
 fn run_world(
     parents: &[usize],
@@ -96,7 +97,7 @@ fn run_world(
     let mut links = Vec::new();
     for (i, &p) in parents.iter().enumerate() {
         let node = nb.add_node("n");
-        let parent = nodes[p % (i + 1)];
+        let parent = nodes[p];
         let cfg = LinkConfig::kbps(CAPS_KBPS[caps[i % caps.len()] % CAPS_KBPS.len()]);
         links.push(nb.add_link(parent, node, cfg));
         nodes.push(node);
@@ -142,38 +143,38 @@ fn run_world(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The twin itself: random topology + traffic + fault plan, run under
-    /// both backends — every observable must match exactly.
-    #[test]
-    fn wheel_matches_heap_on_random_worlds(
-        parents in prop::collection::vec(0usize..1000, 3..24),
-        caps in prop::collection::vec(0usize..4, 1..8),
-        sinks in prop::collection::vec(any::<bool>(), 1..8),
-        rate_pps in 20u64..200,
-        size in 200u32..1400,
-        faults in prop::collection::vec(
-            (0u64..1000, 0usize..3, 200u64..2500, 100u64..1500),
-            0..4,
-        ),
-    ) {
-        let wheel = run_world(
-            &parents, &caps, &sinks, rate_pps, size, &faults, QueueBackend::CalendarWheel,
+/// The twin itself: random topology + traffic + fault plan, run under
+/// both backends — every observable must match exactly.
+#[test]
+fn wheel_matches_heap_on_random_worlds() {
+    check("wheel_matches_heap_on_random_worlds", 24, |g| {
+        let len = g.range_u64(3, 24) as usize;
+        let parents = trees::parents(g, len);
+        let caps: Vec<usize> = (0..g.range_u64(1, 8)).map(|_| g.range_u64(0, 4) as usize).collect();
+        let sinks: Vec<bool> = (0..g.range_u64(1, 8)).map(|_| g.chance(0.5)).collect();
+        let rate_pps = g.range_u64(20, 200);
+        let size = g.range_u64(200, 1400) as u32;
+        let faults: Vec<(u64, usize, u64, u64)> = (0..g.range_u64(0, 4))
+            .map(|_| {
+                let target = g.range_u64(0, 1000);
+                (target, g.range_u64(0, 3) as usize, g.range_u64(200, 2500), g.range_u64(100, 1500))
+            })
+            .collect();
+        let run = |backend| run_world(&parents, &caps, &sinks, rate_pps, size, &faults, backend);
+        let (wheel, heap) = (run(QueueBackend::CalendarWheel), run(QueueBackend::BinaryHeap));
+        let at = format!(
+            "parents {parents:?}, caps {caps:?}, sinks {sinks:?}, {rate_pps} pps, {size} B, \
+             faults {faults:?}"
         );
-        let heap = run_world(
-            &parents, &caps, &sinks, rate_pps, size, &faults, QueueBackend::BinaryHeap,
-        );
-        prop_assert_eq!(wheel.events, heap.events);
-        prop_assert_eq!(wheel.delivered, heap.delivered);
-        prop_assert_eq!(wheel.live, heap.live);
-        prop_assert_eq!(&wheel.links, &heap.links);
-        prop_assert_eq!(&wheel.trace, &heap.trace);
+        assert_eq!(wheel.events, heap.events, "{at}");
+        assert_eq!(wheel.delivered, heap.delivered, "{at}");
+        assert_eq!(wheel.live, heap.live, "{at}");
+        assert_eq!(&wheel.links, &heap.links, "{at}");
+        assert_eq!(&wheel.trace, &heap.trace, "{at}");
         // The workload was real: something got delivered unless a fault cut
         // every sink off (which links-stats equality already covers).
-        prop_assert!(wheel.events > 0);
-    }
+        assert!(wheel.events > 0, "{at}");
+    });
 }
 
 /// Far-future events (beyond the wheel's ~52-day horizon, in its overflow
@@ -354,29 +355,33 @@ fn assert_federated_twin_matches(w: &mut FederatedMediaWorld, until: SimTime) {
     w.oracle.network().multicast_audit().unwrap();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The sharded tentpole contract: for any federated world shape,
-    /// handoff latency, queue backend, and fault plan, the parallel sharded
-    /// run's merged per-shard event streams must fingerprint-match the
-    /// sequential oracle exactly.
-    #[test]
-    fn sharded_matches_sequential_on_federated_worlds(
-        domains in 1usize..4,
-        fanout in 1usize..4,
-        depth in 1usize..3,
-        sink_stride in 1usize..3,
-        rate_pps in 40u64..160,
-        delay_ms in 5u64..40,
-        heap in any::<bool>(),
-        faults in prop::collection::vec(
-            (0usize..1000, 0usize..4, 0usize..1000, 150u64..1200, 100u64..800),
-            0..4,
-        ),
-    ) {
-        let backend =
-            if heap { QueueBackend::BinaryHeap } else { QueueBackend::CalendarWheel };
+/// The sharded tentpole contract: for any federated world shape,
+/// handoff latency, queue backend, and fault plan, the parallel sharded
+/// run's merged per-shard event streams must fingerprint-match the
+/// sequential oracle exactly.
+#[test]
+fn sharded_matches_sequential_on_federated_worlds() {
+    check("sharded_matches_sequential_on_federated_worlds", 10, |g| {
+        let domains = g.range_u64(1, 4) as usize;
+        let fanout = g.range_u64(1, 4) as usize;
+        let depth = g.range_u64(1, 3) as usize;
+        let sink_stride = g.range_u64(1, 3) as usize;
+        let rate_pps = g.range_u64(40, 160);
+        let delay_ms = g.range_u64(5, 40);
+        let heap = g.chance(0.5);
+        let faults: Vec<(usize, usize, usize, u64, u64)> = (0..g.range_u64(0, 4))
+            .map(|_| {
+                let (dsel, kind) = (g.range_u64(0, 1000) as usize, g.range_u64(0, 4) as usize);
+                (
+                    dsel,
+                    kind,
+                    g.range_u64(0, 1000) as usize,
+                    g.range_u64(150, 1200),
+                    g.range_u64(100, 800),
+                )
+            })
+            .collect();
+        let backend = if heap { QueueBackend::BinaryHeap } else { QueueBackend::CalendarWheel };
         let mut w = federated_media_world(FederationWorldParams {
             domains,
             fanout,
@@ -412,7 +417,7 @@ proptest! {
             w.install_faults(&plan);
         }
         assert_federated_twin_matches(&mut w, SimTime::from_secs(2));
-    }
+    });
 }
 
 /// The five chaos archetypes from the scenario zoo, re-expressed as
@@ -531,9 +536,9 @@ fn run_churn_world(
     let n = parents.len() + 1;
     let mut nb = NetworkBuilder::new(SimConfig { queue: backend, ..SimConfig::default() });
     let mut nodes = vec![nb.add_node("root")];
-    for (i, &p) in parents.iter().enumerate() {
+    for &p in parents {
         let node = nb.add_node("n");
-        nb.add_link(nodes[p % (i + 1)], node, LinkConfig::kbps(2_000.0));
+        nb.add_link(nodes[p], node, LinkConfig::kbps(2_000.0));
         nodes.push(node);
     }
     let mut sim = nb.build();
@@ -564,25 +569,27 @@ fn run_churn_world(
     sim.events_processed()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Satellite contract: the dense membership bitmaps must stay
-    /// bit-for-bit consistent with the sorted member vectors under
-    /// arbitrary join/leave/crash/restart churn — `multicast_audit`
-    /// recomputes every invariant from first principles — and the churned
-    /// run must stay identical across queue backends.
-    #[test]
-    fn membership_bitmaps_survive_churn(
-        parents in prop::collection::vec(0usize..1000, 3..16),
-        ops in prop::collection::vec((0usize..1000, 0u64..2900, any::<bool>()), 0..40),
-        faults in prop::collection::vec(
-            (0usize..1000, 200u64..2500, 100u64..1500, any::<bool>()),
-            0..4,
-        ),
-    ) {
+/// Satellite contract: the dense membership bitmaps must stay
+/// bit-for-bit consistent with the sorted member vectors under
+/// arbitrary join/leave/crash/restart churn — `multicast_audit`
+/// recomputes every invariant from first principles — and the churned
+/// run must stay identical across queue backends.
+#[test]
+fn membership_bitmaps_survive_churn() {
+    check("membership_bitmaps_survive_churn", 24, |g| {
+        let len = g.range_u64(3, 16) as usize;
+        let parents = trees::parents(g, len);
+        let ops: Vec<(usize, u64, bool)> = (0..g.range_u64(0, 40))
+            .map(|_| (g.range_u64(0, 1000) as usize, g.range_u64(0, 2900), g.chance(0.5)))
+            .collect();
+        let faults: Vec<(usize, u64, u64, bool)> = (0..g.range_u64(0, 4))
+            .map(|_| {
+                let (sel, from_ms) = (g.range_u64(0, 1000) as usize, g.range_u64(200, 2500));
+                (sel, from_ms, g.range_u64(100, 1500), g.chance(0.5))
+            })
+            .collect();
         let wheel = run_churn_world(&parents, &ops, &faults, QueueBackend::CalendarWheel);
         let heap = run_churn_world(&parents, &ops, &faults, QueueBackend::BinaryHeap);
-        prop_assert_eq!(wheel, heap);
-    }
+        assert_eq!(wheel, heap, "parents {parents:?}, ops {ops:?}, faults {faults:?}");
+    });
 }

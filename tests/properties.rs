@@ -1,16 +1,19 @@
 //! Property-based tests over the core data structures and invariants.
 
 use metrics::StepSeries;
+use netsim::rng::check;
 use netsim::{EventQueue, NodeId, SimTime};
-use proptest::prelude::*;
 use topology::Tree;
 use traffic::LayerSpec;
 
-proptest! {
-    /// The event queue pops in non-decreasing time order regardless of the
-    /// insertion pattern, with ties broken by insertion order.
-    #[test]
-    fn event_queue_is_monotone(times in prop::collection::vec(0u64..10_000, 1..200)) {
+mod trees;
+
+/// The event queue pops in non-decreasing time order regardless of the
+/// insertion pattern, with ties broken by insertion order.
+#[test]
+fn event_queue_is_monotone() {
+    check("event_queue_is_monotone", 64, |g| {
+        let times: Vec<u64> = (0..g.range_u64(1, 200)).map(|_| g.range_u64(0, 10_000)).collect();
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.schedule(
@@ -21,7 +24,7 @@ proptest! {
         let mut last_time = SimTime::ZERO;
         let mut seen_at_time: Vec<u64> = Vec::new();
         while let Some((t, ev)) = q.pop() {
-            prop_assert!(t >= last_time);
+            assert!(t >= last_time, "{t:?} popped after {last_time:?} from {times:?}");
             let token = match ev {
                 netsim::Event::Timer { token, .. } => token,
                 _ => unreachable!(),
@@ -29,7 +32,7 @@ proptest! {
             if t == last_time {
                 // FIFO among equal timestamps: tokens increase.
                 if let Some(&prev) = seen_at_time.last() {
-                    prop_assert!(token > prev);
+                    assert!(token > prev, "token {token} after {prev} at {t:?} from {times:?}");
                 }
                 seen_at_time.push(token);
             } else {
@@ -38,98 +41,115 @@ proptest! {
             }
             last_time = t;
         }
-    }
+    });
+}
 
-    /// Random parent assignments either build a valid tree (parents precede
-    /// children in index order, so no cycles) with consistent invariants.
-    #[test]
-    fn random_trees_have_consistent_structure(parents in prop::collection::vec(0usize..20, 1..20)) {
-        // Node i+1 gets parent chosen among 0..=i => always a valid tree.
+/// Random parent assignments build a valid tree (parents precede children
+/// in index order, so no cycles) with consistent invariants.
+#[test]
+fn random_trees_have_consistent_structure() {
+    check("random_trees_have_consistent_structure", 64, |g| {
+        let len = g.range_u64(1, 20) as usize;
+        let parents = trees::parents(g, len);
         let edges: Vec<(NodeId, NodeId)> = parents
             .iter()
             .enumerate()
-            .map(|(i, &p)| (NodeId((p % (i + 1)) as u32), NodeId(i as u32 + 1)))
+            .map(|(i, &p)| (NodeId(p as u32), NodeId(i as u32 + 1)))
             .collect();
         let tree = Tree::from_edges(NodeId(0), &edges).expect("valid by construction");
-        prop_assert_eq!(tree.len(), edges.len() + 1);
+        assert_eq!(tree.len(), edges.len() + 1, "parents {parents:?}");
         // Top-down visits every parent before its children.
         let order: Vec<NodeId> = tree.top_down().collect();
         let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
         for n in tree.top_down() {
             if let Some(p) = tree.parent(n) {
-                prop_assert!(pos(p) < pos(n));
+                assert!(pos(p) < pos(n), "{p:?} after its child {n:?}: parents {parents:?}");
                 // children() and parent() agree.
-                prop_assert!(tree.children(p).contains(&n));
+                assert!(tree.children(p).contains(&n), "{n:?} under {p:?}: parents {parents:?}");
             }
         }
         // Every node's subtree leaves are leaves of the whole tree.
         for n in tree.top_down() {
             for leaf in tree.subtree_leaves(n) {
-                prop_assert!(tree.is_leaf(leaf));
-                prop_assert!(tree.is_ancestor(n, leaf));
+                assert!(tree.is_leaf(leaf), "{leaf:?} under {n:?}: parents {parents:?}");
+                assert!(tree.is_ancestor(n, leaf), "{leaf:?} under {n:?}: parents {parents:?}");
             }
         }
         // Depth is consistent with the parent chain.
         for n in tree.top_down() {
             let d = tree.depth(n);
-            prop_assert_eq!(tree.path_from_root(n).len(), d + 1);
+            assert_eq!(tree.path_from_root(n).len(), d + 1, "{n:?}: parents {parents:?}");
         }
-    }
+    });
+}
 
-    /// `level_fitting` is the inverse of `cumulative_rate` up to bracketing:
-    /// the chosen level fits, the next one does not.
-    #[test]
-    fn level_fitting_brackets_cumulative_rate(bw in 0.0f64..3_000_000.0) {
+/// `level_fitting` is the inverse of `cumulative_rate` up to bracketing:
+/// the chosen level fits, the next one does not.
+#[test]
+fn level_fitting_brackets_cumulative_rate() {
+    check("level_fitting_brackets_cumulative_rate", 64, |g| {
+        let bw = g.range_f64(0.0, 3_000_000.0);
         let spec = LayerSpec::paper_default();
         let level = spec.level_fitting(bw);
-        prop_assert!(spec.cumulative_rate(level) <= bw || level == 0);
+        assert!(spec.cumulative_rate(level) <= bw || level == 0, "bw {bw}: level {level}");
         if level < spec.max_level() {
-            prop_assert!(spec.cumulative_rate(level + 1) > bw);
+            assert!(spec.cumulative_rate(level + 1) > bw, "bw {bw}: level {level}");
         }
-    }
+    });
+}
 
-    /// Relative deviation is zero iff the series sits at the optimum, and
-    /// scales linearly with a constant offset.
-    #[test]
-    fn relative_deviation_properties(opt in 1u8..=6, held in 0u8..=6) {
+/// Relative deviation is zero iff the series sits at the optimum, and
+/// scales linearly with a constant offset.
+#[test]
+fn relative_deviation_properties() {
+    check("relative_deviation_properties", 64, |g| {
+        let opt = g.range_u64(1, 7) as u8;
+        let held = g.range_u64(0, 7) as u8;
         let mut s = StepSeries::new();
         s.push(SimTime::ZERO, held);
-        let dev = metrics::relative_deviation(
-            &s, opt, SimTime::ZERO, SimTime::from_secs(100),
-        ).expect("positive optimum and non-empty window");
+        let dev = metrics::relative_deviation(&s, opt, SimTime::ZERO, SimTime::from_secs(100))
+            .expect("positive optimum and non-empty window");
         let expect = (held as f64 - opt as f64).abs() / opt as f64;
-        prop_assert!((dev - expect).abs() < 1e-9);
-    }
+        assert!((dev - expect).abs() < 1e-9, "opt {opt}, held {held}: {dev} != {expect}");
+    });
+}
 
-    /// Step series time-weighted mean always lies within [min, max] of the
-    /// values it passes through.
-    #[test]
-    fn step_series_mean_is_bounded(
-        changes in prop::collection::vec((0u64..600, 0u8..=6), 1..30)
-    ) {
-        let mut sorted = changes.clone();
-        sorted.sort_by_key(|&(t, _)| t);
+/// Step series time-weighted mean always lies within [min, max] of the
+/// values it passes through.
+#[test]
+fn step_series_mean_is_bounded() {
+    check("step_series_mean_is_bounded", 64, |g| {
+        let mut changes: Vec<(u64, u8)> = (0..g.range_u64(1, 30))
+            .map(|_| (g.range_u64(0, 600), g.range_u64(0, 7) as u8))
+            .collect();
+        changes.sort_by_key(|&(t, _)| t);
         let mut s = StepSeries::new();
-        for &(t, v) in &sorted {
+        for &(t, v) in &changes {
             s.push(SimTime::from_secs(t), v);
         }
         let mean = s.mean(SimTime::ZERO, SimTime::from_secs(700));
-        prop_assert!(mean >= 0.0);
-        prop_assert!(mean <= 6.0);
-    }
+        assert!((0.0..=6.0).contains(&mean), "mean {mean} of {changes:?}");
+    });
+}
 
-    /// Jain's index is always in (0, 1] and is exactly 1 for equal shares.
-    #[test]
-    fn jain_index_bounds(shares in prop::collection::vec(0.0f64..1e9, 1..40)) {
+/// Jain's index is always in (0, 1] and is exactly 1 for equal shares.
+#[test]
+fn jain_index_bounds() {
+    check("jain_index_bounds", 64, |g| {
+        let shares: Vec<f64> = (0..g.range_u64(1, 40)).map(|_| g.range_f64(0.0, 1e9)).collect();
         let j = metrics::jain_index(&shares);
-        prop_assert!(j > 0.0 - 1e-12);
-        prop_assert!(j <= 1.0 + 1e-12);
-    }
+        assert!(j > 0.0 - 1e-12 && j <= 1.0 + 1e-12, "index {j} of {shares:?}");
+    });
+}
 
-    /// The VBR packet-count distribution takes only its two design values
-    /// and long-run-averages to A.
-    #[test]
-    fn vbr_two_point_distribution(p in 2.0f64..10.0, a in 4.0f64..64.0, seed in 0u64..1000) {
+/// The VBR packet-count distribution takes only its two design values
+/// and long-run-averages to A.
+#[test]
+fn vbr_two_point_distribution() {
+    check("vbr_two_point_distribution", 64, |g| {
+        let p = g.range_f64(2.0, 10.0);
+        let a = g.range_f64(4.0, 64.0);
+        let seed = g.range_u64(0, 1000);
         let model = traffic::TrafficModel::Vbr { p };
         let mut rng = netsim::RngStream::derive(seed, "prop-vbr");
         let peak = (p * a + 1.0 - p).round().max(1.0) as u32;
@@ -137,18 +157,21 @@ proptest! {
         let n = 2000;
         for _ in 0..n {
             let k = model.packets_in_frame(a, &mut rng);
-            prop_assert!(k == 1 || k == peak, "unexpected count {}", k);
+            assert!(k == 1 || k == peak, "unexpected count {k}: p {p}, A {a}, seed {seed}");
             total += k as u64;
         }
         let mean = total as f64 / n as f64;
         // Loose bound: two-point distribution has high variance.
-        prop_assert!((mean - a).abs() < a * 0.35, "mean {} vs A {}", mean, a);
-    }
+        assert!((mean - a).abs() < a * 0.35, "mean {mean} vs A {a}: p {p}, seed {seed}");
+    });
+}
 
-    /// The oracle never allocates below the base layer, never above the
-    /// max, and its allocation actually fits every link.
-    #[test]
-    fn oracle_allocations_fit(seed in 0u64..500) {
+/// The oracle never allocates below the base layer, never above the
+/// max, and its allocation actually fits every link.
+#[test]
+fn oracle_allocations_fit() {
+    check("oracle_allocations_fit", 64, |g| {
+        let seed = g.range_u64(0, 500);
         let mut rng = netsim::RngStream::derive(seed, "prop-oracle");
         let params = topology::generators::TieredParams {
             tiers: 2,
@@ -159,25 +182,24 @@ proptest! {
         let spec = topology::generators::tiered(&mut rng, params);
         let layer_spec = LayerSpec::paper_default();
         let optima = baselines::oracle::optimal_levels(&spec, &layer_spec, 1.0);
-        prop_assert_eq!(optima.len(), spec.receivers().len());
+        assert_eq!(optima.len(), spec.receivers().len(), "seed {seed}");
         for e in &optima {
-            prop_assert!(e.level >= 1);
-            prop_assert!(e.level <= layer_spec.max_level());
+            assert!(e.level >= 1, "seed {seed}: {e:?}");
+            assert!(e.level <= layer_spec.max_level(), "seed {seed}: {e:?}");
         }
         // Greedy max-min is maximal: no receiver can be incremented without
         // breaking some link. Verified indirectly: re-running is stable.
         let again = baselines::oracle::optimal_levels(&spec, &layer_spec, 1.0);
-        prop_assert_eq!(optima, again);
-    }
+        assert_eq!(optima, again, "seed {seed}");
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Loss tracking: for any loss pattern, received + lost equals the
-    /// sequence span, and the loss rate is within [0, 1].
-    #[test]
-    fn seq_tracker_accounting(drops in prop::collection::vec(any::<bool>(), 1..500)) {
+/// Loss tracking: for any loss pattern, received + lost equals the
+/// sequence span, and the loss rate is within [0, 1].
+#[test]
+fn seq_tracker_accounting() {
+    check("seq_tracker_accounting", 64, |g| {
+        let drops: Vec<bool> = (0..g.range_u64(1, 500)).map(|_| g.chance(0.5)).collect();
         let mut tracker = netsim::SeqTracker::new();
         let mut sent = 0u64;
         let mut delivered = 0u64;
@@ -189,12 +211,12 @@ proptest! {
             }
         }
         let w = tracker.take_window();
-        prop_assert_eq!(w.received, delivered);
-        prop_assert!(w.loss_rate() >= 0.0 && w.loss_rate() <= 1.0);
+        assert_eq!(w.received, delivered, "drops {drops:?}");
+        assert!((0.0..=1.0).contains(&w.loss_rate()), "drops {drops:?}");
         if delivered > 0 {
             // Everything between the first and last delivered packet is
             // accounted for.
-            prop_assert!(w.received + w.lost <= sent);
+            assert!(w.received + w.lost <= sent, "drops {drops:?}");
         }
-    }
+    });
 }

@@ -13,45 +13,14 @@
 //! Comparisons are exact (`==` on floats included), same contract as
 //! `tests/incremental.rs`.
 
-use netsim::{
-    AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimDuration, SimTime,
-};
-use proptest::prelude::*;
-use topology::discovery::{LinkView, TopologyView};
-use topology::SessionTree;
-use toposense::algorithm::{AlgorithmInputs, AlgorithmState, ReceiverReport};
+use netsim::rng::check;
+use netsim::{AppId, NodeId, RngStream, SessionId};
+use toposense::algorithm::{AlgorithmState, ReceiverReport};
 use toposense::{fingerprint_outputs, Config, Snapshot};
 use traffic::LayerSpec;
 
-/// Build a session tree from a parent vector: node `i + 1` attaches under
-/// node `parents[i] % (i + 1)` (same generator as `tests/incremental.rs`).
-fn session_tree(parents: &[usize], session: u32) -> SessionTree {
-    let mut links = Vec::new();
-    let mut active = Vec::new();
-    for (i, &p) in parents.iter().enumerate() {
-        let child = NodeId(i as u32 + 1);
-        let parent = NodeId((p % (i + 1)) as u32);
-        let id = DirLinkId(i as u32);
-        links.push(LinkView { id, from: parent, to: child });
-        active.push(id);
-    }
-    let all: Vec<NodeId> = (0..=parents.len() as u32).map(NodeId).collect();
-    let view = TopologyView {
-        time: SimTime::ZERO,
-        links,
-        groups: vec![GroupSnapshot {
-            group: GroupId(0),
-            root: NodeId(0),
-            active_links: active,
-            member_nodes: all,
-        }],
-    };
-    SessionTree::build(&view, SessionId(session), &[GroupId(0)]).unwrap()
-}
-
-fn leaf_receivers(tree: &SessionTree) -> Vec<NodeId> {
-    tree.tree().leaves().filter(|&n| n != tree.tree().root()).collect()
-}
+mod trees;
+use trees::{assert_outputs_eq, inputs_at, leaf_receivers, registry_for, session_tree};
 
 fn reports_for(leaves: &[NodeId]) -> Vec<ReceiverReport> {
     leaves
@@ -71,14 +40,6 @@ fn reports_for(leaves: &[NodeId]) -> Vec<ReceiverReport> {
         .collect()
 }
 
-fn registry_for(leaves: &[NodeId]) -> Vec<(AppId, NodeId, SessionId)> {
-    leaves
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (AppId(500 + i as u32), node, SessionId(0)))
-        .collect()
-}
-
 /// Randomly perturb report values in place (keys stay stable).
 fn churn(reports: &mut [ReceiverReport], rng: &mut RngStream) {
     for r in reports.iter_mut() {
@@ -95,34 +56,6 @@ fn churn(reports: &mut [ReceiverReport], rng: &mut RngStream) {
     }
 }
 
-fn inputs_at<'a>(
-    now_secs: u64,
-    trees: &'a [SessionTree],
-    specs: &'a [&'a LayerSpec],
-    registry: &'a [(AppId, NodeId, SessionId)],
-    reports: &'a [ReceiverReport],
-) -> AlgorithmInputs<'a> {
-    AlgorithmInputs {
-        now: SimTime::from_secs(now_secs),
-        interval: SimDuration::from_secs(2),
-        trees,
-        specs,
-        registry,
-        reports,
-    }
-}
-
-/// Field-wise byte-identity on everything except the path diagnostics.
-macro_rules! assert_outputs_eq {
-    ($assert:ident, $a:expr, $b:expr, $ctx:expr) => {{
-        let (a, b) = (&$a, &$b);
-        $assert!(a.suggestions == b.suggestions, "suggestions diverged at {}", $ctx);
-        $assert!(a.estimated_links == b.estimated_links, "estimates diverged at {}", $ctx);
-        $assert!(a.congested_nodes == b.congested_nodes, "congested count diverged at {}", $ctx);
-        $assert!(a.root_supply == b.root_supply, "root supply diverged at {}", $ctx);
-    }};
-}
-
 /// A single silent bit flip in the capacity-estimate table surfaces in the
 /// very next interval's output fingerprint — the cross-check the wire
 /// protocol runs on every replica ack (DESIGN.md §14) — while a twin
@@ -132,7 +65,7 @@ macro_rules! assert_outputs_eq {
 #[test]
 fn flipped_estimate_bit_surfaces_in_the_next_fingerprint() {
     let parents = [0usize, 0, 1, 2, 2, 3];
-    let trees = vec![session_tree(&parents, 0), session_tree(&parents, 1)];
+    let trees = vec![session_tree(&parents, 0, 0), session_tree(&parents, 1, 0)];
     let leaves = leaf_receivers(&trees[0]);
     let spec = LayerSpec::paper_default();
     let specs: Vec<&LayerSpec> = vec![&spec, &spec];
@@ -165,7 +98,7 @@ fn flipped_estimate_bit_surfaces_in_the_next_fingerprint() {
     let want = uninterrupted.run_incremental(&inputs);
     let good = healthy.run_incremental(&inputs);
     let bad = corrupted.run_incremental(&inputs);
-    assert_outputs_eq!(assert, want, good, "the clean twin");
+    assert_outputs_eq(&want, &good, "the clean twin");
     assert_eq!(fingerprint_outputs(&good), fingerprint_outputs(&want));
     assert_ne!(
         fingerprint_outputs(&bad),
@@ -174,24 +107,22 @@ fn flipped_estimate_bit_surfaces_in_the_next_fingerprint() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// checkpoint → encode → decode → restore → resume is byte-identical
-    /// to the uninterrupted twin, wherever the cut lands, with or without
-    /// membership churn mid-stream.
-    #[test]
-    fn checkpoint_restore_resume_matches_uninterrupted_twin(
-        parents in prop::collection::vec(0usize..10, 3..12),
-        seed in 0u64..500,
-        cut in 1u64..7,
-        member_churn in any::<bool>(),
-    ) {
-        let trees = vec![session_tree(&parents, 0)];
+/// checkpoint → encode → decode → restore → resume is byte-identical
+/// to the uninterrupted twin, wherever the cut lands, with or without
+/// membership churn mid-stream.
+#[test]
+fn checkpoint_restore_resume_matches_uninterrupted_twin() {
+    check("checkpoint_restore_resume_matches_uninterrupted_twin", 32, |g| {
+        let len = g.range_u64(3, 12) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 500);
+        let cut = g.range_u64(1, 7);
+        let member_churn = g.chance(0.5);
+        let trees = vec![session_tree(&parents, 0, 0)];
         let leaves = leaf_receivers(&trees[0]);
         let spec = LayerSpec::paper_default();
         let specs: Vec<&LayerSpec> = vec![&spec];
-        let all_registry = registry_for(&leaves);
+        let all_registry = registry_for(&leaves, 0);
         let all_reports = reports_for(&leaves);
         let half_registry: Vec<_> = all_registry.iter().step_by(2).copied().collect();
         let half_reports: Vec<_> = all_reports.iter().step_by(2).cloned().collect();
@@ -213,31 +144,34 @@ proptest! {
             let inputs = inputs_at(2 * round, &trees, &specs, registry, &reports);
             let a = uninterrupted.run_incremental(&inputs);
             let b = resumed.run_incremental(&inputs);
-            assert_outputs_eq!(prop_assert, a, b, format_args!("round {round} (cut {cut})"));
+            let at =
+                format!("round {round} (cut {cut}), churn {member_churn}, parents {parents:?}");
+            assert_outputs_eq(&a, &b, &at);
 
             if round == cut {
                 // Interrupt the twin: serialize, parse, restore.
                 let snap = resumed.checkpoint();
                 let blob = snap.encode();
                 let parsed = Snapshot::decode(&blob).expect("canonical blob parses");
-                prop_assert!(parsed == snap, "JSON round-trip must be the identity");
+                assert!(parsed == snap, "{at}: JSON round-trip must be the identity");
                 resumed = AlgorithmState::restore(cfg, &parsed).expect("same-config restore");
-                prop_assert!(resumed.runs() == round, "restore must resume at the cut");
+                assert!(resumed.runs() == round, "{at}: restore must resume at the cut");
             }
         }
-    }
+    });
+}
 
-    /// The checkpoint is config-bound: restoring under a different Config
-    /// is refused instead of silently misinterpreting the state.
-    #[test]
-    fn restore_refuses_a_foreign_config(
-        seed in 0u64..200,
-    ) {
+/// The checkpoint is config-bound: restoring under a different Config
+/// is refused instead of silently misinterpreting the state.
+#[test]
+fn restore_refuses_a_foreign_config() {
+    check("restore_refuses_a_foreign_config", 32, |g| {
+        let seed = g.range_u64(0, 200);
         let state = AlgorithmState::new(Config::default(), seed);
         let snap = state.checkpoint();
         let other = Config { capacity_creep: 2.0, ..Config::default() };
-        prop_assert!(AlgorithmState::restore(other, &snap).is_err());
-    }
+        assert!(AlgorithmState::restore(other, &snap).is_err(), "seed {seed}");
+    });
 }
 
 // ---------------------------------------------------------------- wire level
