@@ -20,6 +20,7 @@ use crate::experiments::WARMUP;
 use crate::paper::{at_least, at_most, f2, f4, max_of, mean, min_of, whole_run_loss, Slot};
 use crate::runner::{Scenario, ScenarioResult};
 use netsim::{QueueDiscipline, SimDuration, SimTime};
+use telemetry::{Record, StageBody, Telemetry};
 use topology::generators;
 use toposense::Config;
 use traffic::{LayerSpec, TrafficModel};
@@ -216,13 +217,20 @@ pub(crate) fn control_traffic(slot: Slot) -> Cell {
 /// against ground truth? Runs Topology B (n sessions, true shared capacity
 /// `n x 500 kb/s`) and reports the fraction of controller intervals in
 /// which the shared link had a finite estimate (coverage) and the mean and
-/// worst `|estimate - true| / true` over those intervals.
+/// worst `|estimate - true| / true` over those intervals. The estimates are
+/// read from each run's stage-2 audit records: every estimated link the
+/// sessions cross logs exactly one non-`reset` event per interval, carrying
+/// the post-update value.
 pub(crate) fn estimator(slot: Slot) -> Cell {
     let counts = slot.size.counts();
-    let scenarios = counts
+    let (scenarios, trails): (Vec<Scenario>, Vec<_>) = counts
         .iter()
-        .map(|&n| slot.scenario(generators::topology_b_default(n), TrafficModel::Vbr { p: 3.0 }))
-        .collect();
+        .map(|&n| {
+            let (tel, trail) = Telemetry::memory();
+            let topo = generators::topology_b_default(n);
+            (slot.scenario(topo, TrafficModel::Vbr { p: 3.0 }).with_telemetry(tel), trail)
+        })
+        .unzip();
     slot.figure(
         "§V: the capacity estimate \"can possibly under-estimate … not a serious problem since \
          the capacities are recomputed at frequent intervals\" — shared-link estimate vs. ground \
@@ -233,16 +241,20 @@ pub(crate) fn estimator(slot: Slot) -> Cell {
         move |rs| {
             let mut rows = Vec::new();
             let (mut coverage, mut mean_error) = (Vec::new(), Vec::new());
-            for (&n, r) in counts.iter().zip(rs) {
+            for ((&n, r), trail) in counts.iter().zip(rs).zip(&trails) {
                 let ctrl = r.controller.as_ref().expect("TopoSense mode");
-                // The shared link is the first spec link: forward half id 0.
-                let shared = netsim::DirLinkId(0);
                 let true_cap = n as f64 * 500_000.0;
-                let errors: Vec<f64> = ctrl
-                    .estimate_series
+                // The shared link is the first spec link: forward half id 0.
+                let errors: Vec<f64> = trail
+                    .records()
                     .iter()
-                    .filter(|&&(_, l, _)| l == shared)
-                    .map(|&(_, _, c)| (c - true_cap).abs() / true_cap)
+                    .filter_map(|r| match r {
+                        Record::Stage { body: StageBody::Capacity(links), .. } => Some(links),
+                        _ => None,
+                    })
+                    .flatten()
+                    .filter(|l| l.link == 0 && l.event != "reset")
+                    .map(|l| (l.bps - true_cap).abs() / true_cap)
                     .collect();
                 let covered = errors.len() as f64 / ctrl.intervals.max(1) as f64;
                 let worst = errors.iter().copied().fold(f64::NAN, f64::max);

@@ -1229,13 +1229,8 @@ fn judge_failover(r: &ScenarioResult, cfg: &toposense::Config, crash_at: SimTime
     // lands within one control interval of the takeover — it resumes from
     // its replicated AlgorithmState instead of re-observing the domain from
     // scratch.
-    let first_steer = standby.and_then(|s| {
-        let at = s.failover_at?;
-        s.suggestion_series
-            .iter()
-            .find(|(t, sugg)| *t >= at && !sugg.is_empty())
-            .map(|(t, _)| t.since(at).as_secs_f64() / interval)
-    });
+    let first_steer = standby
+        .and_then(|s| Some(s.first_steer_at?.since(s.failover_at?).as_secs_f64() / interval));
     // The precondition for both bounds: the standby was an input-synced
     // twin before the crash (it applied replicated batches, so takeover
     // needs no warm-up).

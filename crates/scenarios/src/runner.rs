@@ -590,17 +590,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     // then the run's counters, then the timers.
     if tel.is_enabled() {
         for r in &result.receivers {
-            for &(when, cause, _old, new) in &r.stats.applies {
-                tel.emit(&Record::Trace {
-                    seq: 0,
-                    t_ns: when.nanos(),
-                    phase: "apply".to_string(),
-                    session: r.session as u64,
-                    receiver: r.app.0 as u64,
-                    cause,
-                    level: new as u64,
-                });
-            }
+            r.stats.emit_apply_hops(tel, r.session as u64, r.app.0 as u64);
         }
         tel.emit(&Record::Counters { t_ns: sim.now().nanos(), entries: result.counters() });
     }

@@ -203,56 +203,6 @@ impl Tree {
         self.order.iter().copied().filter(|&n| self.is_leaf(n))
     }
 
-    /// Leaves of the subtree rooted at `node`.
-    pub fn subtree_leaves(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            if self.is_leaf(n) {
-                out.push(n);
-            } else {
-                stack.extend(self.children(n).iter().copied());
-            }
-        }
-        out
-    }
-
-    /// Hop depth of `node` below the root (root = 0).
-    pub fn depth(&self, node: NodeId) -> usize {
-        let mut d = 0;
-        let mut cur = node;
-        while let Some(p) = self.parent(cur) {
-            d += 1;
-            cur = p;
-        }
-        d
-    }
-
-    /// The path of nodes from the root to `node` (inclusive at both ends).
-    pub fn path_from_root(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        path
-    }
-
-    /// Whether `ancestor` lies on the path from the root to `node`
-    /// (a node is its own ancestor).
-    pub fn is_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
-        let mut cur = Some(node);
-        while let Some(n) = cur {
-            if n == ancestor {
-                return true;
-            }
-            cur = self.parent(n);
-        }
-        false
-    }
-
     /// Structural equality over the dense layout: same root, same BFS
     /// order, same CSR child index. Two trees that compare equal here have
     /// identical slot assignments, so per-slot caches built against one
@@ -455,20 +405,6 @@ mod tests {
         let t = fig1();
         let leaves: Vec<NodeId> = t.leaves().collect();
         assert_eq!(leaves, vec![n(5), n(3), n(4)]);
-        let mut sl = t.subtree_leaves(n(2));
-        sl.sort();
-        assert_eq!(sl, vec![n(3), n(4)]);
-    }
-
-    #[test]
-    fn depth_path_ancestor() {
-        let t = fig1();
-        assert_eq!(t.depth(n(0)), 0);
-        assert_eq!(t.depth(n(4)), 3);
-        assert_eq!(t.path_from_root(n(4)), vec![n(0), n(1), n(2), n(4)]);
-        assert!(t.is_ancestor(n(1), n(4)));
-        assert!(t.is_ancestor(n(4), n(4)));
-        assert!(!t.is_ancestor(n(5), n(4)));
     }
 
     #[test]

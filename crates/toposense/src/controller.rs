@@ -31,9 +31,7 @@
 //!   fight), and a transient dual-active resolves toward the smaller node
 //!   id.
 
-use crate::algorithm::{
-    AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport, SuggestionOut,
-};
+use crate::algorithm::{AlgorithmInputs, AlgorithmOutputs, AlgorithmState, ReceiverReport};
 use crate::checkpoint::Snapshot;
 use crate::config::Config;
 use crate::messages::{
@@ -78,17 +76,8 @@ pub struct ControllerShared {
     pub suggestions_sent: u64,
     /// Registered receivers at last interval.
     pub registered: usize,
-    /// Congested node-count history `(time, count)`.
-    pub congestion_series: Vec<(SimTime, usize)>,
-    /// Capacity-estimate history: one `(time, link, bits/s)` entry per
-    /// finitely-estimated link per interval (for estimator-accuracy
-    /// studies against ground truth).
-    pub estimate_series: Vec<(SimTime, netsim::DirLinkId, f64)>,
     /// Last run's diagnostics.
     pub last_outputs: Option<AlgorithmOutputs>,
-    /// Every interval's applied suggestions `(time, suggestions)` — the
-    /// ground truth the telemetry audit trail is cross-checked against.
-    pub suggestion_series: Vec<(SimTime, Vec<SuggestionOut>)>,
     /// Intervals run on last-known-good topology (discovery unavailable).
     pub degraded_intervals: u64,
     /// Intervals skipped because even last-known-good was too old.
@@ -103,6 +92,9 @@ pub struct ControllerShared {
     pub acks_sent: u64,
     /// When this controller first took over from a failed peer, if it did.
     pub failover_at: Option<SimTime>,
+    /// The first completed interval at or after `failover_at` that sent at
+    /// least one suggestion: when the promoted controller resumed steering.
+    pub first_steer_at: Option<SimTime>,
     /// Takeovers from a failed peer. Roles swap on restart, so one
     /// controller can take over more than once.
     pub failovers: u64,
@@ -546,11 +538,9 @@ impl Controller {
         sh.full_fallbacks += u64::from(!outputs.incremental);
         sh.slots_recomputed += outputs.slots_recomputed;
         sh.suggestions_sent += outputs.suggestions.len() as u64;
-        sh.congestion_series.push((now, outputs.congested_nodes));
-        for &(l, c) in &outputs.estimated_links {
-            sh.estimate_series.push((now, l, c));
+        if sh.failover_at.is_some_and(|at| now >= at) && !outputs.suggestions.is_empty() {
+            sh.first_steer_at.get_or_insert(now);
         }
-        sh.suggestion_series.push((now, outputs.suggestions.clone()));
         sh.last_outputs = Some(outputs);
         sh.degraded_intervals += degraded as u64;
         sh.partial_intervals += partial as u64;
@@ -938,9 +928,21 @@ mod tests {
     use super::*;
     use crate::receiver::Receiver;
     use netsim::sim::{NetworkBuilder, SimConfig};
-    use netsim::{GroupId, LinkConfig};
+    use netsim::{GroupId, LinkConfig, Simulator};
     use traffic::session::SessionDef;
     use traffic::{LayeredSource, TrafficModel};
+
+    /// Step `sim` through `n` more intervals, returning each one's
+    /// congested-node count.
+    fn congested_steps(sim: &mut Simulator, shared: &ControllerHandle, n: u32) -> Vec<usize> {
+        let step = Config::default().interval;
+        (0..n)
+            .map(|_| {
+                sim.run_until(sim.now() + step);
+                shared.lock().unwrap().last_outputs.as_ref().map_or(0, |o| o.congested_nodes)
+            })
+            .collect()
+    }
 
     /// A one-session chain: src(+controller) -> mid -> rcv with a generous
     /// bottleneck; the receiver should be steered upward layer by layer.
@@ -1340,7 +1342,8 @@ mod tests {
                 mute_after: Some(SimTime::from_secs(4)),
             }),
         );
-        sim.run_until(SimTime::from_secs(40));
+        sim.run_until(SimTime::from_secs(30));
+        let late = congested_steps(&mut sim, &shared, 5);
 
         let c = shared.lock().unwrap();
         assert_eq!(c.evicted, 1, "mute receiver must be evicted");
@@ -1352,13 +1355,6 @@ mod tests {
         // not an infinitely-lossy child freezing it CONGESTED either. With
         // r1, mid and src self-congested and r2 inheriting mid's parental
         // congestion, the count sits at 4 nodes.
-        let late: Vec<usize> = c
-            .congestion_series
-            .iter()
-            .filter(|&&(t, _)| t >= SimTime::from_secs(32))
-            .map(|&(_, n)| n)
-            .collect();
-        assert!(!late.is_empty());
         assert!(
             late.iter().all(|&n| n >= 3),
             "silent subtree masked the lossy sibling: late congested counts {late:?}"
@@ -1553,14 +1549,11 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(10));
         assert_eq!(shared.lock().unwrap().registered, 0, "the departure emptied the table");
-        sim.run_until(SimTime::from_secs(30));
-        let c = shared.lock().unwrap();
-        assert_eq!(c.registered, 1, "the receiver came back");
         // At the parent the first interval back folds the departed 70 / 30
         // into the fresh 100 / 0: 15 % loss, a congested tree.
-        let back: Vec<_> =
-            c.congestion_series.iter().filter(|&&(t, _)| t >= SimTime::from_secs(11)).collect();
-        assert!(back.len() >= 9 && back.iter().all(|&&(_, n)| n == 0), "{back:?}");
+        let back = congested_steps(&mut sim, &shared, 10);
+        assert!(back.iter().all(|&n| n == 0), "{back:?}");
+        assert_eq!(shared.lock().unwrap().registered, 1, "the receiver came back");
     }
 
     /// Satellite (fails at the parent): an eviction on a suspended interval

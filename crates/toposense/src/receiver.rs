@@ -30,6 +30,7 @@ use netsim::{
     App, ControlBody, Ctx, LossWindow, NodeId, Packet, RngStream, SeqTracker, SimDuration, SimTime,
 };
 use std::sync::{Arc, Mutex, MutexGuard};
+use telemetry::{Record, Telemetry};
 use traffic::session::SessionDef;
 
 /// Receivers act unilaterally after this long without a suggestion.
@@ -79,6 +80,22 @@ impl ReceiverShared {
     /// Subscription level at the end of the run.
     pub fn final_level(&self) -> u8 {
         self.changes.last().map(|&(_, _, new)| new).unwrap_or(0)
+    }
+
+    /// Emit one `"apply"` trace hop per entry of [`Self::applies`]: the
+    /// receiver-side end of each causal chain, written once the run is over.
+    pub fn emit_apply_hops(&self, tel: &Telemetry, session: u64, receiver: u64) {
+        for &(when, cause, _old, new) in &self.applies {
+            tel.emit(&Record::Trace {
+                seq: 0,
+                t_ns: when.nanos(),
+                phase: "apply".to_string(),
+                session,
+                receiver,
+                cause,
+                level: new as u64,
+            });
+        }
     }
 }
 

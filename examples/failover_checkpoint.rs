@@ -59,13 +59,11 @@ fn failover() {
     let (scenario, crash_at) = scenarios::chaos::primary_crash_mid_interval(5);
     let standby = scenarios::run(&scenario).standby.expect("the scenario runs a standby");
     let at = standby.failover_at.expect("the standby takes over");
-    let series = standby.suggestion_series.iter();
-    let first_steer = series.filter(|(t, s)| *t >= at && !s.is_empty()).map(|&(t, _)| t).next();
     println!(
         "failover: primary crashed @{crash_at} s; standby applied {} replicated batches, \
          took over @{at} s, first steer @{}",
         standby.replica_applied,
-        first_steer.expect("the promoted standby steers")
+        standby.first_steer_at.expect("the promoted standby steers")
     );
 }
 

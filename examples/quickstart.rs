@@ -88,17 +88,7 @@ fn main() {
     //    chain), then one counters record harvested from the structs that
     //    hold the counts, then the timers.
     sim.run_until(SimTime::from_secs(300));
-    for &(when, cause, _old, new) in &rcv_stats.lock().unwrap().applies {
-        telemetry.emit(&Record::Trace {
-            seq: 0,
-            t_ns: when.nanos(),
-            phase: "apply".to_string(),
-            session: 0,
-            receiver: rx_app.0 as u64,
-            cause,
-            level: new as u64,
-        });
-    }
+    rcv_stats.lock().unwrap().emit_apply_hops(&telemetry, 0, rx_app.0 as u64);
     let controller = ctrl_stats.lock().unwrap().counter_entries();
     let mut entries: Vec<(String, u64)> = (sim.profile().counter_entries().iter())
         .map(|&(n, v)| (format!("netsim.profile.{n}"), v))

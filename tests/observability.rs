@@ -1,46 +1,24 @@
 //! Observability-layer invariants (DESIGN.md §15).
 //!
-//! Three hard guarantees, each pinned here:
+//! Two hard guarantees, each pinned here:
 //!
 //! 1. **Pure observer, everything armed.** A run with the telemetry sink
 //!    attached and the flight recorder running is byte-identical (in
 //!    everything the simulation can observe about itself) to a plain run.
 //!    The recorder may count, it may never steer. (That the simulator's
-//!    trace ring changes nothing is pinned by a `netsim::sim` unit test.)
-//! 2. **Causal chains close.** Every subscription change a receiver
-//!    applies is reconstructible from the audit trail as a complete
-//!    report → decide → apply chain under one cause id, causally ordered
-//!    in simulated time.
-//! 3. **Failures carry forensics.** A failed campaign gate yields a
+//!    trace ring changes nothing is pinned by a `netsim::sim` unit test;
+//!    that causal chains close, by `tests/telemetry.rs`.)
+//! 2. **Failures carry forensics.** A failed campaign gate yields a
 //!    `blackbox.v1` dump that decodes against its schema and re-encodes
 //!    byte-identically.
 
-use netsim::{SimDuration, SimTime};
+mod observed;
+
+use observed::{fingerprint, scenario};
 use scenarios::campaign::{run_campaign, CampaignSpec, Profile};
-use scenarios::{chaos, run, ControlMode, Scenario};
+use scenarios::{chaos, run};
 use telemetry::{Blackbox, Record, Telemetry};
-use topology::generators;
 use toposense::Config;
-use traffic::TrafficModel;
-
-fn scenario(seed: u64) -> Scenario {
-    Scenario::new(generators::topology_a_default(2), TrafficModel::Vbr { p: 3.0 }, seed)
-        .with_control(ControlMode::TopoSense { staleness: SimDuration::ZERO })
-        .with_duration(SimDuration::from_secs(90))
-}
-
-/// Everything observable about a run that must not depend on the
-/// observability layer (same contract as `tests/telemetry.rs`).
-type Fingerprint = (u64, u64, Vec<Vec<(SimTime, u8, u8)>>, u64);
-
-fn fingerprint(r: &scenarios::ScenarioResult) -> Fingerprint {
-    (
-        r.events,
-        r.total_drops,
-        r.receivers.iter().map(|x| x.stats.changes.clone()).collect(),
-        r.controller.as_ref().map(|c| c.suggestions_sent).unwrap_or(0),
-    )
-}
 
 /// Arming all of it at once — telemetry sink, profile and counter harvest,
 /// flight recorder — must leave the simulation event-for-event identical
@@ -63,47 +41,6 @@ fn fully_armed_recorder_is_a_pure_observer() {
     let flight = armed.controller.as_ref().expect("toposense run").flight.occurrences();
     assert!(!flight.is_empty(), "flight recorder saw no control-plane occurrences");
     assert!(flight.iter().any(|o| o.kind == "interval_start"));
-}
-
-/// Every applied subscription change reconstructs from the audit trail
-/// as a complete report → decide → apply chain under its cause id, and
-/// the hops of each complete chain are causally ordered.
-#[test]
-fn causal_chains_close_report_decide_apply() {
-    let (tel, store) = Telemetry::memory();
-    let result = run(&scenario(11).with_telemetry(tel));
-    let records = store.records();
-
-    let r = result
-        .receivers
-        .iter()
-        .find(|r| r.stats.applies.iter().any(|&(_, cause, _, _)| cause != 0))
-        .expect("scenario steered nobody — nothing to trace");
-    let chains = telemetry::causal::reconstruct(&records, r.session as u64, r.app.0 as u64);
-    assert!(chains.iter().any(|c| c.is_complete()), "no complete chain for receiver");
-
-    for &(when, cause, _old, new) in r.stats.applies.iter().filter(|&&(_, c, _, _)| c != 0) {
-        let chain = chains
-            .iter()
-            .find(|c| c.cause == cause)
-            .unwrap_or_else(|| panic!("apply with cause {cause:016x} has no chain"));
-        assert!(chain.is_complete(), "chain {cause:016x} missing a phase");
-        assert!(
-            chain
-                .hops
-                .iter()
-                .any(|h| h.phase == "apply" && h.t_ns == when.nanos() && h.level == new as u64),
-            "chain {cause:016x} does not record the applied level {new} at {}ns",
-            when.nanos()
-        );
-        let t = |phase: &str| {
-            chain.hops.iter().find(|h| h.phase == phase).map(|h| h.t_ns).unwrap_or(u64::MAX)
-        };
-        assert!(
-            t("report") <= t("decide") && t("decide") <= t("apply"),
-            "chain {cause:016x} hops are not causally ordered"
-        );
-    }
 }
 
 /// A deliberately broken config fails campaign gates, and every failed

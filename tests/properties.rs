@@ -68,18 +68,6 @@ fn random_trees_have_consistent_structure() {
                 assert!(tree.children(p).contains(&n), "{n:?} under {p:?}: parents {parents:?}");
             }
         }
-        // Every node's subtree leaves are leaves of the whole tree.
-        for n in tree.top_down() {
-            for leaf in tree.subtree_leaves(n) {
-                assert!(tree.is_leaf(leaf), "{leaf:?} under {n:?}: parents {parents:?}");
-                assert!(tree.is_ancestor(n, leaf), "{leaf:?} under {n:?}: parents {parents:?}");
-            }
-        }
-        // Depth is consistent with the parent chain.
-        for n in tree.top_down() {
-            let d = tree.depth(n);
-            assert_eq!(tree.path_from_root(n).len(), d + 1, "{n:?}: parents {parents:?}");
-        }
     });
 }
 

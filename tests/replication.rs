@@ -6,15 +6,17 @@
 //! decode → restore → resume is byte-identical to an uninterrupted run,
 //! for the full and the change-driven pipeline alike. Wire level, over the
 //! simulator: the warm standby stays input-synced and takes over inside the
-//! heartbeat bound, and a partitioned standby rejoins through a
-//! `CheckpointTransfer`. (The primary's verdict on a divergent ack is
-//! pinned in `controller.rs`'s own tests.)
+//! heartbeat bound, its `first_steer_at` fold agrees with the trail's
+//! first post-takeover `decide` hop, and a partitioned standby rejoins
+//! through a `CheckpointTransfer`. (The primary's verdict on a divergent
+//! ack is pinned in `controller.rs`'s own tests.)
 //!
 //! Comparisons are exact (`==` on floats included), same contract as
 //! `tests/incremental.rs`.
 
 use netsim::rng::check;
 use netsim::{AppId, NodeId, RngStream, SessionId};
+use telemetry::{Record, Telemetry};
 use toposense::algorithm::{AlgorithmState, ReceiverReport};
 use toposense::{fingerprint_outputs, Config, Snapshot};
 use traffic::LayerSpec;
@@ -184,7 +186,8 @@ fn restore_refuses_a_foreign_config() {
 fn wire_failover_standby_is_input_synced_and_takes_over_in_bound() {
     let (scenario, crash_at) = scenarios::chaos::primary_crash_mid_interval(5);
     let cfg = scenario.cfg;
-    let r = scenarios::run(&scenario);
+    let (tel, trail) = Telemetry::memory();
+    let r = scenarios::run(&scenario.with_telemetry(tel));
 
     let ctrl = r.controller.as_ref().expect("primary stats");
     let standby = r.standby.as_ref().expect("standby stats");
@@ -206,16 +209,20 @@ fn wire_failover_standby_is_input_synced_and_takes_over_in_bound() {
 
     // The promoted standby kept steering: its own first interval followed
     // within one control interval of the takeover.
-    let first_steer = standby
-        .suggestion_series
-        .iter()
-        .find(|(t, s)| *t >= at && !s.is_empty())
-        .map(|&(t, _)| t)
-        .expect("promoted standby never sent a suggestion");
+    let first_steer = standby.first_steer_at.expect("promoted standby never sent a suggestion");
     assert!(
         first_steer.since(at) <= cfg.interval,
         "first post-takeover steer at {first_steer:?} is later than one interval after {at:?}"
     );
+    // The fold agrees with the trail: the first `decide` hop at or after
+    // the takeover is the standby's, stamped with that same interval.
+    let first_decide = trail.records().iter().find_map(|r| match r {
+        Record::Trace { phase, t_ns, .. } if phase == "decide" && *t_ns >= at.nanos() => {
+            Some(*t_ns)
+        }
+        _ => None,
+    });
+    assert_eq!(first_decide, Some(first_steer.nanos()));
 }
 
 /// End-to-end over the simulator: a partitioned standby misses batches and

@@ -1,33 +1,19 @@
-//! Telemetry-layer invariants (DESIGN.md §10).
+//! Telemetry-layer invariants (DESIGN.md §10, §15).
 //!
-//! The two hard guarantees: telemetry is a *pure observer* (attaching a
-//! sink changes nothing about the simulation), and the audit trail is
-//! *faithful* (the subscription decisions it records are exactly the
-//! levels the controller applied).
+//! The hard guarantees: telemetry is a *pure observer* (attaching a sink
+//! changes nothing about the simulation), the audit trail is *faithful*
+//! (the subscription decisions its stage records hold are exactly the
+//! suggestions the controller sent, as its `decide` hops record them), and
+//! causal chains close (every applied change reconstructs as report →
+//! decide → apply). The fully armed recorder and the campaign's black
+//! boxes are pinned in `tests/observability.rs`.
 
-use netsim::{SimDuration, SimTime};
-use scenarios::{run, ControlMode, Scenario};
+mod observed;
+
+use observed::{fingerprint, scenario};
+use scenarios::run;
+use std::collections::BTreeMap;
 use telemetry::{Record, StageBody, Telemetry};
-use topology::generators;
-use traffic::TrafficModel;
-
-fn scenario(seed: u64) -> Scenario {
-    Scenario::new(generators::topology_a_default(2), TrafficModel::Vbr { p: 3.0 }, seed)
-        .with_control(ControlMode::TopoSense { staleness: SimDuration::ZERO })
-        .with_duration(SimDuration::from_secs(90))
-}
-
-/// Everything observable about a run that must not depend on telemetry.
-type Fingerprint = (u64, u64, Vec<Vec<(SimTime, u8, u8)>>, u64);
-
-fn fingerprint(r: &scenarios::ScenarioResult) -> Fingerprint {
-    (
-        r.events,
-        r.total_drops,
-        r.receivers.iter().map(|x| x.stats.changes.clone()).collect(),
-        r.controller.as_ref().map(|c| c.suggestions_sent).unwrap_or(0),
-    )
-}
 
 /// Attaching a sink or running with telemetry disabled must produce the
 /// same simulation, event for event — telemetry is write-only.
@@ -70,8 +56,9 @@ fn trail_without_timers_is_byte_identical_across_runs() {
 }
 
 /// Every controller interval emits exactly one audit record per stage,
-/// and the subscription decisions recorded are exactly the levels the
-/// controller applied (its `suggestion_series` ground truth).
+/// and the subscription decisions recorded are exactly the suggestions the
+/// controller sent — the trail's `decide` hops, emitted from the
+/// interval's outputs, not from the audit.
 #[test]
 fn audit_trail_matches_applied_suggestions() {
     let (tel, store) = Telemetry::memory();
@@ -91,43 +78,75 @@ fn audit_trail_matches_applied_suggestions() {
         assert_eq!(count(stage), controller.intervals, "one {stage} record per interval");
     }
 
-    // The audited subscription levels, interval by interval (aligned with
-    // the series by simulated timestamp), must equal the applied ones.
-    let mut audited: Vec<(u64, Vec<(u64, u8)>)> = records
-        .iter()
-        .filter_map(|r| match r {
+    // The audited subscription levels and the decided ones, interval by
+    // interval. An interval that suggested nothing carries no `decide`
+    // hop, so both sides are keyed by simulated time and hold only the
+    // intervals that suggested something.
+    let mut audited: BTreeMap<u64, Vec<(u64, u8)>> = BTreeMap::new();
+    let mut decided: BTreeMap<u64, Vec<(u64, u8)>> = BTreeMap::new();
+    for r in &records {
+        match r {
             Record::Stage { t_ns, body: StageBody::Subscription(sessions), .. } => {
-                let mut levels: Vec<(u64, u8)> = sessions
-                    .iter()
-                    .flat_map(|s| {
-                        s.nodes.iter().filter_map(move |n| n.suggested.map(|l| (s.session, l)))
-                    })
-                    .collect();
-                levels.sort_unstable();
-                Some((*t_ns, levels))
+                let levels = sessions.iter().flat_map(|s| {
+                    s.nodes.iter().filter_map(move |n| n.suggested.map(|l| (s.session, l)))
+                });
+                audited.entry(*t_ns).or_default().extend(levels);
             }
-            _ => None,
-        })
-        .collect();
-    audited.sort_unstable();
-    assert_eq!(audited.len() as u64, controller.intervals);
-    assert_eq!(controller.suggestion_series.len() as u64, controller.intervals);
-    for ((t_ns, levels), (at, applied)) in audited.iter().zip(&controller.suggestion_series) {
-        assert_eq!(*t_ns, at.nanos(), "audit and series must cover the same intervals");
-        let mut applied: Vec<(u64, u8)> =
-            applied.iter().map(|s| (s.session.0 as u64, s.level)).collect();
-        applied.sort_unstable();
-        assert_eq!(
-            levels, &applied,
-            "interval at {t_ns}ns: audited subscription decisions diverge from applied levels"
-        );
+            Record::Trace { t_ns, phase, session, level, .. } if phase == "decide" => {
+                decided.entry(*t_ns).or_default().push((*session, *level as u8));
+            }
+            _ => {}
+        }
+    }
+    audited.retain(|_, levels| !levels.is_empty());
+    for levels in audited.values_mut().chain(decided.values_mut()) {
+        levels.sort_unstable();
     }
     // The scenario steers somebody somewhere: the cross-check must not be
-    // vacuously comparing empty sets forever.
-    assert!(
-        audited.iter().any(|(_, levels)| !levels.is_empty()),
-        "no interval carried any suggestion"
-    );
+    // vacuously comparing empty sets.
+    assert!(!decided.is_empty(), "no interval carried any suggestion");
+    assert_eq!(audited, decided, "audited subscription decisions diverge from the decided ones");
+}
+
+/// Every applied subscription change reconstructs from the audit trail
+/// as a complete report → decide → apply chain under its cause id, and
+/// the hops of each complete chain are causally ordered.
+#[test]
+fn causal_chains_close_report_decide_apply() {
+    let (tel, store) = Telemetry::memory();
+    let result = run(&scenario(11).with_telemetry(tel));
+    let records = store.records();
+
+    let r = result
+        .receivers
+        .iter()
+        .find(|r| r.stats.applies.iter().any(|&(_, cause, _, _)| cause != 0))
+        .expect("scenario steered nobody — nothing to trace");
+    let chains = telemetry::causal::reconstruct(&records, r.session as u64, r.app.0 as u64);
+    assert!(chains.iter().any(|c| c.is_complete()), "no complete chain for receiver");
+
+    for &(when, cause, _old, new) in r.stats.applies.iter().filter(|&&(_, c, _, _)| c != 0) {
+        let chain = chains
+            .iter()
+            .find(|c| c.cause == cause)
+            .unwrap_or_else(|| panic!("apply with cause {cause:016x} has no chain"));
+        assert!(chain.is_complete(), "chain {cause:016x} missing a phase");
+        assert!(
+            chain
+                .hops
+                .iter()
+                .any(|h| h.phase == "apply" && h.t_ns == when.nanos() && h.level == new as u64),
+            "chain {cause:016x} does not record the applied level {new} at {}ns",
+            when.nanos()
+        );
+        let t = |phase: &str| {
+            chain.hops.iter().find(|h| h.phase == phase).map(|h| h.t_ns).unwrap_or(u64::MAX)
+        };
+        assert!(
+            t("report") <= t("decide") && t("decide") <= t("apply"),
+            "chain {cause:016x} hops are not causally ordered"
+        );
+    }
 }
 
 /// A trail recorded to a real JSONL file decodes against the schema and
