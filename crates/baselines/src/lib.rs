@@ -9,19 +9,15 @@
 //!   mechanism which is unaware of the topological relationship" that the
 //!   paper's Fig. 1 example argues against.
 //! * [`fixed`] — a subscribe-k-layers strawman (no adaptation at all).
-//! * [`tfrc`] — an equation-based (TCP-friendly) receiver, executable form
-//!   of the §VI argument that AIMD-style rates map poorly onto layers.
 
 #![forbid(unsafe_code)]
 
 pub mod fixed;
 pub mod oracle;
 pub mod rlm;
-pub mod tfrc;
 
 pub use fixed::FixedReceiver;
 pub use rlm::RlmReceiver;
-pub use tfrc::TfrcReceiver;
 
 /// The world the receiver baselines' unit tests share: `src` feeding `rcv`
 /// over one `kbps` link, a CBR source on `src`, and the receiver `make`

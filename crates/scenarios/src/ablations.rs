@@ -16,8 +16,7 @@
 //!   problem since the capacities are recomputed at frequent intervals".
 
 use crate::campaign::{Cell, Gate};
-use crate::experiments::WARMUP;
-use crate::paper::{at_least, at_most, f2, f4, max_of, mean, min_of, whole_run_loss, Slot};
+use crate::paper::{at_least, at_most, f2, f4, max_of, mean, min_of, whole_run_loss, Slot, WARMUP};
 use crate::runner::{Scenario, ScenarioResult};
 use netsim::{QueueDiscipline, SimDuration, SimTime};
 use telemetry::{Record, StageBody, Telemetry};

@@ -59,7 +59,6 @@
 //! anything was dropped unrecorded.
 
 use crate::chaos::{self, FaultAxis};
-use crate::experiments::Reader;
 use crate::largetree::{
     self, balanced_session_tree, churn_fraction, registry_for_leaves, reports_for_leaves,
 };
@@ -240,8 +239,12 @@ pub struct Cell {
     pub cap: Option<String>,
     pub scenarios: Vec<Scenario>,
     /// Results of `scenarios`, same order, to metrics, table rows and gates.
-    pub judge: Reader<Verdict>,
+    pub judge: Reader,
 }
+
+/// What a cell's batch of results is read into once it has run: results
+/// arrive in the scenarios' order.
+pub(crate) type Reader = Box<dyn Fn(&[ScenarioResult]) -> Verdict>;
 
 /// Everything one cell of the matrix produced.
 #[derive(Clone, Debug)]

@@ -13,8 +13,6 @@
 //! * [`paper`] — every table and figure of the paper described once as
 //!   such a cell: its sentence, sizes, scenarios, and the judge that turns
 //!   results into a table and gates.
-//! * [`experiments`] — the typed sweeps behind Figs. 1 and 6–8; the
-//!   campaign gates their rows and the integration tests assert on them.
 //! * [`ablations`] — the open questions of the paper's §V as figures
 //!   (interval size, leave latency, layer granularity, queue discipline,
 //!   control-traffic scaling, capacity-estimator accuracy).
@@ -30,7 +28,6 @@
 pub mod ablations;
 pub mod campaign;
 pub mod chaos;
-pub mod experiments;
 pub mod largetree;
 pub mod paper;
 pub mod runner;

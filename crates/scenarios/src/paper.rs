@@ -16,7 +16,6 @@
 
 use crate::ablations;
 use crate::campaign::{CampaignSpec, Cell, Gate, Profile, Verdict};
-use crate::experiments::{self, cartesian, paper_traffic_models, Sweep};
 use crate::runner::{ControlMode, ReceiverOutcome, Scenario, ScenarioResult};
 use netsim::{SimDuration, SimTime};
 use topology::{generators, TopoSpec};
@@ -26,6 +25,19 @@ use traffic::TrafficModel;
 
 /// Table rows and gates: what a figure's judge makes of its results.
 type Judged = (Vec<Vec<String>>, Vec<Gate>);
+
+/// Traffic models the paper sweeps: CBR, VBR(P=3), VBR(P=6).
+fn paper_traffic_models() -> Vec<TrafficModel> {
+    vec![TrafficModel::Cbr, TrafficModel::Vbr { p: 3.0 }, TrafficModel::Vbr { p: 6.0 }]
+}
+
+/// Settling time excluded from stability counting (startup climb).
+pub(crate) const WARMUP: SimDuration = SimDuration(5_000_000_000);
+
+/// Every `(x, y)` pair, `xs`-major.
+fn cartesian<A: Copy, B: Copy>(xs: &[A], ys: &[B]) -> Vec<(A, B)> {
+    xs.iter().flat_map(|&x| ys.iter().map(move |&y| (x, y))).collect()
+}
 
 /// Every figure (or table, or §V ablation) of the paper's evaluation at the
 /// profile's size, in the paper's order, as the cells of seed ordinal
@@ -305,8 +317,21 @@ fn table1(slot: Slot) -> Cell {
 
 // ------------------------------------------------------------------ Fig. 1
 
+/// The motivating example, quantified, under TopoSense and under the RLM
+/// baseline: with topology-blind control the greedy receiver at n4 keeps
+/// probing layer 3 and its loss spills onto the slow sibling at n3;
+/// TopoSense confines it.
 fn fig1(slot: Slot) -> Cell {
-    let Sweep { scenarios, read } = experiments::motivation(slot.duration(), slot.seed, slot.cfg);
+    let modes = [
+        ("TopoSense", ControlMode::TopoSense { staleness: SimDuration::ZERO }),
+        ("RLM", ControlMode::Rlm),
+    ];
+    let scenarios = modes
+        .iter()
+        .map(|&(_, mode)| {
+            slot.scenario(generators::figure1(), TrafficModel::Cbr).with_control(mode)
+        })
+        .collect();
     slot.figure(
         "Fig. 1: a mechanism unaware that nodes 3 and 4 share a link \"may take incorrect \
          decisions to control losses at node 3\"; topology awareness must not cost the innocent \
@@ -315,30 +340,37 @@ fn fig1(slot: Slot) -> Cell {
         &["control", "n3 loss", "n3 mean lvl", "n4 mean lvl", "n5 mean lvl"],
         scenarios,
         move |rs| {
-            let rows = read(rs);
-            let (ts, rlm) = (&rows[0], &rows[1]);
+            // Per run, after a 30 s warm-up: n3's mean loss (`None` when the
+            // run ends before the warm-up does) and the mean levels of n3,
+            // n4 and n5 (receiver sets 0, 1, 2).
+            let measure = |r: &ScenarioResult| {
+                let (start, end) = (SimTime::from_secs(30), SimTime::ZERO + r.duration);
+                let by_set = |set: u32| {
+                    r.receivers.iter().find(|x| x.set == set).expect("figure1 has sets 0..3")
+                };
+                let levels = [0, 1, 2].map(|set| by_set(set).level_series().mean(start, end));
+                (by_set(0).mean_loss(start, end), levels)
+            };
+            let measured = [measure(&rs[0]), measure(&rs[1])];
+            let [(ts_loss, ts), (rlm_loss, rlm)] = measured;
             let gates = vec![
                 // s0–s2: +0.003 / +0.003 / +0.008 (`tests/robustness.rs`
                 // holds the same 0.03 on its own seed).
                 Gate::at_most(
                     "innocent_n3_loss_over_rlm",
-                    ts.n3_loss.zip(rlm.n3_loss).map(|(t, r)| t - r),
+                    ts_loss.zip(rlm_loss).map(|(t, r)| t - r),
                     0.03,
                     "no report window after the 30 s warm-up",
                 ),
                 // s0–s2: +0.51 / +0.54 / +0.53 layers.
-                at_least("greedy_n4_level_over_rlm", ts.n4_mean_level - rlm.n4_mean_level, -0.1),
+                at_least("greedy_n4_level_over_rlm", ts[1] - rlm[1], -0.1),
                 // s0–s2: 4.04 / 3.19 / 3.40 of 4 layers.
-                at_least("disjoint_n5_level", ts.n5_mean_level, 3.0),
+                at_least("disjoint_n5_level", ts[2], 3.0),
             ];
-            let table = rows.iter().map(|r| {
-                vec![
-                    r.mode.clone(),
-                    r.n3_loss.map_or("-".into(), f4),
-                    f2(r.n3_mean_level),
-                    f2(r.n4_mean_level),
-                    f2(r.n5_mean_level),
-                ]
+            let table = modes.iter().zip(measured).map(|(&(name, _), (loss, levels))| {
+                let mut row = vec![name.to_string(), loss.map_or("-".into(), f4)];
+                row.extend(levels.map(f2));
+                row
             });
             (table.collect(), gates)
         },
@@ -363,18 +395,18 @@ fn stability(
     burstier_changes_more: bool,
 ) -> Cell {
     let opportunities = slot.size.secs as f64 / slot.cfg.interval.as_secs_f64();
-    let Sweep { scenarios, read } = experiments::stability(
-        topo,
-        &slot.size.counts(),
-        &paper_traffic_models(),
-        slot.duration(),
-        slot.seed,
-        slot.cfg,
-    );
+    let points = cartesian(&slot.size.counts(), &paper_traffic_models());
+    let scenarios = points.iter().map(|&(n, model)| slot.scenario(topo(n), model)).collect();
     slot.figure(claim, &["traffic", x, "max changes", "mean gap (s)"], scenarios, move |rs| {
-        let rows = read(rs);
-        let total = |model: &str| -> f64 {
-            rows.iter().filter(|r| r.model == model).map(|r| r.max_changes as f64).sum()
+        // Per point, after the warm-up: the most changes by any receiver,
+        // and that receiver's mean seconds between changes.
+        let rows: Vec<(usize, f64)> = rs
+            .iter()
+            .map(|r| r.stability(SimTime::ZERO + WARMUP, SimTime::ZERO + r.duration))
+            .collect();
+        let total = |model: TrafficModel| -> f64 {
+            let of_model = points.iter().zip(&rows).filter(|((_, m), _)| *m == model);
+            of_model.map(|(_, &(changes, _))| changes as f64).sum()
         };
         let mut gates = vec![
             // A stable system uses a fraction of its decision opportunities
@@ -383,21 +415,20 @@ fn stability(
             // 16-session VBR point 0.05.
             at_most(
                 "changes_per_opportunity",
-                max_of(rows.iter().map(|r| r.max_changes as f64)) / opportunities,
+                max_of(rows.iter().map(|&(changes, _)| changes as f64)) / opportunities,
                 0.30,
             ),
             // Stable spells, not flapping. s0–s2: Fig. 6 17.2 / 22.4 / 22.7 s,
             // Fig. 7 8.0 / 8.6 / 7.8 s.
-            at_least("mean_gap_secs", min_of(rows.iter().map(|r| r.mean_gap_secs)), 5.0),
+            at_least("mean_gap_secs", min_of(rows.iter().map(|&(_, gap)| gap)), 5.0),
         ];
         if burstier_changes_more {
             // s0–s2: +258 / +269 / +283 of ~300 CBR changes.
-            let margin = total("VBR(P=6)") - total("CBR");
+            let margin = total(TrafficModel::Vbr { p: 6.0 }) - total(TrafficModel::Cbr);
             gates.push(at_least("vbr6_changes_over_cbr", margin, 1.0));
         }
-        let table = rows.iter().map(|r| {
-            let gap = format!("{:.1}", r.mean_gap_secs);
-            vec![r.model.clone(), r.x.to_string(), r.max_changes.to_string(), gap]
+        let table = points.iter().zip(&rows).map(|(&(n, model), &(changes, gap))| {
+            vec![model.label(), n.to_string(), changes.to_string(), format!("{gap:.1}")]
         });
         (table.collect(), gates)
     })
@@ -406,13 +437,11 @@ fn stability(
 // ------------------------------------------------------------------ Fig. 8
 
 fn fig8(slot: Slot) -> Cell {
-    let Sweep { scenarios, read } = experiments::fairness(
-        &slot.size.counts(),
-        &paper_traffic_models(),
-        slot.duration(),
-        slot.seed,
-        slot.cfg,
-    );
+    let points = cartesian(&slot.size.counts(), &paper_traffic_models());
+    let scenarios = points
+        .iter()
+        .map(|&(n, model)| slot.scenario(generators::topology_b_default(n), model))
+        .collect();
     slot.figure(
         "Fig. 8 (Topology B, optimum 4 layers per session): \"a small relative deviation in both \
          these intervals indicates that TopoSense imposes fairness among competing sessions \
@@ -420,27 +449,34 @@ fn fig8(slot: Slot) -> Cell {
         &["traffic", "sessions", "dev 1st half", "dev 2nd half", "jain"],
         scenarios,
         move |rs| {
-            let rows = read(rs);
+            // Per point: the mean relative deviation over each half of the
+            // run, and the Jain index over per-session received bytes.
+            let rows: Vec<[f64; 3]> = rs
+                .iter()
+                .map(|r| {
+                    let (half, end) = (SimTime::ZERO + r.duration / 2, SimTime::ZERO + r.duration);
+                    let dev = |from, to| r.mean_relative_deviation(from, to).unwrap_or(f64::NAN);
+                    let bytes: Vec<f64> =
+                        r.session_bytes().iter().map(|&(_, b)| b as f64).collect();
+                    [dev(SimTime::ZERO, half), dev(half, end), metrics::jain_index(&bytes)]
+                })
+                .collect();
             let gates = vec![
                 // Fair "irrespective of the time interval": no point drifts
                 // from its optimum in the second half. s0–s2: worst point
                 // +0.084 / +0.050 / +0.042.
                 at_most(
                     "second_half_deviation_growth",
-                    max_of(rows.iter().map(|r| r.dev_second_half - r.dev_first_half)),
+                    max_of(rows.iter().map(|&[first, second, _]| second - first)),
                     0.15,
                 ),
                 // s0–s2: least fair point 0.81 / 0.90 / 0.88.
-                at_least("jain_fairness", min_of(rows.iter().map(|r| r.jain)), 0.75),
+                at_least("jain_fairness", min_of(rows.iter().map(|&[.., jain]| jain)), 0.75),
             ];
-            let table = rows.iter().map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.sessions.to_string(),
-                    f4(r.dev_first_half),
-                    f4(r.dev_second_half),
-                    f4(r.jain),
-                ]
+            let table = points.iter().zip(&rows).map(|(&(n, model), row)| {
+                let mut cells = vec![model.label(), n.to_string()];
+                cells.extend(row.map(f4));
+                cells
             });
             (table.collect(), gates)
         },

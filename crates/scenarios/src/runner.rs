@@ -8,7 +8,7 @@
 //! shared stats plus the ground-truth optimum from the oracle.
 
 use baselines::oracle;
-use baselines::{FixedReceiver, RlmReceiver, TfrcReceiver};
+use baselines::{FixedReceiver, RlmReceiver};
 use metrics::StepSeries;
 use netsim::sim::SimConfig;
 use netsim::{
@@ -30,8 +30,6 @@ pub enum ControlMode {
     TopoSense { staleness: SimDuration },
     /// Receiver-driven baseline (no controller, no topology).
     Rlm,
-    /// Equation-based (TCP-friendly) baseline.
-    Tfrc,
     /// Pin every receiver at a fixed level (no adaptation).
     Fixed(u8),
 }
@@ -491,10 +489,6 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
             }
             ControlMode::Rlm => {
                 let (rx, handle) = RlmReceiver::new(def, seed, &label);
-                (sim.add_app(node, Box::new(rx)), handle)
-            }
-            ControlMode::Tfrc => {
-                let (rx, handle) = TfrcReceiver::new(def, seed, &label);
                 (sim.add_app(node, Box::new(rx)), handle)
             }
             ControlMode::Fixed(level) => {

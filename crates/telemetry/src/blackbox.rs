@@ -104,6 +104,10 @@ mod tests {
         // The reason string also contains "quarantine"; only assert that an
         // unknown occurrence kind is rejected somewhere in the document.
         assert!(Blackbox::decode(&bad_kind).is_err());
+        // A kind the controller never writes is not in the closed set.
+        let unwritten = sample().encode().replace("interval_start", "view_change");
+        let err = Blackbox::decode(&unwritten).unwrap_err();
+        assert!(err.contains("unknown occurrence kind 'view_change'"), "{err}");
     }
 
     #[test]

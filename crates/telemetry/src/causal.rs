@@ -12,7 +12,7 @@ use crate::record::Record;
 /// One hop of a chain: which phase, when, and at what layer level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hop {
-    pub phase: String,
+    pub phase: &'static str,
     pub seq: u64,
     pub t_ns: u64,
     pub level: u64,
@@ -51,7 +51,7 @@ pub fn reconstruct(records: &[Record], session: u64, receiver: u64) -> Vec<Chain
         if *s != session || *rcv != receiver {
             continue;
         }
-        let hop = Hop { phase: phase.clone(), seq: *seq, t_ns: *t_ns, level: *level };
+        let hop = Hop { phase, seq: *seq, t_ns: *t_ns, level: *level };
         match chains.iter_mut().find(|c| c.cause == *cause) {
             Some(c) => c.hops.push(hop),
             None => chains.push(Chain { cause: *cause, session, receiver, hops: vec![hop] }),
@@ -64,8 +64,8 @@ pub fn reconstruct(records: &[Record], session: u64, receiver: u64) -> Vec<Chain
 mod tests {
     use super::*;
 
-    fn trace(phase: &str, session: u64, receiver: u64, cause: u64, level: u64) -> Record {
-        Record::Trace { seq: 1, t_ns: 1_000, phase: phase.into(), session, receiver, cause, level }
+    fn trace(phase: &'static str, session: u64, receiver: u64, cause: u64, level: u64) -> Record {
+        Record::Trace { seq: 1, t_ns: 1_000, phase, session, receiver, cause, level }
     }
 
     #[test]
@@ -82,7 +82,7 @@ mod tests {
         assert_eq!(chains.len(), 2);
         assert!(chains[0].is_complete());
         assert_eq!(chains[0].cause, 77);
-        let phases: Vec<&str> = chains[0].hops.iter().map(|h| h.phase.as_str()).collect();
+        let phases: Vec<&str> = chains[0].hops.iter().map(|h| h.phase).collect();
         assert_eq!(phases, ["report", "decide", "apply"]);
         assert!(!chains[1].is_complete());
     }

@@ -13,30 +13,17 @@ use serde_json::wire;
 /// back to the static label space on the way in. Kinds are a closed set;
 /// an unknown kind is a schema violation worth surfacing.
 mod kind {
-    use serde_json::{FromJson, ToJson, Value};
+    use serde_json::{ToJson, Value};
 
-    const KINDS: &[&str] = &[
-        "interval_start",
-        "interval_end",
-        "fallback",
-        "quarantine",
-        "takeover",
-        "checkpoint",
-        "gate_failure",
-        "recovery_failure",
-        // No longer written; kept so older `blackbox.v1` dumps decode.
-        "view_change",
-        "divergence",
-    ];
+    const KINDS: &[&str] =
+        &["interval_start", "interval_end", "fallback", "quarantine", "takeover", "checkpoint"];
 
     pub(crate) fn to_json(kind: &&'static str) -> Value {
         kind.to_json()
     }
 
     pub(crate) fn from_json(v: &Value) -> Result<&'static str, String> {
-        let kind = String::from_json(v)?;
-        let known = KINDS.iter().find(|k| **k == kind).copied();
-        known.ok_or_else(|| format!("unknown occurrence kind '{kind}'"))
+        crate::record::intern(v, KINDS, "occurrence kind")
     }
 }
 

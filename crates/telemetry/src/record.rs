@@ -41,6 +41,21 @@ mod bandwidth {
     }
 }
 
+/// Decode a label from the closed set `known`, interned to its static
+/// form; anything else is a schema violation, reported as an unknown
+/// `what`.
+pub(crate) fn intern(
+    v: &Value,
+    known: &[&'static str],
+    what: &str,
+) -> Result<&'static str, String> {
+    let label = String::from_json(v)?;
+    known.iter().find(|k| **k == label).copied().ok_or_else(|| format!("unknown {what} '{label}'"))
+}
+
+/// The phases of a trace hop, in chain order.
+const TRACE_PHASES: &[&str] = &["report", "decide", "apply"];
+
 /// Wire form of a counter snapshot: one object, name → value, in snapshot
 /// order (shared with `blackbox.v1`).
 pub(crate) mod counter_map {
@@ -205,7 +220,7 @@ pub enum Record {
     Trace {
         seq: u64,
         t_ns: u64,
-        phase: String,
+        phase: &'static str,
         session: u64,
         receiver: u64,
         cause: u64,
@@ -235,18 +250,26 @@ impl IntervalAudit {
     }
 
     /// The five per-stage records for this interval, in pipeline order.
-    pub fn records(&self) -> Vec<Record> {
+    /// Consumes the audit: the stage payloads move into the records.
+    pub fn into_records(self) -> Vec<Record> {
+        let IntervalAudit {
+            seq,
+            t_ns,
+            congestion,
+            capacity,
+            bottleneck,
+            sharing,
+            subscription,
+            ..
+        } = self;
         let bodies = [
-            StageBody::Congestion(self.congestion.clone()),
-            StageBody::Capacity(self.capacity.clone()),
-            StageBody::Bottleneck(self.bottleneck.clone()),
-            StageBody::Sharing(self.sharing.clone()),
-            StageBody::Subscription(self.subscription.clone()),
+            StageBody::Congestion(congestion),
+            StageBody::Capacity(capacity),
+            StageBody::Bottleneck(bottleneck),
+            StageBody::Sharing(sharing),
+            StageBody::Subscription(subscription),
         ];
-        bodies
-            .into_iter()
-            .map(|body| Record::Stage { seq: self.seq, t_ns: self.t_ns, body })
-            .collect()
+        bodies.into_iter().map(|body| Record::Stage { seq, t_ns, body }).collect()
     }
 }
 
@@ -341,7 +364,7 @@ impl FromJson for Record {
             "trace" => Ok(Record::Trace {
                 seq: field(v, "seq")?,
                 t_ns: field(v, "t_ns")?,
-                phase: field(v, "phase")?,
+                phase: field_with(v, "phase", |p| intern(p, TRACE_PHASES, "trace phase"))?,
                 session: field(v, "session")?,
                 receiver: field(v, "receiver")?,
                 cause: field(v, "cause")?,
@@ -458,7 +481,7 @@ mod tests {
             Record::Trace {
                 seq: 3,
                 t_ns: 8_000_000_000,
-                phase: "decide".into(),
+                phase: "decide",
                 session: 1,
                 receiver: 2,
                 cause: 0x9e37_79b9_7f4a_7c15,
@@ -516,6 +539,8 @@ mod tests {
         )
         .unwrap_err()
         .contains("unknown stage"));
+        let trace = r#"{"schema":1,"kind":"trace","phase":"mystery","seq":0,"t_ns":0,"session":0,"receiver":0,"cause":0,"level":0}"#;
+        assert!(Record::from_jsonl(trace).unwrap_err().contains("unknown trace phase 'mystery'"));
         assert!(Record::from_jsonl("not json").unwrap_err().contains("invalid JSON"));
     }
 
@@ -523,7 +548,7 @@ mod tests {
     fn interval_audit_fans_out_five_stage_records() {
         let mut audit = IntervalAudit::new(4, 12_000_000_000);
         audit.capacity.push(CapacityLink { link: 0, bps: 1.0, event: "held".into() });
-        let records = audit.records();
+        let records = audit.into_records();
         assert_eq!(records.len(), 5);
         let stages: Vec<&str> = records
             .iter()

@@ -367,7 +367,7 @@ impl Controller {
                 self.telemetry.emit(&Record::Trace {
                     seq: self.state.runs(),
                     t_ns: r.time.nanos(),
-                    phase: "report".into(),
+                    phase: "report",
                     session: r.session.0 as u64,
                     receiver: r.receiver.0 as u64,
                     cause: r.cause,
@@ -464,14 +464,14 @@ impl Controller {
         let seq = self.state.runs();
         let outputs =
             self.run_interval(now, self.cfg.interval, &view, &registry, &reports, audit.as_mut());
-        if let Some(a) = &audit {
-            for record in a.records() {
-                self.telemetry.emit(&record);
-            }
+        if let Some(a) = audit {
             // Wall-clock kernel spans live only in the timer registry —
             // never in the deterministic audit records.
             for &(stage, ns) in &a.stage_ns {
                 self.telemetry.record_span_ns(stage, ns);
+            }
+            for record in a.into_records() {
+                self.telemetry.emit(&record);
             }
         }
         // 4. Queue suggestions in a random order and send them spaced out:
@@ -484,7 +484,7 @@ impl Controller {
                 self.telemetry.emit(&Record::Trace {
                     seq,
                     t_ns: now.nanos(),
-                    phase: "decide".into(),
+                    phase: "decide",
                     session: s.session.0 as u64,
                     receiver: s.receiver.0 as u64,
                     cause: e.cause,

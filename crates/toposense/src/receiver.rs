@@ -89,7 +89,7 @@ impl ReceiverShared {
             tel.emit(&Record::Trace {
                 seq: 0,
                 t_ns: when.nanos(),
-                phase: "apply".to_string(),
+                phase: "apply",
                 session,
                 receiver,
                 cause,
@@ -106,9 +106,9 @@ pub type ReceiverHandle = Arc<Mutex<ReceiverShared>>;
 /// layers of one session are joined, the per-layer loss accounting, and the
 /// series the harness reads afterwards. It decides nothing — *who* picks the
 /// level (the controller's suggestions here, join experiments in
-/// `baselines::rlm`, the rate equation in `baselines::tfrc`, nobody in
-/// `baselines::fixed`) is the only thing the contenders differ in, so a
-/// comparison between them compares exactly that.
+/// `baselines::rlm`, nobody in `baselines::fixed`) is the only thing the
+/// contenders differ in, so a comparison between them compares exactly
+/// that.
 pub struct Subscriber {
     def: SessionDef,
     level: u8,

@@ -20,7 +20,6 @@ fn main() {
     let modes: Vec<(&str, ControlMode)> = vec![
         ("TopoSense", ControlMode::TopoSense { staleness: SimDuration::ZERO }),
         ("RLM", ControlMode::Rlm),
-        ("TFRC-like", ControlMode::Tfrc),
         ("Fixed(3)", ControlMode::Fixed(3)),
     ];
 
@@ -52,7 +51,6 @@ fn main() {
     println!(
         "Expected shape: TopoSense holds every receiver near its optimum with low\n\
          loss; RLM under-subscribes n4 and lets its experiments leak loss onto n3;\n\
-         the TFRC-like receiver hunts around layer boundaries (the paper's §VI\n\
-         argument); Fixed(3) over-subscribes the slow subtree and loses forever."
+         Fixed(3) over-subscribes the slow subtree and loses forever."
     );
 }

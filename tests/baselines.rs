@@ -43,10 +43,9 @@ const BASELINES: &[(&str, u64)] = &[
     ("chaos/random_chaos/s7", 0x4f2ff4298cd6a333),
     ("incremental/diurnal_1k/s1", 0x9a6a1869cc0331fe),
     ("federation/border_aggregation/s1", 0x6cc9e582868478ea),
-    // The three controller-less contenders: what moves these and the
+    // The two controller-less contenders: what moves these and the
     // chaos digests together moved the shared `Subscriber` core.
     ("baselines/rlm/s1", 0xf2ea759ca8bc9ec9),
-    ("baselines/tfrc/s1", 0x66aea409b1228556),
     ("baselines/fixed/s1", 0x6c50a4ddffd3f891),
 ];
 
@@ -164,7 +163,6 @@ fn compute(name: &str) -> u64 {
         "incremental/diurnal_1k/s1" => incremental_fingerprint(1),
         "federation/border_aggregation/s1" => federation_fingerprint(1),
         "baselines/rlm/s1" => baseline_fingerprint(ControlMode::Rlm, 1),
-        "baselines/tfrc/s1" => baseline_fingerprint(ControlMode::Tfrc, 1),
         "baselines/fixed/s1" => baseline_fingerprint(ControlMode::Fixed(3), 1),
         other => panic!("unknown baseline {other}"),
     };

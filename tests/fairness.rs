@@ -2,7 +2,7 @@
 //! assertions.
 
 use netsim::{SimDuration, SimTime};
-use scenarios::experiments;
+use scenarios::runner::run_many;
 use scenarios::{run, Scenario};
 use topology::generators;
 use traffic::TrafficModel;
@@ -41,17 +41,23 @@ fn fairness_holds_at_sixteen_sessions() {
 fn deviation_does_not_grow_in_the_second_half() {
     // The paper's point: small deviation in BOTH halves — fairness is not a
     // transient.
-    let rows =
-        experiments::fig8_fairness(&[2, 4], &[TrafficModel::Cbr], SimDuration::from_secs(600), 1);
-    for row in &rows {
+    let sessions = [2, 4];
+    let scenarios: Vec<Scenario> = sessions
+        .iter()
+        .map(|&n| {
+            Scenario::new(generators::topology_b_default(n), TrafficModel::Cbr, 1)
+                .with_duration(SimDuration::from_secs(600))
+        })
+        .collect();
+    let (half, end) = (SimTime::from_secs(300), SimTime::from_secs(600));
+    for (n, r) in sessions.iter().zip(run_many(&scenarios)) {
+        let dev = |from, to| r.mean_relative_deviation(from, to).unwrap_or(f64::NAN);
+        let (first, second) = (dev(SimTime::ZERO, half), dev(half, end));
         assert!(
-            row.dev_second_half < row.dev_first_half + 0.15,
-            "{} sessions: second half {:.3} much worse than first {:.3}",
-            row.sessions,
-            row.dev_second_half,
-            row.dev_first_half
+            second < first + 0.15,
+            "{n} sessions: second half {second:.3} much worse than first {first:.3}"
         );
-        assert!(row.dev_second_half < 0.4, "{row:?}");
+        assert!(second < 0.4, "{n} sessions: second half {second:.3}");
     }
 }
 

@@ -150,7 +150,7 @@ fn blackbox_subcommand_validates_and_rejects() {
         counters: vec![("gates_failed".to_string(), 3)],
         occurrences: vec![Occurrence {
             t_ns: 1_500_000_000,
-            kind: "gate_failure",
+            kind: "quarantine",
             seq: 1,
             detail: "loss_late".to_string(),
         }],
@@ -171,7 +171,7 @@ fn blackbox_subcommand_validates_and_rejects() {
     let out = String::from_utf8_lossy(&ok.stdout);
     assert!(out.contains(telemetry::BLACKBOX_SCHEMA));
     assert!(out.contains("campaign_gate_failure"));
-    assert!(out.contains("gate_failure"));
+    assert!(out.contains("quarantine"));
 
     // A truncated dump must be rejected, not half-rendered.
     let text = std::fs::read_to_string(&path).expect("dump readable");

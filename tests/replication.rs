@@ -217,7 +217,7 @@ fn wire_failover_standby_is_input_synced_and_takes_over_in_bound() {
     // The fold agrees with the trail: the first `decide` hop at or after
     // the takeover is the standby's, stamped with that same interval.
     let first_decide = trail.records().iter().find_map(|r| match r {
-        Record::Trace { phase, t_ns, .. } if phase == "decide" && *t_ns >= at.nanos() => {
+        Record::Trace { phase, t_ns, .. } if *phase == "decide" && *t_ns >= at.nanos() => {
             Some(*t_ns)
         }
         _ => None,

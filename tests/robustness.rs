@@ -2,33 +2,43 @@
 //! control channels, transient non-conforming traffic, determinism.
 
 use netsim::{SimDuration, SimTime};
-use scenarios::experiments;
-use scenarios::{run, ControlMode, Scenario};
+use scenarios::runner::run_many;
+use scenarios::{run, ControlMode, Scenario, ScenarioResult};
 use topology::generators;
 use traffic::TrafficModel;
 
 #[test]
 fn fig1_toposense_protects_the_innocent_receiver() {
-    let rows = experiments::fig1_motivation(SimDuration::from_secs(900), 1);
-    let by_mode = |m: &str| rows.iter().find(|r| r.mode == m).expect("both modes run");
-    let ts = by_mode("TopoSense");
-    let rlm = by_mode("RLM");
+    let modes = [ControlMode::TopoSense { staleness: SimDuration::ZERO }, ControlMode::Rlm];
+    let scenarios: Vec<Scenario> = modes
+        .iter()
+        .map(|&mode| {
+            Scenario::new(generators::figure1(), TrafficModel::Cbr, 1)
+                .with_control(mode)
+                .with_duration(SimDuration::from_secs(900))
+        })
+        .collect();
+    // Per run, after 30 s: n3's mean loss, and the mean levels of n3, n4
+    // and n5 (receiver sets 0, 1 and 2).
+    let (start, end) = (SimTime::from_secs(30), SimTime::from_secs(900));
+    let measure = |r: &ScenarioResult| {
+        let by_set =
+            |set: u32| r.receivers.iter().find(|x| x.set == set).expect("figure1 has sets 0..3");
+        let loss = by_set(0).mean_loss(start, end).expect("870 s of reports");
+        (loss, [0, 1, 2].map(|set| by_set(set).level_series().mean(start, end)))
+    };
+    let results = run_many(&scenarios);
+    let [(ts_loss, ts), (rlm_loss, rlm)] = [&results[0], &results[1]].map(measure);
     // n3 (optimal 1) must not suffer materially more loss under TopoSense
     // than under the receiver-driven baseline...
-    let (ts_loss, rlm_loss) =
-        (ts.n3_loss.expect("870 s of reports"), rlm.n3_loss.expect("870 s of reports"));
     assert!(ts_loss < rlm_loss + 0.03, "TopoSense n3 loss {ts_loss:.4} vs RLM {rlm_loss:.4}");
     // ...while delivering at least as much subscription to n4 and n5.
-    assert!(
-        ts.n4_mean_level >= rlm.n4_mean_level - 0.1,
-        "n4: TopoSense {:.2} vs RLM {:.2}",
-        ts.n4_mean_level,
-        rlm.n4_mean_level
-    );
-    assert!(ts.n5_mean_level > 3.0, "n5 should enjoy its disjoint subtree");
+    let [n3, n4, n5] = ts;
+    assert!(n4 >= rlm[1] - 0.1, "n4: TopoSense {n4:.2} vs RLM {:.2}", rlm[1]);
+    assert!(n5 > 3.0, "n5 should enjoy its disjoint subtree");
     // Everyone ends up in the neighbourhood of their optimum (1, 2, 4).
-    assert!((0.9..=1.6).contains(&ts.n3_mean_level), "n3 {:.2}", ts.n3_mean_level);
-    assert!((1.6..=2.6).contains(&ts.n4_mean_level), "n4 {:.2}", ts.n4_mean_level);
+    assert!((0.9..=1.6).contains(&n3), "n3 {n3:.2}");
+    assert!((1.6..=2.6).contains(&n4), "n4 {n4:.2}");
 }
 
 #[test]

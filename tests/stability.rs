@@ -3,36 +3,44 @@
 
 use metrics::StepSeries;
 use netsim::{SimDuration, SimTime};
-use scenarios::experiments;
+use scenarios::runner::run_many;
 use scenarios::{run, Scenario};
-use topology::generators;
+use topology::{generators, TopoSpec};
 use traffic::TrafficModel;
+
+/// One 600 s seed-1 run per `(x, model)` point on `topo(x)`, in one batch:
+/// per point, the most subscription changes by any receiver after the 5 s
+/// warm-up and that receiver's mean seconds between changes.
+fn stability_points(
+    topo: fn(usize) -> TopoSpec,
+    xs: &[usize],
+    models: &[TrafficModel],
+) -> Vec<(usize, TrafficModel, (usize, f64))> {
+    let points: Vec<(usize, TrafficModel)> =
+        xs.iter().flat_map(|&x| models.iter().map(move |&m| (x, m))).collect();
+    let scenarios: Vec<Scenario> = points
+        .iter()
+        .map(|&(x, m)| Scenario::new(topo(x), m, 1).with_duration(SimDuration::from_secs(600)))
+        .collect();
+    let (warm, end) = (SimTime::from_secs(5), SimTime::from_secs(600));
+    let results = run_many(&scenarios);
+    let rows = points.into_iter().zip(&results);
+    rows.map(|((x, m), r)| (x, m, r.stability(warm, end))).collect()
+}
 
 #[test]
 fn change_counts_are_bounded_on_topology_a() {
-    let rows = experiments::fig6_stability_a(
+    let rows = stability_points(
+        generators::topology_a_default,
         &[1, 4],
         &[TrafficModel::Cbr, TrafficModel::Vbr { p: 6.0 }],
-        SimDuration::from_secs(600),
-        1,
     );
-    for row in &rows {
+    for (x, model, (max_changes, mean_gap_secs)) in rows {
+        let model = model.label();
         // 600 s at one controller interval of 2 s = 300 opportunities;
         // a stable system uses only a few percent of them.
-        assert!(
-            row.max_changes < 60,
-            "{} x{}: {} changes in 600 s",
-            row.model,
-            row.x,
-            row.max_changes
-        );
-        assert!(
-            row.mean_gap_secs > 5.0,
-            "{} x{}: changes only {:.1}s apart",
-            row.model,
-            row.x,
-            row.mean_gap_secs
-        );
+        assert!(max_changes < 60, "{model} x{x}: {max_changes} changes in 600 s");
+        assert!(mean_gap_secs > 5.0, "{model} x{x}: changes only {mean_gap_secs:.1}s apart");
     }
 }
 
@@ -40,17 +48,16 @@ fn change_counts_are_bounded_on_topology_a() {
 fn burstier_traffic_changes_more() {
     // The paper's Figs. 6-7 show VBR traffic with higher change counts than
     // CBR. Aggregate across sizes to smooth the seed noise.
-    let rows = experiments::fig7_stability_b(
+    let rows = stability_points(
+        generators::topology_b_default,
         &[2, 4, 8],
         &[TrafficModel::Cbr, TrafficModel::Vbr { p: 6.0 }],
-        SimDuration::from_secs(600),
-        1,
     );
-    let total = |label: &str| -> usize {
-        rows.iter().filter(|r| r.model == label).map(|r| r.max_changes).sum()
+    let total = |model: TrafficModel| -> usize {
+        rows.iter().filter(|r| r.1 == model).map(|r| r.2 .0).sum()
     };
-    let cbr = total("CBR");
-    let vbr = total("VBR(P=6)");
+    let cbr = total(TrafficModel::Cbr);
+    let vbr = total(TrafficModel::Vbr { p: 6.0 });
     assert!(vbr > cbr, "expected VBR(P=6) ({vbr}) to change more than CBR ({cbr})");
 }
 

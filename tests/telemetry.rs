@@ -92,7 +92,7 @@ fn audit_trail_matches_applied_suggestions() {
                 });
                 audited.entry(*t_ns).or_default().extend(levels);
             }
-            Record::Trace { t_ns, phase, session, level, .. } if phase == "decide" => {
+            Record::Trace { t_ns, phase, session, level, .. } if *phase == "decide" => {
                 decided.entry(*t_ns).or_default().push((*session, *level as u8));
             }
             _ => {}

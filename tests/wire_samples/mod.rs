@@ -157,7 +157,7 @@ pub fn records() -> Vec<Record> {
         Record::Trace {
             seq: 3,
             t_ns: 8_000_000_000,
-            phase: "decide".into(),
+            phase: "decide",
             session: 1,
             receiver: 2,
             cause: 0x9e37_79b9_7f4a_7c15,
