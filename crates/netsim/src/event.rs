@@ -18,7 +18,10 @@
 //!   heap sift. A level-0 slot is sorted by `(time, seq)` the first time
 //!   the cursor reaches it and drains from the back, so even the hundreds
 //!   of same-instant events a symmetric multicast fan-out produces cost
-//!   O(1) per pop.
+//!   O(1) per pop. A slot owns a buffer only while it holds entries: a
+//!   drained slot's buffer waits on a spare list for the next empty slot
+//!   to be filed into, so the capacity the wheel retains follows the
+//!   pending events, not the number of slots a run has ever touched.
 //! * [`QueueBackend::BinaryHeap`] — the original binary-heap future-event
 //!   list, kept as the **differential oracle**: `tests/netsim_differential.rs`
 //!   proves runs are byte-identical under either backend.
@@ -133,6 +136,8 @@ const LEVELS: usize = 6;
 ///   entries beyond the top level's window live in `overflow` (unordered)
 ///   until the cursor comes within the top level's horizon of the bucket's
 ///   earliest time, at which point the bucket respills into the wheel.
+/// * A slot holds an allocation iff it holds entries; the buffers of
+///   drained slots sit, empty, in `spare`.
 struct CalendarWheel {
     /// `LEVELS * SLOTS` buckets; unordered within a slot.
     slots: Vec<Vec<Entry>>,
@@ -158,8 +163,13 @@ struct CalendarWheel {
     /// every slow-path pop so the bucket respills the moment its minimum
     /// re-enters the wheel's horizon, not only once the wheel drains.
     overflow_min: u64,
-    /// Reused buffer for cascading a slot without reallocating.
-    cascade_buf: Vec<Entry>,
+    /// Buffers of drained slots (a level-0 slot's last pop, an upper
+    /// slot's cascade), most recently released last. A push into an empty
+    /// slot takes the last one (LIFO: still cache-warm), so retained
+    /// capacity follows the pending high-water mark, not the slots a run
+    /// has touched. Every buffer is in a slot or here: never more than
+    /// `LEVELS * SLOTS` in all.
+    spare: Vec<Vec<Entry>>,
     len: usize,
     /// Profiler counters ([`WheelStats`]) — write-only observers.
     stats: WheelStats,
@@ -180,7 +190,7 @@ impl CalendarWheel {
             cursor: 0,
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            cascade_buf: Vec::new(),
+            spare: Vec::new(),
             len: 0,
             stats: WheelStats::default(),
         }
@@ -194,26 +204,28 @@ impl CalendarWheel {
             let s = shift(level);
             if (t >> s).saturating_sub(self.cursor >> s) < SLOTS as u64 {
                 let idx = ((t >> s) & (SLOTS as u64 - 1)) as usize;
-                if level == 0 {
-                    let bit = 1u64 << idx;
-                    let slot = &mut self.slots[idx];
-                    if slot.is_empty() {
-                        // Defer sorting to the first pop: a cascading burst
-                        // appends O(1) per entry and gets one sort, instead
-                        // of paying a binary-insert memmove per entry.
-                        slot.push(e);
-                        self.sorted &= !bit;
-                    } else if self.sorted & bit != 0 {
-                        let key = (e.time, e.seq);
-                        let pos = slot.partition_point(|x| (x.time, x.seq) > key);
-                        slot.insert(pos, e);
-                    } else {
-                        slot.push(e);
+                let bit = 1u64 << idx;
+                let slot = &mut self.slots[level * SLOTS + idx];
+                if self.occupied[level] & bit == 0 {
+                    // An empty slot owns no buffer: take a released one.
+                    if let Some(buf) = self.spare.pop() {
+                        *slot = buf;
                     }
+                    slot.push(e);
+                    self.occupied[level] |= bit;
+                    // Defer sorting to the first pop: a cascading burst
+                    // appends O(1) per entry and gets one sort, instead
+                    // of paying a binary-insert memmove per entry.
+                    if level == 0 {
+                        self.sorted &= !bit;
+                    }
+                } else if level == 0 && self.sorted & bit != 0 {
+                    let key = (e.time, e.seq);
+                    let pos = slot.partition_point(|x| (x.time, x.seq) > key);
+                    slot.insert(pos, e);
                 } else {
-                    self.slots[level * SLOTS + idx].push(e);
+                    slot.push(e);
                 }
-                self.occupied[level] |= 1 << idx;
                 return;
             }
         }
@@ -282,7 +294,7 @@ impl CalendarWheel {
             }
             let entry = slot.pop().expect("active slot is non-empty");
             if slot.is_empty() {
-                self.occupied[0] &= !(1u64 << idx);
+                self.release_level0(idx as usize);
                 self.active = None;
             }
             self.len -= 1;
@@ -356,24 +368,34 @@ impl CalendarWheel {
                 }
                 let entry = slot.pop().expect("candidate slot is non-empty");
                 if slot.is_empty() {
-                    self.occupied[0] &= !bit;
+                    self.release_level0(idx);
                 } else {
                     self.active = Some(idx as u8);
                 }
                 self.len -= 1;
                 return Some(entry);
             }
-            // Cascade the whole slot down now that the cursor reached it.
-            let mut buf = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut buf, &mut self.slots[level * SLOTS + idx]);
+            // Cascade the whole slot down now that the cursor reached it;
+            // its buffer is released once the entries are refiled.
+            let mut buf = std::mem::take(&mut self.slots[level * SLOTS + idx]);
             self.occupied[level] &= !(1 << idx);
             self.stats.cascades += 1;
             self.stats.cascaded_entries += buf.len() as u64;
             for e in buf.drain(..) {
                 self.file(e);
             }
-            self.cascade_buf = buf;
+            self.spare.push(buf);
         }
+    }
+
+    /// A level-0 slot popped its last entry: clear its bit and hand its
+    /// buffer to `spare`. Once per slot, not per pop, so it stays out of
+    /// the pop path's line.
+    #[cold]
+    #[inline(never)]
+    fn release_level0(&mut self, idx: usize) {
+        self.spare.push(std::mem::take(&mut self.slots[idx]));
+        self.occupied[0] &= !(1u64 << idx);
     }
 
     /// The entry `k` pops ahead (`k = 0` is what the next `pop` returns),
@@ -398,6 +420,13 @@ impl CalendarWheel {
                 count += slot.len();
                 let bit = self.occupied[level] & (1 << idx) != 0;
                 assert_eq!(bit, !slot.is_empty(), "bitmap desync level={level} idx={idx}");
+                if slot.is_empty() {
+                    assert_eq!(
+                        slot.capacity(),
+                        0,
+                        "empty slot kept its buffer level={level} idx={idx}"
+                    );
+                }
                 for e in slot {
                     let t = e.time.nanos();
                     assert!(t >= self.cursor, "entry behind cursor level={level} idx={idx}");
@@ -416,6 +445,8 @@ impl CalendarWheel {
                 }
             }
         }
+        assert!(self.spare.iter().all(Vec::is_empty), "spare buffer holds entries");
+        assert!(self.spare.len() <= LEVELS * SLOTS, "more buffers than slots");
         let min_o = self.overflow.iter().map(|e| e.time.nanos()).min().unwrap_or(u64::MAX);
         assert_eq!(self.overflow_min, min_o, "overflow_min desync");
         if let Some(idx) = self.active {
@@ -430,6 +461,13 @@ impl CalendarWheel {
     #[cfg(test)]
     fn peek_time(&self) -> Option<SimTime> {
         self.slots.iter().flatten().chain(self.overflow.iter()).map(|e| e.time).min()
+    }
+
+    /// Entries the slot buffers and the spare list can hold without
+    /// reallocating — what the wheel retains beyond its pending entries.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.slots.iter().chain(&self.spare).map(Vec::capacity).sum()
     }
 }
 
@@ -835,6 +873,104 @@ mod tests {
         }
         heap.pop();
         assert!((0..16).all(|k| heap.lookahead(k).is_none()));
+    }
+
+    fn retained_capacity(q: &EventQueue) -> usize {
+        match &q.backing {
+            Backing::Wheel(w) => w.retained_capacity(),
+            Backing::Heap(_) => unreachable!("the heap oracle has no slots"),
+        }
+    }
+
+    /// Retained slot capacity follows the pending high-water mark, not the
+    /// number of slots ever used: 64 bursts of 4,096 same-tick events, each
+    /// drained before the next, fill 64 consecutive level-0 slots — filed
+    /// there directly, or a full level-0 rotation ahead so that each burst
+    /// arrives through a level-1 cascade. Slots that kept their buffers
+    /// after draining would retain about 64 times the mark.
+    #[test]
+    fn drained_slots_release_their_buffers() {
+        const BURST: u64 = 4_096;
+        const BURSTS: u64 = 64;
+        for ahead in [0, 1u64 << (GRAN_BITS + LEVEL_BITS)] {
+            let mut q = EventQueue::with_backend(QueueBackend::CalendarWheel);
+            let mut now = 0;
+            for burst in 0..BURSTS {
+                let t = now + ahead + (1 << GRAN_BITS);
+                for token in 0..BURST {
+                    q.schedule(SimTime(t), timer(burst * BURST + token));
+                }
+                for _ in 0..BURST {
+                    now = q.pop().expect("burst pending").0.nanos();
+                }
+                assert_eq!(now, t);
+                q.audit();
+            }
+            let cascades = if ahead == 0 { 0 } else { BURSTS };
+            assert_eq!(q.wheel_stats().cascades, cascades, "ahead={ahead}");
+            assert_eq!(q.pending_hwm(), BURST as usize);
+            let retained = retained_capacity(&q);
+            assert!(
+                retained <= 4 * q.pending_hwm(),
+                "ahead={ahead}: {retained} entries retained for a high-water mark of {}",
+                q.pending_hwm()
+            );
+        }
+    }
+
+    /// Recycled slot buffers under load: same-slot bursts of 1k–10k events
+    /// (at the draining instant, inside the next rotation, far enough ahead
+    /// to cascade, or past the horizon so they respill from overflow), with
+    /// single events filed into the draining slot between pops (the active
+    /// slot's binary insert). The wheel must match the heap oracle pop for
+    /// pop, `lookahead(0)` must name the next pop whenever it answers, and
+    /// `audit` must hold after every pop.
+    #[test]
+    fn wheel_matches_heap_under_same_slot_bursts() {
+        let tick = 1u64 << GRAN_BITS;
+        let mut rng = RngStream::derive(0xC0FFEE, "event/bursts");
+        let mut wheel = EventQueue::with_backend(QueueBackend::CalendarWheel);
+        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let schedule = |wheel: &mut EventQueue, heap: &mut EventQueue, t: u64| {
+            let token = wheel.total_scheduled();
+            wheel.schedule(SimTime(t), timer(token));
+            heap.schedule(SimTime(t), timer(token));
+        };
+        let pop = |wheel: &mut EventQueue, heap: &mut EventQueue| {
+            let peeked = wheel.lookahead(0).copied();
+            let a = wheel.pop();
+            assert_eq!(a, heap.pop());
+            if let (Some(p), Some((_, e))) = (peeked, a) {
+                assert_eq!(p, e, "lookahead(0) disagrees with pop");
+            }
+            wheel.audit();
+            a.map(|(t, _)| t.nanos())
+        };
+        let mut now = 0u64;
+        for _ in 0..10 {
+            let n = rng.range_u64(1_000, 10_001);
+            let same_instant = rng.chance(0.25);
+            let slot_start = match rng.range_u64(0, 3) {
+                0 => now + rng.range_u64(0, tick << LEVEL_BITS),
+                1 => now + rng.range_u64(tick << LEVEL_BITS, 1 << 34),
+                _ => now + rng.range_u64(1 << 52, 1 << 53),
+            } & !(tick - 1);
+            for _ in 0..n {
+                let t = if same_instant { now } else { slot_start + rng.range_u64(0, tick) };
+                schedule(&mut wheel, &mut heap, t.max(now));
+            }
+            for _ in 0..rng.range_u64(n / 2, n + n / 2) {
+                let Some(t) = pop(&mut wheel, &mut heap) else { break };
+                now = t;
+                if rng.chance(0.05) {
+                    let tick_end = (now | (tick - 1)) + 1;
+                    schedule(&mut wheel, &mut heap, rng.range_u64(now, tick_end));
+                }
+            }
+        }
+        while pop(&mut wheel, &mut heap).is_some() {}
+        let s = wheel.wheel_stats();
+        assert!(s.cascades > 0 && s.overflow_filed > 0 && s.lazy_sorts > 0, "{s:?}");
     }
 
     /// Randomized differential: the wheel must agree with the heap oracle

@@ -221,7 +221,9 @@ impl Link {
             in_flight: None,
             stats: LinkStats::default(),
             queue_limit: cfg.queue_packets,
-            queue: VecDeque::with_capacity(cfg.queue_packets.min(64)),
+            // Allocated by the first packet that has to wait: a link that
+            // never queues (idle, or the upstream half of a tree) owns none.
+            queue: VecDeque::new(),
             wire: VecDeque::new(),
         }
     }
@@ -634,6 +636,48 @@ mod tests {
         let _ = l.tx_done();
         assert_eq!(l.queue_len(), 0);
         assert_eq!(l.stats.queue_hwm, 2);
+    }
+
+    /// A link owns no queue allocation until a packet has to wait, and the
+    /// first waiting packet — after creation or after an outage flush —
+    /// meets the same drop-tail limit and priority eviction as ever.
+    #[test]
+    fn queue_allocates_on_first_waiting_packet() {
+        let mut l = link(32.0, 2);
+        assert_eq!(l.queue.capacity(), 0, "a fresh link owns no queue");
+        assert!(matches!(l.enqueue(pkt(1000)), Enqueue::StartTx(_)));
+        assert_eq!(l.queue.capacity(), 0, "the transmitter is not the queue");
+        assert!(queued(l.enqueue(pkt(1000))));
+        assert!(l.queue.capacity() > 0, "the first waiting packet allocates");
+        assert!(queued(l.enqueue(pkt(1000))));
+        assert_eq!(l.enqueue(pkt(1000)), Enqueue::Dropped);
+        let mut flushed = Vec::new();
+        assert_eq!(l.set_down(&mut flushed), 2);
+        l.set_up();
+        assert!(queued(l.enqueue(pkt(1000))));
+        assert!(queued(l.enqueue(pkt(1000))));
+        assert_eq!(l.enqueue(pkt(1000)), Enqueue::Dropped, "drop-tail limit after a flush");
+        assert_eq!(l.stats.dropped_packets, 4);
+        assert_eq!(l.stats.down_dropped_packets, 2);
+
+        let cfg =
+            LinkConfig::kbps(32.0).with_queue(1).with_discipline(QueueDiscipline::PriorityDrop);
+        for flush_first in [false, true] {
+            let mut l = Link::new(NodeId(0), NodeId(1), &cfg);
+            assert!(matches!(l.enqueue(qp(0, 1000, 0)), Enqueue::StartTx(_)));
+            if flush_first {
+                assert!(queued(l.enqueue(qp(1, 1000, 1))));
+                assert_eq!(l.flush_outage(&mut flushed), 1);
+            }
+            assert_eq!(l.queue.capacity() > 0, flush_first, "allocated iff a packet waited");
+            assert!(queued(l.enqueue(qp(2, 1000, 5))));
+            match l.enqueue(qp(3, 1000, 2)) {
+                Enqueue::Queued { evicted: Some(v) } => assert_eq!(v, qp(2, 1000, 5)),
+                other => panic!("expected eviction, got {other:?}"),
+            }
+            assert_eq!(l.enqueue(qp(4, 1000, 3)), Enqueue::Dropped);
+            assert_eq!(l.queue_len(), 1);
+        }
     }
 
     #[test]

@@ -1301,7 +1301,8 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let batch: Vec<Scenario> = cells.iter().flat_map(|c| &c.scenarios).cloned().collect();
     // The batch runs when the first cell asks for results. The self-driven
     // zoo cells head the list, so the full profile's 1M-receiver world
-    // (3 GB) has come and gone before the results (0.3 GB) exist.
+    // (1.5 GB resident, still the run's peak) has come and gone before the
+    // results exist (the process holds 0.4–0.7 GB from then on).
     let mut results: Option<Vec<ScenarioResult>> = None;
     let mut taken = 0;
     let mut runs: Vec<RunRecord> = Vec::new();

@@ -161,9 +161,15 @@ fn million_receiver_federation_within_wall_budget() {
     let ran = start.elapsed() - built;
     let events = w.sharded.events_processed();
     let delivered = w.delivered_total();
+    // The process-wide peak: the ignored gates share one test process and
+    // may run concurrently, so this is a ceiling on the world, not its size.
+    let vm_hwm = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| s.lines().find_map(|l| l.strip_prefix("VmHWM:").map(|v| v.trim().to_owned())))
+        .unwrap_or_else(|| "n/a".to_owned());
     eprintln!(
         "1M-receiver federation: build {built:?}, run {ran:?}, {events} events, \
-         {delivered} delivered, {:.1} Mevents/s",
+         {delivered} delivered, {:.1} Mevents/s, VmHWM {vm_hwm}",
         events as f64 / ran.as_secs_f64() / 1e6
     );
     assert!(delivered > 0, "media must reach the receivers");
