@@ -20,7 +20,7 @@
 //! declared once, and `decode(parse(line))` re-encodes to the original
 //! line byte-for-byte (Rust's shortest-representation float formatting is
 //! round-trip stable). The `validate` entry point in `src/bin/inspect.rs`
-//! and the CI quickstart job both lean on that property.
+//! and `tests/wire_golden.rs` both lean on that property.
 
 use serde_json::{check_schema, field, field_with, json, to_value, wire, FromJson, ToJson, Value};
 

@@ -8,7 +8,7 @@
 //! `chaos::primary_crash_mid_interval`, and the input-synced standby takes
 //! over. Checkpoint: one [`AlgorithmState`] runs twelve intervals, its
 //! round-6 `toposense.checkpoint.v1` file is written (to the path argument,
-//! else a temp file; CI feeds it to `inspect snapshot`), read back and
+//! else a temp file, for `inspect snapshot` to read), read back and
 //! restored, and the restored state replays rounds 7–12 — panicking unless
 //! every fingerprint equals the uninterrupted run's.
 

@@ -10,23 +10,18 @@
 //!
 //! Set `QUICKSTART_CHAOS=1` to instead run the canned bottleneck
 //! link-flap fault plan (DESIGN.md §9) and print its deterministic
-//! fingerprint — CI runs this twice and diffs the outputs.
+//! fingerprint (`tests/baselines.rs` pins the same plan at seed 1).
 //!
 //! Set `QUICKSTART_TELEMETRY=<path>` to record the controller's decision
 //! audit trail (one JSONL record per pipeline stage per interval, plus one
 //! closing counters record harvested from the simulator profile and the
 //! controller's stats, and the stage timers) to `<path>`. Telemetry is a
-//! pure observer: stdout stays byte-identical to a run without it — CI
-//! diffs the two, and diffs two trails with their timers dropped.
-//!
-//! Set `QUICKSTART_RECORDER=1` to additionally arm the simulator's
-//! structured trace ring. Same pure-observer contract, same CI diff: the
-//! recorder reports on stderr only and stdout stays byte-identical.
+//! pure observer: stdout stays byte-identical to a run without it, and two
+//! trails differ only in their timers (`tests/telemetry.rs`).
 //!
 //! In chaos mode, a violated recovery bound writes a `blackbox.v1` dump
-//! (flight-recorder window + profile counters) to `blackbox.json` — or to
-//! `$QUICKSTART_BLACKBOX` — before exiting non-zero, so CI failures carry
-//! their own forensics.
+//! (flight-recorder window + profile counters) to `blackbox.json` before
+//! exiting non-zero, so a failure carries its own forensics.
 
 use netsim::sim::{NetworkBuilder, SimConfig};
 use netsim::{GroupId, LinkConfig, SessionId, SimDuration, SimTime};
@@ -59,10 +54,6 @@ fn main() {
     b.add_link(src, mid, LinkConfig::kbps(10_000.0));
     b.add_link(mid, rcv, LinkConfig::kbps(250.0));
     let mut sim = b.build();
-    let recorder = std::env::var_os("QUICKSTART_RECORDER").is_some();
-    if recorder {
-        sim.trace.enable(4096);
-    }
 
     // 2. Advertise one session: 6 cumulative layers, base 32 kb/s,
     //    doubling — one multicast group per layer, rooted at the source.
@@ -112,23 +103,6 @@ fn main() {
     println!("suggestions obeyed:     {}", r.suggestions_received);
     println!("controller intervals:   {}", c.intervals);
     println!("events processed:       {}", sim.events_processed());
-    if recorder {
-        // Stderr only: stdout must stay byte-identical to a plain run.
-        let p = sim.profile();
-        eprintln!(
-            "recorder: {} trace events ({} dropped), {} sim events, slab hwm {}, queue hwm {}",
-            sim.trace.events().len(),
-            sim.trace.dropped(),
-            p.events_total,
-            p.slab_hwm,
-            p.pending_events_hwm,
-        );
-        eprintln!(
-            "flight:   {} control-plane occurrences ({} rolled off)",
-            c.flight.len(),
-            c.flight.dropped(),
-        );
-    }
     assert!((2..=4).contains(&r.final_level()), "expected convergence near 3 layers");
 }
 
@@ -140,7 +114,6 @@ fn chaos_mode() {
     let result = scenarios::run(&scenario);
     print!("{}", scenarios::chaos::fingerprint(&result));
     if let Err(e) = scenarios::chaos::verify_recovery(&result, &scenario.cfg, heal_at, 10) {
-        let path = std::env::var("QUICKSTART_BLACKBOX").unwrap_or_else(|_| "blackbox.json".into());
         let bb = scenarios::chaos::blackbox(
             &result,
             &scenario.cfg,
@@ -148,9 +121,9 @@ fn chaos_mode() {
             "chaos_recovery_failure",
             "quickstart-link-flap",
         );
-        bb.write(&path).expect("write blackbox dump");
+        bb.write("blackbox.json").expect("write blackbox dump");
         eprintln!("recovery bound violated: {e}");
-        eprintln!("black box written to {path}");
+        eprintln!("black box written to blackbox.json");
         std::process::exit(1);
     }
     println!("recovery bound held: all receivers within 1 layer of oracle after heal");

@@ -13,8 +13,8 @@
 //! Exit codes: `0` all gates passed (skips allowed, each with a logged
 //! reason), `1` malformed arguments (usage printed) or unwritable artifacts,
 //! `2` at least one gate failed, `3` coverage-cap audit failure — the
-//! profile truncated the matrix without recording it in the artifact (the
-//! `SILENT-CAP` line below is what CI greps for).
+//! profile truncated the matrix without recording it in the artifact (a
+//! `SILENT-CAP` line on stderr says which). The exit code is the signal.
 
 use scenarios::campaign::{self, CampaignSpec, GateStatus, Profile};
 use std::path::PathBuf;

@@ -1,20 +1,34 @@
 //! Smoke tests for the `inspect` binary's CLI contract: no args or an
 //! unknown subcommand exit 2 with a usage message naming every
-//! subcommand, and the telemetry-trail queries (`validate`, `trace`,
-//! `counters`) and the `blackbox` validator work end-to-end against
-//! artifacts recorded by a real run.
+//! subcommand, and every telemetry-trail query, the `blackbox` validator
+//! and the `snapshot` queries work end-to-end against artifacts recorded
+//! by a real run.
 
 use netsim::SimDuration;
+use scenarios::largetree;
 use scenarios::{run, ControlMode, Scenario};
 use std::process::Command;
-use telemetry::{Blackbox, Occurrence, Record, Telemetry};
+use telemetry::{Blackbox, Occurrence, Record, StageBody, Telemetry};
 use topology::generators;
-use traffic::TrafficModel;
+use toposense::algorithm::AlgorithmState;
+use toposense::Config;
+use traffic::{LayerSpec, TrafficModel};
+
+mod trees;
 
 const BIN: &str = env!("CARGO_BIN_EXE_inspect");
 
 fn inspect(args: &[&str]) -> std::process::Output {
     Command::new(BIN).args(args).output().expect("spawn inspect")
+}
+
+/// Run `inspect`, demand exit 0, and return its stdout.
+#[track_caller]
+fn stdout_of(args: &[&str]) -> String {
+    let out = inspect(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "inspect {args:?} failed: {err}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
@@ -35,9 +49,8 @@ fn no_args_and_unknown_subcommand_exit_two_with_usage() {
     assert!(String::from_utf8_lossy(&unknown.stderr).contains("unknown subcommand 'frobnicate'"));
 }
 
-/// Record a real trail, then drive `validate`, `trace`, and the profile
-/// query `counters <trail> netsim.profile.` over it exactly as a debugging
-/// session would.
+/// Record a real trail, then drive every query over it exactly as a
+/// debugging session would.
 #[test]
 fn trail_queries_work_against_a_recorded_run() {
     let path = std::env::temp_dir().join(format!("toposense-inspect-{}.jsonl", std::process::id()));
@@ -51,41 +64,56 @@ fn trail_queries_work_against_a_recorded_run() {
     let trail = path.to_str().expect("utf8 temp path");
 
     // validate: every record decodes and the trace kinds are on the books.
-    let v = inspect(&["validate", trail]);
-    assert_eq!(v.status.code(), Some(0), "validate failed: {}", String::from_utf8_lossy(&v.stderr));
-    let out = String::from_utf8_lossy(&v.stdout);
+    let out = stdout_of(&["validate", trail]);
     assert!(out.contains("records valid"));
     for kind in ["trace.report", "trace.decide", "trace.apply"] {
         assert!(out.contains(kind), "validate must count {kind} records");
     }
 
-    // Pull a real (session, receiver) pair from an apply record so the
-    // trace query below cannot be vacuous.
+    assert!(stdout_of(&["summary", trail]).contains("run 'scenario' seed=9"));
+
+    // Pull real (session, receiver), (session, node) and seq values from the
+    // trail so the queries below cannot be vacuous.
     let text = std::fs::read_to_string(&path).expect("trail written");
-    let (session, receiver) = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| Record::from_jsonl(l).ok())
+    let records: Vec<Record> = text.lines().filter_map(|l| Record::from_jsonl(l).ok()).collect();
+    let (session, receiver) = records
+        .iter()
         .find_map(|r| match r {
             Record::Trace { phase, session, receiver, cause, .. }
-                if phase == "apply" && cause != 0 =>
+                if *phase == "apply" && *cause != 0 =>
             {
-                Some((session, receiver))
+                Some((*session, *receiver))
             }
             _ => None,
         })
         .expect("run recorded no apply trace");
+    let (tree_session, node) = records
+        .iter()
+        .find_map(|r| match r {
+            Record::Stage { body: StageBody::Subscription(ss), .. } => {
+                ss.iter().find_map(|s| Some((s.session, s.nodes.first()?.node)))
+            }
+            _ => None,
+        })
+        .expect("run recorded no subscription stage");
+    let seqs: Vec<u64> = (records.iter())
+        .filter_map(|r| match r {
+            Record::Stage { seq, body: StageBody::Congestion(_), .. } => Some(*seq),
+            _ => None,
+        })
+        .collect();
 
-    let t = inspect(&[
-        "trace",
-        trail,
-        "--session",
-        &session.to_string(),
-        "--receiver",
-        &receiver.to_string(),
-    ]);
-    assert_eq!(t.status.code(), Some(0), "trace failed: {}", String::from_utf8_lossy(&t.stderr));
-    let out = String::from_utf8_lossy(&t.stdout);
+    let out = stdout_of(&["timeline", trail, &tree_session.to_string(), &node.to_string()]);
+    let labelled =
+        out.lines().skip(1).filter(|l| l.rsplit(' ').next().is_some_and(|b| b.contains('.')));
+    assert!(labelled.count() > 0, "no interval row with a branch label:\n{out}");
+
+    let (first, last) = (seqs[0].to_string(), seqs[seqs.len() - 1].to_string());
+    let out = stdout_of(&["diff", trail, &first, &last]);
+    assert!(out.contains(&format!("between interval {first} and {last}")));
+
+    let (session, receiver) = (session.to_string(), receiver.to_string());
+    let out = stdout_of(&["trace", trail, "--session", &session, "--receiver", &receiver]);
     assert!(out.contains("(complete)"), "no complete chain rendered:\n{out}");
     for phase in ["report", "decide", "apply"] {
         assert!(out.contains(phase), "chain output missing the {phase} hop");
@@ -93,14 +121,14 @@ fn trail_queries_work_against_a_recorded_run() {
 
     // The closing counters carry the simulator profile, and the prefix
     // keeps everything else out.
-    let p = inspect(&["counters", trail, "netsim.profile."]);
-    assert_eq!(p.status.code(), Some(0), "profile failed: {}", String::from_utf8_lossy(&p.stderr));
-    let out = String::from_utf8_lossy(&p.stdout);
+    let out = stdout_of(&["counters", trail, "netsim.profile."]);
     for counter in ["ev_link_deliver", "slab_hwm", "pending_events_hwm"] {
         let name = format!("netsim.profile.{counter}");
         assert!(out.contains(&name), "profile output missing {name}:\n{out}");
     }
     assert!(out.lines().all(|l| l.contains("  netsim.profile.")), "off-prefix line in:\n{out}");
+    let out = stdout_of(&["counters", trail, "controller."]);
+    assert!(out.lines().all(|l| l.contains("  controller.")), "off-prefix line in:\n{out}");
 
     // An absent (session, receiver) pair is a hard miss, not silence.
     let miss = inspect(&["trace", trail, "--session", "999", "--receiver", "999"]);
@@ -121,14 +149,7 @@ fn counters_prefix_without_a_match_exits_one() {
     tel.flush();
     let trail = path.to_str().expect("utf8 temp path");
 
-    let all = inspect(&["counters", trail]);
-    assert_eq!(
-        all.status.code(),
-        Some(0),
-        "counters failed: {}",
-        String::from_utf8_lossy(&all.stderr)
-    );
-    let out = String::from_utf8_lossy(&all.stdout);
+    let out = stdout_of(&["counters", trail]);
     let names: Vec<&str> = out.lines().filter_map(|l| l.split_whitespace().nth(1)).collect();
     assert_eq!(names, ["controller.intervals", "netsim.events"], "largest first:\n{out}");
 
@@ -161,14 +182,7 @@ fn blackbox_subcommand_validates_and_rejects() {
     bb.write(&path).expect("write dump");
     let p = path.to_str().expect("utf8 temp path");
 
-    let ok = inspect(&["blackbox", p]);
-    assert_eq!(
-        ok.status.code(),
-        Some(0),
-        "blackbox failed: {}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
-    let out = String::from_utf8_lossy(&ok.stdout);
+    let out = stdout_of(&["blackbox", p]);
     assert!(out.contains(telemetry::BLACKBOX_SCHEMA));
     assert!(out.contains("campaign_gate_failure"));
     assert!(out.contains("quarantine"));
@@ -180,4 +194,48 @@ fn blackbox_subcommand_validates_and_rejects() {
     assert_eq!(bad.status.code(), Some(1), "corrupt dump must exit 1");
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// A real checkpoint file through `snapshot validate`, `summary` and `diff`:
+/// a self-diff is empty, a later round's checkpoint differs, and a corrupted
+/// file is refused.
+#[test]
+fn snapshot_queries_work_against_a_real_checkpoint() {
+    let (tree, leaves) = largetree::balanced_session_tree(0, 2, 3);
+    let spec = LayerSpec::paper_default();
+    let (sessions, specs) = ([tree], [&spec]);
+    let registry = largetree::registry_for_leaves(0, &leaves);
+    let reports = largetree::reports_for_leaves(0, &leaves, 3, 2);
+    let mut state = AlgorithmState::new(Config::default(), 7);
+    let [early, late] = ["early", "late"].map(|tag| {
+        std::env::temp_dir()
+            .join(format!("toposense-inspect-ckpt-{tag}-{}.json", std::process::id()))
+    });
+    for round in 1..=6 {
+        let inputs = trees::inputs_at(2 * round, &sessions, &specs, &registry, &reports);
+        state.run_incremental(&inputs);
+        if round == 3 {
+            state.checkpoint().save(&early).expect("write checkpoint");
+        }
+    }
+    state.checkpoint().save(&late).expect("write checkpoint");
+    let (a, b) = (early.to_str().expect("utf8 temp path"), late.to_str().expect("utf8 temp path"));
+
+    assert!(stdout_of(&["snapshot", "validate", a]).contains("valid toposense.checkpoint.v1"));
+    assert!(stdout_of(&["snapshot", "summary", a]).contains("completed runs      3"));
+    assert!(stdout_of(&["snapshot", "diff", a, a]).starts_with("0 differences"));
+    let moved = stdout_of(&["snapshot", "diff", a, b]);
+    let count = moved.lines().last().and_then(|l| l.split(' ').next()?.parse::<usize>().ok());
+    assert!(count > Some(0), "a later round's checkpoint must differ:\n{moved}");
+
+    // A truncated checkpoint is refused, not half-read.
+    let text = std::fs::read_to_string(&early).expect("checkpoint readable");
+    std::fs::write(&early, &text[..text.len() / 2]).expect("truncate checkpoint");
+    assert_eq!(
+        inspect(&["snapshot", "validate", a]).status.code(),
+        Some(1),
+        "corrupt file must exit 1"
+    );
+
+    let _ = (std::fs::remove_file(&early), std::fs::remove_file(&late));
 }

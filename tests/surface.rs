@@ -1,18 +1,21 @@
-//! Public-surface gate. Rule 1: every `pub` item in `crates/*/src` is named by another file,
-//! and every `pub fn` inside an `impl` is called or pathed there (a field or local of the same
-//! name is not a caller). Rule 2: every crate-root re-export is used through that root outside
-//! the crate. Scans stop at a file's top-level `#[cfg(test)]`; `shims/*` mirror external APIs
-//! and are out of scope.
+//! Source gate. Rule 1: every `pub` item in `crates/*/src` is named by another file, and every
+//! `pub fn` inside an `impl` is called or pathed there (a field or local of the same name is not
+//! a caller). Rule 2: every crate-root re-export is used through that root outside the crate.
+//! Both scans stop at a file's top-level `#[cfg(test)]`; `shims/*` mirror external APIs and are
+//! out of scope. Four greps follow: library crates read no environment, every manifest
+//! dependency is named by its package's sources, the generator's arithmetic lives only in
+//! `netsim::rng`, and integers leave JSON only through the shim.
 
 use std::fs;
 
-fn load(rel: &str, out: &mut Vec<(String, String)>) {
+/// Every file under `rel` whose path ends with `suffix`, as (path from the repository root, text).
+fn load(rel: &str, suffix: &str, out: &mut Vec<(String, String)>) {
     let dir = fs::read_dir(format!("{}/{rel}", env!("CARGO_MANIFEST_DIR")));
     for entry in dir.into_iter().flatten().flatten() {
         let path = format!("{rel}/{}", entry.file_name().to_string_lossy());
         if entry.path().is_dir() {
-            load(&path, out);
-        } else if path.ends_with(".rs") {
+            load(&path, suffix, out);
+        } else if path.ends_with(suffix) {
             out.push((path, fs::read_to_string(entry.path()).expect("readable source")));
         }
     }
@@ -152,14 +155,117 @@ fn hits<S: AsRef<str>>(files: &[(S, S)]) -> Vec<String> {
     out
 }
 
+/// `path:line: text` for each line that contains one of `needles`; with `live_only`, a file's
+/// lines from its first top-level `#[cfg(test)]` on are not read.
+fn grep<S: AsRef<str>>(files: &[(S, S)], live_only: bool, needles: &[&str]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (path, text) in files.iter().map(|(p, t)| (p.as_ref(), t.as_ref())) {
+        let end = if live_only { live(text).count() } else { usize::MAX };
+        let lines = text.lines().enumerate().take(end);
+        for (n, line) in lines.filter(|(_, l)| needles.iter().any(|x| l.contains(x))) {
+            out.push(format!("{path}:{}: {}", n + 1, line.trim()));
+        }
+    }
+    out
+}
+
+/// The names a manifest lists under `[section]`: lines that open with a name and ` `, `.` or `=`.
+fn deps<'a>(toml: &'a str, section: &str) -> Vec<&'a str> {
+    let name = |n: &&str| {
+        !n.is_empty() && n.chars().all(|c| c.is_ascii_alphanumeric() || "_-".contains(c))
+    };
+    let mut on = false;
+    let mut out = Vec::new();
+    for line in toml.lines() {
+        on = if line.starts_with('[') { line == format!("[{section}]") } else { on };
+        out.extend(line.split_once([' ', '.', '=']).map(|(n, _)| n).filter(|n| on && name(n)));
+    }
+    out
+}
+
+/// Each `[dependencies]` and `[dev-dependencies]` name of a manifest (dashes read as `_`) that
+/// no source of its package writes as `name::`: `src`, `tests` and `examples` for the root
+/// package; `<crate>/src` for a crate, and `<crate>/tests` too for its dev-dependencies.
+fn unused_deps<S: AsRef<str>>(manifests: &[(S, S)], files: &[(S, S)]) -> Vec<String> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for (manifest, toml) in manifests.iter().map(|(m, t)| (m.as_ref(), t.as_ref())) {
+        let dir = manifest.strip_suffix("Cargo.toml").unwrap_or(manifest);
+        for section in ["dependencies", "dev-dependencies"] {
+            let roots = match (dir, section) {
+                ("", _) => vec!["src/".to_string(), "tests/".into(), "examples/".into()],
+                (_, "dev-dependencies") => vec![format!("{dir}src/"), format!("{dir}tests/")],
+                _ => vec![format!("{dir}src/")],
+            };
+            let own: Vec<&str> = (files.iter())
+                .filter(|(p, _)| roots.iter().any(|r| p.as_ref().starts_with(r.as_str())))
+                .map(|(_, t)| t.as_ref())
+                .collect();
+            for dep in deps(toml, section) {
+                let path = format!("{}::", dep.replace('-', "_"));
+                let names =
+                    |t: &&str| t.match_indices(&path).any(|(i, _)| !t[..i].ends_with(ident));
+                if !own.iter().any(names) {
+                    out.push(format!("{manifest} [{section}]: {dep}"));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The `.rs` files under `dirs`, as (path from the repository root, text).
+fn sources(dirs: &[&str]) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    dirs.iter().for_each(|d| load(d, ".rs", &mut files));
+    files
+}
+
+#[track_caller]
+fn assert_none(what: &str, found: &[String]) {
+    assert!(found.is_empty(), "{} {what}:\n{}", found.len(), found.join("\n"));
+}
+
 #[test]
 fn every_public_name_has_a_caller_outside_its_file() {
-    let mut files = Vec::new();
-    ["crates", "src", "tests", "examples", "perfbench/src"]
-        .iter()
-        .for_each(|d| load(d, &mut files));
-    let found = hits(&files);
-    assert!(found.is_empty(), "{} unused public names:\n{}", found.len(), found.join("\n"));
+    let files = sources(&["crates", "src", "tests", "examples", "perfbench/src"]);
+    assert_none("unused public names", &hits(&files));
+}
+
+/// Library crates read no environment; examples and the two binaries may.
+#[test]
+fn library_crates_read_no_environment() {
+    let found = grep(&sources(&["crates"]), true, &["env::var"]);
+    assert_none("environment reads in library code", &found);
+}
+
+#[test]
+fn every_dependency_edge_is_named_by_its_package() {
+    let root = fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"));
+    let mut manifests = vec![("Cargo.toml".to_string(), root.expect("root manifest"))];
+    load("crates", "/Cargo.toml", &mut manifests);
+    let files = sources(&["crates", "src", "tests", "examples"]);
+    assert_none("dependencies no source names", &unused_deps(&manifests, &files));
+}
+
+/// The xoshiro256** and splitmix64 arithmetic lives only in `netsim::rng`. The needles are
+/// spelled in pieces so that this file does not match them.
+#[test]
+fn the_generator_arithmetic_lives_only_in_netsim_rng() {
+    let needles = [concat!("rotate_left(4", "5)"), concat!("(z >> 3", "0)")];
+    let mut files = sources(&["crates", "shims", "src", "tests", "examples"]);
+    files.retain(|(p, _)| p != "crates/netsim/src/rng.rs");
+    assert_none("copies of the generator's arithmetic", &grep(&files, false, &needles));
+}
+
+/// Integers leave JSON only through the shim's checked `FromJson` impls: no `as_u64` in live
+/// library code, and no private decode helper anywhere under `crates/`.
+#[test]
+fn integers_leave_json_only_through_the_shim() {
+    let files = sources(&["crates"]);
+    let mut found = grep(&files, true, &["as_u64"]);
+    found.extend(grep(&files, false, &["fn get_u64", "fn get_str", "fn narrow"]));
+    assert_none("JSON decodes that bypass the shim", &found);
 }
 
 #[test]
@@ -187,4 +293,24 @@ fn the_rules_flag_what_they_should_and_nothing_else() {
     for call in ["s.knob();", "s.knob::<u8>();", "v.map(a::x::S::knob);"] {
         assert!(hits(&[method, ("src/main.rs", &format!("a::x::S;\n{call}"))]).is_empty());
     }
+}
+
+#[test]
+fn the_greps_flag_what_they_should_and_nothing_else() {
+    // A live-only grep stops at the file's tests.
+    let lib = ("crates/a/src/x.rs", "let n = v.as_u64();\n#[cfg(test)]\nlet m = v.as_u64();");
+    assert_eq!(grep(&[lib], true, &["as_u64"]), ["crates/a/src/x.rs:1: let n = v.as_u64();"]);
+    assert_eq!(grep(&[lib], false, &["as_u64"]).len(), 2);
+    // A dependency its package never paths: a root one named only as a suffix, and a crate's
+    // [dependencies] edge named only by its tests (which may use its dev-dependencies).
+    let root = "[workspace.dependencies]\nx = 1\n[dependencies]\nfoo-bar.workspace = true\nbaz = 1";
+    let krate = "[dependencies]\nfoo = 1\n\n[dev-dependencies]\nbaz = 1";
+    let manifests = [("Cargo.toml", root), ("crates/a/Cargo.toml", krate)];
+    let files = [
+        ("examples/e.rs", "use foo_bar::X;"),
+        ("src/main.rs", "let x = mybaz::y();"),
+        ("crates/a/tests/t.rs", "foo::f();\nbaz::g();"),
+    ];
+    let hit = ["Cargo.toml [dependencies]: baz", "crates/a/Cargo.toml [dependencies]: foo"];
+    assert_eq!(unused_deps(&manifests, &files), hit);
 }
