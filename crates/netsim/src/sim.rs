@@ -16,7 +16,7 @@ use crate::node::{Node, NodeId, Routing};
 use crate::packet::{Dest, Packet, PacketId, PacketSlab};
 use crate::prefetch;
 use crate::time::SimTime;
-use crate::trace::{DropReason, TraceLog};
+use crate::trace::{DropReason, Ring, TraceEvent};
 
 /// Global simulation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -196,7 +196,7 @@ impl NetworkBuilder {
             events_done: 0,
             ev_counts: [0; 7],
             drop_counts: [0; 3],
-            trace: TraceLog::disabled(),
+            trace: Ring::default(),
             scratch_links: Vec::new(),
             scratch_apps: Vec::new(),
             scratch_flush: Vec::new(),
@@ -339,8 +339,9 @@ pub struct Simulator {
     ev_counts: [u64; 7],
     /// Packets dropped, indexed by `DropReason as usize`.
     drop_counts: [u64; 3],
-    /// Optional structured trace (drops, subscription changes, …).
-    pub trace: TraceLog,
+    /// The last-N window of drops and fault transitions; records nothing
+    /// unless replaced by a sized [`Ring`].
+    pub trace: Ring<TraceEvent>,
     /// Reusable fan-out buffer (active out-links of the current hop).
     scratch_links: Vec<DirLinkId>,
     /// Reusable delivery buffer (apps receiving the current packet).
@@ -538,7 +539,7 @@ impl Simulator {
 
     fn count_drop(&mut self, l: DirLinkId, bytes: u32, reason: DropReason) {
         self.drop_counts[reason as usize] += 1;
-        self.trace.drop(self.clock, l, bytes, reason);
+        self.trace.push(TraceEvent::Drop { time: self.clock, link: l, bytes, reason });
     }
 
     /// `seq` is the event's schedule sequence number (only timers use it).
@@ -606,14 +607,14 @@ impl Simulator {
                     flushed.clear();
                     self.net.links[l.0 as usize].set_down(&mut flushed);
                     self.account_outage_flush(l, flushed, DropReason::LinkDown);
-                    self.trace.link_state(self.clock, l, false);
+                    self.trace.push(TraceEvent::LinkState { time: self.clock, link: l, up: false });
                 }
             }
             FaultKind::LinkUp(l) => {
                 let link = &mut self.net.links[l.0 as usize];
                 if !link.is_up() {
                     link.set_up();
-                    self.trace.link_state(self.clock, l, true);
+                    self.trace.push(TraceEvent::LinkState { time: self.clock, link: l, up: true });
                 }
             }
             FaultKind::NodeCrash(n) => {
@@ -641,14 +642,14 @@ impl Simulator {
                 // contribution to every group's desired-link refcounts).
                 let links = &self.net.links;
                 self.net.mcast.node_crashed(n, &self.net.routing, |l| links[l.0 as usize].to);
-                self.trace.node_state(self.clock, n, false);
+                self.trace.push(TraceEvent::NodeState { time: self.clock, node: n, up: false });
             }
             FaultKind::NodeRestart(n) => {
                 if self.net.node_up[n.index()] {
                     return;
                 }
                 self.net.node_up[n.index()] = true;
-                self.trace.node_state(self.clock, n, true);
+                self.trace.push(TraceEvent::NodeState { time: self.clock, node: n, up: true });
                 let mut apps = std::mem::take(&mut self.scratch_apps);
                 apps.clear();
                 apps.extend_from_slice(&self.net.nodes[n.index()].apps);
@@ -1106,9 +1107,7 @@ mod tests {
             let c = b.add_node("c");
             let (ab, _) = b.add_link(a, c, LinkConfig::kbps(32.0).with_queue(2));
             let mut sim = b.build();
-            if cap > 0 {
-                sim.trace.enable(cap);
-            }
+            sim.trace = Ring::new(cap);
             let g = sim.create_group(a);
             let got = Arc::new(AtomicU64::new(0));
             sim.add_app(c, Box::new(Counter { group: g, got }));

@@ -318,7 +318,7 @@ pub fn blackbox(
     let mut occurrences = Vec::new();
     let mut ring_dropped = 0;
     for c in [r.controller.as_ref(), r.standby.as_ref()].into_iter().flatten() {
-        occurrences.extend(c.flight.occurrences());
+        occurrences.extend(c.flight.items());
         ring_dropped += c.flight.dropped();
     }
     // Two rings interleave (primary + standby); restore one timeline.

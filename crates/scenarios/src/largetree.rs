@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netsim::sim::{NetworkBuilder, SimConfig};
+use netsim::trace::Ring;
 use netsim::{
     App, AppId, Ctx, DirLinkId, GroupId, GroupSnapshot, LinkConfig, NodeId, Packet, QueueBackend,
     RelayApp, SessionId, ShardedSim, SimDuration, SimTime, Simulator,
@@ -500,8 +501,8 @@ fn lay_out(params: &FederationWorldParams, split: bool) -> LaidWorld {
     }
 
     let mut sims: Vec<Simulator> = builders.into_iter().map(NetworkBuilder::build).collect();
-    if params.trace_cap > 0 {
-        sims.iter_mut().for_each(|sim| sim.trace.enable(params.trace_cap));
+    for sim in &mut sims {
+        sim.trace = Ring::new(params.trace_cap);
     }
     let period = SimDuration(1_000_000_000 / params.rate_pps);
     sims[0].add_app(src, Box::new(FeedSource { stubs: stubs.clone(), period }));

@@ -1,15 +1,51 @@
 //! Black-box dumps: a bounded, deterministic snapshot written on failure.
 //!
 //! When a campaign gate fails or a chaos recovery bound trips, the harness
-//! dumps a `blackbox.json` carrying the recent flight-recorder window, the
+//! dumps a `blackbox.json` carrying the controllers' flight-recorder
+//! window (the last [`Occurrence`]s their `netsim::trace::Ring` kept), the
 //! run's counters, its seed and config fingerprint — everything
 //! needed to understand the last moments without re-running. The dump is
 //! schema-versioned (`blackbox.v1`) and round-trips exactly, so CI can
 //! diff dumps across reruns the same way it diffs the JSONL trail.
 
-use crate::flight::Occurrence;
 use crate::record::counter_map;
 use serde_json::wire;
+
+/// Wire form of [`Occurrence::kind`]: the label on the way out, interned
+/// back to the static label space on the way in. Kinds are a closed set;
+/// an unknown kind is a schema violation worth surfacing.
+mod kind {
+    use serde_json::{ToJson, Value};
+
+    const KINDS: &[&str] =
+        &["interval_start", "interval_end", "fallback", "quarantine", "takeover", "checkpoint"];
+
+    pub(crate) fn to_json(kind: &&'static str) -> Value {
+        kind.to_json()
+    }
+
+    pub(crate) fn from_json(v: &Value) -> Result<&'static str, String> {
+        crate::record::intern(v, KINDS, "occurrence kind")
+    }
+}
+
+wire! {
+    /// One notable control-plane happening. Like every instrument in this
+    /// crate it is a pure observer: nothing reads an occurrence back into
+    /// a decision.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Occurrence {
+        /// Simulated time in nanoseconds.
+        pub t_ns: u64,
+        /// Stable kind label (`"interval_start"`, `"quarantine"`, ...).
+        pub kind: &'static str as kind,
+        /// Interval or replication sequence number the occurrence belongs to.
+        pub seq: u64,
+        /// Free-form detail (node id, fingerprint, reason...). Must be a
+        /// function of simulation state only — it lands in deterministic dumps.
+        pub detail: String,
+    }
+}
 
 /// Bump when the dump shape changes incompatibly.
 pub const BLACKBOX_SCHEMA: &str = "blackbox.v1";
@@ -84,6 +120,13 @@ mod tests {
             ],
             ring_dropped: 0,
         }
+    }
+
+    #[test]
+    fn occurrence_encodes_to_one_json_object() {
+        let occ = Occurrence { t_ns: 5, kind: "takeover", seq: 9, detail: "standby 3".into() };
+        let line = serde_json::to_string(&occ).unwrap();
+        assert_eq!(line, r#"{"t_ns":5,"kind":"takeover","seq":9,"detail":"standby 3"}"#);
     }
 
     #[test]

@@ -28,13 +28,11 @@
 
 pub mod blackbox;
 pub mod causal;
-pub mod flight;
 pub mod record;
 pub mod sink;
 pub mod timers;
 
-pub use blackbox::{Blackbox, BLACKBOX_SCHEMA};
-pub use flight::{FlightRecorder, Occurrence};
+pub use blackbox::{Blackbox, Occurrence, BLACKBOX_SCHEMA};
 pub use record::{
     BottleneckNode, CapacityLink, CongestionNode, IntervalAudit, Record, SessionNodes,
     SharingEntry, StageBody, SubscriptionNode, TimerStat, SCHEMA_VERSION,

@@ -40,10 +40,11 @@ use crate::messages::{
 };
 use crate::replication::{fingerprint_outputs, AckVerdict, ReplicaTracker};
 use crate::sync::lock_or_recover;
+use netsim::trace::Ring;
 use netsim::{App, AppId, ControlBody, Ctx, NodeId, SessionId, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use telemetry::{FlightRecorder, IntervalAudit, Record, Telemetry};
+use telemetry::{IntervalAudit, Occurrence, Record, Telemetry};
 use topology::discovery::{DiscoveryTool, SnapshotError, TopologyView};
 use topology::SessionTree;
 use traffic::{LayerSpec, SessionCatalog};
@@ -54,6 +55,11 @@ const TOKEN_SEND: u64 = 2;
 /// Control-plane flight-recorder depth: the last N interval/replication
 /// occurrences survive for black-box dumps.
 const FLIGHT_CAP: usize = 128;
+
+/// One flight-recorder entry, stamped with the simulated instant `at`.
+fn occurrence(at: SimTime, kind: &'static str, seq: u64, detail: impl Into<String>) -> Occurrence {
+    Occurrence { t_ns: at.nanos(), kind, seq, detail: detail.into() }
+}
 
 /// Gap between consecutive suggestion packets. Sending the whole batch
 /// back-to-back would tail-drop the same receivers' suggestions every
@@ -117,7 +123,7 @@ pub struct ControllerShared {
     pub replica_resync_failures: u64,
     /// Last-N control-plane occurrences (interval start/end, fallback,
     /// quarantine, takeover, checkpoint) for black-box dumps.
-    pub flight: FlightRecorder,
+    pub flight: Ring<Occurrence>,
 }
 
 impl ControllerShared {
@@ -250,7 +256,7 @@ impl Controller {
     ) -> (Self, ControllerHandle) {
         cfg.validate();
         let shared: ControllerHandle = Arc::default();
-        lock_or_recover(&shared).flight = FlightRecorder::new(FLIGHT_CAP);
+        lock_or_recover(&shared).flight = Ring::new(FLIGHT_CAP);
         let c = Controller {
             catalog,
             cfg,
@@ -330,12 +336,8 @@ impl Controller {
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        lock_or_recover(&self.shared).flight.note(
-            now.nanos(),
-            "interval_start",
-            self.state.runs(),
-            "",
-        );
+        let start = occurrence(now, "interval_start", self.state.runs(), "");
+        lock_or_recover(&self.shared).flight.push(start);
         // Beacon the warm standby before anything can return: a primary
         // that is cold-starting or suspended is still alive, and one that
         // stopped beaconing there would be deposed by its own standby.
@@ -413,7 +415,7 @@ impl Controller {
                 _ => {
                     let mut sh = lock_or_recover(&self.shared);
                     sh.suspended_intervals += 1;
-                    sh.flight.note(now.nanos(), "fallback", self.state.runs(), "suspended");
+                    sh.flight.push(occurrence(now, "fallback", self.state.runs(), "suspended"));
                     return;
                 }
             },
@@ -545,9 +547,9 @@ impl Controller {
         sh.degraded_intervals += degraded as u64;
         sh.partial_intervals += partial as u64;
         if degraded {
-            sh.flight.note(now.nanos(), "fallback", seq, "degraded");
+            sh.flight.push(occurrence(now, "fallback", seq, "degraded"));
         }
-        sh.flight.note(now.nanos(), "interval_end", seq, "");
+        sh.flight.push(occurrence(now, "interval_end", seq, ""));
     }
 
     /// Evict receivers silent past `evict_after`, record how many fell and
@@ -649,7 +651,7 @@ impl Controller {
         sh.failover_at.get_or_insert(now);
         sh.failovers += 1;
         sh.acks_sent += acks;
-        sh.flight.note(now.nanos(), "takeover", self.state.runs(), format!("{acks} acks"));
+        sh.flight.push(occurrence(now, "takeover", self.state.runs(), format!("{acks} acks")));
     }
 
     /// Standing-by only: apply one replicated input batch through our own
@@ -717,12 +719,8 @@ impl Controller {
                 let mut sh = lock_or_recover(&self.shared);
                 sh.replica_divergences += 1;
                 sh.replica_quarantined = true;
-                sh.flight.note(
-                    ctx.now().nanos(),
-                    "quarantine",
-                    a.seq,
-                    format!("node {}", a.from.index()),
-                );
+                let node = format!("node {}", a.from.index());
+                sh.flight.push(occurrence(ctx.now(), "quarantine", a.seq, node));
             }
             Some(AckVerdict::Behind) => {
                 // Bring the replica to our current state; it resumes the
@@ -738,7 +736,7 @@ impl Controller {
                 ctx.send_control(a.from, size, body);
                 let mut sh = lock_or_recover(&self.shared);
                 sh.replica_resyncs += 1;
-                sh.flight.note(ctx.now().nanos(), "checkpoint", next_seq, "served");
+                sh.flight.push(occurrence(ctx.now(), "checkpoint", next_seq, "served"));
             }
             None => {} // stale ack outside the window
         }
@@ -753,7 +751,7 @@ impl Controller {
                 self.repl_next_seq = Some(t.next_seq);
                 let mut sh = lock_or_recover(&self.shared);
                 sh.replica_resyncs += 1;
-                sh.flight.note(now.nanos(), "checkpoint", t.next_seq, "applied");
+                sh.flight.push(occurrence(now, "checkpoint", t.next_seq, "applied"));
             }
             _ => {
                 // A corrupt transfer — or one whose `next_seq` disagrees with
@@ -1646,7 +1644,7 @@ mod tests {
         let c = shared.lock().unwrap();
         assert_eq!((c.replica_acks, c.replica_divergences, c.replica_resyncs), (3, 1, 0));
         assert!(c.replica_quarantined);
-        let occurrences = c.flight.occurrences().into_iter();
+        let occurrences = c.flight.items().into_iter();
         let quarantines: Vec<(u64, String)> =
             occurrences.filter(|o| o.kind == "quarantine").map(|o| (o.seq, o.detail)).collect();
         assert_eq!(quarantines, [(3, "node 1".to_string())]);

@@ -1,13 +1,15 @@
 //! Smoke tests for the `inspect` binary's CLI contract: no args or an
 //! unknown subcommand exit 2 with a usage message naming every
-//! subcommand, and every telemetry-trail query, the `blackbox` validator
+//! subcommand, every telemetry-trail query, the `blackbox` validator
 //! and the `snapshot` queries work end-to-end against artifacts recorded
-//! by a real run.
+//! by a real run, and a reader that closes the pipe early ends a query
+//! quietly.
 
 use netsim::SimDuration;
 use scenarios::largetree;
 use scenarios::{run, ControlMode, Scenario};
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 use telemetry::{Blackbox, Occurrence, Record, StageBody, Telemetry};
 use topology::generators;
 use toposense::algorithm::AlgorithmState;
@@ -115,6 +117,10 @@ fn trail_queries_work_against_a_recorded_run() {
     let (session, receiver) = (session.to_string(), receiver.to_string());
     let out = stdout_of(&["trace", trail, "--session", &session, "--receiver", &receiver]);
     assert!(out.contains("(complete)"), "no complete chain rendered:\n{out}");
+    // The pair is given by flag only; the positional form is a usage error.
+    let positional = inspect(&["trace", trail, &session, &receiver]);
+    assert_eq!(positional.status.code(), Some(2), "positional trace must exit 2");
+    assert!(String::from_utf8_lossy(&positional.stderr).contains("usage:"));
     for phase in ["report", "decide", "apply"] {
         assert!(out.contains(phase), "chain output missing the {phase} hop");
     }
@@ -133,6 +139,17 @@ fn trail_queries_work_against_a_recorded_run() {
     // An absent (session, receiver) pair is a hard miss, not silence.
     let miss = inspect(&["trace", trail, "--session", "999", "--receiver", "999"]);
     assert_eq!(miss.status.code(), Some(1));
+
+    // A record that decodes but is not in canonical form fails `validate`,
+    // which names its line.
+    let loose: Vec<String> = (text.lines().enumerate())
+        .map(|(i, l)| if i == 2 { l.replacen(':', ": ", 1) } else { l.to_string() })
+        .collect();
+    std::fs::write(&path, loose.join("\n")).expect("rewrite trail");
+    let bad = inspect(&["validate", trail]);
+    assert_eq!(bad.status.code(), Some(1), "a non-canonical trail must exit 1");
+    let err = String::from_utf8_lossy(&bad.stderr);
+    assert!(err.contains(":3: decode/re-encode mismatch"), "{err}");
 
     let _ = std::fs::remove_file(&path);
 }
@@ -156,6 +173,39 @@ fn counters_prefix_without_a_match_exits_one() {
     let miss = inspect(&["counters", trail, "federation."]);
     assert_eq!(miss.status.code(), Some(1), "a prefix nothing matches must exit 1");
     assert!(miss.stdout.is_empty());
+
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `inspect … | head -1`: the reader takes one line and closes the pipe
+/// while `inspect` still has most of its output to write. That ends the
+/// query with exit 0 and nothing on stderr — no panic from a failed print.
+#[test]
+fn a_closed_pipe_ends_a_query_quietly() {
+    let path =
+        std::env::temp_dir().join(format!("toposense-inspect-pipe-{}.jsonl", std::process::id()));
+    let tel = Telemetry::jsonl_file(&path).expect("create trail file");
+    // About 600 KB of `counters` output, far past the 64 KiB a pipe holds.
+    let entries = (0..20_000).map(|i| (format!("pipe.counter_{i:05}"), i)).collect();
+    tel.emit(&Record::Counters { t_ns: 1_000_000_000, entries });
+    tel.flush();
+    let trail = path.to_str().expect("utf8 temp path");
+
+    let mut child = Command::new(BIN)
+        .args(["counters", trail])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn inspect");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout).read_line(&mut first).expect("read one line");
+    assert!(first.contains("pipe.counter_19999"), "largest first: {first}");
+    // The reader is dropped above, so the pipe is closed now.
+    let out = child.wait_with_output().expect("wait for inspect");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "inspect panicked on a closed pipe:\n{err}");
+    assert_eq!(out.status.code(), Some(0), "a closed pipe must exit 0: {err}");
 
     let _ = std::fs::remove_file(&path);
 }

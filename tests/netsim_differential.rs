@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use netsim::rng::check;
 use netsim::sim::{NetworkBuilder, SimConfig};
-use netsim::trace::TraceEvent;
+use netsim::trace::{Ring, TraceEvent};
 use netsim::{
     App, Ctx, DirLinkId, FaultPlan, GroupId, LinkConfig, LinkStats, NodeId, Packet, QueueBackend,
     SessionId, SimDuration, SimTime,
@@ -103,7 +103,7 @@ fn run_world(
         nodes.push(node);
     }
     let mut sim = nb.build();
-    sim.trace.enable(1 << 20);
+    sim.trace = Ring::new(1 << 20);
     let group = sim.create_group(nodes[0]);
     let delivered = Arc::new(AtomicU64::new(0));
     let mut any_sink = false;
@@ -138,7 +138,7 @@ fn run_world(
         events: sim.events_processed(),
         delivered: delivered.load(Ordering::Relaxed),
         live: sim.packets_live(),
-        trace: sim.trace.events().to_vec(),
+        trace: sim.trace.items(),
         links: (0..net.link_count() as u32).map(|i| net.link(netsim::DirLinkId(i)).stats).collect(),
     }
 }
@@ -324,7 +324,7 @@ fn assert_federated_twin_matches(w: &mut FederatedMediaWorld, until: SimTime) {
     }
     let mut merged = Vec::new();
     for s in 0..shards {
-        for e in w.sharded.shard(s).trace.events() {
+        for e in w.sharded.shard(s).trace.items() {
             merged.push(match e {
                 TraceEvent::Drop { time, link, bytes, reason } => TraceEvent::Drop {
                     time,
@@ -345,7 +345,7 @@ fn assert_federated_twin_matches(w: &mut FederatedMediaWorld, until: SimTime) {
     }
     assert_eq!(
         canonical_trace(merged),
-        canonical_trace(w.oracle.trace.events()),
+        canonical_trace(w.oracle.trace.items()),
         "merged-stream trace fingerprint diverged from the sequential run"
     );
 
