@@ -10,22 +10,23 @@
 //! cumulative rate of the *maximum* level among its downstream receivers
 //! (layers are shared on the tree, not duplicated per receiver).
 
+use netsim::NodeId;
 use topology::spec::TopoSpec;
 use traffic::LayerSpec;
 
 /// One receiver's optimum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OptimalEntry {
-    /// Spec node index of the receiver.
-    pub node: usize,
+    /// The receiver's node.
+    pub node: NodeId,
     pub session: u32,
     pub set: u32,
     /// Optimal subscription level.
     pub level: u8,
 }
 
-/// A directed use of a spec link: `(link index, forward?)` where forward
-/// means the `a -> b` direction.
+/// A directed use of a spec link: `(position in TopoSpec::links, forward?)`
+/// where forward means the `a -> b` direction.
 type DirUse = (usize, bool);
 
 /// Compute the optimal level for every receiver in `spec`, assuming every
@@ -54,15 +55,15 @@ pub fn optimal_levels(spec: &TopoSpec, layer_spec: &LayerSpec, headroom: f64) ->
         sources
             .iter()
             .find(|&&(_, s)| s == session)
-            .map(|&(i, _)| i)
+            .map(|&(n, _)| n.index())
             .unwrap_or_else(|| panic!("no source for session {session}"))
     };
 
     // Adjacency: node -> [(link index, neighbor, forward?)].
     let mut adj: Vec<Vec<(usize, usize, bool)>> = vec![Vec::new(); spec.nodes.len()];
     for (li, l) in spec.links.iter().enumerate() {
-        adj[l.a].push((li, l.b, true));
-        adj[l.b].push((li, l.a, false));
+        adj[l.a.index()].push((li, l.b.index(), true));
+        adj[l.b.index()].push((li, l.a.index(), false));
     }
 
     // BFS path from `from` to `to`, as directed link uses.
@@ -96,7 +97,7 @@ pub fn optimal_levels(spec: &TopoSpec, layer_spec: &LayerSpec, headroom: f64) ->
 
     // Receivers with their paths.
     struct R {
-        node: usize,
+        node: NodeId,
         session: u32,
         set: u32,
         path: Vec<DirUse>,
@@ -110,7 +111,7 @@ pub fn optimal_levels(spec: &TopoSpec, layer_spec: &LayerSpec, headroom: f64) ->
             node,
             session,
             set,
-            path: path(source_of(session), node),
+            path: path(source_of(session), node.index()),
             level: 1,
             frozen: false,
         })
@@ -137,7 +138,7 @@ pub fn optimal_levels(spec: &TopoSpec, layer_spec: &LayerSpec, headroom: f64) ->
     assert!(fits(&receivers), "even base layers do not fit this topology");
 
     // Discrete max-min filling: lowest unfrozen receiver first (ties by
-    // node index for determinism).
+    // receiver order for determinism).
     while let Some(idx) = receivers
         .iter()
         .enumerate()
@@ -174,7 +175,7 @@ mod tests {
         assert_eq!(opt.len(), 6);
         for e in &opt {
             let expect = if e.set == 0 { 2 } else { 4 };
-            assert_eq!(e.level, expect, "set {} receiver at node {}", e.set, e.node);
+            assert_eq!(e.level, expect, "set {} receiver at {:?}", e.set, e.node);
         }
     }
 

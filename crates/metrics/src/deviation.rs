@@ -40,19 +40,13 @@ pub fn relative_deviation(
 }
 
 /// Mean relative deviation over several receivers (the quantity Fig. 8 and
-/// Fig. 10 plot). `pairs` holds `(series, optimal)` per receiver.
+/// Fig. 10 plot), from each receiver's [`relative_deviation`] in order.
 ///
-/// Receivers whose individual deviation is undefined (zero optimum) are
-/// excluded from the mean; returns `None` when no receiver has a defined
-/// deviation — either `pairs` is empty, the window is empty, or every
-/// optimum is zero.
-pub fn mean_relative_deviation(
-    pairs: &[(&StepSeries, u8)],
-    start: SimTime,
-    end: SimTime,
-) -> Option<f64> {
-    let vals: Vec<f64> =
-        pairs.iter().filter_map(|(s, y)| relative_deviation(s, *y, start, end)).collect();
+/// Receivers whose individual deviation is undefined (`None`) are excluded
+/// from the mean; returns `None` when no receiver has a defined deviation —
+/// there are no receivers, the window is empty, or every optimum is zero.
+pub fn mean_relative_deviation(per_receiver: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    let vals: Vec<f64> = per_receiver.into_iter().flatten().collect();
     if vals.is_empty() {
         None
     } else {
@@ -124,7 +118,8 @@ mod tests {
         a.push(t(0), 4); // perfect, dev 0
         let mut b = StepSeries::new();
         b.push(t(0), 2); // optimal 4 -> dev 0.5
-        let m = mean_relative_deviation(&[(&a, 4), (&b, 4)], t(0), t(10)).unwrap();
+        let devs = [&a, &b].map(|s| relative_deviation(s, 4, t(0), t(10)));
+        let m = mean_relative_deviation(devs).unwrap();
         assert!((m - 0.25).abs() < 1e-12);
     }
 
@@ -150,15 +145,16 @@ mod tests {
         let mut a = StepSeries::new();
         a.push(t(0), 2); // optimal 4 -> dev 0.5
         let b = StepSeries::new(); // optimal 0 -> undefined, excluded
-        let m = mean_relative_deviation(&[(&a, 4), (&b, 0)], t(0), t(10)).unwrap();
+        let devs = [(&a, 4), (&b, 0)].map(|(s, y)| relative_deviation(s, y, t(0), t(10)));
+        let m = mean_relative_deviation(devs).unwrap();
         assert!((m - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn mean_of_nothing_is_none() {
-        assert_eq!(mean_relative_deviation(&[], t(0), t(10)), None);
+        assert_eq!(mean_relative_deviation([]), None);
         let s = StepSeries::new();
-        assert_eq!(mean_relative_deviation(&[(&s, 0)], t(0), t(10)), None);
-        assert_eq!(mean_relative_deviation(&[(&s, 3)], t(5), t(5)), None);
+        assert_eq!(mean_relative_deviation([relative_deviation(&s, 0, t(0), t(10))]), None);
+        assert_eq!(mean_relative_deviation([relative_deviation(&s, 3, t(5), t(5))]), None);
     }
 }

@@ -136,6 +136,12 @@ impl Network {
 }
 
 /// Builds the static topology, then freezes it into a [`Simulator`].
+///
+/// Ids are handed out densely in call order, and callers may rely on it:
+/// the `i`-th [`NetworkBuilder::add_node`] returns `NodeId(i)`, and the
+/// `j`-th [`NetworkBuilder::add_link`] returns the back-to-back halves
+/// `(DirLinkId(2j), DirLinkId(2j + 1))`. `topology::TopoSpec` hands out
+/// these ids before the world is built.
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -147,14 +153,15 @@ impl NetworkBuilder {
         NetworkBuilder { nodes: Vec::new(), links: Vec::new(), cfg }
     }
 
-    /// Add a node with a diagnostic label.
+    /// Add a node with a diagnostic label; returns the next [`NodeId`].
     pub fn add_node(&mut self, label: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { label: label.into(), ..Node::default() });
         id
     }
 
-    /// Add a duplex link; returns the two directed halves `(a->b, b->a)`.
+    /// Add a duplex link; returns the two directed halves `(a->b, b->a)`,
+    /// the next two [`DirLinkId`]s.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) -> (DirLinkId, DirLinkId) {
         assert_ne!(a, b, "self-links are not supported");
         let ab = DirLinkId(self.links.len() as u32);

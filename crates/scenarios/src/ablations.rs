@@ -243,7 +243,7 @@ pub(crate) fn estimator(slot: Slot) -> Cell {
             for ((&n, r), trail) in counts.iter().zip(rs).zip(&trails) {
                 let ctrl = r.controller.as_ref().expect("TopoSense mode");
                 let true_cap = n as f64 * 500_000.0;
-                // The shared link is the first spec link: forward half id 0.
+                // The shared link is the first one added: forward half `DirLinkId(0)`.
                 let errors: Vec<f64> = trail
                     .records()
                     .iter()

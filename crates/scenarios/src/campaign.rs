@@ -65,7 +65,7 @@ use crate::largetree::{
 use crate::paper;
 use crate::runner::{self, ControlMode, Scenario, ScenarioResult};
 use metrics::{jain_index, max_min_ratio};
-use netsim::{derive_stream_seed, SimDuration, SimTime};
+use netsim::{derive_stream_seed, DirLinkId, SimDuration, SimTime};
 use serde_json::{json, Value};
 use topology::generators;
 use toposense::algorithm::{AlgorithmInputs, AlgorithmState};
@@ -1019,8 +1019,9 @@ fn het_lastmile(spec: &CampaignSpec) -> Vec<Cell> {
     let duration = SimDuration::from_secs(secs);
     let lastmile = [150.0, 600.0, 2500.0];
     let traffic_axis = [TrafficModel::Cbr, TrafficModel::Vbr { p: 3.0 }];
-    // Spec link 1 is the first leaf's access link (root link is 0).
-    let fault_axis = [FaultAxis::None, FaultAxis::LinkFlap { link: 1 }];
+    // The root's second backbone link, over which a whole subtree hangs
+    // (the first one added is the root's first backbone link).
+    let fault_axis = [FaultAxis::None, FaultAxis::LinkFlap { link: (DirLinkId(2), DirLinkId(3)) }];
     let cfg = spec.base_config();
     let mut cells = Vec::new();
     let mut cell_no = 0u64;
@@ -1167,13 +1168,9 @@ fn judge_mixed(r: &ScenarioResult) -> Verdict {
     for g in gates.iter_mut().filter(|g| g.status == GateStatus::Fail) {
         g.reason += &format!("; session bytes {bytes:?}, mean levels [{}]", levels.join(", "));
     }
-    let fg: Vec<f64> = r
-        .receivers
-        .iter()
-        .filter(|x| x.session == 0)
-        .filter_map(|x| x.relative_deviation(half, end))
-        .collect();
-    let fg_dev = if fg.is_empty() { None } else { Some(fg.iter().sum::<f64>() / fg.len() as f64) };
+    let fg = r.receivers.iter().filter(|x| x.session == 0);
+    let fg_dev =
+        metrics::deviation::mean_relative_deviation(fg.map(|x| x.relative_deviation(half, end)));
     gates.push(Gate::at_most(
         "foreground_deviation",
         fg_dev,

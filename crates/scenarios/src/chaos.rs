@@ -7,8 +7,8 @@
 //! by [`verify_recovery`]: every surviving receiver back within one layer
 //! of its oracle level within a bounded number of control intervals.
 
-use crate::runner::{Scenario, ScenarioResult, SpecFault};
-use netsim::{LinkConfig, SimDuration, SimTime};
+use crate::runner::{Scenario, ScenarioResult};
+use netsim::{DirLinkId, LinkConfig, NodeId, SimDuration, SimTime};
 use topology::generators;
 use topology::spec::{NodeRole, TopoSpec};
 use traffic::TrafficModel;
@@ -29,34 +29,28 @@ pub fn chaos_config() -> toposense::Config {
 }
 
 /// Bottleneck link flap on Topology A: the 150 kb/s `core -> lan0` link
-/// (spec link 1) goes down for 3 s, three times, 15 s apart.
+/// (`DirLinkId` 2 and 3) goes down for 3 s, three times, 15 s apart.
 pub fn link_flap(seed: u64) -> (Scenario, SimTime) {
+    let core_lan0 = (DirLinkId(2), DirLinkId(3));
     let s = Scenario::new(generators::topology_a_default(2), TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(150))
-        .with_fault(SpecFault::LinkFlap {
-            link: 1,
-            first_down: SimTime::from_secs(40),
-            down_for: SimDuration::from_secs(3),
-            period: SimDuration::from_secs(15),
-            repeats: 3,
+        .with_faults(|p| {
+            let secs = SimDuration::from_secs;
+            p.link_flap(core_lan0, SimTime::from_secs(40), secs(3), secs(15), 3)
         });
     // Last down at 70 s, healed 3 s later.
     (s, SimTime::from_secs(73))
 }
 
-/// Router crash on Topology A: the `lan0` router (spec node 2) crashes at
+/// Router crash on Topology A: the `lan0` router (`NodeId(2)`) crashes at
 /// 40 s and restarts at 44 s with empty multicast state — its receivers go
 /// dark until their dead-air repair re-grafts the tree.
 pub fn router_crash(seed: u64) -> (Scenario, SimTime) {
     let s = Scenario::new(generators::topology_a_default(2), TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(150))
-        .with_fault(SpecFault::NodeOutage {
-            node: 2,
-            from: SimTime::from_secs(40),
-            until: SimTime::from_secs(44),
-        });
+        .with_faults(|p| p.node_outage(NodeId(2), SimTime::from_secs(40), SimTime::from_secs(44)));
     (s, SimTime::from_secs(44))
 }
 
@@ -71,7 +65,7 @@ pub fn discovery_outage(seed: u64) -> (Scenario, SimTime) {
 }
 
 /// Partial discovery outage on Topology A: over `[40 s, 60 s)` the tool
-/// answers with the whole `lan1` subtree (spec nodes 5–7) missing, so the
+/// answers with the whole `lan1` subtree (`NodeId` 5–7) missing, so the
 /// controller steers only the receivers it can still see.
 pub fn partial_discovery_outage(seed: u64) -> (Scenario, SimTime) {
     let s = Scenario::new(generators::topology_a_default(2), TrafficModel::Cbr, seed)
@@ -80,107 +74,88 @@ pub fn partial_discovery_outage(seed: u64) -> (Scenario, SimTime) {
         .with_discovery_partial_outage(
             SimTime::from_secs(40),
             SimTime::from_secs(60),
-            vec![5, 6, 7],
+            vec![NodeId(5), NodeId(6), NodeId(7)],
         );
     (s, SimTime::from_secs(60))
 }
 
-/// Topology A with the controller on a dedicated node plus a warm-standby
-/// node, so the controller can crash without killing the source:
+/// Topology A with the controller on a dedicated node (`NodeId(1)`, uplink
+/// `(DirLinkId(2), DirLinkId(3))` with one-way delay `ctl_delay`), so the
+/// controller can crash without killing the source; with `standby`, a
+/// warm-standby host `ctl2` (`NodeId(2)`, uplink `DirLinkId` 4 and 5):
 ///
 /// ```text
 ///   src ---- core ---- [150] lan0 -- 2 receivers
 ///   ctl ----/    \---- [600] lan1 -- 2 receivers
 ///   ctl2 ---/
 /// ```
+fn controller_topo(name: &str, ctl_delay: SimDuration, standby: bool) -> TopoSpec {
+    let fat = || LinkConfig::kbps(100_000.0).with_delay(LATENCY);
+    let thin = |kbps: f64| LinkConfig::kbps(kbps).with_delay(LATENCY);
+    let mut s = TopoSpec::new(name);
+    let src = s.node("src", vec![NodeRole::Source { session: 0 }]);
+    let ctl = s.node("ctl", vec![NodeRole::Controller]);
+    let ctl2 = standby.then(|| s.node("ctl2", vec![NodeRole::Router]));
+    let core = s.node("core", vec![NodeRole::Router]);
+    s.link(src, core, fat());
+    s.link(ctl, core, LinkConfig::kbps(100_000.0).with_delay(ctl_delay));
+    if let Some(ctl2) = ctl2 {
+        s.link(ctl2, core, fat());
+    }
+    for (set, cap) in [(0u32, 150.0), (1u32, 600.0)] {
+        let lan = s.node(format!("lan{set}"), vec![NodeRole::Router]);
+        s.link(core, lan, thin(cap));
+        for r in 0..2 {
+            let rcv = s.node(format!("rcv{set}.{r}"), vec![NodeRole::Receiver { session: 0, set }]);
+            s.link(lan, rcv, fat());
+        }
+    }
+    s
+}
+
+/// The failover plans' world: the controller and a standby host, both on
+/// ordinary uplinks.
 fn failover_topo() -> TopoSpec {
-    let fat = || LinkConfig::kbps(100_000.0).with_delay(LATENCY);
-    let thin = |kbps: f64| LinkConfig::kbps(kbps).with_delay(LATENCY);
-    let mut s = TopoSpec::new("failover-a");
-    let src = s.node("src", vec![NodeRole::Source { session: 0 }]);
-    let ctl = s.node("ctl", vec![NodeRole::Controller]);
-    let ctl2 = s.node("ctl2", vec![NodeRole::Router]);
-    let core = s.node("core", vec![NodeRole::Router]);
-    s.link(src, core, fat());
-    s.link(ctl, core, fat());
-    s.link(ctl2, core, fat());
-    for (set, cap) in [(0u32, 150.0), (1u32, 600.0)] {
-        let lan = s.node(format!("lan{set}"), vec![NodeRole::Router]);
-        s.link(core, lan, thin(cap));
-        for r in 0..2 {
-            let rcv = s.node(format!("rcv{set}.{r}"), vec![NodeRole::Receiver { session: 0, set }]);
-            s.link(lan, rcv, fat());
-        }
-    }
-    s
+    controller_topo("failover-a", LATENCY, true)
 }
 
-/// `failover_topo` with the controller on a *slow* control uplink (3 s
-/// one-way on `ctl — core`): every report reaches the controller 3.4 s
-/// after it was sent, so the controller's first post-restart tick (+2 s)
-/// provably runs before any post-restart report can have arrived.
-fn blackout_topo() -> TopoSpec {
-    let fat = || LinkConfig::kbps(100_000.0).with_delay(LATENCY);
-    let slow = LinkConfig::kbps(100_000.0).with_delay(SimDuration::from_secs(3));
-    let thin = |kbps: f64| LinkConfig::kbps(kbps).with_delay(LATENCY);
-    let mut s = TopoSpec::new("blackout-a");
-    let src = s.node("src", vec![NodeRole::Source { session: 0 }]);
-    let ctl = s.node("ctl", vec![NodeRole::Controller]);
-    let core = s.node("core", vec![NodeRole::Router]);
-    s.link(src, core, fat());
-    s.link(ctl, core, slow);
-    for (set, cap) in [(0u32, 150.0), (1u32, 600.0)] {
-        let lan = s.node(format!("lan{set}"), vec![NodeRole::Router]);
-        s.link(core, lan, thin(cap));
-        for r in 0..2 {
-            let rcv = s.node(format!("rcv{set}.{r}"), vec![NodeRole::Receiver { session: 0, set }]);
-            s.link(lan, rcv, fat());
-        }
-    }
-    s
-}
-
-/// Solo-controller blackout: the only controller (`blackout_topo`'s `ctl`,
-/// spec node 1 — no standby) goes dark from 40 s to 72 s and restarts.
-/// Its uplink (spec link 1) fails for the same window, flushing the
-/// reports already riding the 3 s wire — so the first post-restart tick
-/// at 74 s provably runs before any report can have refreshed a silence
-/// clock (earliest post-heal arrival is ≥ 75 s). The outage (32 s) is
-/// longer than `evict_after` (24 s): only the restart-instant re-anchor
-/// keeps the registry from being evicted wholesale for quiet accrued
-/// during the controller's *own* outage.
+/// Solo-controller blackout: the only controller (`NodeId(1)`, no standby)
+/// goes dark from 40 s to 72 s and restarts. Its uplink is *slow* (3 s one
+/// way), so every report reaches the controller 3.4 s after it was sent,
+/// and it fails for the same window, flushing the reports already riding
+/// the wire — so the first post-restart tick at 74 s provably runs before
+/// any report can have refreshed a silence clock (earliest post-heal
+/// arrival is ≥ 75 s). The outage (32 s) is longer than `evict_after`
+/// (24 s): only the restart-instant re-anchor keeps the registry from being
+/// evicted wholesale for quiet accrued during the controller's *own* outage.
 pub fn controller_blackout(seed: u64) -> (Scenario, SimTime) {
-    let s = Scenario::new(blackout_topo(), TrafficModel::Cbr, seed)
+    let topo = controller_topo("blackout-a", SimDuration::from_secs(3), false);
+    let s = Scenario::new(topo, TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(150))
-        .with_fault(SpecFault::NodeOutage {
-            node: 1,
-            from: SimTime::from_secs(40),
-            until: SimTime::from_secs(72),
-        })
-        .with_fault(SpecFault::LinkOutage {
-            link: 1,
-            from: SimTime::from_secs(40),
-            until: SimTime::from_secs(72),
+        .with_faults(|p| {
+            let ctl_core = (DirLinkId(2), DirLinkId(3));
+            let (from, until) = (SimTime::from_secs(40), SimTime::from_secs(72));
+            p.node_outage(NodeId(1), from, until).link_outage(ctl_core, from, until)
         });
     (s, SimTime::from_secs(72))
 }
 
-/// Controller failover: the primary's node (spec node 1) crashes for good
-/// at 40 s; the warm standby on spec node 2 must take over and keep
+/// Controller failover: the primary's node (`NodeId(1)`) crashes for good
+/// at 40 s; the warm standby on `NodeId(2)` must take over and keep
 /// steering the receivers.
 pub fn controller_failover(seed: u64) -> (Scenario, SimTime) {
     let s = Scenario::new(failover_topo(), TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(150))
-        .with_standby(2)
-        .with_fault(SpecFault::NodeCrash { node: 1, from: SimTime::from_secs(40) });
+        .with_standby(NodeId(2))
+        .with_faults(|p| p.node_crash(NodeId(1), SimTime::from_secs(40)));
     (s, SimTime::from_secs(40))
 }
 
-/// Primary crash *mid-interval*: the primary's node (spec node 1) dies for
+/// Primary crash *mid-interval*: the primary's node (`NodeId(1)`) dies for
 /// good at 41 s — between its 40 s and 42 s ticks, so the interval in
-/// flight is lost along with it. The input-synced standby on spec node 2
+/// flight is lost along with it. The input-synced standby on `NodeId(2)`
 /// (replication on by default) must take over within
 /// `failover_after + interval` and resume the suggestion stream from its
 /// own replicated `AlgorithmState` with zero re-learning.
@@ -188,24 +163,23 @@ pub fn primary_crash_mid_interval(seed: u64) -> (Scenario, SimTime) {
     let s = Scenario::new(failover_topo(), TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(150))
-        .with_standby(2)
-        .with_fault(SpecFault::NodeCrash { node: 1, from: SimTime::from_millis(41_000) });
+        .with_standby(NodeId(2))
+        .with_faults(|p| p.node_crash(NodeId(1), SimTime::from_millis(41_000)));
     (s, SimTime::from_millis(41_000))
 }
 
-/// Replica partition: the standby's uplink (spec link 2, `ctl2 -> core`)
-/// goes down over `[40 s, 50 s)`. The replica misses input batches, falls
+/// Replica partition: the standby's uplink (`ctl2 -> core`, `DirLinkId` 4
+/// and 5) goes down over `[40 s, 50 s)`. The replica misses input batches, falls
 /// behind, and on heal must catch back up through a checkpoint resync —
 /// exercising the `CheckpointTransfer` path end to end over the wire.
 pub fn replica_partition(seed: u64) -> (Scenario, SimTime) {
     let s = Scenario::new(failover_topo(), TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(150))
-        .with_standby(2)
-        .with_fault(SpecFault::LinkOutage {
-            link: 2,
-            from: SimTime::from_secs(40),
-            until: SimTime::from_secs(50),
+        .with_standby(NodeId(2))
+        .with_faults(|p| {
+            let ctl2_core = (DirLinkId(4), DirLinkId(5));
+            p.link_outage(ctl2_core, SimTime::from_secs(40), SimTime::from_secs(50))
         });
     (s, SimTime::from_secs(50))
 }
@@ -215,14 +189,15 @@ pub fn replica_partition(seed: u64) -> (Scenario, SimTime) {
 /// invariants, not the recovery bound (the plan may crash the source or
 /// the controller itself).
 pub fn random_chaos(seed: u64) -> (Scenario, SimTime) {
-    let s = Scenario::new(generators::topology_a_default(2), TrafficModel::Cbr, seed)
+    let topo = generators::topology_a_default(2);
+    let (links, nodes) = (topo.all_links(), topo.all_nodes());
+    let s = Scenario::new(topo, TrafficModel::Cbr, seed)
         .with_config(chaos_config())
         .with_duration(SimDuration::from_secs(180))
-        .with_fault(SpecFault::Chaos {
-            seed: netsim::derive_stream_seed(seed, "chaos-plan", 0),
-            from: SimTime::from_secs(40),
-            until: SimTime::from_secs(100),
-            events: 6,
+        .with_faults(|p| {
+            let plan_seed = netsim::derive_stream_seed(seed, "chaos-plan", 0);
+            let (from, until) = (SimTime::from_secs(40), SimTime::from_secs(100));
+            p.chaos(plan_seed, &links, &nodes, from, until, 6)
         });
     // Chaos outages last at most 10 s past the window's edge.
     (s, SimTime::from_secs(110))
@@ -236,8 +211,8 @@ pub fn random_chaos(seed: u64) -> (Scenario, SimTime) {
 pub enum FaultAxis {
     /// Fault-free control cell.
     None,
-    /// Spec link `link` flaps three times, 3 s down per flap.
-    LinkFlap { link: usize },
+    /// The duplex link `link` flaps three times, 3 s down per flap.
+    LinkFlap { link: (DirLinkId, DirLinkId) },
 }
 
 impl FaultAxis {
@@ -245,7 +220,9 @@ impl FaultAxis {
     pub fn label(&self) -> String {
         match *self {
             FaultAxis::None => "none".into(),
-            FaultAxis::LinkFlap { link } => format!("flap-l{link}"),
+            // The link's place in its topology (`add_link` numbers a duplex
+            // pair's halves back to back), as run ids have always named it.
+            FaultAxis::LinkFlap { link } => format!("flap-l{}", link.0 .0 / 2),
         }
     }
 
@@ -258,13 +235,7 @@ impl FaultAxis {
             FaultAxis::LinkFlap { link } => {
                 let period = SimDuration::from_secs(15);
                 let down = SimDuration::from_secs(3);
-                let s = s.with_fault(SpecFault::LinkFlap {
-                    link,
-                    first_down: third,
-                    down_for: down,
-                    period,
-                    repeats: 3,
-                });
+                let s = s.with_faults(|p| p.link_flap(link, third, down, period, 3));
                 (s, Some(third + period * 2 + down))
             }
         }
@@ -401,10 +372,10 @@ mod tests {
     #[test]
     fn failover_topo_is_well_formed() {
         let t = failover_topo();
-        assert_eq!(t.controller(), 1);
+        assert_eq!(t.controller(), NodeId(1));
         assert_eq!(t.receivers().len(), 4);
-        assert_eq!(t.sources(), vec![(0, 0)]);
-        // Spec node 2 (the standby host) is a plain router.
+        assert_eq!(t.sources(), vec![(NodeId(0), 0)]);
+        // `NodeId(2)` (the standby host) is a plain router.
         assert_eq!(t.nodes[2].roles, vec![NodeRole::Router]);
     }
 
@@ -415,6 +386,7 @@ mod tests {
             router_crash(1),
             discovery_outage(1),
             partial_discovery_outage(1),
+            controller_blackout(1),
             controller_failover(1),
             primary_crash_mid_interval(1),
             replica_partition(1),

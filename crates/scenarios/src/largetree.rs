@@ -260,8 +260,8 @@ pub fn heterogeneous_lastmile(
     let latency = netsim::SimDuration(200 * 1_000_000);
     let fat = netsim::LinkConfig::kbps(100_000.0).with_delay(latency);
     let mut s = TopoSpec::new(format!("het-lastmile/{fanout}x{depth}"));
-    // Spec node indices are handed out in insertion order, so the root is
-    // the walk's node 0 and every `s.node` below returns the walk's `child`.
+    // Node ids are handed out in insertion order, so the root is the walk's
+    // node 0 and every `s.node` below returns the walk's `child`.
     s.node("src", vec![NodeRole::Source { session: 0 }, NodeRole::Controller]);
     let mut leaf_idx = 0usize;
     for (parent, child, level) in balanced_walk(fanout, depth) {
@@ -278,7 +278,7 @@ pub fn heterogeneous_lastmile(
             (format!("t{}.{c}", level - 1), vec![NodeRole::Router], fat)
         };
         let node = s.node(label, roles);
-        s.link(parent, node, cfg);
+        s.link(NodeId(parent as u32), node, cfg);
     }
     s
 }
@@ -709,8 +709,8 @@ mod tests {
             assert_eq!(cap, caps[set as usize] * 1000.0);
         }
         // Buildable into a simulator.
-        let built = s.instantiate(Default::default());
-        assert_eq!(built.sim.network().node_count(), s.nodes.len());
+        let sim = s.instantiate(Default::default());
+        assert_eq!(sim.network().node_count(), s.nodes.len());
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub mod largetree;
 pub mod paper;
 pub mod runner;
 
-pub use runner::{run, ControlMode, ReceiverOutcome, Scenario, ScenarioResult, SpecFault};
+pub use runner::{run, ControlMode, ReceiverOutcome, Scenario, ScenarioResult};

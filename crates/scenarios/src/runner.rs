@@ -34,28 +34,6 @@ pub enum ControlMode {
     Fixed(u8),
 }
 
-/// A fault expressed against **spec** indices (the runner resolves them to
-/// simulator link/node ids at instantiation time).
-#[derive(Clone, Debug)]
-pub enum SpecFault {
-    /// Both directed halves of spec link `link` go down over `[from, until)`.
-    LinkOutage { link: usize, from: SimTime, until: SimTime },
-    /// Periodic flap of spec link `link`.
-    LinkFlap {
-        link: usize,
-        first_down: SimTime,
-        down_for: SimDuration,
-        period: SimDuration,
-        repeats: u32,
-    },
-    /// Spec node `node` crashes at `from` and restarts at `until`.
-    NodeOutage { node: usize, from: SimTime, until: SimTime },
-    /// Spec node `node` crashes at `from` and never comes back.
-    NodeCrash { node: usize, from: SimTime },
-    /// Seeded-random chaos across every link and node of the topology.
-    Chaos { seed: u64, from: SimTime, until: SimTime, events: u32 },
-}
-
 /// A complete experiment description.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -68,14 +46,15 @@ pub struct Scenario {
     pub duration: SimDuration,
     /// IGMP group-leave latency applied network-wide (§V ablation knob).
     pub leave_latency: SimDuration,
-    /// Faults injected into the run (empty = today's fault-free behavior).
-    pub faults: Vec<SpecFault>,
+    /// Faults injected into the run, in the ids `topo` hands out (empty =
+    /// today's fault-free behavior).
+    pub faults: FaultPlan,
     /// Windows where the controller's discovery tool is down entirely.
     pub discovery_outages: Vec<(SimTime, SimTime)>,
-    /// Windows where discovery answers with these spec nodes missing.
-    pub discovery_partial_outages: Vec<(SimTime, SimTime, Vec<usize>)>,
-    /// Spec node hosting a warm-standby controller (TopoSense only).
-    pub standby: Option<usize>,
+    /// Windows where discovery answers with these nodes missing.
+    pub discovery_partial_outages: Vec<(SimTime, SimTime, Vec<NodeId>)>,
+    /// Node hosting a warm-standby controller (TopoSense only).
+    pub standby: Option<NodeId>,
     /// Telemetry handle threaded through the controller and the harvest
     /// pass. Disabled by default; attaching a sink must not change the
     /// simulation (the telemetry determinism test pins this).
@@ -108,7 +87,7 @@ impl Scenario {
             seed,
             duration: SimDuration::from_secs(1200),
             leave_latency: netsim::MulticastConfig::default().leave_latency,
-            faults: Vec::new(),
+            faults: FaultPlan::new(),
             discovery_outages: Vec::new(),
             discovery_partial_outages: Vec::new(),
             standby: None,
@@ -133,12 +112,6 @@ impl Scenario {
         self
     }
 
-    /// Select the simulator's event-queue backend (differential testing).
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue_backend = backend;
-        self
-    }
-
     /// The same scenario with a different seed (for multi-seed sweeps).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -158,9 +131,10 @@ impl Scenario {
         self
     }
 
-    /// Inject a fault into the run (may be called repeatedly).
-    pub fn with_fault(mut self, fault: SpecFault) -> Self {
-        self.faults.push(fault);
+    /// Add faults to the run's plan (may be called repeatedly):
+    /// `s.with_faults(|p| p.node_crash(node, at))`.
+    pub fn with_faults(mut self, add: impl FnOnce(FaultPlan) -> FaultPlan) -> Self {
+        self.faults = add(std::mem::take(&mut self.faults));
         self
     }
 
@@ -170,19 +144,19 @@ impl Scenario {
         self
     }
 
-    /// Discovery answers with the given spec nodes hidden over `[from, until)`.
+    /// Discovery answers with the given nodes hidden over `[from, until)`.
     pub fn with_discovery_partial_outage(
         mut self,
         from: SimTime,
         until: SimTime,
-        hidden_spec_nodes: Vec<usize>,
+        hidden: Vec<NodeId>,
     ) -> Self {
-        self.discovery_partial_outages.push((from, until, hidden_spec_nodes));
+        self.discovery_partial_outages.push((from, until, hidden));
         self
     }
 
-    /// Host a warm-standby controller on spec node `node` (TopoSense only).
-    pub fn with_standby(mut self, node: usize) -> Self {
+    /// Host a warm-standby controller on `node` (TopoSense only).
+    pub fn with_standby(mut self, node: NodeId) -> Self {
         self.standby = Some(node);
         self
     }
@@ -211,9 +185,7 @@ impl Scenario {
 /// One receiver's measurements plus its ground-truth optimum.
 #[derive(Clone, Debug)]
 pub struct ReceiverOutcome {
-    /// Spec node index the receiver sits on.
-    pub spec_node: usize,
-    /// Simulator node id.
+    /// The node the receiver sits on.
     pub node: NodeId,
     /// Simulator app id — the `receiver` field of the run's `"trace"`
     /// records, so chains reconstruct from a [`ScenarioResult`] alone.
@@ -280,18 +252,14 @@ pub struct ScenarioResult {
 
 impl ScenarioResult {
     /// Mean relative deviation across receivers over `[start, end]`
-    /// (the quantity Figs. 8 and 10 plot). `None` when nothing is there
-    /// to average: the scenario had no receivers, the window is empty, or
-    /// every receiver's optimum is zero (undefined receivers are skipped,
-    /// mirroring [`metrics::deviation::mean_relative_deviation`]).
+    /// (the quantity Figs. 8 and 10 plot), by
+    /// [`metrics::deviation::mean_relative_deviation`]. `None` when nothing
+    /// is there to average: the scenario had no receivers, the window is
+    /// empty, or every receiver's optimum is zero.
     pub fn mean_relative_deviation(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        let vals: Vec<f64> =
-            self.receivers.iter().filter_map(|r| r.relative_deviation(start, end)).collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
+        metrics::deviation::mean_relative_deviation(
+            self.receivers.iter().map(|r| r.relative_deviation(start, end)),
+        )
     }
 
     /// `(max change count, mean gap)` over receivers in `[start, end)` —
@@ -373,8 +341,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
         multicast: netsim::MulticastConfig { leave_latency: scenario.leave_latency },
         queue: scenario.queue_backend,
     };
-    let built = topo.instantiate(sim_cfg);
-    let mut sim = built.sim;
+    let mut sim = topo.instantiate(sim_cfg);
 
     // Sessions: dense ids from the source roles.
     let mut sources = topo.sources();
@@ -386,8 +353,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
 
     // One multicast group per layer per session, rooted at the source node.
     let mut catalog = SessionCatalog::new();
-    for &(node_idx, session) in &sources {
-        let root = built.node_ids[node_idx];
+    for &(root, session) in &sources {
         let groups: Vec<GroupId> =
             (0..scenario.layers.layer_count()).map(|_| sim.create_group(root)).collect();
         catalog.add(SessionDef {
@@ -402,14 +368,13 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     // Controller (TopoSense only) — add first so suggestions start early.
     let mut standby_handle = None;
     let controller_handle = if let ControlMode::TopoSense { staleness } = scenario.control {
-        let ctrl_node = built.node_ids[topo.controller()];
+        let ctrl_node = topo.controller();
         let apply_outages = |mut c: Controller| {
             for &(from, until) in &scenario.discovery_outages {
                 c = c.with_discovery_outage(from, until);
             }
             for (from, until, hidden) in &scenario.discovery_partial_outages {
-                let hidden: Vec<NodeId> = hidden.iter().map(|&i| built.node_ids[i]).collect();
-                c = c.with_discovery_partial_outage(*from, *until, hidden);
+                c = c.with_discovery_partial_outage(*from, *until, hidden.clone());
             }
             c
         };
@@ -420,8 +385,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
             derive_stream_seed(scenario.seed, "controller", 0),
         );
         let mut ctrl = apply_outages(ctrl).with_telemetry(scenario.telemetry.clone());
-        if let Some(standby_idx) = scenario.standby {
-            let standby_node = built.node_ids[standby_idx];
+        if let Some(standby_node) = scenario.standby {
             ctrl = ctrl.with_peer(standby_node);
             let (standby, handle) = Controller::new(
                 std::sync::Arc::clone(&catalog),
@@ -446,7 +410,7 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     };
 
     // Sources (per-session traffic overrides apply here).
-    for &(node_idx, session) in &sources {
+    for &(node, session) in &sources {
         let def = catalog.get(SessionId(session)).clone();
         let traffic = scenario
             .session_traffic
@@ -460,14 +424,13 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
             traffic,
             derive_stream_seed(scenario.seed, "source", session as u64),
         );
-        sim.add_app(built.node_ids[node_idx], Box::new(src));
+        sim.add_app(node, Box::new(src));
     }
 
     // Receivers.
     let optima = oracle::optimal_levels(topo, &scenario.layers, 1.0);
-    let mut handles: Vec<(usize, NodeId, netsim::AppId, u32, u32, ReceiverHandle)> = Vec::new();
-    for (i, (node_idx, (session, set))) in topo.receivers().into_iter().enumerate() {
-        let node = built.node_ids[node_idx];
+    let mut handles: Vec<(NodeId, netsim::AppId, u32, u32, ReceiverHandle)> = Vec::new();
+    for (i, (node, (session, set))) in topo.receivers().into_iter().enumerate() {
         let def = catalog.get(SessionId(session)).clone();
         let label = format!("s{session}.r{i}");
         let seed = derive_stream_seed(scenario.seed, "receiver", i as u64);
@@ -496,32 +459,13 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
                 (sim.add_app(node, Box::new(rx)), handle)
             }
         };
-        handles.push((node_idx, node, app, session, set, handle));
+        handles.push((node, app, session, set, handle));
     }
 
-    // Faults: resolve spec indices to simulator ids and install the plan.
-    // An empty plan is not installed at all, keeping fault-free runs on
-    // exactly today's event sequence.
-    let mut plan = FaultPlan::new();
-    for fault in &scenario.faults {
-        plan = match *fault {
-            SpecFault::LinkOutage { link, from, until } => {
-                plan.link_outage(built.link_ids[link], from, until)
-            }
-            SpecFault::LinkFlap { link, first_down, down_for, period, repeats } => {
-                plan.link_flap(built.link_ids[link], first_down, down_for, period, repeats)
-            }
-            SpecFault::NodeOutage { node, from, until } => {
-                plan.node_outage(built.node_ids[node], from, until)
-            }
-            SpecFault::NodeCrash { node, from } => plan.node_crash(built.node_ids[node], from),
-            SpecFault::Chaos { seed, from, until, events } => {
-                plan.chaos(seed, &built.link_ids, &built.node_ids, from, until, events)
-            }
-        };
-    }
-    if !plan.is_empty() {
-        sim.install_faults(&plan);
+    // Faults. An empty plan is not installed at all, keeping fault-free
+    // runs on exactly today's event sequence.
+    if !scenario.faults.is_empty() {
+        sim.install_faults(&scenario.faults);
     }
     let setup_wall_ns = setup_span.elapsed_ns();
     tel.record_span_ns("scenario_setup", setup_wall_ns);
@@ -539,10 +483,10 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
     let receivers: Vec<ReceiverOutcome> = handles
         .into_iter()
         .zip(optima)
-        .map(|((spec_node, node, app, session, set, handle), entry)| {
-            assert_eq!(entry.node, spec_node, "oracle entries follow the receiver order");
+        .map(|((node, app, session, set, handle), entry)| {
+            assert_eq!(entry.node, node, "oracle entries follow the receiver order");
             let stats = handle.lock().unwrap().clone();
-            ReceiverOutcome { spec_node, node, app, session, set, optimal: entry.level, stats }
+            ReceiverOutcome { node, app, session, set, optimal: entry.level, stats }
         })
         .collect();
     let net = sim.network();
@@ -601,13 +545,6 @@ pub fn run(scenario: &Scenario) -> ScenarioResult {
 /// loop would — only faster on multi-core hosts.
 pub fn run_many(scenarios: &[Scenario]) -> Vec<ScenarioResult> {
     netsim::par::map(scenarios.iter(), run)
-}
-
-/// Run the same scenario under each seed in `seeds`, concurrently. Results
-/// are ordered like `seeds`.
-pub fn run_seeds(base: &Scenario, seeds: &[u64]) -> Vec<ScenarioResult> {
-    let scenarios: Vec<Scenario> = seeds.iter().map(|&s| base.clone().with_seed(s)).collect();
-    run_many(&scenarios)
 }
 
 #[cfg(test)]

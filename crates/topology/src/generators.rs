@@ -246,6 +246,7 @@ pub fn star(legs: &[f64]) -> TopoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::NodeId;
 
     #[test]
     fn topology_a_shape() {
@@ -255,7 +256,7 @@ mod tests {
         assert_eq!(s.links.len(), 9);
         assert_eq!(s.receivers().len(), 6);
         assert_eq!(s.sources().len(), 1);
-        assert_eq!(s.controller(), 0);
+        assert_eq!(s.controller(), NodeId(0));
         // Both sets present.
         let sets: Vec<u32> = s.receivers().iter().map(|&(_, (_, set))| set).collect();
         assert_eq!(sets.iter().filter(|&&x| x == 0).count(), 3);
@@ -267,7 +268,7 @@ mod tests {
         let s = topology_b_default(4);
         assert_eq!(s.session_count(), 4);
         assert_eq!(s.receivers().len(), 4);
-        // Shared link (spec link 0) capacity = 4 * 500 kb/s.
+        // The shared link (the first one added) carries 4 * 500 kb/s.
         assert_eq!(s.links[0].config.bandwidth_bps, 2_000_000.0);
         // Controller rides on source 0.
         let ctrl = s.controller();
@@ -278,9 +279,10 @@ mod tests {
     fn figure1_capacities_tell_the_story() {
         let s = figure1();
         // 1 -> 2 fits two layers (96) but not three (224).
-        let c12 = s.capacity_between(1, 2).unwrap();
+        let [n1, n2, n3] = [1, 2, 3].map(NodeId);
+        let c12 = s.capacity_between(n1, n2).unwrap();
         assert!(c12 > 96_000.0 && c12 < 224_000.0);
-        let c23 = s.capacity_between(2, 3).unwrap();
+        let c23 = s.capacity_between(n2, n3).unwrap();
         assert!(c23 > 32_000.0 && c23 < 96_000.0);
     }
 
@@ -290,8 +292,8 @@ mod tests {
         let p = TieredParams::default();
         let s = tiered(&mut rng, p);
         assert!(s.receivers().len() >= 4, "at least 2^2 leaves");
-        let built = s.instantiate(Default::default());
-        assert_eq!(built.sim.network().node_count(), s.nodes.len());
+        let sim = s.instantiate(Default::default());
+        assert_eq!(sim.network().node_count(), s.nodes.len());
         // Last-tier links are slower than first-tier links.
         let first = s.links.first().unwrap().config.bandwidth_bps;
         let last = s.links.last().unwrap().config.bandwidth_bps;
@@ -318,8 +320,8 @@ mod tests {
             assert!(sessions.contains(&sess), "session {sess} unassigned: {sessions:?}");
         }
         // All sources are co-located with the controller at the root node.
-        assert!(s.sources().iter().all(|&(node, _)| node == 0));
-        assert_eq!(s.controller(), 0);
+        assert!(s.sources().iter().all(|&(node, _)| node == NodeId(0)));
+        assert_eq!(s.controller(), NodeId(0));
     }
 
     #[test]

@@ -31,15 +31,22 @@ pub struct NodeSpec {
     pub roles: Vec<NodeRole>,
 }
 
-/// One duplex link of the spec, indexing into [`TopoSpec::nodes`].
+/// One duplex link of the spec, between two of its nodes.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkSpec {
-    pub a: usize,
-    pub b: usize,
+    pub a: NodeId,
+    pub b: NodeId,
     pub config: LinkConfig,
 }
 
 /// A whole topology with roles.
+///
+/// Its ids are the simulator's: [`TopoSpec::node`] and [`TopoSpec::link`]
+/// return the [`NodeId`] and the duplex [`DirLinkId`] pair that
+/// [`TopoSpec::instantiate`] will give the element, because the spec is
+/// built in [`NetworkBuilder`]'s own numbering (node *i* is `NodeId(i)`,
+/// link *j* is `(DirLinkId(2j), DirLinkId(2j + 1))`). Faults, standby hosts
+/// and discovery outages are written in those ids before the world exists.
 #[derive(Clone, Debug)]
 pub struct TopoSpec {
     pub name: String,
@@ -47,13 +54,10 @@ pub struct TopoSpec {
     pub links: Vec<LinkSpec>,
 }
 
-/// A spec instantiated into a simulator.
-pub struct Built {
-    pub sim: Simulator,
-    /// Spec node index -> simulator node id.
-    pub node_ids: Vec<NodeId>,
-    /// Spec link index -> the two directed halves `(a->b, b->a)`.
-    pub link_ids: Vec<(DirLinkId, DirLinkId)>,
+/// The duplex pair [`NetworkBuilder::add_link`] returns for the spec's
+/// `j`-th link.
+fn halves(j: usize) -> (DirLinkId, DirLinkId) {
+    (DirLinkId(2 * j as u32), DirLinkId(2 * j as u32 + 1))
 }
 
 impl TopoSpec {
@@ -61,37 +65,49 @@ impl TopoSpec {
         TopoSpec { name: name.into(), nodes: Vec::new(), links: Vec::new() }
     }
 
-    /// Add a node; returns its spec index.
-    pub fn node(&mut self, label: impl Into<String>, roles: Vec<NodeRole>) -> usize {
+    /// Add a node; returns the id it will have in the simulator.
+    pub fn node(&mut self, label: impl Into<String>, roles: Vec<NodeRole>) -> NodeId {
         self.nodes.push(NodeSpec { label: label.into(), roles });
-        self.nodes.len() - 1
+        NodeId(self.nodes.len() as u32 - 1)
     }
 
-    /// Add a duplex link between spec nodes `a` and `b`.
-    pub fn link(&mut self, a: usize, b: usize, config: LinkConfig) -> usize {
-        assert!(a < self.nodes.len() && b < self.nodes.len(), "link endpoint out of range");
+    /// Add a duplex link between nodes `a` and `b`; returns the directed
+    /// halves `(a->b, b->a)` it will have in the simulator.
+    pub fn link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> (DirLinkId, DirLinkId) {
+        let n = self.nodes.len();
+        assert!(a.index() < n && b.index() < n, "link endpoint out of range");
         self.links.push(LinkSpec { a, b, config });
-        self.links.len() - 1
+        halves(self.links.len() - 1)
     }
 
-    /// Source nodes: `(spec index, session)`.
-    pub fn sources(&self) -> Vec<(usize, u32)> {
+    /// Every node, in the order it was added.
+    pub fn all_nodes(&self) -> Vec<NodeId> {
+        (0..self.nodes.len() as u32).map(NodeId).collect()
+    }
+
+    /// Every link's duplex pair, in the order it was added.
+    pub fn all_links(&self) -> Vec<(DirLinkId, DirLinkId)> {
+        (0..self.links.len()).map(halves).collect()
+    }
+
+    /// Source nodes: `(node, session)`.
+    pub fn sources(&self) -> Vec<(NodeId, u32)> {
         self.roles_of(|r| match r {
             NodeRole::Source { session } => Some(session),
             _ => None,
         })
     }
 
-    /// Receiver nodes: `(spec index, (session, set))`.
-    pub fn receivers(&self) -> Vec<(usize, (u32, u32))> {
+    /// Receiver nodes: `(node, (session, set))`.
+    pub fn receivers(&self) -> Vec<(NodeId, (u32, u32))> {
         self.roles_of(|r| match r {
             NodeRole::Receiver { session, set } => Some((session, set)),
             _ => None,
         })
     }
 
-    /// The controller's spec index (panics if absent or duplicated).
-    pub fn controller(&self) -> usize {
+    /// The controller's node (panics if absent or duplicated).
+    pub fn controller(&self) -> NodeId {
         let v = self.roles_of(|r| if r == NodeRole::Controller { Some(()) } else { None });
         assert_eq!(v.len(), 1, "expected exactly one controller, found {}", v.len());
         v[0].0
@@ -105,26 +121,29 @@ impl TopoSpec {
         ids.len()
     }
 
-    fn roles_of<T>(&self, mut f: impl FnMut(NodeRole) -> Option<T>) -> Vec<(usize, T)> {
+    fn roles_of<T>(&self, mut f: impl FnMut(NodeRole) -> Option<T>) -> Vec<(NodeId, T)> {
         let mut out = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (id, n) in (0..).map(NodeId).zip(&self.nodes) {
             for &r in &n.roles {
                 if let Some(t) = f(r) {
-                    out.push((i, t));
+                    out.push((id, t));
                 }
             }
         }
         out
     }
 
-    /// Instantiate into a simulator.
-    pub fn instantiate(&self, cfg: SimConfig) -> Built {
+    /// Instantiate into a simulator whose every node and link carries the
+    /// id the spec handed out for it.
+    pub fn instantiate(&self, cfg: SimConfig) -> Simulator {
         let mut b = NetworkBuilder::new(cfg);
-        let node_ids: Vec<NodeId> =
-            self.nodes.iter().map(|n| b.add_node(n.label.clone())).collect();
-        let link_ids: Vec<(DirLinkId, DirLinkId)> =
-            self.links.iter().map(|l| b.add_link(node_ids[l.a], node_ids[l.b], l.config)).collect();
-        Built { sim: b.build(), node_ids, link_ids }
+        for (id, n) in (0..).map(NodeId).zip(&self.nodes) {
+            assert_eq!(b.add_node(n.label.clone()), id, "the builder renumbered a node");
+        }
+        for (j, l) in self.links.iter().enumerate() {
+            assert_eq!(b.add_link(l.a, l.b, l.config), halves(j), "the builder renumbered a link");
+        }
+        b.build()
     }
 
     /// Replace the queue discipline on every link (ablation knob for
@@ -136,10 +155,9 @@ impl TopoSpec {
         self
     }
 
-    /// The true capacity (bits/s) of the directed link `a -> b` between two
-    /// spec nodes, if such a link exists. Used by the oracle, never by the
-    /// controller.
-    pub fn capacity_between(&self, a: usize, b: usize) -> Option<f64> {
+    /// The true capacity (bits/s) of the directed link `a -> b`, if such a
+    /// link exists. Used by the oracle, never by the controller.
+    pub fn capacity_between(&self, a: NodeId, b: NodeId) -> Option<f64> {
         self.links
             .iter()
             .find(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
@@ -164,35 +182,19 @@ mod tests {
     #[test]
     fn role_queries() {
         let s = tiny();
-        assert_eq!(s.sources(), vec![(0, 0)]);
-        assert_eq!(s.receivers(), vec![(2, (0, 0))]);
-        assert_eq!(s.controller(), 0);
+        assert_eq!(s.sources(), vec![(NodeId(0), 0)]);
+        assert_eq!(s.receivers(), vec![(NodeId(2), (0, 0))]);
+        assert_eq!(s.controller(), NodeId(0));
         assert_eq!(s.session_count(), 1);
-    }
-
-    #[test]
-    fn instantiation_maps_indices() {
-        let s = tiny();
-        let built = s.instantiate(SimConfig::default());
-        assert_eq!(built.node_ids.len(), 3);
-        assert_eq!(built.link_ids.len(), 2);
-        let net = built.sim.network();
-        assert_eq!(net.node_count(), 3);
-        assert_eq!(net.link_count(), 4); // 2 duplex links
-        assert_eq!(net.node_label(built.node_ids[0]), "src");
-        // Directed halves point the right way.
-        let (ab, ba) = built.link_ids[1];
-        assert_eq!(net.link_tail(ab), built.node_ids[1]);
-        assert_eq!(net.link_head(ab), built.node_ids[2]);
-        assert_eq!(net.link_tail(ba), built.node_ids[2]);
     }
 
     #[test]
     fn capacity_lookup_is_direction_agnostic() {
         let s = tiny();
-        assert_eq!(s.capacity_between(1, 2), Some(100_000.0));
-        assert_eq!(s.capacity_between(2, 1), Some(100_000.0));
-        assert_eq!(s.capacity_between(0, 2), None);
+        let [src, mid, rcv] = [0, 1, 2].map(NodeId);
+        assert_eq!(s.capacity_between(mid, rcv), Some(100_000.0));
+        assert_eq!(s.capacity_between(rcv, mid), Some(100_000.0));
+        assert_eq!(s.capacity_between(src, rcv), None);
     }
 
     #[test]
@@ -208,6 +210,6 @@ mod tests {
     fn bad_link_panics() {
         let mut s = TopoSpec::new("bad");
         let a = s.node("a", vec![]);
-        s.link(a, 5, LinkConfig::kbps(10.0));
+        s.link(a, NodeId(5), LinkConfig::kbps(10.0));
     }
 }

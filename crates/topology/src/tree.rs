@@ -280,7 +280,7 @@ impl SlotQueue {
 
 /// A reusable set of dirty tree slots.
 ///
-/// Built for the incremental recomputation path: membership is an
+/// Made for the incremental recomputation path: membership is an
 /// epoch-stamped array (no per-interval clearing), and the marked slots are
 /// also kept as a list so callers can iterate exactly the dirty slots
 /// without scanning the whole tree. [`DirtySet::begin`] starts a fresh

@@ -51,7 +51,7 @@ fn main() {
         total_dev += dev;
         println!(
             "{:<10} {:>8} {:>12.2} {:>12.4} {:>12.4}",
-            format!("node{}", r.spec_node),
+            format!("node{}", r.node.0),
             r.optimal,
             r.level_series().mean(start, end),
             dev,

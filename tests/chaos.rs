@@ -5,12 +5,12 @@
 //! and a fault-free run must be byte-identical to one carrying an inert
 //! fault plan.
 
-use netsim::{SimDuration, SimTime};
+use netsim::{DirLinkId, SimDuration, SimTime};
 use scenarios::chaos::{
     self, chaos_config, controller_blackout, controller_failover, discovery_outage, link_flap,
     partial_discovery_outage, random_chaos, router_crash, verify_recovery,
 };
-use scenarios::{run, ControlMode, Scenario, SpecFault};
+use scenarios::{run, ControlMode, Scenario};
 use topology::generators;
 use traffic::TrafficModel;
 
@@ -184,10 +184,9 @@ fn fault_free_run_is_byte_identical_with_inert_plan() {
         .with_duration(SimDuration::from_secs(90));
     // The same scenario carrying a plan whose only event fires after the
     // run ends: installing it must not perturb a single event.
-    let inert = base.clone().with_fault(SpecFault::LinkOutage {
-        link: 1,
-        from: SimTime::from_secs(500),
-        until: SimTime::from_secs(510),
+    let core_lan0 = (DirLinkId(2), DirLinkId(3));
+    let inert = base.clone().with_faults(|p| {
+        p.link_outage(core_lan0, SimTime::from_secs(500), SimTime::from_secs(510))
     });
     let a = chaos::fingerprint(&run(&base));
     let b = chaos::fingerprint(&run(&inert));

@@ -245,10 +245,11 @@ fn chaos_plans_are_backend_identical() {
         ("random_chaos", random_chaos),
     ];
     for (name, plan) in plans {
-        let (s, _heal) = plan(7);
-        let wheel =
-            chaos::fingerprint(&run(&s.clone().with_queue_backend(QueueBackend::CalendarWheel)));
-        let heap = chaos::fingerprint(&run(&s.with_queue_backend(QueueBackend::BinaryHeap)));
+        let (mut s, _heal) = plan(7);
+        s.queue_backend = QueueBackend::CalendarWheel;
+        let wheel = chaos::fingerprint(&run(&s));
+        s.queue_backend = QueueBackend::BinaryHeap;
+        let heap = chaos::fingerprint(&run(&s));
         assert_eq!(wheel, heap, "{name}: wheel and heap runs diverged");
     }
 }
@@ -260,7 +261,8 @@ fn parallel_seed_sweep_matches_sequential() {
     let base = Scenario::new(generators::topology_b_default(4), TrafficModel::Vbr { p: 3.0 }, 1)
         .with_duration(SimDuration::from_secs(30));
     let seeds = [11u64, 12, 13, 14];
-    let swept = runner::run_seeds(&base, &seeds);
+    let scenarios: Vec<Scenario> = seeds.iter().map(|&s| base.clone().with_seed(s)).collect();
+    let swept = runner::run_many(&scenarios);
     assert_eq!(swept.len(), seeds.len());
     for (i, r) in swept.iter().enumerate() {
         let solo = run(&base.clone().with_seed(seeds[i]));

@@ -2,7 +2,9 @@
 
 use metrics::StepSeries;
 use netsim::rng::check;
-use netsim::{EventQueue, NodeId, SimTime};
+use netsim::sim::SimConfig;
+use netsim::{EventQueue, FaultKind, FaultPlan, LinkConfig, NodeId, SimTime};
+use std::collections::BTreeMap;
 use topology::Tree;
 use traffic::LayerSpec;
 
@@ -179,6 +181,47 @@ fn oracle_allocations_fit() {
         // breaking some link. Verified indirectly: re-running is stable.
         let again = baselines::oracle::optimal_levels(&spec, &layer_spec, 1.0);
         assert_eq!(optima, again, "seed {seed}");
+    });
+}
+
+/// `TopoSpec` hands out the simulator's ids. On random trees whose links run
+/// in random directions, `instantiate` yields one node per `TopoSpec::node`,
+/// each pair `TopoSpec::link` returned runs `a -> b` and `b -> a`, and a chaos
+/// plan over the spec's ids names only those links and nodes and replays in full.
+#[test]
+fn topo_spec_ids_are_the_simulator_ids() {
+    check("topo_spec_ids_are_the_simulator_ids", 64, |g| {
+        let len = g.range_u64(1, 40) as usize;
+        let mut spec = topology::TopoSpec::new("random-tree");
+        let nodes: Vec<NodeId> = (0..=len).map(|i| spec.node(format!("n{i}"), vec![])).collect();
+        let mut meant = BTreeMap::new();
+        for (i, p) in trees::parents(g, len).into_iter().enumerate() {
+            let (a, b) = if g.chance(0.5) { (p, i + 1) } else { (i + 1, p) };
+            let (ab, ba) = spec.link(nodes[a], nodes[b], LinkConfig::kbps(1000.0));
+            meant.extend([(ab, (nodes[a], nodes[b])), (ba, (nodes[b], nodes[a]))]);
+        }
+        assert_eq!(spec.all_nodes(), nodes);
+        let mut sim = spec.instantiate(SimConfig::default());
+        assert_eq!(sim.network().node_count(), nodes.len());
+        for (i, &n) in nodes.iter().enumerate() {
+            assert_eq!(sim.network().node_label(n), format!("n{i}"));
+        }
+        for (&l, &ends) in &meant {
+            assert_eq!((sim.network().link_tail(l), sim.network().link_head(l)), ends, "{l:?}");
+        }
+        let (t0, t1) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        let plan =
+            FaultPlan::new().chaos(g.range_u64(0, 1 << 20), &spec.all_links(), &nodes, t0, t1, 8);
+        for &(_, kind) in plan.events() {
+            let known = match kind {
+                FaultKind::LinkDown(l) | FaultKind::LinkUp(l) => meant.contains_key(&l),
+                FaultKind::NodeCrash(n) | FaultKind::NodeRestart(n) => nodes.contains(&n),
+            };
+            assert!(known, "{kind:?} names no element of the spec");
+        }
+        sim.install_faults(&plan);
+        sim.run_until(SimTime::from_secs(3));
+        assert_eq!(sim.profile().ev_fault, plan.events().len() as u64);
     });
 }
 

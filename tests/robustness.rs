@@ -45,7 +45,7 @@ fn fig1_toposense_protects_the_innocent_receiver() {
 fn survives_a_transient_background_flood() {
     // A non-conforming unicast flood crosses the bottleneck mid-run; the
     // receiver must shed layers during the flood and recover afterwards.
-    // Built via the low-level API so the flood app can be attached.
+    // Assembled through the low-level API so the flood app can be attached.
     use netsim::sim::{NetworkBuilder, SimConfig};
     use netsim::LinkConfig;
     use std::sync::Arc;

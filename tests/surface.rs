@@ -1,6 +1,8 @@
-//! Source gate. Rule 1: every `pub` item in `crates/*/src` is named by another file, and every
+//! Source gate. Rule 1: every `pub` item in `crates/*/src` is named by another file, every
 //! `pub fn` inside an `impl` is called or pathed there (a field or local of the same name is not
-//! a caller). Rule 2: every crate-root re-export is used through that root outside the crate.
+//! a caller), and every free `pub fn` is pathed, imported or called there, not as a method
+//! (`.name(` calls some type's method of that name). Rule 2: every crate-root re-export is used
+//! through that root outside the crate.
 //! Both scans stop at a file's top-level `#[cfg(test)]`; `shims/*` mirror external APIs and are
 //! out of scope. Four greps follow: library crates read no environment, every manifest
 //! dependency is named by its package's sources, the generator's arithmetic lives only in
@@ -42,6 +44,24 @@ fn calls(hay: &str, name: &str) -> bool {
         let turbofish = after.starts_with("::<");
         before.ends_with('.') && (after.starts_with('(') || turbofish)
             || before.ends_with("::") && (turbofish || !after.starts_with(|c| ident(c) || c == ':'))
+    })
+}
+
+/// True if `hay` reaches the free function `name`: a path `::name`, a `use` statement that names
+/// it, or a call `name(` / `name::<` that is neither a method call `.name(` nor the declaration
+/// `fn name(` of another function.
+fn reaches(hay: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    hay.match_indices(name).any(|(i, _)| {
+        let (before, after) = (&hay[..i], &hay[i + name.len()..]);
+        let in_use = before
+            .rfind("use ")
+            .is_some_and(|u| !before[..u].ends_with(ident) && !before[u..].contains(';'));
+        let bare = !before.ends_with(|c| ident(c) || c == '.') && !before.ends_with("fn ");
+        !after.starts_with(ident)
+            && (before.ends_with("::")
+                || in_use
+                || bare && (after.starts_with('(') || after.starts_with("::<")))
     })
 }
 
@@ -131,7 +151,11 @@ fn hits<S: AsRef<str>>(files: &[(S, S)]) -> Vec<String> {
         for (n, line) in live(text) {
             let Some((kind, name)) = decl(line) else { continue };
             let method = kind == "fn" && in_impl(&lines, n);
-            let used_by = |t: &str| if method { calls(t, name) } else { mentions(t, name) };
+            let used_by = |t: &str| match kind {
+                "fn" if method => calls(t, name),
+                "fn" => reaches(t, name),
+                _ => mentions(t, name),
+            };
             let used = named.iter().any(|(p, t)| *p != path && used_by(t));
             let typed = matches!(kind, "struct" | "enum" | "type" | "trait");
             if !(used || typed && in_signature(&files, own, kind, name)) {
@@ -292,6 +316,20 @@ fn the_rules_flag_what_they_should_and_nothing_else() {
     assert_eq!(hits(&[method, ("src/main.rs", field)]), hit);
     for call in ["s.knob();", "s.knob::<u8>();", "v.map(a::x::S::knob);"] {
         assert!(hits(&[method, ("src/main.rs", &format!("a::x::S;\n{call}"))]).is_empty());
+    }
+    // A free function whose name elsewhere is only some type's method, declared or called, is
+    // not called; a path, a `use` (one line or a group) or a plain call is.
+    let free = ("crates/a/src/x.rs", "pub fn twin(v: &[f64]) -> f64 {\n    v[0]\n}");
+    let hit = ["crates/a/src/x.rs:1: pub fn twin"];
+    let twin = "impl R {\n    pub fn twin(&self) {}\n}\nlet m = r.twin(0, 1);\nlet twin = 2;";
+    assert_eq!(hits(&[free, ("src/main.rs", twin)]), hit);
+    for call in [
+        "a::x::twin(&v);",
+        "use a::x::twin;",
+        "use a::x::{\n    other,\n    twin,\n};",
+        "twin(&v);",
+    ] {
+        assert!(hits(&[free, ("src/main.rs", call)]).is_empty(), "{call}");
     }
 }
 
