@@ -15,13 +15,16 @@
 //!   Schedule and pop are O(1) amortized: an event is filed at the lowest
 //!   level whose current rotation can hold it, cascades toward level 0 as
 //!   the cursor approaches, and is popped by a bitmap scan instead of a
-//!   heap sift. A level-0 slot is sorted by `(time, seq)` the first time
-//!   the cursor reaches it and drains from the back, so even the hundreds
-//!   of same-instant events a symmetric multicast fan-out produces cost
-//!   O(1) per pop. A slot owns a buffer only while it holds entries: a
-//!   drained slot's buffer waits on a spare list for the next empty slot
-//!   to be filed into, so the capacity the wheel retains follows the
-//!   pending events, not the number of slots a run has ever touched.
+//!   heap sift. A level-0 slot is gathered into one buffer and sorted by
+//!   `(time, seq)` the first time a pop is due from it, and drains from
+//!   the back, so even the hundreds of same-instant events a symmetric
+//!   multicast fan-out produces cost O(1) per pop. Slots store their
+//!   entries in page-sized chunks drawn from one pool per wheel: a slot
+//!   holds chunks only while it holds entries, and a drained slot's chunks
+//!   go back to the pool for whichever slot fills next. The memory the
+//!   wheel retains is its pending high-water mark, plus at most one partly
+//!   filled chunk per occupied slot, plus the draining buffer; once the
+//!   pool reaches that mark it never allocates again.
 //! * [`QueueBackend::BinaryHeap`] — the original binary-heap future-event
 //!   list, kept as the **differential oracle**: `tests/netsim_differential.rs`
 //!   proves runs are byte-identical under either backend.
@@ -35,12 +38,13 @@ use crate::packet::PacketId;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::ops::Range;
 
 /// Everything that can happen in the simulated world.
 ///
-/// Variants carry ids only — a full `Event` is 24 bytes, so queue reshuffles
-/// move machine words, not packet structs (payloads live in the
-/// [`crate::packet::PacketSlab`]).
+/// Variants carry ids only — a full `Event` is 16 bytes (32 with the
+/// queue's time and sequence), so queue reshuffles move machine words, not
+/// packet structs (payloads live in the [`crate::packet::PacketSlab`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A link finished serializing the packet at the head of its queue.
@@ -84,7 +88,8 @@ pub struct WheelStats {
     pub cascades: u64,
     /// Entries re-filed by those cascades.
     pub cascaded_entries: u64,
-    /// Level-0 slots sorted lazily on first pop.
+    /// Level-0 slots reached by a pop. Each is sorted once, by the first
+    /// pop that finds its earliest entry due.
     pub lazy_sorts: u64,
     /// Entries filed into the unordered overflow bucket (beyond the wheel
     /// horizon), including re-filings when the bucket respills.
@@ -124,6 +129,26 @@ const GRAN_BITS: u32 = 16;
 const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 6;
+/// Entries per pool chunk: 128 × 32 B is 4 KiB, one page. A slot leaves at
+/// most its tail chunk partly filled, so the slack is bounded by occupied
+/// slots × one page (1.5 MiB if all 384 are occupied), while a chunk is
+/// still long enough that a cascade or gather reads contiguous runs and
+/// follows a `next` index once per page, not once per entry.
+const CHUNK: usize = 128;
+/// End of a chunk list.
+const NIL: u32 = u32::MAX;
+/// What a pool entry holds before a slot first writes it; never read.
+const FILLER: Entry = Entry { time: SimTime::ZERO, seq: 0, event: Event::LinkTxDone(DirLinkId(0)) };
+
+/// An occupied slot's chunks, linked from `head` to `tail` through
+/// `CalendarWheel::next`. Every chunk but the tail is full, so the tail's
+/// fill is the only length a slot keeps, and the one `file` reads.
+#[derive(Clone, Copy, Debug)]
+struct SlotList {
+    head: u32,
+    tail: u32,
+    tail_len: u32,
+}
 
 /// Hierarchical timer wheel. All arithmetic is on raw nanosecond counts.
 ///
@@ -136,25 +161,37 @@ const LEVELS: usize = 6;
 ///   entries beyond the top level's window live in `overflow` (unordered)
 ///   until the cursor comes within the top level's horizon of the bucket's
 ///   earliest time, at which point the bucket respills into the wheel.
-/// * A slot holds an allocation iff it holds entries; the buffers of
-///   drained slots sit, empty, in `spare`.
+/// * Every chunk of the pool is in exactly one list: an occupied slot's
+///   (every chunk full but the tail, which is not empty) or the free list.
+///   The active slot's entries are all in `drain`, and it owns no chunk.
 struct CalendarWheel {
-    /// `LEVELS * SLOTS` buckets; unordered within a slot.
-    slots: Vec<Vec<Entry>>,
+    /// Entry storage for every slot, `CHUNK` entries per chunk: chunk `c`
+    /// is `pool[c * CHUNK..][..CHUNK]`. It grows only when the free list
+    /// is empty, so it stops growing at the pending high-water mark plus
+    /// one partly filled chunk per occupied slot.
+    pool: Vec<Entry>,
+    /// Per pool chunk: the chunk after it in its slot's list or in the
+    /// free list.
+    next: Vec<u32>,
+    /// First free chunk, `NIL` when every chunk is in a slot. Freed chunks
+    /// are reused first (LIFO: still cache-warm).
+    free: u32,
+    /// Each slot's chunks (`level * SLOTS + idx`); read only while the
+    /// slot's occupancy bit is set. Unordered within a slot.
+    lists: Box<[SlotList; LEVELS * SLOTS]>,
     /// Per-level occupancy bitmaps: bit `i` set iff slot `i` is non-empty.
     occupied: [u64; LEVELS],
-    /// Level-0 slots currently held in descending `(time, seq)` order, so
-    /// the earliest entry is at the back and a burst of same-tick events
-    /// (multicast fan-out on a symmetric tree produces hundreds) drains in
-    /// O(1) pops instead of a rescan per pop. An unsorted slot is sorted
-    /// lazily the first time the cursor reaches it; once sorted, inserts
-    /// keep the order by binary search.
-    sorted: u64,
-    /// Level-0 slot currently draining, if any. While it is non-empty it
-    /// provably holds the global minimum (every other slot is a later tick,
-    /// and same-tick inserts merge into it in order), so pops skip the
-    /// per-level candidate scan entirely.
+    /// Level-0 slot currently draining, if any. Its entries sit in `drain`,
+    /// and while it is non-empty it provably holds the global minimum
+    /// (every other slot is a later tick, and same-tick inserts merge into
+    /// it in order), so pops skip the per-level candidate scan entirely.
     active: Option<u8>,
+    /// The active slot's entries in descending `(time, seq)` order, so the
+    /// earliest is at the back and a burst of same-tick events (multicast
+    /// fan-out on a symmetric tree produces hundreds) drains in O(1) pops.
+    /// A level-0 slot is gathered here and sorted once, the first time a
+    /// pop is due from it; inserts into it keep the order by binary search.
+    drain: Vec<Entry>,
     /// Current position in nanoseconds (lower bound on all pending times).
     cursor: u64,
     /// Entries beyond the top level's horizon (~52 simulated days out).
@@ -163,16 +200,14 @@ struct CalendarWheel {
     /// every slow-path pop so the bucket respills the moment its minimum
     /// re-enters the wheel's horizon, not only once the wheel drains.
     overflow_min: u64,
-    /// Buffers of drained slots (a level-0 slot's last pop, an upper
-    /// slot's cascade), most recently released last. A push into an empty
-    /// slot takes the last one (LIFO: still cache-warm), so retained
-    /// capacity follows the pending high-water mark, not the slots a run
-    /// has touched. Every buffer is in a slot or here: never more than
-    /// `LEVELS * SLOTS` in all.
-    spare: Vec<Vec<Entry>>,
     len: usize,
     /// Profiler counters ([`WheelStats`]) — write-only observers.
     stats: WheelStats,
+    /// A refused pop already reached the level-0 slot the next gather will
+    /// take, and counted it in `stats.lazy_sorts`: a slot counts once,
+    /// when a pop first reaches it, whether or not its earliest entry was
+    /// due then.
+    reached: bool,
 }
 
 #[inline]
@@ -183,16 +218,19 @@ fn shift(level: usize) -> u32 {
 impl CalendarWheel {
     fn new() -> Self {
         CalendarWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            pool: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            lists: Box::new([SlotList { head: NIL, tail: NIL, tail_len: 0 }; LEVELS * SLOTS]),
             occupied: [0; LEVELS],
-            sorted: 0,
             active: None,
+            drain: Vec::new(),
             cursor: 0,
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            spare: Vec::new(),
             len: 0,
             stats: WheelStats::default(),
+            reached: false,
         }
     }
 
@@ -205,33 +243,77 @@ impl CalendarWheel {
             if (t >> s).saturating_sub(self.cursor >> s) < SLOTS as u64 {
                 let idx = ((t >> s) & (SLOTS as u64 - 1)) as usize;
                 let bit = 1u64 << idx;
-                let slot = &mut self.slots[level * SLOTS + idx];
+                let slot = level * SLOTS + idx;
                 if self.occupied[level] & bit == 0 {
-                    // An empty slot owns no buffer: take a released one.
-                    if let Some(buf) = self.spare.pop() {
-                        *slot = buf;
-                    }
-                    slot.push(e);
                     self.occupied[level] |= bit;
-                    // Defer sorting to the first pop: a cascading burst
-                    // appends O(1) per entry and gets one sort, instead
-                    // of paying a binary-insert memmove per entry.
-                    if level == 0 {
-                        self.sorted &= !bit;
-                    }
-                } else if level == 0 && self.sorted & bit != 0 {
+                    let c = self.take_chunk();
+                    self.lists[slot] = SlotList { head: c, tail: c, tail_len: 0 };
+                } else if level == 0 && self.active == Some(idx as u8) {
                     let key = (e.time, e.seq);
-                    let pos = slot.partition_point(|x| (x.time, x.seq) > key);
-                    slot.insert(pos, e);
-                } else {
-                    slot.push(e);
+                    let pos = self.drain.partition_point(|x| (x.time, x.seq) > key);
+                    self.drain.insert(pos, e);
+                    return;
+                } else if self.lists[slot].tail_len == CHUNK as u32 {
+                    let c = self.take_chunk();
+                    let list = &mut self.lists[slot];
+                    self.next[list.tail as usize] = c;
+                    *list = SlotList { tail: c, tail_len: 0, ..*list };
                 }
+                // Unsorted append: a cascading burst pays O(1) per entry and
+                // the slot one sort when it is gathered.
+                let list = &mut self.lists[slot];
+                self.pool[list.tail as usize * CHUNK + list.tail_len as usize] = e;
+                list.tail_len += 1;
                 return;
             }
         }
         self.stats.overflow_filed += 1;
         self.overflow_min = self.overflow_min.min(t);
         self.overflow.push(e);
+    }
+
+    /// An empty chunk: the most recently freed one, or a new one at the end
+    /// of the pool.
+    fn take_chunk(&mut self) -> u32 {
+        if self.free == NIL {
+            self.pool.resize(self.pool.len() + CHUNK, FILLER);
+            self.next.push(NIL);
+            return (self.next.len() - 1) as u32;
+        }
+        let c = self.free;
+        self.free = self.next[c as usize];
+        c
+    }
+
+    /// Empty `slot`: hand each chunk's run of `pool` indices to `f`, head
+    /// to tail, and free the chunk once `f` returns.
+    #[inline]
+    fn empty_slot(&mut self, slot: usize, mut f: impl FnMut(&mut Self, Range<usize>)) {
+        let list = self.lists[slot];
+        let mut c = list.head;
+        loop {
+            let start = c as usize * CHUNK;
+            let len = if c == list.tail { list.tail_len as usize } else { CHUNK };
+            f(self, start..start + len);
+            let next = std::mem::replace(&mut self.next[c as usize], self.free);
+            self.free = c;
+            if c == list.tail {
+                return;
+            }
+            c = next;
+        }
+    }
+
+    /// The entries of an occupied slot, one run per chunk, head to tail.
+    fn runs(&self, slot: usize) -> impl Iterator<Item = &[Entry]> + '_ {
+        let list = self.lists[slot];
+        let chunks = std::iter::successors(Some(list.head), move |&c| {
+            (c != list.tail).then(|| self.next[c as usize])
+        });
+        chunks.map(move |c| {
+            let len = if c == list.tail { list.tail_len as usize } else { CHUNK };
+            &self.pool[c as usize * CHUNK..][..len]
+        })
     }
 
     /// Refile the whole overflow bucket; entries still beyond the horizon
@@ -285,20 +367,13 @@ impl CalendarWheel {
         if self.len == 0 {
             return None;
         }
-        // Fast path: the active slot is sorted descending; its back is the
-        // earliest pending entry overall.
+        // Fast path: `drain` is sorted descending; its back is the earliest
+        // pending entry overall.
         if let Some(idx) = self.active {
-            let slot = &mut self.slots[idx as usize];
-            if slot.last().expect("active slot is non-empty").time > deadline {
+            if self.drain.last().expect("active slot is non-empty").time > deadline {
                 return None;
             }
-            let entry = slot.pop().expect("active slot is non-empty");
-            if slot.is_empty() {
-                self.release_level0(idx as usize);
-                self.active = None;
-            }
-            self.len -= 1;
-            return Some(entry);
+            return Some(self.pop_drain(idx));
         }
         loop {
             // Respill the overflow bucket the moment its earliest entry
@@ -351,123 +426,158 @@ impl CalendarWheel {
             self.cursor = self.cursor.max(start);
             let s = shift(level);
             let idx = ((start >> s) & (SLOTS as u64 - 1)) as usize;
+            let slot = level * SLOTS + idx;
             if level == 0 {
-                let bit = 1u64 << idx;
-                let slot = &mut self.slots[idx];
-                if self.sorted & bit == 0 {
-                    // First pop from this slot since an unsorted insert:
-                    // order it descending once, then drain from the back.
-                    slot.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                    self.sorted |= bit;
-                    self.stats.lazy_sorts += 1;
+                // A level-0 slot spans 2^16 ns: if it reaches past the
+                // deadline its earliest entry may not be due, and a refused
+                // pop must leave the slot as it found it.
+                let last = start | ((1 << GRAN_BITS) - 1);
+                if SimTime(last) > deadline {
+                    let earliest = self.runs(slot).flatten().map(|e| e.time);
+                    if earliest.min().expect("candidate slot is non-empty") > deadline {
+                        self.stats.lazy_sorts += u64::from(!self.reached);
+                        self.reached = true;
+                        return None;
+                    }
                 }
-                // A level-0 slot spans 64 ns of granularity: its earliest
-                // entry can still exceed the deadline.
-                if slot.last().expect("candidate slot is non-empty").time > deadline {
-                    return None;
-                }
-                let entry = slot.pop().expect("candidate slot is non-empty");
-                if slot.is_empty() {
-                    self.release_level0(idx);
-                } else {
-                    self.active = Some(idx as u8);
-                }
-                self.len -= 1;
-                return Some(entry);
+                self.gather(slot);
+                self.active = Some(idx as u8);
+                return Some(self.pop_drain(idx as u8));
             }
-            // Cascade the whole slot down now that the cursor reached it;
-            // its buffer is released once the entries are refiled.
-            let mut buf = std::mem::take(&mut self.slots[level * SLOTS + idx]);
+            // Cascade the whole slot down now that the cursor reached it,
+            // freeing each chunk once its entries are refiled. None of them
+            // files back into this slot: they all fit a lower level now.
             self.occupied[level] &= !(1 << idx);
             self.stats.cascades += 1;
-            self.stats.cascaded_entries += buf.len() as u64;
-            for e in buf.drain(..) {
-                self.file(e);
-            }
-            self.spare.push(buf);
+            self.empty_slot(slot, |w, run| {
+                w.stats.cascaded_entries += run.len() as u64;
+                for i in run {
+                    w.file(w.pool[i]);
+                }
+            });
         }
     }
 
-    /// A level-0 slot popped its last entry: clear its bit and hand its
-    /// buffer to `spare`. Once per slot, not per pop, so it stays out of
-    /// the pop path's line.
-    #[cold]
-    #[inline(never)]
-    fn release_level0(&mut self, idx: usize) {
-        self.spare.push(std::mem::take(&mut self.slots[idx]));
-        self.occupied[0] &= !(1u64 << idx);
+    /// Move level-0 `slot`'s entries into `drain`, freeing its chunks, and
+    /// sort them descending so pops come off the back.
+    fn gather(&mut self, slot: usize) {
+        debug_assert!(self.drain.is_empty(), "another slot is still draining");
+        self.empty_slot(slot, |w, run| w.drain.extend_from_slice(&w.pool[run]));
+        self.drain.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+        self.stats.lazy_sorts += u64::from(!self.reached);
+        self.reached = false;
+    }
+
+    /// Pop the back of `drain`; the active slot `idx` empties with it.
+    #[inline]
+    fn pop_drain(&mut self, idx: u8) -> Entry {
+        let entry = self.drain.pop().expect("active slot is non-empty");
+        if self.drain.is_empty() {
+            self.occupied[0] &= !(1u64 << idx);
+            self.active = None;
+        }
+        self.len -= 1;
+        entry
     }
 
     /// The entry `k` pops ahead (`k = 0` is what the next `pop` returns),
-    /// read off the draining slot: it is sorted descending, so pop order is
-    /// back to front. `None` between slots and past the slot's end — the
-    /// entries after that sit in slots no pop has selected or sorted yet.
+    /// read off `drain`: it is sorted descending, so pop order is back to
+    /// front. `None` between slots (`drain` is empty) and past the draining
+    /// slot's end — the entries after that sit in slots no pop has gathered.
     #[inline]
     fn lookahead(&self, k: usize) -> Option<&Entry> {
-        let slot = &self.slots[self.active? as usize];
-        slot.get(slot.len().checked_sub(k + 1)?)
+        self.drain.get(self.drain.len().checked_sub(k + 1)?)
     }
 
-    /// Validate occupancy bitmaps, len accounting, and window bounds
-    /// (test-only: O(slots + pending) per call).
+    /// Validate occupancy bitmaps, chunk lists, len accounting, and window
+    /// bounds (test-only: O(slots + pool) per call).
     #[cfg(test)]
     fn audit(&self) {
-        let mut count = self.overflow.len();
-        for level in 0..LEVELS {
+        assert_eq!(self.pool.len(), self.next.len() * CHUNK, "pool and chunk table desync");
+        let mut owner: Vec<Option<usize>> = vec![None; self.next.len()];
+        let mut claim = |c: u32, list: usize| {
+            let prev = owner[c as usize].replace(list);
+            assert!(prev.is_none(), "chunk {c} in lists {prev:?} and {list}");
+        };
+        let mut count = self.overflow.len() + self.drain.len();
+        for slot in self.chunked_slots() {
+            let (level, idx) = (slot / SLOTS, slot % SLOTS);
             let s = shift(level);
-            for idx in 0..SLOTS {
-                let slot = &self.slots[level * SLOTS + idx];
-                count += slot.len();
-                let bit = self.occupied[level] & (1 << idx) != 0;
-                assert_eq!(bit, !slot.is_empty(), "bitmap desync level={level} idx={idx}");
-                if slot.is_empty() {
-                    assert_eq!(
-                        slot.capacity(),
-                        0,
-                        "empty slot kept its buffer level={level} idx={idx}"
-                    );
+            let list = self.lists[slot];
+            assert!(list.tail_len > 0, "empty tail chunk level={level} idx={idx}");
+            let mut c = list.head;
+            loop {
+                claim(c, slot);
+                if c == list.tail {
+                    break;
                 }
-                for e in slot {
-                    let t = e.time.nanos();
-                    assert!(t >= self.cursor, "entry behind cursor level={level} idx={idx}");
-                    let delta = (t >> s) - (self.cursor >> s);
-                    assert!(
-                        delta < SLOTS as u64,
-                        "entry out of window level={level} idx={idx} delta={delta}"
-                    );
-                    assert_eq!((t >> s) & (SLOTS as u64 - 1), idx as u64, "entry in wrong slot");
-                }
-                if level == 0 && self.sorted & (1 << idx) != 0 {
-                    assert!(
-                        slot.windows(2).all(|w| (w[0].time, w[0].seq) > (w[1].time, w[1].seq)),
-                        "sorted slot out of order idx={idx}"
-                    );
-                }
+                c = self.next[c as usize];
+            }
+            for e in self.runs(slot).flatten() {
+                count += 1;
+                let t = e.time.nanos();
+                assert!(t >= self.cursor, "entry behind cursor level={level} idx={idx}");
+                let delta = (t >> s) - (self.cursor >> s);
+                assert!(
+                    delta < SLOTS as u64,
+                    "entry out of window level={level} idx={idx} delta={delta}"
+                );
+                assert_eq!((t >> s) & (SLOTS as u64 - 1), idx as u64, "entry in wrong slot");
             }
         }
-        assert!(self.spare.iter().all(Vec::is_empty), "spare buffer holds entries");
-        assert!(self.spare.len() <= LEVELS * SLOTS, "more buffers than slots");
+        let mut c = self.free;
+        while c != NIL {
+            claim(c, usize::MAX);
+            c = self.next[c as usize];
+        }
+        assert!(owner.iter().all(Option::is_some), "chunk in no list");
         let min_o = self.overflow.iter().map(|e| e.time.nanos()).min().unwrap_or(u64::MAX);
         assert_eq!(self.overflow_min, min_o, "overflow_min desync");
         if let Some(idx) = self.active {
-            assert!(!self.slots[idx as usize].is_empty(), "active slot is empty");
-            assert!(self.sorted & (1 << idx) != 0, "active slot not sorted");
+            assert!(!self.drain.is_empty(), "active slot is empty");
+            assert!(self.occupied[0] & (1 << idx) != 0, "active slot not occupied");
+            assert!(
+                self.drain.windows(2).all(|w| (w[0].time, w[0].seq) > (w[1].time, w[1].seq)),
+                "drain out of order"
+            );
             assert_eq!((self.cursor >> GRAN_BITS) & (SLOTS as u64 - 1), idx as u64);
+            for e in &self.drain {
+                assert!(e.time.nanos() >= self.cursor, "drained entry behind cursor");
+                assert_eq!(
+                    e.time.nanos() >> GRAN_BITS,
+                    self.cursor >> GRAN_BITS,
+                    "drained entry off the tick"
+                );
+            }
+        } else {
+            assert!(self.drain.is_empty(), "drain holds entries with no active slot");
         }
         assert_eq!(count, self.len, "len desync");
+    }
+
+    /// The slots whose entries sit in pool chunks: the occupied ones but
+    /// the active slot, whose entries are in `drain`.
+    #[cfg(test)]
+    fn chunked_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..LEVELS * SLOTS).filter(|&slot| {
+            let (level, idx) = (slot / SLOTS, slot % SLOTS);
+            self.occupied[level] & (1 << idx) != 0
+                && !(level == 0 && self.active == Some(idx as u8))
+        })
     }
 
     /// O(pending) scan for the earliest time; diagnostics only.
     #[cfg(test)]
     fn peek_time(&self) -> Option<SimTime> {
-        self.slots.iter().flatten().chain(self.overflow.iter()).map(|e| e.time).min()
+        let slotted = self.chunked_slots().flat_map(|slot| self.runs(slot)).flatten();
+        slotted.chain(&self.drain).chain(&self.overflow).map(|e| e.time).min()
     }
 
-    /// Entries the slot buffers and the spare list can hold without
-    /// reallocating — what the wheel retains beyond its pending entries.
+    /// Entries the pool and `drain` can hold without reallocating — what
+    /// the wheel retains for its slots.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
-        self.slots.iter().chain(&self.spare).map(Vec::capacity).sum()
+        self.pool.capacity() + self.drain.capacity()
     }
 }
 
@@ -504,8 +614,9 @@ impl EventQueue {
         EventQueue { backing, scheduled: 0, pending_hwm: 0 }
     }
 
-    /// Pre-size for about `n` concurrently pending events (the simulator
-    /// calls this with links + apps once the topology is frozen).
+    /// Pre-size for about `n` concurrently pending events. On the wheel
+    /// this sizes only the overflow bucket: slots draw on the chunk pool,
+    /// which grows to its own high-water mark and keeps it.
     pub fn reserve(&mut self, n: usize) {
         match &mut self.backing {
             Backing::Wheel(w) => w.overflow.reserve(n.min(1024)),
@@ -616,6 +727,8 @@ mod tests {
     use super::*;
     use crate::rng::RngStream;
     use crate::time::SimDuration;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     const BACKENDS: [QueueBackend; 2] = [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap];
 
@@ -916,6 +1029,118 @@ mod tests {
                 q.pending_hwm()
             );
         }
+    }
+
+    /// Wave shapes `(period ns, burst, singletons)`. The first is a
+    /// `fedpkt_40k` domain shard: an 11,111-way fan-out every 5 ms with a
+    /// few timers out to 300 ms. The other two trade burst size against
+    /// how many far slots the singletons keep occupied.
+    const WAVES: [(u64, u64, u64); 3] =
+        [(5_000_000, 11_111, 3), (2_000_000, 5_000, 8), (20_000_000, 3_000, 20)];
+
+    /// Run waves `range` of `shape`: wave `w` files `burst` entries within
+    /// 2^14 ns of `w * period` and `singletons` more up to 300 ms out, then
+    /// pops everything due by `w * period`. A wave's burst therefore stays
+    /// pending until the next wave pops it, as a fan-out's deliveries do.
+    fn waves(q: &mut EventQueue, rng: &mut RngStream, shape: (u64, u64, u64), range: Range<u64>) {
+        let (period, burst, singletons) = shape;
+        for w in range {
+            let at = w * period;
+            for _ in 0..burst {
+                q.schedule(SimTime(at + rng.range_u64(0, 1 << 14)), timer(w));
+            }
+            for _ in 0..singletons {
+                q.schedule(SimTime(at + rng.range_u64(0, 300_000_000)), timer(w));
+            }
+            while q.pop_due(SimTime(at)).is_some() {}
+        }
+    }
+
+    /// The wheel's retained capacity stays within 4× the pending high-water
+    /// mark over 400 waves. Slot buffers that never shrink and are handed
+    /// on to whichever slot fills next each grow to the largest burst, and
+    /// retained 40–62× the mark on these shapes.
+    #[test]
+    fn retained_capacity_follows_the_pending_mark() {
+        for shape in WAVES {
+            let mut rng = RngStream::derive(0xC0FFEE, "event/waves");
+            let mut q = EventQueue::with_backend(QueueBackend::CalendarWheel);
+            waves(&mut q, &mut rng, shape, 0..400);
+            q.audit();
+            let retained = retained_capacity(&q);
+            assert!(
+                retained <= 4 * q.pending_hwm(),
+                "{shape:?}: {retained} entries retained for a high-water mark of {}",
+                q.pending_hwm()
+            );
+        }
+    }
+
+    /// Counts the allocations (and reallocations) each thread makes, so a
+    /// test reads its own count undisturbed by tests running beside it.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_allocation() {
+        // A const-initialised `Cell` has no destructor: reaching it neither
+        // allocates nor fails, even while the thread is being torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`, so
+    // `System` upholds `GlobalAlloc`'s contract for each of them; counting
+    // touches only a thread-local `Cell` and never re-enters the allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_allocation();
+            // SAFETY: the caller's guarantees for `layout` are `System.alloc`'s.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` was allocated by `System` (every method forwards
+            // to it) with `layout`, as the caller guarantees.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_allocation();
+            // SAFETY: `ptr` was allocated by `System` with `layout`, and the
+            // caller's guarantees for `new_size` are `System.realloc`'s.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+    /// A warm wheel allocates nothing: after 200 waves its storage is at
+    /// its fixed point, and waves 200–400 make no allocation at all. A
+    /// spare list that reuses buffers by recency, not by size, still grew
+    /// buffers on two of these shapes.
+    #[test]
+    fn warm_wheel_allocates_nothing() {
+        for shape in WAVES {
+            let mut rng = RngStream::derive(0xC0FFEE, "event/waves");
+            let mut q = EventQueue::with_backend(QueueBackend::CalendarWheel);
+            waves(&mut q, &mut rng, shape, 0..200);
+            let before = ALLOCATIONS.with(Cell::get);
+            waves(&mut q, &mut rng, shape, 200..400);
+            let made = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(made, 0, "{shape:?}: {made} allocations in waves 200-400");
+        }
+    }
+
+    /// The sizes the chunk pool's page-sized chunks and the run loop's
+    /// word-moving reshuffles rely on.
+    #[test]
+    fn event_and_entry_sizes() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+        assert_eq!(CHUNK * std::mem::size_of::<Entry>(), 4096);
     }
 
     /// Recycled slot buffers under load: same-slot bursts of 1k–10k events

@@ -23,8 +23,9 @@
 //! The top-level entry point is [`Simulator`]; applications implement
 //! [`App`] and interact with the world through [`Ctx`].
 
-// The workspace's one `unsafe` block is `prefetch` below; every other crate
-// and shim forbids unsafe code outright.
+// The workspace's one `unsafe` block outside tests is `prefetch` below (the
+// other is the event queue's test-only counting allocator); every other
+// crate and shim forbids unsafe code outright.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

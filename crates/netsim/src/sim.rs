@@ -436,12 +436,11 @@ impl Simulator {
 
     fn start(&mut self) {
         self.started = true;
-        // Pre-size the hot-path stores from the topology: at steady state
-        // the queue holds at most one LinkTxDone + one LinkDeliver per link
-        // plus one timer per app, and the slab grows with in-network
-        // packets, which the same bound caps.
+        // Pre-size the packet slab from the topology: it grows with
+        // in-network packets, and at steady state those are capped by what
+        // the queue holds — at most one LinkTxDone + one LinkDeliver per
+        // link plus one timer per app.
         let cap = self.net.links.len() + self.apps.len();
-        self.queue.reserve(cap);
         self.slab.reserve(cap);
         for i in 0..self.apps.len() {
             self.dispatch_app(AppId(i as u32), |app, ctx| app.on_start(ctx));
