@@ -591,6 +591,26 @@ mod tests {
         assert_eq!(r.mean_relative_deviation(SimTime::ZERO, SimTime::from_secs(10)), None);
     }
 
+    /// `run` at 10,000 receivers: set-up (the oracle included) is linear
+    /// enough for tier-1. Every bottleneck is a last mile on a fat
+    /// backbone, so each receiver's optimum is the level its own leaf link
+    /// fits — a closed form the oracle does not compute.
+    #[test]
+    fn ten_thousand_receivers_get_their_last_mile_optimum() {
+        let lastmile = [40.0, 110.0, 250.0, 500.0];
+        let topo = crate::largetree::heterogeneous_lastmile(10, 4, &lastmile);
+        let s =
+            Scenario::new(topo, TrafficModel::Cbr, 1).with_duration(SimDuration::from_millis(500));
+        let fits: Vec<u8> =
+            lastmile.iter().map(|kbps| s.layers.level_fitting(kbps * 1000.0)).collect();
+        assert_eq!(fits, [1, 2, 3, 4], "the four classes land on four levels");
+        let r = run(&s);
+        assert_eq!(r.receivers.len(), 10_000);
+        for rec in &r.receivers {
+            assert_eq!(rec.optimal, fits[rec.set as usize], "receiver at {:?}", rec.node);
+        }
+    }
+
     #[test]
     fn rlm_mode_runs_without_controller() {
         let s = Scenario::new(generators::topology_b_default(2), TrafficModel::Cbr, 1)

@@ -156,8 +156,12 @@ fn vbr_two_point_distribution() {
     });
 }
 
-/// The oracle never allocates below the base layer, never above the
-/// max, and its allocation actually fits every link.
+/// The oracle never allocates below the base layer or above the max, its
+/// allocation fits every link, and it is maximal: any receiver below the
+/// max would overflow some link on its path with one more layer. Loads are
+/// computed here from the spec alone: a tiered tree's links run parent to
+/// child, and a directed link carries, per session, the cumulative rate of
+/// the highest level downstream of it.
 #[test]
 fn oracle_allocations_fit() {
     check("oracle_allocations_fit", 64, |g| {
@@ -166,21 +170,71 @@ fn oracle_allocations_fit() {
         let params = topology::generators::TieredParams {
             tiers: 2,
             fanout: (1, 3),
-            top_kbps: 4000.0,
+            top_kbps: g.range_f64(1000.0, 4000.0),
             capacity_decay: 3.0,
         };
-        let spec = topology::generators::tiered(&mut rng, params);
+        let sessions = g.range_u64(1, 4) as usize;
+        let spec = topology::generators::tiered_multisession(&mut rng, params, sessions);
+        let headroom = 1.0 - g.range_f64(0.0, 0.5);
         let layer_spec = LayerSpec::paper_default();
-        let optima = baselines::oracle::optimal_levels(&spec, &layer_spec, 1.0);
+        let optima = baselines::oracle::optimal_levels(&spec, &layer_spec, headroom);
         assert_eq!(optima.len(), spec.receivers().len(), "seed {seed}");
         for e in &optima {
             assert!(e.level >= 1, "seed {seed}: {e:?}");
             assert!(e.level <= layer_spec.max_level(), "seed {seed}: {e:?}");
         }
-        // Greedy max-min is maximal: no receiver can be incremented without
-        // breaking some link. Verified indirectly: re-running is stable.
-        let again = baselines::oracle::optimal_levels(&spec, &layer_spec, 1.0);
-        assert_eq!(optima, again, "seed {seed}");
+
+        // Each receiver's path as spec link positions, walking up from it.
+        let mut up: BTreeMap<NodeId, (NodeId, usize)> = BTreeMap::new();
+        for (j, l) in spec.links.iter().enumerate() {
+            assert!(up.insert(l.b, (l.a, j)).is_none(), "seed {seed}: {:?} has two parents", l.b);
+        }
+        let paths: Vec<Vec<usize>> = optima
+            .iter()
+            .map(|e| {
+                let mut path = Vec::new();
+                let mut cur = e.node;
+                while let Some(&(parent, j)) = up.get(&cur) {
+                    path.push(j);
+                    cur = parent;
+                }
+                path
+            })
+            .collect();
+        // Load of each downward link: Σ over sessions of the cumulative rate
+        // of the session's highest level below it.
+        let loads = |levels: &[u8]| -> Vec<f64> {
+            let mut top: BTreeMap<(usize, u32), u8> = BTreeMap::new();
+            for ((e, path), &level) in optima.iter().zip(&paths).zip(levels) {
+                for &j in path {
+                    let m = top.entry((j, e.session)).or_insert(0);
+                    *m = (*m).max(level);
+                }
+            }
+            let mut load = vec![0.0; spec.links.len()];
+            for (&(j, _), &level) in &top {
+                load[j] += layer_spec.cumulative_rate(level);
+            }
+            load
+        };
+        let fits = |j: usize, load: f64| load <= spec.links[j].config.bandwidth_bps * headroom;
+
+        let levels: Vec<u8> = optima.iter().map(|e| e.level).collect();
+        for (j, &load) in loads(&levels).iter().enumerate() {
+            assert!(fits(j, load), "seed {seed}: link {j} carries {load} b/s: {optima:?}");
+        }
+        for (i, e) in optima.iter().enumerate() {
+            if e.level == layer_spec.max_level() {
+                continue;
+            }
+            let mut more = levels.clone();
+            more[i] += 1;
+            let load = loads(&more);
+            assert!(
+                paths[i].iter().any(|&j| !fits(j, load[j])),
+                "seed {seed}: {e:?} could take one more layer: {optima:?}"
+            );
+        }
     });
 }
 
