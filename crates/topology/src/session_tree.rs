@@ -9,7 +9,6 @@
 use crate::discovery::TopologyView;
 use crate::tree::{DirtySet, Tree, TreeError};
 use netsim::{DirLinkId, GroupId, NodeId, SessionId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The overlay of one session's per-layer trees.
@@ -26,6 +25,9 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct SessionTree(Arc<Overlay>);
 
+/// The `in_link` of a node no edge enters yet (and of the root slot).
+const NO_LINK: DirLinkId = DirLinkId(u32::MAX);
+
 #[derive(Debug)]
 struct Overlay {
     session: SessionId,
@@ -34,7 +36,7 @@ struct Overlay {
     /// (root slot unused).
     max_layer_in: Vec<u8>,
     /// The directed link carrying the session into each slot's node (root
-    /// slot holds a dummy id and must not be read).
+    /// slot holds `NO_LINK` and must not be read).
     in_link: Vec<DirLinkId>,
 }
 
@@ -56,35 +58,39 @@ impl SessionTree {
             .map(|g| g.root)
             .expect("base-layer group missing from topology view");
 
-        let mut max_layer_in: HashMap<NodeId, u8> = HashMap::new();
-        let mut in_link: HashMap<NodeId, DirLinkId> = HashMap::new();
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        // Per-node scratch over the view's id range: the first link seen
+        // into each node (`NO_LINK` until then) and the highest layer
+        // crossing into it. Every active link is one of `view.links`.
+        let (lo, hi) = view
+            .links
+            .iter()
+            .fold((root.0, root.0), |(lo, hi), l| (lo.min(l.to.0), hi.max(l.to.0)));
+        let at = |n: NodeId| (n.0 - lo) as usize;
+        let span = (hi - lo) as usize + 1;
+        let mut in_link = vec![NO_LINK; span];
+        let mut max_layer_in = vec![0u8; span];
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(span);
         for (layer, &gid) in groups.iter().enumerate() {
             let Some(snap) = view.group(gid) else { continue };
             for &lid in &snap.active_links {
                 let lv = view.link(lid).expect("group active on unknown link");
-                match max_layer_in.entry(lv.to) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(layer as u8);
-                        in_link.insert(lv.to, lid);
-                        edges.push((lv.from, lv.to));
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let cur = e.get_mut();
-                        *cur = (*cur).max(layer as u8);
-                    }
+                let i = at(lv.to);
+                if in_link[i] == NO_LINK {
+                    in_link[i] = lid;
+                    edges.push((lv.from, lv.to));
                 }
+                max_layer_in[i] = max_layer_in[i].max(layer as u8);
             }
         }
         let tree = Tree::from_edges(root, &edges)?;
-        // Re-key the per-edge attributes by dense slot. Every key has a
-        // matching edge, so every key is in the tree.
+        // Re-key the per-edge attributes by dense slot. Every non-root node
+        // entered through an edge, so each has its entry.
         let mut max_layer_v = vec![0u8; tree.len()];
-        let mut in_link_v = vec![DirLinkId(u32::MAX); tree.len()];
-        for (&node, &layer) in &max_layer_in {
-            let s = tree.slot_of(node).expect("attributed node missing from tree");
-            max_layer_v[s] = layer;
-            in_link_v[s] = in_link[&node];
+        let mut in_link_v = vec![NO_LINK; tree.len()];
+        for s in 1..tree.len() {
+            let i = at(tree.node_at(s));
+            max_layer_v[s] = max_layer_in[i];
+            in_link_v[s] = in_link[i];
         }
         let overlay = Overlay { session, tree, max_layer_in: max_layer_v, in_link: in_link_v };
         Ok(SessionTree(Arc::new(overlay)))

@@ -6,10 +6,13 @@
 //! simple slice iterations.
 
 use netsim::NodeId;
-use std::collections::HashMap;
 
 /// Sentinel slot meaning "no parent" (only the root carries it).
 const NO_SLOT: u32 = u32::MAX;
+
+/// [`Tree::from_edges`]'s mark for a node that has a parent edge but no
+/// slot yet. No tree reaches `u32::MAX - 1` nodes, so it is never a slot.
+const HAS_PARENT: u32 = u32::MAX - 1;
 
 /// A rooted tree over [`NodeId`]s.
 ///
@@ -27,8 +30,12 @@ pub struct Tree {
     /// Nodes in BFS order from the root (root first); `order[slot]` is the
     /// node occupying `slot`.
     order: Vec<NodeId>,
-    /// `NodeId -> slot`.
-    slot: HashMap<NodeId, u32>,
+    /// The smallest node id in the tree: `slot[id - base]` is the slot of
+    /// node `id`.
+    base: u32,
+    /// `NodeId -> slot` over the tree's id range `base..base + slot.len()`
+    /// (`NO_SLOT` for ids in that range that are not in the tree).
+    slot: Vec<u32>,
     /// Parent slot per slot (`NO_SLOT` for the root).
     parent_slot: Vec<u32>,
     /// CSR child index: children of slot `s` are slots
@@ -53,51 +60,70 @@ impl Tree {
     /// Edges whose parent is unreachable from the root produce
     /// [`TreeError::Disconnected`]; duplicate parents produce
     /// [`TreeError::TwoParents`]. A root-only tree (no edges) is valid.
+    /// The error names the first offending edge in `edges` order. Children
+    /// keep their first-seen order under each parent.
+    ///
+    /// Every table is an array over the id range of `root` and the edges'
+    /// endpoints: a counting sort groups the children by parent (CSR), and
+    /// the BFS runs over that. The cost is O(edges + id range), with a
+    /// fixed number of allocations whatever the size.
     pub fn from_edges(root: NodeId, edges: &[(NodeId, NodeId)]) -> Result<Self, TreeError> {
-        let mut parent = HashMap::with_capacity(edges.len());
-        let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let (lo, hi) = edges.iter().fold((root.0, root.0), |(lo, hi), &(p, c)| {
+            (lo.min(p.0).min(c.0), hi.max(p.0).max(c.0))
+        });
+        let at = |n: NodeId| (n.0 - lo) as usize;
+        let span = (hi - lo) as usize + 1;
+        // `slot` doubles as the "has a parent" mark until the BFS fills it.
+        let mut slot = vec![NO_SLOT; span];
+        // Counting sort of the children by parent: counts, running totals
+        // (the end of each parent's block), then a backwards fill that
+        // leaves `start[p]..start[p + 1]` holding `p`'s children in edge
+        // order.
+        let mut start = vec![0u32; span + 1];
         for &(p, c) in edges {
             if c == root {
                 return Err(TreeError::RootHasParent);
             }
-            if parent.insert(c, p).is_some() {
+            if slot[at(c)] == HAS_PARENT {
                 return Err(TreeError::TwoParents(c));
             }
-            children.entry(p).or_default().push(c);
+            slot[at(c)] = HAS_PARENT;
+            start[at(p)] += 1;
         }
+        for i in 1..=span {
+            start[i] += start[i - 1];
+        }
+        let mut kids = vec![root; edges.len()];
+        for &(p, c) in edges.iter().rev() {
+            start[at(p)] -= 1;
+            kids[start[at(p)] as usize] = c;
+        }
+        let children = |n: NodeId| &kids[start[at(n)] as usize..start[at(n) + 1] as usize];
         // BFS to establish order and check connectivity.
         let mut order = Vec::with_capacity(edges.len() + 1);
         order.push(root);
         let mut i = 0;
         while i < order.len() {
             let n = order[i];
+            slot[at(n)] = i as u32;
             i += 1;
-            if let Some(cs) = children.get(&n) {
-                order.extend(cs.iter().copied());
-            }
+            order.extend_from_slice(children(n));
         }
         if order.len() != edges.len() + 1 {
             // Some edge's subtree never got visited.
-            let unreachable = edges
+            let &(_, unreachable) = edges
                 .iter()
-                .map(|&(_, c)| c)
-                .find(|c| !order.contains(c))
+                .find(|&&(_, c)| slot[at(c)] == HAS_PARENT)
                 .expect("count mismatch implies an unreachable child");
             return Err(TreeError::Disconnected(unreachable));
         }
-        drop(parent);
-        // Dense indexes. BFS appends each node's children as one contiguous
-        // block, so the CSR child index is a prefix sum over child counts in
-        // slot order.
-        let mut slot = HashMap::with_capacity(order.len());
-        for (i, &node) in order.iter().enumerate() {
-            slot.insert(node, i as u32);
-        }
+        // BFS appends each node's children as one contiguous block, so the
+        // CSR child index is a prefix sum over child counts in slot order.
         let mut child_start = Vec::with_capacity(order.len() + 1);
         child_start.push(1u32);
         for &node in &order {
-            let n = children.get(&node).map_or(0, |cs| cs.len());
-            child_start.push(child_start.last().unwrap() + n as u32);
+            let n = children(node).len() as u32;
+            child_start.push(child_start.last().unwrap() + n);
         }
         let mut parent_slot = vec![NO_SLOT; order.len()];
         for s in 0..order.len() {
@@ -105,7 +131,7 @@ impl Tree {
                 parent_slot[c as usize] = s as u32;
             }
         }
-        Ok(Tree { root, order, slot, parent_slot, child_start })
+        Ok(Tree { root, order, base: lo, slot, parent_slot, child_start })
     }
 
     /// The root node.
@@ -125,7 +151,7 @@ impl Tree {
 
     /// Whether `node` is in the tree.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.slot.contains_key(&node)
+        self.slot_of(node).is_some()
     }
 
     /// The parent of `node` (`None` for the root or unknown nodes).
@@ -150,7 +176,11 @@ impl Tree {
     /// The dense slot of `node` — its position in BFS order (`None` for
     /// unknown nodes). Slots are stable for the lifetime of the tree.
     pub fn slot_of(&self, node: NodeId) -> Option<usize> {
-        self.slot.get(&node).map(|&s| s as usize)
+        let i = node.0.checked_sub(self.base)?;
+        match *self.slot.get(i as usize)? {
+            NO_SLOT => None,
+            s => Some(s as usize),
+        }
     }
 
     /// The node occupying `slot` (panics on out-of-range slots).
@@ -354,9 +384,144 @@ impl DirtySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::RngStream;
+    use std::collections::HashMap;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// What the map-based [`Tree::from_edges`] built: its tables, and its
+    /// `NodeId -> slot` map.
+    struct Reference {
+        order: Vec<NodeId>,
+        slot: HashMap<NodeId, u32>,
+        parent_slot: Vec<u32>,
+        child_start: Vec<u32>,
+    }
+
+    /// The map-based [`Tree::from_edges`]: the reference the array-based
+    /// one is checked against.
+    fn reference_from_edges(
+        root: NodeId,
+        edges: &[(NodeId, NodeId)],
+    ) -> Result<Reference, TreeError> {
+        let mut parent = HashMap::with_capacity(edges.len());
+        let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        for &(p, c) in edges {
+            if c == root {
+                return Err(TreeError::RootHasParent);
+            }
+            if parent.insert(c, p).is_some() {
+                return Err(TreeError::TwoParents(c));
+            }
+            children.entry(p).or_default().push(c);
+        }
+        let mut order = Vec::with_capacity(edges.len() + 1);
+        order.push(root);
+        let mut i = 0;
+        while i < order.len() {
+            let n = order[i];
+            i += 1;
+            if let Some(cs) = children.get(&n) {
+                order.extend(cs.iter().copied());
+            }
+        }
+        if order.len() != edges.len() + 1 {
+            let unreachable = edges
+                .iter()
+                .map(|&(_, c)| c)
+                .find(|c| !order.contains(c))
+                .expect("count mismatch implies an unreachable child");
+            return Err(TreeError::Disconnected(unreachable));
+        }
+        let slot: HashMap<NodeId, u32> =
+            order.iter().enumerate().map(|(i, &node)| (node, i as u32)).collect();
+        let mut child_start = Vec::with_capacity(order.len() + 1);
+        child_start.push(1u32);
+        for &node in &order {
+            let n = children.get(&node).map_or(0, |cs| cs.len());
+            child_start.push(child_start.last().unwrap() + n as u32);
+        }
+        let mut parent_slot = vec![NO_SLOT; order.len()];
+        for s in 0..order.len() {
+            for c in child_start[s]..child_start[s + 1] {
+                parent_slot[c as usize] = s as u32;
+            }
+        }
+        Ok(Reference { order, slot, parent_slot, child_start })
+    }
+
+    /// A random edge list over ids `base..base + 40`: a random tree,
+    /// shuffled, then (sometimes) broken by a duplicate child, an edge
+    /// into the root, an orphan edge or a two-node cycle.
+    fn random_edges(g: &mut RngStream) -> (NodeId, Vec<(NodeId, NodeId)>) {
+        let base = g.range_u64(0, 1_000) as u32;
+        let size = g.range_u64(1, 40) as u32;
+        // A random permutation of the ids: ids[0] is the root.
+        let mut ids: Vec<u32> = (base..base + 40).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, g.range_u64(0, i as u64 + 1) as usize);
+        }
+        let root = n(ids[0]);
+        let mut edges: Vec<(NodeId, NodeId)> = (1..size as usize)
+            .map(|i| (n(ids[g.range_u64(0, i as u64) as usize]), n(ids[i])))
+            .collect();
+        let outside = |g: &mut RngStream| n(ids[g.range_u64(size as u64, 40) as usize]);
+        let inside = |g: &mut RngStream| n(ids[g.range_u64(0, size as u64) as usize]);
+        match g.range_u64(0, 6) {
+            0 if size > 1 => {
+                let c = n(ids[g.range_u64(1, size as u64) as usize]);
+                edges.push((inside(g), c));
+            }
+            1 => edges.push((inside(g), root)),
+            2 if size < 40 => {
+                let (p, c) = (outside(g), outside(g));
+                if p != c {
+                    edges.push((p, c));
+                }
+            }
+            3 if size < 39 => {
+                let (a, b) = (outside(g), outside(g));
+                if a != b {
+                    edges.extend([(a, b), (b, a)]);
+                }
+            }
+            _ => {}
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, g.range_u64(0, i as u64 + 1) as usize);
+        }
+        (root, edges)
+    }
+
+    #[test]
+    fn from_edges_equals_the_map_based_reference() {
+        let (mut valid, mut invalid) = (0, 0);
+        netsim::rng::check("tree/from_edges_reference", 500, |g| {
+            let (root, edges) = random_edges(g);
+            match (Tree::from_edges(root, &edges), reference_from_edges(root, &edges)) {
+                (Ok(t), Ok(r)) => {
+                    valid += 1;
+                    assert_eq!(t.order, r.order);
+                    assert_eq!(t.child_start, r.child_start);
+                    assert_eq!(t.parent_slot, r.parent_slot);
+                    let hi = r.order.iter().map(|x| x.0).max().unwrap();
+                    let lo = r.order.iter().map(|x| x.0).min().unwrap();
+                    for id in lo.saturating_sub(1)..=hi + 1 {
+                        let want = r.slot.get(&n(id)).map(|&s| s as usize);
+                        assert_eq!(t.slot_of(n(id)), want, "slot of {id}");
+                    }
+                }
+                (Err(e), Err(r)) => {
+                    invalid += 1;
+                    assert_eq!(e, r, "edges {edges:?}");
+                }
+                (t, r) => panic!("edges {edges:?}: {:?} vs {:?}", t.err(), r.err()),
+            }
+        });
+        // Both sides of the comparison were exercised.
+        assert!(valid > 100 && invalid > 100, "{valid} valid, {invalid} invalid");
     }
 
     /// The Fig. 1 tree: 0 -> 1, 1 -> {2, 5}, 2 -> {3, 4}.

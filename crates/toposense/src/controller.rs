@@ -38,11 +38,12 @@ use crate::messages::{
     CheckpointTransfer, Deregister, Heartbeat, Register, RegisterAck, ReplicaAck, ReplicateInputs,
     Report, Suggestion,
 };
+use crate::receiver_table::ReceiverTable;
 use crate::replication::{fingerprint_outputs, AckVerdict, ReplicaTracker};
 use crate::sync::lock_or_recover;
 use netsim::trace::Ring;
 use netsim::{App, AppId, ControlBody, Ctx, NodeId, SessionId, SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use telemetry::{IntervalAudit, Occurrence, Record, Telemetry};
 use topology::discovery::{DiscoveryTool, SnapshotError, TopologyView};
@@ -200,10 +201,10 @@ pub struct Controller {
     cfg: Config,
     state: AlgorithmState,
     discovery: DiscoveryTool,
-    /// The receiver table: one entry per registered receiver, walked in
-    /// `AppId` order so nothing downstream depends on arrival order
-    /// (determinism).
-    receivers: BTreeMap<AppId, ReceiverEntry>,
+    /// The receiver table: one entry per registered receiver, found by
+    /// `AppId` in O(1) and walked in `AppId` order so nothing downstream
+    /// depends on arrival order (determinism).
+    receivers: ReceiverTable<ReceiverEntry>,
     /// Reports received but not yet *visible*: the paper's staleness knob
     /// ages "topology and loss information", so reports pass through the
     /// same delay as discovery snapshots.
@@ -262,7 +263,7 @@ impl Controller {
             cfg,
             state: AlgorithmState::new(cfg, seed),
             discovery: DiscoveryTool::new(staleness),
-            receivers: BTreeMap::new(),
+            receivers: ReceiverTable::new(),
             inbox: VecDeque::new(),
             domain: None,
             outbox: Vec::new(),
@@ -361,7 +362,7 @@ impl Controller {
             // it aged is dropped: folded in, it would open a window no
             // interval consumes and hand a later registration of the same
             // id the old loss counts.
-            let Some(e) = self.receivers.get_mut(&r.receiver) else { continue };
+            let Some(e) = self.receivers.get_mut(r.receiver) else { continue };
             if self.telemetry.is_enabled() {
                 // First hop of the causal chain: the report became visible
                 // to this interval. t_ns is the window close, so the chain
@@ -430,9 +431,10 @@ impl Controller {
         let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after());
         let mut registry = Vec::with_capacity(self.receivers.len());
         let mut reports = Vec::with_capacity(self.receivers.len());
-        for (&app, e) in self.receivers.iter_mut() {
+        let max_age = self.cfg.interval * 2;
+        self.receivers.for_each_mut(|app, e| {
             if e.last_heard < quarantine_cutoff {
-                continue;
+                return;
             }
             registry.push((app, e.node, e.session));
             if let Some(p) = e.window.take() {
@@ -449,11 +451,11 @@ impl Controller {
                 e.last_known = Some((now, r));
                 reports.push(r);
             } else if let Some((t, r)) = e.last_known {
-                if now.since(t) <= self.cfg.interval * 2 {
+                if now.since(t) <= max_age {
                     reports.push(r);
                 }
             }
-        }
+        });
 
         // 3. Overlay the session trees and run the algorithm. With
         // telemetry attached, what the run left in its buffers is then
@@ -481,7 +483,7 @@ impl Controller {
         // suggestions at a congested link every single interval.
         self.outbox.clear();
         for s in &outputs.suggestions {
-            let Some(e) = self.receivers.get(&s.receiver) else { continue };
+            let Some(e) = self.receivers.get(s.receiver) else { continue };
             if self.telemetry.is_enabled() {
                 self.telemetry.emit(&Record::Trace {
                     seq,
@@ -554,15 +556,19 @@ impl Controller {
 
     /// Evict receivers silent past `evict_after`, record how many fell and
     /// refresh the population gauges — here, so that no early return of
-    /// [`Self::tick`] can lose them.
+    /// [`Self::tick`] can lose them. One pass evicts and counts the
+    /// quarantined.
     fn sweep_silent(&mut self, now: SimTime) {
         let evict_cutoff = now.saturating_sub(self.cfg.evict_after());
-        let before = self.receivers.len();
-        self.receivers.retain(|_, e| e.last_heard >= evict_cutoff);
-        let evicted = (before - self.receivers.len()) as u64;
         let quarantine_cutoff = now.saturating_sub(self.cfg.quarantine_after());
-        let quarantined =
-            self.receivers.values().filter(|e| e.last_heard < quarantine_cutoff).count();
+        let before = self.receivers.len();
+        let mut quarantined = 0;
+        self.receivers.retain(|e| {
+            let keep = e.last_heard >= evict_cutoff;
+            quarantined += usize::from(keep && e.last_heard < quarantine_cutoff);
+            keep
+        });
+        let evicted = (before - self.receivers.len()) as u64;
         let mut sh = lock_or_recover(&self.shared);
         sh.evicted += evicted;
         sh.registered = self.receivers.len();
@@ -641,12 +647,12 @@ impl Controller {
         // their reports, and restart their silence clocks — nobody gets
         // evicted for quiet accrued while we were passive.
         let acks = self.receivers.len() as u64;
-        for (&app, e) in self.receivers.iter_mut() {
+        let controller = ctx.node_id();
+        self.receivers.for_each_mut(|app, e| {
             e.last_heard = now;
-            let ack: ControlBody =
-                Arc::new(RegisterAck { receiver: app, controller: ctx.node_id(), time: now });
+            let ack: ControlBody = Arc::new(RegisterAck { receiver: app, controller, time: now });
             ctx.send_control(e.node, RegisterAck::WIRE_SIZE, ack);
-        }
+        });
         let mut sh = lock_or_recover(&self.shared);
         sh.failover_at.get_or_insert(now);
         sh.failovers += 1;
@@ -792,8 +798,8 @@ impl App for Controller {
         }
         if let Some(r) = packet.control_as::<Register>() {
             let now = ctx.now();
-            let admitted = ReceiverEntry::new(r.node, r.session, now);
-            let e = self.receivers.entry(r.receiver).or_insert(admitted);
+            let admitted = || ReceiverEntry::new(r.node, r.session, now);
+            let e = self.receivers.get_or_insert_with(r.receiver, admitted);
             (e.node, e.session, e.last_heard) = (r.node, r.session, now);
             if self.active {
                 lock_or_recover(&self.shared).acks_sent += 1;
@@ -812,7 +818,7 @@ impl App for Controller {
             return;
         }
         if let Some(d) = packet.control_as::<Deregister>() {
-            self.receivers.remove(&d.receiver);
+            self.receivers.remove(d.receiver);
             if self.active {
                 if let Some(peer) = self.peer {
                     ctx.send_control(peer, Deregister::WIRE_SIZE, Arc::new(d.clone()));
@@ -823,8 +829,9 @@ impl App for Controller {
         if let Some(r) = packet.control_as::<Report>() {
             // Registration can be lost; a report is as good an announcement
             // (and also lifts an eviction or quarantine).
-            let admitted = ReceiverEntry::new(r.node, r.session, ctx.now());
-            self.receivers.entry(r.receiver).or_insert(admitted).last_heard = ctx.now();
+            let now = ctx.now();
+            let admitted = || ReceiverEntry::new(r.node, r.session, now);
+            self.receivers.get_or_insert_with(r.receiver, admitted).last_heard = now;
             // The counters are the receiver's word, so bound them where they
             // enter: 4 G packets in one window is beyond any link here, and
             // it keeps every later sum (the window fold, a domain summary
@@ -887,9 +894,7 @@ impl App for Controller {
         // queued for it rather than send stale suggestions.
         self.outbox.clear();
         self.inbox.clear();
-        for e in self.receivers.values_mut() {
-            e.window = None;
-        }
+        self.receivers.for_each_mut(|_, e| e.window = None);
         // The interval in flight died with the crash; its cached inputs are
         // unreliable, so the next run starts cold.
         self.state.invalidate();
@@ -913,9 +918,7 @@ impl App for Controller {
             // outage longer than `evict_after`, evict — receivers for
             // quiet accrued during our own outage.
             let now = ctx.now();
-            for e in self.receivers.values_mut() {
-                e.last_heard = now;
-            }
+            self.receivers.for_each_mut(|_, e| e.last_heard = now);
         }
         ctx.set_timer(self.cfg.interval, TOKEN_TICK);
     }

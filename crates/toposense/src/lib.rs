@@ -40,6 +40,7 @@ pub mod federation;
 pub mod history;
 pub mod messages;
 pub mod receiver;
+mod receiver_table;
 pub mod replication;
 pub mod stages;
 pub mod sync;
