@@ -725,10 +725,9 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting_alloc::allocations;
     use crate::rng::RngStream;
     use crate::time::SimDuration;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
 
     const BACKENDS: [QueueBackend; 2] = [QueueBackend::CalendarWheel, QueueBackend::BinaryHeap];
 
@@ -1076,47 +1075,6 @@ mod tests {
         }
     }
 
-    /// Counts the allocations (and reallocations) each thread makes, so a
-    /// test reads its own count undisturbed by tests running beside it.
-    struct CountingAlloc;
-
-    thread_local! {
-        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn count_allocation() {
-        // A const-initialised `Cell` has no destructor: reaching it neither
-        // allocates nor fails, even while the thread is being torn down.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`, so
-    // `System` upholds `GlobalAlloc`'s contract for each of them; counting
-    // touches only a thread-local `Cell` and never re-enters the allocator.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            count_allocation();
-            // SAFETY: the caller's guarantees for `layout` are `System.alloc`'s.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` was allocated by `System` (every method forwards
-            // to it) with `layout`, as the caller guarantees.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            count_allocation();
-            // SAFETY: `ptr` was allocated by `System` with `layout`, and the
-            // caller's guarantees for `new_size` are `System.realloc`'s.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: CountingAlloc = CountingAlloc;
-
     /// A warm wheel allocates nothing: after 200 waves its storage is at
     /// its fixed point, and waves 200–400 make no allocation at all. A
     /// spare list that reuses buffers by recency, not by size, still grew
@@ -1127,9 +1085,9 @@ mod tests {
             let mut rng = RngStream::derive(0xC0FFEE, "event/waves");
             let mut q = EventQueue::with_backend(QueueBackend::CalendarWheel);
             waves(&mut q, &mut rng, shape, 0..200);
-            let before = ALLOCATIONS.with(Cell::get);
+            let before = allocations();
             waves(&mut q, &mut rng, shape, 200..400);
-            let made = ALLOCATIONS.with(Cell::get) - before;
+            let made = allocations() - before;
             assert_eq!(made, 0, "{shape:?}: {made} allocations in waves 200-400");
         }
     }

@@ -24,8 +24,9 @@
 //! [`App`] and interact with the world through [`Ctx`].
 
 // The workspace's one `unsafe` block outside tests is `prefetch` below (the
-// other is the event queue's test-only counting allocator); every other
-// crate and shim forbids unsafe code outright.
+// other is the test-only counting allocator this crate's tests include
+// from `tests/counting_alloc`); every other crate and shim forbids unsafe
+// code outright.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -91,3 +92,9 @@ pub(crate) fn prefetch<T>(r: &T) {
     #[cfg(not(target_arch = "x86_64"))]
     let _ = r;
 }
+
+// Test builds count each thread's allocations with the workspace's one
+// counting allocator, which the root package's allocation pins share.
+#[cfg(test)]
+#[path = "../../../tests/counting_alloc/mod.rs"]
+mod counting_alloc;

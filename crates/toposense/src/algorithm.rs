@@ -12,7 +12,7 @@ use crate::history::{BwEquality, CongestionHistory, BW_EQUAL_TOLERANCE};
 use crate::stages::bottleneck;
 use crate::stages::capacity::{CapacityEstimator, CapacityEvent, SessionLinkObs};
 use crate::stages::congestion::{self, LeafObs, NodeState};
-use crate::stages::sharing::{self, SharingScratch};
+use crate::stages::sharing::{self, Crossings, SharingScratch};
 use crate::stages::subscription::{self, BackoffTable, NodeInputs};
 use netsim::{AppId, DirLinkId, NodeId, RngStream, SessionId, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -281,13 +281,10 @@ struct IncCache {
     /// Per report: `(session index, slot)` it folds into, or
     /// `(u32::MAX, u32::MAX)` when unattributable (node outside the tree).
     report_target: Vec<(u32, u32)>,
-    /// One `(link, session index, slot)` row per non-root slot, stably
-    /// sorted by link, so stage 2 can rebuild any link's observation run
-    /// from current states without re-sorting.
-    usage: Vec<(DirLinkId, u32, u32)>,
-    /// Every link any session crosses, sorted (dedup of `usage`'s link
-    /// column).
-    crossed_links: Vec<DirLinkId>,
+    /// Which sessions cross each link, and at which slot: stage 2's
+    /// observation runs, the sessions stages 3 and 4 recompute, and the
+    /// crossed links `emit` reports estimates for.
+    crossings: Crossings,
     sessions: Vec<SessionCache>,
     carry: Carry,
 }
@@ -304,6 +301,9 @@ struct Changes {
     trees: Vec<u32>,
     /// Stage 2: links whose estimate moved, sorted.
     caps: Vec<DirLinkId>,
+    /// Stage 3: the new trees and the sessions crossing a link in `caps`,
+    /// ascending. Stages 3 and 4 recompute them.
+    stale: Vec<u32>,
     /// Stage 4: sessions whose allowances were refreshed, ascending.
     refreshed: Vec<u32>,
     /// Stage 2's estimator events (a cold start's reset pass first), in
@@ -647,8 +647,8 @@ impl AlgorithmState {
     /// Cold start: flush the dense memories, then rebuild every cached
     /// input and resize every per-slot buffer from `inputs`, and do the
     /// two things only a cold start does: the estimator's reset pass
-    /// (logged into `Changes::cap_events`) and the rebuild of stage 4's
-    /// link-crossing table. The interval then enters with
+    /// (logged into `Changes::cap_events`) and forgetting stage 4's
+    /// shares. The interval then enters with
     /// `Changes::all()`: every slot's reports moved and every tree is new.
     fn prime_cache(&mut self, inputs: &AlgorithmInputs<'_>) {
         self.sync_memories();
@@ -727,18 +727,7 @@ impl AlgorithmState {
             sc.branches.resize(t.len(), "");
         }
 
-        // One row per non-root slot, stably sorted by link: each link's
-        // rows are contiguous and keep tree order — the per-link
-        // observation lists stage 2 estimates from.
-        c.usage.clear();
-        for (k, tree) in inputs.trees.iter().enumerate() {
-            c.usage
-                .extend((1..tree.tree().len()).map(|s| (tree.in_link_at(s), k as u32, s as u32)));
-        }
-        c.usage.sort_by_key(|&(l, _, _)| l);
-        c.crossed_links.clear();
-        c.crossed_links.extend(c.usage.iter().map(|&(l, _, _)| l));
-        c.crossed_links.dedup();
+        c.crossings.build(inputs.trees);
         c.valid = true;
     }
 
@@ -825,9 +814,9 @@ impl AlgorithmState {
     fn capacity_step(&mut self, inputs: &AlgorithmInputs<'_>) {
         let Self { cfg, estimator, scratch, cache, changes, .. } = self;
         let Changes { caps, cap_events, links, run, .. } = changes;
-        let crossed = &cache.crossed_links;
+        let crossings = &cache.crossings;
         links.clear();
-        links.extend(estimator.iter().map(|(l, _)| l).filter(|l| crossed.binary_search(l).is_ok()));
+        links.extend(estimator.iter().map(|(l, _)| l).filter(|&l| !crossings.of(l).is_empty()));
         for (tree, sc) in inputs.trees.iter().zip(scratch.iter()) {
             let moved = sc.state_dirty.iter().filter(|&&s| s != 0);
             links.extend(moved.map(|&s| tree.in_link_at(s as usize)));
@@ -836,10 +825,8 @@ impl AlgorithmState {
         links.dedup();
         caps.clear();
         for &link in links.iter() {
-            let lo = cache.usage.partition_point(|&(l, _, _)| l < link);
-            let hi = cache.usage.partition_point(|&(l, _, _)| l <= link);
             run.clear();
-            run.extend(cache.usage[lo..hi].iter().map(|&(_, sess, slot)| {
+            run.extend(crossings.of(link).iter().map(|&(sess, slot)| {
                 let st = scratch[sess as usize].stage1.states[slot as usize];
                 let session = inputs.trees[sess as usize].session();
                 SessionLinkObs { session, loss: st.loss, bytes: st.max_bytes }
@@ -854,17 +841,20 @@ impl AlgorithmState {
 
     /// Stage 3: the bottleneck curves are a pure function of tree +
     /// estimates, so only new trees and the sessions crossing a link whose
-    /// estimate moved need a recompute.
+    /// estimate moved need a recompute. Fills `Changes::stale`.
     fn bottleneck_step(&mut self, inputs: &AlgorithmInputs<'_>) {
-        let Self { estimator, scratch, changes, .. } = self;
-        for (k, (tree, sc)) in inputs.trees.iter().zip(scratch.iter_mut()).enumerate() {
-            let crosses = |s| changes.caps.binary_search(&tree.in_link_at(s)).is_ok();
-            if changes.trees.binary_search(&(k as u32)).is_ok()
-                || (!changes.caps.is_empty() && (1..tree.tree().len()).any(crosses))
-            {
-                let (b, m) = (&mut sc.bottleneck, &mut sc.max_handle);
-                bottleneck::compute_into(tree, |l| estimator.capacity(l), b, m);
-            }
+        let Self { estimator, scratch, cache, changes, .. } = self;
+        let Changes { trees, caps, stale, .. } = changes;
+        stale.clone_from(trees);
+        for &link in caps.iter() {
+            stale.extend(cache.crossings.of(link).iter().map(|&(k, _)| k));
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        for &k in stale.iter() {
+            let sc = &mut scratch[k as usize];
+            let (b, m) = (&mut sc.bottleneck, &mut sc.max_handle);
+            bottleneck::compute_into(&inputs.trees[k as usize], |l| estimator.capacity(l), b, m);
         }
     }
 
@@ -872,18 +862,10 @@ impl AlgorithmState {
     /// estimates, a no-op when there are neither. Fills
     /// `Changes::refreshed`.
     fn sharing_step(&mut self, inputs: &AlgorithmInputs<'_>) {
-        let Self { estimator, sharing_scratch, changes, .. } = self;
-        let Changes { trees, caps, refreshed, .. } = changes;
-        let capacity = |l| estimator.capacity(l);
-        sharing::update(
-            inputs.trees,
-            inputs.specs,
-            capacity,
-            sharing_scratch,
-            caps,
-            trees,
-            refreshed,
-        );
+        let Self { estimator, sharing_scratch: scratch, cache, changes, .. } = self;
+        let Changes { stale, refreshed, .. } = changes;
+        let (trees, specs, capacity) = (inputs.trees, inputs.specs, |l| estimator.capacity(l));
+        sharing::update(trees, specs, capacity, &cache.crossings, scratch, stale, refreshed);
     }
 
     /// Stage 5, per session and in session order (the sessions share one
@@ -993,8 +975,8 @@ impl AlgorithmState {
 
     /// Emit the outputs from the stage buffers: per session the root
     /// supply, the congested-node count and the suggestions via the cached
-    /// route, in registry order; then the estimated links, over the sorted
-    /// crossed-link list.
+    /// route, in registry order; then the estimated links: the estimator's
+    /// entries on crossed links, sorted by link.
     fn emit(&self, inputs: &AlgorithmInputs<'_>, out: &mut AlgorithmOutputs) {
         for k in 0..inputs.trees.len() {
             let (sc, cs) = (&self.scratch[k], &self.cache.sessions[k]);
@@ -1006,8 +988,10 @@ impl AlgorithmState {
                 level: suggested_level(sc, slot, inputs.specs[k]),
             }));
         }
-        let (est, crossed) = (&self.estimator, &self.cache.crossed_links);
-        out.estimated_links.extend(crossed.iter().filter_map(|&l| est.capacity(l).map(|c| (l, c))));
+        let crossings = &self.cache.crossings;
+        out.estimated_links
+            .extend(self.estimator.iter().filter(|&(l, _)| !crossings.of(l).is_empty()));
+        out.estimated_links.sort_unstable_by_key(|&(l, _)| l);
     }
 
     /// Fill `a` from the buffers the last run over `inputs` left: stage
@@ -1021,7 +1005,7 @@ impl AlgorithmState {
         a.capacity = capacity_audit(&self.changes.cap_events);
         a.capacity.sort_by_key(|c| c.link);
         a.bottleneck = bottleneck_audit(trees, scratch);
-        a.sharing = sharing_audit(&self.sharing_scratch, trees);
+        a.sharing = sharing_audit(&self.sharing_scratch, &self.cache.crossings, trees);
         a.subscription.extend(trees.iter().enumerate().map(|(k, tree)| {
             let (sc, cs) = (&scratch[k], &self.cache.sessions[k]);
             let mut suggested: Vec<Option<u8>> = vec![None; tree.tree().len()];
@@ -1352,9 +1336,13 @@ fn bottleneck_audit(
 }
 
 /// Stage-4 audit record.
-fn sharing_audit(sharing: &SharingScratch, trees: &[SessionTree]) -> Vec<SharingEntry> {
+fn sharing_audit(
+    sharing: &SharingScratch,
+    crossings: &Crossings,
+    trees: &[SessionTree],
+) -> Vec<SharingEntry> {
     sharing
-        .shares_sorted()
+        .shares_sorted(crossings)
         .into_iter()
         .map(|(l, i, bps)| SharingEntry {
             link: l.0 as u64,
@@ -1447,15 +1435,20 @@ mod tests {
         now_secs: u64,
     ) -> AlgorithmOutputs {
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
-        let inputs = AlgorithmInputs {
-            now: SimTime::from_secs(now_secs),
-            interval: SimDuration::from_secs(2),
-            trees: std::slice::from_ref(tree),
-            specs: &[spec],
-            registry: &registry,
-            reports,
-        };
-        state.run(&inputs)
+        state.run(&one(now_secs, tree, &[spec], &registry, reports))
+    }
+
+    /// The 2 s interval ending at `now_secs` of one session, `tree`.
+    fn one<'a>(
+        now_secs: u64,
+        tree: &'a SessionTree,
+        specs: &'a [&'a LayerSpec],
+        registry: &'a [(AppId, NodeId, SessionId)],
+        reports: &'a [ReceiverReport],
+    ) -> AlgorithmInputs<'a> {
+        let trees = std::slice::from_ref(tree);
+        let (now, interval) = (SimTime::from_secs(now_secs), SimDuration::from_secs(2));
+        AlgorithmInputs { now, interval, trees, specs, registry, reports }
     }
 
     #[test]
@@ -1654,16 +1647,9 @@ mod tests {
         };
         let tree = SessionTree::build(&view, SessionId(0), &[GroupId(0)]).unwrap();
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let mut state = AlgorithmState::new(Config::default(), 1);
-        let inputs = AlgorithmInputs {
-            now: SimTime::from_secs(2),
-            interval: SimDuration::from_secs(2),
-            trees: std::slice::from_ref(&tree),
-            specs: &[&spec],
-            registry: &[(AppId(10), n(2), SessionId(0))],
-            reports: &[],
-        };
-        let out = state.run(&inputs);
+        let out = state.run(&one(2, &tree, &specs, &[(AppId(10), n(2), SessionId(0))], &[]));
         // Receiver's node is not in the stale tree: no suggestion for it.
         assert!(out.suggestions.is_empty());
         // A subscriber-less session still reports a root supply (its value
@@ -1689,19 +1675,13 @@ mod tests {
     fn incremental_matches_full_run_byte_for_byte() {
         let tree = one_session_tree();
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
         let mut full = AlgorithmState::new(Config::default(), 42);
         let mut inc = AlgorithmState::new(Config::default(), 42);
         for t in 1..40u64 {
             let reports = churn_reports(t);
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, &tree, &specs, &registry, &reports);
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
             assert!(!a.incremental);
@@ -1724,6 +1704,7 @@ mod tests {
     fn a_slot_that_re_arms_on_repeated_inputs_is_re_decided() {
         let tree = one_session_tree();
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
         let reports = vec![report(10, 2, 4, 70, 30, 20_000), report(11, 3, 2, 100, 0, 24_000)];
         let mut full = AlgorithmState::new(Config::default(), 5);
@@ -1734,14 +1715,7 @@ mod tests {
             v
         };
         for t in 1..=12u64 {
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, &tree, &specs, &registry, &reports);
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
@@ -1814,6 +1788,7 @@ mod tests {
     #[test]
     fn a_rebuilt_tree_re_decides_exactly_its_moved_layers() {
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
         let top = spec.max_level();
         let reports = [report(10, 2, top, 100, 0, 90_000), report(11, 3, top, 100, 0, 90_000)];
@@ -1822,14 +1797,7 @@ mod tests {
         let mut t = 0;
         let mut run = |tree: &SessionTree| {
             t += 1;
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, tree, &specs, &registry, &reports);
             let (a, b) = (full.run(&inputs), inc.run_incremental(&inputs));
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
             assert_eq!(a.root_supply, b.root_supply, "interval {t}");
@@ -1853,6 +1821,7 @@ mod tests {
     fn a_warm_border_cap_cut_reaches_a_settled_root() {
         let tree = one_session_tree();
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
         let mut full = AlgorithmState::new(Config::default(), 3);
         let mut inc = AlgorithmState::new(Config::default(), 3);
@@ -1865,14 +1834,7 @@ mod tests {
             }
             let reports =
                 [report(10, 2, level, 100, 0, 90_000), report(11, 3, level, 100, 0, 90_000)];
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, &tree, &specs, &registry, &reports);
             let (a, b) = (full.run(&inputs), inc.run_incremental(&inputs));
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
             assert_eq!(inc.audit(), Ok(()), "interval {t}");
@@ -1925,6 +1887,7 @@ mod tests {
     fn a_live_root_timer_does_not_redecide_its_subtree() {
         let (tree, leaves) = balanced_tree(3, 3);
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry: Vec<(AppId, NodeId, SessionId)> =
             leaves.iter().enumerate().map(|(i, &nd)| (AppId(i as u32), nd, SessionId(0))).collect();
         let mut full = AlgorithmState::new(Config::default(), 11);
@@ -1960,14 +1923,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, &tree, &specs, &registry, &reports);
             let a = full.run(&inputs);
             let b = inc.run_incremental(&inputs);
             assert_eq!(a.suggestions, b.suggestions, "interval {t}");
@@ -2005,19 +1961,13 @@ mod tests {
     fn audited_incremental_matches_audited_full_including_records() {
         let tree = one_session_tree();
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
         let mut full = AlgorithmState::new(Config::default(), 5);
         let mut inc = AlgorithmState::new(Config::default(), 5);
         for t in 1..25u64 {
             let reports = churn_reports(t);
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, &tree, &specs, &registry, &reports);
             let mut aa = telemetry::IntervalAudit::new(full.runs(), 0);
             let mut ab = telemetry::IntervalAudit::new(inc.runs(), 0);
             full.invalidate();
@@ -2181,19 +2131,13 @@ mod tests {
     fn direct_full_run_after_incremental_sees_synced_memories() {
         let tree = one_session_tree();
         let spec = LayerSpec::paper_default();
+        let specs = [&spec];
         let registry = vec![(AppId(10), n(2), SessionId(0)), (AppId(11), n(3), SessionId(0))];
         let mut full = AlgorithmState::new(Config::default(), 3);
         let mut inc = AlgorithmState::new(Config::default(), 3);
         for t in 1..30u64 {
             let reports = churn_reports(t);
-            let inputs = AlgorithmInputs {
-                now: SimTime::from_secs(2 * t),
-                interval: SimDuration::from_secs(2),
-                trees: std::slice::from_ref(&tree),
-                specs: &[&spec],
-                registry: &registry,
-                reports: &reports,
-            };
+            let inputs = one(2 * t, &tree, &specs, &registry, &reports);
             let a = full.run(&inputs);
             // Interleave: incremental mostly, but a direct full run every
             // few intervals (as a failover would) — the lazily synced

@@ -16,25 +16,79 @@
 #![deny(clippy::too_many_lines)]
 
 use netsim::DirLinkId;
-use std::collections::HashMap;
 use topology::SessionTree;
 use traffic::LayerSpec;
 
+/// Which sessions cross each link, and at which slot: one `(session
+/// index, slot)` row per non-root slot of every tree. A link's rows are
+/// contiguous and in session order (a tree enters a link at most once),
+/// and an offset array over the crossed links' id range (4 B per id)
+/// finds them with two array reads. Stage 2 reads a link's rows as its
+/// observation list, stages 3 and 4 as the sessions crossing it. The
+/// algorithm driver builds one per cold start; [`compute_into`] builds its
+/// own the same way.
+#[derive(Debug, Default)]
+pub(crate) struct Crossings {
+    /// The smallest crossed link id.
+    base: u32,
+    /// `rows[start[l - base]..start[l - base + 1]]` are link `l`'s rows.
+    start: Vec<u32>,
+    rows: Vec<(u32, u32)>,
+}
+
+impl Crossings {
+    /// Rebuild from `trees` by a counting sort on link ids: a count per
+    /// link, running totals, then a fill in session and slot order (the
+    /// order a stable sort by link keeps). The buffers are reused.
+    pub(crate) fn build(&mut self, trees: &[SessionTree]) {
+        let rows = || {
+            trees.iter().enumerate().flat_map(|(i, t)| {
+                (1..t.tree().len()).map(move |s| (t.in_link_at(s).0, i as u32, s as u32))
+            })
+        };
+        let (lo, hi) = rows().fold((u32::MAX, 0), |(lo, hi), (l, ..)| (lo.min(l), hi.max(l)));
+        let width = hi.saturating_sub(lo) as usize + 1;
+        self.base = lo;
+        self.start.clear();
+        self.start.resize(width + 1, 0);
+        rows().for_each(|(l, ..)| self.start[(l - lo) as usize + 1] += 1);
+        for k in 1..=width {
+            self.start[k] += self.start[k - 1];
+        }
+        self.rows.clear();
+        self.rows.resize(self.start[width] as usize, (0, 0));
+        // Each link's start advances to its end as its rows land, so the
+        // offsets end one link ahead; shifting them back restores them.
+        for (l, i, s) in rows() {
+            let at = &mut self.start[(l - lo) as usize];
+            self.rows[*at as usize] = (i, s);
+            *at += 1;
+        }
+        self.start.copy_within(..width, 1);
+        self.start[0] = 0;
+    }
+
+    /// `link`'s `(session index, slot)` rows, in session order; empty for
+    /// a link no session crosses.
+    pub(crate) fn of(&self, link: DirLinkId) -> &[(u32, u32)] {
+        let k = link.0.wrapping_sub(self.base) as usize;
+        match self.start.get(k..k + 2) {
+            Some(&[lo, hi]) => &self.rows[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// Reusable cross-session scratch for [`compute_into`], held by the
 /// algorithm driver so one allocation serves every interval.
-///
-/// `crossing`'s per-link vectors are cleared (not dropped) between
-/// intervals; entries left empty by a topology change are skipped, so the
-/// map only ever grows to the set of links seen so far.
 #[derive(Debug, Default)]
 pub struct SharingScratch {
-    /// Which sessions cross each link, and the slot where that link enters
-    /// each session's tree.
-    crossing: HashMap<DirLinkId, Vec<(u32, u32)>>,
-    /// Proportional share per `(link, session index)` on shared links.
-    share: HashMap<(DirLinkId, u32), f64>,
-    /// Pass A/B/final results per session, indexed by tree slot.
-    maxposs: Vec<Vec<f64>>,
+    /// Per session, by tree slot: the proportional share on the slot's
+    /// in-link where that link is shared and estimated, NaN elsewhere.
+    share: Vec<Vec<f64>>,
+    /// Pass A's result for the session in hand, by tree slot.
+    maxposs: Vec<f64>,
+    /// Pass B and final results per session, by tree slot.
     aggdem: Vec<Vec<f64>>,
     allowed: Vec<Vec<f64>>,
     /// A step's work buffers: stale sessions, affected links.
@@ -56,13 +110,16 @@ impl SharingScratch {
 
     /// The proportional shares computed at shared links, as
     /// `(link, session index, share_bps)` rows sorted by link then
-    /// session — a deterministic audit view of the `share` map. Valid
-    /// until the next [`compute_into`] call.
-    pub fn shares_sorted(&self) -> Vec<(DirLinkId, u32, f64)> {
-        let mut rows: Vec<(DirLinkId, u32, f64)> =
-            self.share.iter().map(|(&(link, i), &bps)| (link, i, bps)).collect();
-        rows.sort_by_key(|&(link, i, _)| (link, i));
-        rows
+    /// session — a deterministic audit view of `share`, over the
+    /// `crossings` it was computed with.
+    pub(crate) fn shares_sorted(&self, crossings: &Crossings) -> Vec<(DirLinkId, u32, f64)> {
+        let Crossings { base, start, rows } = crossings;
+        let shares = start.windows(2).enumerate().flat_map(|(k, w)| {
+            let link = DirLinkId(base + k as u32);
+            let link_rows = rows[w[0] as usize..w[1] as usize].iter();
+            link_rows.map(move |&(i, s)| (link, i, self.share[i as usize][s as usize]))
+        });
+        shares.filter(|&(.., bps)| !bps.is_nan()).collect()
     }
 }
 
@@ -86,7 +143,7 @@ pub(crate) fn proportional_share(x: u32, total: u32, b: f64, n: usize) -> f64 {
 /// at each of its tree slots. `trees[i]` and `specs[i]` describe session
 /// `i`; `capacity` is the stage-2 estimate (`None` = infinite). This is
 /// `prime` and the algorithm driver's step, `update`, with every
-/// session new.
+/// session stale.
 pub fn compute_into(
     trees: &[SessionTree],
     specs: &[&LayerSpec],
@@ -94,43 +151,38 @@ pub fn compute_into(
     scratch: &mut SharingScratch,
 ) {
     assert_eq!(trees.len(), specs.len());
+    let mut crossings = Crossings::default();
+    crossings.build(trees);
     prime(trees, scratch);
     let all: Vec<u32> = (0..trees.len() as u32).collect();
-    update(trees, specs, capacity, scratch, &[], &all, &mut Vec::new());
+    update(trees, specs, capacity, &crossings, scratch, &all, &mut Vec::new());
 }
 
-/// Rebuild the link-crossing table for `trees` and forget every share:
-/// what a cold start does before its first [`update`].
+/// Forget every share: what a cold start does before its first [`update`].
 pub(crate) fn prime(trees: &[SessionTree], scratch: &mut SharingScratch) {
-    // Which sessions cross each link, and where that link enters their tree.
-    let crossing = &mut scratch.crossing;
-    for v in crossing.values_mut() {
-        v.clear();
-    }
-    for (i, tree) in trees.iter().enumerate() {
-        for s in 1..tree.tree().len() {
-            crossing.entry(tree.in_link_at(s)).or_default().push((i as u32, s as u32));
-        }
-    }
-    scratch.share.clear();
-    for bufs in [&mut scratch.maxposs, &mut scratch.aggdem, &mut scratch.allowed] {
+    for bufs in [&mut scratch.share, &mut scratch.aggdem, &mut scratch.allowed] {
         bufs.resize_with(trees.len().max(bufs.len()), Vec::new);
     }
+    for (share, tree) in scratch.share.iter_mut().zip(trees) {
+        share.clear();
+        share.resize(tree.tree().len(), f64::NAN);
+    }
 }
 
-/// Stage 4's step: refresh `scratch` for the sessions in `fresh`
-/// (ascending: sessions whose tree is new since the last step, every one
-/// after a [`prime`]) and after a capacity change on exactly the links in
-/// `cap_changed` (sorted, deduplicated) — a no-op, the steady-state hot
-/// path, when both are empty. `refreshed` receives the refreshed sessions,
-/// ascending, so downstream stages know whose per-slot allowances (and
-/// hence level caps) may have moved. Effect propagation, session-granular:
+/// Stage 4's step: refresh `scratch` for the sessions in `sessions`
+/// (ascending: those whose tree is new since the last step, every one
+/// after a [`prime`], and those crossing a link whose capacity estimate
+/// moved) — a no-op, the steady-state hot path, when there are none.
+/// `crossings` indexes `trees`. `refreshed` receives the refreshed
+/// sessions, ascending, so downstream stages know whose per-slot
+/// allowances (and hence level caps) may have moved. Effect propagation,
+/// session-granular:
 ///
-/// * stale sessions — the fresh ones and those crossing a changed link —
-///   get fresh `maxposs`/`aggdem`;
-/// * every link those sessions cross — plus the changed links themselves —
-///   may see its proportional share move (shares read the crossing
-///   sessions' `aggdem` heads), so those links' shares are recomputed;
+/// * the stale sessions get fresh `maxposs`/`aggdem`;
+/// * every link they cross may see its proportional share move (shares
+///   read the crossing sessions' `aggdem` heads), so those links' shares
+///   are recomputed — a link whose estimate moved is among them, since
+///   every session crossing it is stale;
 /// * sessions crossing any such link get a fresh final `allowed` pass, and
 ///   are the refreshed ones.
 ///
@@ -140,32 +192,27 @@ pub(crate) fn prime(trees: &[SessionTree], scratch: &mut SharingScratch) {
 /// `allowed` path through it — is byte-identical to a full recompute. The
 /// caller guarantees estimates never *disappear* between steps without a
 /// [`prime`] (a periodic reset forces a cold start), which is what keeps
-/// stale `share` entries for untouched links valid.
+/// the stale shares of untouched links valid.
 pub(crate) fn update(
     trees: &[SessionTree],
     specs: &[&LayerSpec],
     capacity: impl Fn(DirLinkId) -> Option<f64>,
+    crossings: &Crossings,
     scratch: &mut SharingScratch,
-    cap_changed: &[DirLinkId],
-    fresh: &[u32],
+    sessions: &[u32],
     refreshed: &mut Vec<u32>,
 ) {
     refreshed.clear();
-    if cap_changed.is_empty() && fresh.is_empty() {
+    if sessions.is_empty() {
         return;
     }
     debug_assert_eq!(trees.len(), specs.len());
-    debug_assert!(scratch.allowed.len() >= trees.len(), "scratch not primed");
-    let SharingScratch { crossing, share, maxposs, aggdem, allowed, stale, affected } = scratch;
+    debug_assert!(scratch.share.len() >= trees.len(), "scratch not primed");
+    let SharingScratch { share, maxposs, aggdem, allowed, stale, affected } = scratch;
     stale.clear();
     stale.resize(trees.len(), false);
-    for &i in fresh {
+    for &i in sessions {
         stale[i as usize] = true;
-    }
-    for link in cap_changed {
-        for &(i, _) in crossing.get(link).into_iter().flatten() {
-            stale[i as usize] = true;
-        }
     }
     let reset = |buf: &mut Vec<f64>, len: usize| {
         buf.clear();
@@ -179,29 +226,26 @@ pub(crate) fn update(
         let t = tree.tree();
         // Pass A (top-down): max bandwidth possible per node if all *other*
         // sessions on each link took only their base layer.
-        let m = &mut maxposs[i];
-        reset(m, t.len());
+        reset(maxposs, t.len());
         for s in t.slots() {
             let Some(p) = t.parent_slot_of(s) else { continue };
             let link = tree.in_link_at(s);
             let avail = match capacity(link) {
                 None => f64::INFINITY,
                 Some(b) => {
-                    let others_base: f64 = crossing[&link]
-                        .iter()
-                        .filter(|&&(j, _)| j as usize != i)
-                        .map(|&(j, _)| specs[j as usize].base_rate())
-                        .sum();
+                    let others = crossings.of(link).iter().filter(|&&(j, _)| j as usize != i);
+                    let others_base: f64 =
+                        others.map(|&(j, _)| specs[j as usize].base_rate()).sum();
                     // Every session is assumed to get at least its own
                     // base layer's worth.
                     (b - others_base).max(specs[i].base_rate())
                 }
             };
-            m[s] = m[p].min(avail);
+            maxposs[s] = maxposs[p].min(avail);
         }
         // Pass B (bottom-up): a node's max possible demand is the max over
         // its children; leaves keep their own.
-        let (maxposs, m) = (&maxposs[i], &mut aggdem[i]);
+        let m = &mut aggdem[i];
         reset(m, t.len());
         for s in t.slots_bottom_up() {
             let cs = t.child_slots(s);
@@ -213,10 +257,9 @@ pub(crate) fn update(
         }
     }
 
-    // Links whose share inputs may have moved: the changed links, plus
-    // everything a stale session crosses.
+    // Links whose share inputs may have moved: everything a stale
+    // session crosses.
     affected.clear();
-    affected.extend_from_slice(cap_changed);
     for (i, tree) in trees.iter().enumerate() {
         if stale[i] {
             affected.extend((1..tree.tree().len()).map(|s| tree.in_link_at(s)));
@@ -229,20 +272,21 @@ pub(crate) fn update(
     // share. Sessions crossing an affected link need a fresh final pass
     // (their path mins read the recomputed entries).
     for &link in affected.iter() {
-        let Some(sessions) = crossing.get(&link) else { continue };
-        for &(i, _) in sessions {
+        let rows = crossings.of(link);
+        for &(i, _) in rows {
             stale[i as usize] = true;
         }
-        if sessions.len() < 2 {
+        if rows.len() < 2 {
             continue;
         }
         let Some(b) = capacity(link) else { continue };
         let x = |&(i, head): &(u32, u32)| {
             specs[i as usize].level_fitting(aggdem[i as usize][head as usize]).max(1) as u32
         };
-        let total: u32 = sessions.iter().map(x).sum();
-        for entry in sessions {
-            share.insert((link, entry.0), proportional_share(x(entry), total, b, sessions.len()));
+        let total: u32 = rows.iter().map(x).sum();
+        for row in rows {
+            share[row.0 as usize][row.1 as usize] =
+                proportional_share(x(row), total, b, rows.len());
         }
     }
 
@@ -254,16 +298,15 @@ pub(crate) fn update(
         }
         refreshed.push(i as u32);
         let t = tree.tree();
-        let m = &mut allowed[i];
+        let (m, share) = (&mut allowed[i], &share[i]);
         reset(m, t.len());
         for s in t.slots() {
             let Some(p) = t.parent_slot_of(s) else { continue };
-            let link = tree.in_link_at(s);
-            let limit = share
-                .get(&(link, i as u32))
-                .copied()
-                .or_else(|| capacity(link))
-                .unwrap_or(f64::INFINITY);
+            let limit = if share[s].is_nan() {
+                capacity(tree.in_link_at(s)).unwrap_or(f64::INFINITY)
+            } else {
+                share[s]
+            };
             m[s] = m[p].min(limit);
         }
     }

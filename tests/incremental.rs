@@ -11,8 +11,11 @@
 //! cached values everywhere else, not merely "close" results.
 
 use netsim::rng::check;
-use netsim::{AppId, NodeId, RngStream, SessionId, SimTime};
+use netsim::{AppId, DirLinkId, GroupId, GroupSnapshot, NodeId, RngStream, SessionId, SimTime};
+use std::collections::BTreeSet;
 use telemetry::IntervalAudit;
+use topology::discovery::{LinkView, TopologyView};
+use topology::SessionTree;
 use toposense::algorithm::{AlgorithmOutputs, AlgorithmState, ReceiverReport};
 use toposense::checkpoint::BackoffEntry;
 use toposense::Config;
@@ -149,6 +152,179 @@ fn incremental_matches_full_across_report_churn() {
             }
         }
     });
+}
+
+/// Session `session` over the undirected tree of `parents` (edge `i`
+/// joins `parents[i]` to node `i + 1`; its halves are links `2i`, away
+/// from node 0, and `2i + 1`), sourced at `root` and spanning the paths
+/// from it to `members`. Sessions whose paths cross an edge the same way
+/// share that link; sessions from different sources can share a link and
+/// part on either side of it.
+fn spanning_session(parents: &[usize], session: u32, root: u32, members: &[NodeId]) -> SessionTree {
+    let mut links = Vec::new();
+    for (i, &p) in parents.iter().enumerate() {
+        let (p, c, id) = (NodeId(p as u32), NodeId(i as u32 + 1), 2 * i as u32);
+        links.push(LinkView { id: DirLinkId(id), from: p, to: c });
+        links.push(LinkView { id: DirLinkId(id + 1), from: c, to: p });
+    }
+    // Each node's link on its path from the root, by a walk from the root.
+    let mut via: Vec<Option<&LinkView>> = vec![None; parents.len() + 1];
+    let mut stack = vec![NodeId(root)];
+    while let Some(v) = stack.pop() {
+        for l in &links {
+            if l.from == v && l.to != NodeId(root) && via[l.to.0 as usize].is_none() {
+                via[l.to.0 as usize] = Some(l);
+                stack.push(l.to);
+            }
+        }
+    }
+    let mut active = Vec::new();
+    for m in members {
+        let mut v = m.0 as usize;
+        while let Some(l) = via[v].filter(|l| !active.contains(&l.id)) {
+            active.push(l.id);
+            v = l.from.0 as usize;
+        }
+    }
+    let group = GroupSnapshot {
+        group: GroupId(session),
+        root: NodeId(root),
+        active_links: active,
+        member_nodes: members.to_vec(),
+    };
+    let view = TopologyView { time: SimTime::ZERO, links, groups: vec![group] };
+    SessionTree::build(&view, SessionId(session), &[GroupId(session)]).unwrap()
+}
+
+/// One round's reports for one session: lossy (a link all its sessions
+/// lose on learns an estimate, and a lossy link whose bytes repeat keeps
+/// its estimate bit for bit), clean (estimates creep), silent (no bytes:
+/// estimates hold), or per-receiver [`churn`]. Outside churn, a
+/// receiver's bytes are its own fixed rate.
+fn session_round(reports: &mut [ReceiverReport], rng: &mut RngStream) {
+    let mode = rng.f64();
+    for r in reports.iter_mut() {
+        let bytes = 20_000 + u64::from(r.receiver.0 % 7) * 3_000;
+        (r.received, r.lost, r.bytes) = match mode {
+            x if x < 0.3 => (80, 20, bytes),
+            x if x < 0.55 => (100, 0, bytes),
+            x if x < 0.85 => (0, 0, 0),
+            _ => (r.received, r.lost, r.bytes),
+        };
+    }
+    if mode >= 0.85 {
+        churn(reports, rng);
+    }
+}
+
+/// Two to four sessions over one random tree, in pairs, each pair sourced
+/// and spanning members inside one subtree: some links carry several
+/// sessions, some one, and two pairs in disjoint subtrees share nothing.
+/// Every round each session's reports turn lossy, clean, silent or
+/// churned, so the estimates on shared links learn, creep and hold. Stage
+/// 4's warm step then recomputes the shares of every link the sessions
+/// crossing a moved estimate cross, and keeps the rest, which takes a
+/// second pair to see. The warm twin must equal the cold one every round,
+/// outputs and stage-4 shares alike, and pass its audit. Across the cases
+/// every one of those estimator events occurs, and many warm steps run,
+/// some of them keeping a share.
+#[test]
+fn several_sessions_on_shared_links_match_full_every_round() {
+    let (mut events, mut steps, mut kept_steps) = (BTreeSet::new(), 0, 0);
+    check("several_sessions_on_shared_links_match_full_every_round", 192, |g| {
+        let len = g.range_u64(6, 24) as usize;
+        let parents = trees::parents(g, len);
+        let seed = g.range_u64(0, 1000);
+        let specs = [LayerSpec::paper_default(), LayerSpec::doubling(48_000.0, 5)];
+        let mut inner = parents.clone();
+        inner.sort_unstable();
+        inner.dedup();
+        let (mut trees, mut spec_of, mut registry) = (Vec::new(), Vec::new(), Vec::new());
+        let mut area = Vec::new();
+        for k in 0..g.range_u64(2, 5) as u32 {
+            // Sessions come in pairs, each pair in the subtree of a node
+            // with children: source and members lie in it, so two pairs
+            // in disjoint subtrees share no link. A node's parent has a
+            // lower id, so one pass marks the subtree.
+            if k % 2 == 0 {
+                let top = inner[g.range_u64(0, inner.len() as u64) as usize];
+                area = vec![top];
+                for v in top + 1..=len {
+                    if area.contains(&parents[v - 1]) {
+                        area.push(v);
+                    }
+                }
+            }
+            let root = area[g.range_u64(0, area.len() as u64) as usize] as u32;
+            let others: Vec<NodeId> =
+                area.iter().map(|&v| NodeId(v as u32)).filter(|&v| v != NodeId(root)).collect();
+            let mut members: Vec<NodeId> =
+                others.iter().copied().filter(|_| g.f64() < 0.6).collect();
+            if members.is_empty() {
+                members.push(others[0]);
+            }
+            trees.push(spanning_session(&parents, k, root, &members));
+            spec_of.push(&specs[g.range_u64(0, 2) as usize]);
+            registry.extend(members.iter().map(|&n| (AppId(100 * k + n.0), n, SessionId(k))));
+        }
+        let mut reports: Vec<ReceiverReport> = (registry.iter())
+            .map(|&(receiver, node, session)| ReceiverReport {
+                receiver,
+                node,
+                session,
+                level: 3,
+                received: 100,
+                lost: 0,
+                bytes: 25_000,
+            })
+            .collect();
+        let mut rng = RngStream::derive(seed, "incremental/shared");
+        let mut full = AlgorithmState::new(Config::default(), seed);
+        let mut inc = AlgorithmState::new(Config::default(), seed);
+        let mut last_estimates = Vec::new();
+        for round in 1..=16u64 {
+            for session in reports.chunk_by_mut(|a, b| a.session == b.session) {
+                session_round(session, &mut rng);
+            }
+            let inputs = inputs_at(2 * round, &trees, &spec_of, &registry, &reports);
+            let (mut ra, mut rb) = (IntervalAudit::new(round, 0), IntervalAudit::new(round, 0));
+            full.invalidate();
+            let a = full.run_incremental_audited(&inputs, Some(&mut ra));
+            let b = inc.run_incremental_audited(&inputs, Some(&mut rb));
+            let at = format!("round {round}, parents {parents:?}, seed {seed}");
+            assert_outputs_eq(&a, &b, &at);
+            assert!(ra.sharing == rb.sharing, "{at}: shares {:?} != {:?}", ra.sharing, rb.sharing);
+            let audit = inc.audit();
+            assert!(audit.is_ok(), "{at}: {audit:?}");
+            events.extend(rb.capacity.iter().map(|c| c.event.clone()));
+            // A warm step recomputes the sessions crossing a link whose
+            // estimate moved, and keeps the shares of links none crosses.
+            let bits = |v: &[(DirLinkId, f64)]| -> BTreeSet<(DirLinkId, u64)> {
+                v.iter().map(|&(l, c)| (l, c.to_bits())).collect()
+            };
+            let (old, new) = (bits(&last_estimates), bits(&b.estimated_links));
+            let moved: Vec<DirLinkId> = old.symmetric_difference(&new).map(|&(l, _)| l).collect();
+            let crosses =
+                |t: &SessionTree| (1..t.tree().len()).any(|s| moved.contains(&t.in_link_at(s)));
+            let stale: Vec<u64> =
+                (0..trees.len() as u64).filter(|&k| crosses(&trees[k as usize])).collect();
+            if b.incremental && !stale.is_empty() {
+                let mut links = rb.sharing.chunk_by(|x, y| x.link == y.link);
+                let kept = links.any(|rows| rows.iter().all(|e| !stale.contains(&e.session)));
+                (steps, kept_steps) = (steps + 1, kept_steps + usize::from(kept));
+            }
+            last_estimates.clone_from(&b.estimated_links);
+            if rng.f64() < 0.5 {
+                follow_suggestions(&b, &mut reports);
+            }
+        }
+    });
+    for event in ["learned", "crept", "held"] {
+        assert!(events.contains(event), "no estimate was ever {event}: {events:?}");
+    }
+    // The property cases are fixed: 1,336 warm steps, 19 of them keeping
+    // a share, when this was written.
+    assert!(steps >= 600 && kept_steps >= 10, "{steps} warm steps, {kept_steps} keeping a share");
 }
 
 /// Join/leave churn: receivers leave mid-run and later rejoin. A
