@@ -41,7 +41,7 @@ fn ablation(
     slot: Slot,
     claim: &'static str,
     variants: Vec<(String, Scenario)>,
-    gates: impl Fn(&[Knob]) -> Vec<Gate> + 'static,
+    gates: impl Fn(&[Knob]) -> Vec<Gate> + Send + 'static,
 ) -> Cell {
     let (names, scenarios): (Vec<String>, Vec<Scenario>) = variants.into_iter().unzip();
     let header = ["knob", "rel. dev.", "mean loss", "max changes", "control bytes"];

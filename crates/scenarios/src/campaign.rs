@@ -14,10 +14,11 @@
 //! an id, its axes, a cap, the scenarios it needs run and a judge that turns
 //! their results into metrics, table rows and gates. [`cells`] lists them —
 //! the zoo workloads below, then the paper's figures ([`crate::paper`]) —
-//! and [`run_campaign`] runs every cell's scenarios in one parallel batch
-//! and judges them in one loop. A cell with no scenario (`flash-crowd`,
-//! `diurnal-churn`, both federations, `paper/table1`) drives what it
-//! measures inside its judge. The **zoo** workloads:
+//! and [`run_campaign`] maps [`run_cell`] over them in parallel: each cell
+//! runs its own scenarios, judges them and keeps only its record, so its
+//! results are gone before the map returns. A cell with no scenario
+//! (`flash-crowd`, `diurnal-churn`, both federations, `paper/table1`) drives
+//! what it measures inside its judge. The **zoo** workloads:
 //!
 //! * `flash-crowd` — the whole audience joins inside one control
 //!   interval (100k receivers in the full profile) and the pipeline must
@@ -222,10 +223,9 @@ pub struct Verdict {
 
 /// One cell of the matrix — the campaign's only unit: a zoo workload at one
 /// point of its axes, or one figure of the paper ([`crate::paper`]), at one
-/// seed. [`run_campaign`] pushes `scenarios` through its one batch and hands
-/// the results to `judge`; a cell with no scenario drives whatever it
-/// measures inside its judge. `id`, `workload`, `axes` and `seed` are the
-/// [`RunRecord`]'s.
+/// seed. [`run_cell`] runs `scenarios` and hands the results to `judge`; a
+/// cell with no scenario drives whatever it measures inside its judge. `id`,
+/// `workload`, `axes` and `seed` are the [`RunRecord`]'s.
 pub struct Cell {
     pub id: String,
     pub workload: &'static str,
@@ -242,9 +242,9 @@ pub struct Cell {
     pub judge: Reader,
 }
 
-/// What a cell's batch of results is read into once it has run: results
-/// arrive in the scenarios' order.
-pub(crate) type Reader = Box<dyn Fn(&[ScenarioResult]) -> Verdict>;
+/// What a cell's results are read into once its scenarios have run, on
+/// whichever worker ran them: results arrive in the scenarios' order.
+pub(crate) type Reader = Box<dyn Fn(&[ScenarioResult]) -> Verdict + Send>;
 
 /// Everything one cell of the matrix produced.
 #[derive(Clone, Debug)]
@@ -513,8 +513,8 @@ impl CampaignSpec {
     }
 
     /// The cells of a zoo workload that drives itself — the pipeline, or the
-    /// sharded packet world: one per seed and no scenario for the batch, so
-    /// the judge is the whole run (as `paper/table1`'s is).
+    /// sharded packet world: one per seed and no scenario to run, so the
+    /// judge is the whole run (as `paper/table1`'s is).
     fn driven(
         &self,
         workload: &'static str,
@@ -522,7 +522,7 @@ impl CampaignSpec {
         cap: Option<String>,
         axes: &[(&str, &str)],
         seeds: usize,
-        drive: impl Fn(u64) -> Verdict + Clone + 'static,
+        drive: impl Fn(u64) -> Verdict + Clone + Send + 'static,
     ) -> Vec<Cell> {
         let cell = |s_ord: usize| {
             let seed = self.cell_seed(workload, s_ord as u64);
@@ -1281,11 +1281,10 @@ pub fn cells(spec: &CampaignSpec) -> Vec<Cell> {
     cells
 }
 
-/// Expand and run the whole campaign: every cell's scenarios go through the
-/// one parallel batch ([`runner::run_many`]) and every cell is judged in one
-/// loop, in order. The returned report is a pure function of `(spec.name,
-/// seed_index, profile, seeds_per_cell, config_override)` — nothing
-/// wall-clock-dependent leaks in.
+/// Expand and run the whole campaign: one parallel map of [`run_cell`] over
+/// the cells, in artifact order. The returned report is a pure function of
+/// `(spec.name, seed_index, profile, seeds_per_cell, config_override)` —
+/// nothing wall-clock-dependent leaks in.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let cells = cells(spec);
     // One record per distinct cap: a workload's cells all carry the same one.
@@ -1295,61 +1294,10 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
             caps.push(cap.clone());
         }
     }
-    let batch: Vec<Scenario> = cells.iter().flat_map(|c| &c.scenarios).cloned().collect();
-    // The batch runs when the first cell asks for results. The self-driven
-    // zoo cells head the list, so the full profile's 1M-receiver world
-    // (1.5 GB resident, still the run's peak) has come and gone before the
-    // results exist (the process holds 0.4–0.7 GB from then on).
-    let mut results: Option<Vec<ScenarioResult>> = None;
-    let mut taken = 0;
-    let mut runs: Vec<RunRecord> = Vec::new();
-    let mut blackboxes: Vec<(String, telemetry::Blackbox)> = Vec::new();
-    for cell in cells {
-        let mine = match cell.scenarios.len() {
-            0 => &[][..],
-            n => {
-                taken += n;
-                &results.get_or_insert_with(|| runner::run_many(&batch))[taken - n..taken]
-            }
-        };
-        let Verdict { metrics, rows, gates } = (cell.judge)(mine);
-        let rec = RunRecord {
-            id: cell.id,
-            workload: cell.workload.into(),
-            axes: cell.axes,
-            seed: cell.seed,
-            metrics,
-            gates,
-            table: cell.table.map(|(claim, header)| Table { caption: claim.into(), header, rows }),
-        };
-        if rec.failed() {
-            // Every red gate leaves a black box. With exactly one simulator
-            // behind the cell it holds that run's last moments — flight
-            // window, profile counters, seed — so the gate report is
-            // actionable without a re-run; a cell that drove itself or
-            // compared several runs has no single window to show and gets
-            // the minimal dump.
-            let reason = "campaign_gate_failure";
-            let bb = match mine {
-                [run] => chaos::blackbox(run, &cell.cfg, cell.seed, reason, &rec.id),
-                _ => telemetry::Blackbox {
-                    reason: reason.into(),
-                    label: rec.id.clone(),
-                    seed: rec.seed,
-                    config_fingerprint: format!("{:016x}", cell.cfg.fingerprint()),
-                    t_ns: 0,
-                    counters: vec![(
-                        "gates_failed".into(),
-                        rec.gates.iter().filter(|g| g.status == GateStatus::Fail).count() as u64,
-                    )],
-                    occurrences: Vec::new(),
-                    ring_dropped: 0,
-                },
-            };
-            blackboxes.push((rec.id.clone(), bb));
-        }
-        runs.push(rec);
-    }
+    let (runs, boxes): (Vec<RunRecord>, Vec<_>) =
+        netsim::par::map(cells.into_iter(), run_cell).into_iter().unzip();
+    let mut blackboxes: Vec<_> =
+        boxes.into_iter().flatten().map(|bb| (bb.label.clone(), bb)).collect();
     blackboxes.sort_by(|a, b| a.0.cmp(&b.0));
 
     CampaignReport {
@@ -1360,6 +1308,47 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
         coverage_caps: caps,
         blackboxes,
     }
+}
+
+/// One cell, start to end: run its scenarios ([`runner::run_many`]), judge
+/// them, and keep only what outlives the results — the cell's record and,
+/// on a red gate, its black box (labelled with the record's id). A cell run
+/// alone here yields the record [`run_campaign`] makes of it.
+pub fn run_cell(cell: Cell) -> (RunRecord, Option<telemetry::Blackbox>) {
+    let results = runner::run_many(&cell.scenarios);
+    let Verdict { metrics, rows, gates } = (cell.judge)(&results);
+    let rec = RunRecord {
+        id: cell.id,
+        workload: cell.workload.into(),
+        axes: cell.axes,
+        seed: cell.seed,
+        metrics,
+        gates,
+        table: cell.table.map(|(claim, header)| Table { caption: claim.into(), header, rows }),
+    };
+    // Every red gate leaves a black box. With exactly one simulator behind
+    // the cell it holds that run's last moments — flight window, profile
+    // counters, seed — so the gate report is actionable without a re-run; a
+    // cell that drove itself or compared several runs has no single window
+    // to show and gets the minimal dump.
+    let reason = "campaign_gate_failure";
+    let blackbox = rec.failed().then(|| match &results[..] {
+        [run] => chaos::blackbox(run, &cell.cfg, cell.seed, reason, &rec.id),
+        _ => telemetry::Blackbox {
+            reason: reason.into(),
+            label: rec.id.clone(),
+            seed: rec.seed,
+            config_fingerprint: format!("{:016x}", cell.cfg.fingerprint()),
+            t_ns: 0,
+            counters: vec![(
+                "gates_failed".into(),
+                rec.gates.iter().filter(|g| g.status == GateStatus::Fail).count() as u64,
+            )],
+            occurrences: Vec::new(),
+            ring_dropped: 0,
+        },
+    });
+    (rec, blackbox)
 }
 
 /// The number of caps the active profile must record — the binary audits

@@ -178,7 +178,7 @@ impl Slot {
         claim: &'static str,
         header: &[H],
         scenarios: Vec<Scenario>,
-        judge: impl Fn(&[ScenarioResult]) -> Judged + 'static,
+        judge: impl Fn(&[ScenarioResult]) -> Judged + Send + 'static,
     ) -> Cell {
         Cell {
             id: self.run_id,
@@ -668,10 +668,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// Run one figure alone and judge it.
+    /// Run one figure alone through the campaign's own per-cell path.
     pub(crate) fn judged(fig: Cell) -> Judged {
-        let Verdict { rows, gates, .. } = (fig.judge)(&runner::run_many(&fig.scenarios));
-        (rows, gates)
+        let (record, _) = crate::campaign::run_cell(fig);
+        (record.table.expect("a figure carries its table").rows, record.gates)
     }
 
     #[test]

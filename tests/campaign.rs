@@ -8,7 +8,8 @@
 //! configuration — a gate that cannot fail is not a gate.
 
 use scenarios::campaign::{
-    cells, expected_caps, run_campaign, CampaignReport, CampaignSpec, GateStatus, Profile,
+    cells, expected_caps, run_campaign, run_cell, CampaignReport, CampaignSpec, GateStatus,
+    Profile, RunRecord,
 };
 use scenarios::chaos;
 use std::collections::{BTreeMap, BTreeSet};
@@ -193,6 +194,32 @@ fn the_cell_list_is_the_committed_run_table_and_the_caps_follow_the_rule() {
         let spec = CampaignSpec::new("zoo", 1, profile);
         let carried: BTreeSet<String> = cells(&spec).into_iter().filter_map(|c| c.cap).collect();
         assert_eq!(expected_caps(&spec), carried.len(), "{profile:?}");
+    }
+}
+
+#[test]
+fn a_cell_run_alone_makes_the_record_the_campaign_makes() {
+    // The campaign runs every cell on whichever worker is free; its records
+    // still come back in the cell list's order.
+    let spec = CampaignSpec::new("zoo", 1, Profile::Smoke);
+    let report = smoke_report();
+    let ids: Vec<String> = cells(&spec).into_iter().map(|c| c.id).collect();
+    let runs: Vec<&str> = report.runs.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(runs, ids);
+
+    // A cell's record depends on that cell alone: a self-driven cell, a
+    // one-scenario figure and a three-scenario figure, each run by itself,
+    // read exactly as they do inside the campaign.
+    let json = |r: &RunRecord| serde_json::to_string_pretty(&r.to_json()).expect("pure-value tree");
+    for (id, scenarios) in
+        [("flash-crowd/join-in-one-interval/s0", 0), ("paper/fig9/s0", 1), ("paper/fig8/s0", 3)]
+    {
+        let cell = cells(&spec).into_iter().find(|c| c.id == id).expect("a smoke cell");
+        assert_eq!(cell.scenarios.len(), scenarios, "{id}");
+        let (alone, blackbox) = run_cell(cell);
+        let within = report.runs.iter().find(|r| r.id == id).expect("a campaign record");
+        assert_eq!(json(&alone), json(within), "{id}");
+        assert!(blackbox.is_none(), "{id}: a green cell leaves no black box");
     }
 }
 

@@ -188,6 +188,7 @@ fn federated_domains_converge_to_per_domain_optima() {
     }
     // The parent's caps landed on exactly the per-domain fitting levels.
     let final_caps = &trajectory.last().unwrap().caps;
+    // Holds at this pinned seed only (21 of seeds 1..=40); ROADMAP item 12.
     assert_eq!(final_caps[0], 2, "parent caps domain A at its border fit");
     assert_eq!(final_caps[1], 4, "parent caps domain B at its border fit");
     assert!(trajectory.iter().all(|r| r.summaries == 2), "one summary per domain per interval");
@@ -217,6 +218,7 @@ fn saturated_core_is_reflected_in_both_domains_within_one_interval() {
     // and identical levels every single round — neither ever out-runs the
     // other across the shared bottleneck.
     for r in &trajectory {
+        // Holds at this pinned seed only (6 of seeds 1..=40); ROADMAP item 12.
         assert_eq!(r.caps[0], r.caps[1], "caps diverged across the shared core");
         assert_eq!(r.levels[0], r.levels[1], "levels diverged across the shared core");
     }
@@ -225,6 +227,40 @@ fn saturated_core_is_reflected_in_both_domains_within_one_interval() {
     assert!(rounds_at(late, 0, 3) >= 7 && rounds_at(late, 1, 3) >= 7);
     for r in late {
         assert!(r.levels.iter().flatten().all(|&l| (3..=4).contains(&l)));
+    }
+}
+
+/// The federated claims of the two tests above that hold at every seed of
+/// 1..=40, not only at the pinned one: each domain settles at its border fit
+/// and probes at most one layer up, and the first lossy interval caps both
+/// domains behind a saturated core at its fit.
+#[test]
+fn federated_claims_hold_at_forty_seeds() {
+    let cfg = chaos_config();
+    let spec = LayerSpec::paper_default();
+    let drive = |seed: u64, caps_bps: &[f64], rounds: u64| {
+        let (domains, leaves) = federated_domains(2, 2, 2, cfg, seed);
+        let mut fed = Federation::new(cfg, seed, domains, spec.clone());
+        drive_federation(&mut fed, &leaves, caps_bps, &spec, rounds)
+    };
+    for seed in 1..=40 {
+        // Borders of 150 and 600 kb/s: fits of 2 and 4 layers.
+        let split = drive(seed, &[150_000.0, 600_000.0], 30);
+        let late = &split[20..];
+        assert!(rounds_at(late, 0, 2) >= 7 && rounds_at(late, 1, 4) >= 7, "seed {seed}");
+        for r in late {
+            assert!(r.levels[0].iter().all(|&l| (2..=3).contains(&l)), "seed {seed}: A");
+            assert!(r.levels[1].iter().all(|&l| (4..=5).contains(&l)), "seed {seed}: B");
+        }
+        // One 300 kb/s core above both: a fit of 3 layers.
+        let shared = drive(seed, &[300_000.0, 300_000.0], 20);
+        let first_lossy = shared.iter().position(|r| r.lossy).expect("the climb must overshoot");
+        assert_eq!(shared[first_lossy].caps, [3, 3], "seed {seed}: one-interval bound");
+        let late = &shared[10..];
+        assert!(rounds_at(late, 0, 3) >= 7 && rounds_at(late, 1, 3) >= 7, "seed {seed}");
+        for r in late {
+            assert!(r.levels.iter().flatten().all(|&l| (3..=4).contains(&l)), "seed {seed}");
+        }
     }
 }
 
